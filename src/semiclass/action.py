@@ -139,16 +139,20 @@ def classical_period(pot: Potential, lam: float, mass: float,
     return np.sqrt(2.0 * mass) * den
 
 
-def halfline_action(pot: Potential, lam: float, tol: float = TOL_QUAD) -> float:
+def halfline_action(pot: Potential, lam: float, tol: float = TOL_QUAD,
+                    x_plus: Optional[float] = None) -> float:
     """int_0^{x+} (lam - v)^(1/2) dx for a half-line well (0, x+)."""
-    x_plus, _ = halfline_turning_point(pot, lam)
+    if x_plus is None:
+        x_plus, _ = halfline_turning_point(pot, lam)
     val, _ = well_integral(pot, lam, 0.5, 0.0, x_plus, False, True, tol)
     return val
 
 
-def halfline_action_prime(pot: Potential, lam: float, tol: float = TOL_QUAD) -> float:
+def halfline_action_prime(pot: Potential, lam: float, tol: float = TOL_QUAD,
+                          x_plus: Optional[float] = None) -> float:
     """(1/2) int_0^{x+} (lam - v)^(-1/2) dx."""
-    x_plus, _ = halfline_turning_point(pot, lam)
+    if x_plus is None:
+        x_plus, _ = halfline_turning_point(pot, lam)
     val, _ = well_integral(pot, lam, -0.5, 0.0, x_plus, False, True, tol)
     return 0.5 * val
 

@@ -23,6 +23,9 @@ from . import action, langer, oracle, quantize
 from .potential import (
     CertificationError,
     PotentialError,
+    WellCertificate,
+    certify_halfline_well,
+    certify_well,
     potential_from_spec,
     turning_points,
 )
@@ -129,24 +132,23 @@ class RunConfig:
         self.study = raw.get("study", "levels")
         self.grid = raw.get("grid", {})
 
-    def resolve_method(self) -> str:
-        if self.method != "auto":
-            return self.method
-        if self.potential.domain == "half_line":
-            return "halfline"
-        if self.potential.jump_points():
-            return "disc"
-        return "bs"
+        # one certificate for the whole run, shared by every hbar task
+        halfline = self.method == "halfline" or (
+            self.method == "auto" and self.potential.domain == "half_line")
+        certify = certify_halfline_well if halfline else certify_well
+        self.cert = certify(self.potential, *self.window)
+        if self.method == "auto":
+            self.method = "halfline" if halfline else (
+                "disc" if self.cert.interior_jump is not None else "bs")
 
     def levels_for(self, hbar: float):
-        method = self.resolve_method()
-        if method == "bs":
-            lv = quantize.bs_levels(self.potential, self.window, hbar)
-        elif method == "disc":
-            lv = quantize.disc_levels(self.potential, self.window, hbar)
+        if self.method == "bs":
+            lv = quantize.bs_levels(self.potential, self.window, hbar, cert=self.cert)
+        elif self.method == "disc":
+            lv = quantize.disc_levels(self.potential, self.window, hbar, cert=self.cert)
         else:
             lv = quantize.halfline_levels(self.potential, self.window, hbar,
-                                          bc=self.bc, robin_b=self.robin_b)
+                                          bc=self.bc, robin_b=self.robin_b, cert=self.cert)
         if self.n_filter is not None:
             lv = [l for l in lv if l.n in self.n_filter]
         return lv
@@ -170,15 +172,7 @@ def _action_residual(cfg: RunConfig, level, lam: float, hbar: float) -> float:
     if level.kind == "halfline_robin":
         return abs(action.halfline_action(pot, lam) - math.pi * (level.n + 0.25) * hbar)
     # discontinuous: defect of F at lam
-    x0 = pot.singular_points[0].x
-    fp = action.partial_action(pot, lam, x0, "+")
-    fm = action.partial_action(pot, lam, x0, "-")
-    vm = pot.eval(x0, "-")[0]
-    vp = pot.eval(x0, "+")[0]
-    p = ((lam - vm) / (lam - vp)) ** 0.25
-    tp_ = fp / hbar + math.pi / 4
-    tm_ = fm / hbar + math.pi / 4
-    return abs(p * math.sin(tp_) * math.cos(tm_) + math.sin(tm_) * math.cos(tp_) / p)
+    return abs(quantize.disc_condition(pot, lam, hbar, quantize.disc_point(cfg.cert)))
 
 
 def _nearest(arr, x):
@@ -222,9 +216,11 @@ def cmd_levels(cfg: RunConfig) -> dict:
 
 def cmd_count(cfg: RunConfig) -> dict:
     a1, a2 = cfg.window
+    if not isinstance(cfg.cert, WellCertificate):
+        raise CertificationError("domain", "count needs a full-line well")
 
     def work(hbar):
-        cr = quantize.weyl_count(cfg.potential, a1, a2, hbar)
+        cr = quantize.weyl_count(cfg.potential, a1, a2, hbar, cert=cfg.cert)
         count_o = eps_o = None
         if cfg.oracle:
             spec = cfg.oracle_for(hbar)
@@ -251,7 +247,7 @@ def cmd_wavefunction(cfg: RunConfig) -> dict:
             continue
         spec = cfg.oracle_for(hbar) if cfg.oracle else None
         for l in levels:
-            psi = langer.eigenfunction(cfg.potential, l)
+            psi = langer.eigenfunction(cfg.potential, l, cfg.cert)
             if spec is not None and len(spec.eigenvalues):
                 k = _nearest(spec.eigenvalues, l.lam)
                 xg, po = oracle.eigenvector(spec, k)
@@ -373,7 +369,7 @@ def cmd_scaling(cfg: RunConfig) -> dict:
             w, breaks = _weight_fn(cfg, cfg.weights[0])
             return abs(oracle.observable(spec, k, w)
                        - action.classical_average(cfg.potential, l.lam, w, breaks))
-        psi = langer.eigenfunction(cfg.potential, l)
+        psi = langer.eigenfunction(cfg.potential, l, cfg.cert)
         xg, po = oracle.eigenvector(spec, k)
         tp = turning_points(cfg.potential, l.lam)
         mask = (xg >= psi.x1) & (xg <= tp.x_plus + 1.0)

@@ -28,7 +28,13 @@ from scipy.interpolate import BarycentricInterpolator
 from . import quantize as _quantize_mod  # deferred use; no import cycle (quantize avoids langer)
 from .airy import AI_ZERO, airy_many
 from .action import phi_prime, halfline_action_prime
-from .potential import Potential, TurningPoints, halfline_turning_point, turning_points
+from .potential import (
+    Potential,
+    TurningPoints,
+    WellCertificate,
+    halfline_turning_point,
+    turning_points,
+)
 from .quadrature import forbidden_integral, well_integral
 
 __all__ = [
@@ -222,8 +228,11 @@ def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = Non
     else:
         nod_in = _cheb_nodes(x_tp, float(x1), n_nodes)
         nod_out = _cheb_nodes(x_far, x_tp, n_nodes)
-    chart._interp_in = BarycentricInterpolator(nod_in, node_values(nod_in))
-    chart._interp_out = BarycentricInterpolator(nod_out, node_values(nod_out))
+    # a fixed generator: the weights depend on the node order scipy draws,
+    # and the global RNG would make psi differ in the last digits per process
+    rng = np.random.default_rng(0)
+    chart._interp_in = BarycentricInterpolator(nod_in, node_values(nod_in), rng=rng)
+    chart._interp_out = BarycentricInterpolator(nod_out, node_values(nod_out), rng=rng)
     return chart
 
 
@@ -400,8 +409,12 @@ class Eigenfunction:
         return abs(float(up) - float(um)) / amp
 
 
-def eigenfunction(pot: Potential, level) -> Eigenfunction:
-    """Assemble psi for a level produced by the quantize module."""
+def eigenfunction(pot: Potential, level, cert: Optional[WellCertificate] = None) -> Eigenfunction:
+    """Assemble psi for a level produced by the quantize module.
+
+    A discontinuous level is matched at the jump inside the well of cert,
+    by default the certificate of the single energy level.lam.
+    """
     lam, hbar = level.lam, level.hbar
     kind = level.kind
     if kind == "smooth":
@@ -412,8 +425,9 @@ def eigenfunction(pot: Potential, level) -> Eigenfunction:
         minus = UniformWave("-", chart_for(pot, lam, "-", x1), hbar, norm.a * norm.c_minus, x1)
         return Eigenfunction(level, x1, plus, minus)
     if kind == "discontinuous":
-        x1 = pot.singular_points[0].x
-        dn = _quantize_mod.disc_normalization(pot, level, hbar)
+        cert = cert or _quantize_mod.certified(pot, lam, lam)
+        x1 = _quantize_mod.disc_point(cert)
+        dn = _quantize_mod.disc_normalization(pot, level, hbar, cert=cert)
         plus = UniformWave("+", chart_for(pot, lam, "+", x1), hbar, dn.c_plus, x1)
         minus = UniformWave("-", chart_for(pot, lam, "-", x1), hbar,
                             math.copysign(dn.c_minus, dn.a_signed), x1)

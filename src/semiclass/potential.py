@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "PolyBranch",
@@ -370,117 +369,165 @@ class TurningPoints:
         return self.x_plus - self.x_minus
 
 
-def _growth_bound(pot: Potential, target: float, side: int, start: float = 1.0) -> float:
-    """A point in the given direction with v >= target (truncation bound).
+# Level sets v(x) = lam are solved branch by branch in closed form.  The
+# candidates (every branch root inside its piece, and every piece boundary)
+# cut the domain into gaps on which v - lam has no zero, so one evaluation
+# per gap gives its sign and the crossings are exactly the sign changes.
 
-    Found by doubling then solving v(X) = target, so the bound hugs the
-    potential rather than overshooting it.
+_GROWTH_MARGIN = 10.0  # truncation bounds sit where v reaches lam_hi + this
+
+
+def _real_roots(coeffs) -> list[float]:
+    """Real parts of all roots of a polynomial (ascending coefficients).
+
+    Complex pairs contribute their real part as well: a spare candidate
+    costs one sign evaluation, and it keeps a near-double real root from
+    going missing when rounding turns it into a complex pair.
     """
-    x = side * max(start, 1.0)
-    for _ in range(200):
-        if float(pot.value(np.array(x))) >= target:
-            lo = 0.0 if pot.domain == "half_line" and side > 0 else x / 2.0
-            f = lambda y: float(pot.value(np.array(y))) - target
-            if f(lo) >= 0.0:
-                return abs(x)
-            return abs(brentq(f, min(lo, x), max(lo, x), xtol=1e-10))
-        x *= 2.0
-    raise CertificationError("growth", f"v never reaches {target} in direction {side:+d}")
+    c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    if len(c) < 2:
+        return []
+    return [float(r.real) for r in np.polynomial.polynomial.polyroots(c)]
 
 
-def _search_box(pot: Potential, lam_hi: float, margin: float = 10.0) -> tuple[float, float]:
-    """Truncation bounds where v exceeds lam_hi + margin (the 'infinity' proxy)."""
-    hi = _growth_bound(pot, lam_hi + margin, +1)
-    if pot.domain == "half_line":
-        return 0.0, hi
-    lo = -_growth_bound(pot, lam_hi + margin, -1)
-    return lo, hi
+def _branch_roots(branch, lam: float) -> list[float]:
+    """Solutions of branch(x) = lam on the whole real line, in closed form."""
+    if isinstance(branch, PowerBranch):
+        if branch.coeff == 0.0:
+            return []
+        mu = (lam - branch.offset) / branch.coeff
+        if mu < 0.0:
+            return []
+        r = mu ** (1.0 / branch.exponent)
+        return [-r, r]
+    if isinstance(branch, ExpQuadBranch):
+        ratio = (lam - branch.offset) / branch.amplitude if branch.amplitude != 0.0 else 0.0
+        if not 0.0 < ratio < math.inf:
+            return []
+        return _real_roots((branch.c0 - math.log(ratio), branch.c1, branch.c2))
+    c = list(branch.coeffs) or [0.0]
+    c[0] -= lam
+    return _real_roots(c)
 
 
-def _sign_changes(x: np.ndarray, f: np.ndarray):
-    s = np.sign(f)
-    nz = s != 0
-    xs, ss = x[nz], s[nz]
-    flips = np.nonzero(ss[1:] * ss[:-1] < 0)[0]
-    return [(xs[i], xs[i + 1]) for i in flips]
+def _gap_point(a: float, b: float) -> float:
+    """A point strictly inside the gap (a, b); either end may be infinite."""
+    if math.isinf(a) and math.isinf(b):
+        return 0.0
+    if math.isinf(a):
+        return b - max(1.0, abs(b))
+    if math.isinf(b):
+        return a + max(1.0, abs(a))
+    return 0.5 * (a + b)
 
 
-def _scalar_q(pot: Potential, lam: float) -> Callable[[float], float]:
-    return lambda x: float(pot.value(np.array(x))) - lam
+def _polish(branch, lam: float, x: float, lo: float, hi: float, sgn: float) -> tuple[float, float]:
+    """Newton-polish a root of branch(x) = lam without leaving [lo, hi].
 
-
-def _newton_polish(pot: Potential, lam: float, x: float, steps: int = 2) -> float:
-    # drive |v(x)-lam| to rounding level so that downstream endpoint
-    # desingularization sees a machine-accurate root; the bracketing root is
-    # already accurate to TOL_X, so any large step means a broken derivative
-    # (e.g. the bracket closed onto a jump) and is refused
-    cap = 1e-6 * max(1.0, abs(x))
-    for _ in range(steps):
-        d = float(pot.deriv(np.array(x)))
-        if d == 0.0 or not np.isfinite(d):
+    Returns the root and the slope there, taken from the side sgn (-1 from
+    below) when the root is a branch's non-smooth point.
+    """
+    for _ in range(2):
+        d = float(branch.deriv(x))
+        if d == 0.0 or not math.isfinite(d):
             break
-        step = (float(pot.value(np.array(x))) - lam) / d
-        if not np.isfinite(step) or abs(step) > cap:
+        nxt = x - (float(branch.value(x)) - lam) / d
+        if not lo <= nxt <= hi:
             break
-        x = x - step
-    return x
+        x = nxt
+    return x, _one_sided_limits(branch, x, sgn)[1]
 
 
-def turning_points(pot: Potential, lam: float, grid_size: int = 2048,
-                   box: Optional[tuple[float, float]] = None) -> TurningPoints:
+def _crossings(pot: Potential, lam: float):
+    """Points where v - lam changes sign, left to right.
+
+    Returns (crossings, (f_first, f_last)): each crossing is (x, slope) with
+    slope = v'(x) on the branch that carries the root, or nan where v jumps
+    across lam at a piece boundary; f_first and f_last are v - lam in the
+    first and last gap, so their signs hold out to the ends of the domain.
+    """
+    pieces = pot.pieces
+    bounds = pot._boundaries()
+    cands = set(bounds)
+    for p in pieces:
+        cands.update(x for x in _branch_roots(p.branch, lam) if p.lo < x < p.hi)
+    edges = [pieces[0].lo, *sorted(cands), math.inf]
+    gaps = []  # (sample x, branch, v - lam) per gap
+    for a, b in zip(edges, edges[1:]):
+        s = _gap_point(a, b)
+        branch = pieces[bisect_right(bounds, s)].branch
+        f = float(branch.value(s)) - lam
+        if f == 0.0:
+            raise TurningPointError(f"v = lam={lam} at x={s}, away from any isolated crossing")
+        gaps.append((s, branch, f))
+
+    found = []
+    for c, (sa, left, fa), (sb, right, fb) in zip(edges[1:], gaps, gaps[1:]):
+        if (fa > 0.0) == (fb > 0.0):
+            continue
+        # c is the one candidate in (sa, sb): the root sits at c, on the
+        # branch whose value at c still differs in sign from its gap sample
+        f_left = float(left.value(c)) - lam
+        f_right = float(right.value(c)) - lam
+        if f_left == 0.0 or (f_left > 0.0) != (fa > 0.0):
+            found.append(_polish(left, lam, c, sa, c, -1.0))
+        elif f_right == 0.0 or (f_right > 0.0) != (fb > 0.0):
+            found.append(_polish(right, lam, c, c, sb, +1.0))
+        else:
+            found.append((c, math.nan))  # v jumps across lam at the boundary c
+    return found, (gaps[0][2], gaps[-1][2])
+
+
+def turning_points(pot: Potential, lam: float) -> TurningPoints:
     """Locate the two solutions of v(x) = lam and the slopes there.
 
-    Brackets by sign change of v - lam on an audit grid over the truncation
-    box, then refines each root with Brent's method to TOL_X.
+    Each branch solves v = lam in closed form; the sign of v - lam between
+    neighbouring roots and piece boundaries counts the crossings exactly,
+    and each root is Newton-polished on its own branch.
     """
     if pot.domain != "full_line":
         raise PotentialError("turning_points expects a full-line potential")
-    if box is None:
-        box = _search_box(pot, lam)
-    x = np.linspace(box[0], box[1], grid_size)
-    f = pot.value(x) - lam
-    brackets = _sign_changes(x, f)
-    if len(brackets) != 2:
+    found, _ = _crossings(pot, lam)
+    if len(found) != 2:
         raise TurningPointError(
-            f"expected exactly 2 crossings of v(x)={lam}, found {len(brackets)}"
+            f"expected exactly 2 crossings of v(x)={lam}, found {len(found)}"
         )
-    g = _scalar_q(pot, lam)
-    roots = [
-        _newton_polish(pot, lam, brentq(g, a, b, xtol=TOL_X, rtol=4 * np.finfo(float).eps))
-        for a, b in brackets
-    ]
-    x_minus, x_plus = sorted(roots)
-    slope_minus = float(pot.deriv(np.array(x_minus)))
-    slope_plus = float(pot.deriv(np.array(x_plus)))
+    for x, slope in found:
+        if math.isnan(slope):
+            raise TurningPointError(f"v jumps across lam={lam} at x={x}")
+    (x_minus, slope_minus), (x_plus, slope_plus) = found
     return TurningPoints(x_minus, x_plus, slope_minus, slope_plus)
 
 
-def halfline_turning_point(pot: Potential, lam: float, grid_size: int = 2048) -> tuple[float, float]:
+def halfline_turning_point(pot: Potential, lam: float) -> tuple[float, float]:
     """Single right turning point of a half-line well (0, x_plus)."""
     if pot.domain != "half_line":
         raise PotentialError("halfline_turning_point expects a half-line potential")
-    v0 = float(pot.value(np.array(0.0)))
+    v0 = float(pot.pieces[0].branch.value(0.0))
     if not v0 < lam:
         raise TurningPointError(f"v(0)={v0} is not below lam={lam}")
-    _, hi = _search_box(pot, lam)
-    x = np.linspace(0.0, hi, grid_size)
-    brackets = _sign_changes(x, pot.value(x) - lam)
-    if len(brackets) != 1:
-        raise TurningPointError(f"expected exactly 1 crossing, found {len(brackets)}")
-    g = _scalar_q(pot, lam)
-    root = _newton_polish(pot, lam, brentq(g, *brackets[0], xtol=TOL_X, rtol=4 * np.finfo(float).eps))
-    slope = float(pot.deriv(np.array(root)))
-    if slope <= 0.0:
+    found, _ = _crossings(pot, lam)
+    if len(found) != 1:
+        raise TurningPointError(f"expected exactly 1 crossing, found {len(found)}")
+    x_plus, slope = found[0]
+    if not slope > 0.0:
         raise TurningPointError(f"critical turning point: v'(x+)={slope}")
-    return float(root), slope
+    return x_plus, slope
 
 
 @dataclass(frozen=True)
 class WellCertificate:
-    """Verified single-well geometry for every lam in lambda_window.
+    """Single-well geometry verified for every lam in lambda_window.
 
-    The certification is sampling-based on an audit grid; a pathological
-    potential tuned between grid points could evade it.
+    The crossing count of v = lam is exact (closed-form roots per branch)
+    and can change only at a critical value of v: a branch critical point,
+    a one-sided limit at a piece boundary, or an asymptote.  certify_well
+    checks the window edges, every critical value inside the window and one
+    energy between each pair of neighbouring ones, so for every lam in the
+    window: exactly two crossings, neither at a jump of v; nonzero slopes
+    v'(x-) < 0 < v'(x+); no critical point of v at level lam strictly inside
+    the well; x_pm monotone in lam; and v above lam_hi + 10 beyond x_bounds.
+    The only inexactness left is the rounding of the closed-form roots.
     """
 
     potential: Potential
@@ -489,6 +536,11 @@ class WellCertificate:
     interior_singularities: tuple[SingularPoint, ...]
     criticality_margin: float
     x_bounds: tuple[float, float]
+
+    @property
+    def interior_jump(self) -> Optional[float]:
+        """x of the jump of v inside the well, or None for a well without one."""
+        return next((s.x for s in self.interior_singularities if s.kind == "jump"), None)
 
 
 @dataclass(frozen=True)
@@ -500,48 +552,105 @@ class HalfLineCertificate:
     x_bounds: tuple[float, float]
 
 
-def certify_well(pot: Potential, lam_lo: float, lam_hi: float,
-                 audit_grid_size: int = 1024, lam_samples: int = 9) -> WellCertificate:
-    """Check the single-well assumptions on [lam_lo, lam_hi].
+def _critical_points(pot: Potential) -> list[tuple[float, float]]:
+    """(x, v) wherever the crossing count of v = lam can change.
 
-    Verifies, at the window edges and on a lam audit grid between them:
-    exactly two non-critical turning points, v < lam strictly inside the
-    well and v > lam outside it (on an x audit grid), growth past the
-    truncation bounds, and monotonicity of x_pm in lam.
+    These are the critical points of each branch inside its piece (x = 0
+    for a power branch, the vertex of an exp-quadratic, the real roots of a
+    polynomial's derivative), both one-sided limits at each piece boundary
+    and v(0) on the half line.  Energies that mark no point of the well get
+    x = nan: the asymptote of an exp-quadratic branch, and v at the real
+    part of each complex root of a polynomial's derivative (a spare check
+    energy in case rounding turned a near-double real root complex).
     """
-    if not lam_lo < lam_hi:
-        raise CertificationError("window", f"need lam_lo < lam_hi, got ({lam_lo}, {lam_hi})")
-    if pot.domain != "full_line":
-        raise CertificationError("domain", "use certify_halfline_well for half-line potentials")
-    box = _search_box(pot, lam_hi)
-    for edge in box:
-        if float(pot.value(np.array(edge))) <= lam_hi:
-            raise CertificationError("growth", "insufficient growth at the truncation bound")
+    out = []
+    for p in pot.pieces:
+        b = p.branch
+        if isinstance(b, PowerBranch):
+            xs = [(0.0, True)]
+        elif isinstance(b, ExpQuadBranch):
+            xs = [(-b.c1 / (2.0 * b.c2), True)] if b.c2 != 0.0 else []
+            out.append((math.nan, b.offset))
+        else:
+            d = np.trim_zeros(np.polynomial.polynomial.polyder(b.coeffs or (0.0,)), "b")
+            roots = np.polynomial.polynomial.polyroots(d) if len(d) > 1 else ()
+            xs = [(float(r.real), r.imag == 0.0) for r in roots]
+        out.extend((x if real else math.nan, float(b.value(x)))
+                   for x, real in xs if p.lo < x < p.hi)
+    for left, right in zip(pot.pieces, pot.pieces[1:]):
+        out.append((left.hi, _one_sided_limits(left.branch, left.hi, -1.0)[0]))
+        out.append((left.hi, _one_sided_limits(right.branch, left.hi, +1.0)[0]))
+    if pot.domain == "half_line":
+        out.append((0.0, _one_sided_limits(pot.pieces[0].branch, 0.0, +1.0)[0]))
+    return out
 
-    lams = np.linspace(lam_lo, lam_hi, lam_samples)
-    margin = math.inf
+
+def _check_energies(crit, lam_lo: float, lam_hi: float) -> list[float]:
+    """The window edges, each critical value inside the window and one
+    energy between neighbours, ascending; between neighbouring critical
+    values the crossing count is constant, so these stand for the window."""
+    if lam_lo == lam_hi:
+        return [lam_lo]
+    edges = [lam_lo, *sorted({v for _, v in crit if lam_lo < v < lam_hi}), lam_hi]
+    out = [lam_lo]
+    for a, b in zip(edges, edges[1:]):
+        out += [0.5 * (a + b), b]
+    return out
+
+
+def _check_window(pot: Potential, lam_lo: float, lam_hi: float, domain: str) -> None:
+    if not lam_lo <= lam_hi:
+        raise CertificationError("window", f"need lam_lo <= lam_hi, got ({lam_lo}, {lam_hi})")
+    if pot.domain != domain:
+        raise CertificationError("domain", "use certify_halfline_well for half-line potentials"
+                                 if domain == "full_line" else "potential is not half-line")
+
+
+def _no_critical_inside(crit, lam: float, lo: float, hi: float) -> None:
+    for x, v in crit:
+        if v == lam and lo < x < hi:
+            raise CertificationError(
+                "criticality", f"v has a critical point at x={x} with value lam={lam} inside the well"
+            )
+
+
+def _truncation_bounds(pot: Potential, lam_hi: float) -> tuple[float, float]:
+    """Outermost solutions of v = lam_hi + margin; v stays above that level
+    beyond them (the 'infinity' proxy)."""
+    target = lam_hi + _GROWTH_MARGIN
+    try:
+        found, (f_first, f_last) = _crossings(pot, target)
+    except TurningPointError as exc:
+        raise CertificationError("growth", str(exc)) from exc
+    if not f_last > 0.0 or (pot.domain == "full_line" and not f_first > 0.0):
+        raise CertificationError("growth", f"v does not stay above {target} toward infinity")
+    if not found:
+        raise CertificationError("well-geometry", f"v > {target} everywhere: no well")
+    lo = 0.0 if pot.domain == "half_line" else found[0][0]
+    return lo, found[-1][0]
+
+
+def certify_well(pot: Potential, lam_lo: float, lam_hi: float) -> WellCertificate:
+    """Check the single-well assumptions for every lam in [lam_lo, lam_hi].
+
+    See WellCertificate for what is checked and why the check energies
+    cover the whole window; lam_lo == lam_hi certifies a single energy.
+    """
+    _check_window(pot, lam_lo, lam_hi, "full_line")
+    x_bounds = _truncation_bounds(pot, lam_hi)
+    crit = _critical_points(pot)
     tps = []
-    for lam in lams:
+    for lam in _check_energies(crit, lam_lo, lam_hi):
         try:
-            tp = turning_points(pot, float(lam), grid_size=audit_grid_size, box=box)
+            tp = turning_points(pot, lam)
         except TurningPointError as exc:
             raise CertificationError("well-geometry", f"lam={lam}: {exc}") from exc
+        _no_critical_inside(crit, lam, tp.x_minus, tp.x_plus)
         tps.append(tp)
-        margin = min(margin, min(-tp.slope_minus, tp.slope_plus))
-        xg = np.linspace(box[0], box[1], audit_grid_size)
-        v = pot.value(xg)
-        pad = 1e-9 * max(1.0, tp.width)
-        inside = (xg > tp.x_minus + pad) & (xg < tp.x_plus - pad)
-        outside = (xg < tp.x_minus - pad) | (xg > tp.x_plus + pad)
-        if np.any(v[inside] >= lam):
-            raise CertificationError("well-geometry", f"v >= lam inside the well at lam={lam}")
-        if np.any(v[outside] <= lam):
-            raise CertificationError("well-geometry", f"v <= lam outside the well at lam={lam}")
     for a, b in zip(tps, tps[1:]):
         if not (b.x_plus >= a.x_plus - TOL_X and b.x_minus <= a.x_minus + TOL_X):
             raise CertificationError("monotonicity", "x_pm(lam) not monotone across the window")
-    if not margin > 0.0:
-        raise CertificationError("criticality", "vanishing slope at a turning point")
+    margin = min(min(-tp.slope_minus, tp.slope_plus) for tp in tps)
 
     tp_lo, tp_hi = tps[0], tps[-1]
     interior = tuple(
@@ -558,34 +667,34 @@ def certify_well(pot: Potential, lam_lo: float, lam_hi: float,
     return WellCertificate(
         potential=pot,
         lambda_window=(lam_lo, lam_hi),
-        turning_map=lambda lam: turning_points(pot, lam, box=box),
+        turning_map=lambda lam: turning_points(pot, lam),
         interior_singularities=interior,
         criticality_margin=float(margin),
-        x_bounds=box,
+        x_bounds=x_bounds,
     )
 
 
-def certify_halfline_well(pot: Potential, lam_lo: float, lam_hi: float,
-                          audit_grid_size: int = 1024, lam_samples: int = 9) -> HalfLineCertificate:
-    """Half-line analogue of certify_well: single turning point, v(0) < lam."""
-    if not lam_lo < lam_hi:
-        raise CertificationError("window", f"need lam_lo < lam_hi, got ({lam_lo}, {lam_hi})")
-    if pot.domain != "half_line":
-        raise CertificationError("domain", "potential is not half-line")
-    box = _search_box(pot, lam_hi)
+def certify_halfline_well(pot: Potential, lam_lo: float, lam_hi: float) -> HalfLineCertificate:
+    """Half-line analogue of certify_well: v(0) < lam, a single non-critical
+    turning point and no critical point of v at level lam inside (0, x+),
+    checked at the same energies and so for every lam in the window."""
+    _check_window(pot, lam_lo, lam_hi, "half_line")
+    x_bounds = _truncation_bounds(pot, lam_hi)
+    crit = _critical_points(pot)
     margin = math.inf
-    for lam in np.linspace(lam_lo, lam_hi, lam_samples):
+    for lam in _check_energies(crit, lam_lo, lam_hi):
         try:
-            _, slope = halfline_turning_point(pot, float(lam), grid_size=audit_grid_size)
+            x_plus, slope = halfline_turning_point(pot, lam)
         except TurningPointError as exc:
             raise CertificationError("well-geometry", f"lam={lam}: {exc}") from exc
+        _no_critical_inside(crit, lam, 0.0, x_plus)
         margin = min(margin, slope)
     return HalfLineCertificate(
         potential=pot,
         lambda_window=(lam_lo, lam_hi),
         turning_map=lambda lam: halfline_turning_point(pot, lam),
         criticality_margin=float(margin),
-        x_bounds=box,
+        x_bounds=x_bounds,
     )
 
 

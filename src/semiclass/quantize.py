@@ -28,15 +28,18 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .action import (
+    TOL_QUAD,
     halfline_action,
     halfline_action_prime,
     partial_action,
+    phi,
     phi_prime,
     phi_value,
 )
 from .potential import (
     HalfLineCertificate,
     Potential,
+    TurningPoints,
     WellCertificate,
     certify_halfline_well,
     certify_well,
@@ -53,6 +56,8 @@ __all__ = [
     "weyl_count",
     "disc_levels",
     "disc_normalization",
+    "disc_condition",
+    "disc_point",
     "halfline_levels",
     "levels_to_csv",
     "levels_to_json",
@@ -110,19 +115,23 @@ def certified_halfline(pot: Potential, lam_lo: float, lam_hi: float) -> HalfLine
     return certify_halfline_well(pot, lam_lo, lam_hi)
 
 
-def _solve_action_root(fun, dfun, target: float, lo: float, hi: float) -> tuple[float, float]:
-    """Solve fun(lam) = target on [lo, hi] where fun is strictly increasing.
+def _solve_action_root(value, profile, target: float, lo: float, hi: float,
+                       value_lo: float, value_hi: float) -> tuple[float, float, float]:
+    """Solve value(lam) = target on [lo, hi] where value is strictly increasing.
 
-    Newton iterations with the analytic derivative, safeguarded by the
-    shrinking bracket; returns (root, |fun(root) - target|).
+    value_lo and value_hi are value(lo) and value(hi); profile(lam) returns
+    (value, derivative) from one turning-point solve.  Newton iterations with
+    the analytic derivative, safeguarded by the shrinking bracket; returns
+    (root, value(root), |value(root) - target|).
     """
-    f_lo = fun(lo) - target
-    f_hi = fun(hi) - target
+    f_lo = value_lo - target
+    f_hi = value_hi - target
     if f_lo > 0.0 or f_hi < 0.0:
         raise QuantizeError(f"target {target} not bracketed by [{lo}, {hi}]")
     a, b = lo, hi
     lam = a + (b - a) * (-f_lo) / (f_hi - f_lo)  # secant start
-    f = fun(lam) - target
+    val, der = profile(lam)
+    f = val - target
     for _ in range(80):
         if abs(f) == 0.0:
             break
@@ -130,21 +139,18 @@ def _solve_action_root(fun, dfun, target: float, lo: float, hi: float) -> tuple[
             b = lam
         else:
             a = lam
-        step = f / dfun(lam)
-        nxt = lam - step
+        nxt = lam - f / der
         if not a < nxt < b:
             nxt = 0.5 * (a + b)
         if abs(nxt - lam) <= LAMBDA_TOL * max(1.0, abs(lam)):
             lam = nxt
-            f = fun(lam) - target
+            val = value(lam)
+            f = val - target
             break
         lam = nxt
-        f = fun(lam) - target
-    return lam, abs(f)
-
-
-def _interior_kinds(cert: WellCertificate) -> set:
-    return {s.kind for s in cert.interior_singularities}
+        val, der = profile(lam)
+        f = val - target
+    return lam, val, abs(f)
 
 
 def bs_levels(pot: Potential, window: tuple[float, float], hbar: float,
@@ -158,21 +164,25 @@ def bs_levels(pot: Potential, window: tuple[float, float], hbar: float,
         raise QuantizeError("hbar must be positive")
     a1, a2 = window
     cert = cert or certified(pot, a1, a2)
-    if "jump" in _interior_kinds(cert):
+    if cert.interior_jump is not None:
         raise QuantizeError("potential jumps inside the well; use disc_levels")
     phi1 = phi_value(pot, a1, cert.turning_map(a1), tol=_ROOT_QUAD_TOL)
     phi2 = phi_value(pot, a2, cert.turning_map(a2), tol=_ROOT_QUAD_TOL)
-    fun = lambda lam: phi_value(pot, lam, tol=_ROOT_QUAD_TOL)
-    dfun = lambda lam: phi_prime(pot, lam, tol=_ROOT_QUAD_TOL)
+    value = lambda lam: phi_value(pot, lam, tol=_ROOT_QUAD_TOL)
+
+    def profile(lam):
+        prof = phi(pot, lam, tol=_ROOT_QUAD_TOL)
+        return prof.phi, prof.phi_prime
+
     n_lo = math.ceil(phi1 / (math.pi * hbar) - 0.5)
     n_hi = math.floor(phi2 / (math.pi * hbar) - 0.5)
     out = []
-    lo = a1
+    lo, phi_lo = a1, phi1
     for n in range(max(n_lo, 0), n_hi + 1):
         target = math.pi * (n + 0.5) * hbar
         if not phi1 < target < phi2:
             continue
-        lam, resid = _solve_action_root(fun, dfun, target, lo, a2)
+        lam, phi_lo, resid = _solve_action_root(value, profile, target, lo, a2, phi_lo, phi2)
         out.append(SemiclassicalLevel(n=n, hbar=hbar, lam=lam, residual=resid,
                                       kind="smooth", amplitude_a=(-1.0) ** (n % 2)))
         lo = lam  # Phi is increasing: next root lies to the right
@@ -205,10 +215,13 @@ def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
 # discontinuous wells
 
 
-def _disc_point(pot: Potential, cert: WellCertificate) -> float:
+def disc_point(cert: WellCertificate) -> float:
+    """x0 of the generalized condition: the one singular point inside the
+    certified well (its interior jump, or a kink where the condition
+    reduces to Bohr-Sommerfeld)."""
     if len(cert.interior_singularities) != 1:
         raise QuantizeError(
-            f"disc_levels needs exactly one interior singular point, found "
+            f"the discontinuous condition needs exactly one interior singular point, found "
             f"{len(cert.interior_singularities)}"
         )
     return cert.interior_singularities[0].x
@@ -222,6 +235,26 @@ def _jump_factor(pot: Potential, x0: float, lam: float) -> float:
     return ((lam - vm) / (lam - vp)) ** 0.25
 
 
+def _disc_angles(pot: Potential, lam: float, hbar: float, x0: float,
+                 tp: Optional[TurningPoints], tol: float) -> tuple[float, float, float]:
+    """(theta+, theta-, p) at lam from one turning-point solve."""
+    tp = tp if tp is not None else turning_points(pot, lam)
+    th_p = partial_action(pot, lam, x0, "+", tp, tol) / hbar + 0.25 * math.pi
+    th_m = partial_action(pot, lam, x0, "-", tp, tol) / hbar + 0.25 * math.pi
+    return th_p, th_m, _jump_factor(pot, x0, lam)
+
+
+def _disc_f(th_p: float, th_m: float, p: float) -> float:
+    return p * math.sin(th_p) * math.cos(th_m) + math.sin(th_m) * math.cos(th_p) / p
+
+
+def disc_condition(pot: Potential, lam: float, hbar: float, x0: float,
+                   tol: float = TOL_QUAD) -> float:
+    """F(lam) = p sin(theta+) cos(theta-) + p^-1 cos(theta+) sin(theta-) for
+    the jump at x0; its roots are the discontinuous-well levels."""
+    return _disc_f(*_disc_angles(pot, lam, hbar, x0, None, tol))
+
+
 def disc_levels(pot: Potential, window: tuple[float, float], hbar: float,
                 cert: Optional[WellCertificate] = None) -> list[SemiclassicalLevel]:
     """Solve the generalized quantization condition for a well with one
@@ -230,18 +263,9 @@ def disc_levels(pot: Potential, window: tuple[float, float], hbar: float,
         raise QuantizeError("hbar must be positive")
     a1, a2 = window
     cert = cert or certified(pot, a1, a2)
-    x0 = _disc_point(pot, cert)
+    x0 = disc_point(cert)
     _jump_factor(pot, x0, a1)  # validates the window bottom
-
-    def theta(lam):
-        fp = partial_action(pot, lam, x0, "+", tol=_ROOT_QUAD_TOL)
-        fm = partial_action(pot, lam, x0, "-", tol=_ROOT_QUAD_TOL)
-        return fp / hbar + 0.25 * math.pi, fm / hbar + 0.25 * math.pi
-
-    def F(lam):
-        th_p, th_m = theta(lam)
-        p = _jump_factor(pot, x0, lam)
-        return p * math.sin(th_p) * math.cos(th_m) + math.sin(th_m) * math.cos(th_p) / p
+    F = lambda lam: disc_condition(pot, lam, hbar, x0, _ROOT_QUAD_TOL)
 
     dphi = [phi_prime(pot, lam) for lam in np.linspace(a1, a2, 5)]
     dmin, dmax = min(dphi), max(dphi)
@@ -273,13 +297,12 @@ def disc_levels(pot: Potential, window: tuple[float, float], hbar: float,
     if roots:
         n0 = int(round(phi_value(pot, roots[0]) / (math.pi * hbar) - 0.5))
         for k, lam in enumerate(roots):
-            th_p, th_m = theta(lam)
-            p = _jump_factor(pot, x0, lam)
+            th_p, th_m, p = _disc_angles(pot, lam, hbar, x0, None, _ROOT_QUAD_TOL)
             a2_lead = (p * math.cos(th_m)) ** 2 + (math.sin(th_m) / p) ** 2
             a_signed = math.copysign(math.sqrt(a2_lead), _a_sign(th_p, th_m, p))
             out.append(SemiclassicalLevel(n=n0 + k, hbar=hbar, lam=lam,
-                                          residual=abs(F(lam)), kind="discontinuous",
-                                          amplitude_a=a_signed))
+                                          residual=abs(_disc_f(th_p, th_m, p)),
+                                          kind="discontinuous", amplitude_a=a_signed))
     return out
 
 
@@ -301,22 +324,22 @@ class DiscNormalization:
 
 
 def disc_normalization(pot: Potential, level: SemiclassicalLevel, hbar: float,
-                       tol: float = 1e-10) -> DiscNormalization:
+                       tol: float = 1e-10,
+                       cert: Optional[WellCertificate] = None) -> DiscNormalization:
     """Leading-order normalization constants for a discontinuous-well level.
 
     a^2 = p^2 cos^2(theta-) + p^-2 sin^2(theta-); the half-well integrals
     I_pm of (lam - v)^(-1/2) then give
     |c_+| = (2/pi)^(1/2) hbar^(-1/6) (I_+ + a^-2 I_-)^(-1/2) and the mirrored
-    expression for |c_-|.
+    expression for |c_-|.  x0 comes from cert, by default the certificate
+    of the single energy level.lam.
     """
     if level.kind != "discontinuous":
         raise QuantizeError("disc_normalization expects a discontinuous-kind level")
     lam = level.lam
-    x0 = [s.x for s in pot.singular_points][0]
+    x0 = disc_point(cert or certified(pot, lam, lam))
     tp = turning_points(pot, lam)
-    p = _jump_factor(pot, x0, lam)
-    th_p = partial_action(pot, lam, x0, "+", tp) / hbar + 0.25 * math.pi
-    th_m = partial_action(pot, lam, x0, "-", tp) / hbar + 0.25 * math.pi
+    th_p, th_m, p = _disc_angles(pot, lam, hbar, x0, tp, TOL_QUAD)
     a2 = (p * math.cos(th_m)) ** 2 + (math.sin(th_m) / p) ** 2
     i_plus, _ = well_integral(pot, lam, -0.5, x0, tp.x_plus, False, True, tol)
     i_minus, _ = well_integral(pot, lam, -0.5, tp.x_minus, x0, True, False, tol)
@@ -388,19 +411,24 @@ def halfline_levels(pot: Potential, window: tuple[float, float], hbar: float,
     a1, a2 = window
     cert = cert or certified_halfline(pot, a1, a2)
     offset = _BC_OFFSETS[bc]
-    fun = lambda lam: halfline_action(pot, lam, tol=_ROOT_QUAD_TOL)
-    dfun = lambda lam: halfline_action_prime(pot, lam, tol=_ROOT_QUAD_TOL)
-    s1, s2 = fun(a1), fun(a2)
+    value = lambda lam: halfline_action(pot, lam, tol=_ROOT_QUAD_TOL)
+
+    def profile(lam):
+        x_plus, _ = cert.turning_map(lam)
+        return (halfline_action(pot, lam, _ROOT_QUAD_TOL, x_plus),
+                halfline_action_prime(pot, lam, _ROOT_QUAD_TOL, x_plus))
+
+    s1, s2 = value(a1), value(a2)
     n_lo = math.ceil(s1 / (math.pi * hbar) - offset)
     n_hi = math.floor(s2 / (math.pi * hbar) - offset)
     kind = "halfline_dirichlet" if bc == "dirichlet" else "halfline_robin"
     out = []
-    lo = a1
+    lo, s_lo = a1, s1
     for n in range(max(n_lo, 0), n_hi + 1):
         target = math.pi * (n + offset) * hbar
         if not s1 < target < s2:
             continue
-        lam, resid = _solve_action_root(fun, dfun, target, lo, a2)
+        lam, s_lo, resid = _solve_action_root(value, profile, target, lo, a2, s_lo, s2)
         out.append(SemiclassicalLevel(n=n, hbar=hbar, lam=lam, residual=resid, kind=kind,
                                       robin_b=(robin_b if bc == "robin" else None)))
         lo = lam

@@ -163,6 +163,54 @@ def test_disc_routing_from_committed_config(tmp_path):
     assert all(abs(float(r.split(",")[6])) < 1e-3 for r in rows)
 
 
+KINK_JUMP_POT = {"kind": "table", "branches": [
+    {"lo": "-inf", "hi": -3.0, "type": "poly", "coeffs": [-27.0, -12.0]},
+    {"lo": -3.0, "hi": 0.0, "type": "poly", "coeffs": [0.0, 0.0, 1.0]},
+    {"lo": 0.0, "hi": "inf", "type": "power", "offset": 0.5, "coeff": 1.0, "exponent": 2.0},
+]}
+
+
+def test_disc_levels_with_a_kink_outside_the_well(tmp_path):
+    # the first singular point (the kink at -3) is not the jump the levels need
+    cfg = write_config(tmp_path, "c.json", {"potential": KINK_JUMP_POT, "hbar": 0.05,
+                                            "window": [0.8, 1.8]})
+    assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
+    rows = [r.split(",") for r in (tmp_path / "t.csv").read_text().strip().splitlines()[1:]]
+    assert len(rows) == 10
+    assert all(r[2] == "discontinuous" and abs(float(r[6])) < 1e-3 for r in rows)
+    assert all(float(r[7]) < 1e-2 for r in rows)
+
+
+def test_jump_outside_the_well_routes_to_bs(tmp_path):
+    pot = {"kind": "table", "branches": [
+        {"lo": "-inf", "hi": -3.0, "type": "poly", "coeffs": [-26.0, -12.0]},
+        {"lo": -3.0, "hi": "inf", "type": "poly", "coeffs": [0.0, 0.0, 1.0]},
+    ]}
+    cfg = write_config(tmp_path, "c.json", {"potential": pot, "hbar": 0.1,
+                                            "window": [0.03, 0.77], "oracle": False})
+    assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
+    rows = (tmp_path / "t.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 4 and all(r.split(",")[2] == "smooth" for r in rows)
+
+
+def test_levels_certifies_once_per_run(tmp_path, monkeypatch):
+    from semiclass import cli, potential, quantize
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return potential.certify_well(*args, **kwargs)
+
+    for mod in (cli, quantize):
+        monkeypatch.setattr(mod, "certify_well", counting)
+    quantize.certified.cache_clear()
+    cfg = write_config(tmp_path, "c.json", {"potential": HARM_POT, "hbar": [0.1, 0.05, 0.025],
+                                            "window": [0.03, 0.77], "oracle": False})
+    assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
+    assert calls == [(0.03, 0.77)]
+
+
 def test_halfline_routing_from_committed_config(tmp_path):
     proc, out = invoke(["levels", "--config", str(CONFIGS / "halfline_robin.json"),
                         "--no-oracle"], tmp_path)

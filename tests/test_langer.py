@@ -34,6 +34,18 @@ def test_chart_vanishes_at_turning_point():
     assert abs(ch.xi_prime(1.0) - 2.0 ** (1.0 / 3.0)) <= 1e-8 * 2.0 ** (1.0 / 3.0)
 
 
+def test_chart_build_ignores_global_rng():
+    # the barycentric weights depend on a node order scipy draws at random;
+    # psi must not depend on the global numpy RNG state
+    np.random.seed(0)
+    a = build_chart(QUART, 1.3, "+")
+    np.random.seed(12345)
+    np.random.random(17)
+    b = build_chart(QUART, 1.3, "+")
+    x = np.linspace(a.x1, a.x_far + 1.0, 801)
+    assert np.array_equal(chart_u(a, 0.05, x), chart_u(b, 0.05, x))
+
+
 def test_chart_slope_at_left_turning_point():
     ch = build_chart(HARM, 1.0, "-")
     assert ch.xi(-1.0) == 0.0

@@ -5,7 +5,8 @@ import pytest
 
 from semiclass import oracle, quantize
 from semiclass.action import phi_prime, phi_value
-from semiclass.potential import halfline_power_law, make_power_law
+from semiclass.langer import eigenfunction
+from semiclass.potential import halfline_power_law, make_power_law, potential_from_spec
 from semiclass.quantize import (
     QuantizeError,
     bs_levels,
@@ -155,6 +156,26 @@ def test_disc_rejects_window_below_jump():
 def test_disc_rejects_smooth_potential():
     with pytest.raises(QuantizeError):
         disc_levels(HARM, (0.5, 1.5), 0.05)
+
+
+# a kink at x = -3 outside the well and the jump of DISC at x = 0 inside it
+KINK_JUMP = potential_from_spec({"kind": "table", "branches": [
+    {"lo": "-inf", "hi": -3.0, "type": "poly", "coeffs": [-27.0, -12.0]},
+    {"lo": -3.0, "hi": 0.0, "type": "poly", "coeffs": [0.0, 0.0, 1.0]},
+    {"lo": 0.0, "hi": "inf", "type": "power", "offset": 0.5, "coeff": 1.0, "exponent": 2.0},
+]})
+
+
+def test_disc_uses_the_jump_inside_the_well():
+    assert [s.kind for s in KINK_JUMP.singular_points] == ["kink", "jump"]
+    dl = disc_levels(KINK_JUMP, (0.8, 1.8), 0.05)
+    ref = disc_levels(DISC, (0.8, 1.8), 0.05)
+    assert [l.n for l in dl] == [l.n for l in ref] and len(dl) == 10
+    for l, r in zip(dl, ref):
+        assert abs(l.lam - r.lam) <= 1e-12 * r.lam
+        dn, dn_ref = disc_normalization(KINK_JUMP, l, 0.05), disc_normalization(DISC, r, 0.05)
+        assert abs(dn.c_plus - dn_ref.c_plus) <= 1e-9 * dn_ref.c_plus
+        assert eigenfunction(KINK_JUMP, l).x1 == 0.0
 
 
 def test_disc_normalization_continuous_limit():

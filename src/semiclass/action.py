@@ -9,12 +9,12 @@ forms available for power-law wells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .gammafn import beta
 from .potential import (
     Potential,
     TurningPoints,
@@ -168,12 +168,17 @@ class PowerLawForms:
     kinetic: float
 
 
+def _beta(a: float, b: float) -> float:
+    """B(a, b) for positive a, b."""
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
 def _half_actions(a: float, v: float, alpha: float, lam: float) -> tuple[float, float]:
     # int_0^{x+} (lam - a - v x^alpha)^(+-1/2) dx in closed form
     mu = lam - a
     s = (mu / v) ** (1.0 / alpha) / alpha
-    up = mu**0.5 * s * beta(1.5, 1.0 / alpha)
-    dn = mu**-0.5 * s * beta(0.5, 1.0 / alpha)
+    up = mu**0.5 * s * _beta(1.5, 1.0 / alpha)
+    dn = mu**-0.5 * s * _beta(0.5, 1.0 / alpha)
     return up, dn
 
 

@@ -162,17 +162,16 @@ class RunConfig:
 
 
 def _action_residual(cfg: RunConfig, level, lam: float, hbar: float) -> float:
-    """Defect of the quantization condition evaluated at lam (e.g. an oracle
-    eigenvalue) for the level's quantum number."""
+    """Defect |G(lam) - pi(n + mu) hbar| of the level's quantization condition
+    evaluated at lam (e.g. an oracle eigenvalue), in action units."""
     pot = cfg.potential
     if level.kind == "smooth":
-        return abs(action.phi_value(pot, lam) - math.pi * (level.n + 0.5) * hbar)
-    if level.kind == "halfline_dirichlet":
-        return abs(action.halfline_action(pot, lam) - math.pi * (level.n + 0.75) * hbar)
-    if level.kind == "halfline_robin":
-        return abs(action.halfline_action(pot, lam) - math.pi * (level.n + 0.25) * hbar)
-    # discontinuous: defect of F at lam
-    return abs(quantize.disc_condition(pot, lam, hbar, quantize.disc_point(cfg.cert)))
+        g = action.phi_value(pot, lam)
+    elif level.kind == "discontinuous":
+        g = quantize.jump_action(pot, lam, hbar, quantize.disc_point(cfg.cert)).g
+    else:
+        g = action.halfline_action(pot, lam)
+    return abs(g - math.pi * (level.n + quantize.MASLOV_OFFSETS[level.kind]) * hbar)
 
 
 def _nearest(arr, x):
@@ -348,7 +347,7 @@ def cmd_scaling(cfg: RunConfig) -> dict:
                 worst = 0.0
                 for lam in spec.eigenvalues:
                     ph = action.phi_value(cfg.potential, float(lam))
-                    frac = ph / (math.pi * hbar) - 0.5
+                    frac = ph / (math.pi * hbar) - quantize.MASLOV_OFFSETS["smooth"]
                     worst = max(worst, abs(frac - round(frac)) * math.pi * hbar)
                 return worst
             lams = np.array([l.lam for l in lv])

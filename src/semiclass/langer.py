@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator
 
 from . import quantize as _quantize_mod  # deferred use; no import cycle (quantize avoids langer)
 from .airy import AI_ZERO, airy_many
@@ -89,8 +88,8 @@ class LangerChart:
     collar: float
     x_far: float
     turning: Optional[TurningPoints]
-    _interp_in: BarycentricInterpolator
-    _interp_out: BarycentricInterpolator
+    _interp_in: np.polynomial.Chebyshev
+    _interp_out: np.polynomial.Chebyshev
 
     # -- xi -----------------------------------------------------------------
 
@@ -228,11 +227,8 @@ def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = Non
     else:
         nod_in = _cheb_nodes(x_tp, float(x1), n_nodes)
         nod_out = _cheb_nodes(x_far, x_tp, n_nodes)
-    # a fixed generator: the weights depend on the node order scipy draws,
-    # and the global RNG would make psi differ in the last digits per process
-    rng = np.random.default_rng(0)
-    chart._interp_in = BarycentricInterpolator(nod_in, node_values(nod_in), rng=rng)
-    chart._interp_out = BarycentricInterpolator(nod_out, node_values(nod_out), rng=rng)
+    chart._interp_in = np.polynomial.Chebyshev.fit(nod_in, node_values(nod_in), n_nodes)
+    chart._interp_out = np.polynomial.Chebyshev.fit(nod_out, node_values(nod_out), n_nodes)
     return chart
 
 

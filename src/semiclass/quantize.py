@@ -1,15 +1,20 @@
 """Quantization conditions: smooth Bohr-Sommerfeld, Weyl counts, the
 generalized condition for a jump inside the well, and half-line problems.
 
-Smooth case: Phi(lam) = pi (n + 1/2) hbar has exactly one solution per n
-because Phi' > 0; roots are found by safeguarded Newton on a bracket.
+Every kind is one action condition G(lam) = pi (n + mu) hbar, with the Maslov
+offset mu from MASLOV_OFFSETS, solved for each n by the same safeguarded
+Newton iteration on a bracket.
+
+Smooth case: G = Phi, mu = 1/2; Phi' > 0 gives exactly one root per n.
 
 Jump at x0: with theta_pm = phi_pm(x0; lam)/hbar + pi/4 and
 p = ((lam - v(x0-0)) / (lam - v(x0+0)))^(1/4), eigenvalues solve
 F(lam) = p sin(theta+) cos(theta-) + p^(-1) cos(theta+) sin(theta-) = 0,
-which reduces to Bohr-Sommerfeld when the jump vanishes (p = 1).  F
-oscillates on the hbar scale, so roots are bracketed on a lam grid tied to
-hbar and max Phi' before bisection.
+which holds exactly when the phase-corrected action G = Phi + hbar delta
+equals pi (n + 1/2) hbar (see jump_action).  |hbar delta| < pi hbar / 2, and
+delta vanishes with the jump (p = 1), where the condition is Bohr-Sommerfeld.
+G' can turn negative close to the top of the jump; the sign-change bracket
+keeps the iteration safe there.
 
 Half line: int_0^{x+} (lam - v)^(1/2) = pi hbar (n + 3/4) for a Dirichlet
 condition at 0 and pi hbar (n + 1/4) for a Robin condition psi'(0) = b psi(0);
@@ -19,13 +24,11 @@ the value of b does not enter at leading order (it is recorded anyway).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .action import (
     TOL_QUAD,
@@ -33,13 +36,11 @@ from .action import (
     halfline_action_prime,
     partial_action,
     phi,
-    phi_prime,
     phi_value,
 )
 from .potential import (
     HalfLineCertificate,
     Potential,
-    TurningPoints,
     WellCertificate,
     certify_halfline_well,
     certify_well,
@@ -48,16 +49,18 @@ from .potential import (
 from .quadrature import well_integral
 
 __all__ = [
+    "MASLOV_OFFSETS",
     "SemiclassicalLevel",
     "CountResult",
+    "JumpAction",
     "DiscNormalization",
     "QuantizeError",
     "bs_levels",
     "weyl_count",
     "disc_levels",
     "disc_normalization",
-    "disc_condition",
     "disc_point",
+    "jump_action",
     "halfline_levels",
     "levels_to_csv",
     "levels_to_json",
@@ -66,11 +69,19 @@ __all__ = [
 ]
 
 # A returned lam is accurate to about LAMBDA_TOL relative plus
-# _ROOT_QUAD_TOL / Phi'(lam) absolute.  Its last bits are rounding noise: near
-# the root Phi - target is flat at ulp scale and not monotone, so which
+# _ROOT_QUAD_TOL / G'(lam) absolute.  Its last bits are rounding noise: near
+# the root G - target is flat at ulp scale and not monotone, so which
 # neighbouring double the solver stops on may differ between numpy/BLAS builds.
 LAMBDA_TOL = 1e-12  # relative root tolerance in lam
-_ROOT_QUAD_TOL = 1e-12  # absolute quadrature tolerance on Phi while root solving
+_ROOT_QUAD_TOL = 1e-12  # absolute quadrature tolerance on G while root solving
+
+# Maslov offset mu of the condition G(lam) = pi (n + mu) hbar, per level kind
+MASLOV_OFFSETS = {
+    "smooth": 0.5,
+    "discontinuous": 0.5,
+    "halfline_dirichlet": 0.75,
+    "halfline_robin": 0.25,
+}
 
 
 class QuantizeError(RuntimeError):
@@ -81,13 +92,16 @@ class QuantizeError(RuntimeError):
 class SemiclassicalLevel:
     """One predicted eigenvalue.
 
-    residual is the defect of the quantization condition at the returned
-    lam: |Phi - pi(n+1/2) hbar| for smooth/half-line kinds, |F(lam)| for the
-    discontinuous kind.  amplitude_a is the relative factor u_- = a u_+
-    (None for half-line problems, which carry a single solution).
+    residual is the defect |G - pi(n + mu) hbar| of the quantization
+    condition at the returned lam, in action units for every kind: G is Phi
+    (smooth), the half-line action (half-line kinds) or the phase-corrected
+    action of jump_action (discontinuous kind, where the paper's jump
+    function is |F| = a |sin(residual/hbar)|).  amplitude_a is the relative
+    factor u_- = a u_+, (-1)^n times its magnitude (None for half-line
+    problems, which carry a single solution).
 
     lam is the root of the quantization condition to about LAMBDA_TOL
-    relative plus _ROOT_QUAD_TOL / Phi' absolute.  Its last bits are rounding
+    relative plus _ROOT_QUAD_TOL / G' absolute.  Its last bits are rounding
     noise and may differ between numpy/BLAS builds; on one build they repeat.
     """
 
@@ -95,7 +109,7 @@ class SemiclassicalLevel:
     hbar: float
     lam: float
     residual: float
-    kind: str  # smooth | discontinuous | halfline_dirichlet | halfline_robin
+    kind: str  # a key of MASLOV_OFFSETS
     amplitude_a: Optional[float] = None
     robin_b: Optional[float] = None
 
@@ -125,12 +139,13 @@ def certified_halfline(pot: Potential, lam_lo: float, lam_hi: float) -> HalfLine
 
 def _solve_action_root(value, profile, target: float, lo: float, hi: float,
                        value_lo: float, value_hi: float) -> tuple[float, float, float]:
-    """Solve value(lam) = target on [lo, hi] where value is strictly increasing.
+    """Solve value(lam) = target on [lo, hi] with value_lo <= target <= value_hi.
 
     value_lo and value_hi are value(lo) and value(hi); profile(lam) returns
     (value, derivative) from one turning-point solve.  Newton iterations with
-    the analytic derivative, safeguarded by the shrinking bracket; returns
-    (root, value(root), |value(root) - target|).
+    the analytic derivative, safeguarded by the shrinking sign-change bracket
+    (bisection where the step leaves it or the derivative is not positive);
+    returns (root, value(root), |value(root) - target|).
     """
     f_lo = value_lo - target
     f_hi = value_hi - target
@@ -147,7 +162,7 @@ def _solve_action_root(value, profile, target: float, lo: float, hi: float,
             b = lam
         else:
             a = lam
-        nxt = lam - f / der
+        nxt = lam - f / der if der > 0.0 else 0.5 * (a + b)
         if not a < nxt < b:
             nxt = 0.5 * (a + b)
         if abs(nxt - lam) <= LAMBDA_TOL * max(1.0, abs(lam)):
@@ -159,6 +174,32 @@ def _solve_action_root(value, profile, target: float, lo: float, hi: float,
         val, der = profile(lam)
         f = val - target
     return lam, val, abs(f)
+
+
+def _action_levels(value, profile, window: tuple[float, float], ends: tuple[float, float],
+                   hbar: float, kind: str, magnitude=None,
+                   robin_b: Optional[float] = None) -> list[SemiclassicalLevel]:
+    """Every level of one kind in the window: for each n with
+    pi (n + mu) hbar strictly between ends = (value(a1), value(a2)), the root
+    of value(lam) = pi (n + mu) hbar, mu = MASLOV_OFFSETS[kind], solved left to
+    right.  magnitude(lam) is |amplitude_a| (no amplitude when None)."""
+    (a1, a2), (v1, v2) = window, ends
+    mu = MASLOV_OFFSETS[kind]
+    n_lo = math.ceil(v1 / (math.pi * hbar) - mu)
+    n_hi = math.floor(v2 / (math.pi * hbar) - mu)
+    out = []
+    lo, v_lo = a1, v1
+    for n in range(max(n_lo, 0), n_hi + 1):
+        target = math.pi * (n + mu) * hbar
+        if not v1 < target < v2:
+            continue
+        lam, v_lo, resid = _solve_action_root(value, profile, target, lo, a2, v_lo, v2)
+        lam = float(lam)
+        amp = None if magnitude is None else (-1.0) ** (n % 2) * float(magnitude(lam))
+        out.append(SemiclassicalLevel(n=n, hbar=hbar, lam=lam, residual=float(resid),
+                                      kind=kind, amplitude_a=amp, robin_b=robin_b))
+        lo = lam  # the next target lies above this one: so does its root
+    return out
 
 
 def bs_levels(pot: Potential, window: tuple[float, float], hbar: float,
@@ -182,19 +223,8 @@ def bs_levels(pot: Potential, window: tuple[float, float], hbar: float,
         prof = phi(pot, lam, tol=_ROOT_QUAD_TOL)
         return prof.phi, prof.phi_prime
 
-    n_lo = math.ceil(phi1 / (math.pi * hbar) - 0.5)
-    n_hi = math.floor(phi2 / (math.pi * hbar) - 0.5)
-    out = []
-    lo, phi_lo = a1, phi1
-    for n in range(max(n_lo, 0), n_hi + 1):
-        target = math.pi * (n + 0.5) * hbar
-        if not phi1 < target < phi2:
-            continue
-        lam, phi_lo, resid = _solve_action_root(value, profile, target, lo, a2, phi_lo, phi2)
-        out.append(SemiclassicalLevel(n=n, hbar=hbar, lam=lam, residual=resid,
-                                      kind="smooth", amplitude_a=(-1.0) ** (n % 2)))
-        lo = lam  # Phi is increasing: next root lies to the right
-    return out
+    return _action_levels(value, profile, window, (phi1, phi2), hbar, "smooth",
+                          magnitude=lambda lam: 1.0)
 
 
 def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
@@ -209,14 +239,15 @@ def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
     cert = cert or certified(pot, a1, a2)
     phi1 = phi_value(pot, a1, cert.turning_map(a1))
     phi2 = phi_value(pot, a2, cert.turning_map(a2))
-    predicted = (phi2 - phi1) / (math.pi * hbar)
+    predicted = float((phi2 - phi1) / (math.pi * hbar))
     if count is None:
-        n_lo = math.ceil(phi1 / (math.pi * hbar) - 0.5)
-        n_hi = math.floor(phi2 / (math.pi * hbar) - 0.5)
+        mu = MASLOV_OFFSETS["smooth"]
+        n_lo = math.ceil(phi1 / (math.pi * hbar) - mu)
+        n_hi = math.floor(phi2 / (math.pi * hbar) - mu)
         count = max(0, n_hi - max(n_lo, 0) + 1)
     return CountResult(window=(a1, a2), hbar=hbar, predicted=predicted,
-                       count=int(count), epsilon=count - predicted,
-                       phase_volume=2.0 * (phi2 - phi1))
+                       count=int(count), epsilon=float(count - predicted),
+                       phase_volume=float(2.0 * (phi2 - phi1)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,92 +266,77 @@ def disc_point(cert: WellCertificate) -> float:
     return cert.interior_singularities[0].x
 
 
-def _jump_factor(pot: Potential, x0: float, lam: float) -> float:
-    vm = pot.eval(x0, "-")[0]
-    vp = pot.eval(x0, "+")[0]
-    if lam <= vm or lam <= vp:
+def _jump_factor(pot: Potential, x0: float, lam: float) -> tuple[float, float]:
+    """p = ((lam - v(x0-0)) / (lam - v(x0+0)))^(1/4) and (ln p)'(lam)."""
+    gap_m = lam - pot.eval(x0, "-")[0]
+    gap_p = lam - pot.eval(x0, "+")[0]
+    if gap_m <= 0.0 or gap_p <= 0.0:
         raise QuantizeError(f"lam={lam} does not exceed both one-sided limits of v at {x0}")
-    return ((lam - vm) / (lam - vp)) ** 0.25
+    return (gap_m / gap_p) ** 0.25, 0.25 * (1.0 / gap_m - 1.0 / gap_p)
 
 
-def _disc_angles(pot: Potential, lam: float, hbar: float, x0: float,
-                 tp: Optional[TurningPoints], tol: float) -> tuple[float, float, float]:
-    """(theta+, theta-, p) at lam from one turning-point solve."""
-    tp = tp if tp is not None else turning_points(pot, lam)
-    th_p = partial_action(pot, lam, x0, "+", tp, tol) / hbar + 0.25 * math.pi
-    th_m = partial_action(pot, lam, x0, "-", tp, tol) / hbar + 0.25 * math.pi
-    return th_p, th_m, _jump_factor(pot, x0, lam)
+@dataclass(frozen=True)
+class JumpAction:
+    """The jump condition at one energy, written as an action (jump_action)."""
+
+    g: float  # G = Phi + hbar delta
+    g_prime: float  # dG/dlam
+    a_squared: float  # a^2 = p^2 cos^2(theta-) + p^-2 sin^2(theta-)
+    i_plus: float  # int_{x0}^{x+} (lam-v)^(-1/2)
+    i_minus: float  # int_{x-}^{x0} (lam-v)^(-1/2)
 
 
-def _disc_f(th_p: float, th_m: float, p: float) -> float:
-    return p * math.sin(th_p) * math.cos(th_m) + math.sin(th_m) * math.cos(th_p) / p
+def jump_action(pot: Potential, lam: float, hbar: float, x0: float,
+                tol: float = TOL_QUAD) -> JumpAction:
+    """Phase-corrected action G whose level sets pi (n + 1/2) hbar are the
+    roots of F = p sin(theta+) cos(theta-) + p^-1 cos(theta+) sin(theta-).
 
-
-def disc_condition(pot: Potential, lam: float, hbar: float, x0: float,
-                   tol: float = TOL_QUAD) -> float:
-    """F(lam) = p sin(theta+) cos(theta-) + p^-1 cos(theta+) sin(theta-) for
-    the jump at x0; its roots are the discontinuous-well levels."""
-    return _disc_f(*_disc_angles(pot, lam, hbar, x0, None, tol))
+    With a cos(chi) = p cos(theta-), a sin(chi) = p^-1 sin(theta-) and a > 0,
+    F = a sin(theta+ + chi).  delta = chi - theta-
+    = atan((1-p^2) sin(theta-) cos(theta-) / (p^2 cos^2(theta-) + sin^2(theta-)))
+    lies in (-pi/2, pi/2), and theta+ + chi = G/hbar + pi/2 with
+    G = Phi + hbar delta.  So F = 0 exactly when G = pi (n + 1/2) hbar, and
+    there a = sin(theta-) / (p sin(theta+)) has the sign (-1)^n.
+    G' = (1/2)(I+ + I-/a^2) - hbar sin(2 theta-) (ln p)' / a^2, where I_pm
+    integrate (lam-v)^(-1/2) on each side of x0.
+    """
+    p, dlnp = _jump_factor(pot, x0, lam)
+    tp = turning_points(pot, lam)
+    phi_plus = partial_action(pot, lam, x0, "+", tp, tol)
+    phi_minus = partial_action(pot, lam, x0, "-", tp, tol)
+    i_plus, _ = well_integral(pot, lam, -0.5, x0, tp.x_plus, False, True, tol)
+    i_minus, _ = well_integral(pot, lam, -0.5, tp.x_minus, x0, True, False, tol)
+    th_m = phi_minus / hbar + 0.25 * math.pi
+    c, s = math.cos(th_m), math.sin(th_m)
+    p2 = p * p
+    a2 = p2 * c * c + s * s / p2
+    delta = math.atan((1.0 - p2) * s * c / (p2 * c * c + s * s))
+    return JumpAction(
+        g=phi_plus + phi_minus + hbar * delta,
+        g_prime=0.5 * (i_plus + i_minus / a2) - hbar * math.sin(2.0 * th_m) * dlnp / a2,
+        a_squared=a2, i_plus=i_plus, i_minus=i_minus,
+    )
 
 
 def disc_levels(pot: Potential, window: tuple[float, float], hbar: float,
                 cert: Optional[WellCertificate] = None) -> list[SemiclassicalLevel]:
-    """Solve the generalized quantization condition for a well with one
-    interior singular point.  Reduces to bs_levels when v(x0+0) = v(x0-0)."""
+    """Solve the generalized quantization condition G = pi (n + 1/2) hbar
+    (jump_action) for a well with one interior singular point.  Reduces to
+    bs_levels when v(x0+0) = v(x0-0)."""
     if hbar <= 0.0:
         raise QuantizeError("hbar must be positive")
     a1, a2 = window
     cert = cert or certified(pot, a1, a2)
     x0 = disc_point(cert)
-    _jump_factor(pot, x0, a1)  # validates the window bottom
-    F = lambda lam: disc_condition(pot, lam, hbar, x0, _ROOT_QUAD_TOL)
+    jump = lambda lam: jump_action(pot, lam, hbar, x0, _ROOT_QUAD_TOL)
 
-    dphi = [phi_prime(pot, lam) for lam in np.linspace(a1, a2, 5)]
-    dmin, dmax = min(dphi), max(dphi)
-    expected = (phi_value(pot, a2) - phi_value(pot, a1)) / (math.pi * hbar)
-    step = min(hbar * dmin / 4.0, math.pi * hbar / (8.0 * dmax))
-    for _ in range(4):
-        grid = np.linspace(a1, a2, max(int(math.ceil((a2 - a1) / step)) + 1, 8))
-        vals = np.array([F(float(g)) for g in grid])
-        sign = np.sign(vals)
-        idx = np.nonzero(sign[1:] * sign[:-1] < 0)[0]
-        roots = []
-        for i in idx:
-            lam = brentq(F, grid[i], grid[i + 1], xtol=LAMBDA_TOL, rtol=4 * np.finfo(float).eps)
-            roots.append(float(lam))
-        roots.extend(float(g) for g in grid[sign == 0])
-        roots.sort()
-        if len(roots) >= math.floor(expected) - 1:
-            break
-        step *= 0.5  # adjacent roots unseparated: re-scan finer
-    else:
-        raise QuantizeError("root scan kept missing roots after grid refinement")
+    def profile(lam):
+        ja = jump(lam)
+        return ja.g, ja.g_prime
 
-    sep = LAMBDA_TOL * 100 * max(1.0, abs(a2))
-    for r1, r2 in zip(roots, roots[1:]):
-        if r2 - r1 < sep:
-            warnings.warn(f"near-coincident quantization roots at lam={r1!r} and {r2!r}")
-
-    out = []
-    if roots:
-        n0 = int(round(phi_value(pot, roots[0]) / (math.pi * hbar) - 0.5))
-        for k, lam in enumerate(roots):
-            th_p, th_m, p = _disc_angles(pot, lam, hbar, x0, None, _ROOT_QUAD_TOL)
-            a2_lead = (p * math.cos(th_m)) ** 2 + (math.sin(th_m) / p) ** 2
-            a_signed = math.copysign(math.sqrt(a2_lead), _a_sign(th_p, th_m, p))
-            out.append(SemiclassicalLevel(n=n0 + k, hbar=hbar, lam=lam,
-                                          residual=abs(_disc_f(th_p, th_m, p)),
-                                          kind="discontinuous", amplitude_a=a_signed))
-    return out
-
-
-def _a_sign(th_p: float, th_m: float, p: float) -> float:
-    # a = sin(theta-)/(p sin(theta+)) = -p cos(theta-)/cos(theta+) at a root;
-    # use whichever form is better conditioned
-    sp, sm = math.sin(th_p), math.sin(th_m)
-    if abs(sp) > 0.1:
-        return sm / (p * sp)
-    return -p * math.cos(th_m) / math.cos(th_p)
+    value = lambda lam: jump(lam).g
+    return _action_levels(value, profile, window, (value(a1), value(a2)), hbar,
+                          "discontinuous", magnitude=lambda lam: math.sqrt(jump(lam).a_squared))
 
 
 @dataclass(frozen=True)
@@ -339,23 +355,20 @@ def disc_normalization(pot: Potential, level: SemiclassicalLevel, hbar: float,
     a^2 = p^2 cos^2(theta-) + p^-2 sin^2(theta-); the half-well integrals
     I_pm of (lam - v)^(-1/2) then give
     |c_+| = (2/pi)^(1/2) hbar^(-1/6) (I_+ + a^-2 I_-)^(-1/2) and the mirrored
-    expression for |c_-|.  x0 comes from cert, by default the certificate
-    of the single energy level.lam.
+    expression for |c_-|; a has the sign (-1)^n (see jump_action).  x0 comes
+    from cert, by default the certificate of the single energy level.lam.
     """
     if level.kind != "discontinuous":
         raise QuantizeError("disc_normalization expects a discontinuous-kind level")
     lam = level.lam
     x0 = disc_point(cert or certified(pot, lam, lam))
-    tp = turning_points(pot, lam)
-    th_p, th_m, p = _disc_angles(pot, lam, hbar, x0, tp, TOL_QUAD)
-    a2 = (p * math.cos(th_m)) ** 2 + (math.sin(th_m) / p) ** 2
-    i_plus, _ = well_integral(pot, lam, -0.5, x0, tp.x_plus, False, True, tol)
-    i_minus, _ = well_integral(pot, lam, -0.5, tp.x_minus, x0, True, False, tol)
+    ja = jump_action(pot, lam, hbar, x0, tol)
+    a2 = ja.a_squared
     pref = math.sqrt(2.0 / math.pi) * hbar ** (-1.0 / 6.0)
-    c_plus = pref / math.sqrt(i_plus + i_minus / a2)
-    c_minus = pref / math.sqrt(a2 * i_plus + i_minus)
+    c_plus = pref / math.sqrt(ja.i_plus + ja.i_minus / a2)
+    c_minus = pref / math.sqrt(a2 * ja.i_plus + ja.i_minus)
     return DiscNormalization(c_plus=c_plus, c_minus=c_minus, a_squared=a2,
-                             a_signed=math.copysign(math.sqrt(a2), _a_sign(th_p, th_m, p)))
+                             a_signed=(-1.0) ** (level.n % 2) * math.sqrt(a2))
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +414,6 @@ def interlacing_diagnostic(levels, reference) -> list[str]:
 # half-line problems
 
 
-_BC_OFFSETS = {"dirichlet": 0.75, "robin": 0.25}
-
-
 def halfline_levels(pot: Potential, window: tuple[float, float], hbar: float,
                     bc: str = "dirichlet", robin_b: float = 0.0,
                     cert: Optional[HalfLineCertificate] = None) -> list[SemiclassicalLevel]:
@@ -414,11 +424,11 @@ def halfline_levels(pot: Potential, window: tuple[float, float], hbar: float,
     """
     if hbar <= 0.0:
         raise QuantizeError("hbar must be positive")
-    if bc not in _BC_OFFSETS:
+    kind = f"halfline_{bc}"
+    if kind not in MASLOV_OFFSETS:
         raise QuantizeError(f"unknown boundary condition {bc!r}")
     a1, a2 = window
     cert = cert or certified_halfline(pot, a1, a2)
-    offset = _BC_OFFSETS[bc]
     value = lambda lam: halfline_action(pot, lam, tol=_ROOT_QUAD_TOL)
 
     def profile(lam):
@@ -426,18 +436,5 @@ def halfline_levels(pot: Potential, window: tuple[float, float], hbar: float,
         return (halfline_action(pot, lam, _ROOT_QUAD_TOL, x_plus),
                 halfline_action_prime(pot, lam, _ROOT_QUAD_TOL, x_plus))
 
-    s1, s2 = value(a1), value(a2)
-    n_lo = math.ceil(s1 / (math.pi * hbar) - offset)
-    n_hi = math.floor(s2 / (math.pi * hbar) - offset)
-    kind = "halfline_dirichlet" if bc == "dirichlet" else "halfline_robin"
-    out = []
-    lo, s_lo = a1, s1
-    for n in range(max(n_lo, 0), n_hi + 1):
-        target = math.pi * (n + offset) * hbar
-        if not s1 < target < s2:
-            continue
-        lam, s_lo, resid = _solve_action_root(value, profile, target, lo, a2, s_lo, s2)
-        out.append(SemiclassicalLevel(n=n, hbar=hbar, lam=lam, residual=resid, kind=kind,
-                                      robin_b=(robin_b if bc == "robin" else None)))
-        lo = lam
-    return out
+    return _action_levels(value, profile, window, (value(a1), value(a2)), hbar, kind,
+                          robin_b=(robin_b if bc == "robin" else None))

@@ -230,3 +230,12 @@ def test_potential_path_resolved_relative_to_config(tmp_path):
     proc, out = invoke(["levels", "--config", str(CONFIGS / "harmonic_levels.json"),
                         "--no-oracle"], tmp_path)
     assert proc.returncode == 0
+
+
+def test_cli_import_loads_no_root_finder_or_interpolator():
+    code = ("import sys, semiclass.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.interpolate') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=REPO, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -35,7 +35,6 @@ def test_chart_vanishes_at_turning_point():
 
 
 def test_chart_build_ignores_global_rng():
-    # the barycentric weights depend on a node order scipy draws at random;
     # psi must not depend on the global numpy RNG state
     np.random.seed(0)
     a = build_chart(QUART, 1.3, "+")

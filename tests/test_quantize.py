@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from semiclass import oracle, quantize
-from semiclass.action import phi_prime, phi_value
+from semiclass.action import partial_action, phi_prime, phi_value
 from semiclass.langer import eigenfunction
 from semiclass.potential import halfline_power_law, make_power_law, potential_from_spec
 from semiclass.quantize import (
@@ -118,7 +119,7 @@ def test_disc_jump_factor_value():
     lam = 1.0
     p = ((lam - 0.0) / (lam - 0.5)) ** 0.25
     assert abs(p - 2.0 ** 0.25) <= 1e-12
-    assert abs(quantize._jump_factor(DISC, 0.0, lam) - p) <= 1e-12
+    assert abs(quantize._jump_factor(DISC, 0.0, lam)[0] - p) <= 1e-12
 
 
 def test_disc_reduces_to_bs_when_continuous():
@@ -178,6 +179,57 @@ def test_disc_uses_the_jump_inside_the_well():
         assert eigenfunction(KINK_JUMP, l).x1 == 0.0
 
 
+def _reference_disc_levels(pot, window, hbar, x0, jump_top):
+    """The jump levels as the roots of the paper's
+    F = p sin(th+) cos(th-) + p^-1 cos(th+) sin(th-): F on a lam grid finer
+    than the level spacing (geometric towards the top of the jump, where F
+    turns fastest), brentq on each sign change, n counted from the first root.
+    Returns (n, lam, a) with a = sin(th-) / (p sin(th+)) = -p cos(th-) / cos(th+)."""
+    def angles(lam):
+        th_p = partial_action(pot, lam, x0, "+", tol=1e-12) / hbar + math.pi / 4
+        th_m = partial_action(pot, lam, x0, "-", tol=1e-12) / hbar + math.pi / 4
+        p = ((lam - pot.eval(x0, "-")[0]) / (lam - pot.eval(x0, "+")[0])) ** 0.25
+        return th_p, th_m, p
+
+    def f(lam):
+        th_p, th_m, p = angles(lam)
+        return p * math.sin(th_p) * math.cos(th_m) + math.cos(th_p) * math.sin(th_m) / p
+
+    a1, a2 = window
+    dmax = max(phi_prime(pot, lam) for lam in np.linspace(a1, a2, 5))
+    n_uniform = int(math.ceil((a2 - a1) * 16.0 * dmax / (math.pi * hbar))) + 1
+    grid = np.union1d(np.linspace(a1, a2, n_uniform),
+                      jump_top + np.geomspace(a1 - jump_top, a2 - jump_top, 64))
+    vals = np.array([f(float(g)) for g in grid])
+    idx = np.nonzero(np.sign(vals[1:]) * np.sign(vals[:-1]) < 0)[0]
+    roots = [brentq(f, grid[i], grid[i + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
+             for i in idx]
+    n0 = int(round(phi_value(pot, roots[0]) / (math.pi * hbar) - 0.5))
+    out = []
+    for k, lam in enumerate(roots):
+        th_p, th_m, p = angles(lam)
+        a = (math.sin(th_m) / (p * math.sin(th_p)) if abs(math.sin(th_p)) > 0.1
+             else -p * math.cos(th_m) / math.cos(th_p))
+        out.append((n0 + k, lam, a))
+    return out, f
+
+
+@pytest.mark.parametrize("window", [(0.8, 1.8), (0.5005, 1.0)])
+@pytest.mark.parametrize("pot", [DISC, KINK_JUMP], ids=["DISC", "KINK_JUMP"])
+def test_disc_levels_match_the_f_scan_reference(pot, window):
+    # the window (0.5005, 1.0) reaches within 5e-4 of the jump top v(0+0) = 0.5,
+    # where G' turns negative for hbar >= 0.05
+    for hbar in (0.2, 0.1, 0.05, 0.035, 0.0125):
+        ref, f = _reference_disc_levels(pot, window, hbar, 0.0, 0.5)
+        dl = disc_levels(pot, window, hbar)
+        assert [l.n for l in dl] == [n for n, _, _ in ref]
+        for l, (n, lam, a) in zip(dl, ref):
+            assert abs(l.lam - lam) <= 1e-11 * lam
+            assert math.copysign(1.0, l.amplitude_a) == math.copysign(1.0, a) == (-1.0) ** n
+            assert abs(abs(l.amplitude_a) - abs(a)) <= 1e-8 * abs(a)
+            assert abs(f(l.lam)) <= 1e-10
+
+
 def test_disc_normalization_continuous_limit():
     pot = make_power_law(0, 1, 2, 0, 4, 2)
     dl = disc_levels(pot, (0.3, 1.2), 0.05)
@@ -195,7 +247,7 @@ def test_disc_normalization_amplitude_consistency():
     dl = disc_levels(DISC, (0.8, 1.8), hbar)
     for l in dl[:4]:
         from semiclass.action import partial_action
-        p = quantize._jump_factor(DISC, 0.0, l.lam)
+        p, _ = quantize._jump_factor(DISC, 0.0, l.lam)
         th_p = partial_action(DISC, l.lam, 0.0, "+") / hbar + math.pi / 4
         th_m = partial_action(DISC, l.lam, 0.0, "-") / hbar + math.pi / 4
         form1 = (p * math.cos(th_m)) ** 2 + (math.sin(th_m) / p) ** 2
@@ -250,6 +302,18 @@ def test_halfline_robin_b_independence():
 def test_halfline_rejects_unknown_bc():
     with pytest.raises(QuantizeError):
         halfline_levels(HL, (0.05, 1.45), 0.1, bc="neumann")
+
+
+def test_levels_and_counts_are_python_floats():
+    levels = (bs_levels(HARM, (0.03, 0.77), 0.1) + disc_levels(DISC, (0.8, 1.8), 0.2)
+              + halfline_levels(HL, (0.05, 1.45), 0.1, bc="dirichlet")
+              + halfline_levels(HL, (0.05, 1.45), 0.1, bc="robin"))
+    assert {l.kind for l in levels} == set(quantize.MASLOV_OFFSETS)
+    for l in levels:
+        assert type(l.lam) is float and type(l.residual) is float
+        assert l.amplitude_a is None or type(l.amplitude_a) is float
+    cr = weyl_count(QUART, 0.5, 2.0, 0.05)
+    assert all(type(x) is float for x in (cr.predicted, cr.epsilon, cr.phase_volume))
 
 
 # -- exports and diagnostics ------------------------------------------------------

@@ -61,7 +61,7 @@ def phi_value(pot: Potential, lam: float, tp: Optional[TurningPoints] = None,
               tol: float = TOL_QUAD) -> float:
     """Phi(lam) = int_{x-}^{x+} (lam - v)^(1/2) dx."""
     tp = _tp(pot, lam, tp)
-    val, _ = well_integral(pot, lam, 0.5, tp.x_minus, tp.x_plus, True, True, tol)
+    (val, _), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol)
     return val
 
 
@@ -69,16 +69,15 @@ def phi_prime(pot: Potential, lam: float, tp: Optional[TurningPoints] = None,
               tol: float = TOL_QUAD) -> float:
     """Phi'(lam) = (1/2) int (lam - v)^(-1/2) dx > 0."""
     tp = _tp(pot, lam, tp)
-    val, _ = well_integral(pot, lam, -0.5, tp.x_minus, tp.x_plus, True, True, tol)
-    return 0.5 * val
+    (_, der), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol)
+    return 0.5 * der
 
 
 def phi(pot: Potential, lam: float, tp: Optional[TurningPoints] = None,
         tol: float = TOL_QUAD) -> ActionProfile:
     """Action profile (Phi, Phi') at lam with a quadrature error estimate."""
     tp = _tp(pot, lam, tp)
-    val, e1 = well_integral(pot, lam, 0.5, tp.x_minus, tp.x_plus, True, True, tol)
-    der, e2 = well_integral(pot, lam, -0.5, tp.x_minus, tp.x_plus, True, True, tol)
+    (val, der), (e1, e2) = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol)
     return ActionProfile(lam, val, 0.5 * der, tp, e1 + 0.5 * e2)
 
 
@@ -93,9 +92,9 @@ def partial_action(pot: Potential, lam: float, x: float, side: str,
     if not tp.x_minus < x < tp.x_plus:
         raise ValueError(f"x={x} is not strictly inside the well ({tp.x_minus}, {tp.x_plus})")
     if side in ("+", "+0"):
-        val, _ = well_integral(pot, lam, 0.5, x, tp.x_plus, False, True, tol)
+        (val, _), _ = well_integral(pot, lam, x, tp.x_plus, False, True, tol)
     elif side in ("-", "-0"):
-        val, _ = well_integral(pot, lam, 0.5, tp.x_minus, x, True, False, tol)
+        (val, _), _ = well_integral(pot, lam, tp.x_minus, x, True, False, tol)
     else:
         raise ValueError(f"bad side {side!r}")
     return val
@@ -111,9 +110,9 @@ def classical_average(pot: Potential, lam: float, w: Callable,
     go in w_breaks so quadrature panels can split there.
     """
     tp = _tp(pot, lam, tp)
-    num, _ = well_integral(pot, lam, -0.5, tp.x_minus, tp.x_plus, True, True, tol,
-                           weight=w, weight_breaks=w_breaks)
-    den, _ = well_integral(pot, lam, -0.5, tp.x_minus, tp.x_plus, True, True, tol)
+    (_, num), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol,
+                                weight=w, weight_breaks=w_breaks)
+    (_, den), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol)
     return num / den
 
 
@@ -124,8 +123,7 @@ def kinetic_cl(pot: Potential, lam: float, tp: Optional[TurningPoints] = None,
     Equals lam - <v>_cl and Phi/(2 Phi') = (2 d ln Phi/d lam)^(-1).
     """
     tp = _tp(pot, lam, tp)
-    num, _ = well_integral(pot, lam, 0.5, tp.x_minus, tp.x_plus, True, True, tol)
-    den, _ = well_integral(pot, lam, -0.5, tp.x_minus, tp.x_plus, True, True, tol)
+    (num, den), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol)
     return num / den
 
 
@@ -135,7 +133,7 @@ def classical_period(pot: Potential, lam: float, mass: float,
     if mass <= 0.0:
         raise ValueError("mass must be positive")
     tp = _tp(pot, lam, tp)
-    den, _ = well_integral(pot, lam, -0.5, tp.x_minus, tp.x_plus, True, True, tol)
+    (_, den), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol)
     return np.sqrt(2.0 * mass) * den
 
 
@@ -144,7 +142,7 @@ def halfline_action(pot: Potential, lam: float, tol: float = TOL_QUAD,
     """int_0^{x+} (lam - v)^(1/2) dx for a half-line well (0, x+)."""
     if x_plus is None:
         x_plus, _ = halfline_turning_point(pot, lam)
-    val, _ = well_integral(pot, lam, 0.5, 0.0, x_plus, False, True, tol)
+    (val, _), _ = well_integral(pot, lam, 0.0, x_plus, False, True, tol)
     return val
 
 
@@ -153,8 +151,8 @@ def halfline_action_prime(pot: Potential, lam: float, tol: float = TOL_QUAD,
     """(1/2) int_0^{x+} (lam - v)^(-1/2) dx."""
     if x_plus is None:
         x_plus, _ = halfline_turning_point(pot, lam)
-    val, _ = well_integral(pot, lam, -0.5, 0.0, x_plus, False, True, tol)
-    return 0.5 * val
+    (_, der), _ = well_integral(pot, lam, 0.0, x_plus, False, True, tol)
+    return 0.5 * der
 
 
 @dataclass(frozen=True)

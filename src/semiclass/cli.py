@@ -164,19 +164,19 @@ class RunConfig:
 def _action_residual(cfg: RunConfig, level, lam: float, hbar: float) -> float:
     """Defect |G(lam) - pi(n + mu) hbar| of the level's quantization condition
     evaluated at lam (e.g. an oracle eigenvalue), in action units."""
-    pot = cfg.potential
-    if level.kind == "smooth":
-        g = action.phi_value(pot, lam)
-    elif level.kind == "discontinuous":
-        g = quantize.jump_action(pot, lam, hbar, quantize.disc_point(cfg.cert)).g
-    else:
-        g = action.halfline_action(pot, lam)
+    g, _ = quantize.quantization_condition(cfg.potential, lam, level.kind, hbar, cfg.cert,
+                                           action.TOL_QUAD)
     return abs(g - math.pi * (level.n + quantize.MASLOV_OFFSETS[level.kind]) * hbar)
 
 
 def _nearest(arr, x):
     i = int(np.argmin(np.abs(np.asarray(arr) - x)))
     return i
+
+
+def _need_full_line(cfg: RunConfig, what: str) -> None:
+    if not isinstance(cfg.cert, WellCertificate):
+        raise CertificationError("domain", f"{what} needs a full-line well")
 
 
 def _map_hbars(cfg: RunConfig, fn):
@@ -215,8 +215,7 @@ def cmd_levels(cfg: RunConfig) -> dict:
 
 def cmd_count(cfg: RunConfig) -> dict:
     a1, a2 = cfg.window
-    if not isinstance(cfg.cert, WellCertificate):
-        raise CertificationError("domain", "count needs a full-line well")
+    _need_full_line(cfg, "count")
 
     def work(hbar):
         cr = quantize.weyl_count(cfg.potential, a1, a2, hbar, cert=cfg.cert)
@@ -294,6 +293,7 @@ def _weight_fn(cfg: RunConfig, wspec: dict):
 
 
 def cmd_observable(cfg: RunConfig) -> dict:
+    _need_full_line(cfg, "observable")
     rows = []
     for hbar in sorted(cfg.hbars):
         levels = cfg.levels_for(hbar)
@@ -335,6 +335,8 @@ def cmd_scaling(cfg: RunConfig) -> dict:
         raise ConfigError("scaling study needs at least two hbar values")
     if not cfg.oracle:
         raise ConfigError("scaling studies require the oracle")
+    if study != "disc-levels":
+        _need_full_line(cfg, f"the {study} scaling study")
     lam_ref = cfg.lambda_ref
     if lam_ref is None:
         lam_ref = 0.5 * (cfg.window[0] + cfg.window[1])
@@ -352,14 +354,14 @@ def cmd_scaling(cfg: RunConfig) -> dict:
                 return worst
             lams = np.array([l.lam for l in lv])
             if len(lams) != len(spec.eigenvalues):
-                raise QuantizeError(
+                raise quantize.QuantizeError(
                     f"count mismatch at hbar={hbar}: {len(lams)} predicted vs "
                     f"{len(spec.eigenvalues)} reference levels"
                 )
             return float(np.max(np.abs(lams - spec.eigenvalues)))
         lv = cfg.levels_for(hbar)
         if not lv:
-            raise QuantizeError(f"no levels in window at hbar={hbar}")
+            raise quantize.QuantizeError(f"no levels in window at hbar={hbar}")
         l = lv[_nearest([x.lam for x in lv], lam_ref)]
         k = _nearest(spec.eigenvalues, l.lam)
         if study == "kinetic":

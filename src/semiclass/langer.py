@@ -53,7 +53,6 @@ __all__ = [
     "Eigenfunction",
     "eigenfunction",
     "peak_coefficient",
-    "export_eigenfunction_csv",
 ]
 
 _N_CHEB = 64
@@ -105,8 +104,8 @@ class LangerChart:
     def _xi_quad(self, x: float) -> float:
         if (x < self.x_tp) if self.side == "+" else (x > self.x_tp):
             lo, hi = (x, self.x_tp) if self.side == "+" else (self.x_tp, x)
-            val, _ = well_integral(self.pot, self.lam, 0.5, lo, hi,
-                                   sqrt_lo=(self.side == "-"), sqrt_hi=(self.side == "+"))
+            (val, _), _ = well_integral(self.pot, self.lam, lo, hi,
+                                        sqrt_lo=(self.side == "-"), sqrt_hi=(self.side == "+"))
             return -(1.5 * val) ** (2.0 / 3.0)
         val, _ = forbidden_integral(self.pot, self.lam, self.x_tp, x)
         return (1.5 * val) ** (2.0 / 3.0)
@@ -434,16 +433,3 @@ def eigenfunction(pot: Potential, level, cert: Optional[WellCertificate] = None)
         plus = UniformWave("+", chart_for(pot, lam, "+", 0.0), hbar, c_plus, 0.0)
         return Eigenfunction(level, 0.0, plus, None)
     raise ValueError(f"unknown level kind {kind!r}")
-
-
-def export_eigenfunction_csv(path, x, psi, psi_oracle=None) -> None:
-    """Write (x, psi, psi_oracle, abs_err) rows for plotting."""
-    x = np.asarray(x, dtype=float)
-    psi = np.asarray(psi, dtype=float)
-    with open(path, "w") as fh:
-        fh.write("x,psi,psi_oracle,abs_err\n")
-        for i in range(len(x)):
-            if psi_oracle is None:
-                fh.write(f"{x[i]!r},{psi[i]!r},,\n")
-            else:
-                fh.write(f"{x[i]!r},{psi[i]!r},{psi_oracle[i]!r},{abs(psi[i]-psi_oracle[i])!r}\n")

@@ -31,8 +31,6 @@ __all__ = [
     "observable",
     "kinetic_energy",
     "numerov_levels",
-    "spectrum_to_csv",
-    "eigenvector_to_csv",
 ]
 
 DEFAULT_TOL = 1e-8
@@ -381,22 +379,3 @@ def numerov_levels(pot: Potential, hbar: float, window: tuple[float, float],
                 b = mid
         out.append(0.5 * (a + b))
     return np.array(out)
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-def spectrum_to_csv(spec: OracleSpectrum, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("index,lambda,est_error\n")
-        for i, (lam, err) in enumerate(zip(spec.eigenvalues, spec.est_error)):
-            fh.write(f"{i},{float(lam)!r},{float(err)!r}\n")
-
-
-def eigenvector_to_csv(spec: OracleSpectrum, k: int, path) -> None:
-    x, psi = eigenvector(spec, k)
-    with open(path, "w") as fh:
-        fh.write("x,psi\n")
-        for xi, pi in zip(x, psi):
-            fh.write(f"{float(xi)!r},{float(pi)!r}\n")

@@ -1,7 +1,8 @@
 """Quadrature engine for the classical integrals.
 
-All well integrals here have integrands (lam - v)^p with p = +-1/2, singular
-or sqrt-kinked at the turning points.  Substituting x = x_pm -+ t^2 makes the
+The well integrals have integrands w (lam - v)^p with p = +-1/2, singular
+or sqrt-kinked at the turning points; well_integral returns both powers from
+one set of evaluations of v.  Substituting x = x_pm -+ t^2 makes the
 integrand smooth in t, after which plain Gauss-Legendre with order doubling
 converges geometrically; the difference between the last two refinement
 levels is the reported error estimate.  Interior singular points and piece
@@ -34,22 +35,33 @@ def _leggauss(n: int):
 
 
 def gl_adaptive(f, a: float, b: float, tol: float, n0: int = 16, n_max: int = 4096):
-    """Integrate a vectorized callable on [a, b], doubling the order until
-    two consecutive levels agree to tol (absolute).  Returns (value, error)."""
-    if a == b:
-        return 0.0, 0.0
+    """Integrate the components of a vectorized callable on [a, b].
+
+    f(x) returns a tuple of integrand arrays on the nodes x.  The order
+    doubles until two consecutive levels of a component agree to tol
+    (absolute); that component is then frozen while the others refine, so
+    each value is the one a call for that component alone returns.
+    Returns (values, errors), one entry per component.
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    prev = None
+    vals = errs = None
     n = n0
     while n <= n_max:
         xg, wg = _leggauss(n)
-        val = half * float(np.dot(wg, f(mid + half * xg)))
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= tol:
-                return val, err
-        prev = val
+        ys = f(mid + half * xg)
+        if vals is None:
+            vals = [half * float(np.dot(wg, y)) for y in ys]
+            errs = [None] * len(vals)
+        else:
+            for k, y in enumerate(ys):
+                if errs[k] is None:
+                    val = half * float(np.dot(wg, y))
+                    if abs(val - vals[k]) <= tol:
+                        errs[k] = abs(val - vals[k])
+                    vals[k] = val
+            if None not in errs:
+                return tuple(vals), tuple(errs)
         n *= 2
     raise QuadratureError(f"no convergence to tol={tol} by n={n_max} nodes on [{a}, {b}]")
 
@@ -61,7 +73,7 @@ def _segments(pot: Potential, lo: float, hi: float, extra_breaks=()):
         if lo < p.hi < hi:
             cuts.add(p.hi)
     pts = [lo] + sorted(cuts) + [hi]
-    return list(zip(pts[:-1], pts[1:]))
+    return [(a, b) for a, b in zip(pts[:-1], pts[1:]) if a < b]
 
 
 def _sqrt_ratio(pot: Potential, lam: float, x0: float, inward: float, side: str):
@@ -87,14 +99,16 @@ def _sqrt_ratio(pot: Potential, lam: float, x0: float, inward: float, side: str)
     return ratio
 
 
-def well_integral(pot: Potential, lam: float, power: float, lo: float, hi: float,
+def well_integral(pot: Potential, lam: float, lo: float, hi: float,
                   sqrt_lo: bool = False, sqrt_hi: bool = False, tol: float = 1e-10,
                   weight=None, weight_breaks=()):
-    """Integral of w(x) (lam - v(x))^power over [lo, hi] inside the well.
+    """Integrals of w(x) (lam - v(x))^(+1/2) and w(x) (lam - v(x))^(-1/2)
+    over [lo, hi] inside the well, from one set of evaluations of v.
 
     sqrt_lo / sqrt_hi declare that the corresponding endpoint is a turning
     point (lam - v vanishes linearly there); the touching segment then uses
-    the x = endpoint -+ t^2 substitution.  Returns (value, error_estimate).
+    the x = endpoint -+ t^2 substitution.  Each integral is converged to tol
+    on its own.  Returns ((up, down), (up_error, down_error)).
     """
     if hi < lo:
         raise ValueError("hi < lo in well_integral")
@@ -109,25 +123,32 @@ def well_integral(pot: Potential, lam: float, power: float, lo: float, hi: float
 
     def plain(x):
         g = lam - pot.value(x)
-        return g**power * wfac(x)
+        w = wfac(x)
+        return g**0.5 * w, g**-0.5 * w
 
-    total = 0.0
-    err = 0.0
+    def substituted(x0, inward, side):
+        ratio = _sqrt_ratio(pot, lam, x0, inward, side)
+
+        def f(t):
+            r = ratio(t)
+            w = wfac(x0 + inward * t * t)
+            return 2.0 * t ** 2.0 * r ** 0.5 * w, 2.0 * r ** -0.5 * w
+
+        return f
+
+    up = down = up_err = down_err = 0.0
     for a, b in segs:
-        seg_tol = tol / len(segs)
+        f = plain
         if sqrt_hi and b == hi:
-            ratio = _sqrt_ratio(pot, lam, hi, -1.0, "-")
-            f = lambda t: 2.0 * t ** (1.0 + 2.0 * power) * ratio(t) ** power * wfac(hi - t * t)
-            v, e = gl_adaptive(f, 0.0, np.sqrt(hi - a), seg_tol)
+            f, a, b = substituted(hi, -1.0, "-"), 0.0, np.sqrt(hi - a)
         elif sqrt_lo and a == lo:
-            ratio = _sqrt_ratio(pot, lam, lo, +1.0, "+")
-            f = lambda t: 2.0 * t ** (1.0 + 2.0 * power) * ratio(t) ** power * wfac(lo + t * t)
-            v, e = gl_adaptive(f, 0.0, np.sqrt(b - lo), seg_tol)
-        else:
-            v, e = gl_adaptive(plain, a, b, seg_tol)
-        total += v
-        err += e
-    return total, err
+            f, a, b = substituted(lo, +1.0, "+"), 0.0, np.sqrt(b - lo)
+        (u, d), (eu, ed) = gl_adaptive(f, a, b, tol / len(segs))
+        up += u
+        down += d
+        up_err += eu
+        down_err += ed
+    return (up, down), (up_err, down_err)
 
 
 def forbidden_integral(pot: Potential, lam: float, x_turn: float, x: float,
@@ -150,14 +171,14 @@ def forbidden_integral(pot: Potential, lam: float, x_turn: float, x: float,
         rest_lo, rest_hi = lo, first_end
 
     ratio = _sqrt_ratio(pot, lam, x_turn, outward, "+" if outward > 0 else "-")
-    f = lambda t: 2.0 * t * t * np.sqrt(ratio(t))
-    total, err = gl_adaptive(f, 0.0, np.sqrt(abs(first_end - x_turn)), tol)
+    f = lambda t: (2.0 * t * t * np.sqrt(ratio(t)),)
+    (total,), (err,) = gl_adaptive(f, 0.0, np.sqrt(abs(first_end - x_turn)), tol)
 
     def plain(xx):
-        return np.sqrt(np.maximum(pot.value(xx) - lam, 0.0))
+        return (np.sqrt(np.maximum(pot.value(xx) - lam, 0.0)),)
 
     for a, b in _segments(pot, rest_lo, rest_hi):
-        v, e = gl_adaptive(plain, a, b, tol)
+        (v,), (e,) = gl_adaptive(plain, a, b, tol)
         total += v
         err += e
     return total, err

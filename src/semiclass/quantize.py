@@ -2,8 +2,8 @@
 generalized condition for a jump inside the well, and half-line problems.
 
 Every kind is one action condition G(lam) = pi (n + mu) hbar, with the Maslov
-offset mu from MASLOV_OFFSETS, solved for each n by the same safeguarded
-Newton iteration on a bracket.
+offset mu from MASLOV_OFFSETS and (G, G') from quantization_condition, solved
+for each n by the same safeguarded Newton iteration on a bracket.
 
 Smooth case: G = Phi, mu = 1/2; Phi' > 0 gives exactly one root per n.
 
@@ -30,14 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .action import (
-    TOL_QUAD,
-    halfline_action,
-    halfline_action_prime,
-    partial_action,
-    phi,
-    phi_value,
-)
+from .action import TOL_QUAD, phi, phi_value
 from .potential import (
     HalfLineCertificate,
     Potential,
@@ -61,9 +54,8 @@ __all__ = [
     "disc_normalization",
     "disc_point",
     "jump_action",
+    "quantization_condition",
     "halfline_levels",
-    "levels_to_csv",
-    "levels_to_json",
     "interlacing_diagnostic",
     "certified",
 ]
@@ -137,18 +129,17 @@ def certified_halfline(pot: Potential, lam_lo: float, lam_hi: float) -> HalfLine
     return certify_halfline_well(pot, lam_lo, lam_hi)
 
 
-def _solve_action_root(value, profile, target: float, lo: float, hi: float,
-                       value_lo: float, value_hi: float) -> tuple[float, float, float]:
-    """Solve value(lam) = target on [lo, hi] with value_lo <= target <= value_hi.
+def _solve_action_root(profile, target: float, lo: float, hi: float,
+                       g_lo: float, g_hi: float) -> tuple[float, float, float]:
+    """Solve G(lam) = target on [lo, hi] with g_lo <= target <= g_hi.
 
-    value_lo and value_hi are value(lo) and value(hi); profile(lam) returns
-    (value, derivative) from one turning-point solve.  Newton iterations with
-    the analytic derivative, safeguarded by the shrinking sign-change bracket
-    (bisection where the step leaves it or the derivative is not positive);
-    returns (root, value(root), |value(root) - target|).
+    profile(lam) returns (G, G'); g_lo and g_hi are G(lo) and G(hi).  Newton
+    iterations with the analytic derivative, safeguarded by the shrinking
+    sign-change bracket (bisection where the step leaves it or the
+    derivative is not positive); returns (root, G(root), |G(root) - target|).
     """
-    f_lo = value_lo - target
-    f_hi = value_hi - target
+    f_lo = g_lo - target
+    f_hi = g_hi - target
     if f_lo > 0.0 or f_hi < 0.0:
         raise QuantizeError(f"target {target} not bracketed by [{lo}, {hi}]")
     a, b = lo, hi
@@ -167,7 +158,7 @@ def _solve_action_root(value, profile, target: float, lo: float, hi: float,
             nxt = 0.5 * (a + b)
         if abs(nxt - lam) <= LAMBDA_TOL * max(1.0, abs(lam)):
             lam = nxt
-            val = value(lam)
+            val, _ = profile(lam)
             f = val - target
             break
         lam = nxt
@@ -176,30 +167,56 @@ def _solve_action_root(value, profile, target: float, lo: float, hi: float,
     return lam, val, abs(f)
 
 
-def _action_levels(value, profile, window: tuple[float, float], ends: tuple[float, float],
-                   hbar: float, kind: str, magnitude=None,
+def _action_levels(pot: Potential, window: tuple[float, float], hbar: float, kind: str,
+                   cert: WellCertificate | HalfLineCertificate, magnitude=None,
                    robin_b: Optional[float] = None) -> list[SemiclassicalLevel]:
     """Every level of one kind in the window: for each n with
-    pi (n + mu) hbar strictly between ends = (value(a1), value(a2)), the root
-    of value(lam) = pi (n + mu) hbar, mu = MASLOV_OFFSETS[kind], solved left to
-    right.  magnitude(lam) is |amplitude_a| (no amplitude when None)."""
-    (a1, a2), (v1, v2) = window, ends
+    pi (n + mu) hbar strictly between G(a1) and G(a2), the root of
+    G(lam) = pi (n + mu) hbar, mu = MASLOV_OFFSETS[kind], solved left to
+    right (G from quantization_condition).  magnitude(lam) is |amplitude_a|
+    (no amplitude when None)."""
+    profile = lambda lam: quantization_condition(pot, lam, kind, hbar, cert, _ROOT_QUAD_TOL)
+    a1, a2 = window
+    (g1, _), (g2, _) = profile(a1), profile(a2)
     mu = MASLOV_OFFSETS[kind]
-    n_lo = math.ceil(v1 / (math.pi * hbar) - mu)
-    n_hi = math.floor(v2 / (math.pi * hbar) - mu)
+    n_lo = math.ceil(g1 / (math.pi * hbar) - mu)
+    n_hi = math.floor(g2 / (math.pi * hbar) - mu)
     out = []
-    lo, v_lo = a1, v1
+    lo, g_lo = a1, g1
     for n in range(max(n_lo, 0), n_hi + 1):
         target = math.pi * (n + mu) * hbar
-        if not v1 < target < v2:
+        if not g1 < target < g2:
             continue
-        lam, v_lo, resid = _solve_action_root(value, profile, target, lo, a2, v_lo, v2)
+        lam, g_lo, resid = _solve_action_root(profile, target, lo, a2, g_lo, g2)
         lam = float(lam)
         amp = None if magnitude is None else (-1.0) ** (n % 2) * float(magnitude(lam))
         out.append(SemiclassicalLevel(n=n, hbar=hbar, lam=lam, residual=float(resid),
                                       kind=kind, amplitude_a=amp, robin_b=robin_b))
         lo = lam  # the next target lies above this one: so does its root
     return out
+
+
+def quantization_condition(pot: Potential, lam: float, kind: str, hbar: float,
+                           cert: WellCertificate | HalfLineCertificate,
+                           tol: float = TOL_QUAD) -> tuple[float, float]:
+    """(G, G') at lam for the condition G = pi (n + mu) hbar of a level kind.
+
+    G is Phi (smooth), the phase-corrected action of jump_action at
+    disc_point(cert) (discontinuous) or the half-line action
+    int_0^{x+} (lam - v)^(1/2) (half-line kinds), with the turning points
+    from cert.turning_map.
+    """
+    if kind == "smooth":
+        prof = phi(pot, lam, cert.turning_map(lam), tol)
+        return prof.phi, prof.phi_prime
+    if kind == "discontinuous":
+        ja = jump_action(pot, lam, hbar, disc_point(cert), tol)
+        return ja.g, ja.g_prime
+    if kind not in MASLOV_OFFSETS:
+        raise QuantizeError(f"unknown level kind {kind!r}")
+    x_plus, _ = cert.turning_map(lam)
+    (val, der), _ = well_integral(pot, lam, 0.0, x_plus, False, True, tol)
+    return val, 0.5 * der
 
 
 def bs_levels(pot: Potential, window: tuple[float, float], hbar: float,
@@ -211,20 +228,10 @@ def bs_levels(pot: Potential, window: tuple[float, float], hbar: float,
     """
     if hbar <= 0.0:
         raise QuantizeError("hbar must be positive")
-    a1, a2 = window
-    cert = cert or certified(pot, a1, a2)
+    cert = cert or certified(pot, *window)
     if cert.interior_jump is not None:
         raise QuantizeError("potential jumps inside the well; use disc_levels")
-    phi1 = phi_value(pot, a1, cert.turning_map(a1), tol=_ROOT_QUAD_TOL)
-    phi2 = phi_value(pot, a2, cert.turning_map(a2), tol=_ROOT_QUAD_TOL)
-    value = lambda lam: phi_value(pot, lam, tol=_ROOT_QUAD_TOL)
-
-    def profile(lam):
-        prof = phi(pot, lam, tol=_ROOT_QUAD_TOL)
-        return prof.phi, prof.phi_prime
-
-    return _action_levels(value, profile, window, (phi1, phi2), hbar, "smooth",
-                          magnitude=lambda lam: 1.0)
+    return _action_levels(pot, window, hbar, "smooth", cert, magnitude=lambda lam: 1.0)
 
 
 def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
@@ -302,10 +309,8 @@ def jump_action(pot: Potential, lam: float, hbar: float, x0: float,
     """
     p, dlnp = _jump_factor(pot, x0, lam)
     tp = turning_points(pot, lam)
-    phi_plus = partial_action(pot, lam, x0, "+", tp, tol)
-    phi_minus = partial_action(pot, lam, x0, "-", tp, tol)
-    i_plus, _ = well_integral(pot, lam, -0.5, x0, tp.x_plus, False, True, tol)
-    i_minus, _ = well_integral(pot, lam, -0.5, tp.x_minus, x0, True, False, tol)
+    (phi_plus, i_plus), _ = well_integral(pot, lam, x0, tp.x_plus, False, True, tol)
+    (phi_minus, i_minus), _ = well_integral(pot, lam, tp.x_minus, x0, True, False, tol)
     th_m = phi_minus / hbar + 0.25 * math.pi
     c, s = math.cos(th_m), math.sin(th_m)
     p2 = p * p
@@ -325,18 +330,11 @@ def disc_levels(pot: Potential, window: tuple[float, float], hbar: float,
     bs_levels when v(x0+0) = v(x0-0)."""
     if hbar <= 0.0:
         raise QuantizeError("hbar must be positive")
-    a1, a2 = window
-    cert = cert or certified(pot, a1, a2)
+    cert = cert or certified(pot, *window)
     x0 = disc_point(cert)
-    jump = lambda lam: jump_action(pot, lam, hbar, x0, _ROOT_QUAD_TOL)
-
-    def profile(lam):
-        ja = jump(lam)
-        return ja.g, ja.g_prime
-
-    value = lambda lam: jump(lam).g
-    return _action_levels(value, profile, window, (value(a1), value(a2)), hbar,
-                          "discontinuous", magnitude=lambda lam: math.sqrt(jump(lam).a_squared))
+    return _action_levels(
+        pot, window, hbar, "discontinuous", cert,
+        magnitude=lambda lam: math.sqrt(jump_action(pot, lam, hbar, x0, _ROOT_QUAD_TOL).a_squared))
 
 
 @dataclass(frozen=True)
@@ -372,28 +370,7 @@ def disc_normalization(pot: Potential, level: SemiclassicalLevel, hbar: float,
 
 
 # ---------------------------------------------------------------------------
-# exports and diagnostics
-
-
-def levels_to_csv(levels, path) -> None:
-    """Level table export: one row (n, hbar, lambda, residual, kind) per level."""
-    with open(path, "w") as fh:
-        fh.write("n,hbar,lambda,residual,kind\n")
-        for l in levels:
-            fh.write(f"{l.n},{float(l.hbar)!r},{float(l.lam)!r},{float(l.residual)!r},{l.kind}\n")
-
-
-def levels_to_json(levels, path) -> None:
-    import json
-
-    doc = [
-        {"n": l.n, "hbar": float(l.hbar), "lambda": float(l.lam),
-         "residual": float(l.residual), "kind": l.kind}
-        for l in levels
-    ]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+# diagnostics
 
 
 def interlacing_diagnostic(levels, reference) -> list[str]:
@@ -427,14 +404,6 @@ def halfline_levels(pot: Potential, window: tuple[float, float], hbar: float,
     kind = f"halfline_{bc}"
     if kind not in MASLOV_OFFSETS:
         raise QuantizeError(f"unknown boundary condition {bc!r}")
-    a1, a2 = window
-    cert = cert or certified_halfline(pot, a1, a2)
-    value = lambda lam: halfline_action(pot, lam, tol=_ROOT_QUAD_TOL)
-
-    def profile(lam):
-        x_plus, _ = cert.turning_map(lam)
-        return (halfline_action(pot, lam, _ROOT_QUAD_TOL, x_plus),
-                halfline_action_prime(pot, lam, _ROOT_QUAD_TOL, x_plus))
-
-    return _action_levels(value, profile, window, (value(a1), value(a2)), hbar, kind,
+    cert = cert or certified_halfline(pot, *window)
+    return _action_levels(pot, window, hbar, kind, cert,
                           robin_b=(robin_b if bc == "robin" else None))

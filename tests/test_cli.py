@@ -239,3 +239,39 @@ def test_cli_import_loads_no_root_finder_or_interpolator():
                           cwd=REPO, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_scaling_without_levels_exits_4(tmp_path):
+    # at hbar = 0.1 the window holds no level of the harmonic well
+    cfg = write_config(tmp_path, "c.json", {
+        "potential_path": str(CONFIGS / "harmonic.json"), "hbar": [0.1, 0.05],
+        "window": [0.74, 0.86], "study": "kinetic"})
+    proc, _ = invoke(["scaling", "--config", str(cfg)], tmp_path)
+    assert proc.returncode == 4
+    assert "numerical non-convergence" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+HALFLINE_CFG = json.loads((CONFIGS / "halfline_robin.json").read_text())
+
+
+@pytest.mark.parametrize("command,study,flags", [
+    ("observable", None, []),
+    ("observable", None, ["--no-oracle"]),
+    ("scaling", "levels", []),
+    ("scaling", "kinetic", []),
+    ("scaling", "observable", []),
+    ("scaling", "wavefunction", []),
+])
+def test_full_line_commands_on_a_half_line_well_exit_3(tmp_path, capsys, command, study, flags):
+    doc = dict(HALFLINE_CFG, **({"study": study} if study else {}))
+    cfg = write_config(tmp_path, "c.json", doc)
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "t.csv"), *flags]) == 3
+    assert "domain" in capsys.readouterr().err
+
+
+def test_disc_levels_scaling_runs_on_a_half_line_well(tmp_path):
+    cfg = write_config(tmp_path, "c.json", dict(HALFLINE_CFG, study="disc-levels"))
+    assert run(["scaling", "--config", str(cfg), "--format", "json",
+                "--out", str(tmp_path / "t.json")]) == 0
+    assert len(json.loads((tmp_path / "t.json").read_text())["rows"]) == 2

@@ -318,14 +318,3 @@ def test_mismatch_diagnostic_small():
     l = min(lv, key=lambda z: abs(z.lam - 1.0))
     psi = eigenfunction(QUART, l)
     assert 0.0 <= psi.mismatch() <= 0.1
-
-
-def test_eigenfunction_csv_export(tmp_path):
-    lv = quantize.bs_levels(HARM, (0.5, 1.5), 0.2)
-    psi = eigenfunction(HARM, lv[0])
-    xs = np.linspace(-1.5, 1.5, 11)
-    path = tmp_path / "wf.csv"
-    langer.export_eigenfunction_csv(path, xs, psi(xs), np.zeros_like(xs))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,psi,psi_oracle,abs_err"
-    assert len(lines) == 12

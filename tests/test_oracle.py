@@ -163,18 +163,6 @@ def test_tolerance_guard():
         solve_spectrum(HARM, 0.1, (0.5, 1.5), tol_oracle=1e-13)
 
 
-def test_spectrum_csv_roundtrip(tmp_path, harm_spec):
-    path = tmp_path / "spec.csv"
-    oracle.spectrum_to_csv(harm_spec, path)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == len(harm_spec.eigenvalues)
-    assert float(rows[0]["lambda"]) == float(harm_spec.eigenvalues[0])
-    vec_path = tmp_path / "vec.csv"
-    oracle.eigenvector_to_csv(harm_spec, 0, vec_path)
-    assert vec_path.read_text().startswith("x,psi\n")
-
-
 def test_disc_fixture_reproducible():
     spec = solve_spectrum(DISC, 0.05, (0.8, 1.8))
     with open(FIXTURES / "oracle_disc_hbar005.csv") as fh:

@@ -1,0 +1,121 @@
+import math
+
+import numpy as np
+import pytest
+
+from semiclass import action, quadrature, quantize
+from semiclass.potential import (
+    halfline_power_law,
+    halfline_turning_point,
+    make_power_law,
+    turning_points,
+)
+from semiclass.quadrature import gl_adaptive, well_integral
+
+HARM = make_power_law(0, 1, 2, 0, 1, 2)
+QUART = make_power_law(0, 1, 4, 0, 1, 4)
+DISC = make_power_law(0.5, 1, 2, 0, 1, 2)
+HL = halfline_power_law(0, 1, 2)
+
+
+def _one_power(pot, lam, power, lo, hi, sqrt_lo, sqrt_hi, tol, weight=None, weight_breaks=()):
+    """int w (lam - v)^power over [lo, hi], each segment integrated by
+    gl_adaptive with that one component as its only integrand."""
+    wfac = (lambda x: np.asarray(weight(x), dtype=float)) if weight is not None else (lambda x: 1.0)
+    breaks = set(weight_breaks)
+    if sqrt_lo and sqrt_hi:
+        breaks.add(0.5 * (lo + hi))
+    segs = quadrature._segments(pot, lo, hi, breaks)
+    total = err = 0.0
+    for a, b in segs:
+        seg_tol = tol / len(segs)
+        if sqrt_hi and b == hi:
+            ratio = quadrature._sqrt_ratio(pot, lam, hi, -1.0, "-")
+            f = lambda t: (2.0 * t ** (1.0 + 2.0 * power) * ratio(t) ** power * wfac(hi - t * t),)
+            (v,), (e,) = gl_adaptive(f, 0.0, np.sqrt(hi - a), seg_tol)
+        elif sqrt_lo and a == lo:
+            ratio = quadrature._sqrt_ratio(pot, lam, lo, +1.0, "+")
+            f = lambda t: (2.0 * t ** (1.0 + 2.0 * power) * ratio(t) ** power * wfac(lo + t * t),)
+            (v,), (e,) = gl_adaptive(f, 0.0, np.sqrt(b - lo), seg_tol)
+        else:
+            f = lambda x: ((lam - pot.value(x)) ** power * wfac(x),)
+            (v,), (e,) = gl_adaptive(f, a, b, seg_tol)
+        total += v
+        err += e
+    return total, err
+
+
+def _well_cases():
+    cases = []
+    for name, pot, lam in (("harmonic", HARM, 1.0), ("quartic", QUART, 1.3), ("jump", DISC, 1.2)):
+        tp = turning_points(pot, lam)
+        cases.append((name, pot, lam, tp.x_minus, tp.x_plus, True, True))
+    tp = turning_points(DISC, 1.2)
+    cases.append(("jump-right", DISC, 1.2, 0.0, tp.x_plus, False, True))
+    cases.append(("jump-left", DISC, 1.2, tp.x_minus, 0.0, True, False))
+    x_plus, _ = halfline_turning_point(HL, 0.9)
+    cases.append(("half-line", HL, 0.9, 0.0, x_plus, False, True))
+    return cases
+
+
+INDICATOR = (lambda x: (np.asarray(x) > 0.2).astype(float), (0.2,))
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "indicator"])
+@pytest.mark.parametrize("case", _well_cases(), ids=lambda c: c[0])
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_well_integral_components_bit_identical(case, weighted, tol):
+    _, pot, lam, lo, hi, sqrt_lo, sqrt_hi = case
+    weight, breaks = INDICATOR if weighted else (None, ())
+    vals, errs = well_integral(pot, lam, lo, hi, sqrt_lo, sqrt_hi, tol,
+                               weight=weight, weight_breaks=breaks)
+    for k, power in enumerate((0.5, -0.5)):
+        ref, ref_err = _one_power(pot, lam, power, lo, hi, sqrt_lo, sqrt_hi, tol, weight, breaks)
+        assert vals[k] == ref
+        assert errs[k] == ref_err
+
+
+def test_gl_adaptive_freezes_each_component():
+    # cos converges at the first doubling, the Runge function several levels later
+    fast = lambda x: (np.cos(x),)
+    slow = lambda x: (1.0 / (1.0 + 25.0 * x * x),)
+    both = lambda x: (np.cos(x), 1.0 / (1.0 + 25.0 * x * x))
+    vals, errs = gl_adaptive(both, -1.0, 1.0, 1e-12)
+    for k, f in enumerate((fast, slow)):
+        (v,), (e,) = gl_adaptive(f, -1.0, 1.0, 1e-12)
+        assert (vals[k], errs[k]) == (v, e)
+    assert abs(vals[0] - 2.0 * math.sin(1.0)) <= 1e-13
+    assert abs(vals[1] - 0.4 * math.atan(5.0)) <= 1e-12
+
+
+def test_well_integral_empty_range():
+    assert well_integral(HARM, 1.0, 0.3, 0.3) == ((0.0, 0.0), (0.0, 0.0))
+
+
+def _count_calls(monkeypatch):
+    calls = []
+    real = quadrature.well_integral
+
+    def counting(*args, **kwargs):
+        calls.append(args[2:4])
+        return real(*args, **kwargs)
+
+    for module in (action, quantize):
+        monkeypatch.setattr(module, "well_integral", counting)
+    return calls
+
+
+def test_action_profile_and_kinetic_take_one_kernel_call(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    prof = action.phi(QUART, 1.3)
+    assert len(calls) == 1
+    kin = action.kinetic_cl(QUART, 1.3)
+    assert len(calls) == 2
+    assert kin == prof.phi / (2.0 * prof.phi_prime)
+
+
+def test_jump_action_takes_one_kernel_call_per_side(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    quantize.jump_action(DISC, 1.2, 0.05, 0.0)
+    tp = turning_points(DISC, 1.2)
+    assert calls == [(0.0, tp.x_plus), (tp.x_minus, 0.0)]

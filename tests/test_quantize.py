@@ -263,8 +263,8 @@ def test_disc_normalization_scaling_and_guard():
     dl = disc_levels(DISC, (0.8, 1.8), 0.05)
     lam = dl[0].lam
     tp = _tps(DISC, lam)
-    i_plus, _ = well_integral(DISC, lam, -0.5, 0.0, tp.x_plus, False, True)
-    i_minus, _ = well_integral(DISC, lam, -0.5, tp.x_minus, 0.0, True, False)
+    (_, i_plus), _ = well_integral(DISC, lam, 0.0, tp.x_plus, False, True)
+    (_, i_minus), _ = well_integral(DISC, lam, tp.x_minus, 0.0, True, False)
     dn1 = disc_normalization(DISC, dl[0], 0.05)
     dn2 = disc_normalization(DISC, dl[0], 0.05 / 8.0)
     r1 = dn1.c_plus * math.sqrt(i_plus + i_minus / dn1.a_squared)
@@ -316,22 +316,26 @@ def test_levels_and_counts_are_python_floats():
     assert all(type(x) is float for x in (cr.predicted, cr.epsilon, cr.phase_volume))
 
 
-# -- exports and diagnostics ------------------------------------------------------
+def test_quantization_condition_per_kind():
+    from semiclass.action import halfline_action, halfline_action_prime
+    from semiclass.potential import certify_halfline_well, certify_well
 
-def test_level_table_exports(tmp_path):
-    lv = bs_levels(HARM, (0.03, 0.77), 0.1)
-    csv_path = tmp_path / "levels.csv"
-    json_path = tmp_path / "levels.json"
-    quantize.levels_to_csv(lv, csv_path)
-    quantize.levels_to_json(lv, json_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "n,hbar,lambda,residual,kind"
-    assert len(lines) == len(lv) + 1
-    import json
-    doc = json.loads(json_path.read_text())
-    assert doc[0]["kind"] == "smooth"
-    assert doc[0]["lambda"] == lv[0].lam
+    cert = certify_well(QUART, 0.5, 2.0)
+    assert quantize.quantization_condition(QUART, 1.3, "smooth", 0.05, cert) == (
+        phi_value(QUART, 1.3), phi_prime(QUART, 1.3))
+    cert = certify_well(DISC, 0.8, 1.8)
+    ja = quantize.jump_action(DISC, 1.2, 0.05, 0.0)
+    assert quantize.quantization_condition(DISC, 1.2, "discontinuous", 0.05, cert) == (
+        ja.g, ja.g_prime)
+    cert = certify_halfline_well(HL, 0.05, 1.45)
+    for kind in ("halfline_dirichlet", "halfline_robin"):
+        assert quantize.quantization_condition(HL, 0.9, kind, 0.1, cert) == (
+            halfline_action(HL, 0.9), halfline_action_prime(HL, 0.9))
+    with pytest.raises(QuantizeError):
+        quantize.quantization_condition(HL, 0.9, "halfline_neumann", 0.1, cert)
 
+
+# -- diagnostics ------------------------------------------------------------------
 
 def test_interlacing_diagnostic_logged_not_fatal():
     hbar = 0.05

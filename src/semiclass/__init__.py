@@ -9,7 +9,6 @@ averages, and an independent brute-force reference solver.
 from .action import (
     ActionProfile,
     classical_average,
-    classical_period,
     kinetic_cl,
     partial_action,
     phi,
@@ -25,8 +24,6 @@ from .langer import (
     eigenfunction,
     error_control,
     normalization,
-    uniform_u,
-    uniform_u_prime,
 )
 from .oracle import OracleSpectrum, eigenvector, observable, solve_spectrum
 from .potential import (
@@ -35,7 +32,6 @@ from .potential import (
     WellCertificate,
     certify_well,
     halfline_power_law,
-    load_potential,
     make_polynomial,
     make_power_law,
     potential_from_spec,
@@ -46,7 +42,6 @@ from .quantize import (
     SemiclassicalLevel,
     bs_levels,
     disc_levels,
-    disc_normalization,
     halfline_levels,
     weyl_count,
 )

@@ -2,9 +2,9 @@
 
 Everything a quantization condition or an eigenfunction normalization needs:
 the action Phi(lam) = int (lam - v)^(1/2) dx between the turning points, its
-lam-derivative, one-sided partial actions, period, microcanonical averages
-of observables, the classical kinetic energy, and the Beta-function closed
-forms available for power-law wells.
+lam-derivative (2 Phi' is the period at mass 1/2), one-sided partial actions,
+microcanonical averages of observables, the classical kinetic energy, and the
+Beta-function closed forms available for power-law wells.
 """
 
 from __future__ import annotations
@@ -13,14 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
-from .potential import (
-    Potential,
-    TurningPoints,
-    halfline_turning_point,
-    turning_points,
-)
+from .potential import Potential, TurningPoints, turning_points
 from .quadrature import well_integral
 
 __all__ = [
@@ -32,9 +25,6 @@ __all__ = [
     "partial_action",
     "classical_average",
     "kinetic_cl",
-    "classical_period",
-    "halfline_action",
-    "halfline_action_prime",
     "PowerLawForms",
     "power_law_closed_forms",
 ]
@@ -44,12 +34,10 @@ TOL_QUAD = 1e-10  # default absolute quadrature tolerance
 
 @dataclass(frozen=True)
 class ActionProfile:
-    """Action data at one energy: Phi, Phi' and the turning points used."""
+    """Action data at one energy: Phi, Phi' and the quadrature error estimate."""
 
-    lam: float
     phi: float
     phi_prime: float
-    turning: TurningPoints
     quadrature_error: float
 
 
@@ -78,7 +66,7 @@ def phi(pot: Potential, lam: float, tp: Optional[TurningPoints] = None,
     """Action profile (Phi, Phi') at lam with a quadrature error estimate."""
     tp = _tp(pot, lam, tp)
     (val, der), (e1, e2) = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol)
-    return ActionProfile(lam, val, 0.5 * der, tp, e1 + 0.5 * e2)
+    return ActionProfile(val, 0.5 * der, e1 + 0.5 * e2)
 
 
 def partial_action(pot: Potential, lam: float, x: float, side: str,
@@ -125,34 +113,6 @@ def kinetic_cl(pot: Potential, lam: float, tp: Optional[TurningPoints] = None,
     tp = _tp(pot, lam, tp)
     (num, den), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol)
     return num / den
-
-
-def classical_period(pot: Potential, lam: float, mass: float,
-                     tp: Optional[TurningPoints] = None, tol: float = TOL_QUAD) -> float:
-    """Oscillation period T = sqrt(2m) int (lam-v)^(-1/2) dx; T(m=1/2) = 2 Phi'."""
-    if mass <= 0.0:
-        raise ValueError("mass must be positive")
-    tp = _tp(pot, lam, tp)
-    (_, den), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol)
-    return np.sqrt(2.0 * mass) * den
-
-
-def halfline_action(pot: Potential, lam: float, tol: float = TOL_QUAD,
-                    x_plus: Optional[float] = None) -> float:
-    """int_0^{x+} (lam - v)^(1/2) dx for a half-line well (0, x+)."""
-    if x_plus is None:
-        x_plus, _ = halfline_turning_point(pot, lam)
-    (val, _), _ = well_integral(pot, lam, 0.0, x_plus, False, True, tol)
-    return val
-
-
-def halfline_action_prime(pot: Potential, lam: float, tol: float = TOL_QUAD,
-                          x_plus: Optional[float] = None) -> float:
-    """(1/2) int_0^{x+} (lam - v)^(-1/2) dx."""
-    if x_plus is None:
-        x_plus, _ = halfline_turning_point(pot, lam)
-    (_, der), _ = well_integral(pot, lam, 0.0, x_plus, False, True, tol)
-    return 0.5 * der
 
 
 @dataclass(frozen=True)

@@ -75,25 +75,34 @@ def _emit(table: dict, out_path, fmt: str) -> None:
 # config
 
 
+def _number(v, field: str, key: str = "") -> float:
+    """v as a float if it is a finite JSON number (a bool is not); else a ConfigError."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        where = f"field {field!r}" + (f": {key!r}" if key else "")
+        raise ConfigError(f"{where} must be a finite number, got {v!r}")
+    return float(v)
+
+
 class RunConfig:
-    """Validated view of the JSON run configuration."""
+    """Validated view of the JSON run configuration; every field is checked here, once."""
 
     def __init__(self, raw: dict, base_dir: Path, use_oracle: bool):
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        self.raw = raw
         if "potential" in raw:
             try:
                 self.potential = potential_from_spec(raw["potential"])
-            except (PotentialError, KeyError) as exc:
+            except PotentialError as exc:
                 raise ConfigError(f"field 'potential': {exc}")
         elif "potential_path" in raw:
+            if not isinstance(raw["potential_path"], str):
+                raise ConfigError("field 'potential_path' must be a string")
             path = base_dir / raw["potential_path"]
             try:
                 self.potential = potential_from_spec(json.loads(path.read_text()))
             except FileNotFoundError:
                 raise ConfigError(f"field 'potential_path': no such file {path}")
-            except (PotentialError, KeyError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:  # ValueError covers JSON and PotentialError
                 raise ConfigError(f"field 'potential_path': {exc}")
         else:
             raise ConfigError("config needs 'potential' or 'potential_path'")
@@ -101,19 +110,20 @@ class RunConfig:
         hbar = raw.get("hbar")
         if hbar is None:
             raise ConfigError("field 'hbar' is required")
-        self.hbars = [float(h) for h in (hbar if isinstance(hbar, list) else [hbar])]
-        if any(h <= 0 for h in self.hbars) or len(set(self.hbars)) != len(self.hbars):
+        self.hbars = [_number(h, "hbar") for h in (hbar if isinstance(hbar, list) else [hbar])]
+        if not self.hbars or any(h <= 0 for h in self.hbars) or len(set(self.hbars)) != len(self.hbars):
             raise ConfigError("field 'hbar': values must be positive and distinct")
 
         window = raw.get("window")
-        if (not isinstance(window, list)) or len(window) != 2 or not float(window[0]) < float(window[1]):
+        if (not isinstance(window, list)) or len(window) != 2 or not (
+                _number(window[0], "window") < _number(window[1], "window")):
             raise ConfigError("field 'window' must be [lo, hi] with lo < hi")
         self.window = (float(window[0]), float(window[1]))
 
         ns = raw.get("n", "all")
         if ns == "all":
             self.n_filter = None
-        elif isinstance(ns, list) and all(isinstance(k, int) and k >= 0 for k in ns):
+        elif isinstance(ns, list) and all(type(k) is int and k >= 0 for k in ns):
             self.n_filter = sorted(set(ns))
         else:
             raise ConfigError("field 'n' must be 'all' or a list of nonnegative integers")
@@ -124,13 +134,30 @@ class RunConfig:
         self.bc = raw.get("bc", "dirichlet")
         if self.bc not in ("dirichlet", "robin"):
             raise ConfigError(f"field 'bc': unknown value {self.bc!r}")
-        self.robin_b = float(raw.get("robin_b", 0.0))
-        self.oracle = bool(raw.get("oracle", True)) and use_oracle
-        self.tol_oracle = float(raw.get("tol_oracle", oracle.DEFAULT_TOL))
-        self.weights = raw.get("weights", [{"name": "v", "kind": "potential"}])
-        self.lambda_ref = raw.get("lambda_ref")
+        self.robin_b = _number(raw.get("robin_b", 0.0), "robin_b")
+        if not isinstance(raw.get("oracle", True), bool):
+            raise ConfigError(f"field 'oracle' must be true or false, got {raw['oracle']!r}")
+        self.oracle = raw.get("oracle", True) and use_oracle
+        self.tol_oracle = _number(raw.get("tol_oracle", oracle.DEFAULT_TOL), "tol_oracle")
+        if self.tol_oracle < oracle._MIN_TOL:
+            raise ConfigError(f"field 'tol_oracle' must be at least {oracle._MIN_TOL!r}")
+        weights = raw.get("weights", [{"name": "v", "kind": "potential"}])
+        if not (isinstance(weights, list) and weights and all(isinstance(w, dict) for w in weights)):
+            raise ConfigError("field 'weights' must be a non-empty list of objects")
+        self.weights = [(w.get("name", w.get("kind")), *_weight_fn(self.potential, w)) for w in weights]
+        lam_ref = raw.get("lambda_ref")
+        self.lambda_ref = None if lam_ref is None else _number(lam_ref, "lambda_ref")
         self.study = raw.get("study", "levels")
-        self.grid = raw.get("grid", {})
+        if not isinstance(self.study, str) or self.study not in _STUDY_CLASSES:
+            raise ConfigError(f"field 'study': unknown study {self.study!r}")
+        grid = raw.get("grid", {})
+        if not isinstance(grid, dict):
+            raise ConfigError("field 'grid' must be an object")
+        self.grid = {k: _number(grid[k], "grid", k) for k in ("lo", "hi", "n") if k in grid}
+        if self.grid.setdefault("n", 801) < 1 or self.grid["n"] % 1:
+            raise ConfigError("field 'grid': 'n' must be a positive integer")
+        if self.potential.domain == "half_line" and self.grid.get("lo", 0.0) < 0.0:
+            raise ConfigError("field 'grid': 'lo' lies left of the half-line domain x >= 0")
 
         # one certificate for the whole run, shared by every hbar task
         halfline = self.method == "halfline" or (
@@ -263,8 +290,7 @@ def cmd_wavefunction(cfg: RunConfig) -> dict:
                 tp = turning_points(cfg.potential, l.lam) if cfg.potential.domain == "full_line" else None
                 lo = float(cfg.grid.get("lo", psi.x1))
                 hi = float(cfg.grid.get("hi", (tp.x_plus + 1.0) if tp else l.lam))
-                npts = int(cfg.grid.get("n", 801))
-                xs = np.linspace(lo, hi, npts)
+                xs = np.linspace(lo, hi, int(cfg.grid["n"]))
                 ps = psi(xs)
                 rows.extend([hbar, l.n, float(x), float(a), None, None] for x, a in zip(xs, ps))
     for line in sup_lines:
@@ -276,20 +302,23 @@ def cmd_wavefunction(cfg: RunConfig) -> dict:
     }
 
 
-def _weight_fn(cfg: RunConfig, wspec: dict):
+def _weight_fn(pot, wspec: dict):
+    """(w, breaks) for one entry of the 'weights' field."""
     kind = wspec.get("kind")
     if kind == "potential":
-        pot = cfg.potential
         return (lambda x: pot.value(np.asarray(x, dtype=float))), ()
     if kind == "indicator":
-        lo = float(wspec.get("lo", -math.inf))
-        hi = float(wspec.get("hi", math.inf))
+        lo = _number(wspec["lo"], "weights", "lo") if "lo" in wspec else -math.inf
+        hi = _number(wspec["hi"], "weights", "hi") if "hi" in wspec else math.inf
         breaks = tuple(b for b in (lo, hi) if math.isfinite(b))
         return (lambda x: ((np.asarray(x) > lo) & (np.asarray(x) <= hi)).astype(float)), breaks
     if kind == "poly":
-        coeffs = tuple(float(c) for c in wspec["coeffs"])
+        coeffs = wspec.get("coeffs")
+        if not isinstance(coeffs, list) or not coeffs:
+            raise ConfigError("field 'weights': a poly weight needs a non-empty list 'coeffs'")
+        coeffs = tuple(_number(c, "weights", "coeffs") for c in coeffs)
         return (lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)), ()
-    raise ConfigError(f"unknown weight kind {kind!r}")
+    raise ConfigError(f"field 'weights': unknown weight kind {kind!r}")
 
 
 def cmd_observable(cfg: RunConfig) -> dict:
@@ -305,12 +334,11 @@ def cmd_observable(cfg: RunConfig) -> dict:
             k = None
             if spec is not None and len(spec.eigenvalues):
                 k = _nearest(spec.eigenvalues, l.lam)
-            for wspec in cfg.weights:
-                w, breaks = _weight_fn(cfg, wspec)
+            for name, w, breaks in cfg.weights:
                 cls = action.classical_average(cfg.potential, l.lam, w, breaks)
                 obs = oracle.observable(spec, k, w) if k is not None else None
                 err = abs(obs - cls) if obs is not None else None
-                rows.append([hbar, l.n, wspec.get("name", wspec["kind"]), cls, obs, err])
+                rows.append([hbar, l.n, name, cls, obs, err])
             k_cl = action.kinetic_cl(cfg.potential, l.lam)
             k_or = oracle.kinetic_energy(spec, k) if k is not None else None
             err = abs(k_or - k_cl) if k_or is not None else None
@@ -329,8 +357,6 @@ _STUDY_CLASSES = {"levels": 2.0, "disc-levels": 5.0 / 3.0, "observable": 1.0 / 3
 def cmd_scaling(cfg: RunConfig) -> dict:
     """Fit the log-log slope of an error metric against hbar."""
     study = cfg.study
-    if study not in _STUDY_CLASSES:
-        raise ConfigError(f"field 'study': unknown study {study!r}")
     if len(cfg.hbars) < 2:
         raise ConfigError("scaling study needs at least two hbar values")
     if not cfg.oracle:
@@ -367,7 +393,7 @@ def cmd_scaling(cfg: RunConfig) -> dict:
         if study == "kinetic":
             return abs(oracle.kinetic_energy(spec, k) - action.kinetic_cl(cfg.potential, l.lam))
         if study == "observable":
-            w, breaks = _weight_fn(cfg, cfg.weights[0])
+            _, w, breaks = cfg.weights[0]
             return abs(oracle.observable(spec, k, w)
                        - action.classical_average(cfg.potential, l.lam, w, breaks))
         psi = langer.eigenfunction(cfg.potential, l, cfg.cert)
@@ -422,6 +448,8 @@ def run(argv=None) -> int:
             raise ConfigError(f"no such config file: {cfg_path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON (line {exc.lineno}, col {exc.colno})")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {cfg_path}: {exc}")
         cfg = RunConfig(raw, cfg_path.resolve().parent, use_oracle=not args.no_oracle)
         table = _COMMANDS[args.command](cfg)
     except ConfigError as exc:

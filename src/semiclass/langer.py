@@ -19,35 +19,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from . import quantize as _quantize_mod  # deferred use; no import cycle (quantize avoids langer)
 from .airy import AI_ZERO, airy_many
-from .action import phi_prime, halfline_action_prime
+from .action import TOL_QUAD, phi_prime
 from .potential import (
     Potential,
-    TurningPoints,
     WellCertificate,
+    certify_well,
     halfline_turning_point,
     turning_points,
 )
 from .quadrature import forbidden_integral, well_integral
+from .quantize import disc_point, jump_action
 
 __all__ = [
     "LangerChart",
     "ChartDomainError",
     "build_chart",
-    "chart_for",
     "error_control",
     "error_control_core",
     "chart_u",
     "chart_u_prime",
-    "uniform_u",
-    "uniform_u_prime",
-    "Normalization",
     "normalization",
     "UniformWave",
     "Eigenfunction",
@@ -55,7 +50,7 @@ __all__ = [
     "peak_coefficient",
 ]
 
-_N_CHEB = 64
+_N_CHEB = 64  # degree of the Chebyshev fits of xi on each side of x_tp
 
 
 class ChartDomainError(ValueError):
@@ -86,7 +81,6 @@ class LangerChart:
     curv: float  # v''(x_tp)
     collar: float
     x_far: float
-    turning: Optional[TurningPoints]
     _interp_in: np.polynomial.Chebyshev
     _interp_out: np.polynomial.Chebyshev
 
@@ -175,8 +169,7 @@ class LangerChart:
         return (qp - xip**3) / (2.0 * xip * xi)
 
 
-def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = None,
-                tol: float = 1e-10, n_nodes: int = _N_CHEB) -> LangerChart:
+def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = None) -> LangerChart:
     """Construct the Langer chart for one side of the well at energy lam.
 
     For full-line potentials x1 defaults to the well midpoint (the jump
@@ -185,7 +178,6 @@ def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = Non
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
-    turning = None
     if pot.domain == "half_line":
         if side != "+":
             raise ChartDomainError("half-line problems only carry the '+' chart")
@@ -202,13 +194,13 @@ def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = Non
         x_tp = turning.x_plus if side == "+" else turning.x_minus
     toward_well = "-" if side == "+" else "+"
     _, d1, d2 = pot.eval(x_tp, toward_well)
-    collar = max(1e-3, tol ** (1.0 / 3.0)) * width
+    collar = 1e-3 * width  # half-width of the Taylor-model collar
     x_far = x_tp + (width + 2.0) * (1.0 if side == "+" else -1.0)
 
     chart = LangerChart(
         side=side, lam=lam, pot=pot, x_tp=x_tp, x1=float(x1),
         slope=abs(d1), curv=float(d2), collar=collar, x_far=x_far,
-        turning=turning, _interp_in=None, _interp_out=None,
+        _interp_in=None, _interp_out=None,
     )
 
     def node_values(xs):
@@ -221,20 +213,14 @@ def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = Non
         return vals
 
     if side == "+":
-        nod_in = _cheb_nodes(float(x1), x_tp, n_nodes)
-        nod_out = _cheb_nodes(x_tp, x_far, n_nodes)
+        nod_in = _cheb_nodes(float(x1), x_tp, _N_CHEB)
+        nod_out = _cheb_nodes(x_tp, x_far, _N_CHEB)
     else:
-        nod_in = _cheb_nodes(x_tp, float(x1), n_nodes)
-        nod_out = _cheb_nodes(x_far, x_tp, n_nodes)
-    chart._interp_in = np.polynomial.Chebyshev.fit(nod_in, node_values(nod_in), n_nodes)
-    chart._interp_out = np.polynomial.Chebyshev.fit(nod_out, node_values(nod_out), n_nodes)
+        nod_in = _cheb_nodes(x_tp, float(x1), _N_CHEB)
+        nod_out = _cheb_nodes(x_far, x_tp, _N_CHEB)
+    chart._interp_in = np.polynomial.Chebyshev.fit(nod_in, node_values(nod_in), _N_CHEB)
+    chart._interp_out = np.polynomial.Chebyshev.fit(nod_out, node_values(nod_out), _N_CHEB)
     return chart
-
-
-@lru_cache(maxsize=128)
-def chart_for(pot: Potential, lam: float, side: str, x1: Optional[float] = None) -> LangerChart:
-    """Memoized chart construction (Potential is immutable and hashable)."""
-    return build_chart(pot, lam, side, x1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +235,7 @@ def error_control_core(xi: float, q: float, qp: float, qpp: float) -> float:
 def error_control(pot: Potential, lam: float, x: float, side: str,
                   chart: Optional[LangerChart] = None) -> float:
     """Local approximation-quality diagnostic p_pm(x); not defined at x_tp."""
-    chart = chart or chart_for(pot, lam, side)
+    chart = chart or build_chart(pot, lam, side)
     if x == chart.x_tp:
         raise ValueError("error_control has a removable singularity at the turning point")
     v, d1, d2 = pot.eval(x)
@@ -288,36 +274,35 @@ def chart_u_prime(chart: LangerChart, hbar: float, x):
     return math.pi * (amp * aip * xip / hbar ** (2.0 / 3.0) + damp * ai)
 
 
-def uniform_u(pot: Potential, lam: float, hbar: float, x, side: str):
-    """chart_u through the memoized chart for (pot, lam, side)."""
-    return chart_u(chart_for(pot, float(lam), side), float(hbar), x)
-
-
-def uniform_u_prime(pot: Potential, lam: float, hbar: float, x, side: str):
-    """chart_u_prime through the memoized chart for (pot, lam, side)."""
-    return chart_u_prime(chart_for(pot, float(lam), side), float(hbar), x)
-
-
 # ---------------------------------------------------------------------------
 # normalization and assembly
 
 
-@dataclass(frozen=True)
-class Normalization:
-    c_plus: float  # |c_+|
-    c_minus: float  # |c_-|
-    a: float  # relative sign/amplitude u_- = a u_+
-
-
-def normalization(pot: Potential, lam: float, hbar: float, n: int,
-                  tp: Optional[TurningPoints] = None) -> Normalization:
-    """Leading-order |c_pm| = (2/pi)^(1/2) hbar^(-1/6) (int (lam-v)^(-1/2))^(-1/2),
-    with a = (-1)^n for a smooth well."""
-    if n is None:
-        raise ValueError("normalization needs the quantum number n")
-    total = 2.0 * phi_prime(pot, lam, tp)
-    c = math.sqrt(2.0 / math.pi) * hbar ** (-1.0 / 6.0) / math.sqrt(total)
-    return Normalization(c_plus=c, c_minus=c, a=(-1.0) ** (n % 2))
+def normalization(pot: Potential, level, cert: Optional[WellCertificate] = None) -> tuple[float, float]:
+    """Leading-order (c_+, c_-) of psi = c_pm u_pm, for a level of any kind:
+    c_+ = (2/pi)^(1/2) hbar^(-1/6) (I_+ + I_-/a^2)^(-1/2) and
+    c_- = (-1)^n (2/pi)^(1/2) hbar^(-1/6) (a^2 I_+ + I_-)^(-1/2), with
+    I_pm = int (lam - v)^(-1/2) on each side of the matching point and
+    u_- = a u_+.  a^2 = 1 and I_- = 0 on the half line; a^2 = 1 in a smooth
+    well; a jump well takes I_pm and a^2 from jump_action at disc_point(cert),
+    cert defaulting to the certificate of the single energy level.lam."""
+    lam = level.lam
+    i_minus, a2 = 0.0, 1.0
+    if level.kind == "smooth":
+        tp = turning_points(pot, lam)
+        (_, i_plus), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, TOL_QUAD)
+    elif level.kind == "discontinuous":
+        x0 = disc_point(cert or certify_well(pot, lam, lam))
+        ja = jump_action(pot, lam, level.hbar, x0, TOL_QUAD)
+        i_plus, i_minus, a2 = ja.i_plus, ja.i_minus, ja.a_squared
+    elif level.kind in ("halfline_dirichlet", "halfline_robin"):
+        x_plus, _ = halfline_turning_point(pot, lam)
+        (_, i_plus), _ = well_integral(pot, lam, 0.0, x_plus, False, True, TOL_QUAD)
+    else:
+        raise ValueError(f"unknown level kind {level.kind!r}")
+    pref = math.sqrt(2.0 / math.pi) * level.hbar ** (-1.0 / 6.0)
+    return (pref / math.sqrt(i_plus + i_minus / a2),
+            (-1.0) ** (level.n % 2) * pref / math.sqrt(a2 * i_plus + i_minus))
 
 
 def peak_coefficient(pot: Potential, lam: float, side: str = "+") -> float:
@@ -336,18 +321,12 @@ def peak_coefficient(pot: Potential, lam: float, side: str = "+") -> float:
 class UniformWave:
     """One evaluable side of the assembled eigenfunction: c * u on a chart."""
 
-    side: str
     chart: LangerChart
     hbar: float
     c: float  # signed normalization constant
-    match_point: float
 
     def __call__(self, x):
         return self.c * chart_u(self.chart, self.hbar, x)
-
-    def amplitude(self, x):
-        """Slowly varying envelope factor |xi'(x)|^(-1/2)."""
-        return np.abs(self.chart.xi_prime(x)) ** -0.5
 
 
 @dataclass
@@ -362,22 +341,6 @@ class Eigenfunction:
     x1: float
     plus: UniformWave
     minus: Optional[UniformWave]
-
-    @property
-    def c_plus(self) -> float:
-        return self.plus.c
-
-    @property
-    def c_minus(self) -> float:
-        return self.minus.c if self.minus is not None else 0.0
-
-    @property
-    def chart_plus(self) -> LangerChart:
-        return self.plus.chart
-
-    @property
-    def chart_minus(self) -> Optional[LangerChart]:
-        return self.minus.chart if self.minus is not None else None
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -400,36 +363,28 @@ class Eigenfunction:
         up = self.plus(self.x1)
         um = self.minus(self.x1)
         q1 = abs(float(self.plus.chart.pot.value(np.asarray(self.x1, dtype=float))) - self.level.lam)
-        amp = abs(self.c_plus) * math.pi ** 1.5 * self.level.hbar ** (1.0 / 6.0) * q1 ** (-0.25)
+        amp = abs(self.plus.c) * math.pi ** 1.5 * self.level.hbar ** (1.0 / 6.0) * q1 ** (-0.25)
         return abs(float(up) - float(um)) / amp
 
 
 def eigenfunction(pot: Potential, level, cert: Optional[WellCertificate] = None) -> Eigenfunction:
     """Assemble psi for a level produced by the quantize module.
 
-    A discontinuous level is matched at the jump inside the well of cert,
-    by default the certificate of the single energy level.lam.
+    A smooth level is matched at the midpoint of its turning points, a
+    discontinuous one at the jump inside the well of cert (by default the
+    certificate of the single energy level.lam), a half-line one at 0.
     """
     lam, hbar = level.lam, level.hbar
-    kind = level.kind
-    if kind == "smooth":
+    if level.kind == "smooth":
         tp = turning_points(pot, lam)
         x1 = 0.5 * (tp.x_minus + tp.x_plus)
-        norm = normalization(pot, lam, hbar, level.n, tp)
-        plus = UniformWave("+", chart_for(pot, lam, "+", x1), hbar, norm.c_plus, x1)
-        minus = UniformWave("-", chart_for(pot, lam, "-", x1), hbar, norm.a * norm.c_minus, x1)
-        return Eigenfunction(level, x1, plus, minus)
-    if kind == "discontinuous":
-        cert = cert or _quantize_mod.certified(pot, lam, lam)
-        x1 = _quantize_mod.disc_point(cert)
-        dn = _quantize_mod.disc_normalization(pot, level, hbar, cert=cert)
-        plus = UniformWave("+", chart_for(pot, lam, "+", x1), hbar, dn.c_plus, x1)
-        minus = UniformWave("-", chart_for(pot, lam, "-", x1), hbar,
-                            math.copysign(dn.c_minus, dn.a_signed), x1)
-        return Eigenfunction(level, x1, plus, minus)
-    if kind in ("halfline_dirichlet", "halfline_robin"):
-        total = 2.0 * halfline_action_prime(pot, lam)
-        c_plus = math.sqrt(2.0 / math.pi) * hbar ** (-1.0 / 6.0) / math.sqrt(total)
-        plus = UniformWave("+", chart_for(pot, lam, "+", 0.0), hbar, c_plus, 0.0)
-        return Eigenfunction(level, 0.0, plus, None)
-    raise ValueError(f"unknown level kind {kind!r}")
+    elif level.kind == "discontinuous":
+        cert = cert or certify_well(pot, lam, lam)
+        x1 = disc_point(cert)
+    else:
+        x1 = 0.0
+    c_plus, c_minus = normalization(pot, level, cert)
+    plus = UniformWave(build_chart(pot, lam, "+", x1), hbar, c_plus)
+    if pot.domain == "half_line":
+        return Eigenfunction(level, x1, plus, None)
+    return Eigenfunction(level, x1, plus, UniformWave(build_chart(pot, lam, "-", x1), hbar, c_minus))

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
+_MIN_TOL = 1e-10  # smallest tol_oracle the scheme resolves
 _MAX_N = 2**22
 _TAIL_DECADES = 20.0  # WKB tail exponent required beyond the window top
 
@@ -177,8 +178,8 @@ def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
     """
     if hbar <= 0.0:
         raise OracleError("hbar must be positive")
-    if tol_oracle < 1e-10:
-        raise OracleError("tol_oracle below 1e-10 is not resolvable by this scheme")
+    if tol_oracle < _MIN_TOL:
+        raise OracleError(f"tol_oracle below {_MIN_TOL} is not resolvable by this scheme")
     lo, hi = window
     if not lo < hi:
         raise OracleError("empty window")
@@ -203,7 +204,6 @@ def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
 
     pad = 0.05 * (hi - lo)
     n = n0
-    seq: list[np.ndarray] = []
     extr_prev = None
     est = None
     vals_prev = _window_eigs(pot, hbar, _grid(pot, x_lo, x_hi, n), bc, robin_b, lo - pad, hi + pad)

@@ -2,14 +2,13 @@
 
 A Potential is an ordered set of smooth branches partitioning the domain,
 plus markers for interior points where v, v' or v'' may jump.  All
-operations here are pure; Potential instances are immutable and hashable so
-downstream modules can memoize charts and certificates keyed on them.
+operations here are pure, and Potential instances are immutable.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -37,7 +36,6 @@ __all__ = [
     "certify_well",
     "certify_halfline_well",
     "potential_from_spec",
-    "load_potential",
     "TOL_X",
 ]
 
@@ -164,9 +162,10 @@ class Potential:
     pieces: tuple[Piece, ...]
     singular_points: tuple[SingularPoint, ...] = ()
     domain: str = "full_line"  # or "half_line", meaning [0, inf)
-    decay_exponent: Optional[float] = None
 
     def __post_init__(self):
+        if self.domain not in ("full_line", "half_line"):
+            raise PotentialError(f"unknown domain {self.domain!r}")
         if not self.pieces:
             raise PotentialError("potential needs at least one piece")
         lo0 = self.pieces[0].lo
@@ -189,10 +188,6 @@ class Potential:
 
     def _boundaries(self) -> tuple[float, ...]:
         return tuple(p.hi for p in self.pieces[:-1])
-
-    @property
-    def x_min(self) -> float:
-        return self.pieces[0].lo
 
     def _index_right(self, x: float) -> int:
         # piece whose closure contains x, boundary points resolving right
@@ -247,9 +242,6 @@ class Potential:
 
     def deriv2(self, x) -> np.ndarray:
         return self._vectorized("deriv2", x)
-
-    def jump_points(self) -> tuple[SingularPoint, ...]:
-        return tuple(s for s in self.singular_points if s.kind == "jump")
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +312,6 @@ def make_power_law(a_plus: float, v_plus: float, alpha_plus: float,
     return Potential(
         pieces=(Piece(-math.inf, 0.0, left), Piece(0.0, math.inf, right)),
         singular_points=tuple(sing),
-        decay_exponent=2.0,
     )
 
 
@@ -331,7 +322,6 @@ def halfline_power_law(a: float, v: float, alpha: float) -> Potential:
     return Potential(
         pieces=(Piece(0.0, math.inf, PowerBranch(a, v, alpha)),),
         domain="half_line",
-        decay_exponent=2.0,
     )
 
 
@@ -341,7 +331,6 @@ def make_polynomial(coeffs, domain: str = "full_line") -> Potential:
     return Potential(
         pieces=(Piece(lo, math.inf, PolyBranch(tuple(float(c) for c in coeffs))),),
         domain=domain,
-        decay_exponent=2.0,
     )
 
 
@@ -702,12 +691,32 @@ def certify_halfline_well(pot: Potential, lam_lo: float, lam_hi: float) -> HalfL
 # JSON ingestion
 
 
+def _real(v, what: str) -> float:
+    """v as a float when it is a finite JSON number (a bool is not one)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise PotentialError(f"{what} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _field(d: dict, key: str, default: Optional[float] = None) -> float:
+    """The number d[key], or default when the key is absent and default is given."""
+    if key not in d and default is None:
+        raise PotentialError(f"missing key {key!r}")
+    return _real(d.get(key, default), repr(key))
+
+
+def _coeffs(d: dict) -> tuple[float, ...]:
+    if not isinstance(d.get("coeffs"), list):
+        raise PotentialError(f"'coeffs' must be a list of numbers, got {d.get('coeffs')!r}")
+    return tuple(_real(c, "a 'coeffs' entry") for c in d["coeffs"])
+
+
 _BRANCH_BUILDERS = {
-    "poly": lambda d: PolyBranch(tuple(float(c) for c in d["coeffs"])),
-    "power": lambda d: PowerBranch(float(d.get("offset", 0.0)), float(d["coeff"]), float(d["exponent"])),
+    "poly": lambda d: PolyBranch(_coeffs(d)),
+    "power": lambda d: PowerBranch(_field(d, "offset", 0.0), _field(d, "coeff"), _field(d, "exponent")),
     "exp-quadratic": lambda d: ExpQuadBranch(
-        float(d.get("offset", 0.0)), float(d["amplitude"]),
-        float(d.get("c2", 0.0)), float(d.get("c1", 0.0)), float(d.get("c0", 0.0)),
+        _field(d, "offset", 0.0), _field(d, "amplitude"),
+        _field(d, "c2", 0.0), _field(d, "c1", 0.0), _field(d, "c0", 0.0),
     ),
 }
 
@@ -719,50 +728,42 @@ def _parse_bound(v) -> float:
         if v == "-inf":
             return -math.inf
         raise PotentialError(f"bad interval bound {v!r}")
-    return float(v)
+    return _real(v, "an interval bound")
 
 
 def potential_from_spec(spec: dict) -> Potential:
     """Build a Potential from its JSON document form.
 
-    Two kinds are accepted: {"kind": "power_law", "a_plus": ..., ...} and
-    {"kind": "table", "branches": [{"lo", "hi", "type", ...}, ...]}.
+    Three kinds are accepted: {"kind": "power_law", "a_plus": ..., ...},
+    {"kind": "halfline_power_law", "a": ..., "v": ..., "alpha": ...} and
+    {"kind": "table", "branches": [{"lo", "hi", "type", ...}, ...]}.  Values
+    must be JSON numbers; keys a kind does not use are ignored.
     """
+    if not isinstance(spec, dict):
+        raise PotentialError(f"a potential spec must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "power_law":
-        pot = make_power_law(
-            float(spec["a_plus"]), float(spec["v_plus"]), float(spec["alpha_plus"]),
-            float(spec["a_minus"]), float(spec["v_minus"]), float(spec["alpha_minus"]),
-        )
-    elif kind == "halfline_power_law":
-        pot = halfline_power_law(float(spec.get("a", 0.0)), float(spec["v"]), float(spec["alpha"]))
-    elif kind == "table":
-        domain = spec.get("domain", "full_line")
-        pieces = []
-        for b in spec["branches"]:
-            btype = b.get("type")
-            if btype not in _BRANCH_BUILDERS:
-                raise PotentialError(f"unknown branch type {btype!r}")
-            pieces.append(Piece(_parse_bound(b["lo"]), _parse_bound(b["hi"]), _BRANCH_BUILDERS[btype](b)))
-        pieces.sort(key=lambda p: p.lo)
-        sing = []
-        for left, right in zip(pieces, pieces[1:]):
-            mark = _classify_boundary(left.branch, right.branch, left.hi)
-            if mark is not None:
-                sing.append(mark)
-        pot = Potential(
-            pieces=tuple(pieces),
-            singular_points=tuple(sing),
-            domain=domain,
-            decay_exponent=spec.get("decay_exponent"),
-        )
-    else:
+        return make_power_law(*(_field(spec, k) for k in (
+            "a_plus", "v_plus", "alpha_plus", "a_minus", "v_minus", "alpha_minus")))
+    if kind == "halfline_power_law":
+        return halfline_power_law(_field(spec, "a", 0.0), _field(spec, "v"), _field(spec, "alpha"))
+    if kind != "table":
         raise PotentialError(f"unknown potential kind {kind!r}")
-    if "decay_exponent" in spec and spec["decay_exponent"] is not None:
-        pot = Potential(pot.pieces, pot.singular_points, pot.domain, float(spec["decay_exponent"]))
-    return pot
-
-
-def load_potential(path) -> Potential:
-    with open(path) as fh:
-        return potential_from_spec(json.load(fh))
+    branches = spec.get("branches")
+    if not isinstance(branches, list) or not all(isinstance(b, dict) for b in branches):
+        raise PotentialError("'branches' must be a list of objects")
+    pieces = []
+    for b in branches:
+        btype = b.get("type")
+        if not isinstance(btype, str) or btype not in _BRANCH_BUILDERS:
+            raise PotentialError(f"unknown branch type {btype!r}")
+        pieces.append(Piece(_parse_bound(b.get("lo")), _parse_bound(b.get("hi")),
+                            _BRANCH_BUILDERS[btype](b)))
+    pieces.sort(key=lambda p: p.lo)
+    sing = []
+    for left, right in zip(pieces, pieces[1:]):
+        mark = _classify_boundary(left.branch, right.branch, left.hi)
+        if mark is not None:
+            sing.append(mark)
+    return Potential(pieces=tuple(pieces), singular_points=tuple(sing),
+                     domain=spec.get("domain", "full_line"))

@@ -25,10 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
-
-import numpy as np
 
 from .action import TOL_QUAD, phi, phi_value
 from .potential import (
@@ -46,18 +43,14 @@ __all__ = [
     "SemiclassicalLevel",
     "CountResult",
     "JumpAction",
-    "DiscNormalization",
     "QuantizeError",
     "bs_levels",
     "weyl_count",
     "disc_levels",
-    "disc_normalization",
     "disc_point",
     "jump_action",
     "quantization_condition",
     "halfline_levels",
-    "interlacing_diagnostic",
-    "certified",
 ]
 
 # A returned lam is accurate to about LAMBDA_TOL relative plus
@@ -110,23 +103,10 @@ class SemiclassicalLevel:
 class CountResult:
     """Weyl count over a window: predicted pi^-1 dPhi / hbar vs an integer count."""
 
-    window: tuple[float, float]
-    hbar: float
     predicted: float
     count: int
     epsilon: float
     phase_volume: float  # measure of {a1 <= p^2 + v <= a2}, i.e. 2 dPhi
-
-
-@lru_cache(maxsize=64)
-def certified(pot: Potential, lam_lo: float, lam_hi: float) -> WellCertificate:
-    """Memoized single-well certification for sweep reuse."""
-    return certify_well(pot, lam_lo, lam_hi)
-
-
-@lru_cache(maxsize=64)
-def certified_halfline(pot: Potential, lam_lo: float, lam_hi: float) -> HalfLineCertificate:
-    return certify_halfline_well(pot, lam_lo, lam_hi)
 
 
 def _solve_action_root(profile, target: float, lo: float, hi: float,
@@ -228,7 +208,7 @@ def bs_levels(pot: Potential, window: tuple[float, float], hbar: float,
     """
     if hbar <= 0.0:
         raise QuantizeError("hbar must be positive")
-    cert = cert or certified(pot, *window)
+    cert = cert or certify_well(pot, *window)
     if cert.interior_jump is not None:
         raise QuantizeError("potential jumps inside the well; use disc_levels")
     return _action_levels(pot, window, hbar, "smooth", cert, magnitude=lambda lam: 1.0)
@@ -243,7 +223,7 @@ def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
     (Phi(a1), Phi(a2)); pass an observed (e.g. brute-force) count to get its
     epsilon against the same prediction.
     """
-    cert = cert or certified(pot, a1, a2)
+    cert = cert or certify_well(pot, a1, a2)
     phi1 = phi_value(pot, a1, cert.turning_map(a1))
     phi2 = phi_value(pot, a2, cert.turning_map(a2))
     predicted = float((phi2 - phi1) / (math.pi * hbar))
@@ -252,8 +232,7 @@ def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
         n_lo = math.ceil(phi1 / (math.pi * hbar) - mu)
         n_hi = math.floor(phi2 / (math.pi * hbar) - mu)
         count = max(0, n_hi - max(n_lo, 0) + 1)
-    return CountResult(window=(a1, a2), hbar=hbar, predicted=predicted,
-                       count=int(count), epsilon=float(count - predicted),
+    return CountResult(predicted=predicted, count=int(count), epsilon=float(count - predicted),
                        phase_volume=float(2.0 * (phi2 - phi1)))
 
 
@@ -330,61 +309,11 @@ def disc_levels(pot: Potential, window: tuple[float, float], hbar: float,
     bs_levels when v(x0+0) = v(x0-0)."""
     if hbar <= 0.0:
         raise QuantizeError("hbar must be positive")
-    cert = cert or certified(pot, *window)
+    cert = cert or certify_well(pot, *window)
     x0 = disc_point(cert)
     return _action_levels(
         pot, window, hbar, "discontinuous", cert,
         magnitude=lambda lam: math.sqrt(jump_action(pot, lam, hbar, x0, _ROOT_QUAD_TOL).a_squared))
-
-
-@dataclass(frozen=True)
-class DiscNormalization:
-    c_plus: float  # |c_+|
-    c_minus: float  # |c_-|
-    a_squared: float
-    a_signed: float
-
-
-def disc_normalization(pot: Potential, level: SemiclassicalLevel, hbar: float,
-                       tol: float = 1e-10,
-                       cert: Optional[WellCertificate] = None) -> DiscNormalization:
-    """Leading-order normalization constants for a discontinuous-well level.
-
-    a^2 = p^2 cos^2(theta-) + p^-2 sin^2(theta-); the half-well integrals
-    I_pm of (lam - v)^(-1/2) then give
-    |c_+| = (2/pi)^(1/2) hbar^(-1/6) (I_+ + a^-2 I_-)^(-1/2) and the mirrored
-    expression for |c_-|; a has the sign (-1)^n (see jump_action).  x0 comes
-    from cert, by default the certificate of the single energy level.lam.
-    """
-    if level.kind != "discontinuous":
-        raise QuantizeError("disc_normalization expects a discontinuous-kind level")
-    lam = level.lam
-    x0 = disc_point(cert or certified(pot, lam, lam))
-    ja = jump_action(pot, lam, hbar, x0, tol)
-    a2 = ja.a_squared
-    pref = math.sqrt(2.0 / math.pi) * hbar ** (-1.0 / 6.0)
-    c_plus = pref / math.sqrt(ja.i_plus + ja.i_minus / a2)
-    c_minus = pref / math.sqrt(a2 * ja.i_plus + ja.i_minus)
-    return DiscNormalization(c_plus=c_plus, c_minus=c_minus, a_squared=a2,
-                             a_signed=(-1.0) ** (level.n % 2) * math.sqrt(a2))
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-def interlacing_diagnostic(levels, reference) -> list[str]:
-    """Heuristic sanity check: level k should lie between reference levels
-    k-1 and k+1.  Failures are reported, not raised; this ordering is a
-    diagnostic expectation, not a guaranteed property."""
-    ref = np.asarray(reference, dtype=float)
-    msgs = []
-    for k, l in enumerate(levels):
-        lo = ref[k - 1] if k - 1 >= 0 else -math.inf
-        hi = ref[k + 1] if k + 1 < len(ref) else math.inf
-        if not lo < l.lam < hi:
-            msgs.append(f"level n={l.n} at lam={l.lam!r} outside reference bracket ({lo}, {hi})")
-    return msgs
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +333,6 @@ def halfline_levels(pot: Potential, window: tuple[float, float], hbar: float,
     kind = f"halfline_{bc}"
     if kind not in MASLOV_OFFSETS:
         raise QuantizeError(f"unknown boundary condition {bc!r}")
-    cert = cert or certified_halfline(pot, *window)
+    cert = cert or certify_halfline_well(pot, *window)
     return _action_levels(pot, window, hbar, kind, cert,
                           robin_b=(robin_b if bc == "robin" else None))

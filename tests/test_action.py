@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from semiclass import action
-from semiclass.potential import halfline_power_law, make_power_law, turning_points
+from semiclass.potential import certify_halfline_well, halfline_power_law, make_power_law, turning_points
+from semiclass.quantize import quantization_condition
 
 HARM = make_power_law(0, 1, 2, 0, 1, 2)
 QUART = make_power_law(0, 1, 4, 0, 1, 4)
@@ -105,24 +106,6 @@ def test_kinetic_harmonic_value():
     assert abs(action.kinetic_cl(HARM, 1.0) - 0.5) <= 1e-10
 
 
-def test_classical_period():
-    # p^2 + x^2 at m = 1/2: period pi, independent of lam
-    for lam in (0.5, 1.0, 2.0):
-        assert abs(action.classical_period(HARM, lam, 0.5) - math.pi) <= 1e-9
-    t1 = action.classical_period(QUART, 1.0, 1.0)
-    t4 = action.classical_period(QUART, 1.0, 4.0)
-    assert abs(t4 - 2.0 * t1) <= 1e-9
-    assert aux_period_matches_phi_prime()
-    with pytest.raises(ValueError):
-        action.classical_period(HARM, 1.0, 0.0)
-
-
-def aux_period_matches_phi_prime():
-    # T(m=1/2) = 2 Phi'(lam)
-    t = action.classical_period(QUART, 1.2, 0.5)
-    return abs(t - 2.0 * action.phi_prime(QUART, 1.2)) <= 1e-9
-
-
 def test_power_law_closed_forms_match_quadrature():
     for (ap, am) in ((2, 2), (2, 4), (1, 3)):
         pot = make_power_law(0, 1, ap, 0, 1, am)
@@ -160,6 +143,9 @@ def test_offset_power_law_half_action():
 
 
 def test_halfline_actions():
+    # int_0^1 (1 - x^2)^(1/2) = pi/4 and (1/2) int_0^1 (1 - x^2)^(-1/2) = pi/4
     pot = halfline_power_law(0, 1, 2)
-    assert abs(action.halfline_action(pot, 1.0) - math.pi / 4) <= 1e-10
-    assert abs(action.halfline_action_prime(pot, 1.0) - math.pi / 4) <= 1e-10
+    cert = certify_halfline_well(pot, 0.5, 1.5)
+    g, g_prime = quantization_condition(pot, 1.0, "halfline_dirichlet", 0.1, cert)
+    assert abs(g - math.pi / 4) <= 1e-10
+    assert abs(g_prime - math.pi / 4) <= 1e-10

@@ -3,8 +3,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from semiclass.cli import run
 
@@ -88,8 +91,9 @@ def test_certification_failure_exit_code(tmp_path):
 
 
 def test_nonconvergence_exit_code(tmp_path):
+    # the jump condition needs a singular point inside the well: QuantizeError
     cfg = write_config(tmp_path, "c.json", {"potential": HARM_POT, "hbar": 0.1,
-                                            "window": [0.03, 0.57], "tol_oracle": 1e-13})
+                                            "window": [0.03, 0.57], "method": "disc"})
     assert run(["levels", "--config", str(cfg)]) == 4
 
 
@@ -211,7 +215,6 @@ def test_levels_certifies_once_per_run(tmp_path, monkeypatch):
 
     for mod in (cli, quantize):
         monkeypatch.setattr(mod, "certify_well", counting)
-    quantize.certified.cache_clear()
     cfg = write_config(tmp_path, "c.json", {"potential": HARM_POT, "hbar": [0.1, 0.05, 0.025],
                                             "window": [0.03, 0.77], "oracle": False})
     assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
@@ -275,3 +278,86 @@ def test_disc_levels_scaling_runs_on_a_half_line_well(tmp_path):
     assert run(["scaling", "--config", str(cfg), "--format", "json",
                 "--out", str(tmp_path / "t.json")]) == 0
     assert len(json.loads((tmp_path / "t.json").read_text())["rows"]) == 2
+
+
+def _committed(name):
+    doc = json.loads((CONFIGS / name).read_text())
+    if isinstance(doc.get("potential_path"), str):  # resolve it from anywhere
+        doc["potential_path"] = str(CONFIGS / doc["potential_path"])
+    return doc
+
+
+DISC_CFG = _committed("disc_levels.json")
+
+
+@pytest.mark.parametrize("base,change,command,field", [
+    (HALFLINE_CFG, {"robin_b": "x"}, "levels", "robin_b"),
+    (DISC_CFG, {"hbar": "abc"}, "levels", "hbar"),
+    (DISC_CFG, {"window": ["a", 1]}, "levels", "window"),
+    (DISC_CFG, {"tol_oracle": "q"}, "levels", "tol_oracle"),
+    (DISC_CFG, {"tol_oracle": 1e-12}, "levels", "tol_oracle"),
+    (DISC_CFG, {"oracle": "no"}, "levels", "oracle"),
+    (DISC_CFG, {"weights": 3}, "observable", "weights"),
+    (DISC_CFG, {"weights": [{"kind": "poly"}]}, "observable", "weights"),
+    (DISC_CFG, {"weights": [{"kind": "indicator", "lo": "a"}]}, "observable", "weights"),
+    (DISC_CFG, {"grid": [1]}, "wavefunction", "grid"),
+    (DISC_CFG, {"grid": {"n": "x"}}, "wavefunction", "grid"),
+    (HALFLINE_CFG, {"grid": {"lo": -0.5}}, "wavefunction", "grid"),
+    (DISC_CFG, {"study": []}, "scaling", "study"),
+    (DISC_CFG, {"study": "kinetic", "lambda_ref": "x"}, "scaling", "lambda_ref"),
+    (DISC_CFG, {"potential": "x"}, "levels", "potential"),
+    (HALFLINE_CFG, {"potential": dict(HALFLINE_CFG["potential"], v="z")}, "levels", "potential"),
+], ids=["robin_b", "hbar", "window", "tol_oracle-type", "tol_oracle-floor", "oracle",
+        "weights-type", "weights-poly", "weights-indicator", "grid-type", "grid-n",
+        "grid-halfline", "study", "lambda_ref", "potential", "potential-v"])
+def test_malformed_config_fields_exit_2(tmp_path, capsys, base, change, command, field):
+    cfg = write_config(tmp_path, "c.json", dict(base, **change))
+    flags = [] if field in ("tol_oracle", "oracle", "study", "lambda_ref") else ["--no-oracle"]
+    rc = run([command, "--config", str(cfg), "--out", str(tmp_path / "t.csv"), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"field '{field}'" in err
+    assert "Traceback" not in err
+
+
+_WRONG_TYPES = ["x", [], {}, None, True, 3, [1, "a"], {"n": "x"}]
+_OUT_OF_RANGE = {
+    "hbar": [0.0, -0.1, [0.1, 0.1]],
+    "window": [[1.8, 0.8], [1.0, 1.0]],
+    "n": [[-1], [0.5]],
+    "tol_oracle": [1e-12, 0.0],
+    "grid": [{"n": 0}, {"lo": -0.5}],
+    "weights": [[], [{"kind": "poly", "coeffs": []}]],
+}
+_FIELDS = ["potential", "potential_path", "hbar", "window", "n", "method", "bc", "robin_b",
+           "oracle", "tol_oracle", "weights", "lambda_ref", "study", "grid"]
+
+
+@st.composite
+def _mutated_configs(draw):
+    name = draw(st.sampled_from(sorted(p.name for p in CONFIGS.glob("*.json"))))
+    doc = _committed(name)
+    target = doc
+    fields = _FIELDS + [f"potential.{k}" for k in doc.get("potential", {})]
+    field = draw(st.sampled_from(fields))
+    if "." in field:
+        target = doc["potential"] = dict(doc["potential"])
+        field = field.split(".", 1)[1]
+    how = draw(st.sampled_from(["delete", "wrong type", "out of range"]))
+    if how == "delete":
+        target.pop(field, None)
+    elif how == "wrong type" or field not in _OUT_OF_RANGE:
+        target[field] = draw(st.sampled_from(_WRONG_TYPES))
+    else:
+        target[field] = draw(st.sampled_from(_OUT_OF_RANGE[field]))
+    return doc
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_configs(), st.sampled_from(["levels", "count", "wavefunction", "observable", "scaling"]))
+def test_one_mutated_field_of_a_committed_config_never_crashes(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(pathlib.Path(tmp), "c.json", doc)
+        rc = run([command, "--config", str(cfg), "--out", str(pathlib.Path(tmp) / "t.csv"),
+                  "--no-oracle"])
+    assert rc in (0, 2, 3, 4)

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from semiclass import langer, quantize
+from semiclass import oracle, quantize
 from semiclass.action import partial_action, phi_value
 from semiclass.airy import AI_ZERO
 from semiclass.langer import (
@@ -16,14 +17,15 @@ from semiclass.langer import (
     error_control_core,
     normalization,
     peak_coefficient,
-    uniform_u,
-    uniform_u_prime,
 )
-from semiclass.potential import make_power_law, turning_points
+from semiclass.potential import halfline_power_law, make_power_law, turning_points
 from semiclass.quadrature import forbidden_integral
 
 HARM = make_power_law(0, 1, 2, 0, 1, 2)
 QUART = make_power_law(0, 1, 4, 0, 1, 4)
+DISC = make_power_law(0.5, 1, 2, 0, 1, 2)
+HL = halfline_power_law(0, 1, 2)
+HARM_PLUS = build_chart(HARM, 1.0, "+")  # the '+' chart at lam = 1, matched at x1 = 0
 
 
 # -- charts -------------------------------------------------------------------
@@ -103,12 +105,6 @@ def test_chart_far_field_and_domain_error():
         ch.xi(-0.5)
 
 
-def test_chart_memoization():
-    a = langer.chart_for(HARM, 1.0, "+")
-    b = langer.chart_for(HARM, 1.0, "+")
-    assert a is b
-
-
 # -- error-control function ---------------------------------------------------
 
 def test_error_control_linear_potential_cancels():
@@ -146,7 +142,7 @@ def test_error_control_rejects_turning_point():
 # -- uniform solutions ---------------------------------------------------------
 
 def test_uniform_u_at_turning_point():
-    u = uniform_u(HARM, 1.0, 0.1, 1.0, "+")
+    u = chart_u(HARM_PLUS, 0.1, 1.0)
     assert abs(u - math.pi * 2.0 ** (-1.0 / 6.0) * AI_ZERO) <= 1e-8
 
 
@@ -158,7 +154,7 @@ def test_uniform_u_outer_wkb_ratio():
     ratios = []
     for hbar in (0.1, 0.05, 0.025):
         wkb = 0.5 * math.sqrt(math.pi) * hbar ** (1 / 6) * q**-0.25 * math.exp(-s / hbar)
-        ratios.append(float(uniform_u(HARM, 1.0, hbar, x, "+")) / wkb)
+        ratios.append(float(chart_u(HARM_PLUS, hbar, x)) / wkb)
     errs = [abs(r - 1.0) for r in ratios]
     assert errs[0] > errs[1] > errs[2]
     assert errs[-1] <= 5e-3
@@ -169,15 +165,15 @@ def test_uniform_u_oscillatory_form():
     for hbar in (0.05, 0.02):
         fp = partial_action(HARM, 1.0, 0.0, "+")
         pred = math.sqrt(math.pi) * hbar ** (1 / 6) * math.sin(fp / hbar + math.pi / 4)
-        got = float(uniform_u(HARM, 1.0, hbar, 0.0, "+"))
+        got = float(chart_u(HARM_PLUS, hbar, 0.0))
         assert abs(got - pred) <= 3.0 * hbar * abs(pred) + 5e-3 * hbar
 
 
 def test_uniform_u_deep_forbidden_stays_finite():
     # no overflow or NaN deep in the forbidden region; graceful underflow
-    u4 = float(uniform_u(HARM, 1.0, 0.01, 4.0, "+"))
+    u4 = float(chart_u(HARM_PLUS, 0.01, 4.0))
     assert 0.0 <= u4 <= 1e-250
-    assert float(uniform_u(HARM, 1.0, 0.01, 6.0, "+")) == 0.0
+    assert float(chart_u(HARM_PLUS, 0.01, 6.0)) == 0.0
 
 
 def test_uniform_u_prime_finite_difference():
@@ -195,13 +191,13 @@ def test_uniform_u_prime_oscillatory_form():
     hbar = 0.02
     fp = partial_action(HARM, 1.0, 0.0, "+")
     pred = -math.sqrt(math.pi) * hbar ** (-5 / 6) * math.cos(fp / hbar + math.pi / 4)
-    got = float(uniform_u_prime(HARM, 1.0, hbar, 0.0, "+"))
+    got = float(chart_u_prime(HARM_PLUS, hbar, 0.0))
     assert abs(got - pred) <= 0.05 * abs(pred)
 
 
 def test_uniform_u_prime_collar_guard():
     with pytest.raises(ChartDomainError):
-        uniform_u_prime(HARM, 1.0, 0.1, 1.0, "+")
+        chart_u_prime(HARM_PLUS, 0.1, 1.0)
 
 
 def test_wronskian_reproduces_quantization_phase():
@@ -217,21 +213,70 @@ def test_wronskian_reproduces_quantization_phase():
 
 # -- normalization and assembly -------------------------------------------------
 
+def _level(lam, hbar, n, kind):
+    return quantize.SemiclassicalLevel(n=n, hbar=hbar, lam=lam, residual=0.0, kind=kind)
+
+
 def test_normalization_harmonic_value():
     # int (1-x^2)^(-1/2) = pi, so |c| = (2/pi)^(1/2) hbar^(-1/6) pi^(-1/2)
-    n = normalization(HARM, 1.0, 0.1, 4)
-    assert abs(n.c_plus - math.sqrt(2.0) / math.sqrt(math.pi) / math.sqrt(math.pi) * 0.1 ** (-1 / 6)) <= 1e-9
-    assert n.c_plus == n.c_minus
+    c_plus, c_minus = normalization(HARM, _level(1.0, 0.1, 4, "smooth"))
+    assert abs(c_plus - math.sqrt(2.0) / math.sqrt(math.pi) / math.sqrt(math.pi) * 0.1 ** (-1 / 6)) <= 1e-9
+    assert c_plus == c_minus
 
 
 def test_normalization_parity_and_scaling():
-    assert normalization(HARM, 1.0, 0.1, 4).a == 1.0
-    assert normalization(HARM, 1.0, 0.1, 5).a == -1.0
-    c1 = normalization(HARM, 1.0, 0.1, 0).c_plus
-    c2 = normalization(HARM, 1.0, 0.1 / 8.0, 0).c_plus
+    even = _level(1.0, 0.1, 4, "smooth")
+    c_plus, c_minus = normalization(HARM, even)
+    assert c_minus == c_plus > 0.0
+    c_plus, c_minus = normalization(HARM, dataclasses.replace(even, n=5))
+    assert c_minus == -c_plus < 0.0
+    c1, _ = normalization(HARM, dataclasses.replace(even, n=0))
+    c2, _ = normalization(HARM, dataclasses.replace(even, n=0, hbar=0.1 / 8.0))
     assert abs(c2 / c1 - 8.0 ** (1 / 6)) <= 1e-12
     with pytest.raises(ValueError):
-        normalization(HARM, 1.0, 0.1, None)
+        normalization(HARM, dataclasses.replace(even, kind="unknown"))
+
+
+def test_normalization_halfline_harmonic_closed_form():
+    # int_0^{x+} (lam - x^2)^(-1/2) = pi/2 at every lam, so c_+ = (2/pi) hbar^(-1/6)
+    for l in quantize.halfline_levels(HL, (0.04, 1.3), 0.05):
+        c_plus, _ = normalization(HL, l)
+        assert abs(c_plus - 2.0 / math.pi * 0.05 ** (-1 / 6)) <= 1e-10 * c_plus
+
+
+def _psi_errors(pot, window, hbar, bc=None, robin_b=0.0):
+    """(lam, sup|psi - psi_oracle| / max|psi_oracle|) of each window level,
+    the sup taken over the whole oracle grid."""
+    if bc is None:
+        levels = (quantize.disc_levels if pot.singular_points else quantize.bs_levels)(pot, window, hbar)
+        spec = oracle.solve_spectrum(pot, hbar, window)
+    else:
+        levels = quantize.halfline_levels(pot, window, hbar, bc=bc, robin_b=robin_b)
+        spec = oracle.solve_spectrum(pot, hbar, window, bc=f"halfline_{bc}", robin_b=robin_b)
+    assert len(levels) == len(spec.eigenvalues) > 0
+    errs = []
+    for k, l in enumerate(levels):
+        x, po = oracle.eigenvector(spec, k)
+        errs.append((l.lam, float(np.max(np.abs(eigenfunction(pot, l)(x) - po)) / np.max(np.abs(po)))))
+    return errs
+
+
+@pytest.mark.parametrize("pot,window,bc", [
+    (QUART, (0.5, 2.0), None),
+    (DISC, (0.8, 1.8), None),
+    (HL, (0.04, 1.3), "dirichlet"),
+], ids=["smooth", "discontinuous", "halfline_dirichlet"])
+def test_psi_matches_the_oracle_eigenvector_per_level_kind(pot, window, bc):
+    # the 5% bound of the wavefunction benchmark; measured 0.55%, 1.3% and 2.6%
+    assert max(err for _, err in _psi_errors(pot, window, 0.05, bc)) <= 0.05
+
+
+def test_halfline_robin_psi_error_decreases_with_hbar():
+    # the leading-order psi ignores b, so only the trend is asserted: at the
+    # level nearest lam = 0.5 the error is about 0.20 at hbar 0.1 and 0.11 at 0.05
+    errs = [min(_psi_errors(HL, (0.04, 1.3), hbar, "robin", 2.0), key=lambda e: abs(e[0] - 0.5))[1]
+            for hbar in (0.1, 0.05)]
+    assert errs[1] < errs[0]
 
 
 def test_peak_matches_normalized_exact_ground_state():

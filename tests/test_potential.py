@@ -11,7 +11,6 @@ from semiclass.potential import (
     certify_well,
     halfline_power_law,
     halfline_turning_point,
-    load_potential,
     make_polynomial,
     make_power_law,
     potential_from_spec,
@@ -132,7 +131,6 @@ def test_power_law_markers():
     assert [s.kind for s in kink.singular_points] == ["kink"]
     jump = make_power_law(0.5, 1, 2, 0, 1, 2)
     assert [s.kind for s in jump.singular_points] == ["jump"]
-    assert jump.jump_points() == jump.singular_points
 
 
 def test_power_law_validation():
@@ -151,12 +149,10 @@ def test_halfline_turning_point():
     assert cert.criticality_margin > 0
 
 
-def test_json_power_law_roundtrip(tmp_path):
+def test_json_power_law_roundtrip():
     spec = {"kind": "power_law", "a_plus": 0.5, "v_plus": 1.0, "alpha_plus": 2.0,
             "a_minus": 0.0, "v_minus": 1.0, "alpha_minus": 2.0}
-    path = tmp_path / "pot.json"
-    path.write_text(json.dumps(spec))
-    pot = load_potential(path)
+    pot = potential_from_spec(json.loads(json.dumps(spec)))
     assert pot.eval(0.0, "+")[0] == 0.5
     assert [s.kind for s in pot.singular_points] == ["jump"]
 

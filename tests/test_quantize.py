@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,13 +7,12 @@ from scipy.optimize import brentq
 
 from semiclass import oracle, quantize
 from semiclass.action import partial_action, phi_prime, phi_value
-from semiclass.langer import eigenfunction
+from semiclass.langer import eigenfunction, normalization
 from semiclass.potential import halfline_power_law, make_power_law, potential_from_spec
 from semiclass.quantize import (
     QuantizeError,
     bs_levels,
     disc_levels,
-    disc_normalization,
     halfline_levels,
     weyl_count,
 )
@@ -174,8 +174,8 @@ def test_disc_uses_the_jump_inside_the_well():
     assert [l.n for l in dl] == [l.n for l in ref] and len(dl) == 10
     for l, r in zip(dl, ref):
         assert abs(l.lam - r.lam) <= 1e-12 * r.lam
-        dn, dn_ref = disc_normalization(KINK_JUMP, l, 0.05), disc_normalization(DISC, r, 0.05)
-        assert abs(dn.c_plus - dn_ref.c_plus) <= 1e-9 * dn_ref.c_plus
+        (c_plus, _), (c_ref, _) = normalization(KINK_JUMP, l), normalization(DISC, r)
+        assert abs(c_plus - c_ref) <= 1e-9 * c_ref
         assert eigenfunction(KINK_JUMP, l).x1 == 0.0
 
 
@@ -233,12 +233,11 @@ def test_disc_levels_match_the_f_scan_reference(pot, window):
 def test_disc_normalization_continuous_limit():
     pot = make_power_law(0, 1, 2, 0, 4, 2)
     dl = disc_levels(pot, (0.3, 1.2), 0.05)
-    dn = disc_normalization(pot, dl[0], 0.05)
-    assert abs(dn.a_squared - 1.0) <= 1e-10
-    from semiclass.langer import normalization
-    n = normalization(pot, dl[0].lam, 0.05, dl[0].n)
-    assert abs(dn.c_plus - n.c_plus) <= 1e-8 * n.c_plus
-    assert abs(dn.c_minus - n.c_minus) <= 1e-8 * n.c_minus
+    assert abs(quantize.jump_action(pot, dl[0].lam, 0.05, 0.0).a_squared - 1.0) <= 1e-10
+    c_plus, c_minus = normalization(pot, dl[0])
+    s_plus, s_minus = normalization(pot, dataclasses.replace(dl[0], kind="smooth"))
+    assert abs(c_plus - s_plus) <= 1e-8 * s_plus
+    assert abs(c_minus - s_minus) <= 1e-8 * abs(s_minus)
 
 
 def test_disc_normalization_amplitude_consistency():
@@ -265,14 +264,14 @@ def test_disc_normalization_scaling_and_guard():
     tp = _tps(DISC, lam)
     (_, i_plus), _ = well_integral(DISC, lam, 0.0, tp.x_plus, False, True)
     (_, i_minus), _ = well_integral(DISC, lam, tp.x_minus, 0.0, True, False)
-    dn1 = disc_normalization(DISC, dl[0], 0.05)
-    dn2 = disc_normalization(DISC, dl[0], 0.05 / 8.0)
-    r1 = dn1.c_plus * math.sqrt(i_plus + i_minus / dn1.a_squared)
-    r2 = dn2.c_plus * math.sqrt(i_plus + i_minus / dn2.a_squared)
-    assert abs(r2 / r1 - 8.0 ** (1 / 6)) <= 1e-10
-    sm = bs_levels(HARM, (0.5, 1.5), 0.05)[0]
-    with pytest.raises(QuantizeError):
-        disc_normalization(DISC, sm, 0.05)
+    ratios = []
+    for hbar in (0.05, 0.05 / 8.0):
+        c_plus, _ = normalization(DISC, dataclasses.replace(dl[0], hbar=hbar))
+        a2 = quantize.jump_action(DISC, lam, hbar, 0.0).a_squared
+        ratios.append(c_plus * math.sqrt(i_plus + i_minus / a2))
+    assert abs(ratios[1] / ratios[0] - 8.0 ** (1 / 6)) <= 1e-10
+    with pytest.raises(ValueError):
+        normalization(DISC, dataclasses.replace(dl[0], kind="halfline_neumann"))
 
 
 # -- half-line problems -----------------------------------------------------------
@@ -317,8 +316,8 @@ def test_levels_and_counts_are_python_floats():
 
 
 def test_quantization_condition_per_kind():
-    from semiclass.action import halfline_action, halfline_action_prime
-    from semiclass.potential import certify_halfline_well, certify_well
+    from semiclass.potential import certify_halfline_well, certify_well, halfline_turning_point
+    from semiclass.quadrature import well_integral
 
     cert = certify_well(QUART, 0.5, 2.0)
     assert quantize.quantization_condition(QUART, 1.3, "smooth", 0.05, cert) == (
@@ -328,24 +327,12 @@ def test_quantization_condition_per_kind():
     assert quantize.quantization_condition(DISC, 1.2, "discontinuous", 0.05, cert) == (
         ja.g, ja.g_prime)
     cert = certify_halfline_well(HL, 0.05, 1.45)
+    x_plus, _ = halfline_turning_point(HL, 0.9)
+    (act, der), _ = well_integral(HL, 0.9, 0.0, x_plus, False, True)
     for kind in ("halfline_dirichlet", "halfline_robin"):
-        assert quantize.quantization_condition(HL, 0.9, kind, 0.1, cert) == (
-            halfline_action(HL, 0.9), halfline_action_prime(HL, 0.9))
+        assert quantize.quantization_condition(HL, 0.9, kind, 0.1, cert) == (act, 0.5 * der)
     with pytest.raises(QuantizeError):
         quantize.quantization_condition(HL, 0.9, "halfline_neumann", 0.1, cert)
-
-
-# -- diagnostics ------------------------------------------------------------------
-
-def test_interlacing_diagnostic_logged_not_fatal():
-    hbar = 0.05
-    lv = bs_levels(QUART, (0.5, 2.0), hbar)
-    spec = oracle.solve_spectrum(QUART, hbar, (0.5, 2.0))
-    msgs = quantize.interlacing_diagnostic(lv, spec.eigenvalues)
-    for m in msgs:  # report, never fail
-        import warnings
-        warnings.warn(m)
-    assert isinstance(msgs, list)
 
 
 def test_bs_exp_quadratic_branch_vs_oracle():

@@ -2,11 +2,18 @@
 
 Independent of every semiclassical module: the operator
 -hbar^2 d^2/dx^2 + v is discretized with the 3-point Laplacian on a uniform
-grid with Dirichlet truncation, eigenvalues inside the requested window are
-extracted by Sturm-sequence bisection (LAPACK *stebz via
-scipy.linalg.eigh_tridiagonal), and grids are doubled until two successive
-Richardson extrapolants agree below the requested tolerance.  A Numerov
-shooting solver provides an independent cross-check of the default scheme.
+grid with Dirichlet truncation, and eigenvalues inside the requested window
+are extracted by Sturm-sequence bisection (LAPACK *stebz via
+scipy.linalg.eigh_tridiagonal).  Grids are doubled until a Romberg table of
+each level's raw values on the last three grids meets the requested
+tolerance.  The eigenvalue error of the scheme expands in even powers of the
+spacing h, with an h^2 coefficient that grows with the level (like k^4 for
+the k-th level; Paine, de Hoog & Anderssen, Computing 26 (1981) 123-139), so
+the second (h^4) column is taken per level, and only where that level's raw
+differences shrink by 4 per doubling; every other level keeps the first
+(h^2) column.  Eigenvectors come from inverse iteration on the grid one
+doubling finer than the last one solved.  A Numerov shooting solver provides
+an independent cross-check of the default scheme.
 
 Interior jump points of v are snapped onto grid nodes, where v takes the
 mean of its one-sided limits.
@@ -19,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .potential import Potential, halfline_turning_point, turning_points
 
@@ -37,6 +43,8 @@ DEFAULT_TOL = 1e-8
 _MIN_TOL = 1e-10  # smallest tol_oracle the scheme resolves
 _MAX_N = 2**22
 _TAIL_DECADES = 20.0  # WKB tail exponent required beyond the window top
+# raw differences between grids below this share of max(1, |lam|) are rounding
+_ROUNDING = 1e3 * np.finfo(float).eps
 
 
 class OracleError(RuntimeError):
@@ -116,15 +124,32 @@ def _tridiag(pot: Potential, hbar: float, x: np.ndarray, bc: str, robin_b: float
     raise OracleError(f"unknown boundary condition {bc!r}")
 
 
+# scipy.linalg is slow to import and only the oracle needs it, so its two
+# solvers are imported on the first call.  The oracle reaches them only
+# through these module-level names.
+
+
+def eigh_tridiagonal(*args, **kwargs):
+    import scipy.linalg
+
+    return scipy.linalg.eigh_tridiagonal(*args, **kwargs)
+
+
+def solve_banded(*args, **kwargs):
+    import scipy.linalg
+
+    return scipy.linalg.solve_banded(*args, **kwargs)
+
+
 def _window_eigs(pot, hbar, x, bc, robin_b, lo, hi):
     d, e = _tridiag(pot, hbar, x, bc, robin_b)
     return eigh_tridiagonal(d, e, select="v", select_range=(lo, hi), eigvals_only=True)
 
 
 def _pair(a: np.ndarray, b: np.ndarray):
-    """Match two ascending eigenvalue lists by nearest value."""
+    """Indices (ia, ib) matching two ascending eigenvalue lists by nearest value."""
     if len(a) == 0 or len(b) == 0:
-        return np.empty(0), np.empty(0)
+        return np.empty(0, dtype=int), np.empty(0, dtype=int)
     ia = np.searchsorted(a, b)
     left = np.clip(ia - 1, 0, len(a) - 1)
     right = np.clip(ia, 0, len(a) - 1)
@@ -140,8 +165,37 @@ def _pair(a: np.ndarray, b: np.ndarray):
         i = nearest[j]
         if i not in chosen or abs(b[j] - a[i]) < abs(b[chosen[i]] - a[i]):
             chosen[i] = j
-    js = sorted(chosen.values())
-    return a[[nearest[j] for j in js]], b[js]
+    js = np.array(sorted(chosen.values()), dtype=int)
+    return nearest[js], js
+
+
+def _matched(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray):
+    """Raw values (e0, e1, e2) of the levels matched across three grids."""
+    i0, i1 = _pair(v0, v1)
+    j1, j2 = _pair(v1, v2)
+    _, a, b = np.intersect1d(i1, j1, assume_unique=True, return_indices=True)
+    return v0[i0[a]], v1[i1[a]], v2[j2[b]]
+
+
+def _romberg(e0: np.ndarray, e1: np.ndarray, e2: np.ndarray):
+    """(eigenvalues, error estimates, h^4 flags) from raw values on three
+    successive doubled grids.
+
+    R1a and R1b are the first Richardson column (h^2 removed) on the first
+    and last two grids; R2 = R1b + (R1b - R1a)/15 is the second (h^4
+    removed).  A level takes R2, with the estimate |R2 - R1b|, only where its
+    raw differences shrink by 4 per doubling, (e0 - e1)/(e1 - e2) in
+    [3.5, 4.5], with e1 - e2 above rounding.  Every other level keeps R1b,
+    with the estimate |R1b - R1a|.
+    """
+    r1a = e1 + (e1 - e0) / 3.0
+    r1b = e2 + (e2 - e1) / 3.0
+    r2 = r1b + (r1b - r1a) / 15.0
+    d = e1 - e2
+    resolved = np.abs(d) > _ROUNDING * np.maximum(1.0, np.abs(e2))
+    ratio = np.divide(e0 - e1, d, out=np.zeros_like(d), where=resolved)
+    h4 = (ratio >= 3.5) & (ratio <= 4.5)
+    return np.where(h4, r2, r1b), np.where(h4, np.abs(r2 - r1b), np.abs(r1b - r1a)), h4
 
 
 @dataclass
@@ -155,10 +209,11 @@ class OracleSpectrum:
     robin_b: float
     x_min: float
     x_max: float
-    n: int  # finest grid intervals used
-    eigenvalues: np.ndarray  # Richardson-extrapolated, ascending
+    n: int  # intervals of the last grid solved; eigenvectors use 2n
+    n_trail: tuple[int, ...]  # intervals of every grid solved, in order
+    eigenvalues: np.ndarray  # Romberg-extrapolated, ascending
     est_error: np.ndarray
-    raw_fine: np.ndarray  # same levels, raw values on the finest grid
+    h4_column: np.ndarray  # per level: True where the h^4 column was taken
     potential: Potential
     _vectors: dict = field(default_factory=dict, repr=False)
 
@@ -173,8 +228,11 @@ def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
                    x_span: Optional[tuple[float, float]] = None) -> OracleSpectrum:
     """Reference eigenvalues of -hbar^2 psi'' + v psi = lam psi in a window.
 
-    Doubles the grid until successive Richardson extrapolants of the
-    (second-order) scheme agree below tol_oracle for every window level.
+    Doubles the grid from n0 intervals.  From the third grid on, each
+    level's raw values on the last three grids give a Romberg table
+    (`_romberg`): the h^4 column where that level's differences shrink by 4
+    per doubling, the h^2 column otherwise.  The doubling stops once every
+    window level's estimate is at most tol_oracle.
     """
     if hbar <= 0.0:
         raise OracleError("hbar must be positive")
@@ -203,37 +261,30 @@ def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
         n0 = max(2048, int(24.0 * (x_hi - x_lo) / wavelength))
 
     pad = 0.05 * (hi - lo)
-    n = n0
-    extr_prev = None
+    n_trail = [n0]
+    raw = [_window_eigs(pot, hbar, _grid(pot, x_lo, x_hi, n0), bc, robin_b, lo - pad, hi + pad)]
     est = None
-    vals_prev = _window_eigs(pot, hbar, _grid(pot, x_lo, x_hi, n), bc, robin_b, lo - pad, hi + pad)
     while True:
-        n *= 2
+        n = 2 * n_trail[-1]
         if n > _MAX_N:
             raise OracleError(
                 f"no convergence below tol={tol_oracle} by N={_MAX_N}; last estimate "
                 f"{np.max(est) if est is not None else math.nan}"
             )
-        vals = _window_eigs(pot, hbar, _grid(pot, x_lo, x_hi, n), bc, robin_b, lo - pad, hi + pad)
-        coarse, fine = _pair(vals_prev, vals)
-        extr = fine + (fine - coarse) / 3.0
-        if extr_prev is not None:
-            e_old, e_new = _pair(extr_prev, extr)
-            inside = (e_new > lo) & (e_new < hi)
-            est_all = np.abs(e_new - e_old)
-            if np.all(est_all[inside] <= tol_oracle):
-                keep = inside
-                eigs = e_new[keep]
-                est = est_all[keep]
-                raws = _pair(vals, e_new[keep])[0] if len(e_new[keep]) else np.empty(0)
+        raw = raw[-2:] + [_window_eigs(pot, hbar, _grid(pot, x_lo, x_hi, n), bc, robin_b,
+                                       lo - pad, hi + pad)]
+        n_trail.append(n)
+        if len(raw) == 3:
+            eigs, est_all, h4 = _romberg(*_matched(*raw))
+            inside = (eigs > lo) & (eigs < hi)
+            est = est_all[inside]
+            if np.all(est <= tol_oracle):
                 return OracleSpectrum(
                     hbar=hbar, window=(lo, hi), bc=bc, robin_b=robin_b,
-                    x_min=x_lo, x_max=x_hi, n=n, eigenvalues=eigs,
-                    est_error=est, raw_fine=raws, potential=pot,
+                    x_min=x_lo, x_max=x_hi, n=n, n_trail=tuple(n_trail),
+                    eigenvalues=eigs[inside], est_error=est, h4_column=h4[inside],
+                    potential=pot,
                 )
-            est = est_all[inside]
-        extr_prev = extr
-        vals_prev = vals
 
 
 # ---------------------------------------------------------------------------
@@ -241,20 +292,24 @@ def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
 
 
 def eigenvector(spec: OracleSpectrum, k: int):
-    """(x, psi) for the k-th window level, trapezoid-normalized to 1.
+    """(x, psi) for the k-th window level on spec.grid, trapezoid-normalized to 1.
 
-    Shifted inverse iteration on the finest grid; the sign is fixed so that
-    psi is positive at the grid node nearest the right turning point.
+    Shifted inverse iteration runs on the grid of 2 spec.n intervals, one
+    doubling finer than the last grid solved, and psi is normalized there.
+    It is returned at the nodes of spec.grid, which are every other node of
+    the finer grid; a node of spec.grid beyond the finer grid's ends (a jump
+    well anchors both grids at the jump) is a Dirichlet zero.  The sign is
+    fixed so that psi is positive at the node of spec.grid nearest the
+    right turning point.
     """
     if k < 0 or k >= len(spec.eigenvalues):
         raise OracleError(f"level index {k} outside the window list")
     if k in spec._vectors:
         return spec._vectors[k]
-    x = spec.grid
-    h = x[1] - x[0]
-    d, e = _tridiag(spec.potential, spec.hbar, x, spec.bc, spec.robin_b)
+    xf = _grid(spec.potential, spec.x_min, spec.x_max, 2 * spec.n)
+    d, e = _tridiag(spec.potential, spec.hbar, xf, spec.bc, spec.robin_b)
     m = len(d)
-    sigma = float(spec.raw_fine[k]) + 1e-9 * max(1.0, abs(spec.raw_fine[k]))
+    sigma = float(spec.eigenvalues[k])
     ab = np.zeros((3, m))
     ab[0, 1:] = e
     ab[1, :] = d - sigma
@@ -280,11 +335,16 @@ def eigenvector(spec: OracleSpectrum, k: int):
         raise OracleError(f"inverse iteration stagnated: residual {resid}")
 
     if spec.bc == "halfline_robin":
-        psi = np.concatenate((v, [0.0]))
-        psi[0] *= math.sqrt(2.0)  # undo the half-cell symmetrization weight
+        psi_f = np.concatenate((v, [0.0]))
+        psi_f[0] *= math.sqrt(2.0)  # undo the half-cell symmetrization weight
     else:
-        psi = np.concatenate(([0.0], v, [0.0]))
-    psi = psi / math.sqrt(float(np.trapezoid(psi * psi, x)))
+        psi_f = np.concatenate(([0.0], v, [0.0]))
+    psi_f /= math.sqrt(float(np.trapezoid(psi_f * psi_f, xf)))
+    x = spec.grid
+    i = np.rint((x - xf[0]) / (xf[1] - xf[0])).astype(int)
+    on = (i >= 0) & (i < len(xf))
+    psi = np.zeros_like(x)
+    psi[on] = psi_f[i[on]]
 
     lam = float(spec.eigenvalues[k])
     if spec.potential.domain == "half_line":

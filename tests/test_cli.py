@@ -237,7 +237,8 @@ def test_potential_path_resolved_relative_to_config(tmp_path):
 
 def test_cli_import_loads_no_root_finder_or_interpolator():
     code = ("import sys, semiclass.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.interpolate') if m in sys.modules])")
+            "print([m for m in ('scipy.optimize', 'scipy.interpolate', 'scipy.linalg') "
+            "if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=REPO, timeout=120)
     assert proc.returncode == 0, proc.stderr

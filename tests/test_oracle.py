@@ -169,3 +169,134 @@ def test_disc_fixture_reproducible():
         ref = np.array([float(r["lambda"]) for r in csv.DictReader(fh)])
     assert len(ref) == len(spec.eigenvalues)
     assert np.abs(spec.eigenvalues - ref).max() <= 2e-8
+
+
+# -- Romberg stopping rule -----------------------------------------------------
+
+
+def _raw_on(spec, n):
+    """Raw window eigenvalues (with the solver's padding) on the grid of n intervals."""
+    lo, hi = spec.window
+    pad = 0.05 * (hi - lo)
+    x = oracle._grid(spec.potential, spec.x_min, spec.x_max, n)
+    return oracle._window_eigs(spec.potential, spec.hbar, x, spec.bc, spec.robin_b,
+                               lo - pad, hi + pad)
+
+
+def _first_column(spec, n):
+    """Window levels of the first Richardson column on the grids of n and 2n intervals."""
+    coarse, fine = _raw_on(spec, n), _raw_on(spec, 2 * n)
+    i, j = oracle._pair(coarse, fine)
+    r1 = fine[j] + (fine[j] - coarse[i]) / 3.0
+    lo, hi = spec.window
+    return r1[(r1 > lo) & (r1 < hi)]
+
+
+def test_romberg_guard_keeps_the_first_column_off_ratio():
+    import json
+
+    from semiclass.potential import potential_from_spec
+
+    cfg = json.loads((pathlib.Path(__file__).parent.parent / "configs"
+                      / "halfline_robin.json").read_text())
+    pot = potential_from_spec(cfg["potential"])
+    spec = solve_spectrum(pot, 0.1, tuple(cfg["window"]), bc="halfline_robin",
+                          robin_b=cfg["robin_b"])
+    assert spec.n_trail == (2048, 4096, 8192)
+    e0, e1, e2 = oracle._matched(*(_raw_on(spec, n) for n in spec.n_trail))
+    window_levels = [int(np.argmin(np.abs(e2 - lam))) for lam in spec.eigenvalues]
+    e0, e1, e2 = e0[window_levels], e1[window_levels], e2[window_levels]
+    ratio = (e0 - e1) / (e1 - e2)
+    # the ground state's raw differences shrink by 4.52 per doubling
+    assert ratio[0] > 4.5 and np.all(np.abs(ratio[1:] - 4.0) < 0.01)
+    assert spec.h4_column.tolist() == [False, True, True]
+    r1a, r1b = e1 + (e1 - e0) / 3.0, e2 + (e2 - e1) / 3.0
+    assert spec.eigenvalues[0] == r1b[0]
+    assert spec.est_error[0] == abs(r1b[0] - r1a[0])
+    r2 = r1b + (r1b - r1a) / 15.0
+    assert np.array_equal(spec.eigenvalues[1:], r2[1:])
+
+
+def test_romberg_rounding_level_differences_fall_back_quietly():
+    lam = np.array([0.25, 0.7, 1.3, 40.0])
+    ulp = np.spacing(lam)
+    with np.errstate(all="raise"):
+        for e0, e1, e2 in [(lam, lam, lam), (lam + ulp, lam, lam),
+                           (lam, lam + 3 * ulp, lam - 2 * ulp), (lam + 8 * ulp, lam + 2 * ulp, lam),
+                           (lam + 5 * ulp, lam + ulp, lam)]:  # ratio 4, but at rounding level
+            eigs, est, h4 = oracle._romberg(e0, e1, e2)
+            assert not h4.any()
+            assert np.all(np.abs(eigs - lam) <= 1e-13 * lam)
+            assert np.all(est <= 1e-13 * lam)
+
+
+def test_rounding_level_differences_stop_on_three_grids(monkeypatch):
+    # a scheme whose raw values differ between grids only by rounding
+    rng = np.random.default_rng(7)
+    lam = np.array([0.6, 0.9, 1.2])
+    monkeypatch.setattr(oracle, "_window_eigs",
+                        lambda *a: lam + np.spacing(lam) * rng.integers(-4, 5, lam.size))
+    spec = solve_spectrum(HARM, 0.1, (0.5, 1.5))
+    assert len(spec.n_trail) == 3
+    assert not spec.h4_column.any()
+    assert np.all(np.abs(spec.eigenvalues - lam) <= 1e-14)
+
+
+def test_romberg_agrees_with_numerov_and_four_grid_reference():
+    tol = oracle.DEFAULT_TOL
+    spec = solve_spectrum(QUART, 0.2, (0.5, 2.0), tol_oracle=tol)
+    nv = numerov_levels(QUART, 0.2, (0.5, 2.0), n=4000)
+    assert len(nv) == len(spec.eigenvalues) == 3
+    assert np.abs(nv - spec.eigenvalues).max() <= tol
+    for hbar in (0.2, 0.02):
+        spec = solve_spectrum(QUART, hbar, (0.5, 2.0), tol_oracle=tol)
+        ref = _first_column(spec, 4 * spec.n_trail[0])  # first column on grids 3 and 4
+        assert len(ref) == len(spec.eigenvalues)
+        assert np.abs(ref - spec.eigenvalues).max() <= tol
+
+
+def test_quartic_stops_on_three_grids():
+    spec = solve_spectrum(QUART, 0.02, (0.5, 2.0))
+    assert spec.n_trail == (2048, 4096, 8192)
+    assert spec.n == spec.n_trail[-1]
+    assert spec.h4_column.all() and len(spec.h4_column) == len(spec.eigenvalues) == 30
+    assert np.all(spec.est_error <= oracle.DEFAULT_TOL)
+
+
+def _first_column_stop(spec):
+    """The grid the first-column rule stops on: successive first-column
+    extrapolants agree to the spectrum's tolerance (here DEFAULT_TOL)."""
+    n = spec.n_trail[0]
+    prev = _first_column(spec, n)
+    while True:
+        n *= 2
+        cur = _first_column(spec, n)
+        if len(cur) == len(prev) and np.abs(cur - prev).max() <= oracle.DEFAULT_TOL:
+            return 2 * n
+        prev = cur
+
+
+@pytest.mark.parametrize("pot, hbar, window", [(QUART, 0.02, (0.5, 2.0)), (DISC, 0.035, (0.8, 1.8))])
+def test_eigenvector_grid_is_at_least_the_first_column_stop_grid(monkeypatch, pot, hbar, window):
+    spec = solve_spectrum(pot, hbar, window)
+    sizes = []
+    solve = oracle.solve_banded
+    monkeypatch.setattr(oracle, "solve_banded",
+                        lambda lu, ab, b: sizes.append(ab.shape[1]) or solve(lu, ab, b))
+    k = len(spec.eigenvalues) - 1
+    x, psi = eigenvector(spec, k)
+    fine = oracle._grid(pot, spec.x_min, spec.x_max, 2 * spec.n)
+    assert set(sizes) == {len(fine) - 2}  # Dirichlet: interior nodes only
+    assert len(fine) - 1 >= _first_column_stop(spec)
+    # psi sits on spec.grid's own nodes, and on a jump well the finer grid is
+    # anchored at the jump as well: compare with the eigenvector of spec.grid
+    assert np.array_equal(x, spec.grid)
+    assert psi[0] == psi[-1] == 0.0
+    d, e = oracle._tridiag(pot, hbar, x, spec.bc, spec.robin_b)
+    from scipy.linalg import eigh_tridiagonal
+
+    lam, vec = eigh_tridiagonal(d, e, select="v",
+                                select_range=(spec.eigenvalues[k] - 1e-3, spec.eigenvalues[k] + 1e-3))
+    coarse = np.concatenate(([0.0], vec[:, 0], [0.0]))
+    coarse *= np.sign(coarse @ psi) / math.sqrt(np.trapezoid(coarse * coarse, x))
+    assert np.abs(coarse - psi).max() <= 1e-3 * np.abs(psi).max()

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from semiclass import oracle, quantize
@@ -111,6 +113,22 @@ def test_weyl_accepts_external_count():
     cr = weyl_count(HARM, 0.05, 0.75, 0.1, count=3)
     assert cr.count == 3
     assert abs(cr.epsilon - (-0.5)) <= 1e-9
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=5, deadline=None)
+@given(_floats(0.5, 2.0), _floats(2.0, 6.0), _floats(0.5, 2.0), _floats(2.0, 6.0),
+       _floats(0.1, 1.0), _floats(0.4, 1.5), _floats(0.03, 0.1))
+def test_weyl_oracle_defect_bounded_on_random_power_law_wells(v_plus, alpha_plus, v_minus,
+                                                             alpha_minus, a1, width, hbar):
+    pot = make_power_law(0.0, v_plus, alpha_plus, 0.0, v_minus, alpha_minus)
+    a2 = a1 + width
+    spec = oracle.solve_spectrum(pot, hbar, (a1, a2))
+    cr = weyl_count(pot, a1, a2, hbar, count=len(spec.eigenvalues))
+    assert -1.0 <= cr.epsilon <= 1.0
 
 
 # -- discontinuous wells ---------------------------------------------------------

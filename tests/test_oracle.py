@@ -1,9 +1,11 @@
 import csv
+import json
 import math
 import pathlib
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from semiclass import oracle
 from semiclass.oracle import (
@@ -14,7 +16,7 @@ from semiclass.oracle import (
     observable,
     solve_spectrum,
 )
-from semiclass.potential import halfline_power_law, make_power_law
+from semiclass.potential import halfline_power_law, make_power_law, potential_from_spec
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -193,10 +195,6 @@ def _first_column(spec, n):
 
 
 def test_romberg_guard_keeps_the_first_column_off_ratio():
-    import json
-
-    from semiclass.potential import potential_from_spec
-
     cfg = json.loads((pathlib.Path(__file__).parent.parent / "configs"
                       / "halfline_robin.json").read_text())
     pot = potential_from_spec(cfg["potential"])
@@ -287,16 +285,14 @@ def test_eigenvector_grid_is_at_least_the_first_column_stop_grid(monkeypatch, po
     x, psi = eigenvector(spec, k)
     fine = oracle._grid(pot, spec.x_min, spec.x_max, 2 * spec.n)
     assert set(sizes) == {len(fine) - 2}  # Dirichlet: interior nodes only
-    assert len(fine) - 1 >= _first_column_stop(spec)
+    assert 2 * spec.n >= _first_column_stop(spec)
     # psi sits on spec.grid's own nodes, and on a jump well the finer grid is
     # anchored at the jump as well: compare with the eigenvector of spec.grid
     assert np.array_equal(x, spec.grid)
     assert psi[0] == psi[-1] == 0.0
     d, e = oracle._tridiag(pot, hbar, x, spec.bc, spec.robin_b)
-    from scipy.linalg import eigh_tridiagonal
-
-    lam, vec = eigh_tridiagonal(d, e, select="v",
-                                select_range=(spec.eigenvalues[k] - 1e-3, spec.eigenvalues[k] + 1e-3))
+    _, vec = eigh_tridiagonal(d, e, select="v",
+                              select_range=(spec.eigenvalues[k] - 1e-3, spec.eigenvalues[k] + 1e-3))
     coarse = np.concatenate(([0.0], vec[:, 0], [0.0]))
     coarse *= np.sign(coarse @ psi) / math.sqrt(np.trapezoid(coarse * coarse, x))
     assert np.abs(coarse - psi).max() <= 1e-3 * np.abs(psi).max()

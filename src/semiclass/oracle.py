@@ -309,10 +309,10 @@ def eigenvector(spec: OracleSpectrum, k: int):
     xf = _grid(spec.potential, spec.x_min, spec.x_max, 2 * spec.n)
     d, e = _tridiag(spec.potential, spec.hbar, xf, spec.bc, spec.robin_b)
     m = len(d)
-    sigma = float(spec.eigenvalues[k])
+    lam = float(spec.eigenvalues[k])
     ab = np.zeros((3, m))
     ab[0, 1:] = e
-    ab[1, :] = d - sigma
+    ab[1, :] = d - lam
     ab[2, :-1] = e
     rng = np.random.default_rng(20260810)
     v = rng.standard_normal(m)
@@ -331,7 +331,7 @@ def eigenvector(spec: OracleSpectrum, k: int):
         resid = float(np.linalg.norm(r))
         if resid < 1e-10 * max(1.0, abs(rho)):
             break
-    if resid > 1e-6 * max(1.0, abs(sigma)):
+    if resid > 1e-6 * max(1.0, abs(lam)):
         raise OracleError(f"inverse iteration stagnated: residual {resid}")
 
     if spec.bc == "halfline_robin":
@@ -346,7 +346,6 @@ def eigenvector(spec: OracleSpectrum, k: int):
     psi = np.zeros_like(x)
     psi[on] = psi_f[i[on]]
 
-    lam = float(spec.eigenvalues[k])
     if spec.potential.domain == "half_line":
         x_plus, _ = halfline_turning_point(spec.potential, lam)
     else:

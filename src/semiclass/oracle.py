@@ -230,9 +230,11 @@ def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
 
     Doubles the grid from n0 intervals.  From the third grid on, each
     level's raw values on the last three grids give a Romberg table
-    (`_romberg`): the h^4 column where that level's differences shrink by 4
-    per doubling, the h^2 column otherwise.  The doubling stops once every
-    window level's estimate is at most tol_oracle.
+    (`_romberg`): the h^4 column where that level's differences shrink by a
+    factor in [3.5, 4.5] per doubling, above rounding, and the h^2 column
+    otherwise.  The doubling stops once every window level's estimate is at
+    most tol_oracle; the result's n is the last grid, and `eigenvector`
+    solves on the grid one doubling finer.
     """
     if hbar <= 0.0:
         raise OracleError("hbar must be positive")

@@ -4,9 +4,13 @@ A chart packages the variable change xi(x) for one side of the well, with
 sign convention xi < 0 inside the well and xi(x_tp) = 0 at the turning
 point.  xi is defined through the action integral
 (3/2 int |lam-v|^(1/2))^(2/3); its derivative comes from the exact relation
-xi'^2 xi = q with q = v - lam.  Inside a collar around the turning point,
-where the quadrature route loses accuracy, a short Taylor model built from
-v'(x_tp), v''(x_tp) takes over.
+xi'^2 xi = q with q = v - lam.  A chart stores two degree-64 Chebyshev fits
+of xi, on [x1, x_tp] inside the well and on [x_tp, x_far] outside it.  The
+action at all nodes of one fit comes from one cumulative Chebyshev integral
+(quadrature.turning_point_integral).  Inside a collar around the turning
+point, where the action loses relative accuracy, a short Taylor model built
+from v'(x_tp), v''(x_tp) takes over; beyond x_far xi comes from one
+quadrature per point.
 
 The leading uniform approximation on each side is
 u(x) = pi |xi'(x)|^(-1/2) Ai(hbar^(-2/3) xi(x)), normalized so that its
@@ -24,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .airy import AI_ZERO, airy_many
-from .action import TOL_QUAD, phi_prime
+from .action import TOL_QUAD
 from .potential import (
     Potential,
     WellCertificate,
@@ -32,8 +36,8 @@ from .potential import (
     halfline_turning_point,
     turning_points,
 )
-from .quadrature import forbidden_integral, well_integral
-from .quantize import disc_point, jump_action
+from .quadrature import forbidden_integral, turning_point_integral, well_integral
+from .quantize import SemiclassicalLevel, disc_point, jump_action
 
 __all__ = [
     "LangerChart",
@@ -174,7 +178,10 @@ def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = Non
 
     For full-line potentials x1 defaults to the well midpoint (the jump
     point x0 for a discontinuous well); for half-line potentials only
-    side "+" exists and x1 = 0.
+    side "+" exists and x1 = 0.  xi is fitted at 65 Chebyshev nodes on
+    [x1, x_tp] and 65 on [x_tp, x_far]; the node values of each set come
+    from one turning_point_integral call, except those in the collar, which
+    take the Taylor model.
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
@@ -203,13 +210,12 @@ def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = Non
         _interp_in=None, _interp_out=None,
     )
 
-    def node_values(xs):
-        vals = np.empty_like(xs)
-        for i, xx in enumerate(xs):
-            if abs(xx - x_tp) < collar:
-                vals[i] = chart._xi_series(xx)
-            else:
-                vals[i] = chart._xi_quad(float(xx))
+    def node_values(xs, sign):
+        # rounding can leave the integral at x_tp a few ulp below 0
+        action = np.maximum(turning_point_integral(pot, lam, x_tp, xs), 0.0)
+        vals = sign * (1.5 * action) ** (2.0 / 3.0)
+        in_collar = np.abs(xs - x_tp) < collar
+        vals[in_collar] = chart._xi_series(xs[in_collar])
         return vals
 
     if side == "+":
@@ -218,8 +224,8 @@ def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = Non
     else:
         nod_in = _cheb_nodes(x_tp, float(x1), _N_CHEB)
         nod_out = _cheb_nodes(x_far, x_tp, _N_CHEB)
-    chart._interp_in = np.polynomial.Chebyshev.fit(nod_in, node_values(nod_in), _N_CHEB)
-    chart._interp_out = np.polynomial.Chebyshev.fit(nod_out, node_values(nod_out), _N_CHEB)
+    chart._interp_in = np.polynomial.Chebyshev.fit(nod_in, node_values(nod_in, -1.0), _N_CHEB)
+    chart._interp_out = np.polynomial.Chebyshev.fit(nod_out, node_values(nod_out, 1.0), _N_CHEB)
     return chart
 
 
@@ -309,12 +315,13 @@ def peak_coefficient(pot: Potential, lam: float, side: str = "+") -> float:
     """alpha_pm: |psi(x_tp)| ~ alpha_pm hbar^(-1/6) at the turning point.
 
     Composition of |c_pm| with u(x_tp) = pi |v'(x_tp)|^(-1/6) Ai(0), i.e.
-    (2 pi)^(1/2) (int (lam-v)^(-1/2))^(-1/2) |v'(x_tp)|^(-1/6) Ai(0).
+    (2 pi)^(1/2) (int (lam-v)^(-1/2))^(-1/2) |v'(x_tp)|^(-1/6) Ai(0); |c_pm|
+    is normalization's for a smooth level at hbar = 1.
     """
     tp = turning_points(pot, lam)
-    total = 2.0 * phi_prime(pot, lam, tp)
+    c_plus, _ = normalization(pot, SemiclassicalLevel(n=0, hbar=1.0, lam=lam, residual=0.0, kind="smooth"))
     slope = tp.slope_plus if side == "+" else -tp.slope_minus
-    return math.sqrt(2.0 * math.pi) / math.sqrt(total) * slope ** (-1.0 / 6.0) * AI_ZERO
+    return c_plus * math.pi * slope ** (-1.0 / 6.0) * AI_ZERO
 
 
 @dataclass

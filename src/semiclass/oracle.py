@@ -16,7 +16,8 @@ doubling finer than the last one solved.  A Numerov shooting solver provides
 an independent cross-check of the default scheme.
 
 Interior jump points of v are snapped onto grid nodes, where v takes the
-mean of its one-sided limits.
+mean of its one-sided limits; on the half line the boundary x = 0 stays a
+node as well.
 """
 
 from __future__ import annotations
@@ -77,10 +78,25 @@ def _tail_bound(pot: Potential, lam: float, hbar: float, side: int) -> float:
 
 
 def _grid(pot: Potential, x_lo: float, x_hi: float, n: int):
-    """Uniform grid with any jump point snapped onto a node."""
+    """Uniform grid with any jump point snapped onto a node.
+
+    On the full line the grid slides by up to one spacing so that the jump
+    is a node.  On the half line x_lo is the boundary and stays a node: the
+    spacing divides x0 - x_lo, and the right end moves by up to one spacing.
+    The m intervals left of x0 are about n (x0 - x_lo) / (x_hi - x_lo),
+    computed on the leading 12 bits of n and shifted back by the trailing
+    zero bits dropped, so that doubling an n of 12 or more bits (n0 >= 2048
+    in solve_spectrum unless the caller sets it) halves the spacing exactly.
+    """
     jumps = [s.x for s in pot.singular_points if s.kind == "jump" and x_lo < s.x < x_hi]
     if jumps:
         x0 = jumps[0]
+        if pot.domain == "half_line":
+            p = min((n & -n).bit_length() - 1, max(n.bit_length() - 12, 0))
+            m = max(math.ceil((n >> p) * (x0 - x_lo) / (x_hi - x_lo)), 1) << p
+            h = (x0 - x_lo) / m
+            k = int(math.ceil((x_hi - x0) / h))
+            return np.concatenate((np.linspace(x_lo, x0, m + 1), x0 + h * np.arange(1, k + 1)))
         h = (x_hi - x_lo) / n
         m = int(math.ceil((x0 - x_lo) / h))
         k = int(math.ceil((x_hi - x0) / h))

@@ -8,6 +8,11 @@ converges geometrically; the difference between the last two refinement
 levels is the reported error estimate.  Interior singular points and piece
 boundaries of the potential split the integration range.
 
+turning_point_integral gives int |lam - v|^(1/2) from a turning point to
+many points at once, the node values of a Langer chart: the same t
+substitution, but one Chebyshev interpolant of the integrand, integrated
+once, in place of one adaptive quadrature per point.
+
 Near t = 0 the ratio (lam - v)/t^2 is evaluated from the one-sided Taylor
 model |v'| -+ (v''/2) t^2 instead of the cancellation-prone direct
 difference; the crossover is far enough out that both branches agree to
@@ -16,13 +21,18 @@ difference; the crossover is far enough out that both branches agree to
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from .potential import Potential
 
-__all__ = ["QuadratureError", "gl_adaptive", "well_integral", "forbidden_integral"]
+__all__ = ["QuadratureError", "gl_adaptive", "well_integral", "forbidden_integral",
+           "turning_point_integral"]
+
+_CUMSUM_DEG0 = 16  # first degree of the Chebyshev fits in _cheb_cumsum
+_CUMSUM_DEG_MAX = 1024
 
 
 class QuadratureError(RuntimeError):
@@ -182,3 +192,68 @@ def forbidden_integral(pot: Potential, lam: float, x_turn: float, x: float,
         total += v
         err += e
     return total, err
+
+
+def _cheb_cumsum(f, lo: float, hi: float, start: float, pts: np.ndarray, tol: float):
+    """int_start^p f for each p in pts, and for p = the other end of [lo, hi].
+
+    f is interpolated at Chebyshev points on [lo, hi] and integrated once
+    (Clenshaw-Curtis cumulative integration; Trefethen, Approximation Theory
+    and Approximation Practice, ch. 19).  The degree doubles from
+    _CUMSUM_DEG0 until two successive fits agree to tol (absolute) at every
+    point; the finer fit's values are returned as (values at pts, value at
+    the other end).
+    """
+    at = np.append(pts, hi if start == lo else lo)
+    prev = None
+    deg = _CUMSUM_DEG0
+    while deg <= _CUMSUM_DEG_MAX:
+        vals = np.polynomial.Chebyshev.interpolate(f, deg, domain=[lo, hi]).integ(lbnd=start)(at)
+        if prev is not None and np.max(np.abs(vals - prev)) <= tol:
+            return vals[:-1], float(vals[-1])
+        prev = vals
+        deg *= 2
+    raise QuadratureError(f"no convergence to tol={tol} by degree {_CUMSUM_DEG_MAX} on [{lo}, {hi}]")
+
+
+def turning_point_integral(pot: Potential, lam: float, x_tp: float, x, tol: float = 1e-10) -> np.ndarray:
+    """Integrals of |lam - v|^(1/2) between the turning point x_tp and each
+    point of the array x, all on one side of x_tp.
+
+    The side may be inside the well (the integrand of well_integral) or
+    outside it (that of forbidden_integral); the values are >= 0 up to
+    rounding.  The range is split at the interior piece boundaries of v.  The
+    segment touching x_tp is integrated in t = |x - x_tp|^(1/2), where the
+    integrand 2 t^2 r(t)^(1/2) of _sqrt_ratio is smooth, and each later one
+    in x, starting from the running total.  One cumulative Chebyshev
+    integral (_cheb_cumsum) per segment gives the values at all points of
+    that segment, each converged to tol / (number of segments).
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    dist = np.abs(x - x_tp)
+    out = np.zeros_like(dist)
+    if not np.any(dist):
+        return out
+    x_end = float(x[np.argmax(dist)])
+    outward = 1.0 if x_end > x_tp else -1.0
+    segs = _segments(pot, min(x_tp, x_end), max(x_tp, x_end))
+    if outward < 0:
+        segs = [(b, a) for a, b in reversed(segs)]  # (near, far) ends, from x_tp outward
+    tol_seg = tol / len(segs)
+    seg = np.searchsorted([abs(far - x_tp) for _, far in segs[:-1]], dist)
+
+    ratio = _sqrt_ratio(pot, lam, x_tp, outward, "+" if outward > 0 else "-")
+    on = seg == 0
+    out[on], total = _cheb_cumsum(lambda t: 2.0 * t * t * np.sqrt(ratio(t)),
+                                  0.0, math.sqrt(abs(segs[0][1] - x_tp)), 0.0,
+                                  np.sqrt(dist[on]), tol_seg)
+
+    def plain(xx):
+        return np.sqrt(np.abs(lam - pot.value(xx)))
+
+    for i, (near, far) in enumerate(segs[1:], start=1):
+        on = seg == i
+        part, seg_total = _cheb_cumsum(plain, min(near, far), max(near, far), near, x[on], tol_seg)
+        out[on] = total + outward * part
+        total += outward * seg_total
+    return out

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from semiclass import oracle, quantize
+from semiclass import langer, oracle, quadrature, quantize
 from semiclass.action import partial_action, phi_value
 from semiclass.airy import AI_ZERO
 from semiclass.langer import (
@@ -18,13 +18,20 @@ from semiclass.langer import (
     normalization,
     peak_coefficient,
 )
-from semiclass.potential import halfline_power_law, make_power_law, turning_points
-from semiclass.quadrature import forbidden_integral
+from semiclass.potential import halfline_power_law, make_power_law, potential_from_spec, turning_points
+from semiclass.quadrature import forbidden_integral, turning_point_integral, well_integral
 
 HARM = make_power_law(0, 1, 2, 0, 1, 2)
 QUART = make_power_law(0, 1, 4, 0, 1, 4)
 DISC = make_power_law(0.5, 1, 2, 0, 1, 2)
 HL = halfline_power_law(0, 1, 2)
+ASYM_QUART = make_power_law(0, 2, 4, 0, 1, 4)  # matching point x1 < 0 at lam = 1.3
+# the jump well of DISC with a kink at x = -3, which the '-' chart's outer nodes cross
+KINK_JUMP = potential_from_spec({"kind": "table", "branches": [
+    {"lo": "-inf", "hi": -3.0, "type": "poly", "coeffs": [-27.0, -12.0]},
+    {"lo": -3.0, "hi": 0.0, "type": "poly", "coeffs": [0.0, 0.0, 1.0]},
+    {"lo": 0.0, "hi": "inf", "type": "power", "offset": 0.5, "coeff": 1.0, "exponent": 2.0},
+]})
 HARM_PLUS = build_chart(HARM, 1.0, "+")  # the '+' chart at lam = 1, matched at x1 = 0
 
 
@@ -94,6 +101,72 @@ def test_chart_finite_difference_derivative():
     fd = (ch.xi(xs + h) - ch.xi(xs - h)) / (2 * h)
     rel = np.abs(fd - ch.xi_prime(xs)) / np.abs(ch.xi_prime(xs))
     assert rel.max() <= 1e-7
+
+
+CHART_CASES = [(QUART, "+"), (QUART, "-"), (ASYM_QUART, "+"), (ASYM_QUART, "-"),
+               (DISC, "+"), (DISC, "-"), (HL, "+"), (KINK_JUMP, "-")]
+CHART_IDS = ["quartic+", "quartic-", "asym_quartic+", "asym_quartic-",
+             "jump+", "jump-", "halfline+", "table_kink-"]
+
+
+def _node_sets(ch):
+    """(inner, outer) Chebyshev nodes of a chart, as build_chart places them."""
+    ends_in = (ch.x1, ch.x_tp) if ch.side == "+" else (ch.x_tp, ch.x1)
+    ends_out = (ch.x_tp, ch.x_far) if ch.side == "+" else (ch.x_far, ch.x_tp)
+    return (langer._cheb_nodes(*ends_in, langer._N_CHEB),
+            langer._cheb_nodes(*ends_out, langer._N_CHEB))
+
+
+def test_chart_cases_cover_interior_piece_boundaries():
+    # ASYM_QUART's '+' inner nodes and KINK_JUMP's '-' outer nodes straddle a
+    # piece boundary of v, so those node sets take the plain-x segment
+    inner, _ = _node_sets(build_chart(ASYM_QUART, 1.3, "+"))
+    assert inner.min() < 0.0 < inner.max()
+    _, outer = _node_sets(build_chart(KINK_JUMP, 1.3, "-"))
+    assert outer.min() < -3.0 < outer.max()
+
+
+@pytest.mark.parametrize("pot,side", CHART_CASES, ids=CHART_IDS)
+def test_cumulative_node_values_match_per_node_quadrature(pot, side):
+    # every node outside the collar against one direct kernel call
+    ch = build_chart(pot, 1.3, side)
+    for nodes, outside in zip(_node_sets(ch), (False, True)):
+        nodes = nodes[np.abs(nodes - ch.x_tp) >= ch.collar]
+        ref = []
+        for x in map(float, nodes):
+            if outside:
+                ref.append(forbidden_integral(pot, 1.3, ch.x_tp, x)[0])
+            else:
+                lo, hi = sorted((x, ch.x_tp))
+                (up, _), _ = well_integral(pot, 1.3, lo, hi, sqrt_lo=side == "-", sqrt_hi=side == "+")
+                ref.append(up)
+        got = turning_point_integral(pot, 1.3, ch.x_tp, nodes)
+        assert np.max(np.abs(got - np.array(ref))) <= 1e-12
+
+
+def test_build_chart_makes_no_per_node_kernel_call(monkeypatch):
+    calls = []
+    for name in ("well_integral", "forbidden_integral"):
+        fn = getattr(quadrature, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, name, counted)
+        monkeypatch.setattr(langer, name, counted)
+    for side in ("+", "-"):
+        build_chart(DISC, 1.3, side)
+    assert calls == []
+
+
+@pytest.mark.parametrize("pot,side", CHART_CASES, ids=CHART_IDS)
+def test_build_chart_raises_no_invalid_value(pot, side):
+    # the integral at the x_tp node can round to -1e-17, where ^(2/3) is NaN
+    with np.errstate(invalid="raise"):
+        ch = build_chart(pot, 1.3, side)
+    inner, outer = _node_sets(ch)
+    assert np.all(np.isfinite(ch.xi(np.concatenate((inner, outer)))))
 
 
 def test_chart_far_field_and_domain_error():

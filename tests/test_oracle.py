@@ -155,6 +155,25 @@ def test_disc_grid_contains_jump_node():
     assert np.min(np.abs(x - 0.0)) <= 1e-12
 
 
+HALF_JUMP = potential_from_spec({"kind": "table", "domain": "half_line", "branches": [
+    {"lo": 0.0, "hi": 0.3, "type": "poly", "coeffs": [0.0, 0.0, 1.0]},
+    {"lo": 0.3, "hi": "inf", "type": "poly", "coeffs": [0.5, 0.0, 1.0]},
+]})
+
+
+def test_halfline_jump_grid_keeps_the_boundary_and_the_jump_as_nodes():
+    x = oracle._grid(HALF_JUMP, 0.0, 3.0, 4097)
+    assert x[0] == 0.0
+    assert 0.3 in x
+    # the spacing halves exactly at each doubling: the coarse grid is every
+    # other node of the fine one
+    for n in (2048, 3000):
+        coarse, fine = oracle._grid(HALF_JUMP, 0.0, 3.0, n), oracle._grid(HALF_JUMP, 0.0, 3.0, 2 * n)
+        assert fine[1] - fine[0] == 0.5 * (coarse[1] - coarse[0])
+        m = min(len(coarse), (len(fine) + 1) // 2)
+        assert np.array_equal(fine[::2][:m], coarse[:m])
+
+
 def test_window_edge_guard():
     with pytest.raises(OracleError):
         solve_spectrum(HARM, 0.1, (0.5, 1.5), x_span=(-1.0, 1.0))

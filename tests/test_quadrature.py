@@ -10,7 +10,7 @@ from semiclass.potential import (
     make_power_law,
     turning_points,
 )
-from semiclass.quadrature import gl_adaptive, well_integral
+from semiclass.quadrature import gl_adaptive, turning_point_integral, well_integral
 
 HARM = make_power_law(0, 1, 2, 0, 1, 2)
 QUART = make_power_law(0, 1, 4, 0, 1, 4)
@@ -119,3 +119,17 @@ def test_jump_action_takes_one_kernel_call_per_side(monkeypatch):
     quantize.jump_action(DISC, 1.2, 0.05, 0.0)
     tp = turning_points(DISC, 1.2)
     assert calls == [(0.0, tp.x_plus), (tp.x_minus, 0.0)]
+
+
+def test_turning_point_integral_harmonic_closed_form():
+    # v = x^2, lam = 1, x_tp = 1: int_x^1 (1 - s^2)^(1/2) and int_1^x (s^2 - 1)^(1/2)
+    inner = np.array([0.0, 0.3, 0.9, 1.0])
+    a = np.arcsin(inner)
+    exact_in = math.pi / 4 - 0.5 * (inner * np.sqrt(1 - inner**2) + a)
+    outer = np.array([1.0, 1.5, 2.0, 3.0])
+    exact_out = 0.5 * (outer * np.sqrt(outer**2 - 1) - np.log(outer + np.sqrt(outer**2 - 1)))
+    for xs, exact in ((inner, exact_in), (outer, exact_out), (-inner, exact_in), (-outer, exact_out)):
+        x_tp = 1.0 if xs[-1] > 0 else -1.0
+        got = turning_point_integral(HARM, 1.0, x_tp, xs)
+        assert np.max(np.abs(got - exact)) <= 1e-12
+    assert np.array_equal(turning_point_integral(HARM, 1.0, 1.0, [1.0, 1.0]), [0.0, 0.0])

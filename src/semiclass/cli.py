@@ -26,6 +26,7 @@ from .potential import (
     WellCertificate,
     certify_halfline_well,
     certify_well,
+    halfline_turning_point,
     potential_from_spec,
     turning_points,
 )
@@ -287,9 +288,12 @@ def cmd_wavefunction(cfg: RunConfig) -> dict:
                 rows.extend([hbar, l.n, float(x), float(a), float(b), abs(float(a) - float(b))]
                             for x, a, b in zip(xs, ps, po))
             else:
-                tp = turning_points(cfg.potential, l.lam) if cfg.potential.domain == "full_line" else None
+                if cfg.potential.domain == "full_line":
+                    x_plus = turning_points(cfg.potential, l.lam).x_plus
+                else:
+                    x_plus, _ = halfline_turning_point(cfg.potential, l.lam)
                 lo = float(cfg.grid.get("lo", psi.x1))
-                hi = float(cfg.grid.get("hi", (tp.x_plus + 1.0) if tp else l.lam))
+                hi = float(cfg.grid.get("hi", x_plus + 1.0))
                 xs = np.linspace(lo, hi, int(cfg.grid["n"]))
                 ps = psi(xs)
                 rows.extend([hbar, l.n, float(x), float(a), None, None] for x, a in zip(xs, ps))

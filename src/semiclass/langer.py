@@ -4,13 +4,12 @@ A chart packages the variable change xi(x) for one side of the well, with
 sign convention xi < 0 inside the well and xi(x_tp) = 0 at the turning
 point.  xi is defined through the action integral
 (3/2 int |lam-v|^(1/2))^(2/3); its derivative comes from the exact relation
-xi'^2 xi = q with q = v - lam.  A chart stores two degree-64 Chebyshev fits
-of xi, on [x1, x_tp] inside the well and on [x_tp, x_far] outside it.  The
-action at all nodes of one fit comes from one cumulative Chebyshev integral
-(quadrature.turning_point_integral).  Inside a collar around the turning
-point, where the action loses relative accuracy, a short Taylor model built
-from v'(x_tp), v''(x_tp) takes over; beyond x_far xi comes from one
-quadrature per point.
+xi'^2 xi = q with q = v - lam.  A chart stores the action itself, as two
+cumulative Chebyshev integrals (quadrature.turning_point_integral): one on
+[x1, x_tp] inside the well and one on [x_tp, x_far] outside it; points
+beyond x_far get one integral from x_tp per doubling of that reach.  Inside a collar around the
+turning point, where the action loses relative accuracy, a short Taylor
+model built from v'(x_tp), v''(x_tp) takes over.
 
 The leading uniform approximation on each side is
 u(x) = pi |xi'(x)|^(-1/2) Ai(hbar^(-2/3) xi(x)), normalized so that its
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .potential import (
     halfline_turning_point,
     turning_points,
 )
-from .quadrature import forbidden_integral, turning_point_integral, well_integral
+from .quadrature import turning_point_integral, well_integral
 from .quantize import SemiclassicalLevel, disc_point, jump_action
 
 __all__ = [
@@ -54,26 +53,20 @@ __all__ = [
     "peak_coefficient",
 ]
 
-_N_CHEB = 64  # degree of the Chebyshev fits of xi on each side of x_tp
-
 
 class ChartDomainError(ValueError):
     """Evaluation outside the half-domain covered by the chart."""
-
-
-def _cheb_nodes(a: float, b: float, n: int) -> np.ndarray:
-    k = np.arange(n + 1)
-    return 0.5 * (a + b) + 0.5 * (b - a) * np.cos(np.pi * k / n)
 
 
 @dataclass
 class LangerChart:
     """One-sided Langer variable xi and its derivatives.
 
-    side "+" covers [x1, inf), side "-" covers (-inf, x1].  Beyond x_far the
-    chart falls back to direct quadrature per point.  Construction is the
-    only stateful step; a built chart is immutable and safe to share across
-    threads.
+    side "+" covers [x1, inf), side "-" covers (-inf, x1].  xi is
+    -+(3/2 A)^(2/3) with A the action from x_tp: _action_in on [x1, x_tp],
+    _action_out on [x_tp, x_far], and beyond x_far one turning_point_integral
+    per band of points (2^(k-1), 2^k] times as far from x_tp as x_far.  Construction is the only stateful step; a built chart is
+    immutable and safe to share across threads.
     """
 
     side: str
@@ -85,8 +78,8 @@ class LangerChart:
     curv: float  # v''(x_tp)
     collar: float
     x_far: float
-    _interp_in: np.polynomial.Chebyshev
-    _interp_out: np.polynomial.Chebyshev
+    _action_in: Callable[[np.ndarray], np.ndarray]
+    _action_out: Callable[[np.ndarray], np.ndarray]
 
     # -- xi -----------------------------------------------------------------
 
@@ -98,15 +91,6 @@ class LangerChart:
         # s > 0 is the forbidden side; eta carries the v'' correction
         eta = 3.0 * self.curv / (20.0 * self.slope)
         return np.sign(s) * self.slope ** (1.0 / 3.0) * np.abs(s) * np.abs(1.0 + np.sign(s) * eta * np.abs(s)) ** (2.0 / 3.0)
-
-    def _xi_quad(self, x: float) -> float:
-        if (x < self.x_tp) if self.side == "+" else (x > self.x_tp):
-            lo, hi = (x, self.x_tp) if self.side == "+" else (self.x_tp, x)
-            (val, _), _ = well_integral(self.pot, self.lam, lo, hi,
-                                        sqrt_lo=(self.side == "-"), sqrt_hi=(self.side == "+"))
-            return -(1.5 * val) ** (2.0 / 3.0)
-        val, _ = forbidden_integral(self.pot, self.lam, self.x_tp, x)
-        return (1.5 * val) ** (2.0 / 3.0)
 
     def _in_domain(self, x: np.ndarray) -> np.ndarray:
         return x >= self.x1 if self.side == "+" else x <= self.x1
@@ -126,11 +110,20 @@ class LangerChart:
         if np.any(collar):
             out[collar] = self._xi_series(x[collar])
         if np.any(inside):
-            out[inside] = self._interp_in(x[inside])
+            out[inside] = -(1.5 * self._action_in(x[inside])) ** (2.0 / 3.0)
         if np.any(outer):
-            out[outer] = self._interp_out(x[outer])
+            out[outer] = (1.5 * self._action_out(x[outer])) ** (2.0 / 3.0)
         if np.any(far):
-            out[far] = [self._xi_quad(float(xx)) for xx in x[far]]
+            # one integral per band of distances (2^(k-1), 2^k] |x_far - x_tp|
+            # from x_tp; the band depends on the point alone, so xi does too
+            xf = x[far]
+            reach = self.x_far - self.x_tp
+            ends = self.x_tp + reach * 2.0 ** np.ceil(np.log2(np.abs(xf - self.x_tp) / abs(reach)))
+            action = np.empty_like(xf)
+            for end in np.unique(ends):
+                on = ends == end
+                action[on] = turning_point_integral(self.pot, self.lam, self.x_tp, end)(xf[on])
+            out[far] = (1.5 * action) ** (2.0 / 3.0)
         return out[0] if scalar else out
 
     # -- xi', xi'' ----------------------------------------------------------
@@ -143,10 +136,14 @@ class LangerChart:
 
     def xi_prime(self, x):
         """xi'(x) from xi'^2 xi = q; at the turning point, +-|v'|^(1/3)."""
+        return self._xi_prime(x, self.xi(x))
+
+    def _xi_prime(self, x, xi):
+        """xi_prime(x), given xi = self.xi(x)."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        xi = np.atleast_1d(self.xi(x))
+        xi = np.atleast_1d(xi)
         at_tp = x == self.x_tp
         collar = (np.abs(x - self.x_tp) < self.collar) & ~at_tp
         q = np.empty_like(x)
@@ -164,12 +161,15 @@ class LangerChart:
 
     def xi_second(self, x):
         """xi'' from differentiating xi'^2 xi = q; unreliable inside the collar."""
+        xi = self.xi(x)
+        return self._xi_second(x, xi, self._xi_prime(x, xi))
+
+    def _xi_second(self, x, xi, xip):
+        """xi_second(x), given xi = self.xi(x) and xip = self.xi_prime(x)."""
         x = np.asarray(x, dtype=float)
         if np.any(np.abs(np.atleast_1d(x) - self.x_tp) < self.collar):
             raise ChartDomainError("xi_second is not defined inside the turning-point collar")
-        xi = self.xi(x)
-        xip = self.xi_prime(x)
-        qp = self.pot.deriv(np.asarray(x, dtype=float))
+        qp = self.pot.deriv(x)
         return (qp - xip**3) / (2.0 * xip * xi)
 
 
@@ -178,10 +178,9 @@ def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = Non
 
     For full-line potentials x1 defaults to the well midpoint (the jump
     point x0 for a discontinuous well); for half-line potentials only
-    side "+" exists and x1 = 0.  xi is fitted at 65 Chebyshev nodes on
-    [x1, x_tp] and 65 on [x_tp, x_far]; the node values of each set come
-    from one turning_point_integral call, except those in the collar, which
-    take the Taylor model.
+    side "+" exists and x1 = 0.  The chart keeps the action from x_tp as
+    two turning_point_integral functions, inside the well up to x1 and
+    outside it up to x_far.
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
@@ -204,29 +203,12 @@ def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = Non
     collar = 1e-3 * width  # half-width of the Taylor-model collar
     x_far = x_tp + (width + 2.0) * (1.0 if side == "+" else -1.0)
 
-    chart = LangerChart(
+    return LangerChart(
         side=side, lam=lam, pot=pot, x_tp=x_tp, x1=float(x1),
         slope=abs(d1), curv=float(d2), collar=collar, x_far=x_far,
-        _interp_in=None, _interp_out=None,
+        _action_in=turning_point_integral(pot, lam, x_tp, float(x1)),
+        _action_out=turning_point_integral(pot, lam, x_tp, x_far),
     )
-
-    def node_values(xs, sign):
-        # rounding can leave the integral at x_tp a few ulp below 0
-        action = np.maximum(turning_point_integral(pot, lam, x_tp, xs), 0.0)
-        vals = sign * (1.5 * action) ** (2.0 / 3.0)
-        in_collar = np.abs(xs - x_tp) < collar
-        vals[in_collar] = chart._xi_series(xs[in_collar])
-        return vals
-
-    if side == "+":
-        nod_in = _cheb_nodes(float(x1), x_tp, _N_CHEB)
-        nod_out = _cheb_nodes(x_tp, x_far, _N_CHEB)
-    else:
-        nod_in = _cheb_nodes(x_tp, float(x1), _N_CHEB)
-        nod_out = _cheb_nodes(x_far, x_tp, _N_CHEB)
-    chart._interp_in = np.polynomial.Chebyshev.fit(nod_in, node_values(nod_in, -1.0), _N_CHEB)
-    chart._interp_out = np.polynomial.Chebyshev.fit(nod_out, node_values(nod_out, 1.0), _N_CHEB)
-    return chart
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +244,7 @@ def chart_u(chart: LangerChart, hbar: float, x):
     which is the convention the normalization constants c_pm assume.
     """
     xi = chart.xi(x)
-    xip = chart.xi_prime(x)
+    xip = chart._xi_prime(x, xi)
     t = xi / hbar ** (2.0 / 3.0)
     ai, _, _, _ = airy_many(t)
     return math.pi * np.abs(xip) ** -0.5 * ai
@@ -271,8 +253,8 @@ def chart_u(chart: LangerChart, hbar: float, x):
 def chart_u_prime(chart: LangerChart, hbar: float, x):
     """x-derivative of the leading term; requires |x - x_tp| >= collar."""
     xi = chart.xi(x)
-    xip = chart.xi_prime(x)
-    xis = chart.xi_second(x)
+    xip = chart._xi_prime(x, xi)
+    xis = chart._xi_second(x, xi, xip)
     t = xi / hbar ** (2.0 / 3.0)
     ai, aip, _, _ = airy_many(t)
     amp = np.abs(xip) ** -0.5

@@ -8,10 +8,11 @@ converges geometrically; the difference between the last two refinement
 levels is the reported error estimate.  Interior singular points and piece
 boundaries of the potential split the integration range.
 
-turning_point_integral gives int |lam - v|^(1/2) from a turning point to
-many points at once, the node values of a Langer chart: the same t
-substitution, but one Chebyshev interpolant of the integrand, integrated
-once, in place of one adaptive quadrature per point.
+turning_point_integral gives the action A(x) = int |lam - v|^(1/2) from a
+turning point to x, the quantity a Langer chart is built on, as a function
+on a whole range: the same t substitution, but one Chebyshev interpolant of
+the integrand per segment, integrated once and kept, in place of one
+adaptive quadrature per point.
 
 Near t = 0 the ratio (lam - v)/t^2 is evaluated from the one-sided Taylor
 model |v'| -+ (v''/2) t^2 instead of the cancellation-prone direct
@@ -28,8 +29,7 @@ import numpy as np
 
 from .potential import Potential
 
-__all__ = ["QuadratureError", "gl_adaptive", "well_integral", "forbidden_integral",
-           "turning_point_integral"]
+__all__ = ["QuadratureError", "gl_adaptive", "well_integral", "turning_point_integral"]
 
 _CUMSUM_DEG0 = 16  # first degree of the Chebyshev fits in _cheb_cumsum
 _CUMSUM_DEG_MAX = 1024
@@ -161,99 +161,76 @@ def well_integral(pot: Potential, lam: float, lo: float, hi: float,
     return (up, down), (up_err, down_err)
 
 
-def forbidden_integral(pot: Potential, lam: float, x_turn: float, x: float,
-                       tol: float = 1e-10):
-    """Integral of (v - lam)^(1/2) between a turning point and an outside x.
-
-    Works on either flank: x > x_turn (right of x_plus) or x < x_turn (left
-    of x_minus).  Returns (value, error_estimate); the value is >= 0.
-    """
-    if x == x_turn:
-        return 0.0, 0.0
-    outward = 1.0 if x > x_turn else -1.0
-    lo, hi = (x_turn, x) if outward > 0 else (x, x_turn)
-    cuts = [p.hi for p in pot.pieces[:-1] if lo < p.hi < hi]
-    if outward > 0:
-        first_end = min(cuts) if cuts else hi
-        rest_lo, rest_hi = first_end, hi
-    else:
-        first_end = max(cuts) if cuts else lo
-        rest_lo, rest_hi = lo, first_end
-
-    ratio = _sqrt_ratio(pot, lam, x_turn, outward, "+" if outward > 0 else "-")
-    f = lambda t: (2.0 * t * t * np.sqrt(ratio(t)),)
-    (total,), (err,) = gl_adaptive(f, 0.0, np.sqrt(abs(first_end - x_turn)), tol)
-
-    def plain(xx):
-        return (np.sqrt(np.maximum(pot.value(xx) - lam, 0.0)),)
-
-    for a, b in _segments(pot, rest_lo, rest_hi):
-        (v,), (e,) = gl_adaptive(plain, a, b, tol)
-        total += v
-        err += e
-    return total, err
-
-
-def _cheb_cumsum(f, lo: float, hi: float, start: float, pts: np.ndarray, tol: float):
-    """int_start^p f for each p in pts, and for p = the other end of [lo, hi].
+def _cheb_cumsum(f, lo: float, hi: float, start: float, tol: float) -> np.polynomial.Chebyshev:
+    """The antiderivative int_start^x f on [lo, hi], as a Chebyshev series.
 
     f is interpolated at Chebyshev points on [lo, hi] and integrated once
     (Clenshaw-Curtis cumulative integration; Trefethen, Approximation Theory
     and Approximation Practice, ch. 19).  The degree doubles from
-    _CUMSUM_DEG0 until two successive fits agree to tol (absolute) at every
-    point; the finer fit's values are returned as (values at pts, value at
-    the other end).
+    _CUMSUM_DEG0 until two successive antiderivatives agree to tol
+    (absolute) at the Chebyshev-Lobatto points of the finer degree, a point
+    set fixed by [lo, hi] alone; the finer one is returned.
     """
-    at = np.append(pts, hi if start == lo else lo)
     prev = None
     deg = _CUMSUM_DEG0
     while deg <= _CUMSUM_DEG_MAX:
-        vals = np.polynomial.Chebyshev.interpolate(f, deg, domain=[lo, hi]).integ(lbnd=start)(at)
-        if prev is not None and np.max(np.abs(vals - prev)) <= tol:
-            return vals[:-1], float(vals[-1])
-        prev = vals
+        anti = np.polynomial.Chebyshev.interpolate(f, deg, domain=[lo, hi]).integ(lbnd=start)
+        if prev is not None:
+            pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.polynomial.chebyshev.chebpts2(deg + 1)
+            if np.max(np.abs(anti(pts) - prev(pts))) <= tol:
+                return anti
+        prev = anti
         deg *= 2
     raise QuadratureError(f"no convergence to tol={tol} by degree {_CUMSUM_DEG_MAX} on [{lo}, {hi}]")
 
 
-def turning_point_integral(pot: Potential, lam: float, x_tp: float, x, tol: float = 1e-10) -> np.ndarray:
-    """Integrals of |lam - v|^(1/2) between the turning point x_tp and each
-    point of the array x, all on one side of x_tp.
+def turning_point_integral(pot: Potential, lam: float, x_tp: float, x_end: float,
+                           tol: float = 1e-10):
+    """The action A(x) = int |lam - v|^(1/2) between the turning point x_tp
+    and x, as a function valid for every x between x_tp and x_end.
 
     The side may be inside the well (the integrand of well_integral) or
-    outside it (that of forbidden_integral); the values are >= 0 up to
-    rounding.  The range is split at the interior piece boundaries of v.  The
-    segment touching x_tp is integrated in t = |x - x_tp|^(1/2), where the
-    integrand 2 t^2 r(t)^(1/2) of _sqrt_ratio is smooth, and each later one
-    in x, starting from the running total.  One cumulative Chebyshev
-    integral (_cheb_cumsum) per segment gives the values at all points of
-    that segment, each converged to tol / (number of segments).
+    outside it; A(x_tp) = 0 and A >= 0 up to rounding.  The range is split
+    at the interior piece boundaries of v.  The segment touching x_tp is
+    integrated in t = |x - x_tp|^(1/2), where the integrand 2 t^2 r(t)^(1/2)
+    of _sqrt_ratio is smooth, and each later one in x, starting from the
+    running total.  Each segment keeps one cumulative Chebyshev integral
+    (_cheb_cumsum), converged to tol / (number of segments) on points that
+    depend on the segment alone, so A(x) depends on x alone, not on the
+    other points of a call.  A takes an array and returns one of its shape.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    dist = np.abs(x - x_tp)
-    out = np.zeros_like(dist)
-    if not np.any(dist):
-        return out
-    x_end = float(x[np.argmax(dist)])
     outward = 1.0 if x_end > x_tp else -1.0
     segs = _segments(pot, min(x_tp, x_end), max(x_tp, x_end))
     if outward < 0:
         segs = [(b, a) for a, b in reversed(segs)]  # (near, far) ends, from x_tp outward
     tol_seg = tol / len(segs)
-    seg = np.searchsorted([abs(far - x_tp) for _, far in segs[:-1]], dist)
+    bounds = [abs(far - x_tp) for _, far in segs[:-1]]
 
     ratio = _sqrt_ratio(pot, lam, x_tp, outward, "+" if outward > 0 else "-")
-    on = seg == 0
-    out[on], total = _cheb_cumsum(lambda t: 2.0 * t * t * np.sqrt(ratio(t)),
-                                  0.0, math.sqrt(abs(segs[0][1] - x_tp)), 0.0,
-                                  np.sqrt(dist[on]), tol_seg)
+    t_end = math.sqrt(abs(segs[0][1] - x_tp))
+    first = _cheb_cumsum(lambda t: 2.0 * t * t * np.sqrt(ratio(t)), 0.0, t_end, 0.0, tol_seg)
+    a0 = first(0.0)  # the series rounds to ~1e-16 at t = 0; A(x_tp) is exactly 0
 
     def plain(xx):
         return np.sqrt(np.abs(lam - pot.value(xx)))
 
-    for i, (near, far) in enumerate(segs[1:], start=1):
-        on = seg == i
-        part, seg_total = _cheb_cumsum(plain, min(near, far), max(near, far), near, x[on], tol_seg)
-        out[on] = total + outward * part
-        total += outward * seg_total
-    return out
+    later = []  # (action at the near end, antiderivative from the near end)
+    total = float(first(t_end) - a0)
+    for near, far in segs[1:]:
+        anti = _cheb_cumsum(plain, min(near, far), max(near, far), near, tol_seg)
+        later.append((total, anti))
+        total += outward * float(anti(far))
+
+    def action(x):
+        x = np.asarray(x, dtype=float)
+        dist = np.abs(x - x_tp)
+        seg = np.searchsorted(bounds, dist)
+        out = np.empty(x.shape)
+        on = seg == 0
+        out[on] = first(np.sqrt(dist[on])) - a0
+        for i, (offset, anti) in enumerate(later, start=1):
+            on = seg == i
+            out[on] = offset + outward * anti(x[on])
+        return out
+
+    return action

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -227,6 +228,20 @@ def test_halfline_routing_from_committed_config(tmp_path):
     assert proc.returncode == 0
     rows = out.read_text().strip().splitlines()[1:]
     assert all(r.split(",")[2] == "halfline_robin" for r in rows)
+
+
+def test_halfline_wavefunction_reaches_past_each_turning_point(tmp_path):
+    # v = x^2 on the half line: the turning point of level lam is sqrt(lam)
+    cfg = str(CONFIGS / "halfline_robin.json")
+    assert run(["levels", "--config", cfg, "--no-oracle", "--out", str(tmp_path / "l.csv")]) == 0
+    assert run(["wavefunction", "--config", cfg, "--no-oracle", "--out", str(tmp_path / "w.csv")]) == 0
+    lam = {(r[0], r[1]): float(r[3]) for r in
+           (line.split(",") for line in (tmp_path / "l.csv").read_text().splitlines()[1:])}
+    x_max = {}
+    for r in (line.split(",") for line in (tmp_path / "w.csv").read_text().splitlines()[1:]):
+        x_max[r[0], r[1]] = max(x_max.get((r[0], r[1]), 0.0), float(r[2]))
+    assert x_max.keys() == lam.keys()
+    assert all(x_max[k] > math.sqrt(lam[k]) for k in lam)
 
 
 def test_potential_path_resolved_relative_to_config(tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from semiclass import langer, oracle, quadrature, quantize
 from semiclass.action import partial_action, phi_value
@@ -19,7 +20,6 @@ from semiclass.langer import (
     peak_coefficient,
 )
 from semiclass.potential import halfline_power_law, make_power_law, potential_from_spec, turning_points
-from semiclass.quadrature import forbidden_integral, turning_point_integral, well_integral
 
 HARM = make_power_law(0, 1, 2, 0, 1, 2)
 QUART = make_power_law(0, 1, 4, 0, 1, 4)
@@ -33,6 +33,41 @@ KINK_JUMP = potential_from_spec({"kind": "table", "branches": [
     {"lo": 0.0, "hi": "inf", "type": "power", "offset": 0.5, "coeff": 1.0, "exponent": 2.0},
 ]})
 HARM_PLUS = build_chart(HARM, 1.0, "+")  # the '+' chart at lam = 1, matched at x1 = 0
+
+
+def _harm_action(lam, x):
+    """int |lam - s^2|^(1/2) between the turning point sqrt(lam) and |x|, closed form."""
+    a, x = math.sqrt(lam), abs(x)
+    if x <= a:
+        return math.pi * lam / 4 - 0.5 * (x * math.sqrt(lam - x * x) + lam * math.asin(x / a))
+    r = math.sqrt(x * x - lam)
+    return 0.5 * (x * r - lam * math.log((x + r) / a))
+
+
+def _ref_xi(ch, x):
+    """xi of a chart at x from scipy.integrate.quad on the action in
+    t = |x - x_tp|^(1/2), split at the piece boundaries of v."""
+    out = 1.0 if ch.side == "+" else -1.0
+    s = 1.0 if x > ch.x_tp else -1.0
+    f = lambda t: 2.0 * t * math.sqrt(abs(ch.lam - float(ch.pot.value(np.array(ch.x_tp + s * t * t)))))
+    lo, hi = sorted((x, ch.x_tp))
+    kinks = [math.sqrt(abs(p.hi - ch.x_tp)) for p in ch.pot.pieces[:-1] if lo < p.hi < hi]
+    action, _ = integrate.quad(f, 0.0, math.sqrt(hi - lo), points=kinks or None,
+                               epsabs=1e-14, epsrel=1e-13, limit=200)
+    return s * out * (1.5 * action) ** (2.0 / 3.0)
+
+
+def _sample(ch, n_in=150, n_out=150, n_far=20):
+    """Seeded random points of a chart outside its collar: inside the well,
+    outside it up to x_far, and up to 1 beyond x_far."""
+    rng = np.random.default_rng(7)
+    out = 1.0 if ch.side == "+" else -1.0
+    xs = np.concatenate((
+        rng.uniform(*sorted((ch.x1, ch.x_tp)), n_in),
+        rng.uniform(*sorted((ch.x_tp, ch.x_far)), n_out),
+        ch.x_far + out * rng.uniform(0.0, 1.0, n_far),
+    ))
+    return xs[np.abs(xs - ch.x_tp) >= ch.collar]
 
 
 # -- charts -------------------------------------------------------------------
@@ -63,8 +98,7 @@ def test_chart_slope_at_left_turning_point():
 def test_chart_identity_xi():
     # xi'^2 xi = q away from the collar, and the explicit value at x=2
     ch = build_chart(HARM, 1.0, "+")
-    val, _ = forbidden_integral(HARM, 1.0, 1.0, 2.0)
-    assert abs(ch.xi(2.0) - (1.5 * val) ** (2.0 / 3.0)) <= 1e-10
+    assert abs(ch.xi(2.0) - (1.5 * _harm_action(1.0, 2.0)) ** (2.0 / 3.0)) <= 1e-10
     assert abs(ch.xi_prime(2.0) ** 2 * ch.xi(2.0) - 3.0) <= 1e-8 * 3.0
     xs = np.linspace(0.05, 3.4, 337)
     xs = xs[np.abs(xs - 1.0) > ch.collar]
@@ -86,12 +120,12 @@ def test_chart_signs():
 
 
 def test_chart_collar_model_matches_quadrature_at_boundary():
+    # xi just inside the collar edges comes from the Taylor model
     for pot, lam in ((HARM, 1.0), (QUART, 1.3)):
         ch = build_chart(pot, lam, "+")
-        for x in (ch.x_tp - ch.collar, ch.x_tp + ch.collar):
-            series = float(ch._xi_series(x))
-            quad = ch._xi_quad(x)
-            assert abs(series - quad) <= 1e-6 * abs(quad)
+        for x in (ch.x_tp - (1 - 1e-9) * ch.collar, ch.x_tp + (1 - 1e-9) * ch.collar):
+            quad = _ref_xi(ch, x)
+            assert abs(ch.xi(x) - quad) <= 1e-6 * abs(quad)
 
 
 def test_chart_finite_difference_derivative():
@@ -109,52 +143,55 @@ CHART_IDS = ["quartic+", "quartic-", "asym_quartic+", "asym_quartic-",
              "jump+", "jump-", "halfline+", "table_kink-"]
 
 
-def _node_sets(ch):
-    """(inner, outer) Chebyshev nodes of a chart, as build_chart places them."""
-    ends_in = (ch.x1, ch.x_tp) if ch.side == "+" else (ch.x_tp, ch.x1)
-    ends_out = (ch.x_tp, ch.x_far) if ch.side == "+" else (ch.x_far, ch.x_tp)
-    return (langer._cheb_nodes(*ends_in, langer._N_CHEB),
-            langer._cheb_nodes(*ends_out, langer._N_CHEB))
-
-
 def test_chart_cases_cover_interior_piece_boundaries():
-    # ASYM_QUART's '+' inner nodes and KINK_JUMP's '-' outer nodes straddle a
-    # piece boundary of v, so those node sets take the plain-x segment
-    inner, _ = _node_sets(build_chart(ASYM_QUART, 1.3, "+"))
-    assert inner.min() < 0.0 < inner.max()
-    _, outer = _node_sets(build_chart(KINK_JUMP, 1.3, "-"))
-    assert outer.min() < -3.0 < outer.max()
+    # ASYM_QUART's '+' inner range and KINK_JUMP's '-' outer range straddle a
+    # piece boundary of v, so those actions take the plain-x segment
+    ch = build_chart(ASYM_QUART, 1.3, "+")
+    assert ch.x1 < 0.0 < ch.x_tp
+    ch = build_chart(KINK_JUMP, 1.3, "-")
+    assert ch.x_far < -3.0 < ch.x_tp
 
 
 @pytest.mark.parametrize("pot,side", CHART_CASES, ids=CHART_IDS)
 def test_cumulative_node_values_match_per_node_quadrature(pot, side):
-    # every node outside the collar against one direct kernel call
+    # xi from the chart's cumulative action at 300+ random points, inside the
+    # well, outside it and beyond x_far, against one scipy quad per point
     ch = build_chart(pot, 1.3, side)
-    for nodes, outside in zip(_node_sets(ch), (False, True)):
-        nodes = nodes[np.abs(nodes - ch.x_tp) >= ch.collar]
-        ref = []
-        for x in map(float, nodes):
-            if outside:
-                ref.append(forbidden_integral(pot, 1.3, ch.x_tp, x)[0])
-            else:
-                lo, hi = sorted((x, ch.x_tp))
-                (up, _), _ = well_integral(pot, 1.3, lo, hi, sqrt_lo=side == "-", sqrt_hi=side == "+")
-                ref.append(up)
-        got = turning_point_integral(pot, 1.3, ch.x_tp, nodes)
-        assert np.max(np.abs(got - np.array(ref))) <= 1e-12
+    xs = _sample(ch)
+    assert xs.size >= 300
+    ref = np.array([_ref_xi(ch, x) for x in map(float, xs)])
+    assert np.max(np.abs(ch.xi(xs) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("side", ["+", "-"])
+def test_xi_matches_harmonic_closed_form(side):
+    ch = build_chart(HARM, 1.3, side)
+    xs = _sample(ch)
+    sign = np.where((xs - ch.x_tp) * (1.0 if side == "+" else -1.0) > 0, 1.0, -1.0)
+    ref = sign * (1.5 * np.array([_harm_action(1.3, x) for x in xs])) ** (2.0 / 3.0)
+    assert np.max(np.abs(ch.xi(xs) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("pot,side", CHART_CASES, ids=CHART_IDS)
+def test_xi_depends_on_x_alone(pot, side):
+    ch = build_chart(pot, 1.3, side)
+    # the turning point, the collar, and two bands of points farther out
+    far = ch.x_tp + (ch.x_far - ch.x_tp) * np.array([2.5, 3.9])
+    xs = np.concatenate((_sample(ch), [ch.x_tp, ch.x_tp + 0.5 * ch.collar], far))
+    together = ch.xi(xs)
+    assert all(together[i] == ch.xi(x) for i, x in enumerate(xs))
 
 
 def test_build_chart_makes_no_per_node_kernel_call(monkeypatch):
     calls = []
-    for name in ("well_integral", "forbidden_integral"):
-        fn = getattr(quadrature, name)
+    fn = quadrature.well_integral
 
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append("well_integral")
+        return fn(*args, **kwargs)
 
-        monkeypatch.setattr(quadrature, name, counted)
-        monkeypatch.setattr(langer, name, counted)
+    monkeypatch.setattr(quadrature, "well_integral", counted)
+    monkeypatch.setattr(langer, "well_integral", counted)
     for side in ("+", "-"):
         build_chart(DISC, 1.3, side)
     assert calls == []
@@ -162,18 +199,18 @@ def test_build_chart_makes_no_per_node_kernel_call(monkeypatch):
 
 @pytest.mark.parametrize("pot,side", CHART_CASES, ids=CHART_IDS)
 def test_build_chart_raises_no_invalid_value(pot, side):
-    # the integral at the x_tp node can round to -1e-17, where ^(2/3) is NaN
+    # the action near x_tp can round below 0, where ^(2/3) is NaN
     with np.errstate(invalid="raise"):
         ch = build_chart(pot, 1.3, side)
-    inner, outer = _node_sets(ch)
-    assert np.all(np.isfinite(ch.xi(np.concatenate((inner, outer)))))
+        xs = np.concatenate((np.linspace(ch.x1, ch.x_far, 257),
+                             ch.x_tp + ch.collar * np.array([-1.0, 0.0, 1.0])))
+        assert np.all(np.isfinite(ch.xi(xs)))
 
 
 def test_chart_far_field_and_domain_error():
     ch = build_chart(HARM, 1.0, "+", x1=0.0)
     far = ch.x_far + 1.5
-    val, _ = forbidden_integral(HARM, 1.0, 1.0, far)
-    assert abs(ch.xi(far) - (1.5 * val) ** (2.0 / 3.0)) <= 1e-8
+    assert abs(ch.xi(far) - (1.5 * _harm_action(1.0, far)) ** (2.0 / 3.0)) <= 1e-8
     with pytest.raises(ChartDomainError):
         ch.xi(-0.5)
 
@@ -222,7 +259,7 @@ def test_uniform_u_at_turning_point():
 def test_uniform_u_outer_wkb_ratio():
     # deep-forbidden form 2^-1 pi^(1/2) hbar^(1/6) q^(-1/4) e^(-S/hbar)
     x = 2.0
-    s, _ = forbidden_integral(HARM, 1.0, 1.0, x)
+    s = _harm_action(1.0, x)
     q = float(HARM.value(np.array(x))) - 1.0
     ratios = []
     for hbar in (0.1, 0.05, 0.025):
@@ -257,6 +294,24 @@ def test_uniform_u_prime_finite_difference():
         fd = (chart_u(ch, hbar, x + h) - chart_u(ch, hbar, x - h)) / (2 * h)
         du = chart_u_prime(ch, hbar, x)
         assert abs(du - fd) <= 1e-6 * abs(du)
+
+
+def test_chart_u_evaluates_xi_once(monkeypatch):
+    ch = build_chart(QUART, 1.3, "+")
+    xs = np.linspace(0.2, ch.x_far + 1.0, 50)
+    want = (chart_u(ch, 0.05, xs), chart_u_prime(ch, 0.05, xs))
+    calls = []
+    xi = langer.LangerChart.xi
+
+    def counted(self, x):
+        calls.append(1)
+        return xi(self, x)
+
+    monkeypatch.setattr(langer.LangerChart, "xi", counted)
+    for f, value in zip((chart_u, chart_u_prime), want):
+        calls.clear()
+        assert np.array_equal(f(ch, 0.05, xs), value)
+        assert len(calls) == 1
 
 
 def test_uniform_u_prime_oscillatory_form():

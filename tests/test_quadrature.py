@@ -130,6 +130,7 @@ def test_turning_point_integral_harmonic_closed_form():
     exact_out = 0.5 * (outer * np.sqrt(outer**2 - 1) - np.log(outer + np.sqrt(outer**2 - 1)))
     for xs, exact in ((inner, exact_in), (outer, exact_out), (-inner, exact_in), (-outer, exact_out)):
         x_tp = 1.0 if xs[-1] > 0 else -1.0
-        got = turning_point_integral(HARM, 1.0, x_tp, xs)
+        x_end = xs[np.argmax(np.abs(xs - x_tp))]
+        got = turning_point_integral(HARM, 1.0, x_tp, x_end)(xs)
         assert np.max(np.abs(got - exact)) <= 1e-12
-    assert np.array_equal(turning_point_integral(HARM, 1.0, 1.0, [1.0, 1.0]), [0.0, 0.0])
+    assert np.array_equal(turning_point_integral(HARM, 1.0, 1.0, 2.0)([1.0, 1.0]), [0.0, 0.0])

@@ -34,11 +34,10 @@ TOL_QUAD = 1e-10  # default absolute quadrature tolerance
 
 @dataclass(frozen=True)
 class ActionProfile:
-    """Action data at one energy: Phi, Phi' and the quadrature error estimate."""
+    """Phi and Phi' at one energy, or arrays of them for an array of energies."""
 
     phi: float
     phi_prime: float
-    quadrature_error: float
 
 
 def _tp(pot: Potential, lam: float, tp: Optional[TurningPoints]) -> TurningPoints:
@@ -63,10 +62,11 @@ def phi_prime(pot: Potential, lam: float, tp: Optional[TurningPoints] = None,
 
 def phi(pot: Potential, lam: float, tp: Optional[TurningPoints] = None,
         tol: float = TOL_QUAD) -> ActionProfile:
-    """Action profile (Phi, Phi') at lam with a quadrature error estimate."""
+    """Action profile (Phi, Phi') at lam; lam may be an array (with tp the
+    turning points of every entry), giving arrays."""
     tp = _tp(pot, lam, tp)
-    (val, der), (e1, e2) = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol)
-    return ActionProfile(val, 0.5 * der, e1 + 0.5 * e2)
+    (val, der), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol)
+    return ActionProfile(val, 0.5 * der)
 
 
 def partial_action(pot: Potential, lam: float, x: float, side: str,

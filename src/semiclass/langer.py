@@ -200,7 +200,9 @@ def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = Non
         x_tp = turning.x_plus if side == "+" else turning.x_minus
     toward_well = "-" if side == "+" else "+"
     _, d1, d2 = pot.eval(x_tp, toward_well)
-    collar = 1e-3 * width  # half-width of the Taylor-model collar
+    # half-width of the Taylor-model collar: at its edge the two-term model
+    # and the action give xi to within ~3e-9 relative of each other
+    collar = 1e-4 * width
     x_far = x_tp + (width + 2.0) * (1.0 if side == "+" else -1.0)
 
     return LangerChart(

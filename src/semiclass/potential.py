@@ -222,26 +222,30 @@ class Potential:
             raise PotentialError(f"bad side selector {side!r}")
         return _one_sided_limits(self.pieces[i].branch, x, sgn)
 
-    def _vectorized(self, fn_name: str, x) -> np.ndarray:
-        """Branch-resolved vectorized evaluation; boundary points use the right piece."""
+    def _vectorized(self, fn_name: str, x, left=None) -> np.ndarray:
+        """Branch-resolved vectorized evaluation; a point on a piece boundary
+        takes the piece to its right, or the one to its left where left is
+        true (left is an array broadcast against x)."""
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
         bounds = np.array(self._boundaries())
         idx = np.searchsorted(bounds, x, side="right")
+        if left is not None:
+            idx = np.where(left, np.searchsorted(bounds, x, side="left"), idx)
         for i, piece in enumerate(self.pieces):
             m = idx == i
-            if np.any(m):
+            if m.any():
                 out[m] = getattr(piece.branch, fn_name)(x[m])
         return out
 
     def value(self, x) -> np.ndarray:
         return self._vectorized("value", x)
 
-    def deriv(self, x) -> np.ndarray:
-        return self._vectorized("deriv", x)
+    def deriv(self, x, left=None) -> np.ndarray:
+        return self._vectorized("deriv", x, left)
 
-    def deriv2(self, x) -> np.ndarray:
-        return self._vectorized("deriv2", x)
+    def deriv2(self, x, left=None) -> np.ndarray:
+        return self._vectorized("deriv2", x, left)
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +344,18 @@ def make_polynomial(coeffs, domain: str = "full_line") -> Potential:
 
 @dataclass(frozen=True)
 class TurningPoints:
+    """The two turning points x_- < x_+ and the slopes v' there: floats for
+    one energy, arrays of its shape for an array of energies."""
+
     x_minus: float
     x_plus: float
     slope_minus: float
     slope_plus: float
 
     def __post_init__(self):
-        if not self.x_minus < self.x_plus:
+        if not np.all(self.x_minus < self.x_plus):
             raise TurningPointError("turning points out of order")
-        if not (self.slope_minus < 0.0 < self.slope_plus):
+        if not np.all((self.slope_minus < 0.0) & (0.0 < self.slope_plus)):
             raise TurningPointError(
                 f"critical turning point: v'(x-)={self.slope_minus}, v'(x+)={self.slope_plus}"
             )
@@ -358,150 +365,219 @@ class TurningPoints:
         return self.x_plus - self.x_minus
 
 
-# Level sets v(x) = lam are solved branch by branch in closed form.  The
-# candidates (every branch root inside its piece, and every piece boundary)
-# cut the domain into gaps on which v - lam has no zero, so one evaluation
-# per gap gives its sign and the crossings are exactly the sign changes.
+# Level sets v(x) = lam are solved branch by branch in closed form, for a
+# whole array of energies at once.  The candidates (every branch root inside
+# its piece, and every piece boundary) cut the domain into gaps on which
+# v - lam has no zero, so one evaluation per gap gives its sign and the
+# crossings are exactly the sign changes.
 
 _GROWTH_MARGIN = 10.0  # truncation bounds sit where v reaches lam_hi + this
 
 
-def _real_roots(coeffs) -> list[float]:
-    """Real parts of all roots of a polynomial (ascending coefficients).
+def _real_roots(coeffs, c0: np.ndarray) -> np.ndarray:
+    """Real parts of all roots of the polynomial with ascending coefficients
+    coeffs, its constant term replaced by each entry of c0: one row per entry.
 
+    The roots are the eigenvalues of the rotated companion matrix, as
+    numpy.polynomial.polynomial.polyroots takes them, one matrix per row.
     Complex pairs contribute their real part as well: a spare candidate
     costs one sign evaluation, and it keeps a near-double real root from
     going missing when rounding turns it into a complex pair.
     """
     c = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
-    if len(c) < 2:
-        return []
-    return [float(r.real) for r in np.polynomial.polynomial.polyroots(c)]
+    deg = len(c) - 1
+    if deg < 1:
+        return np.empty((c0.size, 0))
+    if deg == 1:
+        return (-c0 / c[1])[:, None]
+    base = np.polynomial.polynomial.polycompanion(np.r_[0.0, c[1:]])[::-1, ::-1]
+    mats = np.repeat(base[None], c0.size, axis=0)
+    mats[:, -1, 0] = -c0 / c[-1]
+    return np.linalg.eigvals(mats).real
 
 
-def _branch_roots(branch, lam: float) -> list[float]:
-    """Solutions of branch(x) = lam on the whole real line, in closed form."""
+def _branch_roots(branch, lam: np.ndarray) -> np.ndarray:
+    """Solutions of branch(x) = lam on the whole real line, in closed form:
+    one row per energy, nan where a root does not exist."""
     if isinstance(branch, PowerBranch):
         if branch.coeff == 0.0:
-            return []
+            return np.empty((lam.size, 0))
         mu = (lam - branch.offset) / branch.coeff
-        if mu < 0.0:
-            return []
-        r = mu ** (1.0 / branch.exponent)
-        return [-r, r]
+        with np.errstate(invalid="ignore"):
+            r = np.where(mu >= 0.0, mu ** (1.0 / branch.exponent), np.nan)
+        return np.column_stack((-r, r))
     if isinstance(branch, ExpQuadBranch):
-        ratio = (lam - branch.offset) / branch.amplitude if branch.amplitude != 0.0 else 0.0
-        if not 0.0 < ratio < math.inf:
-            return []
-        return _real_roots((branch.c0 - math.log(ratio), branch.c1, branch.c2))
+        if branch.amplitude == 0.0:
+            return np.empty((lam.size, 0))
+        ratio = (lam - branch.offset) / branch.amplitude
+        ok = (0.0 < ratio) & (ratio < math.inf)
+        roots = _real_roots((0.0, branch.c1, branch.c2),
+                            branch.c0 - np.log(np.where(ok, ratio, 1.0)))
+        roots[~ok] = np.nan
+        return roots
     c = list(branch.coeffs) or [0.0]
-    c[0] -= lam
-    return _real_roots(c)
+    return _real_roots(c, c[0] - lam)
 
 
-def _gap_point(a: float, b: float) -> float:
-    """A point strictly inside the gap (a, b); either end may be infinite."""
-    if math.isinf(a) and math.isinf(b):
-        return 0.0
-    if math.isinf(a):
-        return b - max(1.0, abs(b))
-    if math.isinf(b):
-        return a + max(1.0, abs(a))
-    return 0.5 * (a + b)
+def _gap_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A point strictly inside each gap (a, b) of the rows of edges a[:, k],
+    b[:, k] = a[:, k + 1]; only a[:, 0] may be -inf and only b may be +inf.
+    A gap (-inf, inf) samples x = 0."""
+    a = a.copy()
+    a[:, 0] = np.where(a[:, 0] == -math.inf, b[:, 0] - 2.0 * np.maximum(1.0, np.abs(b[:, 0])), a[:, 0])
+    with np.errstate(invalid="ignore"):
+        b = np.where(b == math.inf, a + 2.0 * np.maximum(1.0, np.abs(a)), b)
+        s = 0.5 * (a + b)
+    return np.where(np.isnan(s), 0.0, s)
 
 
-def _polish(branch, lam: float, x: float, lo: float, hi: float, sgn: float) -> tuple[float, float]:
-    """Newton-polish a root of branch(x) = lam without leaving [lo, hi].
+def _polish(branch, lam, x, lo, hi, sgn) -> tuple[np.ndarray, np.ndarray]:
+    """Newton-polish roots of branch(x) = lam without leaving [lo, hi].
 
-    Returns the root and the slope there, taken from the side sgn (-1 from
-    below) when the root is a branch's non-smooth point.
+    Returns the roots and the slopes there, taken from the side sgn (-1
+    from below) where a root is a branch's non-smooth point.
     """
-    for _ in range(2):
-        d = float(branch.deriv(x))
-        if d == 0.0 or not math.isfinite(d):
-            break
-        nxt = x - (float(branch.value(x)) - lam) / d
-        if not lo <= nxt <= hi:
-            break
-        x = nxt
-    return x, _one_sided_limits(branch, x, sgn)[1]
+    live = np.ones(x.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(2):
+            d = branch.deriv(x)
+            nxt = x - (branch.value(x) - lam) / d
+            live &= (d != 0.0) & np.isfinite(d) & (lo <= nxt) & (nxt <= hi)
+            x = np.where(live, nxt, x)
+    slope = np.asarray(branch.deriv(x), dtype=float)
+    if isinstance(branch, PowerBranch):  # its center x = 0 takes the closed-form limits
+        limit = np.where(sgn < 0, _one_sided_limits(branch, 0.0, -1.0)[1],
+                         _one_sided_limits(branch, 0.0, 1.0)[1])
+        slope = np.where(x == 0.0, limit, slope)
+    return x, slope
 
 
-def _crossings(pot: Potential, lam: float):
-    """Points where v - lam changes sign, left to right.
+def _crossing_at(pot: Potential, lam, edges, s, f, i, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """The crossing at candidate edges[:, i + 1] between the gaps i and i + 1
+    of each row (the rows of lam): (x, slope), slope = v'(x) on the branch
+    that carries the root, or nan where v jumps across lam at a piece
+    boundary."""
+    rows = np.arange(len(lam))
+    c, sa, sb, fa, fb = edges[rows, i + 1], s[rows, i], s[rows, i + 1], f[rows, i], f[rows, i + 1]
+    left = np.searchsorted(bounds, sa, side="right")
+    right = np.searchsorted(bounds, sb, side="right")
+    with np.errstate(all="ignore"):  # a branch evaluated beyond its piece is never selected
+        f_c = np.array([p.branch.value(c) for p in pot.pieces]) - lam
+    f_left, f_right = f_c[left, rows], f_c[right, rows]
+    # c is the one candidate in (sa, sb): the root sits at c, on the branch
+    # whose value at c still differs in sign from its gap sample
+    on_left = (f_left == 0.0) | ((f_left > 0.0) != (fa > 0.0))
+    on_right = ~on_left & ((f_right == 0.0) | ((f_right > 0.0) != (fb > 0.0)))
+    idx = np.where(on_left, left, np.where(on_right, right, -1))
+    x, slope = c.copy(), np.full(c.shape, math.nan)  # idx -1: v jumps across lam at c
+    lo, hi, sgn = np.where(on_left, sa, c), np.where(on_left, c, sb), np.where(on_left, -1.0, 1.0)
+    for k, piece in enumerate(pot.pieces):
+        on = idx == k
+        if on.any():
+            x[on], slope[on] = _polish(piece.branch, lam[on], c[on], lo[on], hi[on], sgn[on])
+    return x, slope
 
-    Returns (crossings, (f_first, f_last)): each crossing is (x, slope) with
+
+def _crossings(pot: Potential, lam: np.ndarray):
+    """Points where v - lam changes sign, for each entry of the 1-d array lam.
+
+    Returns (count, first, last, (f_first, f_last)): count is the number of
+    crossings per energy, first and last are (x, slope) arrays of the first
+    and the last crossing from the left (meaningless where count is 0), with
     slope = v'(x) on the branch that carries the root, or nan where v jumps
     across lam at a piece boundary; f_first and f_last are v - lam in the
     first and last gap, so their signs hold out to the ends of the domain.
     """
     pieces = pot.pieces
     bounds = pot._boundaries()
-    cands = set(bounds)
+    m = lam.size
+    cols = [np.tile(np.array(bounds), (m, 1))]
     for p in pieces:
-        cands.update(x for x in _branch_roots(p.branch, lam) if p.lo < x < p.hi)
-    edges = [pieces[0].lo, *sorted(cands), math.inf]
-    gaps = []  # (sample x, branch, v - lam) per gap
-    for a, b in zip(edges, edges[1:]):
-        s = _gap_point(a, b)
-        branch = pieces[bisect_right(bounds, s)].branch
-        f = float(branch.value(s)) - lam
-        if f == 0.0:
-            raise TurningPointError(f"v = lam={lam} at x={s}, away from any isolated crossing")
-        gaps.append((s, branch, f))
+        r = _branch_roots(p.branch, lam)
+        with np.errstate(invalid="ignore"):
+            cols.append(np.where((p.lo < r) & (r < p.hi), r, math.inf))
+    cands = np.sort(np.concatenate(cols, axis=1), axis=1)
+    cands[:, 1:][cands[:, 1:] == cands[:, :-1]] = math.inf  # a repeated candidate counts once
+    cands.sort(axis=1)
+    edges = np.column_stack((np.full(m, pieces[0].lo), cands, np.full(m, math.inf)))
+    a, b = edges[:, :-1], edges[:, 1:]
+    valid = a < math.inf  # gaps (inf, inf) only pad the rows
+    s = _gap_points(a, b)
+    f = np.where(valid, pot.value(np.where(valid, s, s[:, :1])) - lam[:, None], math.nan)
+    hit = valid & (f == 0.0)
+    if hit.any():
+        k, g = np.argwhere(hit)[0]
+        raise TurningPointError(
+            f"v = lam={lam[k]} at x={s[k, g]}, away from any isolated crossing")
 
-    found = []
-    for c, (sa, left, fa), (sb, right, fb) in zip(edges[1:], gaps, gaps[1:]):
-        if (fa > 0.0) == (fb > 0.0):
-            continue
-        # c is the one candidate in (sa, sb): the root sits at c, on the
-        # branch whose value at c still differs in sign from its gap sample
-        f_left = float(left.value(c)) - lam
-        f_right = float(right.value(c)) - lam
-        if f_left == 0.0 or (f_left > 0.0) != (fa > 0.0):
-            found.append(_polish(left, lam, c, sa, c, -1.0))
-        elif f_right == 0.0 or (f_right > 0.0) != (fb > 0.0):
-            found.append(_polish(right, lam, c, c, sb, +1.0))
-        else:
-            found.append((c, math.nan))  # v jumps across lam at the boundary c
-    return found, (gaps[0][2], gaps[-1][2])
+    change = valid[:, 1:] & ((f[:, :-1] > 0.0) != (f[:, 1:] > 0.0))
+    count = change.sum(axis=1)
+    i_first = np.argmax(change, axis=1)
+    i_last = change.shape[1] - 1 - np.argmax(change[:, ::-1], axis=1)
+    ends = (f[:, 0], f[np.arange(m), valid.sum(axis=1) - 1])
+    some = np.flatnonzero(count > 0)
+    both = np.full((4, m), math.nan)  # x and slope of the first, then the last crossing
+    if some.size:
+        # the first and the last crossing of each row, solved as one stack of rows
+        pick = np.concatenate((some, some))
+        x, slope = _crossing_at(pot, lam[pick], edges[pick], s[pick], f[pick],
+                                np.concatenate((i_first[some], i_last[some])), bounds)
+        k = some.size
+        both[:, some] = x[:k], x[k:], slope[:k], slope[k:]
+    return count, (both[0], both[2]), (both[1], both[3]), ends
 
 
-def turning_points(pot: Potential, lam: float) -> TurningPoints:
+def _energies(lam) -> np.ndarray:
+    return np.asarray(lam, dtype=float).reshape(-1)
+
+
+def turning_points(pot: Potential, lam) -> TurningPoints:
     """Locate the two solutions of v(x) = lam and the slopes there.
 
     Each branch solves v = lam in closed form; the sign of v - lam between
     neighbouring roots and piece boundaries counts the crossings exactly,
-    and each root is Newton-polished on its own branch.
+    and each root is Newton-polished on its own branch.  lam may be an
+    array: every energy is solved at once and the fields are arrays of its
+    shape, each entry the one a call with that energy alone returns.
     """
     if pot.domain != "full_line":
         raise PotentialError("turning_points expects a full-line potential")
-    found, _ = _crossings(pot, lam)
-    if len(found) != 2:
+    lams = _energies(lam)
+    count, (x_minus, slope_minus), (x_plus, slope_plus), _ = _crossings(pot, lams)
+    bad = count != 2
+    if np.any(bad):
+        k = int(np.argmax(bad))
         raise TurningPointError(
-            f"expected exactly 2 crossings of v(x)={lam}, found {len(found)}"
+            f"expected exactly 2 crossings of v(x)={lams[k]}, found {count[k]}"
         )
-    for x, slope in found:
-        if math.isnan(slope):
-            raise TurningPointError(f"v jumps across lam={lam} at x={x}")
-    (x_minus, slope_minus), (x_plus, slope_plus) = found
-    return TurningPoints(x_minus, x_plus, slope_minus, slope_plus)
+    for x, slope in ((x_minus, slope_minus), (x_plus, slope_plus)):
+        jump = np.isnan(slope)
+        if np.any(jump):
+            k = int(np.argmax(jump))
+            raise TurningPointError(f"v jumps across lam={lams[k]} at x={x[k]}")
+    fields = (x_minus, x_plus, slope_minus, slope_plus)
+    if np.ndim(lam) == 0:
+        return TurningPoints(*(float(v[0]) for v in fields))
+    return TurningPoints(*(v.reshape(np.shape(lam)) for v in fields))
 
 
-def halfline_turning_point(pot: Potential, lam: float) -> tuple[float, float]:
-    """Single right turning point of a half-line well (0, x_plus)."""
+def halfline_turning_point(pot: Potential, lam):
+    """Single right turning point of a half-line well (0, x_plus) and the
+    slope there; arrays of its shape for an array lam."""
     if pot.domain != "half_line":
         raise PotentialError("halfline_turning_point expects a half-line potential")
+    lams = _energies(lam)
     v0 = float(pot.pieces[0].branch.value(0.0))
-    if not v0 < lam:
-        raise TurningPointError(f"v(0)={v0} is not below lam={lam}")
-    found, _ = _crossings(pot, lam)
-    if len(found) != 1:
-        raise TurningPointError(f"expected exactly 1 crossing, found {len(found)}")
-    x_plus, slope = found[0]
-    if not slope > 0.0:
-        raise TurningPointError(f"critical turning point: v'(x+)={slope}")
-    return x_plus, slope
+    if not np.all(v0 < lams):
+        raise TurningPointError(f"v(0)={v0} is not below lam={lams[np.argmin(v0 < lams)]}")
+    count, (x_plus, slope), _, _ = _crossings(pot, lams)
+    if np.any(count != 1):
+        raise TurningPointError(f"expected exactly 1 crossing, found {count[np.argmax(count != 1)]}")
+    if not np.all(slope > 0.0):
+        raise TurningPointError(f"critical turning point: v'(x+)={slope[np.argmin(slope > 0.0)]}")
+    if np.ndim(lam) == 0:
+        return float(x_plus[0]), float(slope[0])
+    return x_plus.reshape(np.shape(lam)), slope.reshape(np.shape(lam))
 
 
 @dataclass(frozen=True)
@@ -608,15 +684,15 @@ def _truncation_bounds(pot: Potential, lam_hi: float) -> tuple[float, float]:
     beyond them (the 'infinity' proxy)."""
     target = lam_hi + _GROWTH_MARGIN
     try:
-        found, (f_first, f_last) = _crossings(pot, target)
+        count, (x_first, _), (x_last, _), (f_first, f_last) = _crossings(pot, np.array([target]))
     except TurningPointError as exc:
         raise CertificationError("growth", str(exc)) from exc
-    if not f_last > 0.0 or (pot.domain == "full_line" and not f_first > 0.0):
+    if not f_last[0] > 0.0 or (pot.domain == "full_line" and not f_first[0] > 0.0):
         raise CertificationError("growth", f"v does not stay above {target} toward infinity")
-    if not found:
+    if not count[0]:
         raise CertificationError("well-geometry", f"v > {target} everywhere: no well")
-    lo = 0.0 if pot.domain == "half_line" else found[0][0]
-    return lo, found[-1][0]
+    lo = 0.0 if pot.domain == "half_line" else float(x_first[0])
+    return lo, float(x_last[0])
 
 
 def certify_well(pot: Potential, lam_lo: float, lam_hi: float) -> WellCertificate:

@@ -8,6 +8,12 @@ converges geometrically; the difference between the last two refinement
 levels is the reported error estimate.  Interior singular points and piece
 boundaries of the potential split the integration range.
 
+well_integral takes arrays of lam, lo and hi, so one call serves every
+energy of a level solve: each refinement level is one array of nodes over
+(interval, segment, node) per block of intervals, every segment converges
+and freezes on its own, and an interval's result is the one a call with it
+alone returns.  A scalar call is the batch of one.
+
 turning_point_integral gives the action A(x) = int |lam - v|^(1/2) from a
 turning point to x, the quantity a Langer chart is built on, as a function
 on a whole range: the same t substitution, but one Chebyshev interpolant of
@@ -33,6 +39,8 @@ __all__ = ["QuadratureError", "gl_adaptive", "well_integral", "turning_point_int
 
 _CUMSUM_DEG0 = 16  # first degree of the Chebyshev fits in _cheb_cumsum
 _CUMSUM_DEG_MAX = 1024
+_BLOCK_SEGMENTS = 128  # segments per gl_adaptive block in well_integral
+_T_CROSS = 1.5e-3  # below this t, r(t) comes from the Taylor model of _taylor
 
 
 class QuadratureError(RuntimeError):
@@ -44,72 +52,90 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def gl_adaptive(f, a: float, b: float, tol: float, n0: int = 16, n_max: int = 4096):
-    """Integrate the components of a vectorized callable on [a, b].
+def gl_adaptive(f, a, b, tol, n0: int = 16, n_max: int = 4096):
+    """Integrate the components of a vectorized callable on [a, b], for
+    every entry of the arrays a, b at once.
 
-    f(x) returns a tuple of integrand arrays on the nodes x.  The order
-    doubles until two consecutive levels of a component agree to tol
-    (absolute); that component is then frozen while the others refine, so
-    each value is the one a call for that component alone returns.
-    Returns (values, errors), one entry per component.
+    f(x) takes the Gauss-Legendre nodes of every entry, an array of shape
+    a.shape + (n,), and returns a tuple of integrand arrays of that shape.
+    The order doubles for all entries together.  An entry of a component
+    is frozen once two consecutive levels agree to its tol (absolute; tol
+    broadcasts against a) while the others refine, so each value is the
+    one a call for that entry and component alone returns.  Returns
+    (values, errors), one array per component; floats for scalar a and b.
     """
+    a, b, tol = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, tol)))
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     vals = errs = None
     n = n0
     while n <= n_max:
         xg, wg = _leggauss(n)
-        ys = f(mid + half * xg)
+        ys = f(mid[..., None] + half[..., None] * xg)
+        level = half * np.stack([np.sum(wg * y, axis=-1) for y in ys])  # (component, entry)
         if vals is None:
-            vals = [half * float(np.dot(wg, y)) for y in ys]
-            errs = [None] * len(vals)
+            vals, errs = level, np.full(level.shape, np.nan)  # nan: not converged yet
         else:
-            for k, y in enumerate(ys):
-                if errs[k] is None:
-                    val = half * float(np.dot(wg, y))
-                    if abs(val - vals[k]) <= tol:
-                        errs[k] = abs(val - vals[k])
-                    vals[k] = val
-            if None not in errs:
+            live = np.isnan(errs)
+            diff = np.abs(level - vals)
+            errs = np.where(live & (diff <= tol), diff, errs)
+            vals = np.where(live, level, vals)
+            if not np.isnan(errs).any():
+                if half.ndim == 0:
+                    return tuple(map(float, vals)), tuple(map(float, errs))
                 return tuple(vals), tuple(errs)
         n *= 2
-    raise QuadratureError(f"no convergence to tol={tol} by n={n_max} nodes on [{a}, {b}]")
+    raise QuadratureError(f"no convergence to tol={tol.min()} by n={n_max} nodes "
+                          f"on some of [{a.ravel()}, {b.ravel()}]")
 
 
-def _segments(pot: Potential, lo: float, hi: float, extra_breaks=()):
-    """Split [lo, hi] at interior piece boundaries and caller breakpoints."""
-    cuts = {float(b) for b in extra_breaks if lo < b < hi}
-    for p in pot.pieces[:-1]:
-        if lo < p.hi < hi:
-            cuts.add(p.hi)
-    pts = [lo] + sorted(cuts) + [hi]
-    return [(a, b) for a, b in zip(pts[:-1], pts[1:]) if a < b]
+def _segment_ends(pot: Potential, lo: np.ndarray, hi: np.ndarray, extra=()) -> np.ndarray:
+    """Ends of the segments of each [lo, hi] split at its interior piece
+    boundaries and at the breaks extra (each broadcast against lo): one row
+    [lo, cuts ascending, hi] per interval, padded with hi so that every row
+    has the same length."""
+    cols = [np.broadcast_to(np.asarray(c, dtype=float), lo.shape)
+            for c in (*pot._boundaries(), *extra)]
+    cuts = np.stack(cols, axis=-1) if cols else np.empty(lo.shape + (0,))
+    cuts = np.sort(np.where((lo[..., None] < cuts) & (cuts < hi[..., None]), cuts, math.inf), axis=-1)
+    cuts[..., 1:][cuts[..., 1:] == cuts[..., :-1]] = math.inf  # a repeated break splits once
+    cuts = np.minimum(np.sort(cuts, axis=-1), hi[..., None])
+    return np.concatenate((lo[..., None], cuts, hi[..., None]), axis=-1)
 
 
-def _sqrt_ratio(pot: Potential, lam: float, x0: float, inward: float, side: str):
-    """Stable evaluator of r(t) = |lam - v(x0 + inward*t^2)| / t^2.
+def _segments(pot: Potential, lo: float, hi: float, extra=()) -> list:
+    """[lo, hi] split at its interior piece boundaries and at the breaks
+    extra, as (a, b) pairs."""
+    pts = _segment_ends(pot, np.asarray(float(lo)), np.asarray(float(hi)), extra)
+    return [(float(a), float(b)) for a, b in zip(pts[:-1], pts[1:]) if a < b]
 
-    x0 is a point with v(x0) = lam; inward is +-1.  Below the crossover the
-    one-sided Taylor model r = |v'| - inward*sign(v')*(v''/2) t^2 is used.
+
+def _taylor(pot: Potential, x0, inward):
+    """Coefficients (c0, c2) of the one-sided model r = c0 - c2 t^2 of
+    r(t) = |lam - v(x0 + inward t^2)| / t^2 at a point x0 with v(x0) = lam.
+
+    inward is +-1 (an array broadcast against x0), and v', v'' are the
+    limits from that side: r = |v'| - eps (v''/2) t^2, where eps = +1 when
+    moving into the well from a turning point and -1 when moving out.
     """
-    _, d1, d2 = pot.eval(x0, side)
-    slope = abs(d1)
-    # r(t) = |v'| - eps*(v''/2) t^2 where eps = +1 when moving into the well
-    # from a turning point, -1 when moving out (see module docstring).
-    curv_sign = 1.0 if inward * d1 < 0 else -1.0
-    t_c = 1.5e-3
-
-    def ratio(t):
-        x = x0 + inward * t * t
-        with np.errstate(divide="ignore", invalid="ignore"):
-            direct = np.abs(lam - pot.value(x)) / (t * t)
-        model = slope - curv_sign * 0.5 * d2 * t * t
-        return np.where(t < t_c, model, direct)
-
-    return ratio
+    left = np.asarray(inward) < 0
+    d1 = pot.deriv(x0, left)
+    d2 = pot.deriv2(x0, left)
+    return np.abs(d1), np.where(inward * d1 < 0, 1.0, -1.0) * 0.5 * d2
 
 
-def well_integral(pot: Potential, lam: float, lo: float, hi: float,
+def _ratio(g, t, c0, c2):
+    """r(t) = |g| / t^2 with g = lam - v(x0 + inward t^2), taken from the
+    model c0 - c2 t^2 of _taylor below the crossover t = _T_CROSS."""
+    t2 = t * t
+    r = np.abs(g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r /= t2
+    np.copyto(r, c0 - c2 * t2, where=t < _T_CROSS)
+    return r
+
+
+def well_integral(pot: Potential, lam, lo, hi,
                   sqrt_lo: bool = False, sqrt_hi: bool = False, tol: float = 1e-10,
                   weight=None, weight_breaks=()):
     """Integrals of w(x) (lam - v(x))^(+1/2) and w(x) (lam - v(x))^(-1/2)
@@ -119,46 +145,77 @@ def well_integral(pot: Potential, lam: float, lo: float, hi: float,
     point (lam - v vanishes linearly there); the touching segment then uses
     the x = endpoint -+ t^2 substitution.  Each integral is converged to tol
     on its own.  Returns ((up, down), (up_error, down_error)).
+
+    lam, lo and hi may be arrays; they broadcast, and the results are
+    arrays of their shape.  The intervals are integrated together, in
+    blocks of whole intervals with at most _BLOCK_SEGMENTS segments (which
+    bounds the size of the node arrays): one gl_adaptive call per block,
+    each segment frozen once it converges, so an interval's values are the
+    ones a call with it alone returns.
     """
-    if hi < lo:
+    lam, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (lam, lo, hi)))
+    shape = lam.shape
+    lam, lo, hi = (v.reshape(-1) for v in (lam, lo, hi))
+    if np.any(hi < lo):
         raise ValueError("hi < lo in well_integral")
 
-    def wfac(x):
-        return np.asarray(weight(x), dtype=float) if weight is not None else 1.0
-
-    breaks = set(weight_breaks)
+    extra = [float(b) for b in weight_breaks]
     if sqrt_lo and sqrt_hi:
-        breaks.add(0.5 * (lo + hi))  # never desingularize both ends of one segment
-    segs = _segments(pot, lo, hi, breaks)
+        extra.append(0.5 * (lo + hi))  # never desingularize both ends of one segment
+    pts = _segment_ends(pot, lo, hi, extra)
+    a, b = pts[:, :-1], pts[:, 1:]
+    lo_, hi_ = lo[:, None], hi[:, None]
+    filled = a < b
+    at_hi = sqrt_hi & (b == hi_)
+    at_lo = sqrt_lo & (a == lo_) & ~at_hi
+    sub = at_hi | at_lo
+    # substituted segments are integrated in t = |x - x0|^(1/2) from 0, the rest in x
+    t_a = np.where(sub, 0.0, a)
+    t_b = np.where(at_hi, np.sqrt(hi_ - a), np.where(at_lo, np.sqrt(b - lo_), b))
+    x0 = np.where(at_hi, hi_, lo_)
+    inward = np.where(at_hi, -1.0, 1.0)
+    c0, c2 = _taylor(pot, x0, inward)
+    tol_seg = tol / np.maximum(np.sum(filled, axis=1, keepdims=True), 1)
 
-    def plain(x):
-        g = lam - pot.value(x)
-        w = wfac(x)
-        return g**0.5 * w, g**-0.5 * w
-
-    def substituted(x0, inward, side):
-        ratio = _sqrt_ratio(pot, lam, x0, inward, side)
+    def integrand(rows):
+        lam_, x0_, inward_, c0_, c2_, sub_, filled_ = (
+            v[rows][..., None] for v in (lam[:, None], x0, inward, c0, c2, sub, filled))
+        plain_, scale_ = ~sub_, np.where(sub_, 2.0, 1.0)
+        empty_ = ~filled_ if not filled_.all() else None
 
         def f(t):
-            r = ratio(t)
-            w = wfac(x0 + inward * t * t)
-            return 2.0 * t ** 2.0 * r ** 0.5 * w, 2.0 * r ** -0.5 * w
+            # in t: (2 t^2 r^(1/2), 2 r^(-1/2)); in x: ((lam - v)^(1/2), (lam - v)^(-1/2))
+            x = np.where(sub_, x0_ + inward_ * t * t, t)
+            w = None if weight is None else np.asarray(weight(x), dtype=float)
+            g = lam_ - pot.value(x)
+            del x  # node arrays are large: free each as soon as it is used
+            with np.errstate(divide="ignore", invalid="ignore"):
+                root = _ratio(g, t, c0_, c2_)
+                np.copyto(root, g, where=plain_)
+                del g
+                np.sqrt(root, out=root)
+                up = np.where(sub_, t * t, 1.0)
+                up *= scale_
+                up *= root
+                down = np.divide(scale_, root, out=root)
+            for y in (up, down):
+                if w is not None:
+                    y *= w
+                if empty_ is not None:
+                    np.copyto(y, 0.0, where=empty_)
+            return up, down
 
         return f
 
-    up = down = up_err = down_err = 0.0
-    for a, b in segs:
-        f = plain
-        if sqrt_hi and b == hi:
-            f, a, b = substituted(hi, -1.0, "-"), 0.0, np.sqrt(hi - a)
-        elif sqrt_lo and a == lo:
-            f, a, b = substituted(lo, +1.0, "+"), 0.0, np.sqrt(b - lo)
-        (u, d), (eu, ed) = gl_adaptive(f, a, b, tol / len(segs))
-        up += u
-        down += d
-        up_err += eu
-        down_err += ed
-    return (up, down), (up_err, down_err)
+    # blocks of whole intervals bound the size of the node arrays
+    step = max(1, _BLOCK_SEGMENTS // a.shape[1])
+    blocks = [slice(k, k + step) for k in range(0, len(lam), step)] or [slice(0, 0)]
+    parts = [gl_adaptive(integrand(rows), t_a[rows], t_b[rows], tol_seg[rows]) for rows in blocks]
+    out = [np.concatenate([np.sum(part[i][k], axis=1) for part in parts]).reshape(shape)
+           for i, k in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    if not shape:
+        out = [float(v) for v in out]
+    return (out[0], out[1]), (out[2], out[3])
 
 
 def _cheb_cumsum(f, lo: float, hi: float, start: float, tol: float) -> np.polynomial.Chebyshev:
@@ -193,7 +250,7 @@ def turning_point_integral(pot: Potential, lam: float, x_tp: float, x_end: float
     outside it; A(x_tp) = 0 and A >= 0 up to rounding.  The range is split
     at the interior piece boundaries of v.  The segment touching x_tp is
     integrated in t = |x - x_tp|^(1/2), where the integrand 2 t^2 r(t)^(1/2)
-    of _sqrt_ratio is smooth, and each later one in x, starting from the
+    of well_integral is smooth, and each later one in x, starting from the
     running total.  Each segment keeps one cumulative Chebyshev integral
     (_cheb_cumsum), converged to tol / (number of segments) on points that
     depend on the segment alone, so A(x) depends on x alone, not on the
@@ -206,9 +263,11 @@ def turning_point_integral(pot: Potential, lam: float, x_tp: float, x_end: float
     tol_seg = tol / len(segs)
     bounds = [abs(far - x_tp) for _, far in segs[:-1]]
 
-    ratio = _sqrt_ratio(pot, lam, x_tp, outward, "+" if outward > 0 else "-")
+    c0, c2 = _taylor(pot, x_tp, outward)
     t_end = math.sqrt(abs(segs[0][1] - x_tp))
-    first = _cheb_cumsum(lambda t: 2.0 * t * t * np.sqrt(ratio(t)), 0.0, t_end, 0.0, tol_seg)
+    first = _cheb_cumsum(
+        lambda t: 2.0 * t * t * np.sqrt(_ratio(lam - pot.value(x_tp + outward * t * t), t, c0, c2)),
+        0.0, t_end, 0.0, tol_seg)
     a0 = first(0.0)  # the series rounds to ~1e-16 at t = 0; A(x_tp) is exactly 0
 
     def plain(xx):

@@ -2,8 +2,11 @@
 generalized condition for a jump inside the well, and half-line problems.
 
 Every kind is one action condition G(lam) = pi (n + mu) hbar, with the Maslov
-offset mu from MASLOV_OFFSETS and (G, G') from quantization_condition, solved
-for each n by the same safeguarded Newton iteration on a bracket.
+offset mu from MASLOV_OFFSETS and (G, G') from quantization_condition.  All
+n of a window are solved together by one safeguarded Newton iteration
+(_action_levels): G and G' are array-valued in lam, so each sweep is one
+evaluation for every unfinished level, and each n keeps its own sign-change
+bracket, taken from a sample of G across the window.
 
 Smooth case: G = Phi, mu = 1/2; Phi' > 0 gives exactly one root per n.
 
@@ -26,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .action import TOL_QUAD, phi, phi_value
 from .potential import (
@@ -59,6 +64,8 @@ __all__ = [
 # neighbouring double the solver stops on may differ between numpy/BLAS builds.
 LAMBDA_TOL = 1e-12  # relative root tolerance in lam
 _ROOT_QUAD_TOL = 1e-12  # absolute quadrature tolerance on G while root solving
+_NEWTON_STEPS = 80  # evaluations of G per level before the solve gives up
+_SAMPLE_POINTS = 33  # energies, window ends included, in the sample of G that starts the solve
 
 # Maslov offset mu of the condition G(lam) = pi (n + mu) hbar, per level kind
 MASLOV_OFFSETS = {
@@ -86,8 +93,11 @@ class SemiclassicalLevel:
     problems, which carry a single solution).
 
     lam is the root of the quantization condition to about LAMBDA_TOL
-    relative plus _ROOT_QUAD_TOL / G' absolute.  Its last bits are rounding
-    noise and may differ between numpy/BLAS builds; on one build they repeat.
+    relative plus _ROOT_QUAD_TOL / G' absolute, so residual is at most
+    |G'| LAMBDA_TOL max(1, |lam|) + _ROOT_QUAD_TOL; it is the defect that
+    quantization_condition at tol _ROOT_QUAD_TOL gives at lam.  The last
+    bits of lam are rounding noise and may differ between numpy/BLAS builds;
+    on one build they repeat.
     """
 
     n: int
@@ -109,74 +119,121 @@ class CountResult:
     phase_volume: float  # measure of {a1 <= p^2 + v <= a2}, i.e. 2 dPhi
 
 
-def _solve_action_root(profile, target: float, lo: float, hi: float,
-                       g_lo: float, g_hi: float) -> tuple[float, float, float]:
-    """Solve G(lam) = target on [lo, hi] with g_lo <= target <= g_hi.
+def _brackets(lam, g, g_prime, targets):
+    """Per-target sign-change brackets and Newton starts from a sample of G.
 
-    profile(lam) returns (G, G'); g_lo and g_hi are G(lo) and G(hi).  Newton
-    iterations with the analytic derivative, safeguarded by the shrinking
-    sign-change bracket (bisection where the step leaves it or the
-    derivative is not positive); returns (root, G(root), |G(root) - target|).
+    lam is an ascending sample of energies with G = g, G' = g_prime there,
+    g[0] < every target < g[-1].  Each target takes the first sample
+    interval whose right end reaches it, [lam_j, lam_j+1] with
+    g_j < target <= g_j+1: its lowest up-crossing, the one a solve from
+    the left meets first.  The start inverts the cubic Hermite interpolant
+    of lam as a function of G on that interval, or the chord where G' <= 0
+    at an end; a start off the open interval falls back to the chord.
     """
-    f_lo = g_lo - target
-    f_hi = g_hi - target
-    if f_lo > 0.0 or f_hi < 0.0:
-        raise QuantizeError(f"target {target} not bracketed by [{lo}, {hi}]")
-    a, b = lo, hi
-    lam = a + (b - a) * (-f_lo) / (f_hi - f_lo)  # secant start
-    val, der = profile(lam)
-    f = val - target
-    for _ in range(80):
-        if abs(f) == 0.0:
-            break
-        if f > 0.0:
-            b = lam
-        else:
-            a = lam
-        nxt = lam - f / der if der > 0.0 else 0.5 * (a + b)
-        if not a < nxt < b:
-            nxt = 0.5 * (a + b)
-        if abs(nxt - lam) <= LAMBDA_TOL * max(1.0, abs(lam)):
-            lam = nxt
-            val, _ = profile(lam)
-            f = val - target
-            break
-        lam = nxt
-        val, der = profile(lam)
-        f = val - target
-    return lam, val, abs(f)
+    j = np.argmax(g[1:] >= targets[:, None], axis=1)
+    lo, hi = lam[j], lam[j + 1]
+    g_lo, g_hi = g[j], g[j + 1]
+    u = (targets - g_lo) / (g_hi - g_lo)
+    chord = lo + (hi - lo) * u
+    d_lo, d_hi = g_prime[j], g_prime[j + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        span = g_hi - g_lo
+        hermite = ((2 * u**3 - 3 * u**2 + 1) * lo + (u**3 - 2 * u**2 + u) * span / d_lo
+                   + (3 * u**2 - 2 * u**3) * hi + (u**3 - u**2) * span / d_hi)
+    start = np.where((d_lo > 0) & (d_hi > 0) & (lo < hermite) & (hermite < hi), hermite, chord)
+    return lo, hi, start
 
 
 def _action_levels(pot: Potential, window: tuple[float, float], hbar: float, kind: str,
-                   cert: WellCertificate | HalfLineCertificate, magnitude=None,
+                   cert: WellCertificate | HalfLineCertificate,
                    robin_b: Optional[float] = None) -> list[SemiclassicalLevel]:
     """Every level of one kind in the window: for each n with
     pi (n + mu) hbar strictly between G(a1) and G(a2), the root of
-    G(lam) = pi (n + mu) hbar, mu = MASLOV_OFFSETS[kind], solved left to
-    right (G from quantization_condition).  magnitude(lam) is |amplitude_a|
-    (no amplitude when None)."""
-    profile = lambda lam: quantization_condition(pot, lam, kind, hbar, cert, _ROOT_QUAD_TOL)
+    G(lam) = pi (n + mu) hbar, mu = MASLOV_OFFSETS[kind].
+
+    All n are solved at once: each evaluation of (G, G') (_condition) takes
+    the array of every unfinished level.  A sample of G across the window
+    gives each n a sign-change bracket and a start (_brackets); then each
+    level takes Newton steps with the analytic derivative, safeguarded by
+    its shrinking bracket (bisection where a step leaves it or G' <= 0),
+    until a step is below LAMBDA_TOL relative, and G is evaluated once more
+    at the last iterate, which is returned with |G - target| and, for the
+    jump kind, a from that same evaluation.  A level still open after
+    _NEWTON_STEPS evaluations raises QuantizeError.
+    """
+    cond = lambda lam: _condition(pot, lam, kind, hbar, cert, _ROOT_QUAD_TOL)
     a1, a2 = window
-    (g1, _), (g2, _) = profile(a1), profile(a2)
     mu = MASLOV_OFFSETS[kind]
+    sample = np.linspace(a1, a2, _SAMPLE_POINTS)
+    g_s, gp_s, _ = cond(sample)
+    g1, g2 = float(g_s[0]), float(g_s[-1])
     n_lo = math.ceil(g1 / (math.pi * hbar) - mu)
     n_hi = math.floor(g2 / (math.pi * hbar) - mu)
+    ns = np.arange(max(n_lo, 0), n_hi + 1)
+    targets = math.pi * (ns + mu) * hbar
+    keep = (g1 < targets) & (targets < g2)
+    ns, targets = ns[keep], targets[keep]
+    if not ns.size:
+        return []
+
+    lo, hi, lam = _brackets(sample, g_s, gp_s, targets)
+    g, der, a_sq = cond(lam)
+    f = g - targets
+    resid = np.zeros(ns.shape)
+    final = np.zeros(ns.shape, dtype=bool)  # lam is the last iterate, and f was taken there
+    for step in range(_NEWTON_STEPS + 1):
+        done = final | (f == 0.0)
+        resid[done] = np.abs(f[done])
+        todo = np.flatnonzero(~done)
+        if not todo.size:
+            break
+        if step == _NEWTON_STEPS:
+            raise QuantizeError(f"level n={int(ns[todo[0]])} not converged to LAMBDA_TOL="
+                                f"{LAMBDA_TOL} in {_NEWTON_STEPS} steps")
+        x, fx, dx, a, b = lam[todo], f[todo], der[todo], lo[todo], hi[todo]
+        b = np.where(fx > 0.0, x, b)
+        a = np.where(fx > 0.0, a, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = np.where(dx > 0.0, x - fx / dx, 0.5 * (a + b))
+        nxt = np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b))
+        final[todo] = np.abs(nxt - x) <= LAMBDA_TOL * np.maximum(1.0, np.abs(x))
+        lam[todo], lo[todo], hi[todo] = nxt, a, b
+        g_t, der[todo], a_t = cond(nxt)
+        f[todo] = g_t - targets[todo]
+        if a_sq is not None:
+            a_sq[todo] = a_t
+
     out = []
-    lo, g_lo = a1, g1
-    for n in range(max(n_lo, 0), n_hi + 1):
-        target = math.pi * (n + mu) * hbar
-        if not g1 < target < g2:
-            continue
-        lam, g_lo, resid = _solve_action_root(profile, target, lo, a2, g_lo, g2)
-        lam = float(lam)
-        amp = None if magnitude is None else (-1.0) ** (n % 2) * float(magnitude(lam))
-        out.append(SemiclassicalLevel(n=n, hbar=hbar, lam=lam, residual=float(resid),
+    for k, n in enumerate(ns.tolist()):
+        amp = None
+        if kind == "smooth":
+            amp = (-1.0) ** (n % 2)
+        elif kind == "discontinuous":
+            amp = (-1.0) ** (n % 2) * math.sqrt(float(a_sq[k]))
+        out.append(SemiclassicalLevel(n=n, hbar=hbar, lam=float(lam[k]), residual=float(resid[k]),
                                       kind=kind, amplitude_a=amp, robin_b=robin_b))
-        lo = lam  # the next target lies above this one: so does its root
     return out
 
 
-def quantization_condition(pot: Potential, lam: float, kind: str, hbar: float,
+def _condition(pot: Potential, lam, kind: str, hbar: float,
+               cert: WellCertificate | HalfLineCertificate, tol: float):
+    """(G, G', a^2) at lam, a float or an array, for a level kind; a^2 is the
+    jump amplitude of jump_action for the discontinuous kind, None for the
+    others (see quantization_condition)."""
+    if kind == "smooth":
+        prof = phi(pot, lam, cert.turning_map(lam), tol)
+        return prof.phi, prof.phi_prime, None
+    if kind == "discontinuous":
+        ja = jump_action(pot, lam, hbar, disc_point(cert), tol)
+        return ja.g, ja.g_prime, ja.a_squared
+    if kind not in MASLOV_OFFSETS:
+        raise QuantizeError(f"unknown level kind {kind!r}")
+    x_plus, _ = cert.turning_map(lam)
+    (val, der), _ = well_integral(pot, lam, 0.0, x_plus, False, True, tol)
+    return val, 0.5 * der, None
+
+
+def quantization_condition(pot: Potential, lam, kind: str, hbar: float,
                            cert: WellCertificate | HalfLineCertificate,
                            tol: float = TOL_QUAD) -> tuple[float, float]:
     """(G, G') at lam for the condition G = pi (n + mu) hbar of a level kind.
@@ -184,19 +241,10 @@ def quantization_condition(pot: Potential, lam: float, kind: str, hbar: float,
     G is Phi (smooth), the phase-corrected action of jump_action at
     disc_point(cert) (discontinuous) or the half-line action
     int_0^{x+} (lam - v)^(1/2) (half-line kinds), with the turning points
-    from cert.turning_map.
+    from cert.turning_map.  lam may be an array, giving arrays.
     """
-    if kind == "smooth":
-        prof = phi(pot, lam, cert.turning_map(lam), tol)
-        return prof.phi, prof.phi_prime
-    if kind == "discontinuous":
-        ja = jump_action(pot, lam, hbar, disc_point(cert), tol)
-        return ja.g, ja.g_prime
-    if kind not in MASLOV_OFFSETS:
-        raise QuantizeError(f"unknown level kind {kind!r}")
-    x_plus, _ = cert.turning_map(lam)
-    (val, der), _ = well_integral(pot, lam, 0.0, x_plus, False, True, tol)
-    return val, 0.5 * der
+    g, g_prime, _ = _condition(pot, lam, kind, hbar, cert, tol)
+    return g, g_prime
 
 
 def bs_levels(pot: Potential, window: tuple[float, float], hbar: float,
@@ -211,7 +259,7 @@ def bs_levels(pot: Potential, window: tuple[float, float], hbar: float,
     cert = cert or certify_well(pot, *window)
     if cert.interior_jump is not None:
         raise QuantizeError("potential jumps inside the well; use disc_levels")
-    return _action_levels(pot, window, hbar, "smooth", cert, magnitude=lambda lam: 1.0)
+    return _action_levels(pot, window, hbar, "smooth", cert)
 
 
 def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
@@ -252,12 +300,14 @@ def disc_point(cert: WellCertificate) -> float:
     return cert.interior_singularities[0].x
 
 
-def _jump_factor(pot: Potential, x0: float, lam: float) -> tuple[float, float]:
+def _jump_factor(pot: Potential, x0: float, lam):
     """p = ((lam - v(x0-0)) / (lam - v(x0+0)))^(1/4) and (ln p)'(lam)."""
     gap_m = lam - pot.eval(x0, "-")[0]
     gap_p = lam - pot.eval(x0, "+")[0]
-    if gap_m <= 0.0 or gap_p <= 0.0:
-        raise QuantizeError(f"lam={lam} does not exceed both one-sided limits of v at {x0}")
+    below = np.atleast_1d((gap_m <= 0.0) | (gap_p <= 0.0))
+    if below.any():
+        bad = np.atleast_1d(lam)[np.argmax(below)]
+        raise QuantizeError(f"lam={bad} does not exceed both one-sided limits of v at {x0}")
     return (gap_m / gap_p) ** 0.25, 0.25 * (1.0 / gap_m - 1.0 / gap_p)
 
 
@@ -272,7 +322,7 @@ class JumpAction:
     i_minus: float  # int_{x-}^{x0} (lam-v)^(-1/2)
 
 
-def jump_action(pot: Potential, lam: float, hbar: float, x0: float,
+def jump_action(pot: Potential, lam, hbar: float, x0: float,
                 tol: float = TOL_QUAD) -> JumpAction:
     """Phase-corrected action G whose level sets pi (n + 1/2) hbar are the
     roots of F = p sin(theta+) cos(theta-) + p^-1 cos(theta+) sin(theta-).
@@ -285,21 +335,26 @@ def jump_action(pot: Potential, lam: float, hbar: float, x0: float,
     there a = sin(theta-) / (p sin(theta+)) has the sign (-1)^n.
     G' = (1/2)(I+ + I-/a^2) - hbar sin(2 theta-) (ln p)' / a^2, where I_pm
     integrate (lam-v)^(-1/2) on each side of x0.
+
+    lam may be an array, giving arrays.  A float is computed as an array of
+    one, so that it takes the same numpy kernels as an entry of an array.
     """
-    p, dlnp = _jump_factor(pot, x0, lam)
-    tp = turning_points(pot, lam)
-    (phi_plus, i_plus), _ = well_integral(pot, lam, x0, tp.x_plus, False, True, tol)
-    (phi_minus, i_minus), _ = well_integral(pot, lam, tp.x_minus, x0, True, False, tol)
+    lams = np.asarray(lam, dtype=float).reshape(-1)
+    p, dlnp = _jump_factor(pot, x0, lams)
+    tp = turning_points(pot, lams)
+    (phi_plus, i_plus), _ = well_integral(pot, lams, x0, tp.x_plus, False, True, tol)
+    (phi_minus, i_minus), _ = well_integral(pot, lams, tp.x_minus, x0, True, False, tol)
     th_m = phi_minus / hbar + 0.25 * math.pi
-    c, s = math.cos(th_m), math.sin(th_m)
+    c, s = np.cos(th_m), np.sin(th_m)
     p2 = p * p
     a2 = p2 * c * c + s * s / p2
-    delta = math.atan((1.0 - p2) * s * c / (p2 * c * c + s * s))
-    return JumpAction(
-        g=phi_plus + phi_minus + hbar * delta,
-        g_prime=0.5 * (i_plus + i_minus / a2) - hbar * math.sin(2.0 * th_m) * dlnp / a2,
-        a_squared=a2, i_plus=i_plus, i_minus=i_minus,
-    )
+    delta = np.arctan((1.0 - p2) * s * c / (p2 * c * c + s * s))
+    fields = (phi_plus + phi_minus + hbar * delta,
+              0.5 * (i_plus + i_minus / a2) - hbar * np.sin(2.0 * th_m) * dlnp / a2,
+              a2, i_plus, i_minus)
+    if np.ndim(lam) == 0:
+        return JumpAction(*(float(v[0]) for v in fields))
+    return JumpAction(*(v.reshape(np.shape(lam)) for v in fields))
 
 
 def disc_levels(pot: Potential, window: tuple[float, float], hbar: float,
@@ -310,10 +365,7 @@ def disc_levels(pot: Potential, window: tuple[float, float], hbar: float,
     if hbar <= 0.0:
         raise QuantizeError("hbar must be positive")
     cert = cert or certify_well(pot, *window)
-    x0 = disc_point(cert)
-    return _action_levels(
-        pot, window, hbar, "discontinuous", cert,
-        magnitude=lambda lam: math.sqrt(jump_action(pot, lam, hbar, x0, _ROOT_QUAD_TOL).a_squared))
+    return _action_levels(pot, window, hbar, "discontinuous", cert)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ def test_phi_harmonic_quarter_circle():
     prof = action.phi(HARM, 1.0)
     assert abs(prof.phi - math.pi / 2) <= 1e-10
     assert prof.phi > 0 and prof.phi_prime > 0
-    assert prof.quadrature_error <= action.TOL_QUAD
+    assert abs(prof.phi_prime - math.pi / 2) <= 1e-10  # Phi = pi lam / 2 for v = x^2
 
 
 def test_phi_absolute_value_potential():

@@ -173,6 +173,21 @@ def test_xi_matches_harmonic_closed_form(side):
 
 
 @pytest.mark.parametrize("pot,side", CHART_CASES, ids=CHART_IDS)
+def test_xi_continuous_at_both_collar_edges(pot, side):
+    # inside the collar xi comes from the Taylor model, outside it from the
+    # action; the two meet to 1e-8 relative at either edge (both edges
+    # where the chart's domain reaches across x_tp)
+    ch = build_chart(pot, 1.3, side)
+    for sgn in (-1.0, 1.0):
+        inner, outer = (ch.x_tp + sgn * ch.collar * f for f in (1.0 - 1e-12, 1.0 + 1e-12))
+        if not ch._in_domain(np.array([outer]))[0]:
+            continue
+        a, b = ch.xi(inner), ch.xi(outer)
+        assert abs(a - b) <= 1e-8 * abs(b)
+        assert abs(b - _ref_xi(ch, outer)) <= 1e-9 * abs(b)
+
+
+@pytest.mark.parametrize("pot,side", CHART_CASES, ids=CHART_IDS)
 def test_xi_depends_on_x_alone(pot, side):
     ch = build_chart(pot, 1.3, side)
     # the turning point, the collar, and two bands of points farther out

@@ -1,0 +1,172 @@
+"""Property tests of the batched level solve on random wells: power-law and
+kinked-table wells (Bohr-Sommerfeld), jump wells and half-line wells.
+
+Every level of a window is solved in one Newton sweep over all n; each must
+be the level a window holding it alone gives, satisfy its condition to the
+documented bound when G is recomputed one energy at a time, and rest on
+turning points that the array call returns entry by entry as the scalar
+call does."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from semiclass import quantize
+from semiclass.cli import run
+from semiclass.potential import (
+    certify_halfline_well,
+    certify_well,
+    halfline_power_law,
+    halfline_turning_point,
+    make_power_law,
+    potential_from_spec,
+    turning_points,
+)
+from semiclass.quantize import (
+    LAMBDA_TOL,
+    MASLOV_OFFSETS,
+    QuantizeError,
+    bs_levels,
+    disc_levels,
+    halfline_levels,
+    quantization_condition,
+)
+
+PROPS = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def wells(draw):
+    """(kind, potential, window, hbar, certify) for one level kind."""
+    kind = draw(st.sampled_from(["power", "kinked", "jump", "halfline_dirichlet",
+                                 "halfline_robin"]))
+    hbar = draw(st.sampled_from([0.1, 0.05, 0.02]))
+    if kind == "power":
+        pot = make_power_law(0.0, draw(floats(0.5, 2.0)), draw(floats(1.2, 5.0)),
+                             0.0, draw(floats(0.5, 2.0)), draw(floats(1.2, 5.0)))
+        bottom = 0.0
+    elif kind == "kinked":
+        # a power branch glued continuously to a tilted parabola: v' jumps at 0
+        pot = potential_from_spec({"kind": "table", "branches": [
+            {"lo": "-inf", "hi": 0.0, "type": "power", "offset": 0.0,
+             "coeff": draw(floats(0.5, 3.0)), "exponent": draw(floats(1.2, 4.0))},
+            {"lo": 0.0, "hi": "inf", "type": "poly",
+             "coeffs": [0.0, draw(floats(0.2, 2.0)), draw(floats(0.5, 3.0))]}]})
+        bottom = 0.0
+    elif kind == "jump":
+        bottom = draw(floats(0.1, 0.8))
+        pot = make_power_law(bottom, draw(floats(0.5, 2.0)), 2.0,
+                             0.0, draw(floats(0.5, 2.0)), draw(floats(1.5, 4.0)))
+    else:
+        pot = halfline_power_law(0.0, draw(floats(0.5, 2.0)), draw(floats(1.0, 4.0)))
+        bottom = 0.0
+    lo = bottom + draw(floats(0.005, 0.3))
+    window = (lo, lo + draw(floats(0.3, 1.2)))
+    certify = certify_halfline_well if kind.startswith("halfline") else certify_well
+    return kind, pot, window, hbar, certify
+
+
+def _solve(kind, pot, window, hbar):
+    if kind in ("power", "kinked"):
+        return bs_levels(pot, window, hbar)
+    if kind == "jump":
+        return disc_levels(pot, window, hbar)
+    return halfline_levels(pot, window, hbar, bc=kind.split("_")[1])
+
+
+@PROPS
+@given(wells())
+def test_window_levels_match_single_level_windows(well):
+    kind, pot, window, hbar, _ = well
+    levels = _solve(kind, pot, window, hbar)
+    lams = [window[0]] + [l.lam for l in levels] + [window[1]]
+    for k, l in enumerate(levels):
+        # the window between the midpoints to the neighbouring levels holds l alone
+        alone = (0.5 * (lams[k] + lams[k + 1]) if k else window[0],
+                 0.5 * (lams[k + 1] + lams[k + 2]) if k + 1 < len(levels) else window[1])
+        single = _solve(kind, pot, alone, hbar)
+        assert [s.n for s in single] == [l.n]
+        assert abs(single[0].lam - l.lam) <= LAMBDA_TOL * max(1.0, abs(l.lam))
+        if l.amplitude_a is not None:
+            assert abs(single[0].amplitude_a - l.amplitude_a) <= 1e-9 * abs(l.amplitude_a)
+
+
+@PROPS
+@given(wells())
+def test_defect_recomputed_per_level_is_the_residual(well):
+    kind, pot, window, hbar, certify = well
+    cert = certify(pot, *window)
+    for l in _solve(kind, pot, window, hbar):
+        g, g_prime = quantization_condition(pot, l.lam, l.kind, hbar, cert,
+                                            quantize._ROOT_QUAD_TOL)
+        defect = abs(g - math.pi * (l.n + MASLOV_OFFSETS[l.kind]) * hbar)
+        # the scalar evaluation repeats the solver's last one in the batch
+        assert defect == l.residual
+        # the documented bound: a root to LAMBDA_TOL relative, G to _ROOT_QUAD_TOL
+        bound = abs(g_prime) * LAMBDA_TOL * max(1.0, abs(l.lam)) + quantize._ROOT_QUAD_TOL
+        assert defect <= bound
+
+
+@PROPS
+@given(wells(), st.lists(floats(0.0, 1.0), min_size=1, max_size=8))
+def test_array_turning_points_equal_scalar_ones(well, fractions):
+    kind, pot, window, _, _ = well
+    lams = np.array([window[0] + f * (window[1] - window[0]) for f in fractions])
+    if kind.startswith("halfline"):
+        x_plus, slope = halfline_turning_point(pot, lams)
+        for k, lam in enumerate(lams):
+            assert (x_plus[k], slope[k]) == halfline_turning_point(pot, float(lam))
+        return
+    tps = turning_points(pot, lams)
+    for k, lam in enumerate(lams):
+        tp = turning_points(pot, float(lam))
+        assert (tps.x_minus[k], tps.x_plus[k], tps.slope_minus[k], tps.slope_plus[k]) == (
+            tp.x_minus, tp.x_plus, tp.slope_minus, tp.slope_plus)
+
+
+def test_array_turning_points_keep_the_shape():
+    pot = make_power_law(0, 1, 4, 0, 2, 3)
+    lams = np.linspace(0.5, 2.0, 6).reshape(2, 3)
+    tps = turning_points(pot, lams)
+    assert tps.x_minus.shape == tps.slope_plus.shape == (2, 3)
+    assert type(turning_points(pot, 1.0).x_plus) is float
+
+
+@pytest.mark.parametrize("steps", [0, 1])
+def test_newton_cap_raises(monkeypatch, steps):
+    # a level still open after the cap is an error, not an unconverged answer
+    monkeypatch.setattr(quantize, "_NEWTON_STEPS", steps)
+    pot = make_power_law(0, 1, 4, 0, 1, 4)
+    with pytest.raises(QuantizeError, match="not converged"):
+        bs_levels(pot, (0.5, 2.0), 0.02)
+
+
+def test_newton_cap_exits_4(monkeypatch, tmp_path):
+    monkeypatch.setattr(quantize, "_NEWTON_STEPS", 1)
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"potential": {"kind": "power_law", "a_plus": 0, "v_plus": 1, '
+                   '"alpha_plus": 4, "a_minus": 0, "v_minus": 1, "alpha_minus": 4}, '
+                   '"hbar": 0.05, "window": [0.5, 2.0], "oracle": false}')
+    assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 4
+
+
+def test_condition_takes_every_level_at_once(monkeypatch):
+    # one evaluation per sweep serves every n: far fewer calls than levels
+    calls = []
+    real = quantize._condition
+
+    def counting(pot, lam, *args):
+        calls.append(np.size(lam))
+        return real(pot, lam, *args)
+
+    monkeypatch.setattr(quantize, "_condition", counting)
+    levels = bs_levels(make_power_law(0, 1, 4, 0, 1, 4), (0.5, 2.0), 0.005)
+    assert len(levels) == 121
+    assert len(calls) <= 8 and max(calls) == len(levels)

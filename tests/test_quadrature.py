@@ -29,16 +29,19 @@ def _one_power(pot, lam, power, lo, hi, sqrt_lo, sqrt_hi, tol, weight=None, weig
     total = err = 0.0
     for a, b in segs:
         seg_tol = tol / len(segs)
-        if sqrt_hi and b == hi:
-            ratio = quadrature._sqrt_ratio(pot, lam, hi, -1.0, "-")
-            f = lambda t: (2.0 * t ** (1.0 + 2.0 * power) * ratio(t) ** power * wfac(hi - t * t),)
-            (v,), (e,) = gl_adaptive(f, 0.0, np.sqrt(hi - a), seg_tol)
-        elif sqrt_lo and a == lo:
-            ratio = quadrature._sqrt_ratio(pot, lam, lo, +1.0, "+")
-            f = lambda t: (2.0 * t ** (1.0 + 2.0 * power) * ratio(t) ** power * wfac(lo + t * t),)
-            (v,), (e,) = gl_adaptive(f, 0.0, np.sqrt(b - lo), seg_tol)
+        if (sqrt_hi and b == hi) or (sqrt_lo and a == lo):
+            x0, inward, t_end = (hi, -1.0, np.sqrt(hi - a)) if sqrt_hi and b == hi else (
+                lo, 1.0, np.sqrt(b - lo))
+            c0, c2 = quadrature._taylor(pot, x0, inward)
+
+            def f(t):
+                x = x0 + inward * t * t
+                root = np.sqrt(quadrature._ratio(lam - pot.value(x), t, c0, c2))
+                return ((2.0 * t * t * root if power > 0 else 2.0 / root) * wfac(x),)
+
+            (v,), (e,) = gl_adaptive(f, 0.0, t_end, seg_tol)
         else:
-            f = lambda x: ((lam - pot.value(x)) ** power * wfac(x),)
+            f = lambda x: ((np.sqrt(lam - pot.value(x)) ** (2.0 * power)) * wfac(x),)
             (v,), (e,) = gl_adaptive(f, a, b, seg_tol)
         total += v
         err += e

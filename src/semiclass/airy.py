@@ -2,8 +2,8 @@
 
 The evaluator is self-contained.  On a core interval the four values are
 obtained from Taylor series of the defining equation -w'' + t w = 0,
-recentred on a precomputed grid of nodes; the node table itself is built once
-at import time by marching the same Taylor recurrence along the grid
+recentred on a precomputed grid of nodes; the node table itself is built on
+the first evaluation by marching the same Taylor recurrence along the grid
 (downward for Ai, so the decaying solution is tracked stably, upward and
 downward for Bi).  Outside the core interval the standard exponential and
 oscillatory asymptotic expansions take over; at the switch points both
@@ -12,6 +12,7 @@ branches agree to ~1e-14.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ T_SWITCH_MINUS = -32.0
 
 _GRID_STEP = 0.25
 _EVAL_TERMS = 26  # local Taylor degree used per evaluation (|delta| <= step/2)
-_MARCH_TERMS = 34  # degree used for the import-time march (delta = step)
+_MARCH_TERMS = 34  # degree used for the table march (delta = step)
 _ASYM_TERMS = 20
 
 
@@ -166,7 +167,9 @@ def _asym_minus(t):
     return ai, aip, bi, bip
 
 
-def _build_tables():
+@functools.cache
+def _tables():
+    """Node table (t, Ai, Ai', Bi, Bi'), built on the first call."""
     n_nodes = int(round((T_SWITCH_PLUS - T_SWITCH_MINUS) / _GRID_STEP))
     ts = T_SWITCH_MINUS + _GRID_STEP * np.arange(n_nodes + 1)
     ai = np.empty(n_nodes + 1)
@@ -199,17 +202,15 @@ def _build_tables():
     return ts, ai, aip, bi, bip
 
 
-_NODES_T, _NODES_AI, _NODES_AIP, _NODES_BI, _NODES_BIP = _build_tables()
-
-
 def _core_eval(t):
     t = np.asarray(t, dtype=float)
     idx = np.rint((t - T_SWITCH_MINUS) / _GRID_STEP).astype(int)
-    idx = np.clip(idx, 0, len(_NODES_T) - 1)
-    t0 = _NODES_T[idx]
+    nodes_t, nodes_ai, nodes_aip, nodes_bi, nodes_bip = _tables()
+    idx = np.clip(idx, 0, len(nodes_t) - 1)
+    t0 = nodes_t[idx]
     d = t - t0
-    ai, aip = _taylor_pair(t0, _NODES_AI[idx], _NODES_AIP[idx], d, _EVAL_TERMS)
-    bi, bip = _taylor_pair(t0, _NODES_BI[idx], _NODES_BIP[idx], d, _EVAL_TERMS)
+    ai, aip = _taylor_pair(t0, nodes_ai[idx], nodes_aip[idx], d, _EVAL_TERMS)
+    bi, bip = _taylor_pair(t0, nodes_bi[idx], nodes_bip[idx], d, _EVAL_TERMS)
     return ai, aip, bi, bip
 
 

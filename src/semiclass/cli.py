@@ -4,7 +4,7 @@ hbar-scaling studies driven by a JSON config.
 Exit codes: 0 success, 2 config error, 3 certification failure,
 4 numerical non-convergence.  Output tables are deterministic: floats are
 written with shortest round-trip reprs and sweep results are assembled in
-sorted order however the worker pool schedules them.
+sorted order of hbar.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -37,17 +35,6 @@ __all__ = ["main", "run"]
 
 class ConfigError(ValueError):
     pass
-
-
-def _threads() -> int:
-    raw = os.environ.get("SEMICLASS_THREADS", "")
-    cap = os.cpu_count() or 1
-    if raw:
-        try:
-            cap = max(1, min(cap, int(raw)))
-        except ValueError:
-            raise ConfigError(f"SEMICLASS_THREADS must be an integer, got {raw!r}")
-    return cap
 
 
 def _fmt(v) -> str:
@@ -181,12 +168,17 @@ class RunConfig:
             lv = [l for l in lv if l.n in self.n_filter]
         return lv
 
-    def oracle_for(self, hbar: float):
+    def _oracle_args(self) -> dict:
         bc = "dirichlet_both"
         if self.potential.domain == "half_line":
             bc = "halfline_dirichlet" if self.bc == "dirichlet" else "halfline_robin"
-        return oracle.solve_spectrum(self.potential, hbar, self.window,
-                                     tol_oracle=self.tol_oracle, bc=bc, robin_b=self.robin_b)
+        return {"tol_oracle": self.tol_oracle, "bc": bc, "robin_b": self.robin_b}
+
+    def oracle_for(self, hbar: float):
+        return oracle.solve_spectrum(self.potential, hbar, self.window, **self._oracle_args())
+
+    def oracle_count(self, hbar: float) -> int:
+        return oracle.count_levels(self.potential, hbar, self.window, **self._oracle_args())
 
 
 def _action_residual(cfg: RunConfig, level, lam: float, hbar: float) -> float:
@@ -208,9 +200,7 @@ def _need_full_line(cfg: RunConfig, what: str) -> None:
 
 
 def _map_hbars(cfg: RunConfig, fn):
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        results = dict(zip(cfg.hbars, pool.map(fn, cfg.hbars)))
-    return [results[h] for h in sorted(cfg.hbars)]
+    return [fn(h) for h in sorted(cfg.hbars)]
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +239,7 @@ def cmd_count(cfg: RunConfig) -> dict:
         cr = quantize.weyl_count(cfg.potential, a1, a2, hbar, cert=cfg.cert)
         count_o = eps_o = None
         if cfg.oracle:
-            spec = cfg.oracle_for(hbar)
-            count_o = int(len(spec.eigenvalues))
+            count_o = cfg.oracle_count(hbar)
             eps_o = count_o - cr.predicted
         return [hbar, a1, a2, cr.predicted, cr.count, cr.epsilon, count_o, eps_o,
                 cr.phase_volume]
@@ -376,12 +365,9 @@ def cmd_scaling(cfg: RunConfig) -> dict:
         if study in ("levels", "disc-levels"):
             lv = cfg.levels_for(hbar)
             if study == "levels":
-                worst = 0.0
-                for lam in spec.eigenvalues:
-                    ph = action.phi_value(cfg.potential, float(lam))
-                    frac = ph / (math.pi * hbar) - quantize.MASLOV_OFFSETS["smooth"]
-                    worst = max(worst, abs(frac - round(frac)) * math.pi * hbar)
-                return worst
+                ph = action.phi(cfg.potential, spec.eigenvalues).phi
+                frac = ph / (math.pi * hbar) - quantize.MASLOV_OFFSETS["smooth"]
+                return float(np.max(np.abs(frac - np.round(frac)), initial=0.0) * math.pi * hbar)
             lams = np.array([l.lam for l in lv])
             if len(lams) != len(spec.eigenvalues):
                 raise quantize.QuantizeError(

@@ -159,13 +159,9 @@ class LangerChart:
         out[at_tp] = sgn * self.slope ** (1.0 / 3.0)
         return out[0] if scalar else out
 
-    def xi_second(self, x):
-        """xi'' from differentiating xi'^2 xi = q; unreliable inside the collar."""
-        xi = self.xi(x)
-        return self._xi_second(x, xi, self._xi_prime(x, xi))
-
     def _xi_second(self, x, xi, xip):
-        """xi_second(x), given xi = self.xi(x) and xip = self.xi_prime(x)."""
+        """xi'' from differentiating xi'^2 xi = q, given xi = self.xi(x) and
+        xip = self.xi_prime(x); unreliable inside the collar."""
         x = np.asarray(x, dtype=float)
         if np.any(np.abs(np.atleast_1d(x) - self.x_tp) < self.collar):
             raise ChartDomainError("xi_second is not defined inside the turning-point collar")

@@ -15,6 +15,16 @@ differences shrink by 4 per doubling; every other level keeps the first
 doubling finer than the last one solved.  A Numerov shooting solver provides
 an independent cross-check of the default scheme.
 
+A count needs only the levels that could cross a window edge.
+`count_levels` runs the grids of `solve_spectrum` but solves and
+extrapolates only the levels within 2 delta of either edge, with delta at
+least four times the largest raw shift measured on them.  The middle of the
+window is the exact Sturm count of *stebz on the last grid, which does not
+depend on the bisection tolerance (Barth, Martin & Wilkinson, Numer. Math. 9
+(1967) 386-393), so it is bisected with a loose one.  All solvers share one
+setup (`_domain`): argument checks, boundary condition, truncation, the
+spectrum-edge check and the first grid.
+
 Interior jump points of v are snapped onto grid nodes, where v takes the
 mean of its one-sided limits; on the half line the boundary x = 0 stays a
 node as well.
@@ -34,6 +44,7 @@ __all__ = [
     "OracleSpectrum",
     "OracleError",
     "solve_spectrum",
+    "count_levels",
     "eigenvector",
     "observable",
     "kinetic_energy",
@@ -238,23 +249,40 @@ class OracleSpectrum:
         return _grid(self.potential, self.x_min, self.x_max, self.n)
 
 
-def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
-                   tol_oracle: float = DEFAULT_TOL, bc: str = "dirichlet_both",
-                   robin_b: float = 0.0, n0: Optional[int] = None,
-                   x_span: Optional[tuple[float, float]] = None) -> OracleSpectrum:
-    """Reference eigenvalues of -hbar^2 psi'' + v psi = lam psi in a window.
+@dataclass(frozen=True)
+class _Domain:
+    """A checked oracle request: the boundary condition resolved for the
+    domain, the truncated interval [x_lo, x_hi], the height of the window
+    top above min v there, and the first grid's intervals n0."""
 
-    Doubles the grid from n0 intervals.  From the third grid on, each
-    level's raw values on the last three grids give a Romberg table
-    (`_romberg`): the h^4 column where that level's differences shrink by a
-    factor in [3.5, 4.5] per doubling, above rounding, and the h^2 column
-    otherwise.  The doubling stops once every window level's estimate is at
-    most tol_oracle; the result's n is the last grid, and `eigenvector`
-    solves on the grid one doubling finer.
-    """
+    pot: Potential
+    hbar: float
+    bc: str
+    robin_b: float
+    x_lo: float
+    x_hi: float
+    depth: float
+    n0: int
+
+    def grid(self, n: int) -> np.ndarray:
+        return _grid(self.pot, self.x_lo, self.x_hi, n)
+
+    def eigs(self, n: int, lo: float, hi: float) -> np.ndarray:
+        """Raw eigenvalues in (lo, hi] on the grid of n intervals."""
+        return _window_eigs(self.pot, self.hbar, self.grid(n), self.bc, self.robin_b, lo, hi)
+
+
+def _domain(pot: Potential, hbar: float, window: tuple[float, float], bc: str,
+            robin_b: float, tol_oracle: Optional[float] = None,
+            x_span: Optional[tuple[float, float]] = None, n0: Optional[int] = None) -> _Domain:
+    """The one setup of every oracle solver: argument checks, the boundary
+    condition of the domain, the truncation (x_span, or where the WKB tail
+    beyond the window top has decayed), the check that the window stays
+    below the truncation-induced spectrum edge, and the first grid: n0, or
+    at least 2048 intervals and 24 per shortest wavelength in the window."""
     if hbar <= 0.0:
         raise OracleError("hbar must be positive")
-    if tol_oracle < _MIN_TOL:
+    if tol_oracle is not None and tol_oracle < _MIN_TOL:
         raise OracleError(f"tol_oracle below {_MIN_TOL} is not resolvable by this scheme")
     lo, hi = window
     if not lo < hi:
@@ -272,25 +300,47 @@ def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
         if float(pot.value(np.array(edge))) < hi:
             raise OracleError("window reaches the truncation-induced spectrum edge")
 
+    vg = pot.value(np.linspace(x_lo, x_hi, 513))
+    depth = max(hi - float(vg.min()), 1e-12)
     if n0 is None:
-        vg = pot.value(np.linspace(x_lo, x_hi, 513))
-        depth = max(hi - float(vg.min()), 1e-12)
         wavelength = math.pi * hbar / math.sqrt(depth)
         n0 = max(2048, int(24.0 * (x_hi - x_lo) / wavelength))
+    return _Domain(pot, hbar, bc, robin_b, x_lo, x_hi, depth, n0)
 
+
+def _doubled(n: int, tol_oracle: float, est) -> int:
+    """The next grid, 2n intervals, or an OracleError past _MAX_N."""
+    if 2 * n > _MAX_N:
+        raise OracleError(
+            f"no convergence below tol={tol_oracle} by N={_MAX_N}; last estimate "
+            f"{np.max(est, initial=0.0) if est is not None else math.nan}"
+        )
+    return 2 * n
+
+
+def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
+                   tol_oracle: float = DEFAULT_TOL, bc: str = "dirichlet_both",
+                   robin_b: float = 0.0, n0: Optional[int] = None,
+                   x_span: Optional[tuple[float, float]] = None) -> OracleSpectrum:
+    """Reference eigenvalues of -hbar^2 psi'' + v psi = lam psi in a window.
+
+    Doubles the grid from n0 intervals.  From the third grid on, each
+    level's raw values on the last three grids give a Romberg table
+    (`_romberg`): the h^4 column where that level's differences shrink by a
+    factor in [3.5, 4.5] per doubling, above rounding, and the h^2 column
+    otherwise.  The doubling stops once every window level's estimate is at
+    most tol_oracle; the result's n is the last grid, and `eigenvector`
+    solves on the grid one doubling finer.
+    """
+    dom = _domain(pot, hbar, window, bc, robin_b, tol_oracle, x_span, n0)
+    lo, hi = window
     pad = 0.05 * (hi - lo)
-    n_trail = [n0]
-    raw = [_window_eigs(pot, hbar, _grid(pot, x_lo, x_hi, n0), bc, robin_b, lo - pad, hi + pad)]
+    n_trail = [dom.n0]
+    raw = [dom.eigs(dom.n0, lo - pad, hi + pad)]
     est = None
     while True:
-        n = 2 * n_trail[-1]
-        if n > _MAX_N:
-            raise OracleError(
-                f"no convergence below tol={tol_oracle} by N={_MAX_N}; last estimate "
-                f"{np.max(est) if est is not None else math.nan}"
-            )
-        raw = raw[-2:] + [_window_eigs(pot, hbar, _grid(pot, x_lo, x_hi, n), bc, robin_b,
-                                       lo - pad, hi + pad)]
+        n = _doubled(n_trail[-1], tol_oracle, est)
+        raw = raw[-2:] + [dom.eigs(n, lo - pad, hi + pad)]
         n_trail.append(n)
         if len(raw) == 3:
             eigs, est_all, h4 = _romberg(*_matched(*raw))
@@ -298,11 +348,103 @@ def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
             est = est_all[inside]
             if np.all(est <= tol_oracle):
                 return OracleSpectrum(
-                    hbar=hbar, window=(lo, hi), bc=bc, robin_b=robin_b,
-                    x_min=x_lo, x_max=x_hi, n=n, n_trail=tuple(n_trail),
+                    hbar=hbar, window=(lo, hi), bc=dom.bc, robin_b=robin_b,
+                    x_min=dom.x_lo, x_max=dom.x_hi, n=n, n_trail=tuple(n_trail),
                     eigenvalues=eigs[inside], est_error=est, h4_column=h4[inside],
                     potential=pot,
                 )
+
+
+def _cut(raw: np.ndarray, a: float, at: float, b: float) -> float:
+    """Midpoint of the gap of `raw` around `at`, where a and b (a < at < b)
+    stand in for the nearest raw value below or above `at` if none lies in
+    (a, at] or (at, b]."""
+    left = raw[(raw > a) & (raw <= at)]
+    right = raw[(raw > at) & (raw <= b)]
+    return 0.5 * (left.max(initial=a) + right.min(initial=b))
+
+
+def count_levels(pot: Potential, hbar: float, window: tuple[float, float],
+                 tol_oracle: float = DEFAULT_TOL, bc: str = "dirichlet_both",
+                 robin_b: float = 0.0) -> int:
+    """Number of reference eigenvalues in the window: the count of
+    `solve_spectrum`, without solving the levels in the middle of the window.
+
+    The grids are those of `solve_spectrum`.  On each grid only the two
+    edge bands (edge - 2 delta, edge + 2 delta] are solved; their levels are
+    matched and Romberg-extrapolated across the last three grids, and the
+    doubling stops on the rule of `solve_spectrum` applied to them.
+
+    delta comes from the measured raw shifts.  It starts at four times the
+    leading raw shift h^2 depth^2 / (12 hbar^2) of a level at the window
+    top on the first grid.  Then, with every band re-solved, it widens to
+    at least four times the largest shift |e0 - e2| of a band level, and
+    until each band holds a level or spans the well's depth.  A level then
+    moves by less than delta / 4 between its raw value on the last grid and
+    its Romberg value.  So a level whose last raw value lies more than delta
+    inside the window is counted without being solved: the exact Sturm
+    count of `eigh_tridiagonal` with a loose tol, on the last grid, takes
+    the middle.  A band level within delta of an edge counts where its
+    Romberg value lies in the window, and each must be matched on all three
+    grids.  The middle's ends sit halfway between neighbouring band levels,
+    so no level is within rounding of them.
+    """
+    dom = _domain(pot, hbar, window, bc, robin_b, tol_oracle)
+    lo, hi = window
+    h0 = (dom.x_hi - dom.x_lo) / dom.n0
+    delta = (h0 * dom.depth / hbar) ** 2 / 3.0
+
+    def split() -> bool:
+        return lo + 2.0 * delta < hi - 2.0 * delta
+
+    def bands(n: int) -> np.ndarray:
+        if split():
+            return np.concatenate([dom.eigs(n, c - 2.0 * delta, c + 2.0 * delta) for c in (lo, hi)])
+        return dom.eigs(n, lo - 2.0 * delta, hi + 2.0 * delta)
+
+    def holds_levels(raw: np.ndarray) -> bool:
+        return all(np.any(np.abs(raw - c) <= 2.0 * delta) for c in (lo, hi))
+
+    n_trail = [dom.n0]
+    while len(n_trail) < 3:
+        n_trail.append(_doubled(n_trail[-1], tol_oracle, None))
+    raw = [bands(dom.n0)]
+    # find levels near both edges on the cheapest grid
+    while not holds_levels(raw[0]) and 2.0 * delta < dom.depth:
+        delta *= 2.0
+        raw = [bands(dom.n0)]
+    raw += [bands(n) for n in n_trail[1:]]
+    while True:
+        e0, e1, e2 = _matched(*raw)
+        last = raw[-1]
+        need = 4.0 * np.max(np.abs(e0 - e2), initial=0.0)
+        if 2.0 * delta < dom.depth and (need > delta or not holds_levels(last)):
+            delta = max(need, 2.0 * delta)
+            raw = [bands(n) for n in n_trail[-3:]]
+            continue
+        eigs, est_all, _ = _romberg(e0, e1, e2)
+        if split():
+            mid_lo = _cut(last, lo, lo + delta, lo + 2.0 * delta)
+            mid_hi = _cut(last, hi - 2.0 * delta, hi - delta, hi)
+        else:
+            mid_lo = mid_hi = hi + delta
+
+        def in_bands(v: np.ndarray) -> np.ndarray:
+            return ((v > lo - delta) & (v <= mid_lo)) | ((v > mid_hi) & (v <= hi + delta))
+
+        band = in_bands(e2)
+        inside = band & (eigs > lo) & (eigs < hi)
+        est = est_all[inside]
+        unmatched = np.count_nonzero(in_bands(last)) - np.count_nonzero(band)
+        if need <= delta and unmatched == 0 and np.all(est <= tol_oracle):
+            middle = 0
+            if mid_lo < mid_hi:
+                d, e = _tridiag(pot, hbar, dom.grid(n_trail[-1]), dom.bc, robin_b)
+                middle = len(eigh_tridiagonal(d, e, select="v", select_range=(mid_lo, mid_hi),
+                                              eigvals_only=True, tol=mid_hi - mid_lo))
+            return middle + int(np.count_nonzero(inside))
+        n_trail.append(_doubled(n_trail[-1], tol_oracle, est))
+        raw = raw[1:] + [bands(n_trail[-1])]
 
 
 # ---------------------------------------------------------------------------
@@ -433,17 +575,11 @@ def numerov_levels(pot: Potential, hbar: float, window: tuple[float, float],
     it converges to the eigenvalue itself.  O(h^4) scheme; used to
     cross-validate the default finite-difference oracle.
     """
+    dom = _domain(pot, hbar, window, bc, robin_b, x_span=x_span, n0=n)
     lo, hi = window
-    if pot.domain == "half_line" and bc == "dirichlet_both":
-        bc = "halfline_dirichlet"
-    if x_span is not None:
-        x_lo, x_hi = x_span
-    else:
-        x_lo = _tail_bound(pot, hi, hbar, -1) if pot.domain == "full_line" else 0.0
-        x_hi = _tail_bound(pot, hi, hbar, +1)
-    x = _grid(pot, x_lo, x_hi, n)
+    x = dom.grid(n)
     v = _potential_on_grid(pot, x)
-    count = lambda lam: _numerov_nodes(pot, hbar, lam, x, v, bc, robin_b)
+    count = lambda lam: _numerov_nodes(pot, hbar, lam, x, v, dom.bc, robin_b)
     k_lo, k_hi = count(lo), count(hi)
     out = []
     for k in range(k_lo, k_hi):

@@ -158,13 +158,16 @@ def test_determinism_two_runs_byte_identical(tmp_path):
     assert o1.read_bytes() == o2.read_bytes()
 
 
-def test_determinism_across_thread_counts(tmp_path):
-    cfg = write_config(tmp_path, "c.json", {"potential": HARM_POT, "hbar": [0.1, 0.05, 0.025],
-                                            "window": [0.03, 0.77], "oracle": False})
-    p1, o1 = invoke(["levels", "--config", str(cfg)], tmp_path, "a.csv", SEMICLASS_THREADS=1)
-    p2, o2 = invoke(["levels", "--config", str(cfg)], tmp_path, "b.csv", SEMICLASS_THREADS=4)
-    assert p1.returncode == p2.returncode == 0
-    assert o1.read_bytes() == o2.read_bytes()
+def test_count_oracle_non_convergence_exit_code(tmp_path, monkeypatch, capsys):
+    from semiclass import oracle
+
+    monkeypatch.setattr(oracle, "_MAX_N", 1024)
+    cfg = write_config(tmp_path, "c.json", {"potential": HARM_POT, "hbar": 0.1,
+                                            "window": [0.03, 0.77]})
+    assert run(["count", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical non-convergence:") and "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_disc_routing_from_committed_config(tmp_path):

@@ -5,11 +5,14 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from semiclass import oracle
 from semiclass.oracle import (
     OracleError,
+    count_levels,
     eigenvector,
     kinetic_energy,
     numerov_levels,
@@ -315,3 +318,72 @@ def test_eigenvector_grid_is_at_least_the_first_column_stop_grid(monkeypatch, po
     coarse = np.concatenate(([0.0], vec[:, 0], [0.0]))
     coarse *= np.sign(coarse @ psi) / math.sqrt(np.trapezoid(coarse * coarse, x))
     assert np.abs(coarse - psi).max() <= 1e-3 * np.abs(psi).max()
+
+
+# -- counts ----------------------------------------------------------------------
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def count_requests(draw):
+    """(potential, bc, robin_b, hbar, window): a two-branch power-law well, a
+    jump well, or a half-line power-law well with a Dirichlet or Robin end."""
+    kind = draw(st.sampled_from(["power", "jump", "halfline_dirichlet", "halfline_robin"]))
+    bc, robin_b = "dirichlet_both", 0.0
+    if kind in ("power", "jump"):
+        a_plus = draw(_floats(0.1, 0.8)) if kind == "jump" else 0.0
+        pot = make_power_law(a_plus, draw(_floats(0.5, 3.0)), draw(_floats(1.0, 5.0)),
+                             0.0, draw(_floats(0.5, 3.0)), draw(_floats(1.0, 5.0)))
+        bottom = a_plus
+    else:
+        pot = halfline_power_law(0.0, draw(_floats(0.5, 3.0)), draw(_floats(1.0, 5.0)))
+        bottom = 0.0
+        if kind == "halfline_robin":
+            bc, robin_b = kind, draw(_floats(-1.0, 2.0))
+    lo = bottom + draw(_floats(0.05, 1.0))
+    return pot, bc, robin_b, draw(_floats(0.04, 0.2)), (lo, lo + draw(_floats(0.1, 1.5)))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(count_requests(), st.data())
+def test_count_levels_equals_the_solved_count(request, data):
+    pot, bc, robin_b, hbar, (lo, hi) = request
+    try:
+        levels = solve_spectrum(pot, hbar, (lo, hi), bc=bc, robin_b=robin_b).eigenvalues
+    except OracleError:
+        assume(False)
+    edge = data.draw(st.sampled_from(["none", "lo", "hi"]))
+    if edge != "none" and len(levels):
+        # an edge 1e-6 above or below a level of the window
+        lam = float(levels[data.draw(st.integers(0, len(levels) - 1))])
+        lam += data.draw(st.sampled_from([-1e-6, 1e-6]))
+        lo, hi = (lam, hi) if edge == "lo" else (lo, lam)
+        assume(lo < hi)
+        levels = solve_spectrum(pot, hbar, (lo, hi), bc=bc, robin_b=robin_b).eigenvalues
+    assert count_levels(pot, hbar, (lo, hi), bc=bc, robin_b=robin_b) == len(levels)
+
+
+def test_count_levels_solves_only_the_edge_bands(monkeypatch):
+    solved = []
+    solve = oracle.eigh_tridiagonal
+
+    def spy(d, e, **kw):
+        w = solve(d, e, **kw)
+        if "tol" not in kw:  # full accuracy; the middle's loose count passes a tol
+            solved.append(len(w))
+        return w
+
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", spy)
+    count = count_levels(QUART, 0.01, (0.5, 2.0))
+    assert count == 61
+    assert len(solved) == 6  # two bands on each of three grids
+    assert max(solved) <= 0.1 * count
+
+
+def test_count_levels_raises_past_max_n(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_N", 4096)
+    with pytest.raises(OracleError, match="no convergence"):
+        count_levels(QUART, 0.01, (0.5, 2.0))

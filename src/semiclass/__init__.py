@@ -12,8 +12,6 @@ from .action import (
     kinetic_cl,
     partial_action,
     phi,
-    phi_prime,
-    phi_value,
     power_law_closed_forms,
 )
 from .airy import AiryValues, airy_eval, airy_many, airy_scaled

@@ -20,8 +20,6 @@ __all__ = [
     "TOL_QUAD",
     "ActionProfile",
     "phi",
-    "phi_value",
-    "phi_prime",
     "partial_action",
     "classical_average",
     "kinetic_cl",
@@ -42,22 +40,6 @@ class ActionProfile:
 
 def _tp(pot: Potential, lam: float, tp: Optional[TurningPoints]) -> TurningPoints:
     return tp if tp is not None else turning_points(pot, lam)
-
-
-def phi_value(pot: Potential, lam: float, tp: Optional[TurningPoints] = None,
-              tol: float = TOL_QUAD) -> float:
-    """Phi(lam) = int_{x-}^{x+} (lam - v)^(1/2) dx."""
-    tp = _tp(pot, lam, tp)
-    (val, _), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol)
-    return val
-
-
-def phi_prime(pot: Potential, lam: float, tp: Optional[TurningPoints] = None,
-              tol: float = TOL_QUAD) -> float:
-    """Phi'(lam) = (1/2) int (lam - v)^(-1/2) dx > 0."""
-    tp = _tp(pot, lam, tp)
-    (_, der), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol)
-    return 0.5 * der
 
 
 def phi(pot: Potential, lam: float, tp: Optional[TurningPoints] = None,

@@ -24,9 +24,7 @@ from .potential import (
     WellCertificate,
     certify_halfline_well,
     certify_well,
-    halfline_turning_point,
     potential_from_spec,
-    turning_points,
 )
 from .quadrature import QuadratureError
 
@@ -98,7 +96,8 @@ class RunConfig:
         hbar = raw.get("hbar")
         if hbar is None:
             raise ConfigError("field 'hbar' is required")
-        self.hbars = [_number(h, "hbar") for h in (hbar if isinstance(hbar, list) else [hbar])]
+        # ascending: every sweep runs, and assembles its table, in this order
+        self.hbars = sorted(_number(h, "hbar") for h in (hbar if isinstance(hbar, list) else [hbar]))
         if not self.hbars or any(h <= 0 for h in self.hbars) or len(set(self.hbars)) != len(self.hbars):
             raise ConfigError("field 'hbar': values must be positive and distinct")
 
@@ -184,8 +183,8 @@ class RunConfig:
 def _action_residual(cfg: RunConfig, level, lam: float, hbar: float) -> float:
     """Defect |G(lam) - pi(n + mu) hbar| of the level's quantization condition
     evaluated at lam (e.g. an oracle eigenvalue), in action units."""
-    g, _ = quantize.quantization_condition(cfg.potential, lam, level.kind, hbar, cfg.cert,
-                                           action.TOL_QUAD)
+    g = quantize.quantization_condition(cfg.potential, lam, level.kind, hbar, cfg.cert,
+                                        action.TOL_QUAD).g
     return abs(g - math.pi * (level.n + quantize.MASLOV_OFFSETS[level.kind]) * hbar)
 
 
@@ -199,19 +198,15 @@ def _need_full_line(cfg: RunConfig, what: str) -> None:
         raise CertificationError("domain", f"{what} needs a full-line well")
 
 
-def _map_hbars(cfg: RunConfig, fn):
-    return [fn(h) for h in sorted(cfg.hbars)]
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_levels(cfg: RunConfig) -> dict:
-    def work(hbar):
+    rows = []
+    for hbar in cfg.hbars:
         lv = cfg.levels_for(hbar)
         spec = cfg.oracle_for(hbar) if (cfg.oracle and lv) else None
-        rows = []
         for l in lv:
             lam_o = delta = act_res = None
             if spec is not None and len(spec.eigenvalues):
@@ -220,9 +215,6 @@ def cmd_levels(cfg: RunConfig) -> dict:
                 delta = l.lam - lam_o
                 act_res = _action_residual(cfg, l, lam_o, hbar)
             rows.append([hbar, l.n, l.kind, l.lam, l.residual, lam_o, delta, act_res])
-        return rows
-
-    rows = [r for chunk in _map_hbars(cfg, work) for r in chunk]
     return {
         "command": "levels",
         "columns": ["hbar", "n", "kind", "lambda_sc", "residual", "lambda_oracle",
@@ -234,17 +226,15 @@ def cmd_levels(cfg: RunConfig) -> dict:
 def cmd_count(cfg: RunConfig) -> dict:
     a1, a2 = cfg.window
     _need_full_line(cfg, "count")
-
-    def work(hbar):
+    rows = []
+    for hbar in cfg.hbars:
         cr = quantize.weyl_count(cfg.potential, a1, a2, hbar, cert=cfg.cert)
         count_o = eps_o = None
         if cfg.oracle:
             count_o = cfg.oracle_count(hbar)
             eps_o = count_o - cr.predicted
-        return [hbar, a1, a2, cr.predicted, cr.count, cr.epsilon, count_o, eps_o,
-                cr.phase_volume]
-
-    rows = _map_hbars(cfg, work)
+        rows.append([hbar, a1, a2, cr.predicted, cr.count, cr.epsilon, count_o, eps_o,
+                     cr.phase_volume])
     return {
         "command": "count",
         "columns": ["hbar", "a1", "a2", "predicted", "count_sc", "epsilon_sc",
@@ -256,7 +246,7 @@ def cmd_count(cfg: RunConfig) -> dict:
 def cmd_wavefunction(cfg: RunConfig) -> dict:
     rows = []
     sup_lines = []
-    for hbar in sorted(cfg.hbars):
+    for hbar in cfg.hbars:
         levels = cfg.levels_for(hbar)
         if not levels:
             continue
@@ -277,12 +267,8 @@ def cmd_wavefunction(cfg: RunConfig) -> dict:
                 rows.extend([hbar, l.n, float(x), float(a), float(b), abs(float(a) - float(b))]
                             for x, a, b in zip(xs, ps, po))
             else:
-                if cfg.potential.domain == "full_line":
-                    x_plus = turning_points(cfg.potential, l.lam).x_plus
-                else:
-                    x_plus, _ = halfline_turning_point(cfg.potential, l.lam)
                 lo = float(cfg.grid.get("lo", psi.x1))
-                hi = float(cfg.grid.get("hi", x_plus + 1.0))
+                hi = float(cfg.grid.get("hi", psi.plus.chart.x_tp + 1.0))
                 xs = np.linspace(lo, hi, int(cfg.grid["n"]))
                 ps = psi(xs)
                 rows.extend([hbar, l.n, float(x), float(a), None, None] for x, a in zip(xs, ps))
@@ -317,7 +303,7 @@ def _weight_fn(pot, wspec: dict):
 def cmd_observable(cfg: RunConfig) -> dict:
     _need_full_line(cfg, "observable")
     rows = []
-    for hbar in sorted(cfg.hbars):
+    for hbar in cfg.hbars:
         levels = cfg.levels_for(hbar)
         spec = cfg.oracle_for(hbar) if (cfg.oracle and levels) else None
         for l in levels:
@@ -388,13 +374,11 @@ def cmd_scaling(cfg: RunConfig) -> dict:
                        - action.classical_average(cfg.potential, l.lam, w, breaks))
         psi = langer.eigenfunction(cfg.potential, l, cfg.cert)
         xg, po = oracle.eigenvector(spec, k)
-        tp = turning_points(cfg.potential, l.lam)
-        mask = (xg >= psi.x1) & (xg <= tp.x_plus + 1.0)
+        mask = (xg >= psi.x1) & (xg <= psi.plus.chart.x_tp + 1.0)
         return float(np.max(np.abs(psi(xg[mask]) - po[mask])))
 
-    errs = _map_hbars(cfg, err_for)
-    hbars = sorted(cfg.hbars)
-    logh = np.log(hbars)
+    errs = [err_for(h) for h in cfg.hbars]
+    logh = np.log(cfg.hbars)
     loge = np.log(np.maximum(errs, 1e-300))
     slope = float(np.polyfit(logh, loge, 1)[0])
     predicted = _STUDY_CLASSES[study]
@@ -403,7 +387,7 @@ def cmd_scaling(cfg: RunConfig) -> dict:
         "command": "scaling",
         "study": study,
         "columns": ["hbar", "error"],
-        "rows": [[h, e] for h, e in zip(hbars, errs)],
+        "rows": [[h, e] for h, e in zip(cfg.hbars, errs)],
         "fitted_slope": slope,
         "predicted_class": predicted,
     }

@@ -35,8 +35,8 @@ from .potential import (
     halfline_turning_point,
     turning_points,
 )
-from .quadrature import turning_point_integral, well_integral
-from .quantize import SemiclassicalLevel, disc_point, jump_action
+from .quadrature import turning_point_integral
+from .quantize import disc_point, quantization_condition
 
 __all__ = [
     "LangerChart",
@@ -191,7 +191,8 @@ def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = Non
         turning = turning_points(pot, lam)
         width = turning.width
         if x1 is None:
-            jumps = [s.x for s in pot.singular_points if turning.x_minus < s.x < turning.x_plus]
+            jumps = [s.x for s in pot.singular_points
+                     if s.kind == "jump" and turning.x_minus < s.x < turning.x_plus]
             x1 = jumps[0] if jumps else 0.5 * (turning.x_minus + turning.x_plus)
         x_tp = turning.x_plus if side == "+" else turning.x_minus
     toward_well = "-" if side == "+" else "+"
@@ -269,26 +270,14 @@ def normalization(pot: Potential, level, cert: Optional[WellCertificate] = None)
     c_+ = (2/pi)^(1/2) hbar^(-1/6) (I_+ + I_-/a^2)^(-1/2) and
     c_- = (-1)^n (2/pi)^(1/2) hbar^(-1/6) (a^2 I_+ + I_-)^(-1/2), with
     I_pm = int (lam - v)^(-1/2) on each side of the matching point and
-    u_- = a u_+.  a^2 = 1 and I_- = 0 on the half line; a^2 = 1 in a smooth
-    well; a jump well takes I_pm and a^2 from jump_action at disc_point(cert),
-    cert defaulting to the certificate of the single energy level.lam."""
-    lam = level.lam
-    i_minus, a2 = 0.0, 1.0
-    if level.kind == "smooth":
-        tp = turning_points(pot, lam)
-        (_, i_plus), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, TOL_QUAD)
-    elif level.kind == "discontinuous":
-        x0 = disc_point(cert or certify_well(pot, lam, lam))
-        ja = jump_action(pot, lam, level.hbar, x0, TOL_QUAD)
-        i_plus, i_minus, a2 = ja.i_plus, ja.i_minus, ja.a_squared
-    elif level.kind in ("halfline_dirichlet", "halfline_robin"):
-        x_plus, _ = halfline_turning_point(pot, lam)
-        (_, i_plus), _ = well_integral(pot, lam, 0.0, x_plus, False, True, TOL_QUAD)
-    else:
-        raise ValueError(f"unknown level kind {level.kind!r}")
+    u_- = a u_+.  I_pm and a^2 are the fields of the level's
+    quantize.quantization_condition record at TOL_QUAD; cert is passed on to
+    it (a jump level defaults to the certificate of the single energy
+    level.lam)."""
+    c = quantization_condition(pot, level.lam, level.kind, level.hbar, cert, TOL_QUAD)
     pref = math.sqrt(2.0 / math.pi) * level.hbar ** (-1.0 / 6.0)
-    return (pref / math.sqrt(i_plus + i_minus / a2),
-            (-1.0) ** (level.n % 2) * pref / math.sqrt(a2 * i_plus + i_minus))
+    return (pref / math.sqrt(c.i_plus + c.i_minus / c.a_squared),
+            (-1.0) ** (level.n % 2) * pref / math.sqrt(c.a_squared * c.i_plus + c.i_minus))
 
 
 def peak_coefficient(pot: Potential, lam: float, side: str = "+") -> float:
@@ -296,12 +285,11 @@ def peak_coefficient(pot: Potential, lam: float, side: str = "+") -> float:
 
     Composition of |c_pm| with u(x_tp) = pi |v'(x_tp)|^(-1/6) Ai(0), i.e.
     (2 pi)^(1/2) (int (lam-v)^(-1/2))^(-1/2) |v'(x_tp)|^(-1/6) Ai(0); |c_pm|
-    is normalization's for a smooth level at hbar = 1.
+    is normalization's for a smooth level at hbar = 1, and |v'(x_tp)| is the
+    slope of the side's chart.
     """
-    tp = turning_points(pot, lam)
-    c_plus, _ = normalization(pot, SemiclassicalLevel(n=0, hbar=1.0, lam=lam, residual=0.0, kind="smooth"))
-    slope = tp.slope_plus if side == "+" else -tp.slope_minus
-    return c_plus * math.pi * slope ** (-1.0 / 6.0) * AI_ZERO
+    c_plus = math.sqrt(2.0 / math.pi) / math.sqrt(quantization_condition(pot, lam, "smooth", 1.0).i_plus)
+    return c_plus * math.pi * build_chart(pot, lam, side).slope ** (-1.0 / 6.0) * AI_ZERO
 
 
 @dataclass

@@ -11,7 +11,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -597,7 +597,6 @@ class WellCertificate:
 
     potential: Potential
     lambda_window: tuple[float, float]
-    turning_map: Callable[[float], TurningPoints]
     interior_singularities: tuple[SingularPoint, ...]
     criticality_margin: float
     x_bounds: tuple[float, float]
@@ -612,7 +611,6 @@ class WellCertificate:
 class HalfLineCertificate:
     potential: Potential
     lambda_window: tuple[float, float]
-    turning_map: Callable[[float], tuple[float, float]]
     criticality_margin: float
     x_bounds: tuple[float, float]
 
@@ -732,7 +730,6 @@ def certify_well(pot: Potential, lam_lo: float, lam_hi: float) -> WellCertificat
     return WellCertificate(
         potential=pot,
         lambda_window=(lam_lo, lam_hi),
-        turning_map=lambda lam: turning_points(pot, lam),
         interior_singularities=interior,
         criticality_margin=float(margin),
         x_bounds=x_bounds,
@@ -757,7 +754,6 @@ def certify_halfline_well(pot: Potential, lam_lo: float, lam_hi: float) -> HalfL
     return HalfLineCertificate(
         potential=pot,
         lambda_window=(lam_lo, lam_hi),
-        turning_map=lambda lam: halfline_turning_point(pot, lam),
         criticality_margin=float(margin),
         x_bounds=x_bounds,
     )

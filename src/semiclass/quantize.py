@@ -2,11 +2,14 @@
 generalized condition for a jump inside the well, and half-line problems.
 
 Every kind is one action condition G(lam) = pi (n + mu) hbar, with the Maslov
-offset mu from MASLOV_OFFSETS and (G, G') from quantization_condition.  All
-n of a window are solved together by one safeguarded Newton iteration
-(_action_levels): G and G' are array-valued in lam, so each sweep is one
-evaluation for every unfinished level, and each n keeps its own sign-change
-bracket, taken from a sample of G across the window.
+offset mu from MASLOV_OFFSETS.  quantization_condition is the one place
+where a level kind becomes numbers: its Condition record carries (G, G') for
+the solver, and the well integrals I_pm and the jump amplitude a^2 that
+normalize the eigenfunction (langer.normalization).  All n of a window are
+solved together by one safeguarded Newton iteration (_action_levels): G and
+G' are array-valued in lam, so each sweep is one evaluation for every
+unfinished level, and each n keeps its own sign-change bracket, taken from a
+sample of G across the window.
 
 Smooth case: G = Phi, mu = 1/2; Phi' > 0 gives exactly one root per n.
 
@@ -32,13 +35,14 @@ from typing import Optional
 
 import numpy as np
 
-from .action import TOL_QUAD, phi, phi_value
+from .action import TOL_QUAD, phi
 from .potential import (
     HalfLineCertificate,
     Potential,
     WellCertificate,
     certify_halfline_well,
     certify_well,
+    halfline_turning_point,
     turning_points,
 )
 from .quadrature import well_integral
@@ -47,7 +51,7 @@ __all__ = [
     "MASLOV_OFFSETS",
     "SemiclassicalLevel",
     "CountResult",
-    "JumpAction",
+    "Condition",
     "QuantizeError",
     "bs_levels",
     "weyl_count",
@@ -151,22 +155,22 @@ def _action_levels(pot: Potential, window: tuple[float, float], hbar: float, kin
     pi (n + mu) hbar strictly between G(a1) and G(a2), the root of
     G(lam) = pi (n + mu) hbar, mu = MASLOV_OFFSETS[kind].
 
-    All n are solved at once: each evaluation of (G, G') (_condition) takes
-    the array of every unfinished level.  A sample of G across the window
-    gives each n a sign-change bracket and a start (_brackets); then each
-    level takes Newton steps with the analytic derivative, safeguarded by
-    its shrinking bracket (bisection where a step leaves it or G' <= 0),
+    All n are solved at once: each evaluation of quantization_condition
+    takes the array of every unfinished level.  A sample of G across the
+    window gives each n a sign-change bracket and a start (_brackets); then
+    each level takes Newton steps with the analytic derivative, safeguarded
+    by its shrinking bracket (bisection where a step leaves it or G' <= 0),
     until a step is below LAMBDA_TOL relative, and G is evaluated once more
     at the last iterate, which is returned with |G - target| and, for the
-    jump kind, a from that same evaluation.  A level still open after
+    full-line kinds, a from that same evaluation.  A level still open after
     _NEWTON_STEPS evaluations raises QuantizeError.
     """
-    cond = lambda lam: _condition(pot, lam, kind, hbar, cert, _ROOT_QUAD_TOL)
+    cond = lambda lam: quantization_condition(pot, lam, kind, hbar, cert, _ROOT_QUAD_TOL)
     a1, a2 = window
     mu = MASLOV_OFFSETS[kind]
     sample = np.linspace(a1, a2, _SAMPLE_POINTS)
-    g_s, gp_s, _ = cond(sample)
-    g1, g2 = float(g_s[0]), float(g_s[-1])
+    s = cond(sample)
+    g1, g2 = float(s.g[0]), float(s.g[-1])
     n_lo = math.ceil(g1 / (math.pi * hbar) - mu)
     n_hi = math.floor(g2 / (math.pi * hbar) - mu)
     ns = np.arange(max(n_lo, 0), n_hi + 1)
@@ -176,9 +180,9 @@ def _action_levels(pot: Potential, window: tuple[float, float], hbar: float, kin
     if not ns.size:
         return []
 
-    lo, hi, lam = _brackets(sample, g_s, gp_s, targets)
-    g, der, a_sq = cond(lam)
-    f = g - targets
+    lo, hi, lam = _brackets(sample, s.g, s.g_prime, targets)
+    c = cond(lam)
+    f, der, a_sq = c.g - targets, c.g_prime, c.a_squared
     resid = np.zeros(ns.shape)
     final = np.zeros(ns.shape, dtype=bool)  # lam is the last iterate, and f was taken there
     for step in range(_NEWTON_STEPS + 1):
@@ -198,53 +202,58 @@ def _action_levels(pot: Potential, window: tuple[float, float], hbar: float, kin
         nxt = np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b))
         final[todo] = np.abs(nxt - x) <= LAMBDA_TOL * np.maximum(1.0, np.abs(x))
         lam[todo], lo[todo], hi[todo] = nxt, a, b
-        g_t, der[todo], a_t = cond(nxt)
-        f[todo] = g_t - targets[todo]
-        if a_sq is not None:
-            a_sq[todo] = a_t
+        c = cond(nxt)
+        f[todo], der[todo], a_sq[todo] = c.g - targets[todo], c.g_prime, c.a_squared
 
     out = []
     for k, n in enumerate(ns.tolist()):
         amp = None
-        if kind == "smooth":
-            amp = (-1.0) ** (n % 2)
-        elif kind == "discontinuous":
+        if kind in ("smooth", "discontinuous"):
             amp = (-1.0) ** (n % 2) * math.sqrt(float(a_sq[k]))
         out.append(SemiclassicalLevel(n=n, hbar=hbar, lam=float(lam[k]), residual=float(resid[k]),
                                       kind=kind, amplitude_a=amp, robin_b=robin_b))
     return out
 
 
-def _condition(pot: Potential, lam, kind: str, hbar: float,
-               cert: WellCertificate | HalfLineCertificate, tol: float):
-    """(G, G', a^2) at lam, a float or an array, for a level kind; a^2 is the
-    jump amplitude of jump_action for the discontinuous kind, None for the
-    others (see quantization_condition)."""
-    if kind == "smooth":
-        prof = phi(pot, lam, cert.turning_map(lam), tol)
-        return prof.phi, prof.phi_prime, None
-    if kind == "discontinuous":
-        ja = jump_action(pot, lam, hbar, disc_point(cert), tol)
-        return ja.g, ja.g_prime, ja.a_squared
-    if kind not in MASLOV_OFFSETS:
-        raise QuantizeError(f"unknown level kind {kind!r}")
-    x_plus, _ = cert.turning_map(lam)
-    (val, der), _ = well_integral(pot, lam, 0.0, x_plus, False, True, tol)
-    return val, 0.5 * der, None
+@dataclass(frozen=True)
+class Condition:
+    """The quantization condition of a level kind at one energy, with the
+    well integrals that normalize its eigenfunction (quantization_condition).
+    Fields are floats, or arrays of the shape of an array of energies."""
+
+    g: float  # G of G = pi (n + mu) hbar
+    g_prime: float  # dG/dlam
+    a_squared: float  # a^2 of u_- = a u_+; 1 without a jump
+    i_plus: float  # int (lam-v)^(-1/2) from the jump point to x+; over the well without a jump
+    i_minus: float  # int (lam-v)^(-1/2) from x- to the jump point; 0 without a jump
 
 
 def quantization_condition(pot: Potential, lam, kind: str, hbar: float,
-                           cert: WellCertificate | HalfLineCertificate,
-                           tol: float = TOL_QUAD) -> tuple[float, float]:
-    """(G, G') at lam for the condition G = pi (n + mu) hbar of a level kind.
+                           cert: WellCertificate | HalfLineCertificate | None = None,
+                           tol: float = TOL_QUAD) -> Condition:
+    """The Condition record of a level kind at lam, a float or an array.
 
-    G is Phi (smooth), the phase-corrected action of jump_action at
-    disc_point(cert) (discontinuous) or the half-line action
-    int_0^{x+} (lam - v)^(1/2) (half-line kinds), with the turning points
-    from cert.turning_map.  lam may be an array, giving arrays.
+    smooth: G = Phi, I_+ = int (lam-v)^(-1/2) over the well = 2 G'.
+    discontinuous: jump_action at disc_point(cert), cert defaulting to the
+    certificate of the energies from min(lam) to max(lam).
+    halfline_*: G = int_0^{x+} (lam - v)^(1/2), I_+ = int_0^{x+} (lam-v)^(-1/2)
+    = 2 G'.  Without a jump a^2 = 1 and I_- = 0.  Only the discontinuous
+    kind reads cert.
     """
-    g, g_prime, _ = _condition(pot, lam, kind, hbar, cert, tol)
-    return g, g_prime
+    if kind == "discontinuous":
+        cert = cert or certify_well(pot, float(np.min(lam)), float(np.max(lam)))
+        return jump_action(pot, lam, hbar, disc_point(cert), tol)
+    if kind == "smooth":
+        tp = turning_points(pot, lam)
+        lo, hi, sqrt_lo = tp.x_minus, tp.x_plus, True
+    elif kind in MASLOV_OFFSETS:
+        (hi, _), lo, sqrt_lo = halfline_turning_point(pot, lam), 0.0, False
+    else:
+        raise QuantizeError(f"unknown level kind {kind!r}")
+    (g, i_plus), _ = well_integral(pot, lam, lo, hi, sqrt_lo, True, tol)
+    if np.ndim(lam) == 0:
+        return Condition(g, 0.5 * i_plus, 1.0, i_plus, 0.0)
+    return Condition(g, 0.5 * i_plus, np.ones(np.shape(lam)), i_plus, np.zeros(np.shape(lam)))
 
 
 def bs_levels(pot: Potential, window: tuple[float, float], hbar: float,
@@ -271,9 +280,9 @@ def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
     (Phi(a1), Phi(a2)); pass an observed (e.g. brute-force) count to get its
     epsilon against the same prediction.
     """
-    cert = cert or certify_well(pot, a1, a2)
-    phi1 = phi_value(pot, a1, cert.turning_map(a1))
-    phi2 = phi_value(pot, a2, cert.turning_map(a2))
+    if cert is None:
+        certify_well(pot, a1, a2)  # raises off a single well
+    phi1, phi2 = phi(pot, a1).phi, phi(pot, a2).phi
     predicted = float((phi2 - phi1) / (math.pi * hbar))
     if count is None:
         mu = MASLOV_OFFSETS["smooth"]
@@ -311,19 +320,8 @@ def _jump_factor(pot: Potential, x0: float, lam):
     return (gap_m / gap_p) ** 0.25, 0.25 * (1.0 / gap_m - 1.0 / gap_p)
 
 
-@dataclass(frozen=True)
-class JumpAction:
-    """The jump condition at one energy, written as an action (jump_action)."""
-
-    g: float  # G = Phi + hbar delta
-    g_prime: float  # dG/dlam
-    a_squared: float  # a^2 = p^2 cos^2(theta-) + p^-2 sin^2(theta-)
-    i_plus: float  # int_{x0}^{x+} (lam-v)^(-1/2)
-    i_minus: float  # int_{x-}^{x0} (lam-v)^(-1/2)
-
-
 def jump_action(pot: Potential, lam, hbar: float, x0: float,
-                tol: float = TOL_QUAD) -> JumpAction:
+                tol: float = TOL_QUAD) -> Condition:
     """Phase-corrected action G whose level sets pi (n + 1/2) hbar are the
     roots of F = p sin(theta+) cos(theta-) + p^-1 cos(theta+) sin(theta-).
 
@@ -353,8 +351,8 @@ def jump_action(pot: Potential, lam, hbar: float, x0: float,
               0.5 * (i_plus + i_minus / a2) - hbar * np.sin(2.0 * th_m) * dlnp / a2,
               a2, i_plus, i_minus)
     if np.ndim(lam) == 0:
-        return JumpAction(*(float(v[0]) for v in fields))
-    return JumpAction(*(v.reshape(np.shape(lam)) for v in fields))
+        return Condition(*(float(v[0]) for v in fields))
+    return Condition(*(v.reshape(np.shape(lam)) for v in fields))
 
 
 def disc_levels(pot: Potential, window: tuple[float, float], hbar: float,

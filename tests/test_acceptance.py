@@ -67,7 +67,7 @@ def test_ac2_hbar_squared_residual_law(quartic_data):
         spec = quartic_data[hbar][0]
         worst = 0.0
         for lam in spec.eigenvalues:
-            frac = action.phi_value(QUART, float(lam)) / (math.pi * hbar) - 0.5
+            frac = action.phi(QUART, float(lam)).phi / (math.pi * hbar) - 0.5
             worst = max(worst, abs(frac - round(frac)) * math.pi * hbar)
         rs.append(worst)
     slope = float(np.polyfit(np.log(hbars), np.log(rs), 1)[0])
@@ -250,8 +250,8 @@ def test_ac9_classical_identities():
             forms = action.power_law_closed_forms(0, 1, ap, 0, 1, am, lam)
             worst_beta = max(
                 worst_beta,
-                abs(forms.phi - action.phi_value(pot, lam)) / forms.phi,
-                abs(forms.phi_prime - action.phi_prime(pot, lam)) / forms.phi_prime,
+                abs(forms.phi - action.phi(pot, lam).phi) / forms.phi,
+                abs(forms.phi_prime - action.phi(pot, lam).phi_prime) / forms.phi_prime,
             )
     ok = worst_id <= 1e-8 and worst_beta <= 1e-8
     report("AC9", ok,

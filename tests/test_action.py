@@ -31,7 +31,7 @@ def test_phi_harmonic_quarter_circle():
 
 def test_phi_absolute_value_potential():
     # int_{-1}^{1} (1-|x|)^(1/2) dx = 4/3
-    assert abs(action.phi_value(ABSV, 1.0) - 4.0 / 3.0) <= 1e-10
+    assert abs(action.phi(ABSV, 1.0).phi - 4.0 / 3.0) <= 1e-10
 
 
 def test_phi_power_law_beta_half_well():
@@ -41,19 +41,19 @@ def test_phi_power_law_beta_half_well():
 
 
 def test_phi_prime_harmonic():
-    assert abs(action.phi_prime(HARM, 1.0) - math.pi / 2) <= 1e-10
+    assert abs(action.phi(HARM, 1.0).phi_prime - math.pi / 2) <= 1e-10
 
 
 def test_phi_prime_matches_finite_difference():
     h = 1e-5
     for pot, lam in ((QUART, 1.0), (HARM, 0.7), (ABSV, 1.3)):
-        fd = (action.phi_value(pot, lam + h) - action.phi_value(pot, lam - h)) / (2 * h)
-        assert abs(action.phi_prime(pot, lam) - fd) <= 1e-8
+        fd = (action.phi(pot, lam + h).phi - action.phi(pot, lam - h).phi) / (2 * h)
+        assert abs(action.phi(pot, lam).phi_prime - fd) <= 1e-8
 
 
 def test_partial_action_additivity_and_limits():
     tp = turning_points(HARM, 1.0)
-    phi_total = action.phi_value(HARM, 1.0)
+    phi_total = action.phi(HARM, 1.0).phi
     for x in (-0.5, 0.0, 0.5):
         s = action.partial_action(HARM, 1.0, x, "+") + action.partial_action(HARM, 1.0, x, "-")
         assert abs(s - phi_total) <= 2 * action.TOL_QUAD
@@ -111,8 +111,8 @@ def test_power_law_closed_forms_match_quadrature():
         pot = make_power_law(0, 1, ap, 0, 1, am)
         for lam in (0.7, 1.0, 1.9):
             forms = action.power_law_closed_forms(0, 1, ap, 0, 1, am, lam)
-            assert abs(forms.phi - action.phi_value(pot, lam)) <= 1e-8 * forms.phi
-            assert abs(forms.phi_prime - action.phi_prime(pot, lam)) <= 1e-8 * forms.phi_prime
+            assert abs(forms.phi - action.phi(pot, lam).phi) <= 1e-8 * forms.phi
+            assert abs(forms.phi_prime - action.phi(pot, lam).phi_prime) <= 1e-8 * forms.phi_prime
             assert abs(forms.kinetic - action.kinetic_cl(pot, lam)) <= 1e-8 * forms.kinetic
 
 
@@ -139,13 +139,13 @@ def test_offset_power_law_half_action():
     forms = action.power_law_closed_forms(0.5, 1, 2, 0, 1, 2, 1.0)
     assert abs(forms.phi_plus0 - 0.5 * action._beta(1.5, 0.5) * 0.5) <= 1e-12
     pot = make_power_law(0.5, 1, 2, 0, 1, 2)
-    assert abs(forms.phi - action.phi_value(pot, 1.0)) <= 1e-9
+    assert abs(forms.phi - action.phi(pot, 1.0).phi) <= 1e-9
 
 
 def test_halfline_actions():
     # int_0^1 (1 - x^2)^(1/2) = pi/4 and (1/2) int_0^1 (1 - x^2)^(-1/2) = pi/4
     pot = halfline_power_law(0, 1, 2)
     cert = certify_halfline_well(pot, 0.5, 1.5)
-    g, g_prime = quantization_condition(pot, 1.0, "halfline_dirichlet", 0.1, cert)
-    assert abs(g - math.pi / 4) <= 1e-10
-    assert abs(g_prime - math.pi / 4) <= 1e-10
+    c = quantization_condition(pot, 1.0, "halfline_dirichlet", 0.1, cert)
+    assert abs(c.g - math.pi / 4) <= 1e-10
+    assert abs(c.g_prime - math.pi / 4) <= 1e-10

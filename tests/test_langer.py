@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from semiclass import langer, oracle, quadrature, quantize
-from semiclass.action import partial_action, phi_value
+from semiclass.action import partial_action, phi
 from semiclass.airy import AI_ZERO
 from semiclass.langer import (
     ChartDomainError,
@@ -33,6 +35,10 @@ KINK_JUMP = potential_from_spec({"kind": "table", "branches": [
     {"lo": 0.0, "hi": "inf", "type": "power", "offset": 0.5, "coeff": 1.0, "exponent": 2.0},
 ]})
 HARM_PLUS = build_chart(HARM, 1.0, "+")  # the '+' chart at lam = 1, matched at x1 = 0
+
+
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
 def _harm_action(lam, x):
@@ -206,7 +212,6 @@ def test_build_chart_makes_no_per_node_kernel_call(monkeypatch):
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "well_integral", counted)
-    monkeypatch.setattr(langer, "well_integral", counted)
     for side in ("+", "-"):
         build_chart(DISC, 1.3, side)
     assert calls == []
@@ -231,6 +236,17 @@ def test_chart_far_field_and_domain_error():
 
 
 # -- error-control function ---------------------------------------------------
+
+def test_default_matching_point_is_a_jump_or_the_midpoint():
+    # a kink inside the well is not a matching point: at lam = 1 the default
+    # x1 of this kinked well is the turning-point midpoint 0.2113, not 0
+    kinked = make_power_law(0, 1, 1, 0, 3, 2)
+    assert [s.kind for s in kinked.singular_points] == ["kink"]
+    tp = turning_points(kinked, 1.0)
+    for side in ("+", "-"):
+        assert build_chart(kinked, 1.0, side).x1 == 0.5 * (tp.x_minus + tp.x_plus)
+        assert build_chart(DISC, 1.3, side).x1 == 0.0
+
 
 def test_error_control_linear_potential_cancels():
     # q = x gives xi = x and 5 xi^-2 exactly cancels 5 xi q^-3 q'^2
@@ -350,7 +366,7 @@ def test_wronskian_reproduces_quantization_phase():
     cm = build_chart(HARM, lam, "-", x1=0.6)
     w = (chart_u(cp, hbar, x) * chart_u_prime(cm, hbar, x)
          - chart_u(cm, hbar, x) * chart_u_prime(cp, hbar, x))
-    pred = math.pi * hbar ** (-2 / 3) * math.sin(phi_value(HARM, lam) / hbar + math.pi / 2)
+    pred = math.pi * hbar ** (-2 / 3) * math.sin(phi(HARM, lam).phi / hbar + math.pi / 2)
     assert abs(w - pred) <= 0.05 * math.pi * hbar ** (-2 / 3)
 
 
@@ -376,7 +392,7 @@ def test_normalization_parity_and_scaling():
     c1, _ = normalization(HARM, dataclasses.replace(even, n=0))
     c2, _ = normalization(HARM, dataclasses.replace(even, n=0, hbar=0.1 / 8.0))
     assert abs(c2 / c1 - 8.0 ** (1 / 6)) <= 1e-12
-    with pytest.raises(ValueError):
+    with pytest.raises(quantize.QuantizeError):
         normalization(HARM, dataclasses.replace(even, kind="unknown"))
 
 
@@ -387,19 +403,24 @@ def test_normalization_halfline_harmonic_closed_form():
         assert abs(c_plus - 2.0 / math.pi * 0.05 ** (-1 / 6)) <= 1e-10 * c_plus
 
 
-def _psi_errors(pot, window, hbar, bc=None, robin_b=0.0):
+def _psi_errors(pot, window, hbar, bc=None, robin_b=0.0, pad=0.0):
     """(lam, sup|psi - psi_oracle| / max|psi_oracle|) of each window level,
-    the sup taken over the whole oracle grid."""
+    the sup taken over the whole oracle grid.  The oracle solves the window
+    widened by pad on each side and each level takes the oracle state
+    nearest to it; without pad the two level counts must agree."""
+    wide = (window[0] - pad, window[1] + pad)
     if bc is None:
-        levels = (quantize.disc_levels if pot.singular_points else quantize.bs_levels)(pot, window, hbar)
-        spec = oracle.solve_spectrum(pot, hbar, window)
+        jump = any(s.kind == "jump" for s in pot.singular_points)
+        levels = (quantize.disc_levels if jump else quantize.bs_levels)(pot, window, hbar)
+        spec = oracle.solve_spectrum(pot, hbar, wide)
     else:
         levels = quantize.halfline_levels(pot, window, hbar, bc=bc, robin_b=robin_b)
-        spec = oracle.solve_spectrum(pot, hbar, window, bc=f"halfline_{bc}", robin_b=robin_b)
-    assert len(levels) == len(spec.eigenvalues) > 0
+        spec = oracle.solve_spectrum(pot, hbar, wide, bc=f"halfline_{bc}", robin_b=robin_b)
+    if not pad:
+        assert len(levels) == len(spec.eigenvalues) > 0
     errs = []
-    for k, l in enumerate(levels):
-        x, po = oracle.eigenvector(spec, k)
+    for l in levels:
+        x, po = oracle.eigenvector(spec, int(np.argmin(np.abs(spec.eigenvalues - l.lam))))
         errs.append((l.lam, float(np.max(np.abs(eigenfunction(pot, l)(x) - po)) / np.max(np.abs(po)))))
     return errs
 
@@ -412,6 +433,31 @@ def _psi_errors(pot, window, hbar, bc=None, robin_b=0.0):
 def test_psi_matches_the_oracle_eigenvector_per_level_kind(pot, window, bc):
     # the 5% bound of the wavefunction benchmark; measured 0.55%, 1.3% and 2.6%
     assert max(err for _, err in _psi_errors(pot, window, 0.05, bc)) <= 0.05
+
+
+@st.composite
+def psi_wells(draw):
+    """(potential, window, bc) of a random two-branch power-law, jump or
+    half-line Dirichlet well, the window 0.3 to 1.2 above the well bottom
+    (above the top of the jump in a jump well)."""
+    kind = draw(st.sampled_from(["power", "jump", "halfline"]))
+    coeff, exponent = (lambda: draw(floats(0.5, 2.0))), (lambda: draw(floats(1.0, 4.0)))
+    bottom = draw(floats(0.2, 0.6)) if kind == "jump" else 0.0
+    if kind == "halfline":
+        pot = halfline_power_law(0.0, coeff(), exponent())
+    else:
+        pot = make_power_law(bottom, coeff(), exponent(), 0.0, coeff(), exponent())
+    lo = bottom + draw(floats(0.3, 0.6))
+    return pot, (lo, lo + draw(floats(0.3, 0.6))), ("dirichlet" if kind == "halfline" else None)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(psi_wells())
+def test_psi_matches_the_oracle_on_random_wells(well):
+    # the 5% bound above, for every window level; the padded oracle window
+    # keeps a level within its O(hbar^2) error of a window edge matched
+    pot, window, bc = well
+    assert max((err for _, err in _psi_errors(pot, window, 0.05, bc, pad=0.1)), default=0.0) <= 0.05
 
 
 def test_halfline_robin_psi_error_decreases_with_hbar():

@@ -104,13 +104,12 @@ def test_defect_recomputed_per_level_is_the_residual(well):
     kind, pot, window, hbar, certify = well
     cert = certify(pot, *window)
     for l in _solve(kind, pot, window, hbar):
-        g, g_prime = quantization_condition(pot, l.lam, l.kind, hbar, cert,
-                                            quantize._ROOT_QUAD_TOL)
-        defect = abs(g - math.pi * (l.n + MASLOV_OFFSETS[l.kind]) * hbar)
+        c = quantization_condition(pot, l.lam, l.kind, hbar, cert, quantize._ROOT_QUAD_TOL)
+        defect = abs(c.g - math.pi * (l.n + MASLOV_OFFSETS[l.kind]) * hbar)
         # the scalar evaluation repeats the solver's last one in the batch
         assert defect == l.residual
         # the documented bound: a root to LAMBDA_TOL relative, G to _ROOT_QUAD_TOL
-        bound = abs(g_prime) * LAMBDA_TOL * max(1.0, abs(l.lam)) + quantize._ROOT_QUAD_TOL
+        bound = abs(c.g_prime) * LAMBDA_TOL * max(1.0, abs(l.lam)) + quantize._ROOT_QUAD_TOL
         assert defect <= bound
 
 
@@ -160,13 +159,13 @@ def test_newton_cap_exits_4(monkeypatch, tmp_path):
 def test_condition_takes_every_level_at_once(monkeypatch):
     # one evaluation per sweep serves every n: far fewer calls than levels
     calls = []
-    real = quantize._condition
+    real = quantize.quantization_condition
 
     def counting(pot, lam, *args):
         calls.append(np.size(lam))
         return real(pot, lam, *args)
 
-    monkeypatch.setattr(quantize, "_condition", counting)
+    monkeypatch.setattr(quantize, "quantization_condition", counting)
     levels = bs_levels(make_power_law(0, 1, 4, 0, 1, 4), (0.5, 2.0), 0.005)
     assert len(levels) == 121
     assert len(calls) <= 8 and max(calls) == len(levels)

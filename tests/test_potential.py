@@ -98,8 +98,7 @@ def test_certify_harmonic_window():
     cert = certify_well(make_power_law(0, 1, 2, 0, 1, 2), 0.5, 2.0)
     assert cert.interior_singularities == ()
     assert cert.criticality_margin > 0
-    tp = cert.turning_map(1.0)
-    assert abs(tp.x_plus - 1.0) <= 1e-12
+    assert cert.lambda_window == (0.5, 2.0)
 
 
 def test_certify_double_well_fails():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from semiclass import oracle, quantize
-from semiclass.action import partial_action, phi_prime, phi_value
+from semiclass.action import partial_action, phi
 from semiclass.langer import eigenfunction, normalization
 from semiclass.potential import halfline_power_law, make_power_law, potential_from_spec
 from semiclass.quantize import (
@@ -41,7 +41,7 @@ def test_bs_root_definition_quartic():
     lv = bs_levels(QUART, (0.5, 2.0), 0.05)
     l0 = lv[0]
     target = math.pi * (l0.n + 0.5) * 0.05
-    assert abs(phi_value(QUART, l0.lam) / target - 1.0) <= 1e-10
+    assert abs(phi(QUART, l0.lam).phi / target - 1.0) <= 1e-10
     assert l0.residual <= 1e-9
 
 
@@ -55,7 +55,7 @@ def test_bs_uniqueness_separation():
     # consecutive roots separated by at least pi hbar / (2 max Phi')
     hbar = 0.05
     lv = bs_levels(QUART, (0.5, 2.0), hbar)
-    dmax = max(phi_prime(QUART, l.lam) for l in lv)
+    dmax = max(phi(QUART, l.lam).phi_prime for l in lv)
     gap = math.pi * hbar / (2.0 * dmax)
     assert all(b.lam - a.lam >= gap for a, b in zip(lv, lv[1:]))
 
@@ -86,7 +86,7 @@ def test_weyl_harmonic_example():
     assert abs(cr.predicted - 3.5) <= 1e-9
     assert cr.count == 4  # levels 0.1, 0.3, 0.5, 0.7
     assert abs(cr.epsilon - 0.5) <= 1e-9
-    assert abs(cr.phase_volume - 2.0 * (phi_value(HARM, 0.75) - phi_value(HARM, 0.05))) <= 1e-9
+    assert abs(cr.phase_volume - 2.0 * (phi(HARM, 0.75).phi - phi(HARM, 0.05).phi)) <= 1e-9
 
 
 def test_weyl_halving_hbar_doubles_count():
@@ -214,7 +214,7 @@ def _reference_disc_levels(pot, window, hbar, x0, jump_top):
         return p * math.sin(th_p) * math.cos(th_m) + math.cos(th_p) * math.sin(th_m) / p
 
     a1, a2 = window
-    dmax = max(phi_prime(pot, lam) for lam in np.linspace(a1, a2, 5))
+    dmax = max(phi(pot, lam).phi_prime for lam in np.linspace(a1, a2, 5))
     n_uniform = int(math.ceil((a2 - a1) * 16.0 * dmax / (math.pi * hbar))) + 1
     grid = np.union1d(np.linspace(a1, a2, n_uniform),
                       jump_top + np.geomspace(a1 - jump_top, a2 - jump_top, 64))
@@ -222,7 +222,7 @@ def _reference_disc_levels(pot, window, hbar, x0, jump_top):
     idx = np.nonzero(np.sign(vals[1:]) * np.sign(vals[:-1]) < 0)[0]
     roots = [brentq(f, grid[i], grid[i + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
              for i in idx]
-    n0 = int(round(phi_value(pot, roots[0]) / (math.pi * hbar) - 0.5))
+    n0 = int(round(phi(pot, roots[0]).phi / (math.pi * hbar) - 0.5))
     out = []
     for k, lam in enumerate(roots):
         th_p, th_m, p = angles(lam)
@@ -288,7 +288,7 @@ def test_disc_normalization_scaling_and_guard():
         a2 = quantize.jump_action(DISC, lam, hbar, 0.0).a_squared
         ratios.append(c_plus * math.sqrt(i_plus + i_minus / a2))
     assert abs(ratios[1] / ratios[0] - 8.0 ** (1 / 6)) <= 1e-10
-    with pytest.raises(ValueError):
+    with pytest.raises(QuantizeError):
         normalization(DISC, dataclasses.replace(dl[0], kind="halfline_neumann"))
 
 
@@ -338,17 +338,18 @@ def test_quantization_condition_per_kind():
     from semiclass.quadrature import well_integral
 
     cert = certify_well(QUART, 0.5, 2.0)
-    assert quantize.quantization_condition(QUART, 1.3, "smooth", 0.05, cert) == (
-        phi_value(QUART, 1.3), phi_prime(QUART, 1.3))
+    prof = phi(QUART, 1.3)
+    assert quantize.quantization_condition(QUART, 1.3, "smooth", 0.05, cert) == quantize.Condition(
+        prof.phi, prof.phi_prime, 1.0, 2.0 * prof.phi_prime, 0.0)
     cert = certify_well(DISC, 0.8, 1.8)
     ja = quantize.jump_action(DISC, 1.2, 0.05, 0.0)
-    assert quantize.quantization_condition(DISC, 1.2, "discontinuous", 0.05, cert) == (
-        ja.g, ja.g_prime)
+    assert quantize.quantization_condition(DISC, 1.2, "discontinuous", 0.05, cert) == ja
     cert = certify_halfline_well(HL, 0.05, 1.45)
     x_plus, _ = halfline_turning_point(HL, 0.9)
     (act, der), _ = well_integral(HL, 0.9, 0.0, x_plus, False, True)
     for kind in ("halfline_dirichlet", "halfline_robin"):
-        assert quantize.quantization_condition(HL, 0.9, kind, 0.1, cert) == (act, 0.5 * der)
+        assert quantize.quantization_condition(HL, 0.9, kind, 0.1, cert) == quantize.Condition(
+            act, 0.5 * der, 1.0, der, 0.0)
     with pytest.raises(QuantizeError):
         quantize.quantization_condition(HL, 0.9, "halfline_neumann", 0.1, cert)
 

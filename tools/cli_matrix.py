@@ -1,0 +1,47 @@
+#!/usr/bin/env python3
+"""Run every CLI command on every config and keep each run's output.
+
+    python3 tools/cli_matrix.py OUTDIR [CONFIG ...]
+
+CONFIG defaults to configs/*.json.  Each command runs on each config in
+both formats (csv, json), with and without --no-oracle, from the config's
+own directory, and its stdout, stderr and exit code go to
+OUTDIR/<config name>/<command>.<format>[.no-oracle].{out,err,rc}.  The
+program is imported from the src/ next to this script, so running two
+trees' copies into two directories and `diff -r` compares their output.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMANDS = ("levels", "count", "wavefunction", "observable", "scaling")
+
+
+def main() -> int:
+    if len(sys.argv) < 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    out = Path(sys.argv[1])
+    configs = [Path(c).resolve() for c in sys.argv[2:]] or sorted((ROOT / "configs").glob("*.json"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for cfg in configs:
+        (out / cfg.stem).mkdir(parents=True, exist_ok=True)
+        for command in COMMANDS:
+            for fmt in ("csv", "json"):
+                for flags in ([], ["--no-oracle"]):
+                    run = subprocess.run(
+                        [sys.executable, "-m", "semiclass.cli", command, "--config", cfg.name,
+                         "--format", fmt, *flags],
+                        cwd=cfg.parent, env=env, capture_output=True)
+                    base = out / cfg.stem / ".".join([command, fmt] + [f[2:] for f in flags])
+                    base.with_name(base.name + ".out").write_bytes(run.stdout)
+                    base.with_name(base.name + ".err").write_bytes(run.stderr)
+                    base.with_name(base.name + ".rc").write_text(f"{run.returncode}\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,7 +36,7 @@ from .potential import (
     turning_points,
 )
 from .quadrature import turning_point_integral
-from .quantize import disc_point, quantization_condition
+from .quantize import Condition, disc_point, quantization_condition
 
 __all__ = [
     "LangerChart",
@@ -275,9 +275,14 @@ def normalization(pot: Potential, level, cert: Optional[WellCertificate] = None)
     it (a jump level defaults to the certificate of the single energy
     level.lam)."""
     c = quantization_condition(pot, level.lam, level.kind, level.hbar, cert, TOL_QUAD)
-    pref = math.sqrt(2.0 / math.pi) * level.hbar ** (-1.0 / 6.0)
+    return _coefficients(c, level.hbar, level.n)
+
+
+def _coefficients(c: Condition, hbar: float, n: int) -> tuple[float, float]:
+    """normalization's (c_+, c_-) from a quantization_condition record."""
+    pref = math.sqrt(2.0 / math.pi) * hbar ** (-1.0 / 6.0)
     return (pref / math.sqrt(c.i_plus + c.i_minus / c.a_squared),
-            (-1.0) ** (level.n % 2) * pref / math.sqrt(c.a_squared * c.i_plus + c.i_minus))
+            (-1.0) ** (n % 2) * pref / math.sqrt(c.a_squared * c.i_plus + c.i_minus))
 
 
 def peak_coefficient(pot: Potential, lam: float, side: str = "+") -> float:
@@ -285,11 +290,12 @@ def peak_coefficient(pot: Potential, lam: float, side: str = "+") -> float:
 
     Composition of |c_pm| with u(x_tp) = pi |v'(x_tp)|^(-1/6) Ai(0), i.e.
     (2 pi)^(1/2) (int (lam-v)^(-1/2))^(-1/2) |v'(x_tp)|^(-1/6) Ai(0); |c_pm|
-    is normalization's for a smooth level at hbar = 1, and |v'(x_tp)| is the
-    slope of the side's chart.
+    is normalization's for a smooth level at hbar = 1.
     """
-    c_plus = math.sqrt(2.0 / math.pi) / math.sqrt(quantization_condition(pot, lam, "smooth", 1.0).i_plus)
-    return c_plus * math.pi * build_chart(pot, lam, side).slope ** (-1.0 / 6.0) * AI_ZERO
+    c_plus, _ = _coefficients(quantization_condition(pot, lam, "smooth", 1.0), 1.0, 0)
+    tp = turning_points(pot, lam)
+    slope = tp.slope_plus if side == "+" else -tp.slope_minus
+    return c_plus * math.pi * slope ** (-1.0 / 6.0) * AI_ZERO
 
 
 @dataclass

@@ -278,7 +278,9 @@ def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
 
     count defaults to the number of quantization points pi(n+1/2) hbar in
     (Phi(a1), Phi(a2)); pass an observed (e.g. brute-force) count to get its
-    epsilon against the same prediction.
+    epsilon against the same prediction.  Passing cert says the well is
+    already certified over (a1, a2) and skips that check; its fields are not
+    read.
     """
     if cert is None:
         certify_well(pot, a1, a2)  # raises off a single well

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .potential import Potential, TurningPoints, turning_points
+from .potential import Potential, PotentialError, TurningPoints, turning_points
 from .quadrature import well_integral
 
 __all__ = [
@@ -39,6 +39,9 @@ class ActionProfile:
 
 
 def _tp(pot: Potential, lam: float, tp: Optional[TurningPoints]) -> TurningPoints:
+    # the integrals below take both ends of the well as turning points
+    if pot.domain != "full_line":
+        raise PotentialError("action integrals expect a full-line potential")
     return tp if tp is not None else turning_points(pot, lam)
 
 

@@ -21,8 +21,6 @@ from . import action, langer, oracle, quantize
 from .potential import (
     CertificationError,
     PotentialError,
-    WellCertificate,
-    certify_halfline_well,
     certify_well,
     potential_from_spec,
 )
@@ -146,11 +144,12 @@ class RunConfig:
         if self.potential.domain == "half_line" and self.grid.get("lo", 0.0) < 0.0:
             raise ConfigError("field 'grid': 'lo' lies left of the half-line domain x >= 0")
 
+        halfline = self.potential.domain == "half_line"
+        if self.method != "auto" and (self.method == "halfline") != halfline:
+            raise CertificationError(
+                "domain", f"method {self.method!r} does not fit a {self.potential.domain} well")
         # one certificate for the whole run, shared by every hbar task
-        halfline = self.method == "halfline" or (
-            self.method == "auto" and self.potential.domain == "half_line")
-        certify = certify_halfline_well if halfline else certify_well
-        self.cert = certify(self.potential, *self.window)
+        self.cert = certify_well(self.potential, *self.window)
         if self.method == "auto":
             self.method = "halfline" if halfline else (
                 "disc" if self.cert.interior_jump is not None else "bs")
@@ -194,7 +193,7 @@ def _nearest(arr, x):
 
 
 def _need_full_line(cfg: RunConfig, what: str) -> None:
-    if not isinstance(cfg.cert, WellCertificate):
+    if cfg.potential.domain != "full_line":
         raise CertificationError("domain", f"{what} needs a full-line well")
 
 

@@ -32,7 +32,6 @@ from .potential import (
     Potential,
     WellCertificate,
     certify_well,
-    halfline_turning_point,
     turning_points,
 )
 from .quadrature import turning_point_integral
@@ -183,18 +182,14 @@ def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = Non
     if pot.domain == "half_line":
         if side != "+":
             raise ChartDomainError("half-line problems only carry the '+' chart")
-        x_tp, _ = halfline_turning_point(pot, lam)
-        width = x_tp
-        if x1 is None:
-            x1 = 0.0
-    else:
-        turning = turning_points(pot, lam)
-        width = turning.width
-        if x1 is None:
-            jumps = [s.x for s in pot.singular_points
-                     if s.kind == "jump" and turning.x_minus < s.x < turning.x_plus]
-            x1 = jumps[0] if jumps else 0.5 * (turning.x_minus + turning.x_plus)
-        x_tp = turning.x_plus if side == "+" else turning.x_minus
+        x1 = 0.0 if x1 is None else x1
+    turning = turning_points(pot, lam)
+    width = turning.width
+    if x1 is None:
+        jumps = [s.x for s in pot.singular_points
+                 if s.kind == "jump" and turning.x_minus < s.x < turning.x_plus]
+        x1 = jumps[0] if jumps else 0.5 * (turning.x_minus + turning.x_plus)
+    x_tp = turning.x_plus if side == "+" else turning.x_minus
     toward_well = "-" if side == "+" else "+"
     _, d1, d2 = pot.eval(x_tp, toward_well)
     # half-width of the Taylor-model collar: at its edge the two-term model

@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .potential import Potential, halfline_turning_point, turning_points
+from .potential import Potential, turning_points
 
 __all__ = [
     "OracleSpectrum",
@@ -69,13 +69,8 @@ class OracleError(RuntimeError):
 
 def _tail_bound(pot: Potential, lam: float, hbar: float, side: int) -> float:
     """Truncation point: v >= lam + 1 and WKB tail integral >= _TAIL_DECADES*hbar."""
-    if pot.domain == "half_line" and side < 0:
-        return 0.0
-    if pot.domain == "half_line":
-        x_t, _ = halfline_turning_point(pot, lam)
-    else:
-        tp = turning_points(pot, lam)
-        x_t = tp.x_plus if side > 0 else tp.x_minus
+    tp = turning_points(pot, lam)
+    x_t = tp.x_plus if side > 0 else tp.x_minus
     x = x_t + side * 0.25
     need = _TAIL_DECADES * hbar
     for _ in range(400):
@@ -506,10 +501,7 @@ def eigenvector(spec: OracleSpectrum, k: int):
     psi = np.zeros_like(x)
     psi[on] = psi_f[i[on]]
 
-    if spec.potential.domain == "half_line":
-        x_plus, _ = halfline_turning_point(spec.potential, lam)
-    else:
-        x_plus = turning_points(spec.potential, lam).x_plus
+    x_plus = turning_points(spec.potential, lam).x_plus
     i_plus = int(np.argmin(np.abs(x - x_plus)))
     if psi[i_plus] < 0.0:
         psi = -psi

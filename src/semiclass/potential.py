@@ -2,7 +2,9 @@
 
 A Potential is an ordered set of smooth branches partitioning the domain,
 plus markers for interior points where v, v' or v'' may jump.  All
-operations here are pure, and Potential instances are immutable.
+operations here are pure, and Potential instances are immutable.  On the
+half line [0, inf) the wall x = 0 is the left end of the well, so one
+turning-point solver and one certificate serve both domains.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "Potential",
     "TurningPoints",
     "WellCertificate",
-    "HalfLineCertificate",
     "PotentialError",
     "CertificationError",
     "TurningPointError",
@@ -32,9 +33,7 @@ __all__ = [
     "halfline_power_law",
     "make_polynomial",
     "turning_points",
-    "halfline_turning_point",
     "certify_well",
-    "certify_halfline_well",
     "potential_from_spec",
     "TOL_X",
 ]
@@ -292,7 +291,8 @@ def make_power_law(a_plus: float, v_plus: float, alpha_plus: float,
                    a_minus: float, v_minus: float, alpha_minus: float) -> Potential:
     """Two-branch power-law well a_+- + v_+- |x|^alpha_+- glued at x=0.
 
-    Marks x=0 singular unless the branches agree there to second order.
+    Marks x=0 singular unless the branches agree there to second order,
+    as potential_from_spec marks the same two branches given as a table.
     """
     if v_plus <= 0 or v_minus <= 0:
         raise PotentialError("v_plus and v_minus must be positive")
@@ -300,22 +300,10 @@ def make_power_law(a_plus: float, v_plus: float, alpha_plus: float,
         raise PotentialError("alpha_plus and alpha_minus must be positive")
     left = PowerBranch(a_minus, v_minus, alpha_minus)
     right = PowerBranch(a_plus, v_plus, alpha_plus)
-    sing = []
-    if a_plus != a_minus:
-        sing.append(SingularPoint(0.0, "jump"))
-    else:
-        dl = -v_minus if alpha_minus == 1.0 else (0.0 if alpha_minus > 1.0 else math.inf)
-        dr = +v_plus if alpha_plus == 1.0 else (0.0 if alpha_plus > 1.0 else math.inf)
-        if dl != dr:
-            sing.append(SingularPoint(0.0, "kink"))
-        else:
-            d2l = 2.0 * v_minus if alpha_minus == 2.0 else (0.0 if alpha_minus > 2.0 else math.inf)
-            d2r = 2.0 * v_plus if alpha_plus == 2.0 else (0.0 if alpha_plus > 2.0 else math.inf)
-            if d2l != d2r:
-                sing.append(SingularPoint(0.0, "curvature"))
+    mark = _classify_boundary(left, right, 0.0)
     return Potential(
         pieces=(Piece(-math.inf, 0.0, left), Piece(0.0, math.inf, right)),
-        singular_points=tuple(sing),
+        singular_points=() if mark is None else (mark,),
     )
 
 
@@ -344,8 +332,9 @@ def make_polynomial(coeffs, domain: str = "full_line") -> Potential:
 
 @dataclass(frozen=True)
 class TurningPoints:
-    """The two turning points x_- < x_+ and the slopes v' there: floats for
-    one energy, arrays of its shape for an array of energies."""
+    """The two ends x_- < x_+ of the well and the slopes v' there: floats for
+    one energy, arrays of its shape for an array of energies.  On the half
+    line x_- is the wall x = 0, with slope_minus = -inf."""
 
     x_minus: float
     x_plus: float
@@ -532,24 +521,30 @@ def _energies(lam) -> np.ndarray:
 
 
 def turning_points(pot: Potential, lam) -> TurningPoints:
-    """Locate the two solutions of v(x) = lam and the slopes there.
+    """Locate the ends of the well {v < lam} and the slopes there.
 
     Each branch solves v = lam in closed form; the sign of v - lam between
     neighbouring roots and piece boundaries counts the crossings exactly,
-    and each root is Newton-polished on its own branch.  lam may be an
-    array: every energy is solved at once and the fields are arrays of its
-    shape, each entry the one a call with that energy alone returns.
+    and each root is Newton-polished on its own branch.  A half-line well
+    has v(0) < lam and one crossing, x_+.  lam may be an array: every
+    energy is solved at once and the fields are arrays of its shape, each
+    entry the one a call with that energy alone returns.
     """
-    if pot.domain != "full_line":
-        raise PotentialError("turning_points expects a full-line potential")
     lams = _energies(lam)
-    count, (x_minus, slope_minus), (x_plus, slope_plus), _ = _crossings(pot, lams)
-    bad = count != 2
+    halfline = pot.domain == "half_line"
+    if halfline:
+        v0 = float(pot.pieces[0].branch.value(0.0))
+        if not np.all(v0 < lams):
+            raise TurningPointError(f"v(0)={v0} is not below lam={lams[np.argmin(v0 < lams)]}")
+    count, first, (x_plus, slope_plus), _ = _crossings(pot, lams)
+    need = 1 if halfline else 2
+    bad = count != need
     if np.any(bad):
         k = int(np.argmax(bad))
         raise TurningPointError(
-            f"expected exactly 2 crossings of v(x)={lams[k]}, found {count[k]}"
+            f"expected exactly {need} crossing{'s' * (need > 1)} of v(x)={lams[k]}, found {count[k]}"
         )
+    x_minus, slope_minus = (np.zeros_like(lams), np.full_like(lams, -math.inf)) if halfline else first
     for x, slope in ((x_minus, slope_minus), (x_plus, slope_plus)):
         jump = np.isnan(slope)
         if np.any(jump):
@@ -561,38 +556,21 @@ def turning_points(pot: Potential, lam) -> TurningPoints:
     return TurningPoints(*(v.reshape(np.shape(lam)) for v in fields))
 
 
-def halfline_turning_point(pot: Potential, lam):
-    """Single right turning point of a half-line well (0, x_plus) and the
-    slope there; arrays of its shape for an array lam."""
-    if pot.domain != "half_line":
-        raise PotentialError("halfline_turning_point expects a half-line potential")
-    lams = _energies(lam)
-    v0 = float(pot.pieces[0].branch.value(0.0))
-    if not np.all(v0 < lams):
-        raise TurningPointError(f"v(0)={v0} is not below lam={lams[np.argmin(v0 < lams)]}")
-    count, (x_plus, slope), _, _ = _crossings(pot, lams)
-    if np.any(count != 1):
-        raise TurningPointError(f"expected exactly 1 crossing, found {count[np.argmax(count != 1)]}")
-    if not np.all(slope > 0.0):
-        raise TurningPointError(f"critical turning point: v'(x+)={slope[np.argmin(slope > 0.0)]}")
-    if np.ndim(lam) == 0:
-        return float(x_plus[0]), float(slope[0])
-    return x_plus.reshape(np.shape(lam)), slope.reshape(np.shape(lam))
-
-
 @dataclass(frozen=True)
 class WellCertificate:
     """Single-well geometry verified for every lam in lambda_window.
 
     The crossing count of v = lam is exact (closed-form roots per branch)
     and can change only at a critical value of v: a branch critical point,
-    a one-sided limit at a piece boundary, or an asymptote.  certify_well
-    checks the window edges, every critical value inside the window and one
-    energy between each pair of neighbouring ones, so for every lam in the
-    window: exactly two crossings, neither at a jump of v; nonzero slopes
-    v'(x-) < 0 < v'(x+); no critical point of v at level lam strictly inside
-    the well; x_pm monotone in lam; and v above lam_hi + 10 beyond x_bounds.
-    The only inexactness left is the rounding of the closed-form roots.
+    a one-sided limit at a piece boundary, v(0) on the half line, or an
+    asymptote.  certify_well checks the window edges, every critical value
+    inside the window and one energy between each pair of neighbouring
+    ones, so for every lam in the window: turning_points succeeds (on the
+    half line its x_- is the wall), so neither crossing is at a jump of v
+    and v'(x-) < 0 < v'(x+); no critical point of v at level lam strictly
+    inside the well; x_pm monotone in lam; no singular point entering the
+    well; and v above lam_hi + 10 beyond x_bounds.  The only inexactness
+    left is the rounding of the closed-form roots.
     """
 
     potential: Potential
@@ -605,14 +583,6 @@ class WellCertificate:
     def interior_jump(self) -> Optional[float]:
         """x of the jump of v inside the well, or None for a well without one."""
         return next((s.x for s in self.interior_singularities if s.kind == "jump"), None)
-
-
-@dataclass(frozen=True)
-class HalfLineCertificate:
-    potential: Potential
-    lambda_window: tuple[float, float]
-    criticality_margin: float
-    x_bounds: tuple[float, float]
 
 
 def _critical_points(pot: Potential) -> list[tuple[float, float]]:
@@ -661,14 +631,6 @@ def _check_energies(crit, lam_lo: float, lam_hi: float) -> list[float]:
     return out
 
 
-def _check_window(pot: Potential, lam_lo: float, lam_hi: float, domain: str) -> None:
-    if not lam_lo <= lam_hi:
-        raise CertificationError("window", f"need lam_lo <= lam_hi, got ({lam_lo}, {lam_hi})")
-    if pot.domain != domain:
-        raise CertificationError("domain", "use certify_halfline_well for half-line potentials"
-                                 if domain == "full_line" else "potential is not half-line")
-
-
 def _no_critical_inside(crit, lam: float, lo: float, hi: float) -> None:
     for x, v in crit:
         if v == lam and lo < x < hi:
@@ -699,7 +661,8 @@ def certify_well(pot: Potential, lam_lo: float, lam_hi: float) -> WellCertificat
     See WellCertificate for what is checked and why the check energies
     cover the whole window; lam_lo == lam_hi certifies a single energy.
     """
-    _check_window(pot, lam_lo, lam_hi, "full_line")
+    if not lam_lo <= lam_hi:
+        raise CertificationError("window", f"need lam_lo <= lam_hi, got ({lam_lo}, {lam_hi})")
     x_bounds = _truncation_bounds(pot, lam_hi)
     crit = _critical_points(pot)
     tps = []
@@ -731,29 +694,6 @@ def certify_well(pot: Potential, lam_lo: float, lam_hi: float) -> WellCertificat
         potential=pot,
         lambda_window=(lam_lo, lam_hi),
         interior_singularities=interior,
-        criticality_margin=float(margin),
-        x_bounds=x_bounds,
-    )
-
-
-def certify_halfline_well(pot: Potential, lam_lo: float, lam_hi: float) -> HalfLineCertificate:
-    """Half-line analogue of certify_well: v(0) < lam, a single non-critical
-    turning point and no critical point of v at level lam inside (0, x+),
-    checked at the same energies and so for every lam in the window."""
-    _check_window(pot, lam_lo, lam_hi, "half_line")
-    x_bounds = _truncation_bounds(pot, lam_hi)
-    crit = _critical_points(pot)
-    margin = math.inf
-    for lam in _check_energies(crit, lam_lo, lam_hi):
-        try:
-            x_plus, slope = halfline_turning_point(pot, lam)
-        except TurningPointError as exc:
-            raise CertificationError("well-geometry", f"lam={lam}: {exc}") from exc
-        _no_critical_inside(crit, lam, 0.0, x_plus)
-        margin = min(margin, slope)
-    return HalfLineCertificate(
-        potential=pot,
-        lambda_window=(lam_lo, lam_hi),
         criticality_margin=float(margin),
         x_bounds=x_bounds,
     )

@@ -22,9 +22,10 @@ delta vanishes with the jump (p = 1), where the condition is Bohr-Sommerfeld.
 G' can turn negative close to the top of the jump; the sign-change bracket
 keeps the iteration safe there.
 
-Half line: int_0^{x+} (lam - v)^(1/2) = pi hbar (n + 3/4) for a Dirichlet
-condition at 0 and pi hbar (n + 1/4) for a Robin condition psi'(0) = b psi(0);
-the value of b does not enter at leading order (it is recorded anyway).
+Half line: the wall x = 0 is the left end of the well (turning_points), and
+int_0^{x+} (lam - v)^(1/2) = pi hbar (n + 3/4) for a Dirichlet condition at
+0 and pi hbar (n + 1/4) for a Robin condition psi'(0) = b psi(0); the value
+of b does not enter at leading order (it is recorded anyway).
 """
 
 from __future__ import annotations
@@ -35,14 +36,12 @@ from typing import Optional
 
 import numpy as np
 
-from .action import TOL_QUAD, phi
+from .action import TOL_QUAD
 from .potential import (
-    HalfLineCertificate,
+    CertificationError,
     Potential,
     WellCertificate,
-    certify_halfline_well,
     certify_well,
-    halfline_turning_point,
     turning_points,
 )
 from .quadrature import well_integral
@@ -149,7 +148,7 @@ def _brackets(lam, g, g_prime, targets):
 
 
 def _action_levels(pot: Potential, window: tuple[float, float], hbar: float, kind: str,
-                   cert: WellCertificate | HalfLineCertificate,
+                   cert: WellCertificate,
                    robin_b: Optional[float] = None) -> list[SemiclassicalLevel]:
     """Every level of one kind in the window: for each n with
     pi (n + mu) hbar strictly between G(a1) and G(a2), the root of
@@ -229,28 +228,29 @@ class Condition:
 
 
 def quantization_condition(pot: Potential, lam, kind: str, hbar: float,
-                           cert: WellCertificate | HalfLineCertificate | None = None,
+                           cert: Optional[WellCertificate] = None,
                            tol: float = TOL_QUAD) -> Condition:
     """The Condition record of a level kind at lam, a float or an array.
 
     smooth: G = Phi, I_+ = int (lam-v)^(-1/2) over the well = 2 G'.
     discontinuous: jump_action at disc_point(cert), cert defaulting to the
     certificate of the energies from min(lam) to max(lam).
-    halfline_*: G = int_0^{x+} (lam - v)^(1/2), I_+ = int_0^{x+} (lam-v)^(-1/2)
-    = 2 G'.  Without a jump a^2 = 1 and I_- = 0.  Only the discontinuous
-    kind reads cert.
+    halfline_*: the same integrals from the wall x_- = 0.  Without a jump
+    a^2 = 1 and I_- = 0.  A kind that does not fit pot.domain raises
+    CertificationError("domain"); a kind other than discontinuous given a
+    cert with a jump inside the well raises QuantizeError.
     """
+    if kind not in MASLOV_OFFSETS:
+        raise QuantizeError(f"unknown level kind {kind!r}")
+    if kind.startswith("halfline") != (pot.domain == "half_line"):
+        raise CertificationError("domain", f"level kind {kind!r} does not fit a {pot.domain} well")
     if kind == "discontinuous":
         cert = cert or certify_well(pot, float(np.min(lam)), float(np.max(lam)))
         return jump_action(pot, lam, hbar, disc_point(cert), tol)
-    if kind == "smooth":
-        tp = turning_points(pot, lam)
-        lo, hi, sqrt_lo = tp.x_minus, tp.x_plus, True
-    elif kind in MASLOV_OFFSETS:
-        (hi, _), lo, sqrt_lo = halfline_turning_point(pot, lam), 0.0, False
-    else:
-        raise QuantizeError(f"unknown level kind {kind!r}")
-    (g, i_plus), _ = well_integral(pot, lam, lo, hi, sqrt_lo, True, tol)
+    if cert is not None and cert.interior_jump is not None:
+        raise QuantizeError("potential jumps inside the well; only the discontinuous kind has a jump term")
+    tp = turning_points(pot, lam)
+    (g, i_plus), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, kind == "smooth", True, tol)
     if np.ndim(lam) == 0:
         return Condition(g, 0.5 * i_plus, 1.0, i_plus, 0.0)
     return Condition(g, 0.5 * i_plus, np.ones(np.shape(lam)), i_plus, np.zeros(np.shape(lam)))
@@ -266,15 +266,14 @@ def bs_levels(pot: Potential, window: tuple[float, float], hbar: float,
     if hbar <= 0.0:
         raise QuantizeError("hbar must be positive")
     cert = cert or certify_well(pot, *window)
-    if cert.interior_jump is not None:
-        raise QuantizeError("potential jumps inside the well; use disc_levels")
     return _action_levels(pot, window, hbar, "smooth", cert)
 
 
 def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
                count: Optional[int] = None,
                cert: Optional[WellCertificate] = None) -> CountResult:
-    """Predicted level count pi^-1 (Phi(a2)-Phi(a1))/hbar over (a1, a2).
+    """Predicted level count pi^-1 (Phi(a2)-Phi(a1))/hbar over (a1, a2), Phi
+    the smooth-kind G of quantization_condition (so a full-line well only).
 
     count defaults to the number of quantization points pi(n+1/2) hbar in
     (Phi(a1), Phi(a2)); pass an observed (e.g. brute-force) count to get its
@@ -284,7 +283,7 @@ def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
     """
     if cert is None:
         certify_well(pot, a1, a2)  # raises off a single well
-    phi1, phi2 = phi(pot, a1).phi, phi(pot, a2).phi
+    phi1, phi2 = (quantization_condition(pot, a, "smooth", hbar).g for a in (a1, a2))
     predicted = float((phi2 - phi1) / (math.pi * hbar))
     if count is None:
         mu = MASLOV_OFFSETS["smooth"]
@@ -374,17 +373,18 @@ def disc_levels(pot: Potential, window: tuple[float, float], hbar: float,
 
 def halfline_levels(pot: Potential, window: tuple[float, float], hbar: float,
                     bc: str = "dirichlet", robin_b: float = 0.0,
-                    cert: Optional[HalfLineCertificate] = None) -> list[SemiclassicalLevel]:
+                    cert: Optional[WellCertificate] = None) -> list[SemiclassicalLevel]:
     """Levels of the half-line problem with psi(0)=0 or psi'(0) = b psi(0).
 
     Solves int_0^{x+} (lam-v)^(1/2) = pi hbar (n + offset) with offset 3/4
-    (Dirichlet) or 1/4 (Robin, independent of b at this order).
+    (Dirichlet) or 1/4 (Robin, independent of b at this order), in a well
+    without an interior jump of v.
     """
     if hbar <= 0.0:
         raise QuantizeError("hbar must be positive")
     kind = f"halfline_{bc}"
     if kind not in MASLOV_OFFSETS:
         raise QuantizeError(f"unknown boundary condition {bc!r}")
-    cert = cert or certify_halfline_well(pot, *window)
+    cert = cert or certify_well(pot, *window)
     return _action_levels(pot, window, hbar, kind, cert,
                           robin_b=(robin_b if bc == "robin" else None))

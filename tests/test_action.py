@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from semiclass import action
-from semiclass.potential import certify_halfline_well, halfline_power_law, make_power_law, turning_points
+from semiclass.potential import (
+    PotentialError,
+    certify_well,
+    halfline_power_law,
+    make_power_law,
+    turning_points,
+)
 from semiclass.quantize import quantization_condition
 
 HARM = make_power_law(0, 1, 2, 0, 1, 2)
@@ -142,10 +148,20 @@ def test_offset_power_law_half_action():
     assert abs(forms.phi - action.phi(pot, 1.0).phi) <= 1e-9
 
 
+def test_full_line_integrals_refuse_a_half_line_well():
+    # their quadratures desingularize both ends, and the wall x = 0 is no turning point
+    pot = halfline_power_law(0, 1, 2)
+    for call in (lambda: action.phi(pot, 1.0), lambda: action.kinetic_cl(pot, 1.0),
+                 lambda: action.classical_average(pot, 1.0, lambda x: x),
+                 lambda: action.partial_action(pot, 1.0, 0.5, "+")):
+        with pytest.raises(PotentialError):
+            call()
+
+
 def test_halfline_actions():
     # int_0^1 (1 - x^2)^(1/2) = pi/4 and (1/2) int_0^1 (1 - x^2)^(-1/2) = pi/4
     pot = halfline_power_law(0, 1, 2)
-    cert = certify_halfline_well(pot, 0.5, 1.5)
+    cert = certify_well(pot, 0.5, 1.5)
     c = quantization_condition(pot, 1.0, "halfline_dirichlet", 0.1, cert)
     assert abs(c.g - math.pi / 4) <= 1e-10
     assert abs(c.g_prime - math.pi / 4) <= 1e-10

@@ -91,6 +91,28 @@ def test_certification_failure_exit_code(tmp_path):
     assert run(["levels", "--config", str(cfg)]) == 3
 
 
+HL_JUMP_POT = {"kind": "table", "domain": "half_line", "branches": [
+    {"lo": 0.0, "hi": 0.3, "type": "poly", "coeffs": [0.0, 0.0, 1.0]},
+    {"lo": 0.3, "hi": "inf", "type": "poly", "coeffs": [0.5, 0.0, 1.0]},
+]}
+
+
+def test_halfline_jump_inside_the_well_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {"potential": HL_JUMP_POT, "hbar": 0.02,
+                                            "window": [0.6, 1.5], "oracle": False})
+    assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 4
+    assert "jumps inside the well" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method,pot", [("bs", HL_JUMP_POT), ("disc", HL_JUMP_POT),
+                                        ("halfline", HARM_POT)])
+def test_method_off_its_domain_exits_3(tmp_path, capsys, method, pot):
+    cfg = write_config(tmp_path, "c.json", {"potential": pot, "hbar": 0.1, "method": method,
+                                            "window": [0.6, 1.5], "oracle": False})
+    assert run(["levels", "--config", str(cfg)]) == 3
+    assert "domain" in capsys.readouterr().err
+
+
 def test_nonconvergence_exit_code(tmp_path):
     # the jump condition needs a singular point inside the well: QuantizeError
     cfg = write_config(tmp_path, "c.json", {"potential": HARM_POT, "hbar": 0.1,

@@ -17,10 +17,8 @@ from hypothesis import strategies as st
 from semiclass import quantize
 from semiclass.cli import run
 from semiclass.potential import (
-    certify_halfline_well,
     certify_well,
     halfline_power_law,
-    halfline_turning_point,
     make_power_law,
     potential_from_spec,
     turning_points,
@@ -69,8 +67,7 @@ def wells(draw):
         bottom = 0.0
     lo = bottom + draw(floats(0.005, 0.3))
     window = (lo, lo + draw(floats(0.3, 1.2)))
-    certify = certify_halfline_well if kind.startswith("halfline") else certify_well
-    return kind, pot, window, hbar, certify
+    return kind, pot, window, hbar
 
 
 def _solve(kind, pot, window, hbar):
@@ -84,7 +81,7 @@ def _solve(kind, pot, window, hbar):
 @PROPS
 @given(wells())
 def test_window_levels_match_single_level_windows(well):
-    kind, pot, window, hbar, _ = well
+    kind, pot, window, hbar = well
     levels = _solve(kind, pot, window, hbar)
     lams = [window[0]] + [l.lam for l in levels] + [window[1]]
     for k, l in enumerate(levels):
@@ -101,8 +98,8 @@ def test_window_levels_match_single_level_windows(well):
 @PROPS
 @given(wells())
 def test_defect_recomputed_per_level_is_the_residual(well):
-    kind, pot, window, hbar, certify = well
-    cert = certify(pot, *window)
+    kind, pot, window, hbar = well
+    cert = certify_well(pot, *window)
     for l in _solve(kind, pot, window, hbar):
         c = quantization_condition(pot, l.lam, l.kind, hbar, cert, quantize._ROOT_QUAD_TOL)
         defect = abs(c.g - math.pi * (l.n + MASLOV_OFFSETS[l.kind]) * hbar)
@@ -116,13 +113,8 @@ def test_defect_recomputed_per_level_is_the_residual(well):
 @PROPS
 @given(wells(), st.lists(floats(0.0, 1.0), min_size=1, max_size=8))
 def test_array_turning_points_equal_scalar_ones(well, fractions):
-    kind, pot, window, _, _ = well
+    kind, pot, window, _ = well
     lams = np.array([window[0] + f * (window[1] - window[0]) for f in fractions])
-    if kind.startswith("halfline"):
-        x_plus, slope = halfline_turning_point(pot, lams)
-        for k, lam in enumerate(lams):
-            assert (x_plus[k], slope[k]) == halfline_turning_point(pot, float(lam))
-        return
     tps = turning_points(pot, lams)
     for k, lam in enumerate(lams):
         tp = turning_points(pot, float(lam))

@@ -7,10 +7,8 @@ import pytest
 from semiclass.potential import (
     CertificationError,
     PotentialError,
-    certify_halfline_well,
     certify_well,
     halfline_power_law,
-    halfline_turning_point,
     make_polynomial,
     make_power_law,
     potential_from_spec,
@@ -132,6 +130,30 @@ def test_power_law_markers():
     assert [s.kind for s in jump.singular_points] == ["jump"]
 
 
+def test_power_law_marks_match_the_table_spec():
+    # make_power_law marks x = 0 as potential_from_spec marks the same two branches
+    marks = {}
+    for a_plus in (0.0, 0.5):
+        for v_plus, v_minus in ((1.0, 1.0), (1.3, 0.7)):
+            for alpha_plus in (0.5, 1.0, 1.5, 2.0, 3.0):
+                for alpha_minus in (0.5, 1.0, 1.5, 2.0, 3.0):
+                    pot = make_power_law(a_plus, v_plus, alpha_plus, 0.0, v_minus, alpha_minus)
+                    table = potential_from_spec({"kind": "table", "branches": [
+                        {"lo": "-inf", "hi": 0.0, "type": "power", "offset": 0.0,
+                         "coeff": v_minus, "exponent": alpha_minus},
+                        {"lo": 0.0, "hi": "inf", "type": "power", "offset": a_plus,
+                         "coeff": v_plus, "exponent": alpha_plus},
+                    ]})
+                    assert pot.singular_points == table.singular_points
+                    marks[a_plus, v_plus, alpha_plus, alpha_minus] = [
+                        s.kind for s in pot.singular_points]
+    # the cusp |x|^(1/2) has v' = -inf, +inf from the two sides; |x|^(3/2) has v'' = +inf
+    assert marks[0.0, 1.0, 0.5, 0.5] == ["kink"]
+    assert marks[0.0, 1.0, 1.5, 1.5] == ["curvature"]
+    assert marks[0.0, 1.0, 2.0, 2.0] == []
+    assert marks[0.5, 1.0, 2.0, 2.0] == ["jump"]
+
+
 def test_power_law_validation():
     with pytest.raises(PotentialError):
         make_power_law(0, -1, 2, 0, 1, 2)
@@ -140,12 +162,15 @@ def test_power_law_validation():
 
 
 def test_halfline_turning_point():
+    # the wall x = 0 is the left end of a half-line well, with slope -inf
     pot = halfline_power_law(0, 1, 2)
-    x_plus, slope = halfline_turning_point(pot, 1.0)
-    assert abs(x_plus - 1.0) <= 1e-12
-    assert abs(slope - 2.0) <= 1e-10
-    cert = certify_halfline_well(pot, 0.1, 1.5)
+    tp = turning_points(pot, 1.0)
+    assert (tp.x_minus, tp.slope_minus) == (0.0, -math.inf)
+    assert abs(tp.x_plus - 1.0) <= 1e-12
+    assert abs(tp.slope_plus - 2.0) <= 1e-10
+    cert = certify_well(pot, 0.1, 1.5)
     assert cert.criticality_margin > 0
+    assert cert.criticality_margin == min(turning_points(pot, lam).slope_plus for lam in (0.1, 1.5))
 
 
 def test_json_power_law_roundtrip():

@@ -6,7 +6,6 @@ import pytest
 from semiclass import action, quadrature, quantize
 from semiclass.potential import (
     halfline_power_law,
-    halfline_turning_point,
     make_power_law,
     turning_points,
 )
@@ -56,8 +55,7 @@ def _well_cases():
     tp = turning_points(DISC, 1.2)
     cases.append(("jump-right", DISC, 1.2, 0.0, tp.x_plus, False, True))
     cases.append(("jump-left", DISC, 1.2, tp.x_minus, 0.0, True, False))
-    x_plus, _ = halfline_turning_point(HL, 0.9)
-    cases.append(("half-line", HL, 0.9, 0.0, x_plus, False, True))
+    cases.append(("half-line", HL, 0.9, 0.0, turning_points(HL, 0.9).x_plus, False, True))
     return cases
 
 

@@ -10,7 +10,13 @@ from scipy.optimize import brentq
 from semiclass import oracle, quantize
 from semiclass.action import partial_action, phi
 from semiclass.langer import eigenfunction, normalization
-from semiclass.potential import halfline_power_law, make_power_law, potential_from_spec
+from semiclass.potential import (
+    CertificationError,
+    certify_well,
+    halfline_power_law,
+    make_power_law,
+    potential_from_spec,
+)
 from semiclass.quantize import (
     QuantizeError,
     bs_levels,
@@ -316,6 +322,49 @@ def test_halfline_robin_b_independence():
     assert [l.lam for l in a] == [l.lam for l in b]
 
 
+# x^2 on [0, 0.3], then 0.5 + x^2: v jumps inside the well for lam > 0.59
+HL_JUMP_SPEC = {"kind": "table", "domain": "half_line", "branches": [
+    {"lo": 0.0, "hi": 0.3, "type": "poly", "coeffs": [0.0, 0.0, 1.0]},
+    {"lo": 0.3, "hi": "inf", "type": "poly", "coeffs": [0.5, 0.0, 1.0]},
+]}
+
+
+def test_halfline_rejects_a_jump_inside_the_well():
+    pot = potential_from_spec(HL_JUMP_SPEC)
+    assert certify_well(pot, 0.6, 1.5).interior_jump == 0.3
+    with pytest.raises(QuantizeError, match="jumps inside the well"):
+        halfline_levels(pot, (0.6, 1.5), 0.02)
+
+
+def test_halfline_singular_point_entering_the_well_fails_certification():
+    # x^2 on [0, 0.5], then a line of slope 3: the kink at 0.5 enters the
+    # well at lam = 0.25, inside the window
+    pot = potential_from_spec({"kind": "table", "domain": "half_line", "branches": [
+        {"lo": 0.0, "hi": 0.5, "type": "poly", "coeffs": [0.0, 0.0, 1.0]},
+        {"lo": 0.5, "hi": "inf", "type": "poly", "coeffs": [-1.25, 3.0]},
+    ]})
+    assert [s.kind for s in pot.singular_points] == ["kink"]
+    with pytest.raises(CertificationError) as info:
+        halfline_levels(pot, (0.1, 1.0), 0.05)
+    assert info.value.clause == "singularity"
+    assert len(halfline_levels(pot, (0.3, 1.0), 0.05)) > 0  # the kink stays inside the well
+
+
+@pytest.mark.parametrize("with_cert", [False, True], ids=["no-cert", "cert"])
+@pytest.mark.parametrize("solve,pot,window", [
+    (bs_levels, HL, (0.05, 1.45)),
+    (bs_levels, potential_from_spec(HL_JUMP_SPEC), (0.6, 1.5)),
+    (disc_levels, HL, (0.05, 1.45)),
+    (halfline_levels, HARM, (0.5, 1.5)),
+    (lambda pot, window, hbar, **kw: weyl_count(pot, *window, hbar, **kw), HL, (0.05, 1.45)),
+], ids=["bs-half-line", "bs-half-line-jump", "disc-half-line", "halfline-full-line", "weyl-half-line"])
+def test_a_kind_off_its_domain_raises_domain(solve, pot, window, with_cert):
+    kwargs = {"cert": certify_well(pot, *window)} if with_cert else {}
+    with pytest.raises(CertificationError) as info:
+        solve(pot, window, 0.1, **kwargs)
+    assert info.value.clause == "domain"
+
+
 def test_halfline_rejects_unknown_bc():
     with pytest.raises(QuantizeError):
         halfline_levels(HL, (0.05, 1.45), 0.1, bc="neumann")
@@ -334,7 +383,7 @@ def test_levels_and_counts_are_python_floats():
 
 
 def test_quantization_condition_per_kind():
-    from semiclass.potential import certify_halfline_well, certify_well, halfline_turning_point
+    from semiclass.potential import certify_well, turning_points
     from semiclass.quadrature import well_integral
 
     cert = certify_well(QUART, 0.5, 2.0)
@@ -344,9 +393,8 @@ def test_quantization_condition_per_kind():
     cert = certify_well(DISC, 0.8, 1.8)
     ja = quantize.jump_action(DISC, 1.2, 0.05, 0.0)
     assert quantize.quantization_condition(DISC, 1.2, "discontinuous", 0.05, cert) == ja
-    cert = certify_halfline_well(HL, 0.05, 1.45)
-    x_plus, _ = halfline_turning_point(HL, 0.9)
-    (act, der), _ = well_integral(HL, 0.9, 0.0, x_plus, False, True)
+    cert = certify_well(HL, 0.05, 1.45)
+    (act, der), _ = well_integral(HL, 0.9, 0.0, turning_points(HL, 0.9).x_plus, False, True)
     for kind in ("halfline_dirichlet", "halfline_robin"):
         assert quantize.quantization_condition(HL, 0.9, kind, 0.1, cert) == quantize.Condition(
             act, 0.5 * der, 1.0, der, 0.0)

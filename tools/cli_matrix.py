@@ -9,6 +9,10 @@ own directory, and its stdout, stderr and exit code go to
 OUTDIR/<config name>/<command>.<format>[.no-oracle].{out,err,rc}.  The
 program is imported from the src/ next to this script, so running two
 trees' copies into two directories and `diff -r` compares their output.
+
+Exits 1 when any run exits with a code outside {0, 2, 3, 4} (success and
+the documented failures) or prints a Python traceback, and names those
+runs on stderr; the program promises neither.
 """
 
 import os
@@ -18,6 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("levels", "count", "wavefunction", "observable", "scaling")
+EXIT_CODES = (0, 2, 3, 4)
 
 
 def main() -> int:
@@ -27,6 +32,7 @@ def main() -> int:
     out = Path(sys.argv[1])
     configs = [Path(c).resolve() for c in sys.argv[2:]] or sorted((ROOT / "configs").glob("*.json"))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    bad = []
     for cfg in configs:
         (out / cfg.stem).mkdir(parents=True, exist_ok=True)
         for command in COMMANDS:
@@ -40,7 +46,11 @@ def main() -> int:
                     base.with_name(base.name + ".out").write_bytes(run.stdout)
                     base.with_name(base.name + ".err").write_bytes(run.stderr)
                     base.with_name(base.name + ".rc").write_text(f"{run.returncode}\n")
-    return 0
+                    if run.returncode not in EXIT_CODES or b"Traceback" in run.stdout + run.stderr:
+                        bad.append(f"{base.relative_to(out)}: exit {run.returncode}")
+    for line in bad:
+        print(f"undocumented failure: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .potential import Potential, PotentialError, TurningPoints, turning_points
 from .quadrature import well_integral
@@ -38,30 +38,28 @@ class ActionProfile:
     phi_prime: float
 
 
-def _tp(pot: Potential, lam: float, tp: Optional[TurningPoints]) -> TurningPoints:
+def _tp(pot: Potential, lam: float) -> TurningPoints:
     # the integrals below take both ends of the well as turning points
     if pot.domain != "full_line":
         raise PotentialError("action integrals expect a full-line potential")
-    return tp if tp is not None else turning_points(pot, lam)
+    return turning_points(pot, lam)
 
 
-def phi(pot: Potential, lam: float, tp: Optional[TurningPoints] = None,
-        tol: float = TOL_QUAD) -> ActionProfile:
-    """Action profile (Phi, Phi') at lam; lam may be an array (with tp the
-    turning points of every entry), giving arrays."""
-    tp = _tp(pot, lam, tp)
-    (val, der), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol)
+def phi(pot: Potential, lam: float) -> ActionProfile:
+    """Action profile (Phi, Phi') at lam; lam may be an array, giving arrays."""
+    tp = _tp(pot, lam)
+    (val, der), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, TOL_QUAD)
     return ActionProfile(val, 0.5 * der)
 
 
 def partial_action(pot: Potential, lam: float, x: float, side: str,
-                   tp: Optional[TurningPoints] = None, tol: float = TOL_QUAD) -> float:
+                   tol: float = TOL_QUAD) -> float:
     """phi_pm(x; lam): action between x and the turning point on the given side.
 
     side "+" integrates over [x, x+], side "-" over [x-, x]; both are >= 0
     and phi_plus + phi_minus = Phi.
     """
-    tp = _tp(pot, lam, tp)
+    tp = _tp(pot, lam)
     if not tp.x_minus < x < tp.x_plus:
         raise ValueError(f"x={x} is not strictly inside the well ({tp.x_minus}, {tp.x_plus})")
     if side in ("+", "+0"):
@@ -73,30 +71,27 @@ def partial_action(pot: Potential, lam: float, x: float, side: str,
     return val
 
 
-def classical_average(pot: Potential, lam: float, w: Callable,
-                      w_breaks=(), tp: Optional[TurningPoints] = None,
-                      tol: float = TOL_QUAD) -> float:
+def classical_average(pot: Potential, lam: float, w: Callable, w_breaks=()) -> float:
     """Microcanonical average of w at energy lam.
 
     int w (lam-v)^(-1/2) dx / int (lam-v)^(-1/2) dx over the well; this is
     the leading term of int w psi^2 as hbar -> 0.  Discontinuity points of w
     go in w_breaks so quadrature panels can split there.
     """
-    tp = _tp(pot, lam, tp)
-    (_, num), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol,
+    tp = _tp(pot, lam)
+    (_, num), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, TOL_QUAD,
                                 weight=w, weight_breaks=w_breaks)
-    (_, den), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol)
+    (_, den), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, TOL_QUAD)
     return num / den
 
 
-def kinetic_cl(pot: Potential, lam: float, tp: Optional[TurningPoints] = None,
-               tol: float = TOL_QUAD) -> float:
+def kinetic_cl(pot: Potential, lam: float) -> float:
     """Classical kinetic energy: int (lam-v)^(1/2) / int (lam-v)^(-1/2).
 
     Equals lam - <v>_cl and Phi/(2 Phi') = (2 d ln Phi/d lam)^(-1).
     """
-    tp = _tp(pot, lam, tp)
-    (num, den), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, tol)
+    tp = _tp(pot, lam)
+    (num, den), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, TOL_QUAD)
     return num / den
 
 

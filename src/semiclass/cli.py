@@ -252,10 +252,10 @@ def cmd_wavefunction(cfg: RunConfig) -> dict:
         spec = cfg.oracle_for(hbar) if cfg.oracle else None
         for l in levels:
             psi = langer.eigenfunction(cfg.potential, l, cfg.cert)
+            lo = float(cfg.grid.get("lo", psi.x1))
             if spec is not None and len(spec.eigenvalues):
                 k = _nearest(spec.eigenvalues, l.lam)
                 xg, po = oracle.eigenvector(spec, k)
-                lo = float(cfg.grid.get("lo", psi.x1))
                 hi = float(cfg.grid.get("hi", xg[-1]))
                 mask = (xg >= lo) & (xg <= hi)
                 xs = xg[mask]
@@ -266,8 +266,7 @@ def cmd_wavefunction(cfg: RunConfig) -> dict:
                 rows.extend([hbar, l.n, float(x), float(a), float(b), abs(float(a) - float(b))]
                             for x, a, b in zip(xs, ps, po))
             else:
-                lo = float(cfg.grid.get("lo", psi.x1))
-                hi = float(cfg.grid.get("hi", psi.plus.chart.x_tp + 1.0))
+                hi = float(cfg.grid.get("hi", psi.plus.x_tp + 1.0))
                 xs = np.linspace(lo, hi, int(cfg.grid["n"]))
                 ps = psi(xs)
                 rows.extend([hbar, l.n, float(x), float(a), None, None] for x, a in zip(xs, ps))
@@ -373,7 +372,7 @@ def cmd_scaling(cfg: RunConfig) -> dict:
                        - action.classical_average(cfg.potential, l.lam, w, breaks))
         psi = langer.eigenfunction(cfg.potential, l, cfg.cert)
         xg, po = oracle.eigenvector(spec, k)
-        mask = (xg >= psi.x1) & (xg <= psi.plus.chart.x_tp + 1.0)
+        mask = (xg >= psi.x1) & (xg <= psi.plus.x_tp + 1.0)
         return float(np.max(np.abs(psi(xg[mask]) - po[mask])))
 
     errs = [err_for(h) for h in cfg.hbars]

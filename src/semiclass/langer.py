@@ -28,14 +28,9 @@ import numpy as np
 
 from .airy import AI_ZERO, airy_many
 from .action import TOL_QUAD
-from .potential import (
-    Potential,
-    WellCertificate,
-    certify_well,
-    turning_points,
-)
+from .potential import Potential, TurningPoints, WellCertificate, turning_points
 from .quadrature import turning_point_integral
-from .quantize import Condition, disc_point, quantization_condition
+from .quantize import Condition, quantization_condition
 
 __all__ = [
     "LangerChart",
@@ -46,7 +41,6 @@ __all__ = [
     "chart_u",
     "chart_u_prime",
     "normalization",
-    "UniformWave",
     "Eigenfunction",
     "eigenfunction",
     "peak_coefficient",
@@ -183,20 +177,22 @@ def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = Non
         if side != "+":
             raise ChartDomainError("half-line problems only carry the '+' chart")
         x1 = 0.0 if x1 is None else x1
-    turning = turning_points(pot, lam)
-    width = turning.width
+    tp = turning_points(pot, lam)
     if x1 is None:
         jumps = [s.x for s in pot.singular_points
-                 if s.kind == "jump" and turning.x_minus < s.x < turning.x_plus]
-        x1 = jumps[0] if jumps else 0.5 * (turning.x_minus + turning.x_plus)
-    x_tp = turning.x_plus if side == "+" else turning.x_minus
-    toward_well = "-" if side == "+" else "+"
-    _, d1, d2 = pot.eval(x_tp, toward_well)
+                 if s.kind == "jump" and tp.x_minus < s.x < tp.x_plus]
+        x1 = jumps[0] if jumps else 0.5 * (tp.x_minus + tp.x_plus)
+    return _chart(pot, lam, side, tp, x1)
+
+
+def _chart(pot: Potential, lam: float, side: str, tp: TurningPoints, x1: float) -> LangerChart:
+    """The chart of one side of the well {v < lam} with ends tp, matched at x1."""
+    x_tp = tp.x_plus if side == "+" else tp.x_minus
+    _, d1, d2 = pot.eval(x_tp, "-" if side == "+" else "+")  # limits from inside the well
     # half-width of the Taylor-model collar: at its edge the two-term model
     # and the action give xi to within ~3e-9 relative of each other
-    collar = 1e-4 * width
-    x_far = x_tp + (width + 2.0) * (1.0 if side == "+" else -1.0)
-
+    collar = 1e-4 * tp.width
+    x_far = x_tp + (tp.width + 2.0) * (1.0 if side == "+" else -1.0)
     return LangerChart(
         side=side, lam=lam, pot=pot, x_tp=x_tp, x1=float(x1),
         slope=abs(d1), curv=float(d2), collar=collar, x_far=x_far,
@@ -280,43 +276,34 @@ def _coefficients(c: Condition, hbar: float, n: int) -> tuple[float, float]:
             (-1.0) ** (n % 2) * pref / math.sqrt(c.a_squared * c.i_plus + c.i_minus))
 
 
-def peak_coefficient(pot: Potential, lam: float, side: str = "+") -> float:
-    """alpha_pm: |psi(x_tp)| ~ alpha_pm hbar^(-1/6) at the turning point.
+def peak_coefficient(pot: Potential, lam: float) -> float:
+    """alpha_+: |psi(x_+)| ~ alpha_+ hbar^(-1/6) at the right turning point.
 
-    Composition of |c_pm| with u(x_tp) = pi |v'(x_tp)|^(-1/6) Ai(0), i.e.
-    (2 pi)^(1/2) (int (lam-v)^(-1/2))^(-1/2) |v'(x_tp)|^(-1/6) Ai(0); |c_pm|
-    is normalization's for a smooth level at hbar = 1.
+    Composition of |c_+| with u(x_+) = pi |v'(x_+)|^(-1/6) Ai(0), i.e.
+    (2 pi)^(1/2) (int (lam-v)^(-1/2))^(-1/2) |v'(x_+)|^(-1/6) Ai(0); |c_+|
+    is normalization's for a smooth level at hbar = 1, and v'(x_+) is the
+    slope of that quantization_condition record.
     """
-    c_plus, _ = _coefficients(quantization_condition(pot, lam, "smooth", 1.0), 1.0, 0)
-    tp = turning_points(pot, lam)
-    slope = tp.slope_plus if side == "+" else -tp.slope_minus
-    return c_plus * math.pi * slope ** (-1.0 / 6.0) * AI_ZERO
-
-
-@dataclass
-class UniformWave:
-    """One evaluable side of the assembled eigenfunction: c * u on a chart."""
-
-    chart: LangerChart
-    hbar: float
-    c: float  # signed normalization constant
-
-    def __call__(self, x):
-        return self.c * chart_u(self.chart, self.hbar, x)
+    c = quantization_condition(pot, lam, "smooth", 1.0)
+    c_plus, _ = _coefficients(c, 1.0, 0)
+    return c_plus * math.pi * c.tp.slope_plus ** (-1.0 / 6.0) * AI_ZERO
 
 
 @dataclass
 class Eigenfunction:
     """Assembled normalized eigenfunction approximation psi(x).
 
-    psi = c_+ u_+ right of the matching point x1, c_- u_- left of it; the
-    residual value mismatch at x1 is exposed as a diagnostic.
+    psi = c_+ u_+ on the chart plus, right of the matching point x1, and
+    c_- u_- on the chart minus left of it (no minus chart on the half
+    line); the residual value mismatch at x1 is exposed as a diagnostic.
     """
 
     level: "object"
     x1: float
-    plus: UniformWave
-    minus: Optional[UniformWave]
+    plus: LangerChart
+    minus: Optional[LangerChart]
+    c_plus: float  # signed normalization constants
+    c_minus: float
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -325,42 +312,34 @@ class Eigenfunction:
         out = np.empty_like(x)
         right = x >= self.x1
         if np.any(right):
-            out[right] = self.plus(x[right])
+            out[right] = self.c_plus * chart_u(self.plus, self.level.hbar, x[right])
         if np.any(~right):
             if self.minus is None:
                 raise ChartDomainError("half-line eigenfunction evaluated at x < 0")
-            out[~right] = self.minus(x[~right])
+            out[~right] = self.c_minus * chart_u(self.minus, self.level.hbar, x[~right])
         return out[0] if scalar else out
 
     def mismatch(self) -> float:
         """|psi(x1+) - psi(x1-)| relative to the local oscillation amplitude."""
         if self.minus is None:
             return 0.0
-        up = self.plus(self.x1)
-        um = self.minus(self.x1)
-        q1 = abs(float(self.plus.chart.pot.value(np.asarray(self.x1, dtype=float))) - self.level.lam)
-        amp = abs(self.plus.c) * math.pi ** 1.5 * self.level.hbar ** (1.0 / 6.0) * q1 ** (-0.25)
+        up = self.c_plus * chart_u(self.plus, self.level.hbar, self.x1)
+        um = self.c_minus * chart_u(self.minus, self.level.hbar, self.x1)
+        q1 = abs(float(self.plus.pot.value(np.asarray(self.x1, dtype=float))) - self.level.lam)
+        amp = abs(self.c_plus) * math.pi ** 1.5 * self.level.hbar ** (1.0 / 6.0) * q1 ** (-0.25)
         return abs(float(up) - float(um)) / amp
 
 
 def eigenfunction(pot: Potential, level, cert: Optional[WellCertificate] = None) -> Eigenfunction:
     """Assemble psi for a level produced by the quantize module.
 
-    A smooth level is matched at the midpoint of its turning points, a
-    discontinuous one at the jump inside the well of cert (by default the
-    certificate of the single energy level.lam), a half-line one at 0.
+    One quantization_condition record of the level (cert is passed on to
+    it) gives c_pm, the turning points and the matching point x1: the
+    midpoint of the well for a smooth level, the jump inside the well for a
+    discontinuous one, the wall x = 0 for a half-line one.
     """
-    lam, hbar = level.lam, level.hbar
-    if level.kind == "smooth":
-        tp = turning_points(pot, lam)
-        x1 = 0.5 * (tp.x_minus + tp.x_plus)
-    elif level.kind == "discontinuous":
-        cert = cert or certify_well(pot, lam, lam)
-        x1 = disc_point(cert)
-    else:
-        x1 = 0.0
-    c_plus, c_minus = normalization(pot, level, cert)
-    plus = UniformWave(build_chart(pot, lam, "+", x1), hbar, c_plus)
-    if pot.domain == "half_line":
-        return Eigenfunction(level, x1, plus, None)
-    return Eigenfunction(level, x1, plus, UniformWave(build_chart(pot, lam, "-", x1), hbar, c_minus))
+    c = quantization_condition(pot, level.lam, level.kind, level.hbar, cert, TOL_QUAD)
+    c_plus, c_minus = _coefficients(c, level.hbar, level.n)
+    plus = _chart(pot, level.lam, "+", c.tp, c.x1)
+    minus = None if pot.domain == "half_line" else _chart(pot, level.lam, "-", c.tp, c.x1)
+    return Eigenfunction(level, c.x1, plus, minus, c_plus, c_minus)

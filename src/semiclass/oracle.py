@@ -92,7 +92,7 @@ def _grid(pot: Potential, x_lo: float, x_hi: float, n: int):
     The m intervals left of x0 are about n (x0 - x_lo) / (x_hi - x_lo),
     computed on the leading 12 bits of n and shifted back by the trailing
     zero bits dropped, so that doubling an n of 12 or more bits (n0 >= 2048
-    in solve_spectrum unless the caller sets it) halves the spacing exactly.
+    in solve_spectrum) halves the spacing exactly.
     """
     jumps = [s.x for s in pot.singular_points if s.kind == "jump" and x_lo < s.x < x_hi]
     if jumps:
@@ -315,11 +315,11 @@ def _doubled(n: int, tol_oracle: float, est) -> int:
 
 def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
                    tol_oracle: float = DEFAULT_TOL, bc: str = "dirichlet_both",
-                   robin_b: float = 0.0, n0: Optional[int] = None,
+                   robin_b: float = 0.0,
                    x_span: Optional[tuple[float, float]] = None) -> OracleSpectrum:
     """Reference eigenvalues of -hbar^2 psi'' + v psi = lam psi in a window.
 
-    Doubles the grid from n0 intervals.  From the third grid on, each
+    Doubles the grid from the first grid of _domain.  From the third grid on, each
     level's raw values on the last three grids give a Romberg table
     (`_romberg`): the h^4 column where that level's differences shrink by a
     factor in [3.5, 4.5] per doubling, above rounding, and the h^2 column
@@ -327,7 +327,7 @@ def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
     most tol_oracle; the result's n is the last grid, and `eigenvector`
     solves on the grid one doubling finer.
     """
-    dom = _domain(pot, hbar, window, bc, robin_b, tol_oracle, x_span, n0)
+    dom = _domain(pot, hbar, window, bc, robin_b, tol_oracle, x_span)
     lo, hi = window
     pad = 0.05 * (hi - lo)
     n_trail = [dom.n0]

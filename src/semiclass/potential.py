@@ -2,8 +2,11 @@
 
 A Potential is an ordered set of smooth branches partitioning the domain,
 plus markers for interior points where v, v' or v'' may jump.  All
-operations here are pure, and Potential instances are immutable.  On the
-half line [0, inf) the wall x = 0 is the left end of the well, so one
+operations here are pure, and Potential instances are immutable.  Each
+branch owns its one-sided limits: deriv(x, sgn) and deriv2(x, sgn) take the
+limit from the side sgn (-1 from below) where a branch is not smooth, so
+every evaluation of v', v'' goes through the branch methods.  On the half
+line [0, inf) the wall x = 0 is the left end of the well, so one
 turning-point solver and one certificate serve both domains.
 """
 
@@ -11,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,18 +72,19 @@ class PolyBranch:
     def value(self, x):
         return np.polynomial.polynomial.polyval(x, self.coeffs)
 
-    def deriv(self, x):
+    def deriv(self, x, sgn=1.0):
         c = np.polynomial.polynomial.polyder(self.coeffs)
         return np.polynomial.polynomial.polyval(x, c) if len(c) else np.zeros_like(np.asarray(x, float))
 
-    def deriv2(self, x):
+    def deriv2(self, x, sgn=1.0):
         c = np.polynomial.polynomial.polyder(self.coeffs, 2)
         return np.polynomial.polynomial.polyval(x, c) if len(c) else np.zeros_like(np.asarray(x, float))
 
 
 @dataclass(frozen=True)
 class PowerBranch:
-    """offset + coeff * |x|^exponent (one side of a power-law well)."""
+    """offset + coeff * |x|^exponent (one side of a power-law well); at its
+    center x = 0, deriv and deriv2 give the exact limits from the side sgn."""
 
     offset: float
     coeff: float
@@ -91,23 +94,21 @@ class PowerBranch:
         x = np.asarray(x, dtype=float)
         return self.offset + self.coeff * np.abs(x) ** self.exponent
 
-    def deriv(self, x):
+    def deriv(self, x, sgn=1.0):
         x = np.asarray(x, dtype=float)
-        a = self.exponent
+        a, c = self.exponent, self.coeff
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.coeff * a * np.abs(x) ** (a - 1.0) * np.sign(x)
-        if a == 1.0:
-            out = np.where(x == 0.0, self.coeff, out)  # limit from within the branch side
-        return out
+            out = c * a * np.abs(x) ** (a - 1.0) * np.sign(x)
+            center = 0.0 if a > 1.0 else sgn * c * (1.0 if a == 1.0 else math.inf)
+        return np.where(x == 0.0, center, out)
 
-    def deriv2(self, x):
+    def deriv2(self, x, sgn=1.0):
         x = np.asarray(x, dtype=float)
         a = self.exponent
         with np.errstate(divide="ignore", invalid="ignore"):
+            # at x = 0 this is the limit: 0 above a = 2, 2 coeff at a = 2 (0^0 = 1), +-inf below
             out = self.coeff * a * (a - 1.0) * np.abs(x) ** (a - 2.0)
-        if a == 2.0:
-            out = np.where(x == 0.0, 2.0 * self.coeff, out)
-        return out
+        return np.zeros_like(out) if a == 1.0 else out  # where x = 0 would take 0 * inf
 
 
 @dataclass(frozen=True)
@@ -127,11 +128,11 @@ class ExpQuadBranch:
     def value(self, x):
         return self.offset + self._expq(x)
 
-    def deriv(self, x):
+    def deriv(self, x, sgn=1.0):
         x = np.asarray(x, dtype=float)
         return (2.0 * self.c2 * x + self.c1) * self._expq(x)
 
-    def deriv2(self, x):
+    def deriv2(self, x, sgn=1.0):
         x = np.asarray(x, dtype=float)
         g = 2.0 * self.c2 * x + self.c1
         return (g * g + 2.0 * self.c2) * self._expq(x)
@@ -188,14 +189,6 @@ class Potential:
     def _boundaries(self) -> tuple[float, ...]:
         return tuple(p.hi for p in self.pieces[:-1])
 
-    def _index_right(self, x: float) -> int:
-        # piece whose closure contains x, boundary points resolving right
-        return bisect_right(self._boundaries(), x)
-
-    def _index_left(self, x: float) -> int:
-        # piece whose closure contains x, boundary points resolving left
-        return bisect_left(self._boundaries(), x)
-
     def eval(self, x: float, side: Optional[str] = None) -> tuple[float, float, float]:
         """(v, v', v'') at x; side "+"/"-" selects a one-sided limit.
 
@@ -209,32 +202,36 @@ class Potential:
         if side is None:
             if x in singular_xs:
                 raise PotentialError(f"x={x} is a singular point; pass side='+' or '-'")
-            i = self._index_right(x)
             sgn = 1.0
         elif side in ("+", "+0"):
-            i = self._index_right(x)
             sgn = 1.0
         elif side in ("-", "-0"):
-            i = self._index_left(x)
             sgn = -1.0
         else:
             raise PotentialError(f"bad side selector {side!r}")
-        return _one_sided_limits(self.pieces[i].branch, x, sgn)
+        # the branches take x as a 0-d value: on some numpy builds
+        # a power of a 0-d array and of an array of one differ in the last bit
+        b = self.pieces[np.searchsorted(self._boundaries(), x, "left" if sgn < 0 else "right")].branch
+        return float(b.value(x)), float(b.deriv(x, sgn)), float(b.deriv2(x, sgn))
 
     def _vectorized(self, fn_name: str, x, left=None) -> np.ndarray:
         """Branch-resolved vectorized evaluation; a point on a piece boundary
-        takes the piece to its right, or the one to its left where left is
-        true (left is an array broadcast against x)."""
+        takes the piece to its right and its limit from the right, or the
+        piece to its left and its limit from the left where left is true
+        (left is an array broadcast against x)."""
         x = np.asarray(x, dtype=float)
         out = np.empty_like(x)
         bounds = np.array(self._boundaries())
         idx = np.searchsorted(bounds, x, side="right")
+        sides = ()
         if left is not None:
+            left = np.broadcast_to(left, x.shape)
             idx = np.where(left, np.searchsorted(bounds, x, side="left"), idx)
+            sides = (np.where(left, -1.0, 1.0),)
         for i, piece in enumerate(self.pieces):
             m = idx == i
             if m.any():
-                out[m] = getattr(piece.branch, fn_name)(x[m])
+                out[m] = getattr(piece.branch, fn_name)(x[m], *(s[m] for s in sides))
         return out
 
     def value(self, x) -> np.ndarray:
@@ -251,33 +248,10 @@ class Potential:
 # constructors
 
 
-def _one_sided_limits(branch, x: float, sgn: float) -> tuple[float, float, float]:
-    """Limits of (v, v', v'') at x from one side; sgn=-1 approaches from below.
-
-    Branches are smooth on the closure of their piece except a PowerBranch at
-    its center x=0, where the limits are taken in closed form.
-    """
-    if isinstance(branch, PowerBranch) and x == 0.0:
-        a, c = branch.exponent, branch.coeff
-        if a > 1.0:
-            d = 0.0
-        elif a == 1.0:
-            d = c * sgn
-        else:
-            d = math.inf * sgn
-        if a > 2.0 or a == 1.0:
-            d2 = 0.0
-        elif a == 2.0:
-            d2 = 2.0 * c
-        else:
-            d2 = math.inf
-        return branch.offset, d, d2
-    return float(branch.value(x)), float(branch.deriv(x)), float(branch.deriv2(x))
-
-
 def _classify_boundary(left, right, x: float) -> Optional[SingularPoint]:
-    vl, dl, d2l = _one_sided_limits(left, x, -1.0)
-    vr, dr, d2r = _one_sided_limits(right, x, +1.0)
+    (vl, dl, d2l), (vr, dr, d2r) = (
+        (float(b.value(x)), float(b.deriv(x, sgn)), float(b.deriv2(x, sgn)))
+        for b, sgn in ((left, -1.0), (right, 1.0)))
     if abs(vl - vr) > 1e-14 * (1.0 + abs(vl) + abs(vr)):
         return SingularPoint(x, "jump")
     if not np.isfinite(dl) or not np.isfinite(dr) or abs(dl - dr) > 1e-12 * (1.0 + abs(dl) + abs(dr)):
@@ -433,12 +407,7 @@ def _polish(branch, lam, x, lo, hi, sgn) -> tuple[np.ndarray, np.ndarray]:
             nxt = x - (branch.value(x) - lam) / d
             live &= (d != 0.0) & np.isfinite(d) & (lo <= nxt) & (nxt <= hi)
             x = np.where(live, nxt, x)
-    slope = np.asarray(branch.deriv(x), dtype=float)
-    if isinstance(branch, PowerBranch):  # its center x = 0 takes the closed-form limits
-        limit = np.where(sgn < 0, _one_sided_limits(branch, 0.0, -1.0)[1],
-                         _one_sided_limits(branch, 0.0, 1.0)[1])
-        slope = np.where(x == 0.0, limit, slope)
-    return x, slope
+    return x, np.asarray(branch.deriv(x, sgn), dtype=float)
 
 
 def _crossing_at(pot: Potential, lam, edges, s, f, i, bounds) -> tuple[np.ndarray, np.ndarray]:
@@ -611,10 +580,10 @@ def _critical_points(pot: Potential) -> list[tuple[float, float]]:
         out.extend((x if real else math.nan, float(b.value(x)))
                    for x, real in xs if p.lo < x < p.hi)
     for left, right in zip(pot.pieces, pot.pieces[1:]):
-        out.append((left.hi, _one_sided_limits(left.branch, left.hi, -1.0)[0]))
-        out.append((left.hi, _one_sided_limits(right.branch, left.hi, +1.0)[0]))
+        out.append((left.hi, float(left.branch.value(left.hi))))
+        out.append((left.hi, float(right.branch.value(left.hi))))
     if pot.domain == "half_line":
-        out.append((0.0, _one_sided_limits(pot.pieces[0].branch, 0.0, +1.0)[0]))
+        out.append((0.0, float(pot.pieces[0].branch.value(0.0))))
     return out
 
 

@@ -37,10 +37,13 @@ from .potential import Potential
 
 __all__ = ["QuadratureError", "gl_adaptive", "well_integral", "turning_point_integral"]
 
+_GL_N0 = 16  # first Gauss-Legendre order of gl_adaptive
+_GL_N_MAX = 4096
 _CUMSUM_DEG0 = 16  # first degree of the Chebyshev fits in _cheb_cumsum
 _CUMSUM_DEG_MAX = 1024
 _BLOCK_SEGMENTS = 128  # segments per gl_adaptive block in well_integral
 _T_CROSS = 1.5e-3  # below this t, r(t) comes from the Taylor model of _taylor
+_ACTION_TOL = 1e-10  # absolute tolerance of turning_point_integral
 
 
 class QuadratureError(RuntimeError):
@@ -52,24 +55,25 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def gl_adaptive(f, a, b, tol, n0: int = 16, n_max: int = 4096):
+def gl_adaptive(f, a, b, tol):
     """Integrate the components of a vectorized callable on [a, b], for
     every entry of the arrays a, b at once.
 
     f(x) takes the Gauss-Legendre nodes of every entry, an array of shape
     a.shape + (n,), and returns a tuple of integrand arrays of that shape.
-    The order doubles for all entries together.  An entry of a component
-    is frozen once two consecutive levels agree to its tol (absolute; tol
-    broadcasts against a) while the others refine, so each value is the
-    one a call for that entry and component alone returns.  Returns
+    The order doubles from _GL_N0 up to _GL_N_MAX for all entries together.
+    An entry of a component is frozen once two consecutive levels agree to
+    its tol (absolute; tol broadcasts against a) while the others refine,
+    so each value is the one a call for that entry and component alone
+    returns.  Returns
     (values, errors), one array per component; floats for scalar a and b.
     """
     a, b, tol = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, tol)))
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     vals = errs = None
-    n = n0
-    while n <= n_max:
+    n = _GL_N0
+    while n <= _GL_N_MAX:
         xg, wg = _leggauss(n)
         ys = f(mid[..., None] + half[..., None] * xg)
         level = half * np.stack([np.sum(wg * y, axis=-1) for y in ys])  # (component, entry)
@@ -85,7 +89,7 @@ def gl_adaptive(f, a, b, tol, n0: int = 16, n_max: int = 4096):
                     return tuple(map(float, vals)), tuple(map(float, errs))
                 return tuple(vals), tuple(errs)
         n *= 2
-    raise QuadratureError(f"no convergence to tol={tol.min()} by n={n_max} nodes "
+    raise QuadratureError(f"no convergence to tol={tol.min()} by n={_GL_N_MAX} nodes "
                           f"on some of [{a.ravel()}, {b.ravel()}]")
 
 
@@ -241,8 +245,7 @@ def _cheb_cumsum(f, lo: float, hi: float, start: float, tol: float) -> np.polyno
     raise QuadratureError(f"no convergence to tol={tol} by degree {_CUMSUM_DEG_MAX} on [{lo}, {hi}]")
 
 
-def turning_point_integral(pot: Potential, lam: float, x_tp: float, x_end: float,
-                           tol: float = 1e-10):
+def turning_point_integral(pot: Potential, lam: float, x_tp: float, x_end: float):
     """The action A(x) = int |lam - v|^(1/2) between the turning point x_tp
     and x, as a function valid for every x between x_tp and x_end.
 
@@ -252,15 +255,15 @@ def turning_point_integral(pot: Potential, lam: float, x_tp: float, x_end: float
     integrated in t = |x - x_tp|^(1/2), where the integrand 2 t^2 r(t)^(1/2)
     of well_integral is smooth, and each later one in x, starting from the
     running total.  Each segment keeps one cumulative Chebyshev integral
-    (_cheb_cumsum), converged to tol / (number of segments) on points that
-    depend on the segment alone, so A(x) depends on x alone, not on the
-    other points of a call.  A takes an array and returns one of its shape.
+    (_cheb_cumsum), converged to _ACTION_TOL / (number of segments) on
+    points that depend on the segment alone, so A(x) depends on x alone,
+    not on the other points of a call.  A takes an array and returns one of its shape.
     """
     outward = 1.0 if x_end > x_tp else -1.0
     segs = _segments(pot, min(x_tp, x_end), max(x_tp, x_end))
     if outward < 0:
         segs = [(b, a) for a, b in reversed(segs)]  # (near, far) ends, from x_tp outward
-    tol_seg = tol / len(segs)
+    tol_seg = _ACTION_TOL / len(segs)
     bounds = [abs(far - x_tp) for _, far in segs[:-1]]
 
     c0, c2 = _taylor(pot, x_tp, outward)

@@ -4,12 +4,13 @@ generalized condition for a jump inside the well, and half-line problems.
 Every kind is one action condition G(lam) = pi (n + mu) hbar, with the Maslov
 offset mu from MASLOV_OFFSETS.  quantization_condition is the one place
 where a level kind becomes numbers: its Condition record carries (G, G') for
-the solver, and the well integrals I_pm and the jump amplitude a^2 that
-normalize the eigenfunction (langer.normalization).  All n of a window are
-solved together by one safeguarded Newton iteration (_action_levels): G and
-G' are array-valued in lam, so each sweep is one evaluation for every
-unfinished level, and each n keeps its own sign-change bracket, taken from a
-sample of G across the window.
+the solver, the well integrals I_pm and the jump amplitude a^2 that
+normalize the eigenfunction (langer.normalization), and the turning points
+and matching point its Langer charts are built on (langer.eigenfunction).
+All n of a window are solved together by one safeguarded Newton iteration
+(_action_levels): G and G' are array-valued in lam, so each sweep is one
+evaluation for every unfinished level, and each n keeps its own sign-change
+bracket, taken from a sample of G across the window.
 
 Smooth case: G = Phi, mu = 1/2; Phi' > 0 gives exactly one root per n.
 
@@ -40,6 +41,7 @@ from .action import TOL_QUAD
 from .potential import (
     CertificationError,
     Potential,
+    TurningPoints,
     WellCertificate,
     certify_well,
     turning_points,
@@ -217,14 +219,17 @@ def _action_levels(pot: Potential, window: tuple[float, float], hbar: float, kin
 @dataclass(frozen=True)
 class Condition:
     """The quantization condition of a level kind at one energy, with the
-    well integrals that normalize its eigenfunction (quantization_condition).
-    Fields are floats, or arrays of the shape of an array of energies."""
+    well integrals that normalize its eigenfunction and the points its
+    Langer charts are built on (quantization_condition).  Fields are floats,
+    or arrays of the shape of an array of energies (tp has array fields)."""
 
     g: float  # G of G = pi (n + mu) hbar
     g_prime: float  # dG/dlam
     a_squared: float  # a^2 of u_- = a u_+; 1 without a jump
     i_plus: float  # int (lam-v)^(-1/2) from the jump point to x+; over the well without a jump
     i_minus: float  # int (lam-v)^(-1/2) from x- to the jump point; 0 without a jump
+    tp: TurningPoints  # the ends x_- < x_+ of the well and the slopes of v there
+    x1: float  # matching point: the jump point, the wall x_- = 0, or mid-well for the smooth kind
 
 
 def quantization_condition(pot: Potential, lam, kind: str, hbar: float,
@@ -232,13 +237,15 @@ def quantization_condition(pot: Potential, lam, kind: str, hbar: float,
                            tol: float = TOL_QUAD) -> Condition:
     """The Condition record of a level kind at lam, a float or an array.
 
-    smooth: G = Phi, I_+ = int (lam-v)^(-1/2) over the well = 2 G'.
+    smooth: G = Phi, I_+ = int (lam-v)^(-1/2) over the well = 2 G', matched
+    at the midpoint of the well.
     discontinuous: jump_action at disc_point(cert), cert defaulting to the
     certificate of the energies from min(lam) to max(lam).
-    halfline_*: the same integrals from the wall x_- = 0.  Without a jump
-    a^2 = 1 and I_- = 0.  A kind that does not fit pot.domain raises
-    CertificationError("domain"); a kind other than discontinuous given a
-    cert with a jump inside the well raises QuantizeError.
+    halfline_*: the same integrals from the wall x_- = 0, matched there.
+    Without a jump a^2 = 1 and I_- = 0.  A kind that does not fit
+    pot.domain raises CertificationError("domain"); a kind other than
+    discontinuous given a cert with a jump inside the well raises
+    QuantizeError.
     """
     if kind not in MASLOV_OFFSETS:
         raise QuantizeError(f"unknown level kind {kind!r}")
@@ -251,9 +258,10 @@ def quantization_condition(pot: Potential, lam, kind: str, hbar: float,
         raise QuantizeError("potential jumps inside the well; only the discontinuous kind has a jump term")
     tp = turning_points(pot, lam)
     (g, i_plus), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, kind == "smooth", True, tol)
+    x1 = 0.5 * (tp.x_minus + tp.x_plus) if kind == "smooth" else tp.x_minus
     if np.ndim(lam) == 0:
-        return Condition(g, 0.5 * i_plus, 1.0, i_plus, 0.0)
-    return Condition(g, 0.5 * i_plus, np.ones(np.shape(lam)), i_plus, np.zeros(np.shape(lam)))
+        return Condition(g, 0.5 * i_plus, 1.0, i_plus, 0.0, tp, x1)
+    return Condition(g, 0.5 * i_plus, np.ones(np.shape(lam)), i_plus, np.zeros(np.shape(lam)), tp, x1)
 
 
 def bs_levels(pot: Potential, window: tuple[float, float], hbar: float,
@@ -335,8 +343,9 @@ def jump_action(pot: Potential, lam, hbar: float, x0: float,
     G' = (1/2)(I+ + I-/a^2) - hbar sin(2 theta-) (ln p)' / a^2, where I_pm
     integrate (lam-v)^(-1/2) on each side of x0.
 
-    lam may be an array, giving arrays.  A float is computed as an array of
-    one, so that it takes the same numpy kernels as an entry of an array.
+    The record is matched at x0.  lam may be an array, giving arrays.  A
+    float is computed as an array of one, so that it takes the same numpy
+    kernels as an entry of an array.
     """
     lams = np.asarray(lam, dtype=float).reshape(-1)
     p, dlnp = _jump_factor(pot, x0, lams)
@@ -350,10 +359,11 @@ def jump_action(pot: Potential, lam, hbar: float, x0: float,
     delta = np.arctan((1.0 - p2) * s * c / (p2 * c * c + s * s))
     fields = (phi_plus + phi_minus + hbar * delta,
               0.5 * (i_plus + i_minus / a2) - hbar * np.sin(2.0 * th_m) * dlnp / a2,
-              a2, i_plus, i_minus)
-    if np.ndim(lam) == 0:
-        return Condition(*(float(v[0]) for v in fields))
-    return Condition(*(v.reshape(np.shape(lam)) for v in fields))
+              a2, i_plus, i_minus, tp.x_minus, tp.x_plus, tp.slope_minus, tp.slope_plus,
+              np.full(lams.shape, x0))
+    shape = np.shape(lam)
+    f = [v.reshape(shape) if shape else float(v[0]) for v in fields]
+    return Condition(*f[:5], TurningPoints(*f[5:9]), f[9])
 
 
 def disc_levels(pot: Potential, window: tuple[float, float], hbar: float,

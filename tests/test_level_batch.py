@@ -5,7 +5,8 @@ Every level of a window is solved in one Newton sweep over all n; each must
 be the level a window holding it alone gives, satisfy its condition to the
 documented bound when G is recomputed one energy at a time, and rest on
 turning points that the array call returns entry by entry as the scalar
-call does."""
+call does.  On three fixed wells the eigenfunction of a level, too, is the
+one its window alone gives."""
 
 import math
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from semiclass import quantize
 from semiclass.cli import run
+from semiclass.langer import eigenfunction
 from semiclass.potential import (
     certify_well,
     halfline_power_law,
@@ -161,3 +163,28 @@ def test_condition_takes_every_level_at_once(monkeypatch):
     levels = bs_levels(make_power_law(0, 1, 4, 0, 1, 4), (0.5, 2.0), 0.005)
     assert len(levels) == 121
     assert len(calls) <= 8 and max(calls) == len(levels)
+
+
+@pytest.mark.parametrize("kind, pot, window", [
+    ("jump", make_power_law(0.5, 1, 2, 0, 1, 2), (0.8, 1.8)),
+    ("power", make_power_law(0, 1, 4, 0, 1, 4), (0.5, 2.0)),
+    ("halfline_dirichlet", halfline_power_law(0, 1, 2), (0.04, 1.3)),
+])
+def test_a_level_and_its_eigenfunction_do_not_depend_on_the_other_levels(kind, pot, window):
+    # every level of the full window, solved again alone in the window cut at
+    # the midpoints to its neighbours: the same n, lam and psi across the well
+    hbar = 0.05
+    levels = _solve(kind, pot, window, hbar)
+    assert len(levels) > 3
+    lams = [window[0]] + [l.lam for l in levels] + [window[1]]
+    for k, l in enumerate(levels):
+        alone = (0.5 * (lams[k] + lams[k + 1]) if k else window[0],
+                 0.5 * (lams[k + 1] + lams[k + 2]) if k + 1 < len(levels) else window[1])
+        single = _solve(kind, pot, alone, hbar)
+        assert [s.n for s in single] == [l.n]
+        assert abs(single[0].lam - l.lam) <= LAMBDA_TOL * abs(l.lam)
+        tp = turning_points(pot, l.lam)
+        x = np.linspace(tp.x_minus - 0.2 * tp.width * (pot.domain == "full_line"),
+                        tp.x_plus + 0.2 * tp.width, 401)
+        psi = eigenfunction(pot, l)(x)
+        assert np.max(np.abs(eigenfunction(pot, single[0])(x) - psi)) <= 1e-9 * np.max(np.abs(psi))

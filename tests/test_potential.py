@@ -41,6 +41,20 @@ def test_eval_one_sided_kink_slopes():
     assert pot.eval(0.0, "-")[1] == -1.0
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0])
+def test_one_sided_limits_at_a_power_center(alpha):
+    # v = 3|x|^alpha left of 0, 2|x|^alpha right of it: eval, deriv and deriv2
+    # give the exact limits of v' and v'' at the center from each side
+    pot = make_power_law(0, 2, alpha, 0, 3, alpha)
+    for side, left, sgn, c in (("-", True, -1.0, 3.0), ("+", False, 1.0, 2.0)):
+        d1 = 0.0 if alpha > 1 else sgn * c * (1.0 if alpha == 1 else math.inf)
+        d2 = {0.5: -math.inf, 1.0: 0.0, 1.5: math.inf, 2.0: 2.0 * c, 3.0: 0.0}[alpha]
+        assert pot.eval(0.0, side)[1:] == (d1, d2)
+        assert float(pot.deriv(0.0, left)) == d1
+        assert float(pot.deriv2(0.0, left)) == d2
+        assert np.array_equal(pot.deriv(np.zeros(2), np.array([left, left])), [d1, d1])
+
+
 def test_out_of_domain():
     pot = halfline_power_law(0, 1, 2)
     with pytest.raises(PotentialError):

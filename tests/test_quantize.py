@@ -388,16 +388,19 @@ def test_quantization_condition_per_kind():
 
     cert = certify_well(QUART, 0.5, 2.0)
     prof = phi(QUART, 1.3)
+    tp = turning_points(QUART, 1.3)
     assert quantize.quantization_condition(QUART, 1.3, "smooth", 0.05, cert) == quantize.Condition(
-        prof.phi, prof.phi_prime, 1.0, 2.0 * prof.phi_prime, 0.0)
+        prof.phi, prof.phi_prime, 1.0, 2.0 * prof.phi_prime, 0.0, tp, 0.5 * (tp.x_minus + tp.x_plus))
     cert = certify_well(DISC, 0.8, 1.8)
     ja = quantize.jump_action(DISC, 1.2, 0.05, 0.0)
+    assert (ja.tp, ja.x1) == (turning_points(DISC, 1.2), 0.0)
     assert quantize.quantization_condition(DISC, 1.2, "discontinuous", 0.05, cert) == ja
     cert = certify_well(HL, 0.05, 1.45)
-    (act, der), _ = well_integral(HL, 0.9, 0.0, turning_points(HL, 0.9).x_plus, False, True)
+    tp = turning_points(HL, 0.9)
+    (act, der), _ = well_integral(HL, 0.9, 0.0, tp.x_plus, False, True)
     for kind in ("halfline_dirichlet", "halfline_robin"):
         assert quantize.quantization_condition(HL, 0.9, kind, 0.1, cert) == quantize.Condition(
-            act, 0.5 * der, 1.0, der, 0.0)
+            act, 0.5 * der, 1.0, der, 0.0, tp, 0.0)
     with pytest.raises(QuantizeError):
         quantize.quantization_condition(HL, 0.9, "halfline_neumann", 0.1, cert)
 

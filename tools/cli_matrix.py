@@ -11,8 +11,9 @@ program is imported from the src/ next to this script, so running two
 trees' copies into two directories and `diff -r` compares their output.
 
 Exits 1 when any run exits with a code outside {0, 2, 3, 4} (success and
-the documented failures) or prints a Python traceback, and names those
-runs on stderr; the program promises neither.
+the documented failures), prints a Python traceback or prints a Python
+warning ("...Warning:" on stderr), and names those runs on stderr; the
+program promises none of these.
 """
 
 import os
@@ -48,6 +49,8 @@ def main() -> int:
                     base.with_name(base.name + ".rc").write_text(f"{run.returncode}\n")
                     if run.returncode not in EXIT_CODES or b"Traceback" in run.stdout + run.stderr:
                         bad.append(f"{base.relative_to(out)}: exit {run.returncode}")
+                    elif b"Warning:" in run.stderr:
+                        bad.append(f"{base.relative_to(out)}: a Python warning on stderr")
     for line in bad:
         print(f"undocumented failure: {line}", file=sys.stderr)
     return 1 if bad else 0

@@ -139,8 +139,10 @@ class RunConfig:
         if not isinstance(grid, dict):
             raise ConfigError("field 'grid' must be an object")
         self.grid = {k: _number(grid[k], "grid", k) for k in ("lo", "hi", "n") if k in grid}
-        if self.grid.setdefault("n", 801) < 1 or self.grid["n"] % 1:
-            raise ConfigError("field 'grid': 'n' must be a positive integer")
+        if not 1 <= self.grid.setdefault("n", 801) <= oracle._MAX_N or self.grid["n"] % 1:
+            raise ConfigError(f"field 'grid': 'n' must be an integer from 1 to {oracle._MAX_N}")
+        if not self.grid.get("lo", -math.inf) < self.grid.get("hi", math.inf):
+            raise ConfigError("field 'grid' must have lo < hi")
         if self.potential.domain == "half_line" and self.grid.get("lo", 0.0) < 0.0:
             raise ConfigError("field 'grid': 'lo' lies left of the half-line domain x >= 0")
 
@@ -188,8 +190,13 @@ def _action_residual(cfg: RunConfig, level, lam: float, hbar: float) -> float:
 
 
 def _nearest(arr, x):
-    i = int(np.argmin(np.abs(np.asarray(arr) - x)))
-    return i
+    return int(np.argmin(np.abs(np.asarray(arr) - x)))
+
+
+def _partner(spec, level):
+    """Window position of the oracle level with level.n nodes, or None."""
+    k = np.flatnonzero(spec.index == level.n) if spec is not None else []
+    return int(k[0]) if len(k) else None
 
 
 def _need_full_line(cfg: RunConfig, what: str) -> None:
@@ -208,8 +215,8 @@ def cmd_levels(cfg: RunConfig) -> dict:
         spec = cfg.oracle_for(hbar) if (cfg.oracle and lv) else None
         for l in lv:
             lam_o = delta = act_res = None
-            if spec is not None and len(spec.eigenvalues):
-                k = _nearest(spec.eigenvalues, l.lam)
+            k = _partner(spec, l)
+            if k is not None:
                 lam_o = float(spec.eigenvalues[k])
                 delta = l.lam - lam_o
                 act_res = _action_residual(cfg, l, lam_o, hbar)
@@ -253,12 +260,14 @@ def cmd_wavefunction(cfg: RunConfig) -> dict:
         for l in levels:
             psi = langer.eigenfunction(cfg.potential, l, cfg.cert)
             lo = float(cfg.grid.get("lo", psi.x1))
-            if spec is not None and len(spec.eigenvalues):
-                k = _nearest(spec.eigenvalues, l.lam)
+            k = _partner(spec, l)
+            if k is not None:
                 xg, po = oracle.eigenvector(spec, k)
                 hi = float(cfg.grid.get("hi", xg[-1]))
                 mask = (xg >= lo) & (xg <= hi)
                 xs = xg[mask]
+                if not len(xs):  # no oracle node in [lo, hi]
+                    continue
                 ps = psi(xs)
                 po = po[mask]
                 sup = float(np.max(np.abs(ps - po)))
@@ -308,9 +317,7 @@ def cmd_observable(cfg: RunConfig) -> dict:
             # classical column at the semiclassical level, reference column at
             # the matched brute-force state: both sides come from their own
             # pipeline end to end
-            k = None
-            if spec is not None and len(spec.eigenvalues):
-                k = _nearest(spec.eigenvalues, l.lam)
+            k = _partner(spec, l)
             for name, w, breaks in cfg.weights:
                 cls = action.classical_average(cfg.potential, l.lam, w, breaks)
                 obs = oracle.observable(spec, k, w) if k is not None else None
@@ -346,24 +353,29 @@ def cmd_scaling(cfg: RunConfig) -> dict:
 
     def err_for(hbar: float) -> float:
         spec = cfg.oracle_for(hbar)
-        if study in ("levels", "disc-levels"):
-            lv = cfg.levels_for(hbar)
-            if study == "levels":
-                ph = action.phi(cfg.potential, spec.eigenvalues).phi
-                frac = ph / (math.pi * hbar) - quantize.MASLOV_OFFSETS["smooth"]
-                return float(np.max(np.abs(frac - np.round(frac)), initial=0.0) * math.pi * hbar)
-            lams = np.array([l.lam for l in lv])
-            if len(lams) != len(spec.eigenvalues):
-                raise quantize.QuantizeError(
-                    f"count mismatch at hbar={hbar}: {len(lams)} predicted vs "
-                    f"{len(spec.eigenvalues)} reference levels"
-                )
-            return float(np.max(np.abs(lams - spec.eigenvalues)))
         lv = cfg.levels_for(hbar)
+        if study == "levels":
+            ph = action.phi(cfg.potential, spec.eigenvalues).phi
+            frac = ph / (math.pi * hbar) - quantize.MASLOV_OFFSETS["smooth"]
+            return float(np.max(np.abs(frac - np.round(frac)), initial=0.0) * math.pi * hbar)
+        if study == "disc-levels" and len(lv) != len(spec.eigenvalues):
+            raise quantize.QuantizeError(
+                f"count mismatch at hbar={hbar}: {len(lv)} predicted vs "
+                f"{len(spec.eigenvalues)} reference levels"
+            )
         if not lv:
             raise quantize.QuantizeError(f"no levels in window at hbar={hbar}")
+
+        def partner(level) -> int:
+            k = _partner(spec, level)
+            if k is None:
+                raise quantize.QuantizeError(f"no reference level with n={level.n} at hbar={hbar}")
+            return k
+
+        if study == "disc-levels":
+            return float(max(abs(l.lam - spec.eigenvalues[partner(l)]) for l in lv))
         l = lv[_nearest([x.lam for x in lv], lam_ref)]
-        k = _nearest(spec.eigenvalues, l.lam)
+        k = partner(l)
         if study == "kinetic":
             return abs(oracle.kinetic_energy(spec, k) - action.kinetic_cl(cfg.potential, l.lam))
         if study == "observable":

@@ -15,14 +15,18 @@ differences shrink by 4 per doubling; every other level keeps the first
 doubling finer than the last one solved.  A Numerov shooting solver provides
 an independent cross-check of the default scheme.
 
+Each raw eigenvalue carries its index in the grid spectrum.  The k-th
+lowest eigenvalue of a Jacobi matrix with negative off-diagonals is simple
+and its eigenvector has k sign changes (Gantmacher & Krein, Oscillation
+Matrices and Kernels), so levels are matched across grids by index, and
+`OracleSpectrum.index` is the node count n of each window level.
+
 A count needs only the levels that could cross a window edge.
 `count_levels` runs the grids of `solve_spectrum` but solves and
 extrapolates only the levels within 2 delta of either edge, with delta at
-least four times the largest raw shift measured on them.  The middle of the
-window is the exact Sturm count of *stebz on the last grid, which does not
-depend on the bisection tolerance (Barth, Martin & Wilkinson, Numer. Math. 9
-(1967) 386-393), so it is bisected with a loose one.  All solvers share one
-setup (`_domain`): argument checks, boundary condition, truncation, the
+least four times the largest raw shift measured on them; the levels below
+an edge's band are counted by the band's first index.  All solvers share
+one setup (`_domain`): argument checks, boundary condition, truncation, the
 spectrum-edge check and the first grid.
 
 Interior jump points of v are snapped onto grid nodes, where v takes the
@@ -163,40 +167,27 @@ def solve_banded(*args, **kwargs):
     return scipy.linalg.solve_banded(*args, **kwargs)
 
 
-def _window_eigs(pot, hbar, x, bc, robin_b, lo, hi):
-    d, e = _tridiag(pot, hbar, x, bc, robin_b)
-    return eigh_tridiagonal(d, e, select="v", select_range=(lo, hi), eigvals_only=True)
+def _count(d: np.ndarray, e: np.ndarray, x: float) -> int:
+    """Number of eigenvalues of the tridiagonal (d, e) at or below x: the
+    Sturm count of *stebz, which it takes at the lower end of every range on
+    (d, e), whatever the tolerance (Barth, Martin & Wilkinson, Numer. Math. 9
+    (1967) 386-393).  The range starts below a Gershgorin bound, and its
+    width as tolerance stops the bisection at once."""
+    floor = float(np.min(d)) - 2.0 * float(np.max(np.abs(e)))
+    floor -= 1.0 + abs(floor)  # room for rounding below the Gershgorin bound
+    if x <= floor:
+        return 0
+    return len(eigh_tridiagonal(d, e, select="v", select_range=(floor, x), eigvals_only=True,
+                                tol=x - floor))
 
 
-def _pair(a: np.ndarray, b: np.ndarray):
-    """Indices (ia, ib) matching two ascending eigenvalue lists by nearest value."""
-    if len(a) == 0 or len(b) == 0:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
-    ia = np.searchsorted(a, b)
-    left = np.clip(ia - 1, 0, len(a) - 1)
-    right = np.clip(ia, 0, len(a) - 1)
-    nearest = np.where(np.abs(b - a[left]) <= np.abs(b - a[right]), left, right)
-    if len(b) > 1:
-        guard = 0.25 * np.min(np.diff(b))
-    else:
-        guard = np.inf
-    keep = np.abs(b - a[nearest]) <= guard
-    # drop duplicate matches (two b's to one a): keep the closer one
-    chosen: dict[int, int] = {}
-    for j in np.nonzero(keep)[0]:
-        i = nearest[j]
-        if i not in chosen or abs(b[j] - a[i]) < abs(b[chosen[i]] - a[i]):
-            chosen[i] = j
-    js = np.array(sorted(chosen.values()), dtype=int)
-    return nearest[js], js
-
-
-def _matched(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray):
-    """Raw values (e0, e1, e2) of the levels matched across three grids."""
-    i0, i1 = _pair(v0, v1)
-    j1, j2 = _pair(v1, v2)
-    _, a, b = np.intersect1d(i1, j1, assume_unique=True, return_indices=True)
-    return v0[i0[a]], v1[i1[a]], v2[j2[b]]
+def _matched(*raw):
+    """(index, e0, e1, e2): the raw values of the levels present on all
+    three grids, matched by their indices."""
+    index = raw[0][1]
+    for r in raw[1:]:
+        index = np.intersect1d(index, r[1], assume_unique=True)
+    return (index, *(r[0][np.isin(r[1], index)] for r in raw))
 
 
 def _romberg(e0: np.ndarray, e1: np.ndarray, e2: np.ndarray):
@@ -234,6 +225,7 @@ class OracleSpectrum:
     n: int  # intervals of the last grid solved; eigenvectors use 2n
     n_trail: tuple[int, ...]  # intervals of every grid solved, in order
     eigenvalues: np.ndarray  # Romberg-extrapolated, ascending
+    index: np.ndarray  # per level: its index in the grid spectrum, its node count
     est_error: np.ndarray
     h4_column: np.ndarray  # per level: True where the h^4 column was taken
     potential: Potential
@@ -262,9 +254,18 @@ class _Domain:
     def grid(self, n: int) -> np.ndarray:
         return _grid(self.pot, self.x_lo, self.x_hi, n)
 
-    def eigs(self, n: int, lo: float, hi: float) -> np.ndarray:
-        """Raw eigenvalues in (lo, hi] on the grid of n intervals."""
-        return _window_eigs(self.pot, self.hbar, self.grid(n), self.bc, self.robin_b, lo, hi)
+    def eigs(self, n: int, ranges):
+        """(values, index, first) of the grid of n intervals: the raw
+        eigenvalues in the ranges (a, b], each level once and ascending, their
+        indices in the grid spectrum (0 for the lowest), and per range the
+        count of eigenvalues at or below a, the index of its first value."""
+        d, e = _tridiag(self.pot, self.hbar, self.grid(n), self.bc, self.robin_b)
+        values = [eigh_tridiagonal(d, e, select="v", select_range=r, eigvals_only=True)
+                  for r in ranges]
+        first = [_count(d, e, a) for a, _ in ranges]
+        index, at = np.unique(np.concatenate([k + np.arange(len(v)) for v, k in zip(values, first)]),
+                              return_index=True)
+        return np.concatenate(values)[at], index, first
 
 
 def _domain(pot: Potential, hbar: float, window: tuple[float, float], bc: str,
@@ -274,7 +275,8 @@ def _domain(pot: Potential, hbar: float, window: tuple[float, float], bc: str,
     condition of the domain, the truncation (x_span, or where the WKB tail
     beyond the window top has decayed), the check that the window stays
     below the truncation-induced spectrum edge, and the first grid: n0, or
-    at least 2048 intervals and 24 per shortest wavelength in the window."""
+    at least 2048 intervals and 24 per shortest wavelength in the window,
+    with an OracleError before any solve if three grids would pass _MAX_N."""
     if hbar <= 0.0:
         raise OracleError("hbar must be positive")
     if tol_oracle is not None and tol_oracle < _MIN_TOL:
@@ -300,6 +302,7 @@ def _domain(pot: Potential, hbar: float, window: tuple[float, float], bc: str,
     if n0 is None:
         wavelength = math.pi * hbar / math.sqrt(depth)
         n0 = max(2048, int(24.0 * (x_hi - x_lo) / wavelength))
+        _doubled(_doubled(n0, tol_oracle, None), tol_oracle, None)  # three grids must fit
     return _Domain(pot, hbar, bc, robin_b, x_lo, x_hi, depth, n0)
 
 
@@ -331,44 +334,37 @@ def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
     lo, hi = window
     pad = 0.05 * (hi - lo)
     n_trail = [dom.n0]
-    raw = [dom.eigs(dom.n0, lo - pad, hi + pad)]
+    ranges = [(lo - pad, hi + pad)]
+    raw = [dom.eigs(dom.n0, ranges)]
     est = None
     while True:
         n = _doubled(n_trail[-1], tol_oracle, est)
-        raw = raw[-2:] + [dom.eigs(n, lo - pad, hi + pad)]
+        raw = raw[-2:] + [dom.eigs(n, ranges)]
         n_trail.append(n)
         if len(raw) == 3:
-            eigs, est_all, h4 = _romberg(*_matched(*raw))
+            index, *e = _matched(*raw)
+            eigs, est_all, h4 = _romberg(*e)
             inside = (eigs > lo) & (eigs < hi)
             est = est_all[inside]
             if np.all(est <= tol_oracle):
                 return OracleSpectrum(
                     hbar=hbar, window=(lo, hi), bc=dom.bc, robin_b=robin_b,
                     x_min=dom.x_lo, x_max=dom.x_hi, n=n, n_trail=tuple(n_trail),
-                    eigenvalues=eigs[inside], est_error=est, h4_column=h4[inside],
-                    potential=pot,
+                    eigenvalues=eigs[inside], index=index[inside], est_error=est,
+                    h4_column=h4[inside], potential=pot,
                 )
-
-
-def _cut(raw: np.ndarray, a: float, at: float, b: float) -> float:
-    """Midpoint of the gap of `raw` around `at`, where a and b (a < at < b)
-    stand in for the nearest raw value below or above `at` if none lies in
-    (a, at] or (at, b]."""
-    left = raw[(raw > a) & (raw <= at)]
-    right = raw[(raw > at) & (raw <= b)]
-    return 0.5 * (left.max(initial=a) + right.min(initial=b))
 
 
 def count_levels(pot: Potential, hbar: float, window: tuple[float, float],
                  tol_oracle: float = DEFAULT_TOL, bc: str = "dirichlet_both",
                  robin_b: float = 0.0) -> int:
-    """Number of reference eigenvalues in the window: the count of
-    `solve_spectrum`, without solving the levels in the middle of the window.
+    """Number of reference eigenvalues in the window, the count of
+    `solve_spectrum`: the levels below hi less the levels at or below lo.
 
-    The grids are those of `solve_spectrum`.  On each grid only the two
-    edge bands (edge - 2 delta, edge + 2 delta] are solved; their levels are
-    matched and Romberg-extrapolated across the last three grids, and the
-    doubling stops on the rule of `solve_spectrum` applied to them.
+    The grids are those of `solve_spectrum`.  Each edge c gets one band
+    (c - 2 delta, c + 2 delta], and on each grid only the bands are solved;
+    their levels are matched by index and Romberg-extrapolated across the
+    last three grids.
 
     delta comes from the measured raw shifts.  It starts at four times the
     leading raw shift h^2 depth^2 / (12 hbar^2) of a level at the window
@@ -376,33 +372,28 @@ def count_levels(pot: Potential, hbar: float, window: tuple[float, float],
     at least four times the largest shift |e0 - e2| of a band level, and
     until each band holds a level or spans the well's depth.  A level then
     moves by less than delta / 4 between its raw value on the last grid and
-    its Romberg value.  So a level whose last raw value lies more than delta
-    inside the window is counted without being solved: the exact Sturm
-    count of `eigh_tridiagonal` with a loose tol, on the last grid, takes
-    the middle.  A band level within delta of an edge counts where its
-    Romberg value lies in the window, and each must be matched on all three
-    grids.  The middle's ends sit halfway between neighbouring band levels,
-    so no level is within rounding of them.
+    its Romberg value.  So, on the last grid, the levels below an edge's
+    band, counted by the band's first index, and the band levels more than
+    delta below the edge lie below it.  A band level within delta of the
+    edge lies below it where its Romberg value does; each must be matched
+    on all three grids, and the doubling stops on the rule of
+    `solve_spectrum` applied to them.
     """
     dom = _domain(pot, hbar, window, bc, robin_b, tol_oracle)
     lo, hi = window
     h0 = (dom.x_hi - dom.x_lo) / dom.n0
     delta = (h0 * dom.depth / hbar) ** 2 / 3.0
 
-    def split() -> bool:
-        return lo + 2.0 * delta < hi - 2.0 * delta
+    def bands(n: int):
+        return dom.eigs(n, [(c - 2.0 * delta, c + 2.0 * delta) for c in window])
 
-    def bands(n: int) -> np.ndarray:
-        if split():
-            return np.concatenate([dom.eigs(n, c - 2.0 * delta, c + 2.0 * delta) for c in (lo, hi)])
-        return dom.eigs(n, lo - 2.0 * delta, hi + 2.0 * delta)
+    def holds_levels(grid_raw) -> bool:
+        return all(np.any(np.abs(grid_raw[0] - c) <= 2.0 * delta) for c in window)
 
-    def holds_levels(raw: np.ndarray) -> bool:
-        return all(np.any(np.abs(raw - c) <= 2.0 * delta) for c in (lo, hi))
+    def near(v: np.ndarray) -> np.ndarray:
+        return (np.abs(v - lo) <= delta) | (np.abs(v - hi) <= delta)
 
-    n_trail = [dom.n0]
-    while len(n_trail) < 3:
-        n_trail.append(_doubled(n_trail[-1], tol_oracle, None))
+    n_trail = [dom.n0, 2 * dom.n0, 4 * dom.n0]
     raw = [bands(dom.n0)]
     # find levels near both edges on the cheapest grid
     while not holds_levels(raw[0]) and 2.0 * delta < dom.depth:
@@ -410,34 +401,21 @@ def count_levels(pot: Potential, hbar: float, window: tuple[float, float],
         raw = [bands(dom.n0)]
     raw += [bands(n) for n in n_trail[1:]]
     while True:
-        e0, e1, e2 = _matched(*raw)
-        last = raw[-1]
+        index, e0, e1, e2 = _matched(*raw)
+        last, last_index, first = raw[-1]
         need = 4.0 * np.max(np.abs(e0 - e2), initial=0.0)
-        if 2.0 * delta < dom.depth and (need > delta or not holds_levels(last)):
+        if 2.0 * delta < dom.depth and (need > delta or not holds_levels(raw[-1])):
             delta = max(need, 2.0 * delta)
             raw = [bands(n) for n in n_trail[-3:]]
             continue
-        eigs, est_all, _ = _romberg(e0, e1, e2)
-        if split():
-            mid_lo = _cut(last, lo, lo + delta, lo + 2.0 * delta)
-            mid_hi = _cut(last, hi - 2.0 * delta, hi - delta, hi)
-        else:
-            mid_lo = mid_hi = hi + delta
-
-        def in_bands(v: np.ndarray) -> np.ndarray:
-            return ((v > lo - delta) & (v <= mid_lo)) | ((v > mid_hi) & (v <= hi + delta))
-
-        band = in_bands(e2)
-        inside = band & (eigs > lo) & (eigs < hi)
-        est = est_all[inside]
-        unmatched = np.count_nonzero(in_bands(last)) - np.count_nonzero(band)
-        if need <= delta and unmatched == 0 and np.all(est <= tol_oracle):
-            middle = 0
-            if mid_lo < mid_hi:
-                d, e = _tridiag(pot, hbar, dom.grid(n_trail[-1]), dom.bc, robin_b)
-                middle = len(eigh_tridiagonal(d, e, select="v", select_range=(mid_lo, mid_hi),
-                                              eigvals_only=True, tol=mid_hi - mid_lo))
-            return middle + int(np.count_nonzero(inside))
+        eigs, est, _ = _romberg(e0, e1, e2)
+        est = est[near(e2) & (eigs > lo) & (eigs < hi)]
+        if (need <= delta and np.count_nonzero(near(last)) == np.count_nonzero(near(e2))
+                and np.all(est <= tol_oracle)):
+            value = last.copy()
+            value[np.isin(last_index, index)] = eigs
+            below_hi = first[1] + np.count_nonzero(value[last_index >= first[1]] < hi)
+            return int(below_hi - first[0] - np.count_nonzero(value[last_index >= first[0]] <= lo))
         n_trail.append(_doubled(n_trail[-1], tol_oracle, est))
         raw = raw[1:] + [bands(n_trail[-1])]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -296,6 +297,15 @@ def test_scaling_without_levels_exits_4(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_disc_levels_scaling_without_levels_exits_4(tmp_path, capsys):
+    # neither side has a level in the window at hbar = 0.1
+    cfg = write_config(tmp_path, "c.json", {
+        "potential_path": str(CONFIGS / "harmonic.json"), "hbar": [0.1, 0.05],
+        "window": [0.74, 0.86], "study": "disc-levels"})
+    assert run(["scaling", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 4
+    assert "no levels in window at hbar=0.1" in capsys.readouterr().err
+
+
 HALFLINE_CFG = json.loads((CONFIGS / "halfline_robin.json").read_text())
 
 
@@ -344,13 +354,15 @@ DISC_CFG = _committed("disc_levels.json")
     (DISC_CFG, {"grid": [1]}, "wavefunction", "grid"),
     (DISC_CFG, {"grid": {"n": "x"}}, "wavefunction", "grid"),
     (HALFLINE_CFG, {"grid": {"lo": -0.5}}, "wavefunction", "grid"),
+    (DISC_CFG, {"grid": {"n": 1e18}}, "wavefunction", "grid"),
+    (DISC_CFG, {"grid": {"lo": 2, "hi": 1}}, "wavefunction", "grid"),
     (DISC_CFG, {"study": []}, "scaling", "study"),
     (DISC_CFG, {"study": "kinetic", "lambda_ref": "x"}, "scaling", "lambda_ref"),
     (DISC_CFG, {"potential": "x"}, "levels", "potential"),
     (HALFLINE_CFG, {"potential": dict(HALFLINE_CFG["potential"], v="z")}, "levels", "potential"),
 ], ids=["robin_b", "hbar", "window", "tol_oracle-type", "tol_oracle-floor", "oracle",
         "weights-type", "weights-poly", "weights-indicator", "grid-type", "grid-n",
-        "grid-halfline", "study", "lambda_ref", "potential", "potential-v"])
+        "grid-halfline", "grid-n-max", "grid-empty", "study", "lambda_ref", "potential", "potential-v"])
 def test_malformed_config_fields_exit_2(tmp_path, capsys, base, change, command, field):
     cfg = write_config(tmp_path, "c.json", dict(base, **change))
     flags = [] if field in ("tol_oracle", "oracle", "study", "lambda_ref") else ["--no-oracle"]
@@ -361,13 +373,47 @@ def test_malformed_config_fields_exit_2(tmp_path, capsys, base, change, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("grid", [{"lo": 50}, {"hi": -50}, {"lo": 2, "hi": 1}],
+                         ids=["lo-past-the-grid", "hi-before-the-grid", "lo-above-hi"])
+def test_an_empty_grid_range_exits_cleanly(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path, "c.json", dict(_committed("harmonic_levels.json"), grid=grid))
+    rc = run(["wavefunction", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if "hi" in grid and "lo" in grid:
+        assert rc == 2 and "field 'grid'" in err
+    else:
+        assert rc == 0 and "sup|psi-psi_oracle|" not in err
+        assert (tmp_path / "t.csv").read_text().splitlines() == ["hbar,n,x,psi,psi_oracle,abs_err"]
+
+
+def test_a_level_without_an_oracle_partner_gets_empty_oracle_cells(tmp_path, monkeypatch):
+    from semiclass import oracle
+
+    solve = oracle.solve_spectrum
+
+    def without_first_level(*args, **kwargs):
+        spec = solve(*args, **kwargs)
+        return dataclasses.replace(spec, eigenvalues=spec.eigenvalues[1:], index=spec.index[1:],
+                                   est_error=spec.est_error[1:], h4_column=spec.h4_column[1:])
+
+    monkeypatch.setattr(oracle, "solve_spectrum", without_first_level)
+    cfg = write_config(tmp_path, "c.json", {"potential": HARM_POT, "hbar": 0.1,
+                                            "window": [0.03, 0.77]})
+    assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
+    rows = [r.split(",") for r in (tmp_path / "t.csv").read_text().strip().splitlines()[1:]]
+    assert [r[1] for r in rows] == ["0", "1", "2", "3"]
+    assert rows[0][5:] == ["", "", ""]
+    assert all(abs(float(r[6])) <= 1e-7 for r in rows[1:])  # the others keep their own level
+
+
 _WRONG_TYPES = ["x", [], {}, None, True, 3, [1, "a"], {"n": "x"}]
 _OUT_OF_RANGE = {
     "hbar": [0.0, -0.1, [0.1, 0.1]],
     "window": [[1.8, 0.8], [1.0, 1.0]],
     "n": [[-1], [0.5]],
     "tol_oracle": [1e-12, 0.0],
-    "grid": [{"n": 0}, {"lo": -0.5}],
+    "grid": [{"n": 0}, {"lo": -0.5}, {"n": 1e18}, {"lo": 2, "hi": 1}],
     "weights": [[], [{"kind": "poly", "coeffs": []}]],
 }
 _FIELDS = ["potential", "potential_path", "hbar", "window", "n", "method", "bc", "robin_b",

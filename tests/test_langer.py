@@ -403,6 +403,18 @@ def test_normalization_halfline_harmonic_closed_form():
         assert abs(c_plus - 2.0 / math.pi * 0.05 ** (-1 / 6)) <= 1e-10 * c_plus
 
 
+def _levels_and_oracle(pot, window, hbar, bc=None, robin_b=0.0, pad=0.0):
+    """The semiclassical levels of the window and the oracle spectrum of the
+    window widened by pad on each side."""
+    wide = (window[0] - pad, window[1] + pad)
+    if bc is None:
+        jump = any(s.kind == "jump" for s in pot.singular_points)
+        levels = (quantize.disc_levels if jump else quantize.bs_levels)(pot, window, hbar)
+        return levels, oracle.solve_spectrum(pot, hbar, wide)
+    levels = quantize.halfline_levels(pot, window, hbar, bc=bc, robin_b=robin_b)
+    return levels, oracle.solve_spectrum(pot, hbar, wide, bc=f"halfline_{bc}", robin_b=robin_b)
+
+
 def _psi_errors(pot, window, hbar, bc=None, robin_b=0.0, pad=0.0):
     """(lam, sup|psi - psi_oracle| / max|psi_oracle|) of each window level,
     the sup taken over the whole oracle grid.  Without pad, level k is paired
@@ -411,14 +423,7 @@ def _psi_errors(pot, window, hbar, bc=None, robin_b=0.0, pad=0.0):
     the nearest oracle state; those states must be distinct and consecutive,
     and every oracle level in the window must be taken unless it lies within
     a tenth of the least oracle spacing of an edge."""
-    wide = (window[0] - pad, window[1] + pad)
-    if bc is None:
-        jump = any(s.kind == "jump" for s in pot.singular_points)
-        levels = (quantize.disc_levels if jump else quantize.bs_levels)(pot, window, hbar)
-        spec = oracle.solve_spectrum(pot, hbar, wide)
-    else:
-        levels = quantize.halfline_levels(pot, window, hbar, bc=bc, robin_b=robin_b)
-        spec = oracle.solve_spectrum(pot, hbar, wide, bc=f"halfline_{bc}", robin_b=robin_b)
+    levels, spec = _levels_and_oracle(pot, window, hbar, bc, robin_b, pad)
     ev = spec.eigenvalues
     if pad:
         idx = [int(np.argmin(np.abs(ev - l.lam))) for l in levels]
@@ -470,6 +475,18 @@ def test_psi_matches_the_oracle_on_random_wells(well):
     # spacing of its oracle state, far inside the tenth _psi_errors allows
     pot, window, bc = well
     assert max((err for _, err in _psi_errors(pot, window, 0.05, bc, pad=0.1)), default=0.0) <= 0.05
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(psi_wells())
+def test_the_oracle_level_with_index_n_is_the_nearest_one(well):
+    # the node count n of a semiclassical level names its oracle state
+    pot, window, bc = well
+    levels, spec = _levels_and_oracle(pot, window, 0.05, bc, pad=0.1)
+    for l in levels:
+        assert l.n in spec.index
+        k = int(np.flatnonzero(spec.index == l.n)[0])
+        assert k == int(np.argmin(np.abs(spec.eigenvalues - l.lam)))
 
 
 def test_halfline_robin_psi_error_decreases_with_hbar():

@@ -26,6 +26,7 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 HARM = make_power_law(0, 1, 2, 0, 1, 2)
 QUART = make_power_law(0, 1, 4, 0, 1, 4)
 DISC = make_power_law(0.5, 1, 2, 0, 1, 2)
+HL = halfline_power_law(0, 1, 2)
 
 
 @pytest.fixture(scope="module")
@@ -65,12 +66,11 @@ def test_truncation_independence():
 
 def test_grid_refinement_order_is_second():
     # raw eigenvalue error ratio between N and 2N in [3.5, 4.5]
-    x_lo, x_hi, n = -8.0, 8.0, 3000
+    dom = oracle._domain(HARM, 1.0, (0.5, 9.5), "dirichlet_both", 0.0, x_span=(-8.0, 8.0),
+                         n0=3000)
     exact = np.array([1.0, 3.0, 5.0, 7.0, 9.0])
-    e1 = oracle._window_eigs(HARM, 1.0, oracle._grid(HARM, x_lo, x_hi, n),
-                             "dirichlet_both", 0.0, 0.5, 9.5) - exact
-    e2 = oracle._window_eigs(HARM, 1.0, oracle._grid(HARM, x_lo, x_hi, 2 * n),
-                             "dirichlet_both", 0.0, 0.5, 9.5) - exact
+    e1 = dom.eigs(3000, [(0.5, 9.5)])[0] - exact
+    e2 = dom.eigs(6000, [(0.5, 9.5)])[0] - exact
     ratios = np.abs(e1) / np.abs(e2)
     assert np.all(ratios >= 3.5) and np.all(ratios <= 4.5)
 
@@ -112,6 +112,24 @@ def test_eigenvector_sign_convention(harm_spec):
         x, psi = eigenvector(harm_spec, k)
         x_plus = math.sqrt(harm_spec.eigenvalues[k])
         assert psi[int(np.argmin(np.abs(x - x_plus)))] > 0
+
+
+def _sign_changes(psi):
+    s = np.sign(psi[np.abs(psi) > 1e-8 * np.abs(psi).max()])
+    return int(np.count_nonzero(s[1:] != s[:-1]))
+
+
+@pytest.mark.parametrize("pot, hbar, window, bc, robin_b", [
+    (HARM, 1.0, (0.0, 10.0), "dirichlet_both", 0.0),
+    (DISC, 0.05, (0.8, 1.8), "dirichlet_both", 0.0),
+    (HL, 0.05, (0.04, 1.3), "halfline_robin", 5.0),
+    (HL, 0.05, (0.04, 1.3), "halfline_dirichlet", 0.0),
+], ids=["harmonic", "jump", "halfline_robin", "halfline_dirichlet"])
+def test_the_index_of_a_level_is_the_node_count_of_its_eigenvector(pot, hbar, window, bc, robin_b):
+    spec = solve_spectrum(pot, hbar, window, bc=bc, robin_b=robin_b)
+    assert len(spec.index) == len(spec.eigenvalues) > 0
+    nodes = [_sign_changes(eigenvector(spec, k)[1]) for k in range(len(spec.index))]
+    assert nodes == spec.index.tolist()
 
 
 def test_eigenvector_index_guard(harm_spec):
@@ -199,19 +217,19 @@ def test_disc_fixture_reproducible():
 
 
 def _raw_on(spec, n):
-    """Raw window eigenvalues (with the solver's padding) on the grid of n intervals."""
+    """(values, index, first) of the raw window eigenvalues (with the solver's
+    padding) on the grid of n intervals."""
     lo, hi = spec.window
     pad = 0.05 * (hi - lo)
-    x = oracle._grid(spec.potential, spec.x_min, spec.x_max, n)
-    return oracle._window_eigs(spec.potential, spec.hbar, x, spec.bc, spec.robin_b,
-                               lo - pad, hi + pad)
+    dom = oracle._domain(spec.potential, spec.hbar, spec.window, spec.bc, spec.robin_b,
+                         x_span=(spec.x_min, spec.x_max), n0=n)
+    return dom.eigs(n, [(lo - pad, hi + pad)])
 
 
 def _first_column(spec, n):
     """Window levels of the first Richardson column on the grids of n and 2n intervals."""
-    coarse, fine = _raw_on(spec, n), _raw_on(spec, 2 * n)
-    i, j = oracle._pair(coarse, fine)
-    r1 = fine[j] + (fine[j] - coarse[i]) / 3.0
+    _, coarse, fine = oracle._matched(_raw_on(spec, n), _raw_on(spec, 2 * n))
+    r1 = fine + (fine - coarse) / 3.0
     lo, hi = spec.window
     return r1[(r1 > lo) & (r1 < hi)]
 
@@ -223,8 +241,8 @@ def test_romberg_guard_keeps_the_first_column_off_ratio():
     spec = solve_spectrum(pot, 0.1, tuple(cfg["window"]), bc="halfline_robin",
                           robin_b=cfg["robin_b"])
     assert spec.n_trail == (2048, 4096, 8192)
-    e0, e1, e2 = oracle._matched(*(_raw_on(spec, n) for n in spec.n_trail))
-    window_levels = [int(np.argmin(np.abs(e2 - lam))) for lam in spec.eigenvalues]
+    index, e0, e1, e2 = oracle._matched(*(_raw_on(spec, n) for n in spec.n_trail))
+    window_levels = np.isin(index, spec.index)
     e0, e1, e2 = e0[window_levels], e1[window_levels], e2[window_levels]
     ratio = (e0 - e1) / (e1 - e2)
     # the ground state's raw differences shrink by 4.52 per doubling
@@ -254,8 +272,8 @@ def test_rounding_level_differences_stop_on_three_grids(monkeypatch):
     # a scheme whose raw values differ between grids only by rounding
     rng = np.random.default_rng(7)
     lam = np.array([0.6, 0.9, 1.2])
-    monkeypatch.setattr(oracle, "_window_eigs",
-                        lambda *a: lam + np.spacing(lam) * rng.integers(-4, 5, lam.size))
+    monkeypatch.setattr(oracle._Domain, "eigs", lambda *a: (
+        lam + np.spacing(lam) * rng.integers(-4, 5, lam.size), np.arange(lam.size), [0]))
     spec = solve_spectrum(HARM, 0.1, (0.5, 1.5))
     assert len(spec.n_trail) == 3
     assert not spec.h4_column.any()
@@ -372,7 +390,7 @@ def test_count_levels_solves_only_the_edge_bands(monkeypatch):
 
     def spy(d, e, **kw):
         w = solve(d, e, **kw)
-        if "tol" not in kw:  # full accuracy; the middle's loose count passes a tol
+        if "tol" not in kw:  # full accuracy; the loose index counts pass a tol
             solved.append(len(w))
         return w
 
@@ -381,6 +399,17 @@ def test_count_levels_solves_only_the_edge_bands(monkeypatch):
     assert count == 61
     assert len(solved) == 6  # two bands on each of three grids
     assert max(solved) <= 0.1 * count
+
+
+def test_oracle_fails_before_it_solves_when_three_grids_cannot_fit(monkeypatch):
+    # at hbar 2e-5 the first grid has about 1.6M intervals, so the third would pass _MAX_N
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a grid was solved")
+
+    monkeypatch.setattr(oracle, "eigh_tridiagonal", no_solve)
+    for solve in (solve_spectrum, count_levels):
+        with pytest.raises(OracleError, match="no convergence"):
+            solve(HARM, 2e-5, (0.03, 1.57))
 
 
 def test_count_levels_raises_past_max_n(monkeypatch):

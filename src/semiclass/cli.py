@@ -116,10 +116,12 @@ class RunConfig:
         self.method = raw.get("method", "auto")
         if self.method not in ("auto", "bs", "disc", "halfline"):
             raise ConfigError(f"field 'method': unknown value {self.method!r}")
-        self.bc = raw.get("bc", "dirichlet")
-        if self.bc not in ("dirichlet", "robin"):
-            raise ConfigError(f"field 'bc': unknown value {self.bc!r}")
-        self.robin_b = _number(raw.get("robin_b", 0.0), "robin_b")
+        bc = raw.get("bc", "dirichlet")
+        if bc not in ("dirichlet", "robin"):
+            raise ConfigError(f"field 'bc': unknown value {bc!r}")
+        robin_b = _number(raw.get("robin_b", 0.0), "robin_b")
+        # the wall, for both solvers: a Robin b only on the half line, else None (Dirichlet)
+        self.robin_b = robin_b if bc == "robin" and self.potential.domain == "half_line" else None
         if not isinstance(raw.get("oracle", True), bool):
             raise ConfigError(f"field 'oracle' must be true or false, got {raw['oracle']!r}")
         self.oracle = raw.get("oracle", True) and use_oracle
@@ -163,22 +165,18 @@ class RunConfig:
             lv = quantize.disc_levels(self.potential, self.window, hbar, cert=self.cert)
         else:
             lv = quantize.halfline_levels(self.potential, self.window, hbar,
-                                          bc=self.bc, robin_b=self.robin_b, cert=self.cert)
+                                          robin_b=self.robin_b, cert=self.cert)
         if self.n_filter is not None:
             lv = [l for l in lv if l.n in self.n_filter]
         return lv
 
-    def _oracle_args(self) -> dict:
-        bc = "dirichlet_both"
-        if self.potential.domain == "half_line":
-            bc = "halfline_dirichlet" if self.bc == "dirichlet" else "halfline_robin"
-        return {"tol_oracle": self.tol_oracle, "bc": bc, "robin_b": self.robin_b}
-
     def oracle_for(self, hbar: float):
-        return oracle.solve_spectrum(self.potential, hbar, self.window, **self._oracle_args())
+        return oracle.solve_spectrum(self.potential, hbar, self.window, self.tol_oracle,
+                                     robin_b=self.robin_b)
 
     def oracle_count(self, hbar: float) -> int:
-        return oracle.count_levels(self.potential, hbar, self.window, **self._oracle_args())
+        return oracle.count_levels(self.potential, hbar, self.window, self.tol_oracle,
+                                   robin_b=self.robin_b)
 
 
 def _action_residual(cfg: RunConfig, level, lam: float, hbar: float) -> float:
@@ -276,6 +274,8 @@ def cmd_wavefunction(cfg: RunConfig) -> dict:
                             for x, a, b in zip(xs, ps, po))
             else:
                 hi = float(cfg.grid.get("hi", psi.plus.x_tp + 1.0))
+                if lo > hi:  # [lo, hi] is empty
+                    continue
                 xs = np.linspace(lo, hi, int(cfg.grid["n"]))
                 ps = psi(xs)
                 rows.extend([hbar, l.n, float(x), float(a), None, None] for x, a in zip(xs, ps))
@@ -353,11 +353,11 @@ def cmd_scaling(cfg: RunConfig) -> dict:
 
     def err_for(hbar: float) -> float:
         spec = cfg.oracle_for(hbar)
-        lv = cfg.levels_for(hbar)
         if study == "levels":
             ph = action.phi(cfg.potential, spec.eigenvalues).phi
             frac = ph / (math.pi * hbar) - quantize.MASLOV_OFFSETS["smooth"]
-            return float(np.max(np.abs(frac - np.round(frac)), initial=0.0) * math.pi * hbar)
+            return float(np.max(np.abs(frac - spec.index), initial=0.0) * math.pi * hbar)
+        lv = cfg.levels_for(hbar)
         if study == "disc-levels" and len(lv) != len(spec.eigenvalues):
             raise quantize.QuantizeError(
                 f"count mismatch at hbar={hbar}: {len(lv)} predicted vs "

@@ -58,8 +58,8 @@ class LangerChart:
     side "+" covers [x1, inf), side "-" covers (-inf, x1].  xi is
     -+(3/2 A)^(2/3) with A the action from x_tp: _action_in on [x1, x_tp],
     _action_out on [x_tp, x_far], and beyond x_far one turning_point_integral
-    per band of points (2^(k-1), 2^k] times as far from x_tp as x_far.  Construction is the only stateful step; a built chart is
-    immutable and safe to share across threads.
+    per band of points (2^(k-1), 2^k] times as far from x_tp as x_far.
+    Construction is the only stateful step; a built chart is immutable.
     """
 
     side: str

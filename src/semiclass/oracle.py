@@ -26,8 +26,13 @@ A count needs only the levels that could cross a window edge.
 extrapolates only the levels within 2 delta of either edge, with delta at
 least four times the largest raw shift measured on them; the levels below
 an edge's band are counted by the band's first index.  All solvers share
-one setup (`_domain`): argument checks, boundary condition, truncation, the
-spectrum-edge check and the first grid.
+one setup (`_domain`): argument checks, truncation, the spectrum-edge check
+and the first grid.
+
+The half-line wall x = 0 is one argument, `robin_b`: None is the Dirichlet
+wall psi(0) = 0, a number b the Robin wall psi'(0) = b psi(0); a full-line
+well takes no robin_b.  An `OracleSpectrum` keeps the request (`_Domain`)
+it was solved on.
 
 Interior jump points of v are snapped onto grid nodes, where v takes the
 mean of its one-sided limits; on the half line the boundary x = 0 stays a
@@ -128,26 +133,22 @@ def _potential_on_grid(pot: Potential, x: np.ndarray) -> np.ndarray:
     return v
 
 
-def _tridiag(pot: Potential, hbar: float, x: np.ndarray, bc: str, robin_b: float):
-    """Symmetric tridiagonal (d, e) for the chosen boundary conditions.
+def _tridiag(pot: Potential, hbar: float, x: np.ndarray, robin_b: Optional[float] = None):
+    """Symmetric tridiagonal (d, e) on the grid x.
 
-    dirichlet_both / halfline_dirichlet drop the boundary nodes; for
-    halfline_robin the x=0 node stays, with the ghost-point row symmetrized
-    by the half-cell weight (the physical psi_0 is sqrt(2) times the
-    eigenvector entry)."""
+    With robin_b None both end nodes are Dirichlet zeros and are dropped.
+    With a Robin wall psi'(x[0]) = robin_b psi(x[0]) the x[0] node stays,
+    with the ghost-point row symmetrized by the half-cell weight (the
+    physical psi_0 is sqrt(2) times the eigenvector entry)."""
     h = x[1] - x[0]
     c = hbar * hbar / (h * h)
     v = _potential_on_grid(pot, x)
-    if bc in ("dirichlet_both", "halfline_dirichlet"):
-        d = 2.0 * c + v[1:-1]
-        e = np.full(len(x) - 3, -c)
-        return d, e
-    if bc == "halfline_robin":
-        d = np.concatenate(([2.0 * c + 2.0 * hbar * hbar * robin_b / h + v[0]], 2.0 * c + v[1:-1]))
-        e = np.full(len(x) - 2, -c)
-        e[0] = -math.sqrt(2.0) * c
-        return d, e
-    raise OracleError(f"unknown boundary condition {bc!r}")
+    if robin_b is None:
+        return 2.0 * c + v[1:-1], np.full(len(x) - 3, -c)
+    d = np.concatenate(([2.0 * c + 2.0 * hbar * hbar * robin_b / h + v[0]], 2.0 * c + v[1:-1]))
+    e = np.full(len(x) - 2, -c)
+    e[0] = -math.sqrt(2.0) * c
+    return d, e
 
 
 # scipy.linalg is slow to import and only the oracle needs it, so its two
@@ -213,39 +214,34 @@ def _romberg(e0: np.ndarray, e1: np.ndarray, e2: np.ndarray):
 
 @dataclass
 class OracleSpectrum:
-    """Converged reference eigenvalues in a window plus the grid to rebuild
-    matrices/eigenvectors on demand."""
+    """Converged reference eigenvalues in a window, with the checked request
+    they were solved on, which rebuilds grids and eigenvectors on demand."""
 
-    hbar: float
+    domain: _Domain
     window: tuple[float, float]
-    bc: str
-    robin_b: float
-    x_min: float
-    x_max: float
     n: int  # intervals of the last grid solved; eigenvectors use 2n
     n_trail: tuple[int, ...]  # intervals of every grid solved, in order
     eigenvalues: np.ndarray  # Romberg-extrapolated, ascending
     index: np.ndarray  # per level: its index in the grid spectrum, its node count
     est_error: np.ndarray
     h4_column: np.ndarray  # per level: True where the h^4 column was taken
-    potential: Potential
     _vectors: dict = field(default_factory=dict, repr=False)
 
     @property
     def grid(self) -> np.ndarray:
-        return _grid(self.potential, self.x_min, self.x_max, self.n)
+        return self.domain.grid(self.n)
 
 
 @dataclass(frozen=True)
 class _Domain:
-    """A checked oracle request: the boundary condition resolved for the
-    domain, the truncated interval [x_lo, x_hi], the height of the window
-    top above min v there, and the first grid's intervals n0."""
+    """A checked oracle request: the well, hbar, the wall (robin_b, None
+    for Dirichlet; always None on the full line), the truncated interval
+    [x_lo, x_hi], the height of the window top above min v there, and the
+    first grid's intervals n0."""
 
     pot: Potential
     hbar: float
-    bc: str
-    robin_b: float
+    robin_b: Optional[float]
     x_lo: float
     x_hi: float
     depth: float
@@ -254,12 +250,17 @@ class _Domain:
     def grid(self, n: int) -> np.ndarray:
         return _grid(self.pot, self.x_lo, self.x_hi, n)
 
+    def matrix(self, n: int):
+        """(x, d, e): the grid of n intervals and its tridiagonal (d, e)."""
+        x = self.grid(n)
+        return (x, *_tridiag(self.pot, self.hbar, x, self.robin_b))
+
     def eigs(self, n: int, ranges):
         """(values, index, first) of the grid of n intervals: the raw
         eigenvalues in the ranges (a, b], each level once and ascending, their
         indices in the grid spectrum (0 for the lowest), and per range the
         count of eigenvalues at or below a, the index of its first value."""
-        d, e = _tridiag(self.pot, self.hbar, self.grid(n), self.bc, self.robin_b)
+        d, e = self.matrix(n)[1:]  # the grid is freed before the solves
         values = [eigh_tridiagonal(d, e, select="v", select_range=r, eigvals_only=True)
                   for r in ranges]
         first = [_count(d, e, a) for a, _ in ranges]
@@ -268,11 +269,11 @@ class _Domain:
         return np.concatenate(values)[at], index, first
 
 
-def _domain(pot: Potential, hbar: float, window: tuple[float, float], bc: str,
-            robin_b: float, tol_oracle: Optional[float] = None,
+def _domain(pot: Potential, hbar: float, window: tuple[float, float],
+            robin_b: Optional[float] = None, tol_oracle: Optional[float] = None,
             x_span: Optional[tuple[float, float]] = None, n0: Optional[int] = None) -> _Domain:
-    """The one setup of every oracle solver: argument checks, the boundary
-    condition of the domain, the truncation (x_span, or where the WKB tail
+    """The one setup of every oracle solver: argument checks (a robin_b
+    needs a half-line well), the truncation (x_span, or where the WKB tail
     beyond the window top has decayed), the check that the window stays
     below the truncation-induced spectrum edge, and the first grid: n0, or
     at least 2048 intervals and 24 per shortest wavelength in the window,
@@ -284,8 +285,8 @@ def _domain(pot: Potential, hbar: float, window: tuple[float, float], bc: str,
     lo, hi = window
     if not lo < hi:
         raise OracleError("empty window")
-    if pot.domain == "half_line" and bc == "dirichlet_both":
-        bc = "halfline_dirichlet"
+    if robin_b is not None and pot.domain != "half_line":
+        raise OracleError("a Robin wall (robin_b) needs a half-line well")
     if x_span is not None:
         x_lo, x_hi = x_span
     else:
@@ -303,7 +304,7 @@ def _domain(pot: Potential, hbar: float, window: tuple[float, float], bc: str,
         wavelength = math.pi * hbar / math.sqrt(depth)
         n0 = max(2048, int(24.0 * (x_hi - x_lo) / wavelength))
         _doubled(_doubled(n0, tol_oracle, None), tol_oracle, None)  # three grids must fit
-    return _Domain(pot, hbar, bc, robin_b, x_lo, x_hi, depth, n0)
+    return _Domain(pot, hbar, robin_b, x_lo, x_hi, depth, n0)
 
 
 def _doubled(n: int, tol_oracle: float, est) -> int:
@@ -317,8 +318,7 @@ def _doubled(n: int, tol_oracle: float, est) -> int:
 
 
 def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
-                   tol_oracle: float = DEFAULT_TOL, bc: str = "dirichlet_both",
-                   robin_b: float = 0.0,
+                   tol_oracle: float = DEFAULT_TOL, robin_b: Optional[float] = None,
                    x_span: Optional[tuple[float, float]] = None) -> OracleSpectrum:
     """Reference eigenvalues of -hbar^2 psi'' + v psi = lam psi in a window.
 
@@ -330,7 +330,7 @@ def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
     most tol_oracle; the result's n is the last grid, and `eigenvector`
     solves on the grid one doubling finer.
     """
-    dom = _domain(pot, hbar, window, bc, robin_b, tol_oracle, x_span)
+    dom = _domain(pot, hbar, window, robin_b, tol_oracle, x_span)
     lo, hi = window
     pad = 0.05 * (hi - lo)
     n_trail = [dom.n0]
@@ -348,16 +348,14 @@ def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
             est = est_all[inside]
             if np.all(est <= tol_oracle):
                 return OracleSpectrum(
-                    hbar=hbar, window=(lo, hi), bc=dom.bc, robin_b=robin_b,
-                    x_min=dom.x_lo, x_max=dom.x_hi, n=n, n_trail=tuple(n_trail),
+                    domain=dom, window=(lo, hi), n=n, n_trail=tuple(n_trail),
                     eigenvalues=eigs[inside], index=index[inside], est_error=est,
-                    h4_column=h4[inside], potential=pot,
+                    h4_column=h4[inside],
                 )
 
 
 def count_levels(pot: Potential, hbar: float, window: tuple[float, float],
-                 tol_oracle: float = DEFAULT_TOL, bc: str = "dirichlet_both",
-                 robin_b: float = 0.0) -> int:
+                 tol_oracle: float = DEFAULT_TOL, robin_b: Optional[float] = None) -> int:
     """Number of reference eigenvalues in the window, the count of
     `solve_spectrum`: the levels below hi less the levels at or below lo.
 
@@ -379,7 +377,7 @@ def count_levels(pot: Potential, hbar: float, window: tuple[float, float],
     on all three grids, and the doubling stops on the rule of
     `solve_spectrum` applied to them.
     """
-    dom = _domain(pot, hbar, window, bc, robin_b, tol_oracle)
+    dom = _domain(pot, hbar, window, robin_b, tol_oracle)
     lo, hi = window
     h0 = (dom.x_hi - dom.x_lo) / dom.n0
     delta = (h0 * dom.depth / hbar) ** 2 / 3.0
@@ -439,8 +437,7 @@ def eigenvector(spec: OracleSpectrum, k: int):
         raise OracleError(f"level index {k} outside the window list")
     if k in spec._vectors:
         return spec._vectors[k]
-    xf = _grid(spec.potential, spec.x_min, spec.x_max, 2 * spec.n)
-    d, e = _tridiag(spec.potential, spec.hbar, xf, spec.bc, spec.robin_b)
+    xf, d, e = spec.domain.matrix(2 * spec.n)
     m = len(d)
     lam = float(spec.eigenvalues[k])
     ab = np.zeros((3, m))
@@ -467,7 +464,7 @@ def eigenvector(spec: OracleSpectrum, k: int):
     if resid > 1e-6 * max(1.0, abs(lam)):
         raise OracleError(f"inverse iteration stagnated: residual {resid}")
 
-    if spec.bc == "halfline_robin":
+    if spec.domain.robin_b is not None:
         psi_f = np.concatenate((v, [0.0]))
         psi_f[0] *= math.sqrt(2.0)  # undo the half-cell symmetrization weight
     else:
@@ -479,7 +476,7 @@ def eigenvector(spec: OracleSpectrum, k: int):
     psi = np.zeros_like(x)
     psi[on] = psi_f[i[on]]
 
-    x_plus = turning_points(spec.potential, lam).x_plus
+    x_plus = turning_points(spec.domain.pot, lam).x_plus
     i_plus = int(np.argmin(np.abs(x - x_plus)))
     if psi[i_plus] < 0.0:
         psi = -psi
@@ -496,7 +493,7 @@ def observable(spec: OracleSpectrum, k: int, w: Callable) -> float:
 
 def kinetic_energy(spec: OracleSpectrum, k: int) -> float:
     """hbar^2 int psi'^2 via energy conservation: lam - int v psi^2."""
-    return float(spec.eigenvalues[k]) - observable(spec, k, lambda x: _potential_on_grid(spec.potential, x))
+    return float(spec.eigenvalues[k]) - observable(spec, k, lambda x: _potential_on_grid(spec.domain.pot, x))
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +514,12 @@ def _numerov_sweep(f: np.ndarray, h: float, u0: float, u1: float) -> np.ndarray:
 
 
 def _numerov_nodes(pot: Potential, hbar: float, lam: float, x: np.ndarray,
-                   v: np.ndarray, bc: str, robin_b: float) -> int:
+                   v: np.ndarray, robin_b: Optional[float] = None) -> int:
     """Sturm count: sign changes of the left shooting solution equal the
     number of discrete eigenvalues below lam."""
     h = x[1] - x[0]
     f = (lam - v) / (hbar * hbar)
-    if bc == "halfline_robin":
+    if robin_b is not None:
         u0 = 1.0
         f0p = float(pot.deriv(np.array(x[0] + 1e-9))) / (hbar * hbar)
         u1 = u0 * (1.0 + h * robin_b - h * h * f[0] / 2.0 - h**3 * (f0p + f[0] * robin_b) / 6.0)
@@ -535,7 +532,7 @@ def _numerov_nodes(pot: Potential, hbar: float, lam: float, x: np.ndarray,
 
 
 def numerov_levels(pot: Potential, hbar: float, window: tuple[float, float],
-                   n: int = 6000, bc: str = "dirichlet_both", robin_b: float = 0.0,
+                   n: int = 6000, robin_b: Optional[float] = None,
                    x_span: Optional[tuple[float, float]] = None,
                    xtol: float = 1e-10) -> np.ndarray:
     """Eigenvalues in the window from two-sided Numerov shooting.
@@ -545,11 +542,11 @@ def numerov_levels(pot: Potential, hbar: float, window: tuple[float, float],
     it converges to the eigenvalue itself.  O(h^4) scheme; used to
     cross-validate the default finite-difference oracle.
     """
-    dom = _domain(pot, hbar, window, bc, robin_b, x_span=x_span, n0=n)
+    dom = _domain(pot, hbar, window, robin_b, x_span=x_span, n0=n)
     lo, hi = window
     x = dom.grid(n)
     v = _potential_on_grid(pot, x)
-    count = lambda lam: _numerov_nodes(pot, hbar, lam, x, v, dom.bc, robin_b)
+    count = lambda lam: _numerov_nodes(pot, hbar, lam, x, v, robin_b)
     k_lo, k_hi = count(lo), count(hi)
     out = []
     for k in range(k_lo, k_hi):

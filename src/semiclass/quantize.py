@@ -382,9 +382,11 @@ def disc_levels(pot: Potential, window: tuple[float, float], hbar: float,
 
 
 def halfline_levels(pot: Potential, window: tuple[float, float], hbar: float,
-                    bc: str = "dirichlet", robin_b: float = 0.0,
+                    robin_b: Optional[float] = None,
                     cert: Optional[WellCertificate] = None) -> list[SemiclassicalLevel]:
-    """Levels of the half-line problem with psi(0)=0 or psi'(0) = b psi(0).
+    """Levels of the half-line problem with the wall psi(0) = 0 (robin_b
+    None, kind halfline_dirichlet) or psi'(0) = b psi(0) (robin_b = b,
+    kind halfline_robin; b = 0 is the Neumann wall).
 
     Solves int_0^{x+} (lam-v)^(1/2) = pi hbar (n + offset) with offset 3/4
     (Dirichlet) or 1/4 (Robin, independent of b at this order), in a well
@@ -392,9 +394,6 @@ def halfline_levels(pot: Potential, window: tuple[float, float], hbar: float,
     """
     if hbar <= 0.0:
         raise QuantizeError("hbar must be positive")
-    kind = f"halfline_{bc}"
-    if kind not in MASLOV_OFFSETS:
-        raise QuantizeError(f"unknown boundary condition {bc!r}")
+    kind = "halfline_dirichlet" if robin_b is None else "halfline_robin"
     cert = cert or certify_well(pot, *window)
-    return _action_levels(pot, window, hbar, kind, cert,
-                          robin_b=(robin_b if bc == "robin" else None))
+    return _action_levels(pot, window, hbar, kind, cert, robin_b=robin_b)

@@ -201,9 +201,9 @@ def test_ac8_halfline_offsets():
     # Dirichlet reproduces the odd full-line harmonic levels (4n+3) hbar
     d_resid = []
     for hbar in (0.1, 0.05):
-        lv = quantize.halfline_levels(HALF_HARM, (0.04, 1.3), hbar, bc="dirichlet")
+        lv = quantize.halfline_levels(HALF_HARM, (0.04, 1.3), hbar)
         odd = np.array([(4 * l.n + 3) * hbar for l in lv])
-        spec = oracle.solve_spectrum(HALF_HARM, hbar, (0.04, 1.3), bc="halfline_dirichlet")
+        spec = oracle.solve_spectrum(HALF_HARM, hbar, (0.04, 1.3))
         assert len(lv) == len(spec.eigenvalues)
         assert np.abs(np.array([l.lam for l in lv]) - odd).max() <= 1e-10
         d_resid.append(float(np.abs(np.array([l.lam for l in lv]) - spec.eigenvalues).max()))
@@ -213,18 +213,17 @@ def test_ac8_halfline_offsets():
     # b-dependence is an hbar^2-class correction
     r_resid = []
     for hbar in (0.1, 0.05):
-        lv = quantize.halfline_levels(HALF_HARM, (0.42, 1.38), hbar, bc="robin", robin_b=2.0)
+        lv = quantize.halfline_levels(HALF_HARM, (0.42, 1.38), hbar, robin_b=2.0)
         even = np.array([(4 * l.n + 1) * hbar for l in lv])
         assert np.abs(np.array([l.lam for l in lv]) - even).max() <= 1e-10
-        spec = oracle.solve_spectrum(HALF_HARM, hbar, (0.42, 1.38),
-                                     bc="halfline_robin", robin_b=2.0)
+        spec = oracle.solve_spectrum(HALF_HARM, hbar, (0.42, 1.38), robin_b=2.0)
         assert len(lv) == len(spec.eigenvalues)
         r_resid.append(float(np.abs(np.array([l.lam for l in lv]) - spec.eigenvalues).max()))
     robin_slope = math.log(r_resid[0] / r_resid[1]) / math.log(2.0)
 
     # any two b values give identical tables
-    t1 = quantize.halfline_levels(HALF_HARM, (0.42, 1.38), 0.05, bc="robin", robin_b=0.5)
-    t2 = quantize.halfline_levels(HALF_HARM, (0.42, 1.38), 0.05, bc="robin", robin_b=50.0)
+    t1 = quantize.halfline_levels(HALF_HARM, (0.42, 1.38), 0.05, robin_b=0.5)
+    t2 = quantize.halfline_levels(HALF_HARM, (0.42, 1.38), 0.05, robin_b=50.0)
     b_indep = [l.lam for l in t1] == [l.lam for l in t2]
     elapsed = time.time() - t0
     ok = dirichlet_ok and robin_slope >= 1.5 and b_indep

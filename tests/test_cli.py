@@ -343,6 +343,7 @@ DISC_CFG = _committed("disc_levels.json")
 
 @pytest.mark.parametrize("base,change,command,field", [
     (HALFLINE_CFG, {"robin_b": "x"}, "levels", "robin_b"),
+    (HALFLINE_CFG, {"bc": "neumann"}, "levels", "bc"),
     (DISC_CFG, {"hbar": "abc"}, "levels", "hbar"),
     (DISC_CFG, {"window": ["a", 1]}, "levels", "window"),
     (DISC_CFG, {"tol_oracle": "q"}, "levels", "tol_oracle"),
@@ -360,7 +361,7 @@ DISC_CFG = _committed("disc_levels.json")
     (DISC_CFG, {"study": "kinetic", "lambda_ref": "x"}, "scaling", "lambda_ref"),
     (DISC_CFG, {"potential": "x"}, "levels", "potential"),
     (HALFLINE_CFG, {"potential": dict(HALFLINE_CFG["potential"], v="z")}, "levels", "potential"),
-], ids=["robin_b", "hbar", "window", "tol_oracle-type", "tol_oracle-floor", "oracle",
+], ids=["robin_b", "bc", "hbar", "window", "tol_oracle-type", "tol_oracle-floor", "oracle",
         "weights-type", "weights-poly", "weights-indicator", "grid-type", "grid-n",
         "grid-halfline", "grid-n-max", "grid-empty", "study", "lambda_ref", "potential", "potential-v"])
 def test_malformed_config_fields_exit_2(tmp_path, capsys, base, change, command, field):
@@ -385,6 +386,30 @@ def test_an_empty_grid_range_exits_cleanly(tmp_path, capsys, grid):
     else:
         assert rc == 0 and "sup|psi-psi_oracle|" not in err
         assert (tmp_path / "t.csv").read_text().splitlines() == ["hbar,n,x,psi,psi_oracle,abs_err"]
+
+
+@pytest.mark.parametrize("grid", [{"lo": 50, "n": 3}, {"hi": -50}],
+                         ids=["lo-past-the-default-hi", "hi-before-the-default-lo"])
+def test_an_empty_grid_range_without_the_oracle_gives_no_rows(tmp_path, grid):
+    # lo and hi default to the level's matching point and x_+ + 1
+    cfg = write_config(tmp_path, "c.json", dict(_committed("harmonic_levels.json"), grid=grid))
+    rc = run(["wavefunction", "--config", str(cfg), "--no-oracle", "--out", str(tmp_path / "t.csv")])
+    assert rc == 0
+    assert (tmp_path / "t.csv").read_text().splitlines() == ["hbar,n,x,psi,psi_oracle,abs_err"]
+
+
+def test_the_levels_scaling_study_reads_only_the_oracle(tmp_path, monkeypatch):
+    from semiclass import cli, quantize
+
+    cfg = str(CONFIGS / "quartic_scaling.json")
+    assert run(["scaling", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 0
+
+    def no_levels(self, hbar):
+        raise quantize.QuantizeError("the semiclassical levels were solved")
+
+    monkeypatch.setattr(cli.RunConfig, "levels_for", no_levels)
+    assert run(["scaling", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "b.csv").read_text() == (tmp_path / "a.csv").read_text()
 
 
 def test_a_level_without_an_oracle_partner_gets_empty_oracle_cells(tmp_path, monkeypatch):

@@ -403,19 +403,19 @@ def test_normalization_halfline_harmonic_closed_form():
         assert abs(c_plus - 2.0 / math.pi * 0.05 ** (-1 / 6)) <= 1e-10 * c_plus
 
 
-def _levels_and_oracle(pot, window, hbar, bc=None, robin_b=0.0, pad=0.0):
+def _levels_and_oracle(pot, window, hbar, robin_b=None, pad=0.0):
     """The semiclassical levels of the window and the oracle spectrum of the
-    window widened by pad on each side."""
+    window widened by pad on each side; robin_b is the half-line wall."""
     wide = (window[0] - pad, window[1] + pad)
-    if bc is None:
+    if pot.domain == "full_line":
         jump = any(s.kind == "jump" for s in pot.singular_points)
         levels = (quantize.disc_levels if jump else quantize.bs_levels)(pot, window, hbar)
         return levels, oracle.solve_spectrum(pot, hbar, wide)
-    levels = quantize.halfline_levels(pot, window, hbar, bc=bc, robin_b=robin_b)
-    return levels, oracle.solve_spectrum(pot, hbar, wide, bc=f"halfline_{bc}", robin_b=robin_b)
+    levels = quantize.halfline_levels(pot, window, hbar, robin_b=robin_b)
+    return levels, oracle.solve_spectrum(pot, hbar, wide, robin_b=robin_b)
 
 
-def _psi_errors(pot, window, hbar, bc=None, robin_b=0.0, pad=0.0):
+def _psi_errors(pot, window, hbar, robin_b=None, pad=0.0):
     """(lam, sup|psi - psi_oracle| / max|psi_oracle|) of each window level,
     the sup taken over the whole oracle grid.  Without pad, level k is paired
     with oracle state k and the two level counts must agree.  With pad the
@@ -423,7 +423,7 @@ def _psi_errors(pot, window, hbar, bc=None, robin_b=0.0, pad=0.0):
     the nearest oracle state; those states must be distinct and consecutive,
     and every oracle level in the window must be taken unless it lies within
     a tenth of the least oracle spacing of an edge."""
-    levels, spec = _levels_and_oracle(pot, window, hbar, bc, robin_b, pad)
+    levels, spec = _levels_and_oracle(pot, window, hbar, robin_b, pad)
     ev = spec.eigenvalues
     if pad:
         idx = [int(np.argmin(np.abs(ev - l.lam))) for l in levels]
@@ -440,19 +440,19 @@ def _psi_errors(pot, window, hbar, bc=None, robin_b=0.0, pad=0.0):
     return errs
 
 
-@pytest.mark.parametrize("pot,window,bc", [
-    (QUART, (0.5, 2.0), None),
-    (DISC, (0.8, 1.8), None),
-    (HL, (0.04, 1.3), "dirichlet"),
+@pytest.mark.parametrize("pot,window", [
+    (QUART, (0.5, 2.0)),
+    (DISC, (0.8, 1.8)),
+    (HL, (0.04, 1.3)),
 ], ids=["smooth", "discontinuous", "halfline_dirichlet"])
-def test_psi_matches_the_oracle_eigenvector_per_level_kind(pot, window, bc):
+def test_psi_matches_the_oracle_eigenvector_per_level_kind(pot, window):
     # the 5% bound of the wavefunction benchmark; measured 0.55%, 1.3% and 2.6%
-    assert max(err for _, err in _psi_errors(pot, window, 0.05, bc)) <= 0.05
+    assert max(err for _, err in _psi_errors(pot, window, 0.05)) <= 0.05
 
 
 @st.composite
 def psi_wells(draw):
-    """(potential, window, bc) of a random two-branch power-law, jump or
+    """(potential, window) of a random two-branch power-law, jump or
     half-line Dirichlet well, the window 0.3 to 1.2 above the well bottom
     (above the top of the jump in a jump well)."""
     kind = draw(st.sampled_from(["power", "jump", "halfline"]))
@@ -463,7 +463,7 @@ def psi_wells(draw):
     else:
         pot = make_power_law(bottom, coeff(), exponent(), 0.0, coeff(), exponent())
     lo = bottom + draw(floats(0.3, 0.6))
-    return pot, (lo, lo + draw(floats(0.3, 0.6))), ("dirichlet" if kind == "halfline" else None)
+    return pot, (lo, lo + draw(floats(0.3, 0.6)))
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -473,16 +473,16 @@ def test_psi_matches_the_oracle_on_random_wells(well):
     # keeps a level within its O(hbar^2) error of a window edge matched.
     # Measured on 40 draws: a level is within 0.35% of the least oracle
     # spacing of its oracle state, far inside the tenth _psi_errors allows
-    pot, window, bc = well
-    assert max((err for _, err in _psi_errors(pot, window, 0.05, bc, pad=0.1)), default=0.0) <= 0.05
+    pot, window = well
+    assert max((err for _, err in _psi_errors(pot, window, 0.05, pad=0.1)), default=0.0) <= 0.05
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(psi_wells())
 def test_the_oracle_level_with_index_n_is_the_nearest_one(well):
     # the node count n of a semiclassical level names its oracle state
-    pot, window, bc = well
-    levels, spec = _levels_and_oracle(pot, window, 0.05, bc, pad=0.1)
+    pot, window = well
+    levels, spec = _levels_and_oracle(pot, window, 0.05, pad=0.1)
     for l in levels:
         assert l.n in spec.index
         k = int(np.flatnonzero(spec.index == l.n)[0])
@@ -492,7 +492,7 @@ def test_the_oracle_level_with_index_n_is_the_nearest_one(well):
 def test_halfline_robin_psi_error_decreases_with_hbar():
     # the leading-order psi ignores b, so only the trend is asserted: at the
     # level nearest lam = 0.5 the error is about 0.20 at hbar 0.1 and 0.11 at 0.05
-    errs = [min(_psi_errors(HL, (0.04, 1.3), hbar, "robin", 2.0), key=lambda e: abs(e[0] - 0.5))[1]
+    errs = [min(_psi_errors(HL, (0.04, 1.3), hbar, 2.0), key=lambda e: abs(e[0] - 0.5))[1]
             for hbar in (0.1, 0.05)]
     assert errs[1] < errs[0]
 

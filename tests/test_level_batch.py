@@ -77,7 +77,7 @@ def _solve(kind, pot, window, hbar):
         return bs_levels(pot, window, hbar)
     if kind == "jump":
         return disc_levels(pot, window, hbar)
-    return halfline_levels(pot, window, hbar, bc=kind.split("_")[1])
+    return halfline_levels(pot, window, hbar, robin_b=None if kind == "halfline_dirichlet" else 0.0)
 
 
 @PROPS

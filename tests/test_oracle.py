@@ -52,22 +52,21 @@ def test_against_committed_fixture():
 def test_quartic_ground_state_stability():
     a = solve_spectrum(QUART, 1.0, (0.0, 3.0))
     lam0 = a.eigenvalues[0]
-    b = solve_spectrum(QUART, 1.0, (0.0, 3.0), x_span=(a.x_min - 2.0, a.x_max + 2.0))
+    b = solve_spectrum(QUART, 1.0, (0.0, 3.0), x_span=(a.domain.x_lo - 2.0, a.domain.x_hi + 2.0))
     assert abs(b.eigenvalues[0] - lam0) <= 1e-8
 
 
 def test_truncation_independence():
     spec = solve_spectrum(QUART, 0.1, (0.5, 2.0))
     wide = solve_spectrum(QUART, 0.1, (0.5, 2.0),
-                          x_span=(1.2 * spec.x_min, 1.2 * spec.x_max))
+                          x_span=(1.2 * spec.domain.x_lo, 1.2 * spec.domain.x_hi))
     assert len(spec.eigenvalues) == len(wide.eigenvalues)
     assert np.abs(spec.eigenvalues - wide.eigenvalues).max() <= 1e-8
 
 
 def test_grid_refinement_order_is_second():
     # raw eigenvalue error ratio between N and 2N in [3.5, 4.5]
-    dom = oracle._domain(HARM, 1.0, (0.5, 9.5), "dirichlet_both", 0.0, x_span=(-8.0, 8.0),
-                         n0=3000)
+    dom = oracle._domain(HARM, 1.0, (0.5, 9.5), x_span=(-8.0, 8.0), n0=3000)
     exact = np.array([1.0, 3.0, 5.0, 7.0, 9.0])
     e1 = dom.eigs(3000, [(0.5, 9.5)])[0] - exact
     e2 = dom.eigs(6000, [(0.5, 9.5)])[0] - exact
@@ -77,13 +76,12 @@ def test_grid_refinement_order_is_second():
 
 def test_halfline_dirichlet_odd_levels():
     spec = solve_spectrum(halfline_power_law(0, 1, 2), 1.0, (0.0, 12.0))
-    assert spec.bc == "halfline_dirichlet"
+    assert spec.domain.robin_b is None
     assert np.abs(spec.eigenvalues - np.array([3.0, 7.0, 11.0])).max() <= 1e-7
 
 
 def test_halfline_neumann_even_levels():
-    spec = solve_spectrum(halfline_power_law(0, 1, 2), 1.0, (0.0, 12.0),
-                          bc="halfline_robin", robin_b=0.0)
+    spec = solve_spectrum(halfline_power_law(0, 1, 2), 1.0, (0.0, 12.0), robin_b=0.0)
     assert np.abs(spec.eigenvalues - np.array([1.0, 5.0, 9.0])).max() <= 1e-6
 
 
@@ -119,14 +117,14 @@ def _sign_changes(psi):
     return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
-@pytest.mark.parametrize("pot, hbar, window, bc, robin_b", [
-    (HARM, 1.0, (0.0, 10.0), "dirichlet_both", 0.0),
-    (DISC, 0.05, (0.8, 1.8), "dirichlet_both", 0.0),
-    (HL, 0.05, (0.04, 1.3), "halfline_robin", 5.0),
-    (HL, 0.05, (0.04, 1.3), "halfline_dirichlet", 0.0),
+@pytest.mark.parametrize("pot, hbar, window, robin_b", [
+    (HARM, 1.0, (0.0, 10.0), None),
+    (DISC, 0.05, (0.8, 1.8), None),
+    (HL, 0.05, (0.04, 1.3), 5.0),
+    (HL, 0.05, (0.04, 1.3), None),
 ], ids=["harmonic", "jump", "halfline_robin", "halfline_dirichlet"])
-def test_the_index_of_a_level_is_the_node_count_of_its_eigenvector(pot, hbar, window, bc, robin_b):
-    spec = solve_spectrum(pot, hbar, window, bc=bc, robin_b=robin_b)
+def test_the_index_of_a_level_is_the_node_count_of_its_eigenvector(pot, hbar, window, robin_b):
+    spec = solve_spectrum(pot, hbar, window, robin_b=robin_b)
     assert len(spec.index) == len(spec.eigenvalues) > 0
     nodes = [_sign_changes(eigenvector(spec, k)[1]) for k in range(len(spec.index))]
     assert nodes == spec.index.tolist()
@@ -205,6 +203,12 @@ def test_tolerance_guard():
         solve_spectrum(HARM, 0.1, (0.5, 1.5), tol_oracle=1e-13)
 
 
+@pytest.mark.parametrize("solve", [solve_spectrum, count_levels, numerov_levels])
+def test_a_robin_wall_needs_a_half_line_well(solve):
+    with pytest.raises(OracleError, match="half-line"):
+        solve(HARM, 0.1, (0.5, 1.5), robin_b=1.0)
+
+
 def test_disc_fixture_reproducible():
     spec = solve_spectrum(DISC, 0.05, (0.8, 1.8))
     with open(FIXTURES / "oracle_disc_hbar005.csv") as fh:
@@ -221,9 +225,7 @@ def _raw_on(spec, n):
     padding) on the grid of n intervals."""
     lo, hi = spec.window
     pad = 0.05 * (hi - lo)
-    dom = oracle._domain(spec.potential, spec.hbar, spec.window, spec.bc, spec.robin_b,
-                         x_span=(spec.x_min, spec.x_max), n0=n)
-    return dom.eigs(n, [(lo - pad, hi + pad)])
+    return spec.domain.eigs(n, [(lo - pad, hi + pad)])
 
 
 def _first_column(spec, n):
@@ -238,8 +240,7 @@ def test_romberg_guard_keeps_the_first_column_off_ratio():
     cfg = json.loads((pathlib.Path(__file__).parent.parent / "configs"
                       / "halfline_robin.json").read_text())
     pot = potential_from_spec(cfg["potential"])
-    spec = solve_spectrum(pot, 0.1, tuple(cfg["window"]), bc="halfline_robin",
-                          robin_b=cfg["robin_b"])
+    spec = solve_spectrum(pot, 0.1, tuple(cfg["window"]), robin_b=cfg["robin_b"])
     assert spec.n_trail == (2048, 4096, 8192)
     index, e0, e1, e2 = oracle._matched(*(_raw_on(spec, n) for n in spec.n_trail))
     window_levels = np.isin(index, spec.index)
@@ -323,14 +324,14 @@ def test_eigenvector_grid_is_at_least_the_first_column_stop_grid(monkeypatch, po
                         lambda lu, ab, b: sizes.append(ab.shape[1]) or solve(lu, ab, b))
     k = len(spec.eigenvalues) - 1
     x, psi = eigenvector(spec, k)
-    fine = oracle._grid(pot, spec.x_min, spec.x_max, 2 * spec.n)
+    fine = oracle._grid(pot, spec.domain.x_lo, spec.domain.x_hi, 2 * spec.n)
     assert set(sizes) == {len(fine) - 2}  # Dirichlet: interior nodes only
     assert 2 * spec.n >= _first_column_stop(spec)
     # psi sits on spec.grid's own nodes, and on a jump well the finer grid is
     # anchored at the jump as well: compare with the eigenvector of spec.grid
     assert np.array_equal(x, spec.grid)
     assert psi[0] == psi[-1] == 0.0
-    d, e = oracle._tridiag(pot, hbar, x, spec.bc, spec.robin_b)
+    d, e = oracle._tridiag(pot, hbar, x, spec.domain.robin_b)
     _, vec = eigh_tridiagonal(d, e, select="v",
                               select_range=(spec.eigenvalues[k] - 1e-3, spec.eigenvalues[k] + 1e-3))
     coarse = np.concatenate(([0.0], vec[:, 0], [0.0]))
@@ -347,10 +348,10 @@ def _floats(lo, hi):
 
 @st.composite
 def count_requests(draw):
-    """(potential, bc, robin_b, hbar, window): a two-branch power-law well, a
+    """(potential, robin_b, hbar, window): a two-branch power-law well, a
     jump well, or a half-line power-law well with a Dirichlet or Robin end."""
     kind = draw(st.sampled_from(["power", "jump", "halfline_dirichlet", "halfline_robin"]))
-    bc, robin_b = "dirichlet_both", 0.0
+    robin_b = None
     if kind in ("power", "jump"):
         a_plus = draw(_floats(0.1, 0.8)) if kind == "jump" else 0.0
         pot = make_power_law(a_plus, draw(_floats(0.5, 3.0)), draw(_floats(1.0, 5.0)),
@@ -360,17 +361,17 @@ def count_requests(draw):
         pot = halfline_power_law(0.0, draw(_floats(0.5, 3.0)), draw(_floats(1.0, 5.0)))
         bottom = 0.0
         if kind == "halfline_robin":
-            bc, robin_b = kind, draw(_floats(-1.0, 2.0))
+            robin_b = draw(_floats(-1.0, 2.0))
     lo = bottom + draw(_floats(0.05, 1.0))
-    return pot, bc, robin_b, draw(_floats(0.04, 0.2)), (lo, lo + draw(_floats(0.1, 1.5)))
+    return pot, robin_b, draw(_floats(0.04, 0.2)), (lo, lo + draw(_floats(0.1, 1.5)))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(count_requests(), st.data())
 def test_count_levels_equals_the_solved_count(request, data):
-    pot, bc, robin_b, hbar, (lo, hi) = request
+    pot, robin_b, hbar, (lo, hi) = request
     try:
-        levels = solve_spectrum(pot, hbar, (lo, hi), bc=bc, robin_b=robin_b).eigenvalues
+        levels = solve_spectrum(pot, hbar, (lo, hi), robin_b=robin_b).eigenvalues
     except OracleError:
         assume(False)
     edge = data.draw(st.sampled_from(["none", "lo", "hi"]))
@@ -380,8 +381,8 @@ def test_count_levels_equals_the_solved_count(request, data):
         lam += data.draw(st.sampled_from([-1e-6, 1e-6]))
         lo, hi = (lam, hi) if edge == "lo" else (lo, lam)
         assume(lo < hi)
-        levels = solve_spectrum(pot, hbar, (lo, hi), bc=bc, robin_b=robin_b).eigenvalues
-    assert count_levels(pot, hbar, (lo, hi), bc=bc, robin_b=robin_b) == len(levels)
+        levels = solve_spectrum(pot, hbar, (lo, hi), robin_b=robin_b).eigenvalues
+    assert count_levels(pot, hbar, (lo, hi), robin_b=robin_b) == len(levels)
 
 
 def test_count_levels_solves_only_the_edge_bands(monkeypatch):

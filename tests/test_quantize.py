@@ -304,21 +304,31 @@ HL = halfline_power_law(0, 1, 2)
 
 
 def test_halfline_dirichlet_closed_form():
-    lv = halfline_levels(HL, (0.05, 1.45), 0.1, bc="dirichlet")
+    lv = halfline_levels(HL, (0.05, 1.45), 0.1)
     assert [round(l.lam, 10) for l in lv] == [0.3, 0.7, 1.1]
     assert all(l.kind == "halfline_dirichlet" for l in lv)
 
 
 def test_halfline_robin_closed_form():
-    lv = halfline_levels(HL, (0.05, 1.45), 0.1, bc="robin", robin_b=5.0)
+    lv = halfline_levels(HL, (0.05, 1.45), 0.1, robin_b=5.0)
     assert [round(l.lam, 10) for l in lv] == [0.1, 0.5, 0.9, 1.3]
     assert all(l.kind == "halfline_robin" for l in lv)
     assert all(l.robin_b == 5.0 for l in lv)
 
 
+def test_halfline_wall_is_robin_b():
+    # robin_b None is the Dirichlet wall, a number b the Robin wall (0 is Neumann)
+    neumann = halfline_levels(HL, (0.05, 1.45), 0.1, robin_b=0.0)
+    assert [round(l.lam, 10) for l in neumann] == [0.1, 0.5, 0.9, 1.3]
+    assert all(l.kind == "halfline_robin" and l.robin_b == 0.0 for l in neumann)
+    dirichlet = halfline_levels(HL, (0.05, 1.45), 0.1, robin_b=None)
+    assert [round(l.lam, 10) for l in dirichlet] == [0.3, 0.7, 1.1]
+    assert all(l.kind == "halfline_dirichlet" and l.robin_b is None for l in dirichlet)
+
+
 def test_halfline_robin_b_independence():
-    a = halfline_levels(HL, (0.05, 1.45), 0.1, bc="robin", robin_b=0.0)
-    b = halfline_levels(HL, (0.05, 1.45), 0.1, bc="robin", robin_b=100.0)
+    a = halfline_levels(HL, (0.05, 1.45), 0.1, robin_b=0.0)
+    b = halfline_levels(HL, (0.05, 1.45), 0.1, robin_b=100.0)
     assert [l.lam for l in a] == [l.lam for l in b]
 
 
@@ -365,15 +375,10 @@ def test_a_kind_off_its_domain_raises_domain(solve, pot, window, with_cert):
     assert info.value.clause == "domain"
 
 
-def test_halfline_rejects_unknown_bc():
-    with pytest.raises(QuantizeError):
-        halfline_levels(HL, (0.05, 1.45), 0.1, bc="neumann")
-
-
 def test_levels_and_counts_are_python_floats():
     levels = (bs_levels(HARM, (0.03, 0.77), 0.1) + disc_levels(DISC, (0.8, 1.8), 0.2)
-              + halfline_levels(HL, (0.05, 1.45), 0.1, bc="dirichlet")
-              + halfline_levels(HL, (0.05, 1.45), 0.1, bc="robin"))
+              + halfline_levels(HL, (0.05, 1.45), 0.1)
+              + halfline_levels(HL, (0.05, 1.45), 0.1, robin_b=0.0))
     assert {l.kind for l in levels} == set(quantize.MASLOV_OFFSETS)
     for l in levels:
         assert type(l.lam) is float and type(l.residual) is float

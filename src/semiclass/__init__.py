@@ -6,14 +6,7 @@ uniform Airy-type eigenfunction approximations, classical observable
 averages, and an independent brute-force reference solver.
 """
 
-from .action import (
-    ActionProfile,
-    classical_average,
-    kinetic_cl,
-    partial_action,
-    phi,
-    power_law_closed_forms,
-)
+from .action import classical_average, kinetic_cl, partial_action, power_law_closed_forms
 from .airy import AiryValues, airy_eval, airy_many, airy_scaled
 from .langer import (
     Eigenfunction,

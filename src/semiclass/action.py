@@ -1,9 +1,11 @@
 """Classical-mechanics integrals over a potential well.
 
-Everything a quantization condition or an eigenfunction normalization needs:
-the action Phi(lam) = int (lam - v)^(1/2) dx between the turning points, its
-lam-derivative (2 Phi' is the period at mass 1/2), one-sided partial actions,
-microcanonical averages of observables, the classical kinetic energy, and the
+The whole-well integrals Phi(lam) = int (lam - v)^(1/2) dx, its
+lam-derivative Phi' (2 Phi' is the period at mass 1/2) and
+I = int (lam - v)^(-1/2) dx = 2 Phi' are the fields g, g_prime and i_plus of
+the smooth quantize.quantization_condition record, which does not depend on
+hbar.  Built on that record: one-sided partial actions, microcanonical
+averages of observables and the classical kinetic energy; and the
 Beta-function closed forms available for power-law wells.
 """
 
@@ -13,13 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .potential import Potential, PotentialError, TurningPoints, turning_points
-from .quadrature import well_integral
+from .potential import Potential
+from .quadrature import TOL_QUAD, well_integral
+from .quantize import Condition, quantization_condition
 
 __all__ = [
-    "TOL_QUAD",
-    "ActionProfile",
-    "phi",
     "partial_action",
     "classical_average",
     "kinetic_cl",
@@ -27,29 +27,11 @@ __all__ = [
     "power_law_closed_forms",
 ]
 
-TOL_QUAD = 1e-10  # default absolute quadrature tolerance
 
-
-@dataclass(frozen=True)
-class ActionProfile:
-    """Phi and Phi' at one energy, or arrays of them for an array of energies."""
-
-    phi: float
-    phi_prime: float
-
-
-def _tp(pot: Potential, lam: float) -> TurningPoints:
-    # the integrals below take both ends of the well as turning points
-    if pot.domain != "full_line":
-        raise PotentialError("action integrals expect a full-line potential")
-    return turning_points(pot, lam)
-
-
-def phi(pot: Potential, lam: float) -> ActionProfile:
-    """Action profile (Phi, Phi') at lam; lam may be an array, giving arrays."""
-    tp = _tp(pot, lam)
-    (val, der), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, TOL_QUAD)
-    return ActionProfile(val, 0.5 * der)
+def _smooth(pot: Potential, lam) -> Condition:
+    # the smooth record at hbar = 1: its integrals do not depend on hbar, and
+    # it refuses a well that is not on the full line
+    return quantization_condition(pot, lam, "smooth", 1.0)
 
 
 def partial_action(pot: Potential, lam: float, x: float, side: str,
@@ -59,7 +41,7 @@ def partial_action(pot: Potential, lam: float, x: float, side: str,
     side "+" integrates over [x, x+], side "-" over [x-, x]; both are >= 0
     and phi_plus + phi_minus = Phi.
     """
-    tp = _tp(pot, lam)
+    tp = _smooth(pot, lam).tp
     if not tp.x_minus < x < tp.x_plus:
         raise ValueError(f"x={x} is not strictly inside the well ({tp.x_minus}, {tp.x_plus})")
     if side in ("+", "+0"):
@@ -78,11 +60,10 @@ def classical_average(pot: Potential, lam: float, w: Callable, w_breaks=()) -> f
     the leading term of int w psi^2 as hbar -> 0.  Discontinuity points of w
     go in w_breaks so quadrature panels can split there.
     """
-    tp = _tp(pot, lam)
-    (_, num), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, TOL_QUAD,
+    c = _smooth(pot, lam)
+    (_, num), _ = well_integral(pot, lam, c.tp.x_minus, c.tp.x_plus, True, True, TOL_QUAD,
                                 weight=w, weight_breaks=w_breaks)
-    (_, den), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, TOL_QUAD)
-    return num / den
+    return num / c.i_plus
 
 
 def kinetic_cl(pot: Potential, lam: float) -> float:
@@ -90,9 +71,8 @@ def kinetic_cl(pot: Potential, lam: float) -> float:
 
     Equals lam - <v>_cl and Phi/(2 Phi') = (2 d ln Phi/d lam)^(-1).
     """
-    tp = _tp(pot, lam)
-    (num, den), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, True, True, TOL_QUAD)
-    return num / den
+    c = _smooth(pot, lam)
+    return c.g / c.i_plus
 
 
 @dataclass(frozen=True)

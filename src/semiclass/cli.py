@@ -34,11 +34,7 @@ class ConfigError(ValueError):
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))  # shortest exact round-trip form
-    if v is None:
-        return ""
-    return str(v)
+    return "" if v is None else str(v)  # str of a float is its shortest round-trip form
 
 
 def _emit(table: dict, out_path, fmt: str) -> None:
@@ -182,19 +178,55 @@ class RunConfig:
 def _action_residual(cfg: RunConfig, level, lam: float, hbar: float) -> float:
     """Defect |G(lam) - pi(n + mu) hbar| of the level's quantization condition
     evaluated at lam (e.g. an oracle eigenvalue), in action units."""
-    g = quantize.quantization_condition(cfg.potential, lam, level.kind, hbar, cfg.cert,
-                                        action.TOL_QUAD).g
+    g = quantize.quantization_condition(cfg.potential, lam, level.kind, hbar, cfg.cert).g
     return abs(g - math.pi * (level.n + quantize.MASLOV_OFFSETS[level.kind]) * hbar)
-
-
-def _nearest(arr, x):
-    return int(np.argmin(np.abs(np.asarray(arr) - x)))
 
 
 def _partner(spec, level):
     """Window position of the oracle level with level.n nodes, or None."""
     k = np.flatnonzero(spec.index == level.n) if spec is not None else []
     return int(k[0]) if len(k) else None
+
+
+def _paired_levels(cfg: RunConfig):
+    """(hbar, level, spec, k) for every level of every hbar, in order: spec
+    is the oracle spectrum of that hbar (None without the oracle or without
+    levels), k the window position of the level's partner in it or None."""
+    for hbar in cfg.hbars:
+        lv = cfg.levels_for(hbar)
+        spec = cfg.oracle_for(hbar) if (cfg.oracle and lv) else None
+        for l in lv:
+            yield hbar, l, spec, _partner(spec, l)
+
+
+def _psi_vs_oracle(psi, spec, k: int, lo: float, hi: float):
+    """(x, psi(x), psi_oracle(x), |psi - psi_oracle|) on the oracle's nodes x
+    in [lo, hi], psi_oracle the eigenvector of window position k."""
+    xg, po = oracle.eigenvector(spec, k)
+    on = (xg >= lo) & (xg <= hi)
+    xs, po = xg[on], po[on]
+    ps = psi(xs)
+    return xs, ps, po, np.abs(ps - po)
+
+
+def _versus(classical: float, reference):
+    """[classical, reference, |reference - classical|], the last two None
+    without a reference."""
+    return [classical, reference, None if reference is None else abs(reference - classical)]
+
+
+def _average_vs_oracle(pot, level, spec, k, w, breaks):
+    """The microcanonical average of w at the level against <w> in the
+    oracle state k (None without a partner), as _versus cells."""
+    return _versus(action.classical_average(pot, level.lam, w, breaks),
+                   None if k is None else oracle.observable(spec, k, w))
+
+
+def _kinetic_vs_oracle(pot, level, spec, k):
+    """The classical kinetic energy at the level against the kinetic energy
+    of the oracle state k (None without a partner), as _versus cells."""
+    return _versus(action.kinetic_cl(pot, level.lam),
+                   None if k is None else oracle.kinetic_energy(spec, k))
 
 
 def _need_full_line(cfg: RunConfig, what: str) -> None:
@@ -208,17 +240,13 @@ def _need_full_line(cfg: RunConfig, what: str) -> None:
 
 def cmd_levels(cfg: RunConfig) -> dict:
     rows = []
-    for hbar in cfg.hbars:
-        lv = cfg.levels_for(hbar)
-        spec = cfg.oracle_for(hbar) if (cfg.oracle and lv) else None
-        for l in lv:
-            lam_o = delta = act_res = None
-            k = _partner(spec, l)
-            if k is not None:
-                lam_o = float(spec.eigenvalues[k])
-                delta = l.lam - lam_o
-                act_res = _action_residual(cfg, l, lam_o, hbar)
-            rows.append([hbar, l.n, l.kind, l.lam, l.residual, lam_o, delta, act_res])
+    for hbar, l, spec, k in _paired_levels(cfg):
+        lam_o = delta = act_res = None
+        if k is not None:
+            lam_o = float(spec.eigenvalues[k])
+            delta = l.lam - lam_o
+            act_res = _action_residual(cfg, l, lam_o, hbar)
+        rows.append([hbar, l.n, l.kind, l.lam, l.residual, lam_o, delta, act_res])
     return {
         "command": "levels",
         "columns": ["hbar", "n", "kind", "lambda_sc", "residual", "lambda_oracle",
@@ -250,35 +278,23 @@ def cmd_count(cfg: RunConfig) -> dict:
 def cmd_wavefunction(cfg: RunConfig) -> dict:
     rows = []
     sup_lines = []
-    for hbar in cfg.hbars:
-        levels = cfg.levels_for(hbar)
-        if not levels:
-            continue
-        spec = cfg.oracle_for(hbar) if cfg.oracle else None
-        for l in levels:
-            psi = langer.eigenfunction(cfg.potential, l, cfg.cert)
-            lo = float(cfg.grid.get("lo", psi.x1))
-            k = _partner(spec, l)
-            if k is not None:
-                xg, po = oracle.eigenvector(spec, k)
-                hi = float(cfg.grid.get("hi", xg[-1]))
-                mask = (xg >= lo) & (xg <= hi)
-                xs = xg[mask]
-                if not len(xs):  # no oracle node in [lo, hi]
-                    continue
-                ps = psi(xs)
-                po = po[mask]
-                sup = float(np.max(np.abs(ps - po)))
-                sup_lines.append(f"hbar={hbar!r} n={l.n} sup|psi-psi_oracle|={sup!r}")
-                rows.extend([hbar, l.n, float(x), float(a), float(b), abs(float(a) - float(b))]
-                            for x, a, b in zip(xs, ps, po))
-            else:
-                hi = float(cfg.grid.get("hi", psi.plus.x_tp + 1.0))
-                if lo > hi:  # [lo, hi] is empty
-                    continue
-                xs = np.linspace(lo, hi, int(cfg.grid["n"]))
-                ps = psi(xs)
-                rows.extend([hbar, l.n, float(x), float(a), None, None] for x, a in zip(xs, ps))
+    for hbar, l, spec, k in _paired_levels(cfg):
+        psi = langer.eigenfunction(cfg.potential, l, cfg.cert)
+        lo = float(cfg.grid.get("lo", psi.x1))
+        if k is not None:
+            xs, ps, po, err = _psi_vs_oracle(psi, spec, k, lo, float(cfg.grid.get("hi", math.inf)))
+            if not len(xs):  # no oracle node in [lo, hi]
+                continue
+            sup = float(np.max(err))
+            sup_lines.append(f"hbar={hbar!r} n={l.n} sup|psi-psi_oracle|={sup!r}")
+            rows.extend([hbar, l.n, x, a, b, e] for x, a, b, e in
+                        zip(xs.tolist(), ps.tolist(), po.tolist(), err.tolist()))
+        else:
+            hi = float(cfg.grid.get("hi", psi.plus.x_tp + 1.0))
+            if lo > hi:  # [lo, hi] is empty
+                continue
+            xs = np.linspace(lo, hi, int(cfg.grid["n"]))
+            rows.extend([hbar, l.n, x, a, None, None] for x, a in zip(xs.tolist(), psi(xs).tolist()))
     for line in sup_lines:
         print(line, file=sys.stderr)
     return {
@@ -310,23 +326,13 @@ def _weight_fn(pot, wspec: dict):
 def cmd_observable(cfg: RunConfig) -> dict:
     _need_full_line(cfg, "observable")
     rows = []
-    for hbar in cfg.hbars:
-        levels = cfg.levels_for(hbar)
-        spec = cfg.oracle_for(hbar) if (cfg.oracle and levels) else None
-        for l in levels:
-            # classical column at the semiclassical level, reference column at
-            # the matched brute-force state: both sides come from their own
-            # pipeline end to end
-            k = _partner(spec, l)
-            for name, w, breaks in cfg.weights:
-                cls = action.classical_average(cfg.potential, l.lam, w, breaks)
-                obs = oracle.observable(spec, k, w) if k is not None else None
-                err = abs(obs - cls) if obs is not None else None
-                rows.append([hbar, l.n, name, cls, obs, err])
-            k_cl = action.kinetic_cl(cfg.potential, l.lam)
-            k_or = oracle.kinetic_energy(spec, k) if k is not None else None
-            err = abs(k_or - k_cl) if k_or is not None else None
-            rows.append([hbar, l.n, "kinetic", k_cl, k_or, err])
+    for hbar, l, spec, k in _paired_levels(cfg):
+        # classical column at the semiclassical level, reference column at
+        # the matched brute-force state: both sides come from their own
+        # pipeline end to end
+        for name, w, breaks in cfg.weights:
+            rows.append([hbar, l.n, name, *_average_vs_oracle(cfg.potential, l, spec, k, w, breaks)])
+        rows.append([hbar, l.n, "kinetic", *_kinetic_vs_oracle(cfg.potential, l, spec, k)])
     return {
         "command": "observable",
         "columns": ["hbar", "n", "weight", "classical", "oracle", "abs_err"],
@@ -354,14 +360,15 @@ def cmd_scaling(cfg: RunConfig) -> dict:
     def err_for(hbar: float) -> float:
         spec = cfg.oracle_for(hbar)
         if study == "levels":
-            ph = action.phi(cfg.potential, spec.eigenvalues).phi
+            ph = quantize.quantization_condition(cfg.potential, spec.eigenvalues, "smooth", hbar).g
             frac = ph / (math.pi * hbar) - quantize.MASLOV_OFFSETS["smooth"]
             return float(np.max(np.abs(frac - spec.index), initial=0.0) * math.pi * hbar)
         lv = cfg.levels_for(hbar)
-        if study == "disc-levels" and len(lv) != len(spec.eigenvalues):
+        # the reference levels the n filter admits, as levels_for admits the predicted ones
+        ref = spec.index if cfg.n_filter is None else spec.index[np.isin(spec.index, cfg.n_filter)]
+        if study == "disc-levels" and len(lv) != len(ref):
             raise quantize.QuantizeError(
-                f"count mismatch at hbar={hbar}: {len(lv)} predicted vs "
-                f"{len(spec.eigenvalues)} reference levels"
+                f"count mismatch at hbar={hbar}: {len(lv)} predicted vs {len(ref)} reference levels"
             )
         if not lv:
             raise quantize.QuantizeError(f"no levels in window at hbar={hbar}")
@@ -374,18 +381,15 @@ def cmd_scaling(cfg: RunConfig) -> dict:
 
         if study == "disc-levels":
             return float(max(abs(l.lam - spec.eigenvalues[partner(l)]) for l in lv))
-        l = lv[_nearest([x.lam for x in lv], lam_ref)]
+        l = min(lv, key=lambda x: abs(x.lam - lam_ref))
         k = partner(l)
         if study == "kinetic":
-            return abs(oracle.kinetic_energy(spec, k) - action.kinetic_cl(cfg.potential, l.lam))
+            return _kinetic_vs_oracle(cfg.potential, l, spec, k)[2]
         if study == "observable":
             _, w, breaks = cfg.weights[0]
-            return abs(oracle.observable(spec, k, w)
-                       - action.classical_average(cfg.potential, l.lam, w, breaks))
+            return _average_vs_oracle(cfg.potential, l, spec, k, w, breaks)[2]
         psi = langer.eigenfunction(cfg.potential, l, cfg.cert)
-        xg, po = oracle.eigenvector(spec, k)
-        mask = (xg >= psi.x1) & (xg <= psi.plus.x_tp + 1.0)
-        return float(np.max(np.abs(psi(xg[mask]) - po[mask])))
+        return float(np.max(_psi_vs_oracle(psi, spec, k, psi.x1, psi.plus.x_tp + 1.0)[3]))
 
     errs = [err_for(h) for h in cfg.hbars]
     logh = np.log(cfg.hbars)

@@ -27,9 +27,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .airy import AI_ZERO, airy_many
-from .action import TOL_QUAD
 from .potential import Potential, TurningPoints, WellCertificate, turning_points
-from .quadrature import turning_point_integral
+from .quadrature import TOL_QUAD, turning_point_integral
 from .quantize import Condition, quantization_condition
 
 __all__ = [

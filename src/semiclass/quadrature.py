@@ -35,7 +35,7 @@ import numpy as np
 
 from .potential import Potential
 
-__all__ = ["QuadratureError", "gl_adaptive", "well_integral", "turning_point_integral"]
+__all__ = ["TOL_QUAD", "QuadratureError", "gl_adaptive", "well_integral", "turning_point_integral"]
 
 _GL_N0 = 16  # first Gauss-Legendre order of gl_adaptive
 _GL_N_MAX = 4096
@@ -43,7 +43,7 @@ _CUMSUM_DEG0 = 16  # first degree of the Chebyshev fits in _cheb_cumsum
 _CUMSUM_DEG_MAX = 1024
 _BLOCK_SEGMENTS = 128  # segments per gl_adaptive block in well_integral
 _T_CROSS = 1.5e-3  # below this t, r(t) comes from the Taylor model of _taylor
-_ACTION_TOL = 1e-10  # absolute tolerance of turning_point_integral
+TOL_QUAD = 1e-10  # default absolute tolerance of well_integral and of turning_point_integral
 
 
 class QuadratureError(RuntimeError):
@@ -140,7 +140,7 @@ def _ratio(g, t, c0, c2):
 
 
 def well_integral(pot: Potential, lam, lo, hi,
-                  sqrt_lo: bool = False, sqrt_hi: bool = False, tol: float = 1e-10,
+                  sqrt_lo: bool = False, sqrt_hi: bool = False, tol: float = TOL_QUAD,
                   weight=None, weight_breaks=()):
     """Integrals of w(x) (lam - v(x))^(+1/2) and w(x) (lam - v(x))^(-1/2)
     over [lo, hi] inside the well, from one set of evaluations of v.
@@ -255,7 +255,7 @@ def turning_point_integral(pot: Potential, lam: float, x_tp: float, x_end: float
     integrated in t = |x - x_tp|^(1/2), where the integrand 2 t^2 r(t)^(1/2)
     of well_integral is smooth, and each later one in x, starting from the
     running total.  Each segment keeps one cumulative Chebyshev integral
-    (_cheb_cumsum), converged to _ACTION_TOL / (number of segments) on
+    (_cheb_cumsum), converged to TOL_QUAD / (number of segments) on
     points that depend on the segment alone, so A(x) depends on x alone,
     not on the other points of a call.  A takes an array and returns one of its shape.
     """
@@ -263,7 +263,7 @@ def turning_point_integral(pot: Potential, lam: float, x_tp: float, x_end: float
     segs = _segments(pot, min(x_tp, x_end), max(x_tp, x_end))
     if outward < 0:
         segs = [(b, a) for a, b in reversed(segs)]  # (near, far) ends, from x_tp outward
-    tol_seg = _ACTION_TOL / len(segs)
+    tol_seg = TOL_QUAD / len(segs)
     bounds = [abs(far - x_tp) for _, far in segs[:-1]]
 
     c0, c2 = _taylor(pot, x_tp, outward)

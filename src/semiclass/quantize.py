@@ -37,7 +37,6 @@ from typing import Optional
 
 import numpy as np
 
-from .action import TOL_QUAD
 from .potential import (
     CertificationError,
     Potential,
@@ -46,7 +45,7 @@ from .potential import (
     certify_well,
     turning_points,
 )
-from .quadrature import well_integral
+from .quadrature import TOL_QUAD, well_integral
 
 __all__ = [
     "MASLOV_OFFSETS",
@@ -238,7 +237,9 @@ def quantization_condition(pot: Potential, lam, kind: str, hbar: float,
     """The Condition record of a level kind at lam, a float or an array.
 
     smooth: G = Phi, I_+ = int (lam-v)^(-1/2) over the well = 2 G', matched
-    at the midpoint of the well.
+    at the midpoint of the well; hbar does not enter, so this record is also
+    the one source of the whole-well integrals (Phi, Phi' and I) that the
+    averages and the kinetic energy of action read.
     discontinuous: jump_action at disc_point(cert), cert defaulting to the
     certificate of the energies from min(lam) to max(lam).
     halfline_*: the same integrals from the wall x_- = 0, matched there.
@@ -278,27 +279,22 @@ def bs_levels(pot: Potential, window: tuple[float, float], hbar: float,
 
 
 def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
-               count: Optional[int] = None,
                cert: Optional[WellCertificate] = None) -> CountResult:
     """Predicted level count pi^-1 (Phi(a2)-Phi(a1))/hbar over (a1, a2), Phi
-    the smooth-kind G of quantization_condition (so a full-line well only).
-
-    count defaults to the number of quantization points pi(n+1/2) hbar in
-    (Phi(a1), Phi(a2)); pass an observed (e.g. brute-force) count to get its
-    epsilon against the same prediction.  Passing cert says the well is
-    already certified over (a1, a2) and skips that check; its fields are not
-    read.
+    the smooth-kind G of quantization_condition (so a full-line well only),
+    against the number of quantization points pi(n+1/2) hbar in
+    (Phi(a1), Phi(a2)).  Passing cert says the well is already certified
+    over (a1, a2) and skips that check; its fields are not read.
     """
     if cert is None:
         certify_well(pot, a1, a2)  # raises off a single well
     phi1, phi2 = (quantization_condition(pot, a, "smooth", hbar).g for a in (a1, a2))
     predicted = float((phi2 - phi1) / (math.pi * hbar))
-    if count is None:
-        mu = MASLOV_OFFSETS["smooth"]
-        n_lo = math.ceil(phi1 / (math.pi * hbar) - mu)
-        n_hi = math.floor(phi2 / (math.pi * hbar) - mu)
-        count = max(0, n_hi - max(n_lo, 0) + 1)
-    return CountResult(predicted=predicted, count=int(count), epsilon=float(count - predicted),
+    mu = MASLOV_OFFSETS["smooth"]
+    n_lo = math.ceil(phi1 / (math.pi * hbar) - mu)
+    n_hi = math.floor(phi2 / (math.pi * hbar) - mu)
+    count = max(0, n_hi - max(n_lo, 0) + 1)
+    return CountResult(predicted=predicted, count=count, epsilon=float(count - predicted),
                        phase_volume=float(2.0 * (phi2 - phi1)))
 
 

@@ -5,17 +5,23 @@ import pytest
 
 from semiclass import action
 from semiclass.potential import (
-    PotentialError,
+    CertificationError,
     certify_well,
     halfline_power_law,
     make_power_law,
     turning_points,
 )
+from semiclass.quadrature import TOL_QUAD
 from semiclass.quantize import quantization_condition
 
 HARM = make_power_law(0, 1, 2, 0, 1, 2)
 QUART = make_power_law(0, 1, 4, 0, 1, 4)
 ABSV = make_power_law(0, 1, 1, 0, 1, 1)
+
+
+def smooth(pot, lam):
+    """The smooth quantization_condition record: Phi is its g and Phi' its g_prime."""
+    return quantization_condition(pot, lam, "smooth", 1.0)
 
 
 # -- Beta function --------------------------------------------------------------
@@ -29,15 +35,15 @@ def test_beta_closed_values():
 # -- action and derivative ----------------------------------------------------
 
 def test_phi_harmonic_quarter_circle():
-    prof = action.phi(HARM, 1.0)
-    assert abs(prof.phi - math.pi / 2) <= 1e-10
-    assert prof.phi > 0 and prof.phi_prime > 0
-    assert abs(prof.phi_prime - math.pi / 2) <= 1e-10  # Phi = pi lam / 2 for v = x^2
+    prof = smooth(HARM, 1.0)
+    assert abs(prof.g - math.pi / 2) <= 1e-10
+    assert prof.g > 0 and prof.g_prime > 0
+    assert abs(prof.g_prime - math.pi / 2) <= 1e-10  # Phi = pi lam / 2 for v = x^2
 
 
 def test_phi_absolute_value_potential():
     # int_{-1}^{1} (1-|x|)^(1/2) dx = 4/3
-    assert abs(action.phi(ABSV, 1.0).phi - 4.0 / 3.0) <= 1e-10
+    assert abs(smooth(ABSV, 1.0).g - 4.0 / 3.0) <= 1e-10
 
 
 def test_phi_power_law_beta_half_well():
@@ -47,22 +53,22 @@ def test_phi_power_law_beta_half_well():
 
 
 def test_phi_prime_harmonic():
-    assert abs(action.phi(HARM, 1.0).phi_prime - math.pi / 2) <= 1e-10
+    assert abs(smooth(HARM, 1.0).g_prime - math.pi / 2) <= 1e-10
 
 
 def test_phi_prime_matches_finite_difference():
     h = 1e-5
     for pot, lam in ((QUART, 1.0), (HARM, 0.7), (ABSV, 1.3)):
-        fd = (action.phi(pot, lam + h).phi - action.phi(pot, lam - h).phi) / (2 * h)
-        assert abs(action.phi(pot, lam).phi_prime - fd) <= 1e-8
+        fd = (smooth(pot, lam + h).g - smooth(pot, lam - h).g) / (2 * h)
+        assert abs(smooth(pot, lam).g_prime - fd) <= 1e-8
 
 
 def test_partial_action_additivity_and_limits():
     tp = turning_points(HARM, 1.0)
-    phi_total = action.phi(HARM, 1.0).phi
+    phi_total = smooth(HARM, 1.0).g
     for x in (-0.5, 0.0, 0.5):
         s = action.partial_action(HARM, 1.0, x, "+") + action.partial_action(HARM, 1.0, x, "-")
-        assert abs(s - phi_total) <= 2 * action.TOL_QUAD
+        assert abs(s - phi_total) <= 2 * TOL_QUAD
     near_tp = tp.x_plus - 1e-8
     assert 0.0 <= action.partial_action(HARM, 1.0, near_tp, "+") <= 1e-10
     with pytest.raises(ValueError):
@@ -102,9 +108,9 @@ def test_kinetic_identities():
     for pot in (HARM, QUART):
         for lam in (0.5, 0.8, 1.0, 1.5, 2.0):
             k = action.kinetic_cl(pot, lam)
-            prof = action.phi(pot, lam)
+            prof = smooth(pot, lam)
             avg_v = action.classical_average(pot, lam, lambda x: pot.value(x))
-            assert abs(k - prof.phi / (2 * prof.phi_prime)) <= 1e-8
+            assert abs(k - prof.g / (2 * prof.g_prime)) <= 1e-8
             assert abs(k + avg_v - lam) <= 1e-8
 
 
@@ -117,8 +123,8 @@ def test_power_law_closed_forms_match_quadrature():
         pot = make_power_law(0, 1, ap, 0, 1, am)
         for lam in (0.7, 1.0, 1.9):
             forms = action.power_law_closed_forms(0, 1, ap, 0, 1, am, lam)
-            assert abs(forms.phi - action.phi(pot, lam).phi) <= 1e-8 * forms.phi
-            assert abs(forms.phi_prime - action.phi(pot, lam).phi_prime) <= 1e-8 * forms.phi_prime
+            assert abs(forms.phi - smooth(pot, lam).g) <= 1e-8 * forms.phi
+            assert abs(forms.phi_prime - smooth(pot, lam).g_prime) <= 1e-8 * forms.phi_prime
             assert abs(forms.kinetic - action.kinetic_cl(pot, lam)) <= 1e-8 * forms.kinetic
 
 
@@ -145,17 +151,18 @@ def test_offset_power_law_half_action():
     forms = action.power_law_closed_forms(0.5, 1, 2, 0, 1, 2, 1.0)
     assert abs(forms.phi_plus0 - 0.5 * action._beta(1.5, 0.5) * 0.5) <= 1e-12
     pot = make_power_law(0.5, 1, 2, 0, 1, 2)
-    assert abs(forms.phi - action.phi(pot, 1.0).phi) <= 1e-9
+    assert abs(forms.phi - smooth(pot, 1.0).g) <= 1e-9
 
 
 def test_full_line_integrals_refuse_a_half_line_well():
     # their quadratures desingularize both ends, and the wall x = 0 is no turning point
     pot = halfline_power_law(0, 1, 2)
-    for call in (lambda: action.phi(pot, 1.0), lambda: action.kinetic_cl(pot, 1.0),
+    for call in (lambda: smooth(pot, 1.0), lambda: action.kinetic_cl(pot, 1.0),
                  lambda: action.classical_average(pot, 1.0, lambda x: x),
                  lambda: action.partial_action(pot, 1.0, 0.5, "+")):
-        with pytest.raises(PotentialError):
+        with pytest.raises(CertificationError) as info:
             call()
+        assert info.value.clause == "domain"
 
 
 def test_halfline_actions():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -339,6 +340,76 @@ def _committed(name):
 
 
 DISC_CFG = _committed("disc_levels.json")
+
+
+
+def _table(tmp_path, command, doc, name):
+    """The CSV rows, as lists of cells, of one successful run on doc."""
+    cfg = write_config(tmp_path, f"{name}.json", doc)
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / f"{name}.csv")]) == 0
+    return [r.split(",") for r in (tmp_path / f"{name}.csv").read_text().splitlines()[1:]]
+
+
+QUARTIC_CFG = _committed("quartic_scaling.json")
+
+
+@pytest.mark.parametrize("study", ["levels", "disc-levels", "observable", "kinetic", "wavefunction"])
+def test_every_scaling_study_gives_one_row_per_hbar(tmp_path, study):
+    rows = _table(tmp_path, "scaling", dict(QUARTIC_CFG, study=study), "s")
+    assert [float(r[0]) for r in rows] == sorted(QUARTIC_CFG["hbar"])
+    assert all(float(r[1]) > 0.0 for r in rows)
+
+
+def test_the_scaling_errors_are_cells_of_the_levels_and_observable_tables(tmp_path):
+    # kinetic and observable read the level nearest lambda_ref (the window's
+    # midpoint here), disc-levels the worst |delta| of the window
+    levels = _table(tmp_path, "levels", QUARTIC_CFG, "l")
+    obs = {(r[0], r[1], r[2]): r[5] for r in _table(tmp_path, "observable", QUARTIC_CFG, "o")}
+    lam_ref = 0.5 * sum(QUARTIC_CFG["window"])
+    for study in ("kinetic", "observable", "disc-levels"):
+        for h, err in _table(tmp_path, "scaling", dict(QUARTIC_CFG, study=study), study):
+            at_h = [r for r in levels if r[0] == h]
+            n = min(at_h, key=lambda r: abs(float(r[3]) - lam_ref))[1]
+            if study == "disc-levels":
+                assert err == repr(max(abs(float(r[6])) for r in at_h))
+            else:
+                assert err == obs[h, n, "kinetic" if study == "kinetic" else "v"]
+
+
+def test_the_wavefunction_study_is_the_sup_error_from_the_matching_point_to_x_plus_1(tmp_path):
+    from semiclass import langer, oracle, quantize
+    from semiclass.potential import certify_well, potential_from_spec
+
+    pot = potential_from_spec(QUARTIC_CFG["potential"])
+    window = tuple(QUARTIC_CFG["window"])
+    cert = certify_well(pot, *window)
+    lam_ref = 0.5 * sum(window)
+    for h, err in _table(tmp_path, "scaling", dict(QUARTIC_CFG, study="wavefunction"), "s"):
+        level = min(quantize.bs_levels(pot, window, float(h), cert=cert),
+                    key=lambda l: abs(l.lam - lam_ref))
+        spec = oracle.solve_spectrum(pot, float(h), window, oracle.DEFAULT_TOL)
+        psi = langer.eigenfunction(pot, level, cert)
+        xg, po = oracle.eigenvector(spec, int(np.flatnonzero(spec.index == level.n)[0]))
+        on = (xg >= psi.x1) & (xg <= psi.plus.x_tp + 1.0)
+        assert err == repr(float(np.max(np.abs(psi(xg[on]) - po[on]))))
+
+
+@pytest.mark.parametrize("command", ["levels", "wavefunction"])
+def test_an_n_filter_keeps_the_unfiltered_rows_of_its_levels(tmp_path, command):
+    doc = dict(DISC_CFG, hbar=[0.1, 0.05])
+    every = _table(tmp_path, command, doc, "every")
+    some = _table(tmp_path, command, dict(doc, n=[5, 7]), "some")
+    assert some == [r for r in every if r[1] in ("5", "7")]
+    assert {(r[0], r[1]) for r in some} == {(h, n) for h in ("0.05", "0.1") for n in ("5", "7")}
+
+
+def test_the_disc_levels_study_compares_only_the_levels_an_n_filter_admits(tmp_path):
+    doc = _committed("disc_scaling.json")
+    levels = _table(tmp_path, "levels", doc, "l")
+    assert {r[1] for r in levels} == {"5", "7"}
+    rows = _table(tmp_path, "scaling", doc, "s")
+    assert rows == [[h, repr(max(abs(float(r[6])) for r in levels if r[0] == h))]
+                    for h in ("0.05", "0.1")]
 
 
 @pytest.mark.parametrize("base,change,command,field", [

@@ -108,11 +108,11 @@ def _count_calls(monkeypatch):
 
 def test_action_profile_and_kinetic_take_one_kernel_call(monkeypatch):
     calls = _count_calls(monkeypatch)
-    prof = action.phi(QUART, 1.3)
+    c = quantize.quantization_condition(QUART, 1.3, "smooth", 1.0)
     assert len(calls) == 1
     kin = action.kinetic_cl(QUART, 1.3)
     assert len(calls) == 2
-    assert kin == prof.phi / (2.0 * prof.phi_prime)
+    assert kin == c.g / (2.0 * c.g_prime)
 
 
 def test_jump_action_takes_one_kernel_call_per_side(monkeypatch):

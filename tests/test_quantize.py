@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from semiclass import oracle, quantize
-from semiclass.action import partial_action, phi
+from semiclass.action import partial_action
 from semiclass.langer import eigenfunction, normalization
 from semiclass.potential import (
     CertificationError,
@@ -30,6 +30,11 @@ QUART = make_power_law(0, 1, 4, 0, 1, 4)
 DISC = make_power_law(0.5, 1, 2, 0, 1, 2)
 
 
+def smooth(pot, lam):
+    """The smooth quantization_condition record: Phi is its g and Phi' its g_prime."""
+    return quantize.quantization_condition(pot, lam, "smooth", 1.0)
+
+
 # -- Bohr-Sommerfeld -----------------------------------------------------------
 
 def test_bs_harmonic_closed_form():
@@ -47,7 +52,7 @@ def test_bs_root_definition_quartic():
     lv = bs_levels(QUART, (0.5, 2.0), 0.05)
     l0 = lv[0]
     target = math.pi * (l0.n + 0.5) * 0.05
-    assert abs(phi(QUART, l0.lam).phi / target - 1.0) <= 1e-10
+    assert abs(smooth(QUART, l0.lam).g / target - 1.0) <= 1e-10
     assert l0.residual <= 1e-9
 
 
@@ -61,7 +66,7 @@ def test_bs_uniqueness_separation():
     # consecutive roots separated by at least pi hbar / (2 max Phi')
     hbar = 0.05
     lv = bs_levels(QUART, (0.5, 2.0), hbar)
-    dmax = max(phi(QUART, l.lam).phi_prime for l in lv)
+    dmax = max(smooth(QUART, l.lam).g_prime for l in lv)
     gap = math.pi * hbar / (2.0 * dmax)
     assert all(b.lam - a.lam >= gap for a, b in zip(lv, lv[1:]))
 
@@ -92,7 +97,7 @@ def test_weyl_harmonic_example():
     assert abs(cr.predicted - 3.5) <= 1e-9
     assert cr.count == 4  # levels 0.1, 0.3, 0.5, 0.7
     assert abs(cr.epsilon - 0.5) <= 1e-9
-    assert abs(cr.phase_volume - 2.0 * (phi(HARM, 0.75).phi - phi(HARM, 0.05).phi)) <= 1e-9
+    assert abs(cr.phase_volume - 2.0 * (smooth(HARM, 0.75).g - smooth(HARM, 0.05).g)) <= 1e-9
 
 
 def test_weyl_halving_hbar_doubles_count():
@@ -116,9 +121,9 @@ def test_weyl_lattice_epsilon_always_bounded():
 
 
 def test_weyl_accepts_external_count():
-    cr = weyl_count(HARM, 0.05, 0.75, 0.1, count=3)
-    assert cr.count == 3
-    assert abs(cr.epsilon - (-0.5)) <= 1e-9
+    # an external (e.g. brute-force) count is compared with the same prediction
+    cr = weyl_count(HARM, 0.05, 0.75, 0.1)
+    assert abs((3 - cr.predicted) - (-0.5)) <= 1e-9
 
 
 def _floats(lo, hi):
@@ -133,8 +138,8 @@ def test_weyl_oracle_defect_bounded_on_random_power_law_wells(v_plus, alpha_plus
     pot = make_power_law(0.0, v_plus, alpha_plus, 0.0, v_minus, alpha_minus)
     a2 = a1 + width
     spec = oracle.solve_spectrum(pot, hbar, (a1, a2))
-    cr = weyl_count(pot, a1, a2, hbar, count=len(spec.eigenvalues))
-    assert -1.0 <= cr.epsilon <= 1.0
+    cr = weyl_count(pot, a1, a2, hbar)
+    assert -1.0 <= len(spec.eigenvalues) - cr.predicted <= 1.0
 
 
 # -- discontinuous wells ---------------------------------------------------------
@@ -220,7 +225,7 @@ def _reference_disc_levels(pot, window, hbar, x0, jump_top):
         return p * math.sin(th_p) * math.cos(th_m) + math.cos(th_p) * math.sin(th_m) / p
 
     a1, a2 = window
-    dmax = max(phi(pot, lam).phi_prime for lam in np.linspace(a1, a2, 5))
+    dmax = max(smooth(pot, lam).g_prime for lam in np.linspace(a1, a2, 5))
     n_uniform = int(math.ceil((a2 - a1) * 16.0 * dmax / (math.pi * hbar))) + 1
     grid = np.union1d(np.linspace(a1, a2, n_uniform),
                       jump_top + np.geomspace(a1 - jump_top, a2 - jump_top, 64))
@@ -228,7 +233,7 @@ def _reference_disc_levels(pot, window, hbar, x0, jump_top):
     idx = np.nonzero(np.sign(vals[1:]) * np.sign(vals[:-1]) < 0)[0]
     roots = [brentq(f, grid[i], grid[i + 1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
              for i in idx]
-    n0 = int(round(phi(pot, roots[0]).phi / (math.pi * hbar) - 0.5))
+    n0 = int(round(smooth(pot, roots[0]).g / (math.pi * hbar) - 0.5))
     out = []
     for k, lam in enumerate(roots):
         th_p, th_m, p = angles(lam)
@@ -392,10 +397,10 @@ def test_quantization_condition_per_kind():
     from semiclass.quadrature import well_integral
 
     cert = certify_well(QUART, 0.5, 2.0)
-    prof = phi(QUART, 1.3)
     tp = turning_points(QUART, 1.3)
+    (act, der), _ = well_integral(QUART, 1.3, tp.x_minus, tp.x_plus, True, True)
     assert quantize.quantization_condition(QUART, 1.3, "smooth", 0.05, cert) == quantize.Condition(
-        prof.phi, prof.phi_prime, 1.0, 2.0 * prof.phi_prime, 0.0, tp, 0.5 * (tp.x_minus + tp.x_plus))
+        act, 0.5 * der, 1.0, der, 0.0, tp, 0.5 * (tp.x_minus + tp.x_plus))
     cert = certify_well(DISC, 0.8, 1.8)
     ja = quantize.jump_action(DISC, 1.2, 0.05, 0.0)
     assert (ja.tp, ja.x1) == (turning_points(DISC, 1.2), 0.0)

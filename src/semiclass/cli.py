@@ -21,6 +21,7 @@ from . import action, langer, oracle, quantize
 from .potential import (
     CertificationError,
     PotentialError,
+    _real,
     certify_well,
     potential_from_spec,
 )
@@ -57,10 +58,14 @@ def _emit(table: dict, out_path, fmt: str) -> None:
 
 def _number(v, field: str, key: str = "") -> float:
     """v as a float if it is a finite JSON number (a bool is not); else a ConfigError."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
-        where = f"field {field!r}" + (f": {key!r}" if key else "")
-        raise ConfigError(f"{where} must be a finite number, got {v!r}")
-    return float(v)
+    try:
+        return _real(v, f"field {field!r}" + (f": {key!r}" if key else ""))
+    except PotentialError as exc:
+        raise ConfigError(str(exc))
+
+
+_FIELDS = frozenset({"potential", "potential_path", "hbar", "window", "n", "robin_b",
+                     "tol_oracle", "weights", "lambda_ref", "study", "grid"})
 
 
 class RunConfig:
@@ -86,6 +91,9 @@ class RunConfig:
                 raise ConfigError(f"field 'potential_path': {exc}")
         else:
             raise ConfigError("config needs 'potential' or 'potential_path'")
+        unknown = [k for k in raw if k not in _FIELDS]
+        if unknown:
+            raise ConfigError(f"unknown field {unknown[0]!r}")
 
         hbar = raw.get("hbar")
         if hbar is None:
@@ -109,18 +117,10 @@ class RunConfig:
         else:
             raise ConfigError("field 'n' must be 'all' or a list of nonnegative integers")
 
-        self.method = raw.get("method", "auto")
-        if self.method not in ("auto", "bs", "disc", "halfline"):
-            raise ConfigError(f"field 'method': unknown value {self.method!r}")
-        bc = raw.get("bc", "dirichlet")
-        if bc not in ("dirichlet", "robin"):
-            raise ConfigError(f"field 'bc': unknown value {bc!r}")
-        robin_b = _number(raw.get("robin_b", 0.0), "robin_b")
-        # the wall, for both solvers: a Robin b only on the half line, else None (Dirichlet)
-        self.robin_b = robin_b if bc == "robin" and self.potential.domain == "half_line" else None
-        if not isinstance(raw.get("oracle", True), bool):
-            raise ConfigError(f"field 'oracle' must be true or false, got {raw['oracle']!r}")
-        self.oracle = raw.get("oracle", True) and use_oracle
+        # the half-line wall: None is Dirichlet, a number b is psi'(0) = b psi(0)
+        robin_b = raw.get("robin_b")
+        self.robin_b = None if robin_b is None else _number(robin_b, "robin_b")
+        self.oracle = use_oracle
         self.tol_oracle = _number(raw.get("tol_oracle", oracle.DEFAULT_TOL), "tol_oracle")
         if self.tol_oracle < oracle._MIN_TOL:
             raise ConfigError(f"field 'tol_oracle' must be at least {oracle._MIN_TOL!r}")
@@ -144,24 +144,21 @@ class RunConfig:
         if self.potential.domain == "half_line" and self.grid.get("lo", 0.0) < 0.0:
             raise ConfigError("field 'grid': 'lo' lies left of the half-line domain x >= 0")
 
-        halfline = self.potential.domain == "half_line"
-        if self.method != "auto" and (self.method == "halfline") != halfline:
-            raise CertificationError(
-                "domain", f"method {self.method!r} does not fit a {self.potential.domain} well")
+        if self.robin_b is not None and self.potential.domain != "half_line":
+            raise CertificationError("domain", "a Robin wall (robin_b) needs a half-line well")
         # one certificate for the whole run, shared by every hbar task
         self.cert = certify_well(self.potential, *self.window)
-        if self.method == "auto":
-            self.method = "halfline" if halfline else (
-                "disc" if self.cert.interior_jump is not None else "bs")
 
     def levels_for(self, hbar: float):
-        if self.method == "bs":
-            lv = quantize.bs_levels(self.potential, self.window, hbar, cert=self.cert)
-        elif self.method == "disc":
-            lv = quantize.disc_levels(self.potential, self.window, hbar, cert=self.cert)
-        else:
+        """The levels of the condition the well picks: the half-line one, the
+        jump one for a jump inside the well, else Bohr-Sommerfeld."""
+        if self.potential.domain == "half_line":
             lv = quantize.halfline_levels(self.potential, self.window, hbar,
                                           robin_b=self.robin_b, cert=self.cert)
+        elif self.cert.interior_jump is not None:
+            lv = quantize.disc_levels(self.potential, self.window, hbar, cert=self.cert)
+        else:
+            lv = quantize.bs_levels(self.potential, self.window, hbar, cert=self.cert)
         if self.n_filter is not None:
             lv = [l for l in lv if l.n in self.n_filter]
         return lv

@@ -89,8 +89,9 @@ def gl_adaptive(f, a, b, tol):
                     return tuple(map(float, vals)), tuple(map(float, errs))
                 return tuple(vals), tuple(errs)
         n *= 2
-    raise QuadratureError(f"no convergence to tol={tol.min()} by n={_GL_N_MAX} nodes "
-                          f"on some of [{a.ravel()}, {b.ravel()}]")
+    i = np.flatnonzero(np.isnan(errs).any(axis=0))[0]  # the first entry still open
+    raise QuadratureError(f"no convergence to tol={float(tol.flat[i])!r} by n={_GL_N_MAX} nodes "
+                          f"on [{float(a.flat[i])!r}, {float(b.flat[i])!r}]")
 
 
 def _segment_ends(pot: Potential, lo: np.ndarray, hi: np.ndarray, extra=()) -> np.ndarray:

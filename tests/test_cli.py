@@ -40,8 +40,8 @@ HARM_POT = {"kind": "power_law", "a_plus": 0.0, "v_plus": 1.0, "alpha_plus": 2.0
 
 def test_levels_harmonic_no_oracle(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"potential": HARM_POT, "hbar": 0.1,
-                                            "window": [0.03, 0.77], "oracle": False})
-    rc = run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
+                                            "window": [0.03, 0.77]})
+    rc = run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv"), "--no-oracle"])
     assert rc == 0
     lines = (tmp_path / "t.csv").read_text().strip().splitlines()
     assert lines[0].startswith("hbar,n,kind,lambda_sc")
@@ -69,8 +69,8 @@ def test_levels_with_oracle_delta_small(tmp_path):
 
 def test_empty_window_exits_zero(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"potential": HARM_POT, "hbar": 0.1,
-                                            "window": [0.74, 0.86], "oracle": False})
-    rc = run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
+                                            "window": [0.74, 0.86]})
+    rc = run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv"), "--no-oracle"])
     assert rc == 0
     assert len((tmp_path / "t.csv").read_text().strip().splitlines()) == 1
 
@@ -89,8 +89,8 @@ def test_certification_failure_exit_code(tmp_path):
         {"lo": "-inf", "hi": "inf", "type": "poly", "coeffs": [0.0, 0.0, -1.0, 0.0, 1.0]}
     ]}
     cfg = write_config(tmp_path, "c.json", {"potential": double_well, "hbar": 0.05,
-                                            "window": [-0.2, -0.1], "oracle": False})
-    assert run(["levels", "--config", str(cfg)]) == 3
+                                            "window": [-0.2, -0.1]})
+    assert run(["levels", "--config", str(cfg), "--no-oracle"]) == 3
 
 
 HL_JUMP_POT = {"kind": "table", "domain": "half_line", "branches": [
@@ -101,25 +101,34 @@ HL_JUMP_POT = {"kind": "table", "domain": "half_line", "branches": [
 
 def test_halfline_jump_inside_the_well_exits_4(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"potential": HL_JUMP_POT, "hbar": 0.02,
-                                            "window": [0.6, 1.5], "oracle": False})
-    assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 4
+                                            "window": [0.6, 1.5]})
+    assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv"),
+                "--no-oracle"]) == 4
     assert "jumps inside the well" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("method,pot", [("bs", HL_JUMP_POT), ("disc", HL_JUMP_POT),
-                                        ("halfline", HARM_POT)])
-def test_method_off_its_domain_exits_3(tmp_path, capsys, method, pot):
-    cfg = write_config(tmp_path, "c.json", {"potential": pot, "hbar": 0.1, "method": method,
-                                            "window": [0.6, 1.5], "oracle": False})
-    assert run(["levels", "--config", str(cfg)]) == 3
-    assert "domain" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["levels", "wavefunction", "count"])
+def test_a_robin_wall_on_a_full_line_well_exits_3(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "c.json", {"potential": HARM_POT, "hbar": 0.1, "robin_b": 3.0,
+                                            "window": [0.03, 0.57]})
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 3
+    assert capsys.readouterr().err.startswith("certification failure: domain:")
+    assert not (tmp_path / "t.csv").exists()
 
 
-def test_nonconvergence_exit_code(tmp_path):
-    # the jump condition needs a singular point inside the well: QuantizeError
-    cfg = write_config(tmp_path, "c.json", {"potential": HARM_POT, "hbar": 0.1,
-                                            "window": [0.03, 0.57], "method": "disc"})
-    assert run(["levels", "--config", str(cfg)]) == 4
+def test_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
+    # a quadrature that never converges names one interval on one line
+    from semiclass import quadrature
+
+    cfg = str(CONFIGS / "harmonic_levels.json")
+    for attr, command in (("_GL_N_MAX", "levels"), ("_CUMSUM_DEG_MAX", "wavefunction")):
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, attr, 16)
+            rc = run([command, "--config", cfg, "--no-oracle", "--out", str(tmp_path / "t.csv")])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("numerical non-convergence: no convergence to tol=")
+        assert err.count("\n") == 1 and " on [" in err
 
 
 def test_count_command(tmp_path):
@@ -226,8 +235,8 @@ def test_jump_outside_the_well_routes_to_bs(tmp_path):
         {"lo": -3.0, "hi": "inf", "type": "poly", "coeffs": [0.0, 0.0, 1.0]},
     ]}
     cfg = write_config(tmp_path, "c.json", {"potential": pot, "hbar": 0.1,
-                                            "window": [0.03, 0.77], "oracle": False})
-    assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
+                                            "window": [0.03, 0.77]})
+    assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv"), "--no-oracle"]) == 0
     rows = (tmp_path / "t.csv").read_text().strip().splitlines()[1:]
     assert len(rows) == 4 and all(r.split(",")[2] == "smooth" for r in rows)
 
@@ -244,8 +253,8 @@ def test_levels_certifies_once_per_run(tmp_path, monkeypatch):
     for mod in (cli, quantize):
         monkeypatch.setattr(mod, "certify_well", counting)
     cfg = write_config(tmp_path, "c.json", {"potential": HARM_POT, "hbar": [0.1, 0.05, 0.025],
-                                            "window": [0.03, 0.77], "oracle": False})
-    assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 0
+                                            "window": [0.03, 0.77]})
+    assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv"), "--no-oracle"]) == 0
     assert calls == [(0.03, 0.77)]
 
 
@@ -445,6 +454,40 @@ def test_malformed_config_fields_exit_2(tmp_path, capsys, base, change, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("base,change", [
+    (DISC_CFG, {"method": "auto"}),
+    (HALFLINE_CFG, {"bc": "robin"}),
+    (DISC_CFG, {"oracle": False}),
+    ({k: v for k, v in HALFLINE_CFG.items() if k != "robin_b"}, {"robinb": 5.0}),
+], ids=["method", "bc", "oracle", "robinb"])
+def test_an_unknown_field_exits_2(tmp_path, capsys, base, change):
+    # settings the program works out itself, or a misspelling, never run a different problem
+    cfg = write_config(tmp_path, "c.json", dict(base, **change))
+    assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: unknown field {next(iter(change))!r}\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_robin_b_alone_states_the_wall(tmp_path):
+    # absent or null is the Dirichlet wall, a number b the Robin wall (0: Neumann)
+    doc = {k: v for k, v in HALFLINE_CFG.items() if k != "robin_b"}
+    absent, null, neumann = (_table(tmp_path, "levels", dict(doc, **extra), name) for name, extra in
+                             (("absent", {}), ("null", {"robin_b": None}), ("neumann", {"robin_b": 0})))
+    assert absent == null
+    assert {r[2] for r in null} == {"halfline_dirichlet"}
+    assert {r[2] for r in neumann} == {"halfline_robin"}
+    assert max(abs(float(r[6])) for r in null + neumann) < 1e-6  # the oracle has the same wall
+
+
+def test_a_poly_weight_is_the_polynomial_it_names(tmp_path):
+    # v = x^2 on the harmonic well: the poly weight [0, 0, 1] is the potential weight
+    doc = _committed("harmonic_levels.json")
+    tables = [_table(tmp_path, "observable", dict(doc, weights=[dict(w, name="v")]), w["kind"])
+              for w in ({"kind": "potential"}, {"kind": "poly", "coeffs": [0, 0, 1]})]
+    assert tables[0] == tables[1]
+    assert len(tables[0]) == 16  # 8 levels, a v row and a kinetic row each
+
+
 @pytest.mark.parametrize("grid", [{"lo": 50}, {"hi": -50}, {"lo": 2, "hi": 1}],
                          ids=["lo-past-the-grid", "hi-before-the-grid", "lo-above-hi"])
 def test_an_empty_grid_range_exits_cleanly(tmp_path, capsys, grid):
@@ -512,8 +555,8 @@ _OUT_OF_RANGE = {
     "grid": [{"n": 0}, {"lo": -0.5}, {"n": 1e18}, {"lo": 2, "hi": 1}],
     "weights": [[], [{"kind": "poly", "coeffs": []}]],
 }
-_FIELDS = ["potential", "potential_path", "hbar", "window", "n", "method", "bc", "robin_b",
-           "oracle", "tol_oracle", "weights", "lambda_ref", "study", "grid"]
+_FIELDS = ["potential", "potential_path", "hbar", "window", "n", "robin_b", "tol_oracle",
+           "weights", "lambda_ref", "study", "grid"]
 
 
 @st.composite

@@ -146,8 +146,8 @@ def test_newton_cap_exits_4(monkeypatch, tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text('{"potential": {"kind": "power_law", "a_plus": 0, "v_plus": 1, '
                    '"alpha_plus": 4, "a_minus": 0, "v_minus": 1, "alpha_minus": 4}, '
-                   '"hbar": 0.05, "window": [0.5, 2.0], "oracle": false}')
-    assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 4
+                   '"hbar": 0.05, "window": [0.5, 2.0]}')
+    assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv"), "--no-oracle"]) == 4
 
 
 def test_condition_takes_every_level_at_once(monkeypatch):

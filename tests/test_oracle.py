@@ -385,21 +385,40 @@ def test_count_levels_equals_the_solved_count(request, data):
     assert count_levels(pot, hbar, (lo, hi), robin_b=robin_b) == len(levels)
 
 
-def test_count_levels_solves_only_the_edge_bands(monkeypatch):
+def _full_solves(monkeypatch):
+    """The list that each full-accuracy band solve of the oracle appends
+    (its grid's matrix size, its number of levels) to."""
     solved = []
     solve = oracle.eigh_tridiagonal
 
     def spy(d, e, **kw):
         w = solve(d, e, **kw)
         if "tol" not in kw:  # full accuracy; the loose index counts pass a tol
-            solved.append(len(w))
+            solved.append((len(d), len(w)))
         return w
 
     monkeypatch.setattr(oracle, "eigh_tridiagonal", spy)
+    return solved
+
+
+def test_count_levels_solves_only_the_edge_bands(monkeypatch):
+    solved = _full_solves(monkeypatch)
     count = count_levels(QUART, 0.01, (0.5, 2.0))
     assert count == 61
     assert len(solved) == 6  # two bands on each of three grids
-    assert max(solved) <= 0.1 * count
+    assert max(k for _, k in solved) <= 0.1 * count
+
+
+def test_count_levels_widens_a_band_that_holds_no_level_on_the_last_grid(monkeypatch):
+    pot = make_power_law(0.0, 0.861853451622294, 4.208196882375038,
+                         0.0, 0.8624441497018673, 2.8729730408545158)
+    hbar, window = 0.028466514758836083, (0.8329410792851237, 1.6726175927565228)
+    solved = _full_solves(monkeypatch)
+    count = count_levels(pot, hbar, window)
+    assert len(solved) > 6
+    sizes = [n for n, _ in solved]
+    assert sizes != sorted(sizes)  # the last grids were solved again, with wider bands
+    assert count == len(solve_spectrum(pot, hbar, window).eigenvalues) == 13
 
 
 def test_oracle_fails_before_it_solves_when_three_grids_cannot_fit(monkeypatch):

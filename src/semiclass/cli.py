@@ -5,11 +5,19 @@ Exit codes: 0 success, 2 config error, 3 certification failure,
 4 numerical non-convergence.  Output tables are deterministic: floats are
 written with shortest round-trip reprs and sweep results are assembled in
 sorted order of hbar.
+
+A table is written after its command has returned, so a failed run writes
+nothing.  Its rows are blocks of numpy columns (`Rows`), one block per
+level for `wavefunction`, and the one writer `_emit` formats each column in
+one pass and writes block by block: a run holds the table's arrays and the
+text of one block.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
@@ -38,18 +46,72 @@ def _fmt(v) -> str:
     return "" if v is None else str(v)  # str of a float is its shortest round-trip form
 
 
+class Rows:
+    """A table's rows, held as blocks.  A block has one cell per column: one
+    value shared by every row of the block, or a 1-D numpy array with one
+    value per row.  len() is the number of rows."""
+
+    def __init__(self):
+        self.blocks = []  # (row count, cells)
+        self._len = 0
+
+    def append(self, *cells) -> None:
+        size = next((len(c) for c in cells if isinstance(c, np.ndarray)), 1)
+        self.blocks.append((size, cells))
+        self._len += size
+
+    def __len__(self) -> int:
+        return self._len
+
+
+_json = json.JSONEncoder(default=float).encode
+
+
+def _texts(cells, size: int, one, column) -> list:
+    """The cells of a block as columns of size strings: an array formatted
+    in one pass by column, a shared value once by one."""
+    return [column(c.tolist()) if isinstance(c, np.ndarray) else itertools.repeat(one(c), size)
+            for c in cells]
+
+
+def _csv_block(size: int, cells) -> str:
+    cols = _texts(cells, size, _fmt, lambda col: map(str, col))
+    return "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
+def _json_block(size: int, cells) -> str:
+    # json's own text for a float column: encode it as one list, split at ", "
+    cols = _texts(cells, size, _json, lambda col: _json(col)[1:-1].split(", "))
+    return ",\n".join("    [\n      " + ",\n      ".join(row) + "\n    ]" for row in zip(*cols))
+
+
+def _write_json(table: dict, fh) -> None:
+    """table in the layout of json.dumps(table, indent=2, default=float),
+    its rows block by block."""
+    for i, (key, value) in enumerate(table.items()):
+        fh.write(("{" if i == 0 else ",") + "\n  " + _json(key) + ": ")
+        if key != "rows":
+            fh.write(json.dumps(value, indent=2, default=float).replace("\n", "\n  "))
+        elif not value.blocks:
+            fh.write("[]")
+        else:
+            fh.write("[\n")
+            for j, block in enumerate(value.blocks):
+                fh.write((",\n" if j else "") + _json_block(*block))
+            fh.write("\n  ]")
+    fh.write("\n}\n")
+
+
 def _emit(table: dict, out_path, fmt: str) -> None:
-    if fmt == "json":
-        text = json.dumps(table, indent=2, default=float) + "\n"
-    else:
-        lines = [",".join(table["columns"])]
-        for row in table["rows"]:
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        Path(out_path).write_text(text)
+    """Write a command's table (its "rows" a Rows) to out_path, or to stdout
+    if None, one block at a time."""
+    with (open(out_path, "w") if out_path is not None else contextlib.nullcontext(sys.stdout)) as fh:
+        if fmt == "json":
+            _write_json(table, fh)
+        else:
+            fh.write(",".join(table["columns"]) + "\n")
+            for block in table["rows"].blocks:
+                fh.write(_csv_block(*block))
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +298,14 @@ def _need_full_line(cfg: RunConfig, what: str) -> None:
 
 
 def cmd_levels(cfg: RunConfig) -> dict:
-    rows = []
+    rows = Rows()
     for hbar, l, spec, k in _paired_levels(cfg):
         lam_o = delta = act_res = None
         if k is not None:
             lam_o = float(spec.eigenvalues[k])
             delta = l.lam - lam_o
             act_res = _action_residual(cfg, l, lam_o, hbar)
-        rows.append([hbar, l.n, l.kind, l.lam, l.residual, lam_o, delta, act_res])
+        rows.append(hbar, l.n, l.kind, l.lam, l.residual, lam_o, delta, act_res)
     return {
         "command": "levels",
         "columns": ["hbar", "n", "kind", "lambda_sc", "residual", "lambda_oracle",
@@ -255,15 +317,15 @@ def cmd_levels(cfg: RunConfig) -> dict:
 def cmd_count(cfg: RunConfig) -> dict:
     a1, a2 = cfg.window
     _need_full_line(cfg, "count")
-    rows = []
+    rows = Rows()
     for hbar in cfg.hbars:
         cr = quantize.weyl_count(cfg.potential, a1, a2, hbar, cert=cfg.cert)
         count_o = eps_o = None
         if cfg.oracle:
             count_o = cfg.oracle_count(hbar)
             eps_o = count_o - cr.predicted
-        rows.append([hbar, a1, a2, cr.predicted, cr.count, cr.epsilon, count_o, eps_o,
-                     cr.phase_volume])
+        rows.append(hbar, a1, a2, cr.predicted, cr.count, cr.epsilon, count_o, eps_o,
+                    cr.phase_volume)
     return {
         "command": "count",
         "columns": ["hbar", "a1", "a2", "predicted", "count_sc", "epsilon_sc",
@@ -273,7 +335,7 @@ def cmd_count(cfg: RunConfig) -> dict:
 
 
 def cmd_wavefunction(cfg: RunConfig) -> dict:
-    rows = []
+    rows = Rows()  # one block per level
     sup_lines = []
     for hbar, l, spec, k in _paired_levels(cfg):
         psi = langer.eigenfunction(cfg.potential, l, cfg.cert)
@@ -284,14 +346,13 @@ def cmd_wavefunction(cfg: RunConfig) -> dict:
                 continue
             sup = float(np.max(err))
             sup_lines.append(f"hbar={hbar!r} n={l.n} sup|psi-psi_oracle|={sup!r}")
-            rows.extend([hbar, l.n, x, a, b, e] for x, a, b, e in
-                        zip(xs.tolist(), ps.tolist(), po.tolist(), err.tolist()))
+            rows.append(hbar, l.n, xs, ps, po, err)
         else:
             hi = float(cfg.grid.get("hi", psi.plus.x_tp + 1.0))
             if lo > hi:  # [lo, hi] is empty
                 continue
             xs = np.linspace(lo, hi, int(cfg.grid["n"]))
-            rows.extend([hbar, l.n, x, a, None, None] for x, a in zip(xs.tolist(), psi(xs).tolist()))
+            rows.append(hbar, l.n, xs, psi(xs), None, None)
     for line in sup_lines:
         print(line, file=sys.stderr)
     return {
@@ -322,14 +383,14 @@ def _weight_fn(pot, wspec: dict):
 
 def cmd_observable(cfg: RunConfig) -> dict:
     _need_full_line(cfg, "observable")
-    rows = []
+    rows = Rows()
     for hbar, l, spec, k in _paired_levels(cfg):
         # classical column at the semiclassical level, reference column at
         # the matched brute-force state: both sides come from their own
         # pipeline end to end
         for name, w, breaks in cfg.weights:
-            rows.append([hbar, l.n, name, *_average_vs_oracle(cfg.potential, l, spec, k, w, breaks)])
-        rows.append([hbar, l.n, "kinetic", *_kinetic_vs_oracle(cfg.potential, l, spec, k)])
+            rows.append(hbar, l.n, name, *_average_vs_oracle(cfg.potential, l, spec, k, w, breaks))
+        rows.append(hbar, l.n, "kinetic", *_kinetic_vs_oracle(cfg.potential, l, spec, k))
     return {
         "command": "observable",
         "columns": ["hbar", "n", "weight", "classical", "oracle", "abs_err"],
@@ -356,13 +417,14 @@ def cmd_scaling(cfg: RunConfig) -> dict:
 
     def err_for(hbar: float) -> float:
         spec = cfg.oracle_for(hbar)
-        if study == "levels":
-            ph = quantize.quantization_condition(cfg.potential, spec.eigenvalues, "smooth", hbar).g
-            frac = ph / (math.pi * hbar) - quantize.MASLOV_OFFSETS["smooth"]
-            return float(np.max(np.abs(frac - spec.index), initial=0.0) * math.pi * hbar)
-        lv = cfg.levels_for(hbar)
         # the reference levels the n filter admits, as levels_for admits the predicted ones
-        ref = spec.index if cfg.n_filter is None else spec.index[np.isin(spec.index, cfg.n_filter)]
+        admit = slice(None) if cfg.n_filter is None else np.isin(spec.index, cfg.n_filter)
+        ref = spec.index[admit]
+        if study == "levels":
+            ph = quantize.quantization_condition(cfg.potential, spec.eigenvalues[admit], "smooth", hbar).g
+            frac = ph / (math.pi * hbar) - quantize.MASLOV_OFFSETS["smooth"]
+            return float(np.max(np.abs(frac - ref), initial=0.0) * math.pi * hbar)
+        lv = cfg.levels_for(hbar)
         if study == "disc-levels" and len(lv) != len(ref):
             raise quantize.QuantizeError(
                 f"count mismatch at hbar={hbar}: {len(lv)} predicted vs {len(ref)} reference levels"
@@ -389,6 +451,9 @@ def cmd_scaling(cfg: RunConfig) -> dict:
         return float(np.max(_psi_vs_oracle(psi, spec, k, psi.x1, psi.plus.x_tp + 1.0)[3]))
 
     errs = [err_for(h) for h in cfg.hbars]
+    rows = Rows()
+    for h, e in zip(cfg.hbars, errs):
+        rows.append(h, e)
     logh = np.log(cfg.hbars)
     loge = np.log(np.maximum(errs, 1e-300))
     slope = float(np.polyfit(logh, loge, 1)[0])
@@ -398,7 +463,7 @@ def cmd_scaling(cfg: RunConfig) -> dict:
         "command": "scaling",
         "study": study,
         "columns": ["hbar", "error"],
-        "rows": [[h, e] for h, e in zip(cfg.hbars, errs)],
+        "rows": rows,
         "fitted_slope": slope,
         "predicted_class": predicted,
     }

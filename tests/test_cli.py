@@ -421,6 +421,20 @@ def test_the_disc_levels_study_compares_only_the_levels_an_n_filter_admits(tmp_p
                     for h in ("0.05", "0.1")]
 
 
+
+def test_the_levels_study_compares_only_the_levels_an_n_filter_admits(tmp_path):
+    # the committed window starts at n = 2 (hbar 0.2) or higher, so it is
+    # widened down to n = 0, the worst level of every hbar; n = 1 is not it
+    doc = dict(QUARTIC_CFG, window=[0.01, 2.0])
+    every = _table(tmp_path, "scaling", doc, "every")
+    some = _table(tmp_path, "scaling", dict(doc, n=[1]), "some")
+    levels = _table(tmp_path, "levels", dict(doc, n=[1]), "l")
+    assert [r[0] for r in some] == [r[0] for r in every] == [r[0] for r in levels]
+    for (_, err), (_, worst), level in zip(some, every, levels):
+        assert float(err) == pytest.approx(float(level[7]), rel=1e-9)  # the n = 1 defect
+        assert float(err) < float(worst)
+
+
 @pytest.mark.parametrize("base,change,command,field", [
     (HALFLINE_CFG, {"robin_b": "x"}, "levels", "robin_b"),
     (HALFLINE_CFG, {"bc": "neumann"}, "levels", "bc"),
@@ -587,3 +601,56 @@ def test_one_mutated_field_of_a_committed_config_never_crashes(doc, command):
         rc = run([command, "--config", str(cfg), "--out", str(pathlib.Path(tmp) / "t.csv"),
                   "--no-oracle"])
     assert rc in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("command,name,use_oracle", [
+    ("levels", "harmonic_levels.json", True),
+    ("count", "harmonic_levels.json", True),
+    ("wavefunction", "harmonic_levels.json", True),
+    ("wavefunction", "halfline_robin.json", False),
+    ("observable", "harmonic_levels.json", True),
+    ("scaling", "quartic_scaling.json", True),
+])
+def test_the_row_count_of_a_table_is_its_number_of_csv_lines(tmp_path, command, name, use_oracle):
+    from semiclass import cli
+
+    table = cli._COMMANDS[command](cli.RunConfig(_committed(name), CONFIGS, use_oracle))
+    cli._emit(table, tmp_path / "t.csv", "csv")
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[0] == ",".join(table["columns"])
+    assert len(table["rows"]) == len(lines) - 1 > 0
+
+
+@pytest.mark.parametrize("command,flags", [("wavefunction", []), ("wavefunction", ["--no-oracle"]),
+                                           ("levels", [])])
+def test_csv_and_json_hold_the_same_cells(tmp_path, command, flags):
+    cfg = str(CONFIGS / "disc_levels.json")
+    for fmt in ("csv", "json"):
+        assert run([command, "--config", cfg, "--format", fmt, "--out", str(tmp_path / f"t.{fmt}"),
+                    *flags]) == 0
+    header, *rows = [r.split(",") for r in (tmp_path / "t.csv").read_text().splitlines()]
+    doc = json.loads((tmp_path / "t.json").read_text())
+    assert header == doc["columns"]
+    assert rows == [["" if v is None else str(v) for v in r] for r in doc["rows"]]  # null is empty
+    assert len(rows) > 1 and any(r[-1] == "" for r in rows) == ("--no-oracle" in flags)
+
+
+@pytest.mark.parametrize("out", ["t.csv", None])
+def test_a_failure_after_some_levels_writes_nothing(tmp_path, capsys, monkeypatch, out):
+    from semiclass import langer
+    from semiclass.quadrature import QuadratureError
+
+    eigenfunction, calls = langer.eigenfunction, []
+
+    def fails_on_the_second_level(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise QuadratureError("no convergence on the second level")
+        return eigenfunction(*args, **kwargs)
+
+    monkeypatch.setattr(langer, "eigenfunction", fails_on_the_second_level)
+    argv = ["wavefunction", "--config", str(CONFIGS / "disc_levels.json")]
+    assert run(argv + (["--out", str(tmp_path / out)] if out else [])) == 4
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().out == ""

@@ -234,13 +234,6 @@ class RunConfig:
                                    robin_b=self.robin_b)
 
 
-def _action_residual(cfg: RunConfig, level, lam: float, hbar: float) -> float:
-    """Defect |G(lam) - pi(n + mu) hbar| of the level's quantization condition
-    evaluated at lam (e.g. an oracle eigenvalue), in action units."""
-    g = quantize.quantization_condition(cfg.potential, lam, level.kind, hbar, cfg.cert).g
-    return abs(g - math.pi * (level.n + quantize.MASLOV_OFFSETS[level.kind]) * hbar)
-
-
 def _partner(spec, level):
     """Window position of the oracle level with level.n nodes, or None."""
     k = np.flatnonzero(spec.index == level.n) if spec is not None else []
@@ -304,7 +297,7 @@ def cmd_levels(cfg: RunConfig) -> dict:
         if k is not None:
             lam_o = float(spec.eigenvalues[k])
             delta = l.lam - lam_o
-            act_res = _action_residual(cfg, l, lam_o, hbar)
+            act_res = abs(quantize.defect(cfg.potential, lam_o, l.n, l.kind, hbar, cfg.cert))
         rows.append(hbar, l.n, l.kind, l.lam, l.residual, lam_o, delta, act_res)
     return {
         "command": "levels",
@@ -421,9 +414,10 @@ def cmd_scaling(cfg: RunConfig) -> dict:
         admit = slice(None) if cfg.n_filter is None else np.isin(spec.index, cfg.n_filter)
         ref = spec.index[admit]
         if study == "levels":
-            ph = quantize.quantization_condition(cfg.potential, spec.eigenvalues[admit], "smooth", hbar).g
-            frac = ph / (math.pi * hbar) - quantize.MASLOV_OFFSETS["smooth"]
-            return float(np.max(np.abs(frac - ref), initial=0.0) * math.pi * hbar)
+            if not ref.size:
+                raise quantize.QuantizeError(f"no levels in window at hbar={hbar}")
+            return float(np.max(np.abs(quantize.defect(cfg.potential, spec.eigenvalues[admit], ref,
+                                                       "smooth", hbar, cfg.cert))))
         lv = cfg.levels_for(hbar)
         if study == "disc-levels" and len(lv) != len(ref):
             raise quantize.QuantizeError(
@@ -454,9 +448,13 @@ def cmd_scaling(cfg: RunConfig) -> dict:
     rows = Rows()
     for h, e in zip(cfg.hbars, errs):
         rows.append(h, e)
-    logh = np.log(cfg.hbars)
-    loge = np.log(np.maximum(errs, 1e-300))
-    slope = float(np.polyfit(logh, loge, 1)[0])
+    # the least-squares slope of log error on log hbar, in Python floats so
+    # that no BLAS or SIMD kernel touches it
+    xs = [math.log(h) for h in cfg.hbars]
+    ys = [math.log(max(e, 1e-300)) for e in errs]
+    xm, ym = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    slope = (math.fsum((x - xm) * (y - ym) for x, y in zip(xs, ys))
+             / math.fsum((x - xm) ** 2 for x in xs))
     predicted = _STUDY_CLASSES[study]
     print(f"study={study} fitted_slope={slope!r} predicted_class={predicted!r}", file=sys.stderr)
     return {
@@ -511,11 +509,22 @@ def run(argv=None) -> int:
     except (QuadratureError, oracle.OracleError, quantize.QuantizeError) as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return 4
-    _emit(table, args.out, args.format)
+    try:
+        _emit(table, args.out, args.format)
+    except OSError as exc:
+        where = "stdout" if args.out is None else f"--out {args.out}"
+        print(f"config error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     return 0
 
 
 def main() -> None:
+    import signal  # only the command-line entry point sets a handler
+
+    # a reader that closes stdout early (`| head`) ends the process quietly,
+    # as it ends any filter, instead of raising BrokenPipeError
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -2,7 +2,10 @@
 generalized condition for a jump inside the well, and half-line problems.
 
 Every kind is one action condition G(lam) = pi (n + mu) hbar, with the Maslov
-offset mu from MASLOV_OFFSETS.  quantization_condition is the one place
+offset mu from MASLOV_OFFSETS.  _target is the one place where the target
+pi (n + mu) hbar is formed: the solver and weyl_count take their n from
+_quantum_numbers, and defect is G - target at any lam (the residual of a
+level against an oracle eigenvalue).  quantization_condition is the one place
 where a level kind becomes numbers: its Condition record carries (G, G') for
 the solver, the well integrals I_pm and the jump amplitude a^2 that
 normalize the eigenfunction (langer.normalization), and the turning points
@@ -54,6 +57,7 @@ __all__ = [
     "Condition",
     "QuantizeError",
     "bs_levels",
+    "defect",
     "weyl_count",
     "disc_levels",
     "disc_point",
@@ -123,6 +127,36 @@ class CountResult:
     phase_volume: float  # measure of {a1 <= p^2 + v <= a2}, i.e. 2 dPhi
 
 
+def _target(n, kind: str, hbar: float):
+    """pi (n + mu) hbar, mu = MASLOV_OFFSETS[kind]: the value of G at level n
+    of the kind (n an int or an integer array).  Every quantization target
+    is formed here."""
+    return math.pi * (n + MASLOV_OFFSETS[kind]) * hbar
+
+
+def _quantum_numbers(g_lo: float, g_hi: float, kind: str, hbar: float):
+    """(ns, targets): every n >= 0 whose target _target(n, kind, hbar) lies
+    strictly inside (g_lo, g_hi), ascending, with those targets."""
+    mu = MASLOV_OFFSETS[kind]
+    # one candidate past each end, so that rounding in the quotients drops no n
+    n_lo = math.ceil(g_lo / (math.pi * hbar) - mu) - 1
+    n_hi = math.floor(g_hi / (math.pi * hbar) - mu) + 1
+    ns = np.arange(max(n_lo, 0), n_hi + 1)
+    targets = _target(ns, kind, hbar)
+    keep = (g_lo < targets) & (targets < g_hi)
+    return ns[keep], targets[keep]
+
+
+def defect(pot: Potential, lam, n, kind: str, hbar: float,
+           cert: Optional[WellCertificate] = None):
+    """G(lam) - pi (n + mu) hbar, the signed defect of level n's quantization
+    condition at lam (e.g. an oracle eigenvalue), in action units; lam and n
+    may be arrays of one shape.  G is quantization_condition's at TOL_QUAD,
+    and cert is passed to it, so a cert with a jump inside the well raises
+    QuantizeError for every kind but discontinuous."""
+    return quantization_condition(pot, lam, kind, hbar, cert).g - _target(n, kind, hbar)
+
+
 def _brackets(lam, g, g_prime, targets):
     """Per-target sign-change brackets and Newton starts from a sample of G.
 
@@ -166,17 +200,9 @@ def _action_levels(pot: Potential, window: tuple[float, float], hbar: float, kin
     _NEWTON_STEPS evaluations raises QuantizeError.
     """
     cond = lambda lam: quantization_condition(pot, lam, kind, hbar, cert, _ROOT_QUAD_TOL)
-    a1, a2 = window
-    mu = MASLOV_OFFSETS[kind]
-    sample = np.linspace(a1, a2, _SAMPLE_POINTS)
+    sample = np.linspace(*window, _SAMPLE_POINTS)
     s = cond(sample)
-    g1, g2 = float(s.g[0]), float(s.g[-1])
-    n_lo = math.ceil(g1 / (math.pi * hbar) - mu)
-    n_hi = math.floor(g2 / (math.pi * hbar) - mu)
-    ns = np.arange(max(n_lo, 0), n_hi + 1)
-    targets = math.pi * (ns + mu) * hbar
-    keep = (g1 < targets) & (targets < g2)
-    ns, targets = ns[keep], targets[keep]
+    ns, targets = _quantum_numbers(float(s.g[0]), float(s.g[-1]), kind, hbar)
     if not ns.size:
         return []
 
@@ -290,10 +316,7 @@ def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
         certify_well(pot, a1, a2)  # raises off a single well
     phi1, phi2 = (quantization_condition(pot, a, "smooth", hbar).g for a in (a1, a2))
     predicted = float((phi2 - phi1) / (math.pi * hbar))
-    mu = MASLOV_OFFSETS["smooth"]
-    n_lo = math.ceil(phi1 / (math.pi * hbar) - mu)
-    n_hi = math.floor(phi2 / (math.pi * hbar) - mu)
-    count = max(0, n_hi - max(n_lo, 0) + 1)
+    count = len(_quantum_numbers(phi1, phi2, "smooth", hbar)[0])
     return CountResult(predicted=predicted, count=count, epsilon=float(count - predicted),
                        phase_volume=float(2.0 * (phi2 - phi1)))
 

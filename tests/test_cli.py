@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import tempfile
@@ -375,12 +376,14 @@ def test_the_scaling_errors_are_cells_of_the_levels_and_observable_tables(tmp_pa
     levels = _table(tmp_path, "levels", QUARTIC_CFG, "l")
     obs = {(r[0], r[1], r[2]): r[5] for r in _table(tmp_path, "observable", QUARTIC_CFG, "o")}
     lam_ref = 0.5 * sum(QUARTIC_CFG["window"])
-    for study in ("kinetic", "observable", "disc-levels"):
+    for study in ("kinetic", "observable", "disc-levels", "levels"):
         for h, err in _table(tmp_path, "scaling", dict(QUARTIC_CFG, study=study), study):
             at_h = [r for r in levels if r[0] == h]
             n = min(at_h, key=lambda r: abs(float(r[3]) - lam_ref))[1]
             if study == "disc-levels":
                 assert err == repr(max(abs(float(r[6])) for r in at_h))
+            elif study == "levels":  # one quantize.defect for the table and the study
+                assert err == repr(max(float(r[7]) for r in at_h))
             else:
                 assert err == obs[h, n, "kinetic" if study == "kinetic" else "v"]
 
@@ -433,6 +436,59 @@ def test_the_levels_study_compares_only_the_levels_an_n_filter_admits(tmp_path):
     for (_, err), (_, worst), level in zip(some, every, levels):
         assert float(err) == pytest.approx(float(level[7]), rel=1e-9)  # the n = 1 defect
         assert float(err) < float(worst)
+
+
+def test_the_levels_study_on_a_jump_inside_the_well_exits_4(tmp_path, capsys):
+    # the smooth defect has no jump term; the study used to fit it anyway
+    cfg = write_config(tmp_path, "c.json", dict(DISC_CFG, hbar=[0.1, 0.05, 0.025], study="levels"))
+    assert run(["scaling", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 4
+    assert "jumps inside the well" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_the_levels_study_without_an_admitted_level_exits_4(tmp_path, capsys):
+    # the committed window holds no n = 0 at any hbar
+    cfg = write_config(tmp_path, "c.json", dict(QUARTIC_CFG, n=[0]))
+    assert run(["scaling", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 4
+    assert "no levels in window at hbar=0.05" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["quartic_scaling.json", "disc_scaling.json"])
+def test_the_scaling_output_does_not_depend_on_the_blas_kernel(tmp_path, name):
+    # where numpy's OpenBLAS picks its kernel at run time, Nehalem's differs
+    # from the default one in its last bits; no printed number may see it
+    args = ["scaling", "--config", str(CONFIGS / name), "--format", "json"]
+    default, _ = invoke(args, tmp_path, "a.json")
+    nehalem, _ = invoke(args, tmp_path, "b.json", OPENBLAS_CORETYPE="Nehalem")
+    assert default.returncode == nehalem.returncode == 0
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert default.stderr == nehalem.stderr and "fitted_slope=" in default.stderr
+
+
+@pytest.mark.parametrize("out", ["missing/t.csv", "."], ids=["missing-directory", "a-directory"])
+def test_an_unwritable_out_exits_2(tmp_path, capsys, out):
+    rc = run(["levels", "--config", str(CONFIGS / "harmonic_levels.json"), "--no-oracle",
+              "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"config error: cannot write --out {tmp_path / out}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_reader_that_closes_stdout_early_gets_no_traceback():
+    # the table (3.5 MB) is far larger than a pipe's buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "semiclass.cli", "wavefunction", "--config",
+         str(CONFIGS / "disc_levels.json")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=REPO)
+    assert proc.stdout.readline() == b"hbar,n,x,psi,psi_oracle,abs_err\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == -signal.SIGPIPE
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+    assert err.startswith("hbar=0.05 n=5 sup|psi-psi_oracle|=")
 
 
 @pytest.mark.parametrize("base,change,command,field", [

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from semiclass import quantize
@@ -27,7 +27,6 @@ from semiclass.potential import (
 )
 from semiclass.quantize import (
     LAMBDA_TOL,
-    MASLOV_OFFSETS,
     QuantizeError,
     bs_levels,
     disc_levels,
@@ -43,10 +42,9 @@ def floats(lo, hi):
 
 
 @st.composite
-def wells(draw):
-    """(kind, potential, window, hbar, certify) for one level kind."""
-    kind = draw(st.sampled_from(["power", "kinked", "jump", "halfline_dirichlet",
-                                 "halfline_robin"]))
+def wells(draw, kinds=("power", "kinked", "jump", "halfline_dirichlet", "halfline_robin")):
+    """(kind, potential, window, hbar) for one of the level kinds."""
+    kind = draw(st.sampled_from(kinds))
     hbar = draw(st.sampled_from([0.1, 0.05, 0.02]))
     if kind == "power":
         pot = make_power_law(0.0, draw(floats(0.5, 2.0)), draw(floats(1.2, 5.0)),
@@ -104,12 +102,25 @@ def test_defect_recomputed_per_level_is_the_residual(well):
     cert = certify_well(pot, *window)
     for l in _solve(kind, pot, window, hbar):
         c = quantization_condition(pot, l.lam, l.kind, hbar, cert, quantize._ROOT_QUAD_TOL)
-        defect = abs(c.g - math.pi * (l.n + MASLOV_OFFSETS[l.kind]) * hbar)
+        defect = abs(c.g - quantize._target(l.n, l.kind, hbar))
         # the scalar evaluation repeats the solver's last one in the batch
         assert defect == l.residual
         # the documented bound: a root to LAMBDA_TOL relative, G to _ROOT_QUAD_TOL
         bound = abs(c.g_prime) * LAMBDA_TOL * max(1.0, abs(l.lam)) + quantize._ROOT_QUAD_TOL
         assert defect <= bound
+
+
+@PROPS
+@given(wells(kinds=("power", "kinked")))
+def test_the_weyl_count_counts_the_bohr_sommerfeld_levels(well):
+    # both take the n whose target lies strictly inside (Phi(a1), Phi(a2)),
+    # Phi at TOL_QUAD for the count and at _ROOT_QUAD_TOL for the levels: a
+    # target within 1e-9 of Phi at a window edge may fall on either side
+    _, pot, window, hbar = well
+    for a in window:
+        frac = quantization_condition(pot, a, "smooth", hbar).g / (math.pi * hbar) - 0.5
+        assume(abs(frac - round(frac)) * math.pi * hbar > 1e-9)
+    assert quantize.weyl_count(pot, *window, hbar).count == len(bs_levels(pot, window, hbar))
 
 
 @PROPS

@@ -3,17 +3,20 @@
 Independent of every semiclassical module: the operator
 -hbar^2 d^2/dx^2 + v is discretized with the 3-point Laplacian on a uniform
 grid with Dirichlet truncation, and eigenvalues inside the requested window
-are extracted by Sturm-sequence bisection (LAPACK *stebz via
-scipy.linalg.eigh_tridiagonal).  Grids are doubled until a Romberg table of
-each level's raw values on the last three grids meets the requested
-tolerance.  The eigenvalue error of the scheme expands in even powers of the
-spacing h, with an h^2 coefficient that grows with the level (like k^4 for
-the k-th level; Paine, de Hoog & Anderssen, Computing 26 (1981) 123-139), so
-the second (h^4) column is taken per level, and only where that level's raw
-differences shrink by 4 per doubling; every other level keeps the first
-(h^2) column.  Eigenvectors come from inverse iteration on the grid one
-doubling finer than the last one solved.  A Numerov shooting solver provides
-an independent cross-check of the default scheme.
+are extracted by Sturm-sequence bisection (LAPACK dstebz; eigenvectors by
+inverse iteration with dgtsv).  Both are called through scipy's compiled
+LAPACK extension, loaded from its file so that the oracle does not import
+the scipy.linalg package, whose import costs more than a count's solves.
+Grids are doubled until a Romberg table of each level's raw values on the
+last three grids meets the requested tolerance.  The eigenvalue error of
+the scheme expands in even powers of the spacing h, with an h^2
+coefficient that grows with the level (like k^4 for the k-th level; Paine,
+de Hoog & Anderssen, Computing 26 (1981) 123-139), so the second (h^4)
+column is taken per level, and only where that level's raw differences
+shrink by 4 per doubling; every other level keeps the first (h^2) column.
+Eigenvectors come from inverse iteration on the grid one doubling finer
+than the last one solved.  A Numerov shooting solver provides an
+independent cross-check of the default scheme.
 
 Each raw eigenvalue carries its index in the grid spectrum.  The k-th
 lowest eigenvalue of a Jacobi matrix with negative off-diagonals is simple
@@ -41,7 +44,11 @@ node as well.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -151,21 +158,66 @@ def _tridiag(pot: Potential, hbar: float, x: np.ndarray, robin_b: Optional[float
     return d, e
 
 
-# scipy.linalg is slow to import and only the oracle needs it, so its two
-# solvers are imported on the first call.  The oracle reaches them only
-# through these module-level names.
+# LAPACK is reached through scipy's compiled wrappers (scipy/linalg/_flapack),
+# loaded from their file on the first solve: `import scipy.linalg` runs the
+# package __init__, which loads numpy.testing, numpy.f2py and numpy.ma and
+# takes longer than a count's grid solves.  The extension is registered under
+# its own name, so a later `import scipy.linalg` reuses it.  The oracle
+# reaches LAPACK only through eigh_tridiagonal and solve_banded, which pass
+# dstebz and dgtsv the arguments of scipy.linalg.eigh_tridiagonal(select="v",
+# eigvals_only=True) and solve_banded((1, 1), ...), with their checks, so
+# the results are scipy's to the bit.
 
 
-def eigh_tridiagonal(*args, **kwargs):
-    import scipy.linalg
+def _flapack():
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        import scipy
 
-    return scipy.linalg.eigh_tridiagonal(*args, **kwargs)
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+        if spec is None:
+            raise ImportError(f"scipy's LAPACK extension {name} was not found", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
 
 
-def solve_banded(*args, **kwargs):
-    import scipy.linalg
+def _finite(*arrays):
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
 
-    return scipy.linalg.solve_banded(*args, **kwargs)
+
+def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select_range: tuple[float, float],
+                     tol: float = 0.0) -> np.ndarray:
+    """Eigenvalues in (vl, vu] = select_range of the symmetric tridiagonal
+    (d, e), ascending, by bisection to the absolute tolerance tol (0: to
+    LAPACK's own)."""
+    _finite(d, e)
+    vl, vu = select_range
+    if not vl < vu:
+        raise ValueError(f"select_range ({vl}, {vu}) is not increasing")
+    m, w, _, _, info = _flapack().dstebz(d, e, 1, vl, vu, 1, 1, float(tol), "E")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dstebz")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"dstebz did not converge (LAPACK info={info})")
+    return w[:m]
+
+
+def solve_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with T x = b, for the symmetric tridiagonal T = (d, e): dgtsv, by
+    Gaussian elimination with partial pivoting.  d, e and b are not
+    overwritten."""
+    _finite(d, e, b)
+    *_, x, info = _flapack().dgtsv(e, d, e, b, 0, 0, 0, 0)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgtsv")
+    return x
 
 
 def _count(d: np.ndarray, e: np.ndarray, x: float) -> int:
@@ -178,8 +230,7 @@ def _count(d: np.ndarray, e: np.ndarray, x: float) -> int:
     floor -= 1.0 + abs(floor)  # room for rounding below the Gershgorin bound
     if x <= floor:
         return 0
-    return len(eigh_tridiagonal(d, e, select="v", select_range=(floor, x), eigvals_only=True,
-                                tol=x - floor))
+    return len(eigh_tridiagonal(d, e, select_range=(floor, x), tol=x - floor))
 
 
 def _matched(*raw):
@@ -261,8 +312,7 @@ class _Domain:
         indices in the grid spectrum (0 for the lowest), and per range the
         count of eigenvalues at or below a, the index of its first value."""
         d, e = self.matrix(n)[1:]  # the grid is freed before the solves
-        values = [eigh_tridiagonal(d, e, select="v", select_range=r, eigvals_only=True)
-                  for r in ranges]
+        values = [eigh_tridiagonal(d, e, select_range=r) for r in ranges]
         first = [_count(d, e, a) for a, _ in ranges]
         index, at = np.unique(np.concatenate([k + np.arange(len(v)) for v, k in zip(values, first)]),
                               return_index=True)
@@ -440,17 +490,14 @@ def eigenvector(spec: OracleSpectrum, k: int):
     xf, d, e = spec.domain.matrix(2 * spec.n)
     m = len(d)
     lam = float(spec.eigenvalues[k])
-    ab = np.zeros((3, m))
-    ab[0, 1:] = e
-    ab[1, :] = d - lam
-    ab[2, :-1] = e
+    shifted = d - lam
     rng = np.random.default_rng(20260810)
     v = rng.standard_normal(m)
     v /= np.linalg.norm(v)
     resid = math.inf
     for _ in range(6):
         try:
-            w = solve_banded((1, 1), ab, v)
+            w = solve_banded(shifted, e, v)
         except np.linalg.LinAlgError as exc:  # exact singular shift
             raise OracleError(f"inverse iteration stagnated: {exc}")
         v = w / np.linalg.norm(w)

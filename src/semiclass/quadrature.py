@@ -41,6 +41,7 @@ _GL_N0 = 16  # first Gauss-Legendre order of gl_adaptive
 _GL_N_MAX = 4096
 _CUMSUM_DEG0 = 16  # first degree of the Chebyshev fits in _cheb_cumsum
 _CUMSUM_DEG_MAX = 1024
+_EPS = np.finfo(float).eps
 _BLOCK_SEGMENTS = 128  # segments per gl_adaptive block in well_integral
 _T_CROSS = 1.5e-3  # below this t, r(t) comes from the Taylor model of _taylor
 TOL_QUAD = 1e-10  # default absolute tolerance of well_integral and of turning_point_integral
@@ -229,9 +230,12 @@ def _cheb_cumsum(f, lo: float, hi: float, start: float, tol: float) -> np.polyno
     f is interpolated at Chebyshev points on [lo, hi] and integrated once
     (Clenshaw-Curtis cumulative integration; Trefethen, Approximation Theory
     and Approximation Practice, ch. 19).  The degree doubles from
-    _CUMSUM_DEG0 until two successive antiderivatives agree to tol
-    (absolute) at the Chebyshev-Lobatto points of the finer degree, a point
-    set fixed by [lo, hi] alone; the finer one is returned.
+    _CUMSUM_DEG0 until two successive antiderivatives agree at the
+    Chebyshev-Lobatto points of the finer degree, a point set fixed by
+    [lo, hi] alone, to tol (absolute) or to 64 eps times the largest
+    |antiderivative| there, whichever is larger: two fits of a large
+    antiderivative (an action out on a steep wall) differ by their own
+    rounding.  The finer one is returned.
     """
     prev = None
     deg = _CUMSUM_DEG0
@@ -239,7 +243,8 @@ def _cheb_cumsum(f, lo: float, hi: float, start: float, tol: float) -> np.polyno
         anti = np.polynomial.Chebyshev.interpolate(f, deg, domain=[lo, hi]).integ(lbnd=start)
         if prev is not None:
             pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.polynomial.chebyshev.chebpts2(deg + 1)
-            if np.max(np.abs(anti(pts) - prev(pts))) <= tol:
+            a = anti(pts)
+            if np.max(np.abs(a - prev(pts))) <= max(tol, 64.0 * _EPS * np.max(np.abs(a))):
                 return anti
         prev = anti
         deg *= 2

@@ -297,10 +297,47 @@ def test_cli_import_loads_no_root_finder_or_interpolator():
     assert proc.stdout.strip() == "[]"
 
 
+def test_the_oracle_commands_load_no_scipy_linalg(tmp_path):
+    # the oracle loads scipy's LAPACK extension alone, not the scipy.linalg package
+    cfg = write_config(tmp_path, "c.json", {"potential": HARM_POT, "hbar": [0.1],
+                                             "window": [0.03, 0.6]})
+    code = ("import sys; from semiclass.cli import run; "
+            f"print([run([c, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r} + '/' + c]) "
+            "for c in ('count', 'wavefunction')], 'scipy.linalg' in sys.modules, "
+            "'scipy.linalg._flapack' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=REPO, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] False True"
+    assert (tmp_path / "count").read_text().splitlines()[1].split(",")[6] == "3"  # count_oracle
+    assert "psi_oracle" in (tmp_path / "wavefunction").read_text().splitlines()[0]
+
+
+def test_wavefunction_on_a_jump_well_with_a_steep_wall_exits_0(tmp_path, capsys):
+    # x^2 left of a jump at 0.3 and exp(x^2) - 0.7 right of it: the outer
+    # action of a chart grows to about 1e5 on the exp(x^2) wall, and level
+    # n = 12 at hbar 0.05 exited 4 while the fits of that action were asked
+    # to agree to 1e-10 absolute
+    out = tmp_path / "w.csv"
+    assert run(["wavefunction", "--config", str(CONFIGS / "table_jump.json"), "--out", str(out)]) == 0
+    sup = {line.split()[1]: float(line.split("=")[-1])
+           for line in capsys.readouterr().err.splitlines() if line.startswith("hbar=0.05 ")}
+    assert set(sup) == {f"n={n}" for n in range(4, 13)} and sup["n=12"] <= 5e-3
+    assert "0.05,12," in out.read_text()
+
+
+def test_cli_matrix_names_a_file_that_is_not_a_run_config(tmp_path):
+    proc = subprocess.run([sys.executable, str(REPO / "tools" / "cli_matrix.py"), str(tmp_path),
+                           str(CONFIGS / "potentials" / "harmonic.json")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr == "not a run config: harmonic.json: every run exits 2\n"
+
+
 def test_scaling_without_levels_exits_4(tmp_path):
     # at hbar = 0.1 the window holds no level of the harmonic well
     cfg = write_config(tmp_path, "c.json", {
-        "potential_path": str(CONFIGS / "harmonic.json"), "hbar": [0.1, 0.05],
+        "potential_path": str(CONFIGS / "potentials" / "harmonic.json"), "hbar": [0.1, 0.05],
         "window": [0.74, 0.86], "study": "kinetic"})
     proc, _ = invoke(["scaling", "--config", str(cfg)], tmp_path)
     assert proc.returncode == 4
@@ -311,7 +348,7 @@ def test_scaling_without_levels_exits_4(tmp_path):
 def test_disc_levels_scaling_without_levels_exits_4(tmp_path, capsys):
     # neither side has a level in the window at hbar = 0.1
     cfg = write_config(tmp_path, "c.json", {
-        "potential_path": str(CONFIGS / "harmonic.json"), "hbar": [0.1, 0.05],
+        "potential_path": str(CONFIGS / "potentials" / "harmonic.json"), "hbar": [0.1, 0.05],
         "window": [0.74, 0.86], "study": "disc-levels"})
     assert run(["scaling", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 4
     assert "no levels in window at hbar=0.1" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
 from semiclass import oracle
@@ -217,6 +218,55 @@ def test_disc_fixture_reproducible():
     assert np.abs(spec.eigenvalues - ref).max() <= 2e-8
 
 
+# -- LAPACK bindings -------------------------------------------------------------
+
+
+def _jacobi(rows: int, seed: int):
+    """A random symmetric tridiagonal (d, e) like the oracle's: a dominant
+    diagonal with a varying potential, and negative off-diagonals."""
+    rng = np.random.default_rng(seed)
+    return 2.0 + rng.uniform(0.0, 1.0, rows), -rng.uniform(0.5, 1.0, rows - 1)
+
+
+@pytest.mark.parametrize("rows", [2, 5, 100, 8191])
+def test_the_lapack_bindings_equal_scipy_bit_for_bit(rows):
+    d, e = _jacobi(rows, rows)
+    # a narrow range around the middle level, and the Sturm count's whole-range call
+    mid = float(scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True)[rows // 2])
+    floor = float(np.min(d)) - 2.0 * float(np.max(np.abs(e)))
+    floor -= 1.0 + abs(floor)
+    for select_range, tol in (((mid - 1e-3, mid + 1e-3), 0.0), ((floor, mid), mid - floor)):
+        ours = oracle.eigh_tridiagonal(d, e, select_range=select_range, tol=tol)
+        ref = scipy.linalg.eigh_tridiagonal(d, e, select="v", select_range=select_range,
+                                            eigvals_only=True, tol=tol)
+        assert len(ours) and ours.dtype == ref.dtype and np.array_equal(ours, ref)
+    b = np.random.default_rng(rows + 1).standard_normal(rows)
+    ab = np.zeros((3, rows))
+    ab[0, 1:], ab[1], ab[2, :-1] = e, d - mid, e
+    args = (d - mid, e.copy(), b.copy())
+    x = oracle.solve_banded(*args)
+    assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
+    assert np.array_equal(args[0], d - mid) and np.array_equal(args[1], e)
+    assert np.array_equal(args[2], b)  # the inverse iteration reuses its inputs
+
+
+def test_the_lapack_bindings_keep_scipys_checks():
+    d, e = _jacobi(5, 0)
+    b = np.ones(5)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        oracle.solve_banded(np.ones(2), np.ones(1), np.ones(2))
+    for bad in ("d", "e", "b"):
+        args = {"d": d.copy(), "e": e.copy(), "b": b.copy()}
+        args[bad][1] = math.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            oracle.solve_banded(args["d"], args["e"], args["b"])
+        if bad != "b":
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                oracle.eigh_tridiagonal(args["d"], args["e"], select_range=(0.0, 4.0))
+    with pytest.raises(ValueError, match="not increasing"):
+        oracle.eigh_tridiagonal(d, e, select_range=(2.0, 2.0))
+
+
 # -- Romberg stopping rule -----------------------------------------------------
 
 
@@ -321,7 +371,7 @@ def test_eigenvector_grid_is_at_least_the_first_column_stop_grid(monkeypatch, po
     sizes = []
     solve = oracle.solve_banded
     monkeypatch.setattr(oracle, "solve_banded",
-                        lambda lu, ab, b: sizes.append(ab.shape[1]) or solve(lu, ab, b))
+                        lambda d, e, b: sizes.append(len(d)) or solve(d, e, b))
     k = len(spec.eigenvalues) - 1
     x, psi = eigenvector(spec, k)
     fine = oracle._grid(pot, spec.domain.x_lo, spec.domain.x_hi, 2 * spec.n)

@@ -135,3 +135,15 @@ def test_turning_point_integral_harmonic_closed_form():
         got = turning_point_integral(HARM, 1.0, x_tp, x_end)(xs)
         assert np.max(np.abs(got - exact)) <= 1e-12
     assert np.array_equal(turning_point_integral(HARM, 1.0, 1.0, 2.0)([1.0, 1.0]), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("hi", [4.0, 5.0])
+def test_cheb_cumsum_of_a_steep_wall_stops_at_its_own_rounding(hi):
+    # int_0^x exp(t^2) reaches 1e6 to 7e9: two fits then differ by their
+    # rounding, far above the absolute 1e-10, so the stop test is relative there
+    from scipy.special import erfi
+
+    anti = quadrature._cheb_cumsum(lambda x: np.exp(x * x), 0.0, hi, 0.0, quadrature.TOL_QUAD)
+    x = np.linspace(0.0, hi, 101)
+    exact = 0.5 * math.sqrt(math.pi) * erfi(x)
+    assert np.max(np.abs(anti(x) - exact)) <= 1e-14 * exact[-1]

@@ -13,7 +13,9 @@ trees' copies into two directories and `diff -r` compares their output.
 Exits 1 when any run exits with a code outside {0, 2, 3, 4} (success and
 the documented failures), prints a Python traceback or prints a Python
 warning ("...Warning:" on stderr), and names those runs on stderr; the
-program promises none of these.
+program promises none of these.  It also exits 1 and names each config on
+which every run exits 2 (a config error): such a file is not a run config
+(a potential document, say), so its runs check nothing.
 """
 
 import os
@@ -36,6 +38,7 @@ def main() -> int:
     bad = []
     for cfg in configs:
         (out / cfg.stem).mkdir(parents=True, exist_ok=True)
+        codes = set()
         for command in COMMANDS:
             for fmt in ("csv", "json"):
                 for flags in ([], ["--no-oracle"]):
@@ -47,12 +50,16 @@ def main() -> int:
                     base.with_name(base.name + ".out").write_bytes(run.stdout)
                     base.with_name(base.name + ".err").write_bytes(run.stderr)
                     base.with_name(base.name + ".rc").write_text(f"{run.returncode}\n")
+                    codes.add(run.returncode)
+                    where = f"undocumented failure: {base.relative_to(out)}"
                     if run.returncode not in EXIT_CODES or b"Traceback" in run.stdout + run.stderr:
-                        bad.append(f"{base.relative_to(out)}: exit {run.returncode}")
+                        bad.append(f"{where}: exit {run.returncode}")
                     elif b"Warning:" in run.stderr:
-                        bad.append(f"{base.relative_to(out)}: a Python warning on stderr")
+                        bad.append(f"{where}: a Python warning on stderr")
+        if codes == {2}:
+            bad.append(f"not a run config: {cfg.name}: every run exits 2")
     for line in bad:
-        print(f"undocumented failure: {line}", file=sys.stderr)
+        print(line, file=sys.stderr)
     return 1 if bad else 0
 
 

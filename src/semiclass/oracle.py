@@ -379,29 +379,44 @@ def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
     otherwise.  The doubling stops once every window level's estimate is at
     most tol_oracle; the result's n is the last grid, and `eigenvector`
     solves on the grid one doubling finer.
+
+    Each grid is solved on the window padded by pad on both sides, so that
+    a level inside the window has its raw values in range on all three
+    grids.  pad is 5% of the window, and at least the starting delta of
+    `count_levels`, four times the leading raw shift of a level at the
+    window top on the first grid.  With the last three grids solved, it
+    widens as delta does there: to at least four times the largest shift
+    |e0 - e2| of a matched level, and until the padded window holds a
+    level or spans the well's depth.
     """
     dom = _domain(pot, hbar, window, robin_b, tol_oracle, x_span)
     lo, hi = window
-    pad = 0.05 * (hi - lo)
-    n_trail = [dom.n0]
-    ranges = [(lo - pad, hi + pad)]
-    raw = [dom.eigs(dom.n0, ranges)]
-    est = None
+    h0 = (dom.x_hi - dom.x_lo) / dom.n0
+    pad = max(0.05 * (hi - lo), (h0 * dom.depth / hbar) ** 2 / 3.0)
+
+    def padded(n: int):
+        return dom.eigs(n, [(lo - pad, hi + pad)])
+
+    n_trail = [dom.n0, 2 * dom.n0, 4 * dom.n0]  # _domain checked that three grids fit
+    raw = [padded(n) for n in n_trail]
     while True:
-        n = _doubled(n_trail[-1], tol_oracle, est)
-        raw = raw[-2:] + [dom.eigs(n, ranges)]
-        n_trail.append(n)
-        if len(raw) == 3:
-            index, *e = _matched(*raw)
-            eigs, est_all, h4 = _romberg(*e)
-            inside = (eigs > lo) & (eigs < hi)
-            est = est_all[inside]
-            if np.all(est <= tol_oracle):
-                return OracleSpectrum(
-                    domain=dom, window=(lo, hi), n=n, n_trail=tuple(n_trail),
-                    eigenvalues=eigs[inside], index=index[inside], est_error=est,
-                    h4_column=h4[inside],
-                )
+        index, *e = _matched(*raw)
+        need = 4.0 * np.max(np.abs(e[0] - e[2]), initial=0.0)
+        if 2.0 * pad < dom.depth and (need > pad or not len(index)):
+            pad = max(need, 2.0 * pad)
+            raw = [padded(n) for n in n_trail[-3:]]
+            continue
+        eigs, est_all, h4 = _romberg(*e)
+        inside = (eigs > lo) & (eigs < hi)
+        est = est_all[inside]
+        if np.all(est <= tol_oracle):
+            return OracleSpectrum(
+                domain=dom, window=(lo, hi), n=n_trail[-1], n_trail=tuple(n_trail),
+                eigenvalues=eigs[inside], index=index[inside], est_error=est,
+                h4_column=h4[inside],
+            )
+        n_trail.append(_doubled(n_trail[-1], tol_oracle, est))
+        raw = raw[1:] + [padded(n_trail[-1])]
 
 
 def count_levels(pot: Potential, hbar: float, window: tuple[float, float],

@@ -435,6 +435,19 @@ def test_count_levels_equals_the_solved_count(request, data):
     assert count_levels(pot, hbar, (lo, hi), robin_b=robin_b) == len(levels)
 
 
+def test_a_narrow_window_keeps_a_level_whose_raw_values_lie_below_it():
+    # the level's raw value on the first grid lies 2e-4 below it, beyond 5% of
+    # a window that starts 1e-6 below the level
+    pot = make_power_law(0.765625, 0.5, 3.375, 0.0, 1.3125, 1.5)
+    hbar = 0.04325779515563774
+    lam = float(solve_spectrum(pot, hbar, (1.765625, 2.015625)).eigenvalues[2])
+    window = (lam - 1e-6, 2.015625)
+    spec = solve_spectrum(pot, hbar, window)
+    assert list(spec.index) == [19]
+    assert spec.eigenvalues[0] == pytest.approx(lam, abs=1e-8)
+    assert count_levels(pot, hbar, window) == 1
+
+
 def _full_solves(monkeypatch):
     """The list that each full-accuracy band solve of the oracle appends
     (its grid's matrix size, its number of levels) to."""

@@ -22,6 +22,7 @@ __all__ = [
     "ScaledAiry",
     "airy_eval",
     "airy_many",
+    "airy_ai",
     "airy_scaled",
     "AI_ZERO",
     "AIP_ZERO",
@@ -86,10 +87,11 @@ def _asym_coeffs(count: int) -> tuple[np.ndarray, np.ndarray]:
 _U, _V = _asym_coeffs(_ASYM_TERMS + 4)
 
 
-def _taylor_pair(t0, w, wp, delta, terms):
+def _taylor_pair(t0, w, wp, delta, terms, derivative=True):
     """Advance w, w' of -w''+tw=0 from t0 to t0+delta by recentred Taylor series.
 
     Works elementwise on arrays (t0, w, wp, delta may be broadcastable arrays).
+    Without derivative, w' comes back as None.
     """
     t0 = np.asarray(t0, dtype=float)
     shape = np.broadcast(t0, w, wp, delta).shape
@@ -102,16 +104,19 @@ def _taylor_pair(t0, w, wp, delta, terms):
     val = a[terms].copy()
     for k in range(terms - 1, -1, -1):
         val = val * delta + a[k]
+    if not derivative:
+        return val, None
     der = terms * a[terms]
     for k in range(terms - 1, 0, -1):
         der = der * delta + k * a[k]
     return val, der
 
 
-def _asym_plus_scaled(t):
+def _asym_plus_scaled(t, ai_only=False):
     """Series factors of the t->+inf expansions, with exponentials removed.
 
-    Returns (ai*e^{z}, ai'*e^{z}, bi*e^{-z}, bi'*e^{-z}, z), z = 2 t^(3/2)/3.
+    Returns (ai*e^{z}, ai'*e^{z}, bi*e^{-z}, bi'*e^{-z}, z), z = 2 t^(3/2)/3,
+    the middle three None with ai_only.
     """
     t = np.asarray(t, dtype=float)
     z = 2.0 / 3.0 * t**1.5
@@ -123,14 +128,17 @@ def _asym_plus_scaled(t):
     sign = 1.0
     for k in range(_ASYM_TERMS):
         su += sign * _U[k] * zk
-        sv += sign * _V[k] * zk
-        sbu += _U[k] * zk
-        sbv += _V[k] * zk
+        if not ai_only:
+            sv += sign * _V[k] * zk
+            sbu += _U[k] * zk
+            sbv += _V[k] * zk
         zk = zk / z
         sign = -sign
     pref = 0.5 / np.sqrt(np.pi)
     tq = t**0.25
     ai_s = pref / tq * su
+    if ai_only:
+        return ai_s, None, None, None, z
     aip_s = -pref * tq * sv
     bi_s = 2.0 * pref / tq * sbu
     bip_s = 2.0 * pref * tq * sbv
@@ -202,16 +210,44 @@ def _tables():
     return ts, ai, aip, bi, bip
 
 
-def _core_eval(t):
+def _core_eval(t, ai_only=False):
     t = np.asarray(t, dtype=float)
     idx = np.rint((t - T_SWITCH_MINUS) / _GRID_STEP).astype(int)
     nodes_t, nodes_ai, nodes_aip, nodes_bi, nodes_bip = _tables()
     idx = np.clip(idx, 0, len(nodes_t) - 1)
     t0 = nodes_t[idx]
     d = t - t0
-    ai, aip = _taylor_pair(t0, nodes_ai[idx], nodes_aip[idx], d, _EVAL_TERMS)
+    ai, aip = _taylor_pair(t0, nodes_ai[idx], nodes_aip[idx], d, _EVAL_TERMS, not ai_only)
+    if ai_only:
+        return ai, None, None, None
     bi, bip = _taylor_pair(t0, nodes_bi[idx], nodes_bip[idx], d, _EVAL_TERMS)
     return ai, aip, bi, bip
+
+
+def _airy(t, ai_only):
+    """(Ai, Ai', Bi, Bi') of finite t, or (Ai,) alone with ai_only."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("airy_many requires finite arguments")
+    scalar = t.ndim == 0
+    t = np.atleast_1d(t)
+    out = [np.empty_like(t) for _ in range(1 if ai_only else 4)]
+
+    core = (t >= T_SWITCH_MINUS) & (t <= T_SWITCH_PLUS)
+    plus = t > T_SWITCH_PLUS
+    minus = t < T_SWITCH_MINUS
+    for on, part in ((core, lambda s: _core_eval(s, ai_only)), (minus, _asym_minus)):
+        if np.any(on):
+            for o, v in zip(out, part(t[on])):
+                o[on] = v
+    if np.any(plus):
+        *scaled, z = _asym_plus_scaled(t[plus], ai_only)
+        with np.errstate(over="ignore", under="ignore"):
+            em = np.exp(-z)
+            ep = None if ai_only else np.exp(z)
+            for o, v, e in zip(out, scaled, (em, em, ep, ep)):
+                o[plus] = v * e
+    return tuple(o[0] if scalar else o for o in out)
 
 
 def airy_many(t):
@@ -220,35 +256,12 @@ def airy_many(t):
     Returns four arrays.  For t large enough that e^{+z} overflows, Bi and
     Bi' are +inf; use airy_scaled for an overflow-safe representation.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t)):
-        raise ValueError("airy_many requires finite arguments")
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    ai = np.empty_like(t)
-    aip = np.empty_like(t)
-    bi = np.empty_like(t)
-    bip = np.empty_like(t)
+    return _airy(t, False)
 
-    core = (t >= T_SWITCH_MINUS) & (t <= T_SWITCH_PLUS)
-    plus = t > T_SWITCH_PLUS
-    minus = t < T_SWITCH_MINUS
-    if np.any(core):
-        ai[core], aip[core], bi[core], bip[core] = _core_eval(t[core])
-    if np.any(plus):
-        a_s, ap_s, b_s, bp_s, z = _asym_plus_scaled(t[plus])
-        with np.errstate(over="ignore", under="ignore"):
-            em = np.exp(-z)
-            ep = np.exp(z)
-            ai[plus] = a_s * em
-            aip[plus] = ap_s * em
-            bi[plus] = b_s * ep
-            bip[plus] = bp_s * ep
-    if np.any(minus):
-        ai[minus], aip[minus], bi[minus], bip[minus] = _asym_minus(t[minus])
-    if scalar:
-        return ai[0], aip[0], bi[0], bip[0]
-    return ai, aip, bi, bip
+
+def airy_ai(t):
+    """airy_many(t)[0] to the bit, without the work of Ai', Bi and Bi'."""
+    return _airy(t, True)[0]
 
 
 def airy_eval(t: float) -> AiryValues:

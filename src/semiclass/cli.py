@@ -10,7 +10,8 @@ A table is written after its command has returned, so a failed run writes
 nothing.  Its rows are blocks of numpy columns (`Rows`), one block per
 level for `wavefunction`, and the one writer `_emit` formats each column in
 one pass and writes block by block: a run holds the table's arrays and the
-text of one block.
+text of one block, and the text of an array that several blocks slice (the
+oracle grid of an hbar) once.
 """
 
 from __future__ import annotations
@@ -67,21 +68,49 @@ class Rows:
 _json = json.JSONEncoder(default=float).encode
 
 
-def _texts(cells, size: int, one, column) -> list:
-    """The cells of a block as columns of size strings: an array formatted
-    in one pass by column, a shared value once by one."""
-    return [column(c.tolist()) if isinstance(c, np.ndarray) else itertools.repeat(one(c), size)
-            for c in cells]
+def _sliced(c):
+    """The 1-D array that the cell c is a contiguous slice of, or None."""
+    b = c.base if isinstance(c, np.ndarray) else None
+    ok = isinstance(b, np.ndarray) and b.ndim == c.ndim == 1 and b.dtype == c.dtype
+    return b if ok and b.flags.c_contiguous and c.strides == b.strides else None
 
 
-def _csv_block(size: int, cells) -> str:
-    cols = _texts(cells, size, _fmt, lambda col: map(str, col))
+def _array_text(blocks, column):
+    """text(c), the strings of an array cell c of blocks (column(list) gives
+    one per entry); cells that slice one array take slices of its text,
+    rendered on first use and dropped after the last."""
+    left = {}  # id of a sliced array -> its cells not yet rendered
+    for _, cells in blocks:
+        for b in filter(lambda b: b is not None, map(_sliced, cells)):
+            left[id(b)] = left.get(id(b), 0) + 1
+    memo = {}
+
+    def text(c):
+        b = _sliced(c)
+        if b is None or (left[id(b)] == 1 and id(b) not in memo):
+            return column(c.tolist())
+        if id(b) not in memo:
+            memo[id(b)] = list(column(b.tolist()))
+        i = (c.__array_interface__["data"][0] - b.__array_interface__["data"][0]) // c.itemsize
+        left[id(b)] -= 1
+        return (memo[id(b)] if left[id(b)] else memo.pop(id(b)))[i:i + len(c)]
+
+    return text
+
+
+def _texts(cells, size: int, one, text) -> list:
+    """The cells of a block as columns of size strings: an array by text, a
+    shared value once by one."""
+    return [text(c) if isinstance(c, np.ndarray) else itertools.repeat(one(c), size) for c in cells]
+
+
+def _csv_block(size: int, cells, text) -> str:
+    cols = _texts(cells, size, _fmt, text)
     return "\n".join(map(",".join, zip(*cols))) + "\n"
 
 
-def _json_block(size: int, cells) -> str:
-    # json's own text for a float column: encode it as one list, split at ", "
-    cols = _texts(cells, size, _json, lambda col: _json(col)[1:-1].split(", "))
+def _json_block(size: int, cells, text) -> str:
+    cols = _texts(cells, size, _json, text)
     return ",\n".join("    [\n      " + ",\n      ".join(row) + "\n    ]" for row in zip(*cols))
 
 
@@ -95,9 +124,11 @@ def _write_json(table: dict, fh) -> None:
         elif not value.blocks:
             fh.write("[]")
         else:
+            # json's own text for a float column: encode it as one list, split at ", "
+            text = _array_text(value.blocks, lambda col: _json(col)[1:-1].split(", "))
             fh.write("[\n")
             for j, block in enumerate(value.blocks):
-                fh.write((",\n" if j else "") + _json_block(*block))
+                fh.write((",\n" if j else "") + _json_block(*block, text))
             fh.write("\n  ]")
     fh.write("\n}\n")
 
@@ -110,8 +141,9 @@ def _emit(table: dict, out_path, fmt: str) -> None:
             _write_json(table, fh)
         else:
             fh.write(",".join(table["columns"]) + "\n")
+            text = _array_text(table["rows"].blocks, lambda col: map(str, col))
             for block in table["rows"].blocks:
-                fh.write(_csv_block(*block))
+                fh.write(_csv_block(*block, text))
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +272,28 @@ def _partner(spec, level):
     return int(k[0]) if len(k) else None
 
 
-def _paired_levels(cfg: RunConfig):
-    """(hbar, level, spec, k) for every level of every hbar, in order: spec
-    is the oracle spectrum of that hbar (None without the oracle or without
-    levels), k the window position of the level's partner in it or None."""
+def _windows(cfg: RunConfig):
+    """(hbar, levels, spec) for every hbar, in order: spec is the oracle
+    spectrum of that hbar (None without the oracle or without levels)."""
     for hbar in cfg.hbars:
         lv = cfg.levels_for(hbar)
-        spec = cfg.oracle_for(hbar) if (cfg.oracle and lv) else None
+        yield hbar, lv, cfg.oracle_for(hbar) if (cfg.oracle and lv) else None
+
+
+def _paired_levels(cfg: RunConfig):
+    """(hbar, level, spec, k) for every level of every hbar, in order, k the
+    window position of the level's partner in spec or None."""
+    for hbar, lv, spec in _windows(cfg):
         for l in lv:
             yield hbar, l, spec, _partner(spec, l)
 
 
 def _psi_vs_oracle(psi, spec, k: int, lo: float, hi: float):
     """(x, psi(x), psi_oracle(x), |psi - psi_oracle|) on the oracle's nodes x
-    in [lo, hi], psi_oracle the eigenvector of window position k."""
+    in [lo, hi], psi_oracle the eigenvector of window position k.  The
+    nodes ascend, so x is one slice of the oracle's grid array."""
     xg, po = oracle.eigenvector(spec, k)
-    on = (xg >= lo) & (xg <= hi)
+    on = slice(np.searchsorted(xg, lo, "left"), np.searchsorted(xg, hi, "right"))
     xs, po = xg[on], po[on]
     ps = psi(xs)
     return xs, ps, po, np.abs(ps - po)
@@ -330,22 +368,23 @@ def cmd_count(cfg: RunConfig) -> dict:
 def cmd_wavefunction(cfg: RunConfig) -> dict:
     rows = Rows()  # one block per level
     sup_lines = []
-    for hbar, l, spec, k in _paired_levels(cfg):
-        psi = langer.eigenfunction(cfg.potential, l, cfg.cert)
-        lo = float(cfg.grid.get("lo", psi.x1))
-        if k is not None:
-            xs, ps, po, err = _psi_vs_oracle(psi, spec, k, lo, float(cfg.grid.get("hi", math.inf)))
-            if not len(xs):  # no oracle node in [lo, hi]
-                continue
-            sup = float(np.max(err))
-            sup_lines.append(f"hbar={hbar!r} n={l.n} sup|psi-psi_oracle|={sup!r}")
-            rows.append(hbar, l.n, xs, ps, po, err)
-        else:
-            hi = float(cfg.grid.get("hi", psi.plus.x_tp + 1.0))
-            if lo > hi:  # [lo, hi] is empty
-                continue
-            xs = np.linspace(lo, hi, int(cfg.grid["n"]))
-            rows.append(hbar, l.n, xs, psi(xs), None, None)
+    for hbar, lv, spec in _windows(cfg):
+        for l, psi in zip(lv, langer.eigenfunctions(cfg.potential, lv, cfg.cert)):
+            k = _partner(spec, l)
+            lo = float(cfg.grid.get("lo", psi.x1))
+            if k is not None:
+                xs, ps, po, err = _psi_vs_oracle(psi, spec, k, lo, float(cfg.grid.get("hi", math.inf)))
+                if not len(xs):  # no oracle node in [lo, hi]
+                    continue
+                sup = float(np.max(err))
+                sup_lines.append(f"hbar={hbar!r} n={l.n} sup|psi-psi_oracle|={sup!r}")
+                rows.append(hbar, l.n, xs, ps, po, err)
+            else:
+                hi = float(cfg.grid.get("hi", psi.plus.x_tp + 1.0))
+                if lo > hi:  # [lo, hi] is empty
+                    continue
+                xs = np.linspace(lo, hi, int(cfg.grid["n"]))
+                rows.append(hbar, l.n, xs, psi(xs), None, None)
     for line in sup_lines:
         print(line, file=sys.stderr)
     return {

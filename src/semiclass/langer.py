@@ -15,7 +15,8 @@ The leading uniform approximation on each side is
 u(x) = pi |xi'(x)|^(-1/2) Ai(hbar^(-2/3) xi(x)), normalized so that its
 oscillatory envelope is pi^(1/2) hbar^(1/6) |q|^(-1/4) (see chart_u); the
 remainder of this representation is never modeled, only measured against
-the brute-force reference.
+the brute-force reference.  The eigenfunctions of one window share one
+quantization_condition record (eigenfunctions).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .airy import AI_ZERO, airy_many
+from .airy import AI_ZERO, airy_ai, airy_many
 from .potential import Potential, TurningPoints, WellCertificate, turning_points
 from .quadrature import TOL_QUAD, turning_point_integral
 from .quantize import Condition, quantization_condition
@@ -42,6 +43,7 @@ __all__ = [
     "normalization",
     "Eigenfunction",
     "eigenfunction",
+    "eigenfunctions",
     "peak_coefficient",
 ]
 
@@ -235,8 +237,7 @@ def chart_u(chart: LangerChart, hbar: float, x):
     xi = chart.xi(x)
     xip = chart._xi_prime(x, xi)
     t = xi / hbar ** (2.0 / 3.0)
-    ai, _, _, _ = airy_many(t)
-    return math.pi * np.abs(xip) ** -0.5 * ai
+    return math.pi * np.abs(xip) ** -0.5 * airy_ai(t)
 
 
 def chart_u_prime(chart: LangerChart, hbar: float, x):
@@ -329,16 +330,39 @@ class Eigenfunction:
         return abs(float(up) - float(um)) / amp
 
 
-def eigenfunction(pot: Potential, level, cert: Optional[WellCertificate] = None) -> Eigenfunction:
-    """Assemble psi for a level produced by the quantize module.
+def eigenfunctions(pot: Potential, levels, cert: Optional[WellCertificate] = None):
+    """The Eigenfunction of each level of one window (one hbar, one kind),
+    in order, each built when reached.
 
-    One quantization_condition record of the level (cert is passed on to
-    it) gives c_pm, the turning points and the matching point x1: the
-    midpoint of the well for a smooth level, the jump inside the well for a
-    discontinuous one, the wall x = 0 for a half-line one.
+    One quantization_condition record of all the levels at TOL_QUAD (cert
+    is passed on to it), each entry the one of its level alone, gives c_pm,
+    the turning points and the matching point x1: the midpoint of the well
+    for a smooth level, the jump inside the well for a discontinuous one,
+    the wall x = 0 for a half-line one.
     """
-    c = quantization_condition(pot, level.lam, level.kind, level.hbar, cert, TOL_QUAD)
-    c_plus, c_minus = _coefficients(c, level.hbar, level.n)
-    plus = _chart(pot, level.lam, "+", c.tp, c.x1)
-    minus = None if pot.domain == "half_line" else _chart(pot, level.lam, "-", c.tp, c.x1)
-    return Eigenfunction(level, c.x1, plus, minus, c_plus, c_minus)
+    if not levels:
+        return
+    hbar, kind = levels[0].hbar, levels[0].kind
+    if any(l.hbar != hbar or l.kind != kind for l in levels):
+        raise ValueError("the levels of one window share hbar and kind")
+    c = quantization_condition(pot, np.array([l.lam for l in levels]), kind, hbar, cert, TOL_QUAD)
+    for k, level in enumerate(levels):
+        yield _eigenfunction(pot, level, c, k)
+
+
+def _eigenfunction(pot: Potential, level, c: Condition, k: int) -> Eigenfunction:
+    """The Eigenfunction of level from entry k of its window's record c."""
+    ck = Condition(*(float(f[k]) for f in (c.g, c.g_prime, c.a_squared, c.i_plus, c.i_minus)),
+                   TurningPoints(*(float(f[k]) for f in (c.tp.x_minus, c.tp.x_plus,
+                                                         c.tp.slope_minus, c.tp.slope_plus))),
+                   float(c.x1[k]))
+    c_plus, c_minus = _coefficients(ck, level.hbar, level.n)
+    plus = _chart(pot, level.lam, "+", ck.tp, ck.x1)
+    minus = None if pot.domain == "half_line" else _chart(pot, level.lam, "-", ck.tp, ck.x1)
+    return Eigenfunction(level, ck.x1, plus, minus, c_plus, c_minus)
+
+
+def eigenfunction(pot: Potential, level, cert: Optional[WellCertificate] = None) -> Eigenfunction:
+    """psi for a level produced by the quantize module: eigenfunctions of
+    the window of that level alone."""
+    return next(eigenfunctions(pot, [level], cert))

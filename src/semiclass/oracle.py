@@ -15,8 +15,8 @@ de Hoog & Anderssen, Computing 26 (1981) 123-139), so the second (h^4)
 column is taken per level, and only where that level's raw differences
 shrink by 4 per doubling; every other level keeps the first (h^2) column.
 Eigenvectors come from inverse iteration on the grid one doubling finer
-than the last one solved.  A Numerov shooting solver provides an
-independent cross-check of the default scheme.
+than the last one solved, built once per spectrum.  A Numerov shooting
+solver provides an independent cross-check of the default scheme.
 
 Each raw eigenvalue carries its index in the grid spectrum.  The k-th
 lowest eigenvalue of a Jacobi matrix with negative off-diagonals is simple
@@ -44,6 +44,7 @@ node as well.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -54,7 +55,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .potential import Potential, turning_points
+from .potential import Potential, TurningPointError, turning_points
 
 __all__ = [
     "OracleSpectrum",
@@ -266,7 +267,8 @@ def _romberg(e0: np.ndarray, e1: np.ndarray, e2: np.ndarray):
 @dataclass
 class OracleSpectrum:
     """Converged reference eigenvalues in a window, with the checked request
-    they were solved on, which rebuilds grids and eigenvectors on demand."""
+    they were solved on, which builds grid, the finer grid's operator
+    (_fine) and each level's eigenvector (_vectors) once, on demand."""
 
     domain: _Domain
     window: tuple[float, float]
@@ -278,9 +280,31 @@ class OracleSpectrum:
     h4_column: np.ndarray  # per level: True where the h^4 column was taken
     _vectors: dict = field(default_factory=dict, repr=False)
 
-    @property
+    @functools.cached_property
     def grid(self) -> np.ndarray:
-        return self.domain.grid(self.n)
+        return _read_only(self.domain.grid(self.n))
+
+    @functools.cached_property
+    def _fine(self):
+        """(xf, d, e, start, nodes, x_plus), read-only: the grid of 2n
+        intervals and its (d, e), the normalized start vector, each grid
+        node's index on xf (-1 beyond it) and the right turning points of
+        the levels (None if one has none: each level then takes its own)."""
+        xf, d, e = self.domain.matrix(2 * self.n)
+        start = np.random.default_rng(20260810).standard_normal(len(d))
+        start /= np.linalg.norm(start)
+        i = np.rint((self.grid - xf[0]) / (xf[1] - xf[0])).astype(int)
+        nodes = np.where((i >= 0) & (i < len(xf)), i, -1)
+        try:
+            x_plus = turning_points(self.domain.pot, self.eigenvalues).x_plus
+        except TurningPointError:
+            x_plus = None
+        return tuple(a if a is None else _read_only(a) for a in (xf, d, e, start, nodes, x_plus))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -496,19 +520,16 @@ def eigenvector(spec: OracleSpectrum, k: int):
     the finer grid; a node of spec.grid beyond the finer grid's ends (a jump
     well anchors both grids at the jump) is a Dirichlet zero.  The sign is
     fixed so that psi is positive at the node of spec.grid nearest the
-    right turning point.
+    right turning point.  The finer grid's operator and start vector are
+    shared, unwritten, by every level (spec._fine).
     """
     if k < 0 or k >= len(spec.eigenvalues):
         raise OracleError(f"level index {k} outside the window list")
     if k in spec._vectors:
         return spec._vectors[k]
-    xf, d, e = spec.domain.matrix(2 * spec.n)
-    m = len(d)
+    xf, d, e, v, nodes, x_plus = spec._fine
     lam = float(spec.eigenvalues[k])
     shifted = d - lam
-    rng = np.random.default_rng(20260810)
-    v = rng.standard_normal(m)
-    v /= np.linalg.norm(v)
     resid = math.inf
     for _ in range(6):
         try:
@@ -533,13 +554,12 @@ def eigenvector(spec: OracleSpectrum, k: int):
         psi_f = np.concatenate(([0.0], v, [0.0]))
     psi_f /= math.sqrt(float(np.trapezoid(psi_f * psi_f, xf)))
     x = spec.grid
-    i = np.rint((x - xf[0]) / (xf[1] - xf[0])).astype(int)
-    on = (i >= 0) & (i < len(xf))
+    on = nodes >= 0
     psi = np.zeros_like(x)
-    psi[on] = psi_f[i[on]]
+    psi[on] = psi_f[nodes[on]]
 
-    x_plus = turning_points(spec.domain.pot, lam).x_plus
-    i_plus = int(np.argmin(np.abs(x - x_plus)))
+    x_tp = x_plus[k] if x_plus is not None else turning_points(spec.domain.pot, lam).x_plus
+    i_plus = int(np.argmin(np.abs(x - x_tp)))
     if psi[i_plus] < 0.0:
         psi = -psi
     spec._vectors[k] = (x, psi)

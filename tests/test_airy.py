@@ -161,3 +161,24 @@ def test_mpmath_spot_checks(t):
     env = abs(float(mp.airyai(t))) + abs(float(mp.airybi(t)))
     assert abs(v.ai - float(mp.airyai(t))) <= 1e-13 * env
     assert abs(v.bi - float(mp.airybi(t))) <= 1e-13 * env
+
+
+@pytest.mark.parametrize("t", [
+    np.linspace(-60.0, -32.0, 301, endpoint=False),  # minus asymptotic region
+    np.linspace(-32.0, 12.0, 1001),  # core table, both switch points included
+    np.linspace(12.0, 40.0, 301)[1:],  # plus asymptotic region
+    np.array([airy.T_SWITCH_MINUS, airy.T_SWITCH_PLUS]),
+    np.array([-70.0, -32.0, -31.9, 0.0, 11.9, 12.0, 12.1, 900.0]),  # all regions in one call
+    np.array(-40.0), np.array(0.3), np.array(airy.T_SWITCH_MINUS), np.array(airy.T_SWITCH_PLUS),
+    np.array(20.0), 0.3,  # 0-d arrays and a float
+], ids=["minus", "core", "plus", "switches", "mixed", "scalar-minus", "scalar-core",
+        "scalar-switch-minus", "scalar-switch-plus", "scalar-plus", "float"])
+def test_ai_alone_equals_airy_many_bit_for_bit(t):
+    got, ref = airy.airy_ai(t), airy.airy_many(t)[0]
+    assert np.shape(got) == np.shape(ref) and type(got) is type(ref)
+    assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
+
+
+def test_ai_alone_requires_finite_arguments():
+    with pytest.raises(ValueError):
+        airy.airy_ai(np.array([0.0, np.inf]))

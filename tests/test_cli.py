@@ -733,17 +733,51 @@ def test_a_failure_after_some_levels_writes_nothing(tmp_path, capsys, monkeypatc
     from semiclass import langer
     from semiclass.quadrature import QuadratureError
 
-    eigenfunction, calls = langer.eigenfunction, []
+    # the per-level step of the window path: a level's charts and psi
+    assemble, calls = langer._eigenfunction, []
 
     def fails_on_the_second_level(*args, **kwargs):
         calls.append(1)
         if len(calls) == 2:
             raise QuadratureError("no convergence on the second level")
-        return eigenfunction(*args, **kwargs)
+        return assemble(*args, **kwargs)
 
-    monkeypatch.setattr(langer, "eigenfunction", fails_on_the_second_level)
+    monkeypatch.setattr(langer, "_eigenfunction", fails_on_the_second_level)
     argv = ["wavefunction", "--config", str(CONFIGS / "disc_levels.json")]
     assert run(argv + (["--out", str(tmp_path / out)] if out else [])) == 4
     assert len(calls) == 2
     assert list(tmp_path.iterdir()) == []
     assert capsys.readouterr().out == ""
+
+
+def test_cells_that_slice_one_array_give_the_bytes_of_copied_cells(tmp_path):
+    from semiclass import cli
+
+    grid = np.linspace(-1.0, 1.0, 41) ** 3  # an array that owns its data
+    other = np.linspace(0.1, 0.7, 7)
+    shared, copied = cli.Rows(), cli.Rows()
+    for k, (a, b) in enumerate([(0, 10), (5, 30), (5, 30), (30, 41), (12, 13), (0, 41)]):
+        x = grid[a:b]
+        for rows, cell in ((shared, x), (copied, x.copy())):
+            rows.append(0.1, k, cell, np.sqrt(np.abs(cell)), None, math.pi)
+    for rows in (shared, copied):
+        rows.append(0.2, 9, other[2:5], other[1:4], "z", None)  # slices of an array used once
+        rows.append(0.3, 10, grid[::-2][:4], grid[1:5], 1, None)  # a reversed slice
+    for fmt in ("csv", "json"):
+        texts = []
+        for name, rows in (("shared", shared), ("copied", copied)):
+            cli._emit({"command": "t", "columns": list("abcdef"), "rows": rows},
+                      tmp_path / f"{name}.{fmt}", fmt)
+            texts.append((tmp_path / f"{name}.{fmt}").read_bytes())
+        assert texts[0] == texts[1]
+    doc = json.loads(texts[0])
+    assert [r[2] for r in doc["rows"]][:10] == grid[:10].tolist()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_two_wavefunction_runs_in_one_process_give_the_same_bytes(tmp_path, fmt):
+    out = [tmp_path / f"{k}.{fmt}" for k in range(2)]
+    for path in out:
+        assert run(["wavefunction", "--config", str(CONFIGS / "disc_levels.json"), "--format", fmt,
+                    "--out", str(path)]) == 0
+    assert out[0].read_bytes() == out[1].read_bytes()

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from semiclass import quantize
 from semiclass.cli import run
-from semiclass.langer import eigenfunction
+from semiclass.langer import eigenfunction, eigenfunctions
 from semiclass.potential import (
     certify_well,
     halfline_power_law,
@@ -199,3 +199,28 @@ def test_a_level_and_its_eigenfunction_do_not_depend_on_the_other_levels(kind, p
                         tp.x_plus + 0.2 * tp.width, 401)
         psi = eigenfunction(pot, l)(x)
         assert np.max(np.abs(eigenfunction(pot, single[0])(x) - psi)) <= 1e-9 * np.max(np.abs(psi))
+
+
+_CHART_FIELDS = ("side", "lam", "x_tp", "x1", "slope", "curv", "collar", "x_far")
+
+
+@PROPS
+@given(wells())
+def test_the_eigenfunctions_of_a_window_are_its_levels_eigenfunctions(well):
+    # one quantization_condition call for the window gives every level what a
+    # call with that level alone gives: c_pm, x1, the charts and psi, to the bit
+    kind, pot, window, hbar = well
+    levels = _solve(kind, pot, window, hbar)
+    assume(levels)
+    cert = certify_well(pot, *window)
+    for l, psi in zip(levels, eigenfunctions(pot, levels, cert), strict=True):
+        alone = eigenfunction(pot, l, cert)
+        assert (psi.c_plus, psi.c_minus, psi.x1) == (alone.c_plus, alone.c_minus, alone.x1)
+        for a, b in ((psi.plus, alone.plus), (psi.minus, alone.minus)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert [getattr(a, f) for f in _CHART_FIELDS] == [getattr(b, f) for f in _CHART_FIELDS]
+        tp = turning_points(pot, l.lam)
+        x = np.linspace(tp.x_minus - 0.2 * tp.width * (pot.domain == "full_line"),
+                        tp.x_plus + 0.2 * tp.width, 301)
+        assert np.array_equal(psi(x).view(np.int64), alone(x).view(np.int64))

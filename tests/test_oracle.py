@@ -20,7 +20,13 @@ from semiclass.oracle import (
     observable,
     solve_spectrum,
 )
-from semiclass.potential import halfline_power_law, make_power_law, potential_from_spec
+from semiclass.potential import (
+    TurningPointError,
+    halfline_power_law,
+    make_power_law,
+    potential_from_spec,
+    turning_points,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -499,3 +505,40 @@ def test_count_levels_raises_past_max_n(monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_N", 4096)
     with pytest.raises(OracleError, match="no convergence"):
         count_levels(QUART, 0.01, (0.5, 2.0))
+
+
+@pytest.mark.parametrize("pot, hbar, window, robin_b", [
+    (DISC, 0.05, (0.8, 1.8), None),
+    (HL, 0.05, (0.04, 1.3), 5.0),
+], ids=["jump", "halfline_robin"])
+def test_eigenvectors_do_not_depend_on_the_order_they_are_asked_in(pot, hbar, window, robin_b):
+    # the operator, the start vector and the grid are built once per spectrum
+    # and shared by every level: no level may write into them
+    down = solve_spectrum(pot, hbar, window, robin_b=robin_b)
+    up = solve_spectrum(pot, hbar, window, robin_b=robin_b)
+    ks = range(len(down.eigenvalues))
+    assert len(ks) > 2
+    first = eigenvector(down, ks[-1])
+    fine = [a.copy() for a in down._fine if a is not None]
+    got = {k: eigenvector(down, k) for k in reversed(ks)}
+    for k in ks:
+        x, psi = eigenvector(up, k)
+        assert np.array_equal(x, got[k][0]) and np.array_equal(psi, got[k][1])
+        assert x is up.grid
+    assert got[ks[-1]][1] is first[1]
+    assert all(np.array_equal(a, b) for a, b in zip(fine, (a for a in down._fine if a is not None)))
+    for a in (down.grid, *(a for a in down._fine if a is not None)):
+        assert not a.flags.writeable
+
+
+def test_a_window_level_without_turning_points_fails_alone():
+    # below the jump's top (v(0+) = 0.5) the right crossing of v = lam is the
+    # jump itself, so that level has no turning points; the others keep theirs
+    spec = solve_spectrum(DISC, 0.05, (0.3, 1.0))
+    below = spec.eigenvalues < 0.5
+    assert below.any() and not below.all()
+    k = int(np.flatnonzero(~below)[0])
+    x, psi = eigenvector(spec, k)
+    assert psi[np.argmin(np.abs(x - turning_points(DISC, spec.eigenvalues[k]).x_plus))] > 0
+    with pytest.raises(TurningPointError, match="jumps across"):
+        eigenvector(spec, int(np.flatnonzero(below)[0]))

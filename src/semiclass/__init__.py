@@ -6,7 +6,7 @@ uniform Airy-type eigenfunction approximations, classical observable
 averages, and an independent brute-force reference solver.
 """
 
-from .action import classical_average, kinetic_cl, partial_action, power_law_closed_forms
+from .action import classical_average, kinetic_cl, power_law_closed_forms
 from .airy import AiryValues, airy_eval, airy_many, airy_scaled
 from .langer import (
     Eigenfunction,
@@ -14,7 +14,6 @@ from .langer import (
     build_chart,
     eigenfunction,
     error_control,
-    normalization,
 )
 from .oracle import OracleSpectrum, eigenvector, observable, solve_spectrum
 from .potential import (
@@ -31,9 +30,7 @@ from .potential import (
 from .quantize import (
     CountResult,
     SemiclassicalLevel,
-    bs_levels,
-    disc_levels,
-    halfline_levels,
+    levels,
     weyl_count,
 )
 

@@ -4,9 +4,9 @@ The whole-well integrals Phi(lam) = int (lam - v)^(1/2) dx, its
 lam-derivative Phi' (2 Phi' is the period at mass 1/2) and
 I = int (lam - v)^(-1/2) dx = 2 Phi' are the fields g, g_prime and i_plus of
 the smooth quantize.quantization_condition record, which does not depend on
-hbar.  Built on that record: one-sided partial actions, microcanonical
-averages of observables and the classical kinetic energy; and the
-Beta-function closed forms available for power-law wells.
+hbar.  Built on that record: microcanonical averages of observables and the
+classical kinetic energy; and the Beta-function closed forms available for
+power-law wells.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .quadrature import TOL_QUAD, well_integral
 from .quantize import Condition, quantization_condition
 
 __all__ = [
-    "partial_action",
     "classical_average",
     "kinetic_cl",
     "PowerLawForms",
@@ -32,25 +31,6 @@ def _smooth(pot: Potential, lam) -> Condition:
     # the smooth record at hbar = 1: its integrals do not depend on hbar, and
     # it refuses a well that is not on the full line
     return quantization_condition(pot, lam, "smooth", 1.0)
-
-
-def partial_action(pot: Potential, lam: float, x: float, side: str,
-                   tol: float = TOL_QUAD) -> float:
-    """phi_pm(x; lam): action between x and the turning point on the given side.
-
-    side "+" integrates over [x, x+], side "-" over [x-, x]; both are >= 0
-    and phi_plus + phi_minus = Phi.
-    """
-    tp = _smooth(pot, lam).tp
-    if not tp.x_minus < x < tp.x_plus:
-        raise ValueError(f"x={x} is not strictly inside the well ({tp.x_minus}, {tp.x_plus})")
-    if side in ("+", "+0"):
-        (val, _), _ = well_integral(pot, lam, x, tp.x_plus, False, True, tol)
-    elif side in ("-", "-0"):
-        (val, _), _ = well_integral(pot, lam, tp.x_minus, x, True, False, tol)
-    else:
-        raise ValueError(f"bad side {side!r}")
-    return val
 
 
 def classical_average(pot: Potential, lam: float, w: Callable, w_breaks=()) -> float:

@@ -244,15 +244,9 @@ class RunConfig:
         self.cert = certify_well(self.potential, *self.window)
 
     def levels_for(self, hbar: float):
-        """The levels of the condition the well picks: the half-line one, the
-        jump one for a jump inside the well, else Bohr-Sommerfeld."""
-        if self.potential.domain == "half_line":
-            lv = quantize.halfline_levels(self.potential, self.window, hbar,
-                                          robin_b=self.robin_b, cert=self.cert)
-        elif self.cert.interior_jump is not None:
-            lv = quantize.disc_levels(self.potential, self.window, hbar, cert=self.cert)
-        else:
-            lv = quantize.bs_levels(self.potential, self.window, hbar, cert=self.cert)
+        """The levels of the condition the well picks (quantize.levels) that
+        the n filter admits."""
+        lv = quantize.levels(self.potential, self.window, hbar, self.robin_b, self.cert)
         if self.n_filter is not None:
             lv = [l for l in lv if l.n in self.n_filter]
         return lv

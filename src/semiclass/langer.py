@@ -16,7 +16,9 @@ u(x) = pi |xi'(x)|^(-1/2) Ai(hbar^(-2/3) xi(x)), normalized so that its
 oscillatory envelope is pi^(1/2) hbar^(1/6) |q|^(-1/4) (see chart_u); the
 remainder of this representation is never modeled, only measured against
 the brute-force reference.  The eigenfunctions of one window share one
-quantization_condition record (eigenfunctions).
+quantization_condition record (eigenfunctions): each level's two charts are
+built on its turning points and matching point x1 (build_chart), and its
+constants c_pm are formed from its well integrals (_coefficients).
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .airy import AI_ZERO, airy_ai, airy_many
-from .potential import Potential, TurningPoints, WellCertificate, turning_points
+from .airy import airy_ai, airy_many
+from .potential import Potential, TurningPoints, WellCertificate
 from .quadrature import TOL_QUAD, turning_point_integral
 from .quantize import Condition, quantization_condition
 
@@ -40,11 +42,9 @@ __all__ = [
     "error_control_core",
     "chart_u",
     "chart_u_prime",
-    "normalization",
     "Eigenfunction",
     "eigenfunction",
     "eigenfunctions",
-    "peak_coefficient",
 ]
 
 
@@ -163,31 +163,14 @@ class LangerChart:
         return (qp - xip**3) / (2.0 * xip * xi)
 
 
-def build_chart(pot: Potential, lam: float, side: str, x1: Optional[float] = None) -> LangerChart:
-    """Construct the Langer chart for one side of the well at energy lam.
-
-    For full-line potentials x1 defaults to the well midpoint (the jump
-    point x0 for a discontinuous well); for half-line potentials only
-    side "+" exists and x1 = 0.  The chart keeps the action from x_tp as
-    two turning_point_integral functions, inside the well up to x1 and
-    outside it up to x_far.
-    """
-    if side not in ("+", "-"):
-        raise ValueError("side must be '+' or '-'")
-    if pot.domain == "half_line":
-        if side != "+":
-            raise ChartDomainError("half-line problems only carry the '+' chart")
-        x1 = 0.0 if x1 is None else x1
-    tp = turning_points(pot, lam)
-    if x1 is None:
-        jumps = [s.x for s in pot.singular_points
-                 if s.kind == "jump" and tp.x_minus < s.x < tp.x_plus]
-        x1 = jumps[0] if jumps else 0.5 * (tp.x_minus + tp.x_plus)
-    return _chart(pot, lam, side, tp, x1)
-
-
-def _chart(pot: Potential, lam: float, side: str, tp: TurningPoints, x1: float) -> LangerChart:
-    """The chart of one side of the well {v < lam} with ends tp, matched at x1."""
+def build_chart(pot: Potential, lam: float, side: str, tp: TurningPoints, x1: float) -> LangerChart:
+    """The Langer chart of one side ("+" or "-"; "+" alone on the half
+    line) of the well {v < lam} with ends tp, matched at x1: the action
+    from x_tp as two turning_point_integral functions, inside the well up
+    to x1 and outside it up to x_far.  tp and x1 are the fields of the
+    level's quantize.quantization_condition record."""
+    if side not in ("+", "-") or (side == "-" and pot.domain == "half_line"):
+        raise ChartDomainError(f"no {side!r} chart on a {pot.domain} well")
     x_tp = tp.x_plus if side == "+" else tp.x_minus
     _, d1, d2 = pot.eval(x_tp, "-" if side == "+" else "+")  # limits from inside the well
     # half-width of the Taylor-model collar: at its edge the two-term model
@@ -211,14 +194,12 @@ def error_control_core(xi: float, q: float, qp: float, qpp: float) -> float:
     return -(5.0 * xi**-2.0 + xi * (4.0 * qpp / q**2 - 5.0 * qp**2 / q**3)) / 16.0
 
 
-def error_control(pot: Potential, lam: float, x: float, side: str,
-                  chart: Optional[LangerChart] = None) -> float:
-    """Local approximation-quality diagnostic p_pm(x); not defined at x_tp."""
-    chart = chart or build_chart(pot, lam, side)
+def error_control(chart: LangerChart, x: float) -> float:
+    """Local approximation-quality diagnostic p(x) of a chart; not defined at x_tp."""
     if x == chart.x_tp:
         raise ValueError("error_control has a removable singularity at the turning point")
-    v, d1, d2 = pot.eval(x)
-    return error_control_core(float(chart.xi(x)), v - lam, d1, d2)
+    v, d1, d2 = chart.pot.eval(x)
+    return error_control_core(float(chart.xi(x)), v - chart.lam, d1, d2)
 
 
 # ---------------------------------------------------------------------------
@@ -256,37 +237,15 @@ def chart_u_prime(chart: LangerChart, hbar: float, x):
 # normalization and assembly
 
 
-def normalization(pot: Potential, level, cert: Optional[WellCertificate] = None) -> tuple[float, float]:
-    """Leading-order (c_+, c_-) of psi = c_pm u_pm, for a level of any kind:
+def _coefficients(c: Condition, hbar: float, n: int) -> tuple[float, float]:
+    """Leading-order (c_+, c_-) of psi = c_pm u_pm for level n of any kind:
     c_+ = (2/pi)^(1/2) hbar^(-1/6) (I_+ + I_-/a^2)^(-1/2) and
     c_- = (-1)^n (2/pi)^(1/2) hbar^(-1/6) (a^2 I_+ + I_-)^(-1/2), with
     I_pm = int (lam - v)^(-1/2) on each side of the matching point and
-    u_- = a u_+.  I_pm and a^2 are the fields of the level's
-    quantize.quantization_condition record at TOL_QUAD; cert is passed on to
-    it (a jump level defaults to the certificate of the single energy
-    level.lam)."""
-    c = quantization_condition(pot, level.lam, level.kind, level.hbar, cert, TOL_QUAD)
-    return _coefficients(c, level.hbar, level.n)
-
-
-def _coefficients(c: Condition, hbar: float, n: int) -> tuple[float, float]:
-    """normalization's (c_+, c_-) from a quantization_condition record."""
+    u_- = a u_+, read from the level's quantization_condition record c."""
     pref = math.sqrt(2.0 / math.pi) * hbar ** (-1.0 / 6.0)
     return (pref / math.sqrt(c.i_plus + c.i_minus / c.a_squared),
             (-1.0) ** (n % 2) * pref / math.sqrt(c.a_squared * c.i_plus + c.i_minus))
-
-
-def peak_coefficient(pot: Potential, lam: float) -> float:
-    """alpha_+: |psi(x_+)| ~ alpha_+ hbar^(-1/6) at the right turning point.
-
-    Composition of |c_+| with u(x_+) = pi |v'(x_+)|^(-1/6) Ai(0), i.e.
-    (2 pi)^(1/2) (int (lam-v)^(-1/2))^(-1/2) |v'(x_+)|^(-1/6) Ai(0); |c_+|
-    is normalization's for a smooth level at hbar = 1, and v'(x_+) is the
-    slope of that quantization_condition record.
-    """
-    c = quantization_condition(pot, lam, "smooth", 1.0)
-    c_plus, _ = _coefficients(c, 1.0, 0)
-    return c_plus * math.pi * c.tp.slope_plus ** (-1.0 / 6.0) * AI_ZERO
 
 
 @dataclass
@@ -326,7 +285,8 @@ class Eigenfunction:
         up = self.c_plus * chart_u(self.plus, self.level.hbar, self.x1)
         um = self.c_minus * chart_u(self.minus, self.level.hbar, self.x1)
         q1 = abs(float(self.plus.pot.value(np.asarray(self.x1, dtype=float))) - self.level.lam)
-        amp = abs(self.c_plus) * math.pi ** 1.5 * self.level.hbar ** (1.0 / 6.0) * q1 ** (-0.25)
+        # the envelope of c_+ u_+ inside the well (chart_u)
+        amp = abs(self.c_plus) * math.pi ** 0.5 * self.level.hbar ** (1.0 / 6.0) * q1 ** (-0.25)
         return abs(float(up) - float(um)) / amp
 
 
@@ -357,8 +317,8 @@ def _eigenfunction(pot: Potential, level, c: Condition, k: int) -> Eigenfunction
                                                          c.tp.slope_minus, c.tp.slope_plus))),
                    float(c.x1[k]))
     c_plus, c_minus = _coefficients(ck, level.hbar, level.n)
-    plus = _chart(pot, level.lam, "+", ck.tp, ck.x1)
-    minus = None if pot.domain == "half_line" else _chart(pot, level.lam, "-", ck.tp, ck.x1)
+    plus = build_chart(pot, level.lam, "+", ck.tp, ck.x1)
+    minus = None if pot.domain == "half_line" else build_chart(pot, level.lam, "-", ck.tp, ck.x1)
     return Eigenfunction(level, ck.x1, plus, minus, c_plus, c_minus)
 
 

@@ -2,18 +2,20 @@
 generalized condition for a jump inside the well, and half-line problems.
 
 Every kind is one action condition G(lam) = pi (n + mu) hbar, with the Maslov
-offset mu from MASLOV_OFFSETS.  _target is the one place where the target
-pi (n + mu) hbar is formed: the solver and weyl_count take their n from
-_quantum_numbers, and defect is G - target at any lam (the residual of a
-level against an oracle eigenvalue).  quantization_condition is the one place
-where a level kind becomes numbers: its Condition record carries (G, G') for
-the solver, the well integrals I_pm and the jump amplitude a^2 that
-normalize the eigenfunction (langer.normalization), and the turning points
-and matching point its Langer charts are built on (langer.eigenfunction).
-All n of a window are solved together by one safeguarded Newton iteration
-(_action_levels): G and G' are array-valued in lam, so each sweep is one
-evaluation for every unfinished level, and each n keeps its own sign-change
-bracket, taken from a sample of G across the window.
+offset mu from MASLOV_OFFSETS.  levels is the one level solver: the well
+picks the kind (half line, else a jump inside the well, else smooth).
+_target is the one place where the target pi (n + mu) hbar is formed: the
+solver and weyl_count take their n from _quantum_numbers, and defect is
+G - target at any lam (the residual of a level against an oracle
+eigenvalue).  quantization_condition is the one place where a level kind
+becomes numbers: its Condition record carries (G, G') for the solver, the
+well integrals I_pm and the jump amplitude a^2 that give the eigenfunction's
+constants c_pm, and the turning points and matching point its Langer charts
+are built on (langer.eigenfunctions).  All n of a window are solved together
+by one safeguarded Newton iteration (_action_levels): G and G' are
+array-valued in lam, so each sweep is one evaluation for every unfinished
+level, and each n keeps its own sign-change bracket, taken from a sample of
+G across the window.
 
 Smooth case: G = Phi, mu = 1/2; Phi' > 0 gives exactly one root per n.
 
@@ -56,14 +58,11 @@ __all__ = [
     "CountResult",
     "Condition",
     "QuantizeError",
-    "bs_levels",
+    "levels",
     "defect",
     "weyl_count",
-    "disc_levels",
-    "disc_point",
     "jump_action",
     "quantization_condition",
-    "halfline_levels",
 ]
 
 # A returned lam is accurate to about LAMBDA_TOL relative plus
@@ -266,8 +265,11 @@ def quantization_condition(pot: Potential, lam, kind: str, hbar: float,
     at the midpoint of the well; hbar does not enter, so this record is also
     the one source of the whole-well integrals (Phi, Phi' and I) that the
     averages and the kinetic energy of action read.
-    discontinuous: jump_action at disc_point(cert), cert defaulting to the
-    certificate of the energies from min(lam) to max(lam).
+    discontinuous: jump_action at x0, the one singular point inside the
+    well of cert (its interior jump, or a kink where the condition reduces
+    to Bohr-Sommerfeld), cert defaulting to the certificate of the energies
+    from min(lam) to max(lam); another number of interior singular points
+    raises QuantizeError.
     halfline_*: the same integrals from the wall x_- = 0, matched there.
     Without a jump a^2 = 1 and I_- = 0.  A kind that does not fit
     pot.domain raises CertificationError("domain"); a kind other than
@@ -280,7 +282,12 @@ def quantization_condition(pot: Potential, lam, kind: str, hbar: float,
         raise CertificationError("domain", f"level kind {kind!r} does not fit a {pot.domain} well")
     if kind == "discontinuous":
         cert = cert or certify_well(pot, float(np.min(lam)), float(np.max(lam)))
-        return jump_action(pot, lam, hbar, disc_point(cert), tol)
+        if len(cert.interior_singularities) != 1:
+            raise QuantizeError(
+                f"the discontinuous condition needs exactly one interior singular point, found "
+                f"{len(cert.interior_singularities)}"
+            )
+        return jump_action(pot, lam, hbar, cert.interior_singularities[0].x, tol)
     if cert is not None and cert.interior_jump is not None:
         raise QuantizeError("potential jumps inside the well; only the discontinuous kind has a jump term")
     tp = turning_points(pot, lam)
@@ -291,17 +298,26 @@ def quantization_condition(pot: Potential, lam, kind: str, hbar: float,
     return Condition(g, 0.5 * i_plus, np.ones(np.shape(lam)), i_plus, np.zeros(np.shape(lam)), tp, x1)
 
 
-def bs_levels(pot: Potential, window: tuple[float, float], hbar: float,
-              cert: Optional[WellCertificate] = None) -> list[SemiclassicalLevel]:
-    """All Bohr-Sommerfeld levels with pi(n+1/2) hbar inside (Phi(a1), Phi(a2)).
-
-    Requires a well without an interior jump of v itself; kinks and
-    curvature jumps are allowed (they only degrade the remainder class).
+def levels(pot: Potential, window: tuple[float, float], hbar: float,
+           robin_b: Optional[float] = None,
+           cert: Optional[WellCertificate] = None) -> list[SemiclassicalLevel]:
+    """Every level in the window of the condition the well picks: the
+    half-line one on a half-line well (robin_b None is the Dirichlet wall
+    psi(0) = 0, a number b the Robin wall psi'(0) = b psi(0)), the jump one
+    when v jumps inside the well of cert (the certificate of the window by
+    default), else Bohr-Sommerfeld.  A robin_b on a full-line well raises
+    CertificationError("domain").
     """
     if hbar <= 0.0:
         raise QuantizeError("hbar must be positive")
+    if robin_b is not None and pot.domain != "half_line":
+        raise CertificationError("domain", "a Robin wall (robin_b) needs a half-line well")
     cert = cert or certify_well(pot, *window)
-    return _action_levels(pot, window, hbar, "smooth", cert)
+    if pot.domain == "half_line":
+        kind = "halfline_dirichlet" if robin_b is None else "halfline_robin"
+    else:
+        kind = "smooth" if cert.interior_jump is None else "discontinuous"
+    return _action_levels(pot, window, hbar, kind, cert, robin_b)
 
 
 def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
@@ -323,18 +339,6 @@ def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
 
 # ---------------------------------------------------------------------------
 # discontinuous wells
-
-
-def disc_point(cert: WellCertificate) -> float:
-    """x0 of the generalized condition: the one singular point inside the
-    certified well (its interior jump, or a kink where the condition
-    reduces to Bohr-Sommerfeld)."""
-    if len(cert.interior_singularities) != 1:
-        raise QuantizeError(
-            f"the discontinuous condition needs exactly one interior singular point, found "
-            f"{len(cert.interior_singularities)}"
-        )
-    return cert.interior_singularities[0].x
 
 
 def _jump_factor(pot: Potential, x0: float, lam):
@@ -383,36 +387,3 @@ def jump_action(pot: Potential, lam, hbar: float, x0: float,
     shape = np.shape(lam)
     f = [v.reshape(shape) if shape else float(v[0]) for v in fields]
     return Condition(*f[:5], TurningPoints(*f[5:9]), f[9])
-
-
-def disc_levels(pot: Potential, window: tuple[float, float], hbar: float,
-                cert: Optional[WellCertificate] = None) -> list[SemiclassicalLevel]:
-    """Solve the generalized quantization condition G = pi (n + 1/2) hbar
-    (jump_action) for a well with one interior singular point.  Reduces to
-    bs_levels when v(x0+0) = v(x0-0)."""
-    if hbar <= 0.0:
-        raise QuantizeError("hbar must be positive")
-    cert = cert or certify_well(pot, *window)
-    return _action_levels(pot, window, hbar, "discontinuous", cert)
-
-
-# ---------------------------------------------------------------------------
-# half-line problems
-
-
-def halfline_levels(pot: Potential, window: tuple[float, float], hbar: float,
-                    robin_b: Optional[float] = None,
-                    cert: Optional[WellCertificate] = None) -> list[SemiclassicalLevel]:
-    """Levels of the half-line problem with the wall psi(0) = 0 (robin_b
-    None, kind halfline_dirichlet) or psi'(0) = b psi(0) (robin_b = b,
-    kind halfline_robin; b = 0 is the Neumann wall).
-
-    Solves int_0^{x+} (lam-v)^(1/2) = pi hbar (n + offset) with offset 3/4
-    (Dirichlet) or 1/4 (Robin, independent of b at this order), in a well
-    without an interior jump of v.
-    """
-    if hbar <= 0.0:
-        raise QuantizeError("hbar must be positive")
-    kind = "halfline_dirichlet" if robin_b is None else "halfline_robin"
-    cert = cert or certify_well(pot, *window)
-    return _action_levels(pot, window, hbar, kind, cert, robin_b=robin_b)

@@ -16,6 +16,7 @@ import pytest
 
 from semiclass import action, airy, langer, oracle, quantize
 from semiclass.potential import halfline_power_law, make_power_law, turning_points
+from support import levels_of_kind, peak_coefficient
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -43,7 +44,7 @@ def quartic_data():
     out = {}
     for hbar in (0.2, 0.1, 0.05, 0.025):
         spec = oracle.solve_spectrum(QUART, hbar, (0.5, 2.0))
-        levels = quantize.bs_levels(QUART, (0.5, 2.0), hbar)
+        levels = quantize.levels(QUART, (0.5, 2.0), hbar)
         l = min(levels, key=lambda z: abs(z.lam - 1.0))
         k = int(np.argmin(np.abs(spec.eigenvalues - l.lam)))
         out[hbar] = (spec, levels, l, k)
@@ -54,7 +55,7 @@ def test_ac1_harmonic_exactness():
     t0 = time.time()
     worst = 0.0
     for hbar in (0.1, 0.05):
-        lv = quantize.bs_levels(HARM, (0.03, 1.97), hbar)
+        lv = quantize.levels(HARM, (0.03, 1.97), hbar)
         spec = oracle.solve_spectrum(HARM, hbar, (0.03, 1.97))
         assert len(lv) == len(spec.eigenvalues)
         worst = max(worst, float(np.max(np.abs(
@@ -111,7 +112,7 @@ def test_ac4_uniform_eigenfunction(quartic_data):
         sup = float(np.max(np.abs(psi(xg[mask]) - po[mask])))
         sups.append(sup)
         peaks[hbar] = (float(np.interp(tp.x_plus, xg, po)),
-                       langer.peak_coefficient(QUART, l.lam) * hbar ** (-1.0 / 6.0),
+                       peak_coefficient(QUART, l.lam) * hbar ** (-1.0 / 6.0),
                        float(np.max(np.abs(po[mask]))))
     monotone = sups[0] > sups[1] > sups[2]
     sup_ok = sups[2] <= 0.15 * peaks[0.025][2]
@@ -178,7 +179,7 @@ def test_ac7_discontinuous_quantization():
     hbars = [0.05, 0.025, 0.0125]
     errs, bars = [], []
     for hbar in hbars:
-        dl = quantize.disc_levels(DISC, (0.8, 1.8), hbar)
+        dl = quantize.levels(DISC, (0.8, 1.8), hbar)
         spec = oracle.solve_spectrum(DISC, hbar, (0.8, 1.8))
         count_ok = len(dl) == len(spec.eigenvalues)
         assert count_ok, f"count mismatch at hbar={hbar}"
@@ -188,10 +189,11 @@ def test_ac7_discontinuous_quantization():
     # error drops below what the oracle can resolve
     dec = all(errs[i + 1] <= errs[i] + 3.0 * (bars[i] + bars[i + 1]) for i in range(2))
     slope = float(np.polyfit(np.log(hbars), np.log(errs), 1)[0])
-    # continuous limit: equal offsets make disc_levels collapse onto bs_levels
+    # continuous limit: equal offsets make the jump condition collapse onto
+    # Bohr-Sommerfeld (the well itself, with only a curvature jump, picks the latter)
     cont = make_power_law(0, 1, 2, 0, 4, 2)
-    bs = quantize.bs_levels(cont, (0.3, 1.2), 0.05)
-    dd = quantize.disc_levels(cont, (0.3, 1.2), 0.05)
+    bs = quantize.levels(cont, (0.3, 1.2), 0.05)
+    dd = levels_of_kind(cont, (0.3, 1.2), 0.05, "discontinuous")
     dev = max(abs(a.lam - b.lam) for a, b in zip(bs, dd))
     elapsed = time.time() - t0
     ok = dec and slope >= 1.3 and dev <= 1e-10 and elapsed < 120.0
@@ -206,7 +208,7 @@ def test_ac8_halfline_offsets():
     # Dirichlet reproduces the odd full-line harmonic levels (4n+3) hbar
     d_resid = []
     for hbar in (0.1, 0.05):
-        lv = quantize.halfline_levels(HALF_HARM, (0.04, 1.3), hbar)
+        lv = quantize.levels(HALF_HARM, (0.04, 1.3), hbar)
         odd = np.array([(4 * l.n + 3) * hbar for l in lv])
         spec = oracle.solve_spectrum(HALF_HARM, hbar, (0.04, 1.3))
         assert len(lv) == len(spec.eigenvalues)
@@ -218,7 +220,7 @@ def test_ac8_halfline_offsets():
     # b-dependence is an hbar^2-class correction
     r_resid = []
     for hbar in (0.1, 0.05):
-        lv = quantize.halfline_levels(HALF_HARM, (0.42, 1.38), hbar, robin_b=2.0)
+        lv = quantize.levels(HALF_HARM, (0.42, 1.38), hbar, robin_b=2.0)
         even = np.array([(4 * l.n + 1) * hbar for l in lv])
         assert np.abs(np.array([l.lam for l in lv]) - even).max() <= 1e-10
         spec = oracle.solve_spectrum(HALF_HARM, hbar, (0.42, 1.38), robin_b=2.0)
@@ -227,8 +229,8 @@ def test_ac8_halfline_offsets():
     robin_slope = math.log(r_resid[0] / r_resid[1]) / math.log(2.0)
 
     # any two b values give identical tables
-    t1 = quantize.halfline_levels(HALF_HARM, (0.42, 1.38), 0.05, robin_b=0.5)
-    t2 = quantize.halfline_levels(HALF_HARM, (0.42, 1.38), 0.05, robin_b=50.0)
+    t1 = quantize.levels(HALF_HARM, (0.42, 1.38), 0.05, robin_b=0.5)
+    t2 = quantize.levels(HALF_HARM, (0.42, 1.38), 0.05, robin_b=50.0)
     b_indep = [l.lam for l in t1] == [l.lam for l in t2]
     elapsed = time.time() - t0
     ok = dirichlet_ok and robin_slope >= 1.5 and b_indep

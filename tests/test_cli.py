@@ -434,7 +434,7 @@ def test_the_wavefunction_study_is_the_sup_error_from_the_matching_point_to_x_pl
     cert = certify_well(pot, *window)
     lam_ref = 0.5 * sum(window)
     for h, err in _table(tmp_path, "scaling", dict(QUARTIC_CFG, study="wavefunction"), "s"):
-        level = min(quantize.bs_levels(pot, window, float(h), cert=cert),
+        level = min(quantize.levels(pot, window, float(h), cert=cert),
                     key=lambda l: abs(l.lam - lam_ref))
         spec = oracle.solve_spectrum(pot, float(h), window, oracle.DEFAULT_TOL)
         psi = langer.eigenfunction(pot, level, cert)
@@ -694,6 +694,18 @@ def test_one_mutated_field_of_a_committed_config_never_crashes(doc, command):
         rc = run([command, "--config", str(cfg), "--out", str(pathlib.Path(tmp) / "t.csv"),
                   "--no-oracle"])
     assert rc in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_the_levels_of_a_run_are_quantize_levels_with_the_n_filter(name):
+    from semiclass import cli, quantize
+
+    cfg = cli.RunConfig(_committed(name), CONFIGS, use_oracle=False)
+    for hbar in cfg.hbars:
+        lv = quantize.levels(cfg.potential, cfg.window, hbar, cfg.robin_b)
+        assert lv
+        admitted = [l for l in lv if cfg.n_filter is None or l.n in cfg.n_filter]
+        assert cfg.levels_for(hbar) == admitted
 
 
 @pytest.mark.parametrize("command,name,use_oracle", [

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from semiclass import langer, oracle, quadrature, quantize
-from semiclass.action import partial_action
 from semiclass.airy import AI_ZERO
 from semiclass.langer import (
     ChartDomainError,
@@ -18,10 +17,15 @@ from semiclass.langer import (
     eigenfunction,
     error_control,
     error_control_core,
-    normalization,
-    peak_coefficient,
 )
-from semiclass.potential import halfline_power_law, make_power_law, potential_from_spec, turning_points
+from semiclass.potential import (
+    certify_well,
+    halfline_power_law,
+    make_power_law,
+    potential_from_spec,
+    turning_points,
+)
+from support import partial_action, peak_coefficient
 
 HARM = make_power_law(0, 1, 2, 0, 1, 2)
 QUART = make_power_law(0, 1, 4, 0, 1, 4)
@@ -34,7 +38,20 @@ KINK_JUMP = potential_from_spec({"kind": "table", "branches": [
     {"lo": -3.0, "hi": 0.0, "type": "poly", "coeffs": [0.0, 0.0, 1.0]},
     {"lo": 0.0, "hi": "inf", "type": "power", "offset": 0.5, "coeff": 1.0, "exponent": 2.0},
 ]})
-HARM_PLUS = build_chart(HARM, 1.0, "+")  # the '+' chart at lam = 1, matched at x1 = 0
+
+
+def _chart(pot, lam, side, x1=None):
+    """build_chart on the turning points of the quantization_condition record
+    at lam of the kind the well picks, matched at x1 (the record's by default:
+    the jump point, the midpoint of the well, or the wall x = 0)."""
+    cert = certify_well(pot, lam, lam)
+    kind = ("halfline_dirichlet" if pot.domain == "half_line"
+            else "smooth" if cert.interior_jump is None else "discontinuous")
+    c = quantize.quantization_condition(pot, lam, kind, 1.0, cert)
+    return build_chart(pot, lam, side, c.tp, c.x1 if x1 is None else x1)
+
+
+HARM_PLUS = _chart(HARM, 1.0, "+")  # the '+' chart at lam = 1, matched at x1 = 0
 
 
 def floats(lo, hi):
@@ -79,7 +96,7 @@ def _sample(ch, n_in=150, n_out=150, n_far=20):
 # -- charts -------------------------------------------------------------------
 
 def test_chart_vanishes_at_turning_point():
-    ch = build_chart(HARM, 1.0, "+")
+    ch = _chart(HARM, 1.0, "+")
     assert ch.xi(1.0) == 0.0
     assert abs(ch.xi_prime(1.0) - 2.0 ** (1.0 / 3.0)) <= 1e-8 * 2.0 ** (1.0 / 3.0)
 
@@ -87,23 +104,23 @@ def test_chart_vanishes_at_turning_point():
 def test_chart_build_ignores_global_rng():
     # psi must not depend on the global numpy RNG state
     np.random.seed(0)
-    a = build_chart(QUART, 1.3, "+")
+    a = _chart(QUART, 1.3, "+")
     np.random.seed(12345)
     np.random.random(17)
-    b = build_chart(QUART, 1.3, "+")
+    b = _chart(QUART, 1.3, "+")
     x = np.linspace(a.x1, a.x_far + 1.0, 801)
     assert np.array_equal(chart_u(a, 0.05, x), chart_u(b, 0.05, x))
 
 
 def test_chart_slope_at_left_turning_point():
-    ch = build_chart(HARM, 1.0, "-")
+    ch = _chart(HARM, 1.0, "-")
     assert ch.xi(-1.0) == 0.0
     assert abs(ch.xi_prime(-1.0) + 2.0 ** (1.0 / 3.0)) <= 1e-8
 
 
 def test_chart_identity_xi():
     # xi'^2 xi = q away from the collar, and the explicit value at x=2
-    ch = build_chart(HARM, 1.0, "+")
+    ch = _chart(HARM, 1.0, "+")
     assert abs(ch.xi(2.0) - (1.5 * _harm_action(1.0, 2.0)) ** (2.0 / 3.0)) <= 1e-10
     assert abs(ch.xi_prime(2.0) ** 2 * ch.xi(2.0) - 3.0) <= 1e-8 * 3.0
     xs = np.linspace(0.05, 3.4, 337)
@@ -114,8 +131,8 @@ def test_chart_identity_xi():
 
 
 def test_chart_signs():
-    ch_p = build_chart(QUART, 1.0, "+")
-    ch_m = build_chart(QUART, 1.0, "-")
+    ch_p = _chart(QUART, 1.0, "+")
+    ch_m = _chart(QUART, 1.0, "-")
     xs = np.linspace(0.05, 1.8, 40)
     assert np.all(ch_p.xi_prime(xs) > 0)
     assert np.all(ch_m.xi_prime(-xs) < 0)
@@ -128,14 +145,14 @@ def test_chart_signs():
 def test_chart_collar_model_matches_quadrature_at_boundary():
     # xi just inside the collar edges comes from the Taylor model
     for pot, lam in ((HARM, 1.0), (QUART, 1.3)):
-        ch = build_chart(pot, lam, "+")
+        ch = _chart(pot, lam, "+")
         for x in (ch.x_tp - (1 - 1e-9) * ch.collar, ch.x_tp + (1 - 1e-9) * ch.collar):
             quad = _ref_xi(ch, x)
             assert abs(ch.xi(x) - quad) <= 1e-6 * abs(quad)
 
 
 def test_chart_finite_difference_derivative():
-    ch = build_chart(QUART, 1.0, "+")
+    ch = _chart(QUART, 1.0, "+")
     xs = np.array([0.2, 0.6, 0.9, 1.2, 1.6])
     h = 1e-6
     fd = (ch.xi(xs + h) - ch.xi(xs - h)) / (2 * h)
@@ -152,9 +169,9 @@ CHART_IDS = ["quartic+", "quartic-", "asym_quartic+", "asym_quartic-",
 def test_chart_cases_cover_interior_piece_boundaries():
     # ASYM_QUART's '+' inner range and KINK_JUMP's '-' outer range straddle a
     # piece boundary of v, so those actions take the plain-x segment
-    ch = build_chart(ASYM_QUART, 1.3, "+")
+    ch = _chart(ASYM_QUART, 1.3, "+")
     assert ch.x1 < 0.0 < ch.x_tp
-    ch = build_chart(KINK_JUMP, 1.3, "-")
+    ch = _chart(KINK_JUMP, 1.3, "-")
     assert ch.x_far < -3.0 < ch.x_tp
 
 
@@ -162,7 +179,7 @@ def test_chart_cases_cover_interior_piece_boundaries():
 def test_cumulative_node_values_match_per_node_quadrature(pot, side):
     # xi from the chart's cumulative action at 300+ random points, inside the
     # well, outside it and beyond x_far, against one scipy quad per point
-    ch = build_chart(pot, 1.3, side)
+    ch = _chart(pot, 1.3, side)
     xs = _sample(ch)
     assert xs.size >= 300
     ref = np.array([_ref_xi(ch, x) for x in map(float, xs)])
@@ -171,7 +188,7 @@ def test_cumulative_node_values_match_per_node_quadrature(pot, side):
 
 @pytest.mark.parametrize("side", ["+", "-"])
 def test_xi_matches_harmonic_closed_form(side):
-    ch = build_chart(HARM, 1.3, side)
+    ch = _chart(HARM, 1.3, side)
     xs = _sample(ch)
     sign = np.where((xs - ch.x_tp) * (1.0 if side == "+" else -1.0) > 0, 1.0, -1.0)
     ref = sign * (1.5 * np.array([_harm_action(1.3, x) for x in xs])) ** (2.0 / 3.0)
@@ -183,7 +200,7 @@ def test_xi_continuous_at_both_collar_edges(pot, side):
     # inside the collar xi comes from the Taylor model, outside it from the
     # action; the two meet to 1e-8 relative at either edge (both edges
     # where the chart's domain reaches across x_tp)
-    ch = build_chart(pot, 1.3, side)
+    ch = _chart(pot, 1.3, side)
     for sgn in (-1.0, 1.0):
         inner, outer = (ch.x_tp + sgn * ch.collar * f for f in (1.0 - 1e-12, 1.0 + 1e-12))
         if not ch._in_domain(np.array([outer]))[0]:
@@ -195,7 +212,7 @@ def test_xi_continuous_at_both_collar_edges(pot, side):
 
 @pytest.mark.parametrize("pot,side", CHART_CASES, ids=CHART_IDS)
 def test_xi_depends_on_x_alone(pot, side):
-    ch = build_chart(pot, 1.3, side)
+    ch = _chart(pot, 1.3, side)
     # the turning point, the collar, and two bands of points farther out
     far = ch.x_tp + (ch.x_far - ch.x_tp) * np.array([2.5, 3.9])
     xs = np.concatenate((_sample(ch), [ch.x_tp, ch.x_tp + 0.5 * ch.collar], far))
@@ -211,9 +228,10 @@ def test_build_chart_makes_no_per_node_kernel_call(monkeypatch):
         calls.append("well_integral")
         return fn(*args, **kwargs)
 
+    tp = turning_points(DISC, 1.3)
     monkeypatch.setattr(quadrature, "well_integral", counted)
     for side in ("+", "-"):
-        build_chart(DISC, 1.3, side)
+        build_chart(DISC, 1.3, side, tp, 0.0)
     assert calls == []
 
 
@@ -221,31 +239,39 @@ def test_build_chart_makes_no_per_node_kernel_call(monkeypatch):
 def test_build_chart_raises_no_invalid_value(pot, side):
     # the action near x_tp can round below 0, where ^(2/3) is NaN
     with np.errstate(invalid="raise"):
-        ch = build_chart(pot, 1.3, side)
+        ch = _chart(pot, 1.3, side)
         xs = np.concatenate((np.linspace(ch.x1, ch.x_far, 257),
                              ch.x_tp + ch.collar * np.array([-1.0, 0.0, 1.0])))
         assert np.all(np.isfinite(ch.xi(xs)))
 
 
 def test_chart_far_field_and_domain_error():
-    ch = build_chart(HARM, 1.0, "+", x1=0.0)
+    ch = _chart(HARM, 1.0, "+", 0.0)
     far = ch.x_far + 1.5
     assert abs(ch.xi(far) - (1.5 * _harm_action(1.0, far)) ** (2.0 / 3.0)) <= 1e-8
     with pytest.raises(ChartDomainError):
         ch.xi(-0.5)
+    with pytest.raises(ChartDomainError):
+        build_chart(HL, 1.0, "-", turning_points(HL, 1.0), 0.0)
 
-
-# -- error-control function ---------------------------------------------------
 
 def test_default_matching_point_is_a_jump_or_the_midpoint():
-    # a kink inside the well is not a matching point: at lam = 1 the default
-    # x1 of this kinked well is the turning-point midpoint 0.2113, not 0
+    # a kink inside the well is not a matching point: at lam = 1 the x1 of
+    # this kinked well's record is the turning-point midpoint 0.2113, not 0;
+    # the record is the one source of the x1 of an eigenfunction's charts
     kinked = make_power_law(0, 1, 1, 0, 3, 2)
     assert [s.kind for s in kinked.singular_points] == ["kink"]
     tp = turning_points(kinked, 1.0)
-    for side in ("+", "-"):
-        assert build_chart(kinked, 1.0, side).x1 == 0.5 * (tp.x_minus + tp.x_plus)
-        assert build_chart(DISC, 1.3, side).x1 == 0.0
+    assert quantize.quantization_condition(kinked, 1.0, "smooth", 0.1).x1 == 0.5 * (tp.x_minus + tp.x_plus)
+    assert quantize.quantization_condition(DISC, 1.3, "discontinuous", 0.1).x1 == 0.0
+    for pot, window in ((kinked, (0.5, 1.5)), (DISC, (0.8, 1.8))):
+        l = quantize.levels(pot, window, 0.1)[0]
+        psi = eigenfunction(pot, l)
+        x1 = quantize.quantization_condition(pot, l.lam, l.kind, l.hbar).x1
+        assert psi.x1 == psi.plus.x1 == psi.minus.x1 == x1
+
+
+# -- error-control function ---------------------------------------------------
 
 
 def test_error_control_linear_potential_cancels():
@@ -255,12 +281,11 @@ def test_error_control_linear_potential_cancels():
 
 
 def test_error_control_harmonic_finite_and_decaying():
-    p3 = error_control(HARM, 1.0, 3.0, "+")
-    assert np.isfinite(p3)
-    ch = build_chart(HARM, 1.0, "+")
+    ch = _chart(HARM, 1.0, "+")
+    assert np.isfinite(error_control(ch, 3.0))
     vals = []
     for x in (5.0, 10.0, 20.0, 40.0):
-        p = error_control(HARM, 1.0, x, "+", chart=ch)
+        p = error_control(ch, x)
         vals.append(abs(p) * abs(ch.xi(x)) ** 0.5)
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] <= 1e-3
@@ -268,16 +293,16 @@ def test_error_control_harmonic_finite_and_decaying():
 
 def test_error_control_envelope_trend():
     # |p| <= C |xi|^(-1/2 - rho): the product |p| |xi|^(3/2) stays bounded
-    ch = build_chart(HARM, 1.0, "+")
+    ch = _chart(HARM, 1.0, "+")
     xs = np.linspace(2.0, 20.0, 19)
-    prods = [abs(error_control(HARM, 1.0, float(x), "+", chart=ch))
+    prods = [abs(error_control(ch, float(x)))
              * abs(ch.xi(float(x))) ** 1.5 for x in xs]
     assert max(prods) <= 2.0 * prods[0] + 1.0
 
 
 def test_error_control_rejects_turning_point():
     with pytest.raises(ValueError):
-        error_control(HARM, 1.0, 1.0, "+")
+        error_control(HARM_PLUS, 1.0)
 
 
 # -- uniform solutions ---------------------------------------------------------
@@ -319,7 +344,7 @@ def test_uniform_u_deep_forbidden_stays_finite():
 
 def test_uniform_u_prime_finite_difference():
     hbar = 0.1
-    ch = build_chart(HARM, 1.0, "+", x1=-0.5)
+    ch = _chart(HARM, 1.0, "+", -0.5)
     for x in (0.0, 0.5, 1.5):
         h = 1e-6
         fd = (chart_u(ch, hbar, x + h) - chart_u(ch, hbar, x - h)) / (2 * h)
@@ -328,7 +353,7 @@ def test_uniform_u_prime_finite_difference():
 
 
 def test_chart_u_evaluates_xi_once(monkeypatch):
-    ch = build_chart(QUART, 1.3, "+")
+    ch = _chart(QUART, 1.3, "+")
     xs = np.linspace(0.2, ch.x_far + 1.0, 50)
     want = (chart_u(ch, 0.05, xs), chart_u_prime(ch, 0.05, xs))
     calls = []
@@ -362,8 +387,8 @@ def test_uniform_u_prime_collar_guard():
 def test_wronskian_reproduces_quantization_phase():
     # u_+ u_-' - u_- u_+' = pi hbar^(-2/3) sin(Phi/hbar + pi/2) + O(hbar^(1/3))
     lam, hbar, x = 1.03, 0.02, 0.3
-    cp = build_chart(HARM, lam, "+", x1=-0.6)
-    cm = build_chart(HARM, lam, "-", x1=0.6)
+    cp = _chart(HARM, lam, "+", -0.6)
+    cm = _chart(HARM, lam, "-", 0.6)
     w = (chart_u(cp, hbar, x) * chart_u_prime(cm, hbar, x)
          - chart_u(cm, hbar, x) * chart_u_prime(cp, hbar, x))
     phi = quantize.quantization_condition(HARM, lam, "smooth", 1.0).g
@@ -377,30 +402,36 @@ def _level(lam, hbar, n, kind):
     return quantize.SemiclassicalLevel(n=n, hbar=hbar, lam=lam, residual=0.0, kind=kind)
 
 
+def _c_pm(pot, level):
+    """(c_+, c_-) of the level's eigenfunction."""
+    psi = eigenfunction(pot, level)
+    return psi.c_plus, psi.c_minus
+
+
 def test_normalization_harmonic_value():
     # int (1-x^2)^(-1/2) = pi, so |c| = (2/pi)^(1/2) hbar^(-1/6) pi^(-1/2)
-    c_plus, c_minus = normalization(HARM, _level(1.0, 0.1, 4, "smooth"))
+    c_plus, c_minus = _c_pm(HARM, _level(1.0, 0.1, 4, "smooth"))
     assert abs(c_plus - math.sqrt(2.0) / math.sqrt(math.pi) / math.sqrt(math.pi) * 0.1 ** (-1 / 6)) <= 1e-9
     assert c_plus == c_minus
 
 
 def test_normalization_parity_and_scaling():
     even = _level(1.0, 0.1, 4, "smooth")
-    c_plus, c_minus = normalization(HARM, even)
+    c_plus, c_minus = _c_pm(HARM, even)
     assert c_minus == c_plus > 0.0
-    c_plus, c_minus = normalization(HARM, dataclasses.replace(even, n=5))
+    c_plus, c_minus = _c_pm(HARM, dataclasses.replace(even, n=5))
     assert c_minus == -c_plus < 0.0
-    c1, _ = normalization(HARM, dataclasses.replace(even, n=0))
-    c2, _ = normalization(HARM, dataclasses.replace(even, n=0, hbar=0.1 / 8.0))
+    c1, _ = _c_pm(HARM, dataclasses.replace(even, n=0))
+    c2, _ = _c_pm(HARM, dataclasses.replace(even, n=0, hbar=0.1 / 8.0))
     assert abs(c2 / c1 - 8.0 ** (1 / 6)) <= 1e-12
     with pytest.raises(quantize.QuantizeError):
-        normalization(HARM, dataclasses.replace(even, kind="unknown"))
+        _c_pm(HARM, dataclasses.replace(even, kind="unknown"))
 
 
 def test_normalization_halfline_harmonic_closed_form():
     # int_0^{x+} (lam - x^2)^(-1/2) = pi/2 at every lam, so c_+ = (2/pi) hbar^(-1/6)
-    for l in quantize.halfline_levels(HL, (0.04, 1.3), 0.05):
-        c_plus, _ = normalization(HL, l)
+    for l in quantize.levels(HL, (0.04, 1.3), 0.05):
+        c_plus, _ = _c_pm(HL, l)
         assert abs(c_plus - 2.0 / math.pi * 0.05 ** (-1 / 6)) <= 1e-10 * c_plus
 
 
@@ -408,12 +439,8 @@ def _levels_and_oracle(pot, window, hbar, robin_b=None, pad=0.0):
     """The semiclassical levels of the window and the oracle spectrum of the
     window widened by pad on each side; robin_b is the half-line wall."""
     wide = (window[0] - pad, window[1] + pad)
-    if pot.domain == "full_line":
-        jump = any(s.kind == "jump" for s in pot.singular_points)
-        levels = (quantize.disc_levels if jump else quantize.bs_levels)(pot, window, hbar)
-        return levels, oracle.solve_spectrum(pot, hbar, wide)
-    levels = quantize.halfline_levels(pot, window, hbar, robin_b=robin_b)
-    return levels, oracle.solve_spectrum(pot, hbar, wide, robin_b=robin_b)
+    return (quantize.levels(pot, window, hbar, robin_b),
+            oracle.solve_spectrum(pot, hbar, wide, robin_b=robin_b))
 
 
 def _psi_errors(pot, window, hbar, robin_b=None, pad=0.0):
@@ -505,7 +532,7 @@ def test_peak_matches_normalized_exact_ground_state():
 
 
 def test_eigenfunction_peak_composition():
-    lv = quantize.bs_levels(QUART, (0.5, 2.0), 0.05)
+    lv = quantize.levels(QUART, (0.5, 2.0), 0.05)
     l = min(lv, key=lambda z: abs(z.lam - 1.0))
     psi = eigenfunction(QUART, l)
     tp = turning_points(QUART, l.lam)
@@ -514,7 +541,7 @@ def test_eigenfunction_peak_composition():
 
 
 def test_eigenfunction_even_parity():
-    lv = quantize.bs_levels(QUART, (0.5, 2.0), 0.05)
+    lv = quantize.levels(QUART, (0.5, 2.0), 0.05)
     l = next(z for z in lv if z.n % 2 == 0)
     psi = eigenfunction(QUART, l)
     xs = np.array([0.15, 0.4, 0.8, 1.1])
@@ -522,7 +549,7 @@ def test_eigenfunction_even_parity():
 
 
 def test_eigenfunction_odd_parity():
-    lv = quantize.bs_levels(QUART, (0.5, 2.0), 0.05)
+    lv = quantize.levels(QUART, (0.5, 2.0), 0.05)
     l = next(z for z in lv if z.n % 2 == 1)
     psi = eigenfunction(QUART, l)
     xs = np.array([0.15, 0.4, 0.8, 1.1])
@@ -532,7 +559,7 @@ def test_eigenfunction_odd_parity():
 def test_eigenfunction_turning_point_bound_uniform_constant():
     # |psi| <= C (hbar^(2/3) + |x - x_pm|)^(-1/4) with one constant across hbar
     def fitted_c(hbar):
-        lv = quantize.bs_levels(QUART, (0.5, 2.0), hbar)
+        lv = quantize.levels(QUART, (0.5, 2.0), hbar)
         l = min(lv, key=lambda z: abs(z.lam - 1.0))
         psi = eigenfunction(QUART, l)
         tp = turning_points(QUART, l.lam)
@@ -547,7 +574,7 @@ def test_eigenfunction_turning_point_bound_uniform_constant():
 
 def test_eigenfunction_localization_bound():
     # int over (x_+ - d, x_+ + d) of psi^2 <= C d^(1/2), C uniform in d
-    lv = quantize.bs_levels(QUART, (0.5, 2.0), 0.05)
+    lv = quantize.levels(QUART, (0.5, 2.0), 0.05)
     l = min(lv, key=lambda z: abs(z.lam - 1.0))
     psi = eigenfunction(QUART, l)
     tp = turning_points(QUART, l.lam)
@@ -564,7 +591,7 @@ def test_langer_vs_inner_wkb_remainder_envelope():
     # |u - wkb| <= C hbar^(7/6) |x - x_+|^(-7/4), C fitted at one hbar
     def fitted_c(hbar):
         lam = 1.0
-        ch = build_chart(HARM, lam, "+", x1=-0.5)
+        ch = _chart(HARM, lam, "+", -0.5)
         xs = np.linspace(0.0, 1.0 - 2.0 * hbar ** (2 / 3), 200)
         q = np.abs(HARM.value(xs) - lam)
         fp = np.array([partial_action(HARM, lam, float(x), "+") for x in xs])
@@ -577,8 +604,23 @@ def test_langer_vs_inner_wkb_remainder_envelope():
     assert c2 <= 1.5 * c1
 
 
+def test_mismatch_divides_by_the_local_amplitude():
+    # mismatch() is |psi(x1+) - psi(x1-)| over the envelope
+    # |c_+| pi^(1/2) hbar^(1/6) |q(x1)|^(-1/4) of c_+ u_+ (chart_u), and that
+    # envelope is the largest |psi| within one local wavelength of x1
+    lv = quantize.levels(QUART, (0.5, 2.0), 0.02)
+    l = min(lv, key=lambda z: abs(z.lam - 1.0))
+    psi = eigenfunction(QUART, l)
+    jump = abs(psi.c_plus * float(chart_u(psi.plus, l.hbar, psi.x1))
+               - psi.c_minus * float(chart_u(psi.minus, l.hbar, psi.x1)))
+    envelope = jump / psi.mismatch()
+    wavelength = 2.0 * math.pi * l.hbar / math.sqrt(l.lam - float(QUART.value(np.array(psi.x1))))
+    measured = float(np.max(np.abs(psi(psi.x1 + wavelength * np.linspace(-0.5, 0.5, 2001)))))
+    assert abs(envelope / measured - 1.0) <= 0.01
+
+
 def test_mismatch_diagnostic_small():
-    lv = quantize.bs_levels(QUART, (0.5, 2.0), 0.05)
+    lv = quantize.levels(QUART, (0.5, 2.0), 0.05)
     l = min(lv, key=lambda z: abs(z.lam - 1.0))
     psi = eigenfunction(QUART, l)
     assert 0.0 <= psi.mismatch() <= 0.1

@@ -25,14 +25,7 @@ from semiclass.potential import (
     potential_from_spec,
     turning_points,
 )
-from semiclass.quantize import (
-    LAMBDA_TOL,
-    QuantizeError,
-    bs_levels,
-    disc_levels,
-    halfline_levels,
-    quantization_condition,
-)
+from semiclass.quantize import LAMBDA_TOL, QuantizeError, levels, quantization_condition
 
 PROPS = settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -71,11 +64,7 @@ def wells(draw, kinds=("power", "kinked", "jump", "halfline_dirichlet", "halflin
 
 
 def _solve(kind, pot, window, hbar):
-    if kind in ("power", "kinked"):
-        return bs_levels(pot, window, hbar)
-    if kind == "jump":
-        return disc_levels(pot, window, hbar)
-    return halfline_levels(pot, window, hbar, robin_b=None if kind == "halfline_dirichlet" else 0.0)
+    return levels(pot, window, hbar, robin_b=0.0 if kind == "halfline_robin" else None)
 
 
 @PROPS
@@ -120,7 +109,7 @@ def test_the_weyl_count_counts_the_bohr_sommerfeld_levels(well):
     for a in window:
         frac = quantization_condition(pot, a, "smooth", hbar).g / (math.pi * hbar) - 0.5
         assume(abs(frac - round(frac)) * math.pi * hbar > 1e-9)
-    assert quantize.weyl_count(pot, *window, hbar).count == len(bs_levels(pot, window, hbar))
+    assert quantize.weyl_count(pot, *window, hbar).count == len(levels(pot, window, hbar))
 
 
 @PROPS
@@ -149,7 +138,7 @@ def test_newton_cap_raises(monkeypatch, steps):
     monkeypatch.setattr(quantize, "_NEWTON_STEPS", steps)
     pot = make_power_law(0, 1, 4, 0, 1, 4)
     with pytest.raises(QuantizeError, match="not converged"):
-        bs_levels(pot, (0.5, 2.0), 0.02)
+        levels(pot, (0.5, 2.0), 0.02)
 
 
 def test_newton_cap_exits_4(monkeypatch, tmp_path):
@@ -171,9 +160,9 @@ def test_condition_takes_every_level_at_once(monkeypatch):
         return real(pot, lam, *args)
 
     monkeypatch.setattr(quantize, "quantization_condition", counting)
-    levels = bs_levels(make_power_law(0, 1, 4, 0, 1, 4), (0.5, 2.0), 0.005)
-    assert len(levels) == 121
-    assert len(calls) <= 8 and max(calls) == len(levels)
+    lv = levels(make_power_law(0, 1, 4, 0, 1, 4), (0.5, 2.0), 0.005)
+    assert len(lv) == 121
+    assert len(calls) <= 8 and max(calls) == len(lv)
 
 
 @pytest.mark.parametrize("kind, pot, window", [

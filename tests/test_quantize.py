@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from semiclass import oracle, quantize
-from semiclass.action import partial_action
-from semiclass.langer import eigenfunction, normalization
+from semiclass.langer import eigenfunction
 from semiclass.potential import (
     CertificationError,
     certify_well,
@@ -17,13 +16,8 @@ from semiclass.potential import (
     make_power_law,
     potential_from_spec,
 )
-from semiclass.quantize import (
-    QuantizeError,
-    bs_levels,
-    disc_levels,
-    halfline_levels,
-    weyl_count,
-)
+from semiclass.quantize import QuantizeError, levels, weyl_count
+from support import levels_of_kind, partial_action
 
 HARM = make_power_law(0, 1, 2, 0, 1, 2)
 QUART = make_power_law(0, 1, 4, 0, 1, 4)
@@ -38,7 +32,7 @@ def smooth(pot, lam):
 # -- Bohr-Sommerfeld -----------------------------------------------------------
 
 def test_bs_harmonic_closed_form():
-    lv = bs_levels(HARM, (0.03, 1.97), 0.1)
+    lv = levels(HARM, (0.03, 1.97), 0.1)
     assert [l.n for l in lv] == list(range(10))
     for l in lv:
         assert abs(l.lam - (2 * l.n + 1) * 0.1) <= 1e-11
@@ -49,7 +43,7 @@ def test_bs_harmonic_closed_form():
 
 
 def test_bs_root_definition_quartic():
-    lv = bs_levels(QUART, (0.5, 2.0), 0.05)
+    lv = levels(QUART, (0.5, 2.0), 0.05)
     l0 = lv[0]
     target = math.pi * (l0.n + 0.5) * 0.05
     assert abs(smooth(QUART, l0.lam).g / target - 1.0) <= 1e-10
@@ -57,7 +51,7 @@ def test_bs_root_definition_quartic():
 
 
 def test_bs_monotone_levels():
-    lv = bs_levels(QUART, (0.5, 2.0), 0.05)
+    lv = levels(QUART, (0.5, 2.0), 0.05)
     assert all(a.lam < b.lam for a, b in zip(lv, lv[1:]))
     assert [l.n for l in lv] == list(range(lv[0].n, lv[0].n + len(lv)))
 
@@ -65,7 +59,7 @@ def test_bs_monotone_levels():
 def test_bs_uniqueness_separation():
     # consecutive roots separated by at least pi hbar / (2 max Phi')
     hbar = 0.05
-    lv = bs_levels(QUART, (0.5, 2.0), hbar)
+    lv = levels(QUART, (0.5, 2.0), hbar)
     dmax = max(smooth(QUART, l.lam).g_prime for l in lv)
     gap = math.pi * hbar / (2.0 * dmax)
     assert all(b.lam - a.lam >= gap for a, b in zip(lv, lv[1:]))
@@ -73,21 +67,21 @@ def test_bs_uniqueness_separation():
 
 def test_bs_rejects_jump_and_bad_hbar():
     with pytest.raises(QuantizeError):
-        bs_levels(DISC, (0.8, 1.8), 0.05)
+        levels_of_kind(DISC, (0.8, 1.8), 0.05, "smooth")
     with pytest.raises(QuantizeError):
-        bs_levels(HARM, (0.5, 1.5), -0.1)
+        levels(HARM, (0.5, 1.5), -0.1)
 
 
 def test_bs_empty_window():
     # the gap between the lam=0.7 and lam=0.9 levels holds no quantization point
-    assert bs_levels(HARM, (0.74, 0.86), 0.1) == []
+    assert levels(HARM, (0.74, 0.86), 0.1) == []
 
 
 def test_bs_allows_kink_and_curvature():
     kink = make_power_law(0, 1, 1, 0, 1, 1)
-    assert len(bs_levels(kink, (0.5, 1.5), 0.05)) > 0
+    assert len(levels(kink, (0.5, 1.5), 0.05)) > 0
     curv = make_power_law(0, 1, 2, 0, 4, 2)
-    assert len(bs_levels(curv, (0.5, 1.5), 0.05)) > 0
+    assert len(levels(curv, (0.5, 1.5), 0.05)) > 0
 
 
 # -- Weyl counts ----------------------------------------------------------------
@@ -153,14 +147,14 @@ def test_disc_jump_factor_value():
 
 def test_disc_reduces_to_bs_when_continuous():
     pot = make_power_law(0, 1, 2, 0, 4, 2)
-    bs = bs_levels(pot, (0.3, 1.2), 0.05)
-    dl = disc_levels(pot, (0.3, 1.2), 0.05)
+    bs = levels(pot, (0.3, 1.2), 0.05)
+    dl = levels_of_kind(pot, (0.3, 1.2), 0.05, "discontinuous")
     assert len(bs) == len(dl)
     assert max(abs(a.lam - b.lam) for a, b in zip(bs, dl)) <= 1e-10
 
 
 def test_disc_residuals_and_ordering():
-    dl = disc_levels(DISC, (0.8, 1.8), 0.05)
+    dl = levels(DISC, (0.8, 1.8), 0.05)
     assert all(a.lam < b.lam for a, b in zip(dl, dl[1:]))
     assert all(l.residual <= 1e-10 for l in dl)
     assert all(l.kind == "discontinuous" for l in dl)
@@ -169,7 +163,7 @@ def test_disc_residuals_and_ordering():
 
 def test_disc_count_matches_oracle():
     hbar = 0.02
-    dl = disc_levels(DISC, (0.8, 1.8), hbar)
+    dl = levels(DISC, (0.8, 1.8), hbar)
     spec = oracle.solve_spectrum(DISC, hbar, (0.8, 1.8))
     assert len(dl) == len(spec.eigenvalues)
 
@@ -178,14 +172,14 @@ def test_disc_rejects_window_below_jump():
     # for lam below the jump top the single-well geometry itself breaks down
     from semiclass.potential import CertificationError
     with pytest.raises((QuantizeError, CertificationError)):
-        disc_levels(DISC, (0.3, 1.8), 0.05)
+        levels(DISC, (0.3, 1.8), 0.05)
     with pytest.raises(QuantizeError):
         quantize._jump_factor(DISC, 0.0, 0.4)
 
 
 def test_disc_rejects_smooth_potential():
     with pytest.raises(QuantizeError):
-        disc_levels(HARM, (0.5, 1.5), 0.05)
+        levels_of_kind(HARM, (0.5, 1.5), 0.05, "discontinuous")
 
 
 # a kink at x = -3 outside the well and the jump of DISC at x = 0 inside it
@@ -198,14 +192,14 @@ KINK_JUMP = potential_from_spec({"kind": "table", "branches": [
 
 def test_disc_uses_the_jump_inside_the_well():
     assert [s.kind for s in KINK_JUMP.singular_points] == ["kink", "jump"]
-    dl = disc_levels(KINK_JUMP, (0.8, 1.8), 0.05)
-    ref = disc_levels(DISC, (0.8, 1.8), 0.05)
+    dl = levels(KINK_JUMP, (0.8, 1.8), 0.05)
+    ref = levels(DISC, (0.8, 1.8), 0.05)
     assert [l.n for l in dl] == [l.n for l in ref] and len(dl) == 10
     for l, r in zip(dl, ref):
         assert abs(l.lam - r.lam) <= 1e-12 * r.lam
-        (c_plus, _), (c_ref, _) = normalization(KINK_JUMP, l), normalization(DISC, r)
-        assert abs(c_plus - c_ref) <= 1e-9 * c_ref
-        assert eigenfunction(KINK_JUMP, l).x1 == 0.0
+        psi, c_ref = eigenfunction(KINK_JUMP, l), eigenfunction(DISC, r).c_plus
+        assert abs(psi.c_plus - c_ref) <= 1e-9 * c_ref
+        assert psi.x1 == 0.0
 
 
 def _reference_disc_levels(pot, window, hbar, x0, jump_top):
@@ -250,7 +244,7 @@ def test_disc_levels_match_the_f_scan_reference(pot, window):
     # where G' turns negative for hbar >= 0.05
     for hbar in (0.2, 0.1, 0.05, 0.035, 0.0125):
         ref, f = _reference_disc_levels(pot, window, hbar, 0.0, 0.5)
-        dl = disc_levels(pot, window, hbar)
+        dl = levels(pot, window, hbar)
         assert [l.n for l in dl] == [n for n, _, _ in ref]
         for l, (n, lam, a) in zip(dl, ref):
             assert abs(l.lam - lam) <= 1e-11 * lam
@@ -261,10 +255,11 @@ def test_disc_levels_match_the_f_scan_reference(pot, window):
 
 def test_disc_normalization_continuous_limit():
     pot = make_power_law(0, 1, 2, 0, 4, 2)
-    dl = disc_levels(pot, (0.3, 1.2), 0.05)
+    dl = levels_of_kind(pot, (0.3, 1.2), 0.05, "discontinuous")
     assert abs(quantize.jump_action(pot, dl[0].lam, 0.05, 0.0).a_squared - 1.0) <= 1e-10
-    c_plus, c_minus = normalization(pot, dl[0])
-    s_plus, s_minus = normalization(pot, dataclasses.replace(dl[0], kind="smooth"))
+    psi = eigenfunction(pot, dl[0])
+    smooth_psi = eigenfunction(pot, dataclasses.replace(dl[0], kind="smooth"))
+    c_plus, c_minus, s_plus, s_minus = psi.c_plus, psi.c_minus, smooth_psi.c_plus, smooth_psi.c_minus
     assert abs(c_plus - s_plus) <= 1e-8 * s_plus
     assert abs(c_minus - s_minus) <= 1e-8 * abs(s_minus)
 
@@ -272,9 +267,8 @@ def test_disc_normalization_continuous_limit():
 def test_disc_normalization_amplitude_consistency():
     # the two leading forms of a^2 are reciprocal: their product is 1 + O(hbar^(2/3))
     hbar = 0.025
-    dl = disc_levels(DISC, (0.8, 1.8), hbar)
+    dl = levels(DISC, (0.8, 1.8), hbar)
     for l in dl[:4]:
-        from semiclass.action import partial_action
         p, _ = quantize._jump_factor(DISC, 0.0, l.lam)
         th_p = partial_action(DISC, l.lam, 0.0, "+") / hbar + math.pi / 4
         th_m = partial_action(DISC, l.lam, 0.0, "-") / hbar + math.pi / 4
@@ -288,19 +282,19 @@ def test_disc_normalization_scaling_and_guard():
     # a^2 compensated away
     from semiclass.quadrature import well_integral
     from semiclass.potential import turning_points as _tps
-    dl = disc_levels(DISC, (0.8, 1.8), 0.05)
+    dl = levels(DISC, (0.8, 1.8), 0.05)
     lam = dl[0].lam
     tp = _tps(DISC, lam)
     (_, i_plus), _ = well_integral(DISC, lam, 0.0, tp.x_plus, False, True)
     (_, i_minus), _ = well_integral(DISC, lam, tp.x_minus, 0.0, True, False)
     ratios = []
     for hbar in (0.05, 0.05 / 8.0):
-        c_plus, _ = normalization(DISC, dataclasses.replace(dl[0], hbar=hbar))
+        c_plus = eigenfunction(DISC, dataclasses.replace(dl[0], hbar=hbar)).c_plus
         a2 = quantize.jump_action(DISC, lam, hbar, 0.0).a_squared
         ratios.append(c_plus * math.sqrt(i_plus + i_minus / a2))
     assert abs(ratios[1] / ratios[0] - 8.0 ** (1 / 6)) <= 1e-10
     with pytest.raises(QuantizeError):
-        normalization(DISC, dataclasses.replace(dl[0], kind="halfline_neumann"))
+        eigenfunction(DISC, dataclasses.replace(dl[0], kind="halfline_neumann"))
 
 
 # -- half-line problems -----------------------------------------------------------
@@ -309,13 +303,13 @@ HL = halfline_power_law(0, 1, 2)
 
 
 def test_halfline_dirichlet_closed_form():
-    lv = halfline_levels(HL, (0.05, 1.45), 0.1)
+    lv = levels(HL, (0.05, 1.45), 0.1)
     assert [round(l.lam, 10) for l in lv] == [0.3, 0.7, 1.1]
     assert all(l.kind == "halfline_dirichlet" for l in lv)
 
 
 def test_halfline_robin_closed_form():
-    lv = halfline_levels(HL, (0.05, 1.45), 0.1, robin_b=5.0)
+    lv = levels(HL, (0.05, 1.45), 0.1, robin_b=5.0)
     assert [round(l.lam, 10) for l in lv] == [0.1, 0.5, 0.9, 1.3]
     assert all(l.kind == "halfline_robin" for l in lv)
     assert all(l.robin_b == 5.0 for l in lv)
@@ -323,17 +317,17 @@ def test_halfline_robin_closed_form():
 
 def test_halfline_wall_is_robin_b():
     # robin_b None is the Dirichlet wall, a number b the Robin wall (0 is Neumann)
-    neumann = halfline_levels(HL, (0.05, 1.45), 0.1, robin_b=0.0)
+    neumann = levels(HL, (0.05, 1.45), 0.1, robin_b=0.0)
     assert [round(l.lam, 10) for l in neumann] == [0.1, 0.5, 0.9, 1.3]
     assert all(l.kind == "halfline_robin" and l.robin_b == 0.0 for l in neumann)
-    dirichlet = halfline_levels(HL, (0.05, 1.45), 0.1, robin_b=None)
+    dirichlet = levels(HL, (0.05, 1.45), 0.1, robin_b=None)
     assert [round(l.lam, 10) for l in dirichlet] == [0.3, 0.7, 1.1]
     assert all(l.kind == "halfline_dirichlet" and l.robin_b is None for l in dirichlet)
 
 
 def test_halfline_robin_b_independence():
-    a = halfline_levels(HL, (0.05, 1.45), 0.1, robin_b=0.0)
-    b = halfline_levels(HL, (0.05, 1.45), 0.1, robin_b=100.0)
+    a = levels(HL, (0.05, 1.45), 0.1, robin_b=0.0)
+    b = levels(HL, (0.05, 1.45), 0.1, robin_b=100.0)
     assert [l.lam for l in a] == [l.lam for l in b]
 
 
@@ -348,7 +342,7 @@ def test_halfline_rejects_a_jump_inside_the_well():
     pot = potential_from_spec(HL_JUMP_SPEC)
     assert certify_well(pot, 0.6, 1.5).interior_jump == 0.3
     with pytest.raises(QuantizeError, match="jumps inside the well"):
-        halfline_levels(pot, (0.6, 1.5), 0.02)
+        levels(pot, (0.6, 1.5), 0.02)
 
 
 def test_halfline_singular_point_entering_the_well_fails_certification():
@@ -360,19 +354,25 @@ def test_halfline_singular_point_entering_the_well_fails_certification():
     ]})
     assert [s.kind for s in pot.singular_points] == ["kink"]
     with pytest.raises(CertificationError) as info:
-        halfline_levels(pot, (0.1, 1.0), 0.05)
+        levels(pot, (0.1, 1.0), 0.05)
     assert info.value.clause == "singularity"
-    assert len(halfline_levels(pot, (0.3, 1.0), 0.05)) > 0  # the kink stays inside the well
+    assert len(levels(pot, (0.3, 1.0), 0.05)) > 0  # the kink stays inside the well
+
+
+def _as(kind):
+    return lambda pot, window, hbar, **kw: levels_of_kind(pot, window, hbar, kind, **kw)
 
 
 @pytest.mark.parametrize("with_cert", [False, True], ids=["no-cert", "cert"])
 @pytest.mark.parametrize("solve,pot,window", [
-    (bs_levels, HL, (0.05, 1.45)),
-    (bs_levels, potential_from_spec(HL_JUMP_SPEC), (0.6, 1.5)),
-    (disc_levels, HL, (0.05, 1.45)),
-    (halfline_levels, HARM, (0.5, 1.5)),
+    (_as("smooth"), HL, (0.05, 1.45)),
+    (_as("smooth"), potential_from_spec(HL_JUMP_SPEC), (0.6, 1.5)),
+    (_as("discontinuous"), HL, (0.05, 1.45)),
+    (_as("halfline_dirichlet"), HARM, (0.5, 1.5)),
+    (lambda pot, window, hbar, **kw: levels(pot, window, hbar, 1.0, **kw), HARM, (0.5, 1.5)),
     (lambda pot, window, hbar, **kw: weyl_count(pot, *window, hbar, **kw), HL, (0.05, 1.45)),
-], ids=["bs-half-line", "bs-half-line-jump", "disc-half-line", "halfline-full-line", "weyl-half-line"])
+], ids=["bs-half-line", "bs-half-line-jump", "disc-half-line", "halfline-full-line",
+        "robin-full-line", "weyl-half-line"])
 def test_a_kind_off_its_domain_raises_domain(solve, pot, window, with_cert):
     kwargs = {"cert": certify_well(pot, *window)} if with_cert else {}
     with pytest.raises(CertificationError) as info:
@@ -380,12 +380,35 @@ def test_a_kind_off_its_domain_raises_domain(solve, pot, window, with_cert):
     assert info.value.clause == "domain"
 
 
+@pytest.mark.parametrize("pot,window,robin_b,kind", [
+    (make_power_law(0, 1, 1, 0, 1, 1), (0.5, 1.5), None, "smooth"),
+    (make_power_law(0, 1, 2, 0, 4, 2), (0.5, 1.5), None, "smooth"),
+    (KINK_JUMP, (0.8, 1.8), None, "discontinuous"),
+    (HL, (0.05, 1.45), None, "halfline_dirichlet"),
+    (HL, (0.05, 1.45), 0.0, "halfline_robin"),
+], ids=["kink", "curvature", "kink-jump", "halfline-dirichlet", "halfline-robin"])
+def test_levels_picks_the_kind_from_the_well(pot, window, robin_b, kind):
+    # a kink or a curvature jump inside the well keeps Bohr-Sommerfeld; only
+    # a jump of v itself takes the jump condition
+    lv = levels(pot, window, 0.05, robin_b)
+    assert lv and all(l.kind == kind and l.robin_b == robin_b for l in lv)
+    assert lv == levels_of_kind(pot, window, 0.05, kind, robin_b)
+
+
+def test_levels_refuses_a_half_line_jump_and_a_full_line_robin_wall():
+    with pytest.raises(QuantizeError, match="jumps inside the well"):
+        levels(potential_from_spec(HL_JUMP_SPEC), (0.6, 1.5), 0.05)
+    with pytest.raises(CertificationError) as info:
+        levels(HARM, (0.5, 1.5), 0.05, robin_b=2.0)
+    assert info.value.clause == "domain"
+
+
 def test_levels_and_counts_are_python_floats():
-    levels = (bs_levels(HARM, (0.03, 0.77), 0.1) + disc_levels(DISC, (0.8, 1.8), 0.2)
-              + halfline_levels(HL, (0.05, 1.45), 0.1)
-              + halfline_levels(HL, (0.05, 1.45), 0.1, robin_b=0.0))
-    assert {l.kind for l in levels} == set(quantize.MASLOV_OFFSETS)
-    for l in levels:
+    lv = (levels(HARM, (0.03, 0.77), 0.1) + levels(DISC, (0.8, 1.8), 0.2)
+          + levels(HL, (0.05, 1.45), 0.1)
+          + levels(HL, (0.05, 1.45), 0.1, robin_b=0.0))
+    assert {l.kind for l in lv} == set(quantize.MASLOV_OFFSETS)
+    for l in lv:
         assert type(l.lam) is float and type(l.residual) is float
         assert l.amplitude_a is None or type(l.amplitude_a) is float
     cr = weyl_count(QUART, 0.5, 2.0, 0.05)
@@ -421,7 +444,7 @@ def test_bs_exp_quadratic_branch_vs_oracle():
     pot = potential_from_spec({"kind": "table", "branches": [
         {"lo": "-inf", "hi": "inf", "type": "exp-quadratic",
          "offset": -1.0, "amplitude": 1.0, "c2": 1.0}]})
-    lv = bs_levels(pot, (0.5, 1.5), 0.05)
+    lv = levels(pot, (0.5, 1.5), 0.05)
     spec = oracle.solve_spectrum(pot, 0.05, (0.5, 1.5))
     assert len(lv) == len(spec.eigenvalues)
     devs = np.abs(np.array([l.lam for l in lv]) - spec.eigenvalues)

@@ -24,13 +24,18 @@ and its eigenvector has k sign changes (Gantmacher & Krein, Oscillation
 Matrices and Kernels), so levels are matched across grids by index, and
 `OracleSpectrum.index` is the node count n of each window level.
 
-A count needs only the levels that could cross a window edge.
-`count_levels` runs the grids of `solve_spectrum` but solves and
-extrapolates only the levels within 2 delta of either edge, with delta at
-least four times the largest raw shift measured on them; the levels below
-an edge's band are counted by the band's first index.  All solvers share
-one setup (`_domain`): argument checks, truncation, the spectrum-edge check
-and the first grid.
+Both grid solvers run one loop (`_refine`) on energy ranges of a width w,
+at first four times the leading raw shift on the first grid, which doubles
+on the first grid alone while some range holds no level.  With three
+doubled grids solved, w widens to max(need, 2 w), need = 4 max |e0 - e2|
+over the levels matched on all three, while need > w or some range holds
+no matched level, until 2 w spans the well's depth; otherwise the caller's
+stop rule ends the loop or the grid doubles.  `solve_spectrum` solves the
+window padded by w; `count_levels`, which needs only the levels that could
+cross a window edge, one band (c - 2 w, c + 2 w] per edge c, counting the
+levels below a band by its first index.  All solvers share one setup
+(`_domain`): argument checks, truncation, the spectrum-edge check and the
+first grid.
 
 The half-line wall x = 0 is one argument, `robin_b`: None is the Dirichlet
 wall psi(0) = 0, a number b the Robin wall psi'(0) = b psi(0); a full-line
@@ -126,8 +131,7 @@ def _grid(pot: Potential, x_lo: float, x_hi: float, n: int):
         x_lo = x0 - m * h
         x_hi = x0 + k * h
         n = m + k
-    x = np.linspace(x_lo, x_hi, n + 1)
-    return x
+    return np.linspace(x_lo, x_hi, n + 1)
 
 
 def _potential_on_grid(pot: Potential, x: np.ndarray) -> np.ndarray:
@@ -272,13 +276,17 @@ class OracleSpectrum:
 
     domain: _Domain
     window: tuple[float, float]
-    n: int  # intervals of the last grid solved; eigenvectors use 2n
     n_trail: tuple[int, ...]  # intervals of every grid solved, in order
     eigenvalues: np.ndarray  # Romberg-extrapolated, ascending
     index: np.ndarray  # per level: its index in the grid spectrum, its node count
     est_error: np.ndarray
     h4_column: np.ndarray  # per level: True where the h^4 column was taken
     _vectors: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def n(self) -> int:
+        """Intervals of the last grid solved; eigenvectors use 2n."""
+        return self.n_trail[-1]
 
     @functools.cached_property
     def grid(self) -> np.ndarray:
@@ -321,6 +329,13 @@ class _Domain:
     x_hi: float
     depth: float
     n0: int
+
+    @property
+    def start_width(self) -> float:
+        """Four times the leading raw shift h0^2 depth^2 / (12 hbar^2) of a
+        level at the window top on the first grid, of spacing h0."""
+        h0 = (self.x_hi - self.x_lo) / self.n0
+        return (h0 * self.depth / self.hbar) ** 2 / 3.0
 
     def grid(self, n: int) -> np.ndarray:
         return _grid(self.pot, self.x_lo, self.x_hi, n)
@@ -384,11 +399,38 @@ def _domain(pot: Potential, hbar: float, window: tuple[float, float],
 def _doubled(n: int, tol_oracle: float, est) -> int:
     """The next grid, 2n intervals, or an OracleError past _MAX_N."""
     if 2 * n > _MAX_N:
-        raise OracleError(
-            f"no convergence below tol={tol_oracle} by N={_MAX_N}; last estimate "
-            f"{np.max(est, initial=0.0) if est is not None else math.nan}"
-        )
+        last = np.max(est, initial=0.0) if est is not None else math.nan
+        raise OracleError(f"no convergence below tol={tol_oracle} by N={_MAX_N}; last estimate {last}")
     return 2 * n
+
+
+def _refine(dom: _Domain, tol_oracle: float, ranges: Callable, width: float, stop: Callable):
+    """(value, n_trail) of the grid loop of the module docstring on the
+    ranges (a, b] = ranges(width).  stop(width, need, matched, last), with
+    matched = _matched of the last three grids and last the last grid's
+    eigs, gives (value, est): value None to double the grid, est for the
+    error past _MAX_N."""
+    def holds(values) -> bool:
+        return all(np.any((values > a) & (values <= b)) for a, b in ranges(width))
+
+    n_trail = [dom.n0, 2 * dom.n0, 4 * dom.n0]  # _domain checked that three grids fit
+    raw = [dom.eigs(dom.n0, ranges(width))]
+    while not holds(raw[0][0]) and 2.0 * width < dom.depth:
+        width *= 2.0
+        raw = [dom.eigs(dom.n0, ranges(width))]
+    raw += [dom.eigs(n, ranges(width)) for n in n_trail[1:]]
+    while True:
+        matched = _matched(*raw)
+        need = 4.0 * np.max(np.abs(matched[1] - matched[3]), initial=0.0)
+        if 2.0 * width < dom.depth and (need > width or not holds(matched[3])):
+            width = max(need, 2.0 * width)
+            raw = [dom.eigs(n, ranges(width)) for n in n_trail[-3:]]
+            continue
+        value, est = stop(width, need, matched, raw[-1])
+        if value is not None:
+            return value, tuple(n_trail)
+        n_trail.append(_doubled(n_trail[-1], tol_oracle, est))
+        raw = raw[1:] + [dom.eigs(n_trail[-1], ranges(width))]
 
 
 def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
@@ -396,51 +438,26 @@ def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
                    x_span: Optional[tuple[float, float]] = None) -> OracleSpectrum:
     """Reference eigenvalues of -hbar^2 psi'' + v psi = lam psi in a window.
 
-    Doubles the grid from the first grid of _domain.  From the third grid on, each
-    level's raw values on the last three grids give a Romberg table
-    (`_romberg`): the h^4 column where that level's differences shrink by a
-    factor in [3.5, 4.5] per doubling, above rounding, and the h^2 column
-    otherwise.  The doubling stops once every window level's estimate is at
-    most tol_oracle; the result's n is the last grid, and `eigenvector`
-    solves on the grid one doubling finer.
-
-    Each grid is solved on the window padded by pad on both sides, so that
-    a level inside the window has its raw values in range on all three
-    grids.  pad is 5% of the window, and at least the starting delta of
-    `count_levels`, four times the leading raw shift of a level at the
-    window top on the first grid.  With the last three grids solved, it
-    widens as delta does there: to at least four times the largest shift
-    |e0 - e2| of a matched level, and until the padded window holds a
-    level or spans the well's depth.
+    `_refine` solves the window padded by pad, at least 5% of it, on both
+    sides, so that a window level has its raw values in range on all three
+    grids.  Each level's raw values on the last three grids give a Romberg
+    table (`_romberg`), and the doubling stops once every window level's
+    estimate is at most tol_oracle; the result's n is the last grid, and
+    `eigenvector` solves on the grid one doubling finer.
     """
     dom = _domain(pot, hbar, window, robin_b, tol_oracle, x_span)
     lo, hi = window
-    h0 = (dom.x_hi - dom.x_lo) / dom.n0
-    pad = max(0.05 * (hi - lo), (h0 * dom.depth / hbar) ** 2 / 3.0)
 
-    def padded(n: int):
-        return dom.eigs(n, [(lo - pad, hi + pad)])
-
-    n_trail = [dom.n0, 2 * dom.n0, 4 * dom.n0]  # _domain checked that three grids fit
-    raw = [padded(n) for n in n_trail]
-    while True:
-        index, *e = _matched(*raw)
-        need = 4.0 * np.max(np.abs(e[0] - e[2]), initial=0.0)
-        if 2.0 * pad < dom.depth and (need > pad or not len(index)):
-            pad = max(need, 2.0 * pad)
-            raw = [padded(n) for n in n_trail[-3:]]
-            continue
-        eigs, est_all, h4 = _romberg(*e)
+    def converged(pad, need, matched, last):
+        index, *e = matched
+        eigs, est, h4 = _romberg(*e)
         inside = (eigs > lo) & (eigs < hi)
-        est = est_all[inside]
-        if np.all(est <= tol_oracle):
-            return OracleSpectrum(
-                domain=dom, window=(lo, hi), n=n_trail[-1], n_trail=tuple(n_trail),
-                eigenvalues=eigs[inside], index=index[inside], est_error=est,
-                h4_column=h4[inside],
-            )
-        n_trail.append(_doubled(n_trail[-1], tol_oracle, est))
-        raw = raw[1:] + [padded(n_trail[-1])]
+        kept = [a[inside] for a in (eigs, index, est, h4)]
+        return (kept if np.all(kept[2] <= tol_oracle) else None), kept[2]
+
+    (eigs, index, est, h4), n_trail = _refine(dom, tol_oracle, lambda pad: [(lo - pad, hi + pad)],
+                                              max(0.05 * (hi - lo), dom.start_width), converged)
+    return OracleSpectrum(dom, (lo, hi), n_trail, eigs, index, est, h4)
 
 
 def count_levels(pot: Potential, hbar: float, window: tuple[float, float],
@@ -448,63 +465,34 @@ def count_levels(pot: Potential, hbar: float, window: tuple[float, float],
     """Number of reference eigenvalues in the window, the count of
     `solve_spectrum`: the levels below hi less the levels at or below lo.
 
-    The grids are those of `solve_spectrum`.  Each edge c gets one band
-    (c - 2 delta, c + 2 delta], and on each grid only the bands are solved;
-    their levels are matched by index and Romberg-extrapolated across the
-    last three grids.
-
-    delta comes from the measured raw shifts.  It starts at four times the
-    leading raw shift h^2 depth^2 / (12 hbar^2) of a level at the window
-    top on the first grid.  Then, with every band re-solved, it widens to
-    at least four times the largest shift |e0 - e2| of a band level, and
-    until each band holds a level or spans the well's depth.  A level then
-    moves by less than delta / 4 between its raw value on the last grid and
-    its Romberg value.  So, on the last grid, the levels below an edge's
-    band, counted by the band's first index, and the band levels more than
-    delta below the edge lie below it.  A band level within delta of the
-    edge lies below it where its Romberg value does; each must be matched
-    on all three grids, and the doubling stops on the rule of
-    `solve_spectrum` applied to them.
+    `_refine` solves one band (c - 2 delta, c + 2 delta] per edge c, and
+    the count stops only with need <= delta.  A level then moves by less
+    than delta / 4 between its raw value on the last grid and its Romberg
+    value.  So the levels below an edge's band, counted by the band's first
+    index, and the band levels more than delta below the edge lie below it.
+    A band level within delta of the edge lies below it where its Romberg
+    value does; each must be matched on all three grids, and the doubling
+    stops on the rule of `solve_spectrum` applied to them.
     """
     dom = _domain(pot, hbar, window, robin_b, tol_oracle)
     lo, hi = window
-    h0 = (dom.x_hi - dom.x_lo) / dom.n0
-    delta = (h0 * dom.depth / hbar) ** 2 / 3.0
 
-    def bands(n: int):
-        return dom.eigs(n, [(c - 2.0 * delta, c + 2.0 * delta) for c in window])
-
-    def holds_levels(grid_raw) -> bool:
-        return all(np.any(np.abs(grid_raw[0] - c) <= 2.0 * delta) for c in window)
-
-    def near(v: np.ndarray) -> np.ndarray:
-        return (np.abs(v - lo) <= delta) | (np.abs(v - hi) <= delta)
-
-    n_trail = [dom.n0, 2 * dom.n0, 4 * dom.n0]
-    raw = [bands(dom.n0)]
-    # find levels near both edges on the cheapest grid
-    while not holds_levels(raw[0]) and 2.0 * delta < dom.depth:
-        delta *= 2.0
-        raw = [bands(dom.n0)]
-    raw += [bands(n) for n in n_trail[1:]]
-    while True:
-        index, e0, e1, e2 = _matched(*raw)
-        last, last_index, first = raw[-1]
-        need = 4.0 * np.max(np.abs(e0 - e2), initial=0.0)
-        if 2.0 * delta < dom.depth and (need > delta or not holds_levels(raw[-1])):
-            delta = max(need, 2.0 * delta)
-            raw = [bands(n) for n in n_trail[-3:]]
-            continue
+    def counted(delta, need, matched, last):
+        index, e0, e1, e2 = matched
+        values, last_index, first = last
+        near = lambda v: (np.abs(v - lo) <= delta) | (np.abs(v - hi) <= delta)
         eigs, est, _ = _romberg(e0, e1, e2)
         est = est[near(e2) & (eigs > lo) & (eigs < hi)]
-        if (need <= delta and np.count_nonzero(near(last)) == np.count_nonzero(near(e2))
+        if not (need <= delta and np.count_nonzero(near(values)) == np.count_nonzero(near(e2))
                 and np.all(est <= tol_oracle)):
-            value = last.copy()
-            value[np.isin(last_index, index)] = eigs
-            below_hi = first[1] + np.count_nonzero(value[last_index >= first[1]] < hi)
-            return int(below_hi - first[0] - np.count_nonzero(value[last_index >= first[0]] <= lo))
-        n_trail.append(_doubled(n_trail[-1], tol_oracle, est))
-        raw = raw[1:] + [bands(n_trail[-1])]
+            return None, est
+        value = values.copy()
+        value[np.isin(last_index, index)] = eigs
+        below_hi = first[1] + np.count_nonzero(value[last_index >= first[1]] < hi)
+        return int(below_hi - first[0] - np.count_nonzero(value[last_index >= first[0]] <= lo)), est
+
+    bands = lambda delta: [(c - 2.0 * delta, c + 2.0 * delta) for c in window]
+    return _refine(dom, tol_oracle, bands, dom.start_width, counted)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -614,17 +602,15 @@ def _numerov_nodes(pot: Potential, hbar: float, lam: float, x: np.ndarray,
 
 
 def numerov_levels(pot: Potential, hbar: float, window: tuple[float, float],
-                   n: int = 6000, robin_b: Optional[float] = None,
-                   x_span: Optional[tuple[float, float]] = None,
-                   xtol: float = 1e-10) -> np.ndarray:
+                   n: int = 6000, robin_b: Optional[float] = None) -> np.ndarray:
     """Eigenvalues in the window from two-sided Numerov shooting.
 
     Node-count bisection: the count of sign changes of the glued solution
     increments by one exactly at each discrete eigenvalue, so bisection on
-    it converges to the eigenvalue itself.  O(h^4) scheme; used to
-    cross-validate the default finite-difference oracle.
+    it converges to the eigenvalue itself, here to 1e-10 relative.  O(h^4)
+    scheme; used to cross-validate the default finite-difference oracle.
     """
-    dom = _domain(pot, hbar, window, robin_b, x_span=x_span, n0=n)
+    dom = _domain(pot, hbar, window, robin_b, n0=n)
     lo, hi = window
     x = dom.grid(n)
     v = _potential_on_grid(pot, x)
@@ -633,7 +619,7 @@ def numerov_levels(pot: Potential, hbar: float, window: tuple[float, float],
     out = []
     for k in range(k_lo, k_hi):
         a, b = lo, hi
-        while b - a > xtol * max(1.0, abs(b)):
+        while b - a > 1e-10 * max(1.0, abs(b)):
             mid = 0.5 * (a + b)
             if count(mid) <= k:
                 a = mid

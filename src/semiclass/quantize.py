@@ -7,7 +7,9 @@ picks the kind (half line, else a jump inside the well, else smooth).
 _target is the one place where the target pi (n + mu) hbar is formed: the
 solver and weyl_count take their n from _quantum_numbers, and defect is
 G - target at any lam (the residual of a level against an oracle
-eigenvalue).  quantization_condition is the one place where a level kind
+eigenvalue).  A cert passed to any of them must certify pot over a window
+holding the energies asked for, else CertificationError("window")
+(_certificate).  quantization_condition is the one place where a level kind
 becomes numbers: its Condition record carries (G, G') for the solver, the
 well integrals I_pm and the jump amplitude a^2 that give the eigenfunction's
 constants c_pm, and the turning points and matching point its Langer charts
@@ -131,6 +133,17 @@ def _target(n, kind: str, hbar: float):
     of the kind (n an int or an integer array).  Every quantization target
     is formed here."""
     return math.pi * (n + MASLOV_OFFSETS[kind]) * hbar
+
+
+def _certificate(pot: Potential, lam_lo: float, lam_hi: float, cert) -> WellCertificate:
+    """certify_well(pot, lam_lo, lam_hi) when cert is None, else cert if it
+    certifies pot over a window holding [lam_lo, lam_hi]."""
+    if cert is None:
+        return certify_well(pot, lam_lo, lam_hi)
+    if not (isinstance(cert, WellCertificate) and cert.potential == pot
+            and cert.lambda_window[0] <= lam_lo <= lam_hi <= cert.lambda_window[1]):
+        raise CertificationError("window", f"cert does not hold [{lam_lo}, {lam_hi}] for this well")
+    return cert
 
 
 def _quantum_numbers(g_lo: float, g_hi: float, kind: str, hbar: float):
@@ -280,8 +293,9 @@ def quantization_condition(pot: Potential, lam, kind: str, hbar: float,
         raise QuantizeError(f"unknown level kind {kind!r}")
     if kind.startswith("halfline") != (pot.domain == "half_line"):
         raise CertificationError("domain", f"level kind {kind!r} does not fit a {pot.domain} well")
+    if cert is not None or kind == "discontinuous":
+        cert = _certificate(pot, float(np.min(lam)), float(np.max(lam)), cert)
     if kind == "discontinuous":
-        cert = cert or certify_well(pot, float(np.min(lam)), float(np.max(lam)))
         if len(cert.interior_singularities) != 1:
             raise QuantizeError(
                 f"the discontinuous condition needs exactly one interior singular point, found "
@@ -312,7 +326,7 @@ def levels(pot: Potential, window: tuple[float, float], hbar: float,
         raise QuantizeError("hbar must be positive")
     if robin_b is not None and pot.domain != "half_line":
         raise CertificationError("domain", "a Robin wall (robin_b) needs a half-line well")
-    cert = cert or certify_well(pot, *window)
+    cert = _certificate(pot, *window, cert)
     if pot.domain == "half_line":
         kind = "halfline_dirichlet" if robin_b is None else "halfline_robin"
     else:
@@ -325,11 +339,10 @@ def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
     """Predicted level count pi^-1 (Phi(a2)-Phi(a1))/hbar over (a1, a2), Phi
     the smooth-kind G of quantization_condition (so a full-line well only),
     against the number of quantization points pi(n+1/2) hbar in
-    (Phi(a1), Phi(a2)).  Passing cert says the well is already certified
-    over (a1, a2) and skips that check; its fields are not read.
+    (Phi(a1), Phi(a2)).  cert, if given, stands for certifying the well
+    over [a1, a2].
     """
-    if cert is None:
-        certify_well(pot, a1, a2)  # raises off a single well
+    _certificate(pot, a1, a2, cert)  # raises off a single well
     phi1, phi2 = (quantization_condition(pot, a, "smooth", hbar).g for a in (a1, a2))
     predicted = float((phi2 - phi1) / (math.pi * hbar))
     count = len(_quantum_numbers(phi1, phi2, "smooth", hbar)[0])

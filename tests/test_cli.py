@@ -184,12 +184,17 @@ def test_scaling_command_json(tmp_path):
 
 
 def test_determinism_two_runs_byte_identical(tmp_path):
+    # two processes with different hash seeds write the same bytes, for the
+    # oracle commands on a jump well too
     cfg = write_config(tmp_path, "c.json", {"potential": HARM_POT, "hbar": [0.1, 0.05],
                                             "window": [0.03, 0.77]})
-    p1, o1 = invoke(["levels", "--config", str(cfg)], tmp_path, "a.csv")
-    p2, o2 = invoke(["levels", "--config", str(cfg)], tmp_path, "b.csv")
-    assert p1.returncode == p2.returncode == 0
-    assert o1.read_bytes() == o2.read_bytes()
+    jump = CONFIGS / "table_jump.json"
+    for command, config in [("levels", cfg), ("wavefunction", jump), ("count", jump),
+                            ("observable", jump)]:
+        p1, o1 = invoke([command, "--config", str(config)], tmp_path, "a.csv", PYTHONHASHSEED=0)
+        p2, o2 = invoke([command, "--config", str(config)], tmp_path, "b.csv", PYTHONHASHSEED=1)
+        assert p1.returncode == p2.returncode == 0, command
+        assert o1.read_bytes() == o2.read_bytes(), command
 
 
 def test_count_oracle_non_convergence_exit_code(tmp_path, monkeypatch, capsys):

@@ -454,6 +454,20 @@ def test_a_narrow_window_keeps_a_level_whose_raw_values_lie_below_it():
     assert count_levels(pot, hbar, window) == 1
 
 
+def test_an_empty_window_widens_on_the_first_grid_alone(monkeypatch):
+    # no level lies in (0.31, 0.32): the padded window widens on the cheapest
+    # grid until it holds one, and the finer grids are solved once each
+    sizes = []
+    solve = oracle.eigh_tridiagonal
+    monkeypatch.setattr(oracle, "eigh_tridiagonal",
+                        lambda d, e, **kw: sizes.append(len(d)) or solve(d, e, **kw))
+    spec = solve_spectrum(HARM, 0.1, (0.31, 0.32))
+    assert len(spec.eigenvalues) == 0 and len(spec.n_trail) == 3
+    first, second, third = (len(spec.domain.grid(n)) - 2 for n in spec.n_trail)
+    # a range solve and a Sturm count per grid solve
+    assert sizes == [first] * 12 + [second] * 2 + [third] * 2
+
+
 def _full_solves(monkeypatch):
     """The list that each full-accuracy band solve of the oracle appends
     (its grid's matrix size, its number of levels) to."""

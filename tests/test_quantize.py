@@ -403,6 +403,40 @@ def test_levels_refuses_a_half_line_jump_and_a_full_line_robin_wall():
     assert info.value.clause == "domain"
 
 
+def test_levels_take_a_certificate_of_their_own_well_only():
+    # a certificate of the harmonic well, trusted, would route DISC to the
+    # smooth condition: levels 0.9, 1.0 and 1.1 (n = 6-8)
+    own = levels(DISC, (0.8, 1.8), 0.05, cert=certify_well(DISC, 0.8, 1.8))
+    assert [l.n for l in own[:3]] == [5, 6, 7] and {l.kind for l in own} == {"discontinuous"}
+    assert [round(l.lam, 4) for l in own[:3]] == [0.8076, 0.8935, 1.0054]
+    with pytest.raises(CertificationError) as info:
+        levels(DISC, (0.8, 1.8), 0.05, cert=certify_well(HARM, 0.8, 1.8))
+    assert info.value.clause == "window"
+
+
+def test_weyl_count_refuses_a_reversed_window_with_any_certificate():
+    # a cert, whatever it is, does not make a reversed window countable
+    # (trusted, predicted would read -10.0)
+    for cert in (None, object(), certify_well(HARM, 3.0, 5.0)):
+        with pytest.raises(CertificationError) as info:
+            weyl_count(HARM, 5.0, 3.0, 0.1, cert=cert)
+        assert info.value.clause == "window"
+
+
+@pytest.mark.parametrize("solve", [
+    lambda cert: levels(HARM, (0.5, 1.5), 0.1, cert=cert),
+    lambda cert: weyl_count(HARM, 0.5, 1.5, 0.1, cert=cert),
+    lambda cert: quantize.defect(HARM, 1.45, 7, "smooth", 0.1, cert),
+    lambda cert: eigenfunction(HARM, levels(HARM, (1.0, 1.5), 0.1)[-1], cert),
+], ids=["levels", "weyl", "defect", "eigenfunction"])
+def test_a_certificate_must_cover_the_energies_asked_for(solve):
+    solve(certify_well(HARM, 0.5, 1.5))
+    for cert in (certify_well(HARM, 0.5, 1.2), certify_well(QUART, 0.5, 1.5), "cert"):
+        with pytest.raises(CertificationError) as info:
+            solve(cert)
+        assert info.value.clause == "window"
+
+
 def test_levels_and_counts_are_python_floats():
     lv = (levels(HARM, (0.03, 0.77), 0.1) + levels(DISC, (0.8, 1.8), 0.2)
           + levels(HL, (0.05, 1.45), 0.1)

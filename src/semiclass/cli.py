@@ -392,7 +392,7 @@ def _weight_fn(pot, wspec: dict):
     """(w, breaks) for one entry of the 'weights' field."""
     kind = wspec.get("kind")
     if kind == "potential":
-        return (lambda x: pot.value(np.asarray(x, dtype=float))), ()
+        return pot.value, ()
     if kind == "indicator":
         lo = _number(wspec["lo"], "weights", "lo") if "lo" in wspec else -math.inf
         hi = _number(wspec["hi"], "weights", "hi") if "hi" in wspec else math.inf

@@ -172,7 +172,8 @@ def build_chart(pot: Potential, lam: float, side: str, tp: TurningPoints, x1: fl
     if side not in ("+", "-") or (side == "-" and pot.domain == "half_line"):
         raise ChartDomainError(f"no {side!r} chart on a {pot.domain} well")
     x_tp = tp.x_plus if side == "+" else tp.x_minus
-    _, d1, d2 = pot.eval(x_tp, "-" if side == "+" else "+")  # limits from inside the well
+    left = side == "+"  # the limits from inside the well
+    d1, d2 = pot.deriv(x_tp, left), pot.deriv2(x_tp, left)
     # half-width of the Taylor-model collar: at its edge the two-term model
     # and the action give xi to within ~3e-9 relative of each other
     collar = 1e-4 * tp.width
@@ -198,8 +199,8 @@ def error_control(chart: LangerChart, x: float) -> float:
     """Local approximation-quality diagnostic p(x) of a chart; not defined at x_tp."""
     if x == chart.x_tp:
         raise ValueError("error_control has a removable singularity at the turning point")
-    v, d1, d2 = chart.pot.eval(x)
-    return error_control_core(float(chart.xi(x)), v - chart.lam, d1, d2)
+    pot = chart.pot
+    return error_control_core(float(chart.xi(x)), pot.value(x) - chart.lam, pot.deriv(x), pot.deriv2(x))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +285,7 @@ class Eigenfunction:
             return 0.0
         up = self.c_plus * chart_u(self.plus, self.level.hbar, self.x1)
         um = self.c_minus * chart_u(self.minus, self.level.hbar, self.x1)
-        q1 = abs(float(self.plus.pot.value(np.asarray(self.x1, dtype=float))) - self.level.lam)
+        q1 = abs(self.plus.pot.value(self.x1) - self.level.lam)
         # the envelope of c_+ u_+ inside the well (chart_u)
         amp = abs(self.c_plus) * math.pi ** 0.5 * self.level.hbar ** (1.0 / 6.0) * q1 ** (-0.25)
         return abs(float(up) - float(um)) / amp

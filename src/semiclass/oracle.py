@@ -96,7 +96,7 @@ def _tail_bound(pot: Potential, lam: float, hbar: float, side: int) -> float:
     x = x_t + side * 0.25
     need = _TAIL_DECADES * hbar
     for _ in range(400):
-        if float(pot.value(np.array(x))) >= lam + 1.0:
+        if pot.value(x) >= lam + 1.0:
             g = np.linspace(min(x_t, x), max(x_t, x), 257)
             s = float(np.trapezoid(np.sqrt(np.maximum(pot.value(g) - lam, 0.0)), g))
             if s >= need:
@@ -137,11 +137,8 @@ def _grid(pot: Potential, x_lo: float, x_hi: float, n: int):
 def _potential_on_grid(pot: Potential, x: np.ndarray) -> np.ndarray:
     v = pot.value(x)
     for s in pot.singular_points:
-        hit = np.nonzero(np.isclose(x, s.x, rtol=0.0, atol=1e-12 * max(1.0, abs(s.x))))[0]
-        for i in hit:
-            vm = pot.eval(s.x, "-")[0]
-            vp = pot.eval(s.x, "+")[0]
-            v[i] = 0.5 * (vm + vp)
+        hit = np.isclose(x, s.x, rtol=0.0, atol=1e-12 * max(1.0, abs(s.x)))
+        v[hit] = 0.5 * (pot.value(s.x, left=True) + pot.value(s.x))
     return v
 
 
@@ -384,7 +381,7 @@ def _domain(pot: Potential, hbar: float, window: tuple[float, float],
     for edge in (x_lo, x_hi):
         if pot.domain == "half_line" and edge == 0.0:
             continue
-        if float(pot.value(np.array(edge))) < hi:
+        if pot.value(edge) < hi:
             raise OracleError("window reaches the truncation-induced spectrum edge")
 
     vg = pot.value(np.linspace(x_lo, x_hi, 513))
@@ -591,7 +588,7 @@ def _numerov_nodes(pot: Potential, hbar: float, lam: float, x: np.ndarray,
     f = (lam - v) / (hbar * hbar)
     if robin_b is not None:
         u0 = 1.0
-        f0p = float(pot.deriv(np.array(x[0] + 1e-9))) / (hbar * hbar)
+        f0p = pot.deriv(x[0] + 1e-9) / (hbar * hbar)
         u1 = u0 * (1.0 + h * robin_b - h * h * f[0] / 2.0 - h**3 * (f0p + f[0] * robin_b) / 6.0)
     else:
         u0, u1 = 0.0, h

@@ -2,12 +2,15 @@
 
 A Potential is an ordered set of smooth branches partitioning the domain,
 plus markers for interior points where v, v' or v'' may jump.  All
-operations here are pure, and Potential instances are immutable.  Each
-branch owns its one-sided limits: deriv(x, sgn) and deriv2(x, sgn) take the
-limit from the side sgn (-1 from below) where a branch is not smooth, so
-every evaluation of v', v'' goes through the branch methods.  On the half
-line [0, inf) the wall x = 0 is the left end of the well, so one
-turning-point solver and one certificate serve both domains.
+operations here are pure, and Potential instances are immutable.
+Potential.value, deriv and deriv2 are the one evaluator of v, v' and v'':
+each takes a point (and returns a float) or an array, and left selects the
+limit from the left at a piece boundary.  Each branch owns its one-sided
+limits: deriv(x, sgn) and deriv2(x, sgn) take the limit from the side sgn
+(-1 from below) where a branch is not smooth, so every evaluation of v',
+v'' goes through the branch methods.  On the half line [0, inf) the wall
+x = 0 is the left end of the well, so one turning-point solver and one
+certificate serve both domains.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ class PolyBranch:
 
     coeffs: tuple[float, ...]
 
-    def value(self, x):
+    def value(self, x, sgn=1.0):
         return np.polynomial.polynomial.polyval(x, self.coeffs)
 
     def deriv(self, x, sgn=1.0):
@@ -90,7 +93,7 @@ class PowerBranch:
     coeff: float
     exponent: float
 
-    def value(self, x):
+    def value(self, x, sgn=1.0):
         x = np.asarray(x, dtype=float)
         return self.offset + self.coeff * np.abs(x) ** self.exponent
 
@@ -125,7 +128,7 @@ class ExpQuadBranch:
         x = np.asarray(x, dtype=float)
         return self.amplitude * np.exp(self.c2 * x * x + self.c1 * x + self.c0)
 
-    def value(self, x):
+    def value(self, x, sgn=1.0):
         return self.offset + self._expq(x)
 
     def deriv(self, x, sgn=1.0):
@@ -189,41 +192,26 @@ class Potential:
     def _boundaries(self) -> tuple[float, ...]:
         return tuple(p.hi for p in self.pieces[:-1])
 
-    def eval(self, x: float, side: Optional[str] = None) -> tuple[float, float, float]:
-        """(v, v', v'') at x; side "+"/"-" selects a one-sided limit.
+    def _evaluate(self, fn_name: str, x, left=None):
+        """One branch method at x: a float for a point, an array for an array.
 
-        Raises if x lies outside the domain or exactly on a singular point
-        with no side selector.
+        An x on a piece boundary takes the piece to its right and its limit
+        from the right, or the piece to its left and its limit from the
+        left where left is true (left broadcasts against x).  A point is
+        evaluated as a 0-d value on the branch it selects: on some numpy
+        builds a power of a 0-d value and the same power of an array of one
+        differ in the last bit.  x < 0 on a half-line well raises.
         """
-        x = float(x)
-        if self.domain == "half_line" and x < 0.0:
-            raise PotentialError(f"x={x} outside half-line domain")
-        singular_xs = {s.x for s in self.singular_points}
-        if side is None:
-            if x in singular_xs:
-                raise PotentialError(f"x={x} is a singular point; pass side='+' or '-'")
-            sgn = 1.0
-        elif side in ("+", "+0"):
-            sgn = 1.0
-        elif side in ("-", "-0"):
-            sgn = -1.0
-        else:
-            raise PotentialError(f"bad side selector {side!r}")
-        # the branches take x as a 0-d value: on some numpy builds
-        # a power of a 0-d array and of an array of one differ in the last bit
-        b = self.pieces[np.searchsorted(self._boundaries(), x, "left" if sgn < 0 else "right")].branch
-        return float(b.value(x)), float(b.deriv(x, sgn)), float(b.deriv2(x, sgn))
-
-    def _vectorized(self, fn_name: str, x, left=None) -> np.ndarray:
-        """Branch-resolved vectorized evaluation; a point on a piece boundary
-        takes the piece to its right and its limit from the right, or the
-        piece to its left and its limit from the left where left is true
-        (left is an array broadcast against x)."""
         x = np.asarray(x, dtype=float)
+        if self.domain == "half_line" and np.any(x < 0.0):
+            raise PotentialError(f"x={np.min(x)} outside half-line domain")
+        bounds = self._boundaries()
+        if x.ndim == 0:
+            b = self.pieces[np.searchsorted(bounds, x, "left" if left else "right")].branch
+            return float(getattr(b, fn_name)(x, -1.0 if left else 1.0))
         out = np.empty_like(x)
-        bounds = np.array(self._boundaries())
         idx = np.searchsorted(bounds, x, side="right")
-        sides = ()
+        sides = ()  # no side array on the path without left, the quadrature's integrand
         if left is not None:
             left = np.broadcast_to(left, x.shape)
             idx = np.where(left, np.searchsorted(bounds, x, side="left"), idx)
@@ -234,14 +222,14 @@ class Potential:
                 out[m] = getattr(piece.branch, fn_name)(x[m], *(s[m] for s in sides))
         return out
 
-    def value(self, x) -> np.ndarray:
-        return self._vectorized("value", x)
+    def value(self, x, left=None):
+        return self._evaluate("value", x, left)
 
-    def deriv(self, x, left=None) -> np.ndarray:
-        return self._vectorized("deriv", x, left)
+    def deriv(self, x, left=None):
+        return self._evaluate("deriv", x, left)
 
-    def deriv2(self, x, left=None) -> np.ndarray:
-        return self._vectorized("deriv2", x, left)
+    def deriv2(self, x, left=None):
+        return self._evaluate("deriv2", x, left)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +490,7 @@ def turning_points(pot: Potential, lam) -> TurningPoints:
     lams = _energies(lam)
     halfline = pot.domain == "half_line"
     if halfline:
-        v0 = float(pot.pieces[0].branch.value(0.0))
+        v0 = pot.value(0.0)
         if not np.all(v0 < lams):
             raise TurningPointError(f"v(0)={v0} is not below lam={lams[np.argmin(v0 < lams)]}")
     count, first, (x_plus, slope_plus), _ = _crossings(pot, lams)
@@ -579,11 +567,10 @@ def _critical_points(pot: Potential) -> list[tuple[float, float]]:
             xs = [(float(r.real), r.imag == 0.0) for r in roots]
         out.extend((x if real else math.nan, float(b.value(x)))
                    for x, real in xs if p.lo < x < p.hi)
-    for left, right in zip(pot.pieces, pot.pieces[1:]):
-        out.append((left.hi, float(left.branch.value(left.hi))))
-        out.append((left.hi, float(right.branch.value(left.hi))))
+    for b in pot._boundaries():
+        out += [(b, pot.value(b, left=True)), (b, pot.value(b))]
     if pot.domain == "half_line":
-        out.append((0.0, float(pot.pieces[0].branch.value(0.0))))
+        out.append((0.0, pot.value(0.0)))
     return out
 
 

@@ -356,8 +356,8 @@ def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
 
 def _jump_factor(pot: Potential, x0: float, lam):
     """p = ((lam - v(x0-0)) / (lam - v(x0+0)))^(1/4) and (ln p)'(lam)."""
-    gap_m = lam - pot.eval(x0, "-")[0]
-    gap_p = lam - pot.eval(x0, "+")[0]
+    gap_m = lam - pot.value(x0, left=True)
+    gap_p = lam - pot.value(x0)
     below = np.atleast_1d((gap_m <= 0.0) | (gap_p <= 0.0))
     if below.any():
         bad = np.atleast_1d(lam)[np.argmax(below)]

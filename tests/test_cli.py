@@ -181,6 +181,7 @@ def test_scaling_command_json(tmp_path):
     assert doc["predicted_class"] == 2.0
     assert doc["fitted_slope"] >= 1.5
     assert len(doc["rows"]) == 3
+    _assert_json_dumps_layout(tmp_path / "t.json")
 
 
 def test_determinism_two_runs_byte_identical(tmp_path):
@@ -743,6 +744,25 @@ def test_csv_and_json_hold_the_same_cells(tmp_path, command, flags):
     assert header == doc["columns"]
     assert rows == [["" if v is None else str(v) for v in r] for r in doc["rows"]]  # null is empty
     assert len(rows) > 1 and any(r[-1] == "" for r in rows) == ("--no-oracle" in flags)
+    _assert_json_dumps_layout(tmp_path / "t.json")
+
+
+def _assert_json_dumps_layout(path):
+    """The README's promise: the JSON text is that of json.dumps(table, indent=2)."""
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_json_output_has_the_layout_of_json_dumps_indent_2(tmp_path):
+    # an empty table, and a table with string cells
+    empty = write_config(tmp_path, "empty.json", {
+        "potential_path": str(CONFIGS / "potentials" / "harmonic.json"),
+        "hbar": 0.1, "window": [0.31, 0.32]})
+    for command, cfg in [("levels", empty), ("observable", CONFIGS / "quartic_observable.json")]:
+        out = tmp_path / f"{command}.json"
+        assert run([command, "--config", str(cfg), "--format", "json", "--out", str(out)]) == 0
+        _assert_json_dumps_layout(out)
+    assert json.loads((tmp_path / "levels.json").read_text())["rows"] == []
 
 
 @pytest.mark.parametrize("out", ["t.csv", None])

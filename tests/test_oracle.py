@@ -358,6 +358,17 @@ def test_quartic_stops_on_three_grids():
     assert np.all(spec.est_error <= oracle.DEFAULT_TOL)
 
 
+def test_a_tight_tolerance_doubles_the_grid():
+    # tol_oracle 1e-10 takes a fourth grid on the quartic at hbar 0.05; the
+    # default solve stops on the first three, with values within 1.9e-11
+    tight = solve_spectrum(QUART, 0.05, (0.5, 2.0), 1e-10)
+    default = solve_spectrum(QUART, 0.05, (0.5, 2.0))
+    assert tight.n_trail == (2048, 4096, 8192, 16384) == default.n_trail + (16384,)
+    assert np.all(tight.est_error <= 1e-10)
+    assert list(tight.index) == list(default.index) and len(tight.index) == 12
+    assert np.abs(tight.eigenvalues - default.eigenvalues).max() <= 5e-11
+
+
 def _first_column_stop(spec):
     """The grid the first-column rule stops on: successive first-column
     extrapolants agree to the spectrum's tolerance (here DEFAULT_TOL)."""
@@ -502,6 +513,16 @@ def test_count_levels_widens_a_band_that_holds_no_level_on_the_last_grid(monkeyp
     sizes = [n for n, _ in solved]
     assert sizes != sorted(sizes)  # the last grids were solved again, with wider bands
     assert count == len(solve_spectrum(pot, hbar, window).eigenvalues) == 13
+
+
+def test_count_levels_doubles_the_grid_until_its_edge_levels_converge(monkeypatch):
+    # at tol_oracle 1e-10 the count is not converged on three grids, nor on four
+    solved = _full_solves(monkeypatch)
+    count = count_levels(QUART, 0.02, (0.5, 2.0), 1e-10)
+    grids = sorted({n + 1 for n, _ in solved})  # intervals: the matrix drops both end nodes
+    assert grids == [2048, 4096, 8192, 16384, 32768]
+    monkeypatch.undo()
+    assert count == len(solve_spectrum(QUART, 0.02, (0.5, 2.0), 1e-10).eigenvalues) == 30
 
 
 def test_oracle_fails_before_it_solves_when_three_grids_cannot_fit(monkeypatch):

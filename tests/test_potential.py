@@ -16,49 +16,58 @@ from semiclass.potential import (
 )
 
 
+def _vdd(pot, x, left=None):
+    """(v, v', v'') at x from the one evaluator."""
+    return pot.value(x, left), pot.deriv(x, left), pot.deriv2(x, left)
+
+
 def test_eval_harmonic():
     pot = make_power_law(0, 1, 2, 0, 1, 2)
-    assert pot.eval(2.0) == (4.0, 4.0, 2.0)
+    assert _vdd(pot, 2.0) == (4.0, 4.0, 2.0)
+    assert all(type(v) is float for v in _vdd(pot, 2.0))  # a point gives Python floats
 
 
 def test_eval_power_law_quartic():
     pot = make_power_law(0, 1, 4, 0, 1, 4)
-    v, d, d2 = pot.eval(1.0)
+    v, d, d2 = _vdd(pot, 1.0)
     assert (v, d, d2) == (1.0, 4.0, 12.0)
 
 
 def test_eval_one_sided_at_jump():
     pot = make_power_law(0.5, 1, 2, 0, 1, 2)
-    assert pot.eval(0.0, "+0")[0] == 0.5
-    assert pot.eval(0.0, "-0")[0] == 0.0
-    with pytest.raises(PotentialError):
-        pot.eval(0.0)
+    assert pot.value(0.0) == 0.5  # a boundary point takes the piece to its right
+    assert pot.value(0.0, left=False) == 0.5
+    assert pot.value(0.0, left=True) == 0.0
 
 
 def test_eval_one_sided_kink_slopes():
     pot = make_power_law(0, 1, 1, 0, 1, 1)  # v = |x|
-    assert pot.eval(0.0, "+")[1] == 1.0
-    assert pot.eval(0.0, "-")[1] == -1.0
+    assert pot.deriv(0.0) == 1.0
+    assert pot.deriv(0.0, left=True) == -1.0
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0])
 def test_one_sided_limits_at_a_power_center(alpha):
-    # v = 3|x|^alpha left of 0, 2|x|^alpha right of it: eval, deriv and deriv2
-    # give the exact limits of v' and v'' at the center from each side
+    # v = 3|x|^alpha left of 0, 2|x|^alpha right of it: deriv and deriv2 give
+    # the exact limits of v' and v'' at the center from each side, for a
+    # point, a 0-d array and an array
     pot = make_power_law(0, 2, alpha, 0, 3, alpha)
-    for side, left, sgn, c in (("-", True, -1.0, 3.0), ("+", False, 1.0, 2.0)):
+    for left, sgn, c in ((True, -1.0, 3.0), (False, 1.0, 2.0)):
         d1 = 0.0 if alpha > 1 else sgn * c * (1.0 if alpha == 1 else math.inf)
         d2 = {0.5: -math.inf, 1.0: 0.0, 1.5: math.inf, 2.0: 2.0 * c, 3.0: 0.0}[alpha]
-        assert pot.eval(0.0, side)[1:] == (d1, d2)
-        assert float(pot.deriv(0.0, left)) == d1
-        assert float(pot.deriv2(0.0, left)) == d2
+        assert _vdd(pot, 0.0, left)[1:] == (d1, d2)
+        assert pot.deriv(np.array(0.0), np.array(left)) == d1
+        assert pot.deriv2(np.array(0.0), np.array(left)) == d2
         assert np.array_equal(pot.deriv(np.zeros(2), np.array([left, left])), [d1, d1])
 
 
 def test_out_of_domain():
     pot = halfline_power_law(0, 1, 2)
     with pytest.raises(PotentialError):
-        pot.eval(-0.5)
+        pot.value(-0.5)
+    with pytest.raises(PotentialError):
+        pot.deriv(np.array([0.5, -0.5]))
+    assert pot.value(0.0) == 0.0  # the wall itself is in the domain
 
 
 def test_turning_points_harmonic():
@@ -191,7 +200,7 @@ def test_json_power_law_roundtrip():
     spec = {"kind": "power_law", "a_plus": 0.5, "v_plus": 1.0, "alpha_plus": 2.0,
             "a_minus": 0.0, "v_minus": 1.0, "alpha_minus": 2.0}
     pot = potential_from_spec(json.loads(json.dumps(spec)))
-    assert pot.eval(0.0, "+")[0] == 0.5
+    assert pot.value(0.0) == 0.5
     assert [s.kind for s in pot.singular_points] == ["jump"]
 
 
@@ -205,8 +214,8 @@ def test_json_table_spec():
     }
     pot = potential_from_spec(spec)
     assert pot.singular_points == ()  # branches agree to second order
-    assert pot.eval(-2.0) == (4.0, -4.0, 2.0)
-    assert pot.eval(2.0) == (4.0, 4.0, 2.0)
+    assert _vdd(pot, -2.0) == (4.0, -4.0, 2.0)
+    assert _vdd(pot, 2.0) == (4.0, 4.0, 2.0)
 
 
 def test_json_exp_quadratic_branch():
@@ -235,4 +244,14 @@ def test_vectorized_value_matches_eval():
     xs = np.array([-1.5, -0.3, 0.2, 2.0])
     vals = pot.value(xs)
     for x, v in zip(xs, vals):
-        assert v == pot.eval(float(x), "+" if x >= 0 else "-")[0]
+        assert v == pot.value(float(x), left=x < 0)
+
+
+def test_a_point_takes_the_bits_of_its_branch_at_a_0d_value():
+    # on some numpy builds a power of a 0-d value and the same power of an
+    # array of one differ in the last bit; a point is evaluated as the former
+    pot = make_power_law(0, 1, 4, 0, 2, 3)
+    for x in np.random.default_rng(0).uniform(-2.0, 2.0, 200):
+        b = pot.pieces[int(x >= 0)].branch
+        for fn in ("value", "deriv", "deriv2"):
+            assert getattr(pot, fn)(float(x)) == float(getattr(b, fn)(np.asarray(x)))

@@ -211,7 +211,7 @@ def _reference_disc_levels(pot, window, hbar, x0, jump_top):
     def angles(lam):
         th_p = partial_action(pot, lam, x0, "+", tol=1e-12) / hbar + math.pi / 4
         th_m = partial_action(pot, lam, x0, "-", tol=1e-12) / hbar + math.pi / 4
-        p = ((lam - pot.eval(x0, "-")[0]) / (lam - pot.eval(x0, "+")[0])) ** 0.25
+        p = ((lam - pot.value(x0, left=True)) / (lam - pot.value(x0))) ** 0.25
         return th_p, th_m, p
 
     def f(lam):

@@ -68,7 +68,7 @@ def table_wells(draw):
         left, right = _side_branch(draw, -1), _side_branch(draw, +1)
         pot = potential_from_spec({"kind": "table", "branches": [
             dict(left, lo="-inf", hi=0.0), dict(right, lo=0.0, hi="inf")]})
-        bottom = max(pot.eval(0.0, "-")[0], pot.eval(0.0, "+")[0])
+        bottom = max(pot.value(0.0, left=True), pot.value(0.0))
     else:
         # s2 y^2 + s3 y^3 + s4 y^4 around y = x - m has one critical point
         # when 9 s3^2 < 32 s2 s4

@@ -7,11 +7,13 @@ written with shortest round-trip reprs and sweep results are assembled in
 sorted order of hbar.
 
 A table is written after its command has returned, so a failed run writes
-nothing.  Its rows are blocks of numpy columns (`Rows`), one block per
-level for `wavefunction`, and the one writer `_emit` formats each column in
-one pass and writes block by block: a run holds the table's arrays and the
-text of one block, and the text of an array that several blocks slice (the
-oracle grid of an hbar) once.
+nothing.  Its rows are blocks of numpy columns (`Rows`): one block per
+level for `wavefunction`, and for `levels` one per run of levels of one hbar
+that all have an oracle partner, or all lack one.  The one writer `_emit`
+formats each column in one pass and writes block by block: a run holds the
+table's arrays and the text of one block, and the text of an array that
+several blocks slice (the oracle grid of an hbar) once.  The levels of every
+hbar of a run come from one quantize.levels call (_run_levels).
 """
 
 from __future__ import annotations
@@ -243,14 +245,6 @@ class RunConfig:
         # one certificate for the whole run, shared by every hbar task
         self.cert = certify_well(self.potential, *self.window)
 
-    def levels_for(self, hbar: float):
-        """The levels of the condition the well picks (quantize.levels) that
-        the n filter admits."""
-        lv = quantize.levels(self.potential, self.window, hbar, self.robin_b, self.cert)
-        if self.n_filter is not None:
-            lv = [l for l in lv if l.n in self.n_filter]
-        return lv
-
     def oracle_for(self, hbar: float):
         return oracle.solve_spectrum(self.potential, hbar, self.window, self.tol_oracle,
                                      robin_b=self.robin_b)
@@ -266,11 +260,21 @@ def _partner(spec, level):
     return int(k[0]) if len(k) else None
 
 
+def _run_levels(cfg: RunConfig) -> dict:
+    """{hbar: levels} for every hbar of the run, in order: the levels of the
+    condition the well picks that the n filter admits, from one
+    quantize.levels call over every hbar."""
+    by_hbar = {hbar: [] for hbar in cfg.hbars}
+    for l in quantize.levels(cfg.potential, cfg.window, cfg.hbars, cfg.robin_b, cfg.cert):
+        if cfg.n_filter is None or l.n in cfg.n_filter:
+            by_hbar[l.hbar].append(l)
+    return by_hbar
+
+
 def _windows(cfg: RunConfig):
     """(hbar, levels, spec) for every hbar, in order: spec is the oracle
     spectrum of that hbar (None without the oracle or without levels)."""
-    for hbar in cfg.hbars:
-        lv = cfg.levels_for(hbar)
+    for hbar, lv in _run_levels(cfg).items():
         yield hbar, lv, cfg.oracle_for(hbar) if (cfg.oracle and lv) else None
 
 
@@ -324,13 +328,19 @@ def _need_full_line(cfg: RunConfig, what: str) -> None:
 
 def cmd_levels(cfg: RunConfig) -> dict:
     rows = Rows()
-    for hbar, l, spec, k in _paired_levels(cfg):
-        lam_o = delta = act_res = None
-        if k is not None:
-            lam_o = float(spec.eigenvalues[k])
-            delta = l.lam - lam_o
-            act_res = abs(quantize.defect(cfg.potential, lam_o, l.n, l.kind, hbar, cfg.cert))
-        rows.append(hbar, l.n, l.kind, l.lam, l.residual, lam_o, delta, act_res)
+    for hbar, lv, spec in _windows(cfg):
+        # one block per run of levels that all have an oracle partner, or all lack one
+        partners = [_partner(spec, l) for l in lv]
+        for paired, group in itertools.groupby(zip(lv, partners), key=lambda lk: lk[1] is not None):
+            block, ks = zip(*group)
+            kind, n = block[0].kind, np.array([l.n for l in block])
+            lam = np.array([l.lam for l in block])
+            cells = [hbar, n, kind, lam, np.array([l.residual for l in block]), None, None, None]
+            if paired:
+                lam_o = spec.eigenvalues[list(ks)]
+                act_res = np.abs(quantize.defect(cfg.potential, lam_o, n, kind, hbar, cfg.cert))
+                cells[5:] = lam_o, lam - lam_o, act_res
+            rows.append(*cells)
     return {
         "command": "levels",
         "columns": ["hbar", "n", "kind", "lambda_sc", "residual", "lambda_oracle",
@@ -440,10 +450,11 @@ def cmd_scaling(cfg: RunConfig) -> dict:
     lam_ref = cfg.lambda_ref
     if lam_ref is None:
         lam_ref = 0.5 * (cfg.window[0] + cfg.window[1])
+    by_hbar = None if study == "levels" else _run_levels(cfg)  # the levels study reads only the oracle
 
     def err_for(hbar: float) -> float:
         spec = cfg.oracle_for(hbar)
-        # the reference levels the n filter admits, as levels_for admits the predicted ones
+        # the reference levels the n filter admits, as _run_levels admits the predicted ones
         admit = slice(None) if cfg.n_filter is None else np.isin(spec.index, cfg.n_filter)
         ref = spec.index[admit]
         if study == "levels":
@@ -451,7 +462,7 @@ def cmd_scaling(cfg: RunConfig) -> dict:
                 raise quantize.QuantizeError(f"no levels in window at hbar={hbar}")
             return float(np.max(np.abs(quantize.defect(cfg.potential, spec.eigenvalues[admit], ref,
                                                        "smooth", hbar, cfg.cert))))
-        lv = cfg.levels_for(hbar)
+        lv = by_hbar[hbar]
         if study == "disc-levels" and len(lv) != len(ref):
             raise quantize.QuantizeError(
                 f"count mismatch at hbar={hbar}: {len(lv)} predicted vs {len(ref)} reference levels"

@@ -163,23 +163,26 @@ def _tridiag(pot: Potential, hbar: float, x: np.ndarray, robin_b: Optional[float
 # LAPACK is reached through scipy's compiled wrappers (scipy/linalg/_flapack),
 # loaded from their file on the first solve: `import scipy.linalg` runs the
 # package __init__, which loads numpy.testing, numpy.f2py and numpy.ma and
-# takes longer than a count's grid solves.  The extension is registered under
-# its own name, so a later `import scipy.linalg` reuses it.  The oracle
-# reaches LAPACK only through eigh_tridiagonal and solve_banded, which pass
-# dstebz and dgtsv the arguments of scipy.linalg.eigh_tridiagonal(select="v",
-# eigvals_only=True) and solve_banded((1, 1), ...), with their checks, so
-# the results are scipy's to the bit.
+# takes longer than a count's grid solves, and the file is found from the
+# spec of the scipy package without running scipy/__init__ either.  The
+# extension is registered in sys.modules under its own name, so a later
+# `import scipy.linalg` reuses it, though it is not set as the attribute
+# _flapack of scipy.linalg.  The oracle reaches LAPACK only through
+# eigh_tridiagonal and solve_banded, which pass dstebz and dgtsv the
+# arguments of scipy.linalg.eigh_tridiagonal(select="v", eigvals_only=True)
+# and solve_banded((1, 1), ...), with their checks, so the results are
+# scipy's to the bit.
 
 
 def _flapack():
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
-        import scipy
-
-        spec = importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+        package = importlib.util.find_spec("scipy")
+        spec = package and importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(path, "linalg") for path in package.submodule_search_locations or ()])
         if spec is None:
-            raise ImportError(f"scipy's LAPACK extension {name} was not found", name=name)
+            raise ImportError(f"the oracle needs scipy's LAPACK extension {name}, which was not "
+                              "found: is scipy installed?", name=name)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules[name] = module

@@ -13,11 +13,13 @@ holding the energies asked for, else CertificationError("window")
 becomes numbers: its Condition record carries (G, G') for the solver, the
 well integrals I_pm and the jump amplitude a^2 that give the eigenfunction's
 constants c_pm, and the turning points and matching point its Langer charts
-are built on (langer.eigenfunctions).  All n of a window are solved together
-by one safeguarded Newton iteration (_action_levels): G and G' are
-array-valued in lam, so each sweep is one evaluation for every unfinished
-level, and each n keeps its own sign-change bracket, taken from a sample of
-G across the window.
+are built on (langer.eigenfunctions).  All n of a window, at every hbar
+asked for, are solved together by one safeguarded Newton iteration
+(_action_levels): G and G' are array-valued in lam and hbar, so each sweep
+is one evaluation for every unfinished level, and each level keeps its own
+sign-change bracket, taken from one sample of G across the window.  The
+well integrals depend on lam alone, so that sample costs one set of
+integrals for all hbar.
 
 Smooth case: G = Phi, mu = 1/2; Phi' > 0 gives exactly one root per n.
 
@@ -194,32 +196,42 @@ def _brackets(lam, g, g_prime, targets):
     return lo, hi, start
 
 
-def _action_levels(pot: Potential, window: tuple[float, float], hbar: float, kind: str,
+def _action_levels(pot: Potential, window: tuple[float, float], hbars: list, kind: str,
                    cert: WellCertificate,
                    robin_b: Optional[float] = None) -> list[SemiclassicalLevel]:
-    """Every level of one kind in the window: for each n with
-    pi (n + mu) hbar strictly between G(a1) and G(a2), the root of
-    G(lam) = pi (n + mu) hbar, mu = MASLOV_OFFSETS[kind].
+    """Every level of one kind in the window at each hbar of hbars, ordered
+    by hbar as given, then by n: for each n with pi (n + mu) hbar strictly
+    between G(a1) and G(a2), the root of G(lam) = pi (n + mu) hbar,
+    mu = MASLOV_OFFSETS[kind].
 
-    All n are solved at once: each evaluation of quantization_condition
-    takes the array of every unfinished level.  A sample of G across the
-    window gives each n a sign-change bracket and a start (_brackets); then
-    each level takes Newton steps with the analytic derivative, safeguarded
-    by its shrinking bracket (bisection where a step leaves it or G' <= 0),
-    until a step is below LAMBDA_TOL relative, and G is evaluated once more
-    at the last iterate, which is returned with |G - target| and, for the
-    full-line kinds, a from that same evaluation.  A level still open after
-    _NEWTON_STEPS evaluations raises QuantizeError.
+    All levels are solved at once: each evaluation of quantization_condition
+    takes the arrays of lam and hbar of every unfinished level.  One sample
+    of G across the window, at every hbar, gives each level a sign-change
+    bracket and a start (_brackets); then each level takes Newton steps with
+    the analytic derivative, safeguarded by its shrinking bracket (bisection
+    where a step leaves it or G' <= 0), until a step is below LAMBDA_TOL
+    relative, and G is evaluated once more at the last iterate, which is
+    returned with |G - target| and, for the full-line kinds, a from that
+    same evaluation.  A level still open after _NEWTON_STEPS evaluations
+    raises QuantizeError.  Each level's steps read only its own entries, so
+    a level is the one a solve at its hbar alone returns.
     """
-    cond = lambda lam: quantization_condition(pot, lam, kind, hbar, cert, _ROOT_QUAD_TOL)
+    cond = lambda lam, h: quantization_condition(pot, lam, kind, h, cert, _ROOT_QUAD_TOL)
     sample = np.linspace(*window, _SAMPLE_POINTS)
-    s = cond(sample)
-    ns, targets = _quantum_numbers(float(s.g[0]), float(s.g[-1]), kind, hbar)
-    if not ns.size:
+    s = cond(sample, np.reshape(hbars, (-1, 1)))
+    g, g_prime = (np.broadcast_to(v, (len(hbars), _SAMPLE_POINTS)) for v in (s.g, s.g_prime))
+    per_hbar = []  # (hbar, ns, targets, lo, hi, start) of every hbar with a level
+    for h, g_h, g_prime_h in zip(hbars, g, g_prime):
+        ns, targets = _quantum_numbers(float(g_h[0]), float(g_h[-1]), kind, h)
+        if ns.size:
+            per_hbar.append((h, ns, targets, *_brackets(sample, g_h, g_prime_h, targets)))
+    if not per_hbar:
         return []
+    level_hbar = [h for h, ns, *_ in per_hbar for _ in range(ns.size)]
+    hb = np.array(level_hbar, dtype=float)
+    ns, targets, lo, hi, lam = (np.concatenate(col) for col in list(zip(*per_hbar))[1:])
 
-    lo, hi, lam = _brackets(sample, s.g, s.g_prime, targets)
-    c = cond(lam)
+    c = cond(lam, hb)
     f, der, a_sq = c.g - targets, c.g_prime, c.a_squared
     resid = np.zeros(ns.shape)
     final = np.zeros(ns.shape, dtype=bool)  # lam is the last iterate, and f was taken there
@@ -240,15 +252,15 @@ def _action_levels(pot: Potential, window: tuple[float, float], hbar: float, kin
         nxt = np.where((a < nxt) & (nxt < b), nxt, 0.5 * (a + b))
         final[todo] = np.abs(nxt - x) <= LAMBDA_TOL * np.maximum(1.0, np.abs(x))
         lam[todo], lo[todo], hi[todo] = nxt, a, b
-        c = cond(nxt)
+        c = cond(nxt, hb[todo])
         f[todo], der[todo], a_sq[todo] = c.g - targets[todo], c.g_prime, c.a_squared
 
     out = []
-    for k, n in enumerate(ns.tolist()):
+    for k, (n, h) in enumerate(zip(ns.tolist(), level_hbar)):
         amp = None
         if kind in ("smooth", "discontinuous"):
             amp = (-1.0) ** (n % 2) * math.sqrt(float(a_sq[k]))
-        out.append(SemiclassicalLevel(n=n, hbar=hbar, lam=float(lam[k]), residual=float(resid[k]),
+        out.append(SemiclassicalLevel(n=n, hbar=h, lam=float(lam[k]), residual=float(resid[k]),
                                       kind=kind, amplitude_a=amp, robin_b=robin_b))
     return out
 
@@ -258,7 +270,9 @@ class Condition:
     """The quantization condition of a level kind at one energy, with the
     well integrals that normalize its eigenfunction and the points its
     Langer charts are built on (quantization_condition).  Fields are floats,
-    or arrays of the shape of an array of energies (tp has array fields)."""
+    or arrays of the shape of an array of energies (tp has array fields);
+    g, g_prime and a_squared of the discontinuous kind, which hbar enters,
+    take the shape of energies and hbar broadcast together."""
 
     g: float  # G of G = pi (n + mu) hbar
     g_prime: float  # dG/dlam
@@ -269,15 +283,19 @@ class Condition:
     x1: float  # matching point: the jump point, the wall x_- = 0, or mid-well for the smooth kind
 
 
-def quantization_condition(pot: Potential, lam, kind: str, hbar: float,
+def quantization_condition(pot: Potential, lam, kind: str, hbar,
                            cert: Optional[WellCertificate] = None,
                            tol: float = TOL_QUAD) -> Condition:
-    """The Condition record of a level kind at lam, a float or an array.
+    """The Condition record of a level kind at lam, a float or an array;
+    hbar, a float or an array, broadcasts against lam.  The turning points
+    and well integrals depend on lam alone and are taken once per entry of
+    lam, whatever the shape of hbar.
 
     smooth: G = Phi, I_+ = int (lam-v)^(-1/2) over the well = 2 G', matched
-    at the midpoint of the well; hbar does not enter, so this record is also
-    the one source of the whole-well integrals (Phi, Phi' and I) that the
-    averages and the kinetic energy of action read.
+    at the midpoint of the well; hbar does not enter (the fields keep lam's
+    shape), so this record is also the one source of the whole-well
+    integrals (Phi, Phi' and I) that the averages and the kinetic energy of
+    action read.
     discontinuous: jump_action at x0, the one singular point inside the
     well of cert (its interior jump, or a kink where the condition reduces
     to Bohr-Sommerfeld), cert defaulting to the certificate of the energies
@@ -312,7 +330,7 @@ def quantization_condition(pot: Potential, lam, kind: str, hbar: float,
     return Condition(g, 0.5 * i_plus, np.ones(np.shape(lam)), i_plus, np.zeros(np.shape(lam)), tp, x1)
 
 
-def levels(pot: Potential, window: tuple[float, float], hbar: float,
+def levels(pot: Potential, window: tuple[float, float], hbar,
            robin_b: Optional[float] = None,
            cert: Optional[WellCertificate] = None) -> list[SemiclassicalLevel]:
     """Every level in the window of the condition the well picks: the
@@ -321,8 +339,13 @@ def levels(pot: Potential, window: tuple[float, float], hbar: float,
     when v jumps inside the well of cert (the certificate of the window by
     default), else Bohr-Sommerfeld.  A robin_b on a full-line well raises
     CertificationError("domain").
+
+    hbar is a float or a sequence of floats.  The levels of every hbar are
+    solved in one batch and returned ordered by hbar as given, then by n;
+    each is the level a call with its hbar alone returns.
     """
-    if hbar <= 0.0:
+    hbars = [hbar] if np.ndim(hbar) == 0 else list(hbar)
+    if any(h <= 0.0 for h in hbars):
         raise QuantizeError("hbar must be positive")
     if robin_b is not None and pot.domain != "half_line":
         raise CertificationError("domain", "a Robin wall (robin_b) needs a half-line well")
@@ -331,7 +354,7 @@ def levels(pot: Potential, window: tuple[float, float], hbar: float,
         kind = "halfline_dirichlet" if robin_b is None else "halfline_robin"
     else:
         kind = "smooth" if cert.interior_jump is None else "discontinuous"
-    return _action_levels(pot, window, hbar, kind, cert, robin_b)
+    return _action_levels(pot, window, hbars, kind, cert, robin_b) if hbars else []
 
 
 def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
@@ -343,7 +366,7 @@ def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
     over [a1, a2].
     """
     _certificate(pot, a1, a2, cert)  # raises off a single well
-    phi1, phi2 = (quantization_condition(pot, a, "smooth", hbar).g for a in (a1, a2))
+    phi1, phi2 = quantization_condition(pot, np.array([a1, a2]), "smooth", hbar).g
     predicted = float((phi2 - phi1) / (math.pi * hbar))
     count = len(_quantum_numbers(phi1, phi2, "smooth", hbar)[0])
     return CountResult(predicted=predicted, count=count, epsilon=float(count - predicted),
@@ -360,12 +383,12 @@ def _jump_factor(pot: Potential, x0: float, lam):
     gap_p = lam - pot.value(x0)
     below = np.atleast_1d((gap_m <= 0.0) | (gap_p <= 0.0))
     if below.any():
-        bad = np.atleast_1d(lam)[np.argmax(below)]
+        bad = np.ravel(lam)[np.argmax(below)]
         raise QuantizeError(f"lam={bad} does not exceed both one-sided limits of v at {x0}")
     return (gap_m / gap_p) ** 0.25, 0.25 * (1.0 / gap_m - 1.0 / gap_p)
 
 
-def jump_action(pot: Potential, lam, hbar: float, x0: float,
+def jump_action(pot: Potential, lam, hbar, x0: float,
                 tol: float = TOL_QUAD) -> Condition:
     """Phase-corrected action G whose level sets pi (n + 1/2) hbar are the
     roots of F = p sin(theta+) cos(theta-) + p^-1 cos(theta+) sin(theta-).
@@ -379,11 +402,13 @@ def jump_action(pot: Potential, lam, hbar: float, x0: float,
     G' = (1/2)(I+ + I-/a^2) - hbar sin(2 theta-) (ln p)' / a^2, where I_pm
     integrate (lam-v)^(-1/2) on each side of x0.
 
-    The record is matched at x0.  lam may be an array, giving arrays.  A
-    float is computed as an array of one, so that it takes the same numpy
-    kernels as an entry of an array.
+    The record is matched at x0.  lam and hbar may be arrays; they
+    broadcast in G, G' and a^2, and the turning points and well integrals
+    are taken once per entry of lam.  A float lam is computed as an array of
+    one, so that it takes the same numpy kernels as an entry of an array.
     """
-    lams = np.asarray(lam, dtype=float).reshape(-1)
+    shape = np.shape(lam)
+    lams = np.asarray(lam, dtype=float).reshape(shape or (1,))
     p, dlnp = _jump_factor(pot, x0, lams)
     tp = turning_points(pot, lams)
     (phi_plus, i_plus), _ = well_integral(pot, lams, x0, tp.x_plus, False, True, tol)
@@ -393,10 +418,13 @@ def jump_action(pot: Potential, lam, hbar: float, x0: float,
     p2 = p * p
     a2 = p2 * c * c + s * s / p2
     delta = np.arctan((1.0 - p2) * s * c / (p2 * c * c + s * s))
-    fields = (phi_plus + phi_minus + hbar * delta,
-              0.5 * (i_plus + i_minus / a2) - hbar * np.sin(2.0 * th_m) * dlnp / a2,
-              a2, i_plus, i_minus, tp.x_minus, tp.x_plus, tp.slope_minus, tp.slope_plus,
+    g = phi_plus + phi_minus + hbar * delta
+    g_prime = 0.5 * (i_plus + i_minus / a2) - hbar * np.sin(2.0 * th_m) * dlnp / a2
+
+    def cast(out_shape, *vs):  # each v has out_shape, or (1,) where a float is due
+        return [v if out_shape else float(v[0]) for v in vs]
+
+    f = cast(np.broadcast_shapes(shape, np.shape(hbar)), g, g_prime, a2)
+    f += cast(shape, i_plus, i_minus, tp.x_minus, tp.x_plus, tp.slope_minus, tp.slope_plus,
               np.full(lams.shape, x0))
-    shape = np.shape(lam)
-    f = [v.reshape(shape) if shape else float(v[0]) for v in fields]
     return Condition(*f[:5], TurningPoints(*f[5:9]), f[9])

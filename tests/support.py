@@ -13,7 +13,8 @@ def levels_of_kind(pot, window, hbar, kind, robin_b=None, cert=None):
     """The levels of one kind in the window, for a kind the well would not
     pick (quantize.levels picks the kind from the well); cert defaults to
     the certificate of the window."""
-    return quantize._action_levels(pot, window, hbar, kind, cert or certify_well(pot, *window), robin_b)
+    return quantize._action_levels(pot, window, [hbar], kind, cert or certify_well(pot, *window),
+                                   robin_b)
 
 
 def partial_action(pot, lam, x, side, tol=TOL_QUAD):

@@ -304,17 +304,18 @@ def test_cli_import_loads_no_root_finder_or_interpolator():
 
 
 def test_the_oracle_commands_load_no_scipy_linalg(tmp_path):
-    # the oracle loads scipy's LAPACK extension alone, not the scipy.linalg package
+    # the oracle loads scipy's LAPACK extension alone, not the scipy.linalg
+    # package, nor even the scipy package
     cfg = write_config(tmp_path, "c.json", {"potential": HARM_POT, "hbar": [0.1],
                                              "window": [0.03, 0.6]})
     code = ("import sys; from semiclass.cli import run; "
             f"print([run([c, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r} + '/' + c]) "
             "for c in ('count', 'wavefunction')], 'scipy.linalg' in sys.modules, "
-            "'scipy.linalg._flapack' in sys.modules)")
+            "'scipy.linalg._flapack' in sys.modules, 'scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           cwd=REPO, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0] False True"
+    assert proc.stdout.strip() == "[0, 0] False True False"
     assert (tmp_path / "count").read_text().splitlines()[1].split(",")[6] == "3"  # count_oracle
     assert "psi_oracle" in (tmp_path / "wavefunction").read_text().splitlines()[0]
 
@@ -631,10 +632,10 @@ def test_the_levels_scaling_study_reads_only_the_oracle(tmp_path, monkeypatch):
     cfg = str(CONFIGS / "quartic_scaling.json")
     assert run(["scaling", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 0
 
-    def no_levels(self, hbar):
+    def no_levels(*args, **kwargs):
         raise quantize.QuantizeError("the semiclassical levels were solved")
 
-    monkeypatch.setattr(cli.RunConfig, "levels_for", no_levels)
+    monkeypatch.setattr(quantize, "levels", no_levels)
     assert run(["scaling", "--config", cfg, "--out", str(tmp_path / "b.csv")]) == 0
     assert (tmp_path / "b.csv").read_text() == (tmp_path / "a.csv").read_text()
 
@@ -707,11 +708,77 @@ def test_the_levels_of_a_run_are_quantize_levels_with_the_n_filter(name):
     from semiclass import cli, quantize
 
     cfg = cli.RunConfig(_committed(name), CONFIGS, use_oracle=False)
+    run_levels = cli._run_levels(cfg)
+    assert list(run_levels) == cfg.hbars
     for hbar in cfg.hbars:
         lv = quantize.levels(cfg.potential, cfg.window, hbar, cfg.robin_b)
         assert lv
         admitted = [l for l in lv if cfg.n_filter is None or l.n in cfg.n_filter]
-        assert cfg.levels_for(hbar) == admitted
+        assert run_levels[hbar] == admitted
+
+
+@pytest.mark.parametrize("command,fmt,flags", [
+    ("levels", "csv", []),
+    ("levels", "json", []),
+    ("wavefunction", "csv", ["--no-oracle"]),
+])
+def test_a_run_over_three_hbar_writes_the_rows_of_three_one_hbar_runs(tmp_path, command, fmt, flags):
+    # the levels of every hbar come from one batch; each row is the byte
+    # string a run at its hbar alone writes, in ascending hbar
+    doc = _committed("table_jump.json")
+
+    def head_and_rows(hbar, name):
+        cfg = write_config(tmp_path, name + ".json", dict(doc, hbar=hbar))
+        out = tmp_path / f"{name}.{fmt}"
+        assert run([command, "--config", str(cfg), "--format", fmt, "--out", str(out), *flags]) == 0
+        text = out.read_text()
+        if fmt == "csv":
+            return text.split("\n", 1)
+        head, body = text.split('"rows": [\n')
+        return head, body[:body.rindex("\n  ]")]
+
+    head, rows = head_and_rows([0.1, 0.07, 0.05], "three")
+    singles = [head_and_rows([h], f"one{k}") for k, h in enumerate([0.05, 0.07, 0.1])]
+    assert all(h == head and r for h, r in singles)
+    assert rows == ("" if fmt == "csv" else ",\n").join(r for _, r in singles)
+
+
+def test_a_levels_run_solves_every_hbar_in_one_batch(tmp_path, monkeypatch):
+    # the quartic at three hbar: one sample of G, a start and two Newton
+    # sweeps serve every level
+    from semiclass import quantize
+
+    sizes = []
+    condition = quantize.quantization_condition
+
+    def counting(pot, lam, *args):
+        sizes.append(np.size(lam))
+        return condition(pot, lam, *args)
+
+    monkeypatch.setattr(quantize, "quantization_condition", counting)
+    cfg = write_config(tmp_path, "c.json", dict(_committed("quartic_scaling.json"),
+                                                hbar=[0.02, 0.01, 0.005]))
+    assert run(["levels", "--config", str(cfg), "--no-oracle", "--out", str(tmp_path / "t.csv")]) == 0
+    rows = len((tmp_path / "t.csv").read_text().splitlines()) - 1
+    assert rows > 200
+    assert len(sizes) <= 4 and sizes[:2] == [33, rows]
+
+
+def test_levels_with_the_oracle_take_one_defect_call_per_block(monkeypatch):
+    from semiclass import cli, quantize
+
+    sizes = []
+    defect = quantize.defect
+
+    def counting(pot, lam, *args):
+        sizes.append(np.size(lam))
+        return defect(pot, lam, *args)
+
+    monkeypatch.setattr(quantize, "defect", counting)
+    cfg = cli.RunConfig(_committed("halfline_robin.json"), CONFIGS, use_oracle=True)
+    table = cli.cmd_levels(cfg)
+    assert [size for size, _ in table["rows"].blocks] == sizes
+    assert len(sizes) == len(cfg.hbars) and sum(sizes) == len(table["rows"])
 
 
 @pytest.mark.parametrize("command,name,use_oracle", [

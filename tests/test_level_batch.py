@@ -9,6 +9,7 @@ call does.  On three fixed wells the eigenfunction of a level, too, is the
 one its window alone gives."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -82,6 +83,41 @@ def test_window_levels_match_single_level_windows(well):
         assert abs(single[0].lam - l.lam) <= LAMBDA_TOL * max(1.0, abs(l.lam))
         if l.amplitude_a is not None:
             assert abs(single[0].amplitude_a - l.amplitude_a) <= 1e-9 * abs(l.amplitude_a)
+
+
+@pytest.mark.parametrize("kinds", [("power", "kinked"), ("jump",), ("halfline_dirichlet",),
+                                   ("halfline_robin",)])
+@settings(PROPS, max_examples=10)
+@given(data=st.data())
+def test_the_levels_of_several_hbar_are_the_levels_of_each_hbar(kinds, data):
+    # one batch over every hbar, ordered as given: the bits of one call per
+    # hbar in every field; at hbar 100 the first target lies above G on every
+    # window drawn (|hbar delta| < pi hbar / 4 at a jump there), so it has no level
+    kind, pot, window, hbar = data.draw(wells(kinds))
+    hbars = [hbar, 100.0, 2.0 * hbar]
+    single = [_solve(kind, pot, window, h) for h in hbars]
+    assert single[1] == []
+    assert _solve(kind, pot, window, hbars) == [l for lv in single for l in lv]
+
+
+@PROPS
+@given(wells(kinds=("jump",)), st.lists(floats(0.0, 1.0), min_size=1, max_size=6))
+def test_jump_action_at_an_array_of_hbar_is_one_call_per_hbar(well, fractions):
+    _, pot, window, hbar = well
+    x0 = certify_well(pot, *window).interior_singularities[0].x
+    lams = np.array([window[0] + f * (window[1] - window[0]) for f in fractions])
+    hbars = np.array([hbar, 0.37, 2.0 * hbar])
+    for lam, hb in ((lams, hbars[:, None]), (float(lams[0]), hbars)):
+        batch = quantize.jump_action(pot, lam, hb, x0)
+        for k, h in enumerate(hbars):
+            one = quantize.jump_action(pot, lam, float(h), x0)
+            for field in ("g", "g_prime", "a_squared"):
+                assert np.array_equal(getattr(batch, field)[k], getattr(one, field))
+        # hbar does not enter the well integrals and turning points
+        for field in ("i_plus", "i_minus", "x1", "tp.x_minus", "tp.x_plus", "tp.slope_minus",
+                      "tp.slope_plus"):
+            get = operator.attrgetter(field)
+            assert np.array_equal(get(batch), get(one))
 
 
 @PROPS

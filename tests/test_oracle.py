@@ -256,6 +256,18 @@ def test_the_lapack_bindings_equal_scipy_bit_for_bit(rows):
     assert np.array_equal(args[2], b)  # the inverse iteration reuses its inputs
 
 
+def test_the_lapack_bindings_name_scipy_when_it_is_missing(monkeypatch):
+    import importlib.util
+    import sys
+
+    find_spec = importlib.util.find_spec
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *args: None if name == "scipy" else find_spec(name, *args))
+    with pytest.raises(ImportError, match="is scipy installed"):
+        oracle._flapack()
+
+
 def test_the_lapack_bindings_keep_scipys_checks():
     d, e = _jacobi(5, 0)
     b = np.ones(5)

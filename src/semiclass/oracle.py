@@ -14,9 +14,9 @@ coefficient that grows with the level (like k^4 for the k-th level; Paine,
 de Hoog & Anderssen, Computing 26 (1981) 123-139), so the second (h^4)
 column is taken per level, and only where that level's raw differences
 shrink by 4 per doubling; every other level keeps the first (h^2) column.
-Eigenvectors come from inverse iteration on the grid one doubling finer
-than the last one solved, built once per spectrum.  A Numerov shooting
-solver provides an independent cross-check of the default scheme.
+Eigenvectors (inverse iteration on the grid one doubling finer than the
+last one solved, built once per spectrum) are positive at the last node
+where v < lam.  A Numerov shooting solver cross-checks the default scheme.
 
 Each raw eigenvalue carries its index in the grid spectrum.  The k-th
 lowest eigenvalue of a Jacobi matrix with negative off-diagonals is simple
@@ -34,8 +34,8 @@ stop rule ends the loop or the grid doubles.  `solve_spectrum` solves the
 window padded by w; `count_levels`, which needs only the levels that could
 cross a window edge, one band (c - 2 w, c + 2 w] per edge c, counting the
 levels below a band by its first index.  All solvers share one setup
-(`_domain`): argument checks, truncation, the spectrum-edge check and the
-first grid.
+(`_domain`): argument checks, truncation (the oracle's one turning-point
+solve, at the window top), the spectrum-edge check and the first grid.
 
 The half-line wall x = 0 is one argument, `robin_b`: None is the Dirichlet
 wall psi(0) = 0, a number b the Robin wall psi'(0) = b psi(0); a full-line
@@ -60,7 +60,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .potential import Potential, TurningPointError, turning_points
+from .potential import Potential, turning_points
 
 __all__ = [
     "OracleSpectrum",
@@ -89,10 +89,8 @@ class OracleError(RuntimeError):
 # domain and grid construction
 
 
-def _tail_bound(pot: Potential, lam: float, hbar: float, side: int) -> float:
-    """Truncation point: v >= lam + 1 and WKB tail integral >= _TAIL_DECADES*hbar."""
-    tp = turning_points(pot, lam)
-    x_t = tp.x_plus if side > 0 else tp.x_minus
+def _tail_bound(pot: Potential, lam: float, hbar: float, x_t: float, side: int) -> float:
+    """Truncation point beyond x_t: v >= lam + 1 and WKB tail integral >= _TAIL_DECADES*hbar."""
     x = x_t + side * 0.25
     need = _TAIL_DECADES * hbar
     for _ in range(400):
@@ -271,7 +269,7 @@ def _romberg(e0: np.ndarray, e1: np.ndarray, e2: np.ndarray):
 @dataclass
 class OracleSpectrum:
     """Converged reference eigenvalues in a window, with the checked request
-    they were solved on, which builds grid, the finer grid's operator
+    they were solved on, which builds grid, v on it, the finer grid's operator
     (_fine) and each level's eigenvector (_vectors) once, on demand."""
 
     domain: _Domain
@@ -293,21 +291,21 @@ class OracleSpectrum:
         return _read_only(self.domain.grid(self.n))
 
     @functools.cached_property
+    def v(self) -> np.ndarray:
+        """v on grid, read-only; a jump node takes the mean of its limits, as in the operator."""
+        return _read_only(_potential_on_grid(self.domain.pot, self.grid))
+
+    @functools.cached_property
     def _fine(self):
-        """(xf, d, e, start, nodes, x_plus), read-only: the grid of 2n
-        intervals and its (d, e), the normalized start vector, each grid
-        node's index on xf (-1 beyond it) and the right turning points of
-        the levels (None if one has none: each level then takes its own)."""
+        """(xf, d, e, start, nodes), read-only: the grid of 2n intervals and
+        its (d, e), the normalized start vector and each grid node's index on
+        xf (-1 beyond it)."""
         xf, d, e = self.domain.matrix(2 * self.n)
         start = np.random.default_rng(20260810).standard_normal(len(d))
         start /= np.linalg.norm(start)
         i = np.rint((self.grid - xf[0]) / (xf[1] - xf[0])).astype(int)
         nodes = np.where((i >= 0) & (i < len(xf)), i, -1)
-        try:
-            x_plus = turning_points(self.domain.pot, self.eigenvalues).x_plus
-        except TurningPointError:
-            x_plus = None
-        return tuple(a if a is None else _read_only(a) for a in (xf, d, e, start, nodes, x_plus))
+        return tuple(_read_only(a) for a in (xf, d, e, start, nodes))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -379,8 +377,9 @@ def _domain(pot: Potential, hbar: float, window: tuple[float, float],
     if x_span is not None:
         x_lo, x_hi = x_span
     else:
-        x_lo = _tail_bound(pot, hi, hbar, -1) if pot.domain == "full_line" else 0.0
-        x_hi = _tail_bound(pot, hi, hbar, +1)
+        tp = turning_points(pot, hi)
+        x_lo = _tail_bound(pot, hi, hbar, tp.x_minus, -1) if pot.domain == "full_line" else 0.0
+        x_hi = _tail_bound(pot, hi, hbar, tp.x_plus, +1)
     for edge in (x_lo, x_hi):
         if pot.domain == "half_line" and edge == 0.0:
             continue
@@ -506,16 +505,17 @@ def eigenvector(spec: OracleSpectrum, k: int):
     doubling finer than the last grid solved, and psi is normalized there.
     It is returned at the nodes of spec.grid, which are every other node of
     the finer grid; a node of spec.grid beyond the finer grid's ends (a jump
-    well anchors both grids at the jump) is a Dirichlet zero.  The sign is
-    fixed so that psi is positive at the node of spec.grid nearest the
-    right turning point.  The finer grid's operator and start vector are
-    shared, unwritten, by every level (spec._fine).
+    well anchors both grids at the jump) is a Dirichlet zero.  psi is
+    positive at the last node of spec.grid where v < lam (an OracleError if
+    none is), the lobe that the decaying right tail continues.  The finer
+    grid's operator and start vector are shared, unwritten, by every level
+    (spec._fine).
     """
     if k < 0 or k >= len(spec.eigenvalues):
         raise OracleError(f"level index {k} outside the window list")
     if k in spec._vectors:
         return spec._vectors[k]
-    xf, d, e, v, nodes, x_plus = spec._fine
+    xf, d, e, v, nodes = spec._fine
     lam = float(spec.eigenvalues[k])
     shifted = d - lam
     resid = math.inf
@@ -541,17 +541,15 @@ def eigenvector(spec: OracleSpectrum, k: int):
     else:
         psi_f = np.concatenate(([0.0], v, [0.0]))
     psi_f /= math.sqrt(float(np.trapezoid(psi_f * psi_f, xf)))
-    x = spec.grid
-    on = nodes >= 0
-    psi = np.zeros_like(x)
-    psi[on] = psi_f[nodes[on]]
+    psi = np.where(nodes >= 0, psi_f[nodes], 0.0)
 
-    x_tp = x_plus[k] if x_plus is not None else turning_points(spec.domain.pot, lam).x_plus
-    i_plus = int(np.argmin(np.abs(x - x_tp)))
-    if psi[i_plus] < 0.0:
+    allowed = np.flatnonzero(spec.v < lam)
+    if not allowed.size:
+        raise OracleError(f"level {k} lies below v at every node of the grid")
+    if psi[allowed[-1]] < 0.0:
         psi = -psi
-    spec._vectors[k] = (x, psi)
-    return x, psi
+    spec._vectors[k] = (spec.grid, psi)
+    return spec._vectors[k]
 
 
 def observable(spec: OracleSpectrum, k: int, w: Callable) -> float:
@@ -563,7 +561,7 @@ def observable(spec: OracleSpectrum, k: int, w: Callable) -> float:
 
 def kinetic_energy(spec: OracleSpectrum, k: int) -> float:
     """hbar^2 int psi'^2 via energy conservation: lam - int v psi^2."""
-    return float(spec.eigenvalues[k]) - observable(spec, k, lambda x: _potential_on_grid(spec.domain.pot, x))
+    return float(spec.eigenvalues[k]) - observable(spec, k, lambda x: spec.v)
 
 
 # ---------------------------------------------------------------------------

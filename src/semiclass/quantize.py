@@ -213,8 +213,8 @@ def _action_levels(pot: Potential, window: tuple[float, float], hbars: list, kin
     relative, and G is evaluated once more at the last iterate, which is
     returned with |G - target| and, for the full-line kinds, a from that
     same evaluation.  A level still open after _NEWTON_STEPS evaluations
-    raises QuantizeError.  Each level's steps read only its own entries, so
-    a level is the one a solve at its hbar alone returns.
+    raises QuantizeError naming its n and hbar.  Each level's steps read only
+    its own entries, so a level is the one a solve at its hbar alone returns.
     """
     cond = lambda lam, h: quantization_condition(pot, lam, kind, h, cert, _ROOT_QUAD_TOL)
     sample = np.linspace(*window, _SAMPLE_POINTS)
@@ -242,8 +242,8 @@ def _action_levels(pot: Potential, window: tuple[float, float], hbars: list, kin
         if not todo.size:
             break
         if step == _NEWTON_STEPS:
-            raise QuantizeError(f"level n={int(ns[todo[0]])} not converged to LAMBDA_TOL="
-                                f"{LAMBDA_TOL} in {_NEWTON_STEPS} steps")
+            raise QuantizeError(f"level n={int(ns[todo[0]])} at hbar={float(hb[todo[0]])} not converged "
+                                f"to LAMBDA_TOL={LAMBDA_TOL} in {_NEWTON_STEPS} steps")
         x, fx, dx, a, b = lam[todo], f[todo], der[todo], lo[todo], hi[todo]
         b = np.where(fx > 0.0, x, b)
         a = np.where(fx > 0.0, a, x)

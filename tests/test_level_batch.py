@@ -173,8 +173,16 @@ def test_newton_cap_raises(monkeypatch, steps):
     # a level still open after the cap is an error, not an unconverged answer
     monkeypatch.setattr(quantize, "_NEWTON_STEPS", steps)
     pot = make_power_law(0, 1, 4, 0, 1, 4)
-    with pytest.raises(QuantizeError, match="not converged"):
+    with pytest.raises(QuantizeError, match=r"at hbar=0\.02 not converged"):
         levels(pot, (0.5, 2.0), 0.02)
+
+
+def test_newton_cap_names_the_hbar_of_the_first_open_level(monkeypatch):
+    # one batch spans every hbar: the first open level, by hbar as given, is named
+    monkeypatch.setattr(quantize, "_NEWTON_STEPS", 1)
+    pot = make_power_law(0, 1, 4, 0, 1, 4)
+    with pytest.raises(QuantizeError, match=r"level n=\d+ at hbar=0\.05 not converged"):
+        levels(pot, (0.5, 2.0), [0.05, 0.02])
 
 
 def test_newton_cap_exits_4(monkeypatch, tmp_path):

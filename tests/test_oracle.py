@@ -21,8 +21,8 @@ from semiclass.oracle import (
     solve_spectrum,
 )
 from semiclass.potential import (
-    TurningPointError,
     halfline_power_law,
+    make_polynomial,
     make_power_law,
     potential_from_spec,
     turning_points,
@@ -173,6 +173,15 @@ def test_numerov_disc_agrees():
     nv = numerov_levels(DISC, 0.05, (0.8, 1.8), n=12000)
     assert len(nv) == len(spec.eigenvalues)
     assert np.abs(nv - spec.eigenvalues).max() <= 3e-7
+
+
+@pytest.mark.parametrize("robin_b, count", [(0.0, 3), (2.0, 2)])
+def test_numerov_agrees_on_a_robin_wall(robin_b, count):
+    # the Numerov sweep starts from the Robin condition psi'(0) = b psi(0)
+    spec = solve_spectrum(HL, 0.1, (0.3, 1.3), robin_b=robin_b)
+    nv = numerov_levels(HL, 0.1, (0.3, 1.3), robin_b=robin_b)
+    assert len(nv) == len(spec.eigenvalues) == count
+    assert np.abs(nv - spec.eigenvalues).max() <= oracle.DEFAULT_TOL
 
 
 def test_disc_grid_contains_jump_node():
@@ -566,26 +575,74 @@ def test_eigenvectors_do_not_depend_on_the_order_they_are_asked_in(pot, hbar, wi
     ks = range(len(down.eigenvalues))
     assert len(ks) > 2
     first = eigenvector(down, ks[-1])
-    fine = [a.copy() for a in down._fine if a is not None]
+    fine = [a.copy() for a in (down.v, *down._fine)]
     got = {k: eigenvector(down, k) for k in reversed(ks)}
     for k in ks:
         x, psi = eigenvector(up, k)
         assert np.array_equal(x, got[k][0]) and np.array_equal(psi, got[k][1])
         assert x is up.grid
     assert got[ks[-1]][1] is first[1]
-    assert all(np.array_equal(a, b) for a, b in zip(fine, (a for a in down._fine if a is not None)))
-    for a in (down.grid, *(a for a in down._fine if a is not None)):
+    assert all(np.array_equal(a, b) for a, b in zip(fine, (down.v, *down._fine)))
+    for a in (down.grid, down.v, *down._fine):
         assert not a.flags.writeable
 
 
-def test_a_window_level_without_turning_points_fails_alone():
+def _anchor(spec, k):
+    """The last node of spec.grid where v < lam: where psi is positive."""
+    return int(np.flatnonzero(spec.v < spec.eigenvalues[k])[-1])
+
+
+def test_a_window_level_without_turning_points_gets_its_eigenvector():
     # below the jump's top (v(0+) = 0.5) the right crossing of v = lam is the
-    # jump itself, so that level has no turning points; the others keep theirs
+    # jump itself, so that level has no turning points; the sign of its
+    # eigenvector comes from the grid all the same
     spec = solve_spectrum(DISC, 0.05, (0.3, 1.0))
     below = spec.eigenvalues < 0.5
     assert below.any() and not below.all()
     k = int(np.flatnonzero(~below)[0])
     x, psi = eigenvector(spec, k)
     assert psi[np.argmin(np.abs(x - turning_points(DISC, spec.eigenvalues[k]).x_plus))] > 0
-    with pytest.raises(TurningPointError, match="jumps across"):
-        eigenvector(spec, int(np.flatnonzero(below)[0]))
+    k = int(np.flatnonzero(below)[0])
+    _, psi = eigenvector(spec, k)
+    assert _sign_changes(psi) == spec.index[k]
+    assert psi[_anchor(spec, k)] > 0
+
+
+def test_every_level_of_a_double_well_gets_its_eigenvector():
+    # (x^2 - 1)^2: below the barrier v = lam crosses four times, and a level
+    # has no pair of turning points
+    spec = solve_spectrum(make_polynomial([1, 0, -2, 0, 1]), 0.2, (0.1, 1.5))
+    assert len(spec.eigenvalues) == 5
+    assert spec.eigenvalues[0] < 1.0
+    for k in range(len(spec.eigenvalues)):
+        x, psi = eigenvector(spec, k)
+        assert abs(np.trapezoid(psi * psi, x) - 1.0) <= 1e-12
+        assert _sign_changes(psi) == spec.index[k]
+        assert psi[_anchor(spec, k)] > 0
+
+
+def test_the_oracle_solves_turning_points_once_per_request(monkeypatch):
+    # the truncation reads the turning points of the window top; eigenvectors
+    # and observables read none
+    calls = []
+
+    def counted(pot, lam):
+        calls.append(lam)
+        return turning_points(pot, lam)
+
+    monkeypatch.setattr(oracle, "turning_points", counted)
+    spec = solve_spectrum(QUART, 0.1, (0.5, 2.0))
+    assert calls == [2.0]
+    for k in range(len(spec.eigenvalues)):
+        eigenvector(spec, k)
+        kinetic_energy(spec, k)
+    assert calls == [2.0]
+
+
+def test_a_level_below_v_at_every_node_has_no_eigenvector():
+    # a Robin wall psi'(0) = b psi(0) with b < 0 binds a level near -hbar^2 b^2,
+    # below min v = 0: no node is classically allowed, so no sign is defined
+    spec = solve_spectrum(HL, 0.05, (-0.1, 0.2), robin_b=-5.0)
+    assert spec.eigenvalues[0] < 0.0
+    with pytest.raises(OracleError, match="below v at every node"):
+        eigenvector(spec, 0)

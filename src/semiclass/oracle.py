@@ -33,7 +33,11 @@ no matched level, until 2 w spans the well's depth; otherwise the caller's
 stop rule ends the loop or the grid doubles.  `solve_spectrum` solves the
 window padded by w; `count_levels`, which needs only the levels that could
 cross a window edge, one band (c - 2 w, c + 2 w] per edge c, counting the
-levels below a band by its first index.  All solvers share one setup
+levels below a band by its first index.  The count first bisects its bands
+coarsely, to about w / 1000, on three grids, and an edge is decided where
+each level near it lies farther from it than twice an error bar; an edge
+left in doubt runs the loop again at LAPACK's tolerance on its own band,
+under the stop rule of `solve_spectrum`.  All solvers share one setup
 (`_domain`): argument checks, truncation (the oracle's one turning-point
 solve, at the window top), the spectrum-edge check and the first grid.
 
@@ -76,6 +80,7 @@ __all__ = [
 DEFAULT_TOL = 1e-8
 _MIN_TOL = 1e-10  # smallest tol_oracle the scheme resolves
 _MAX_N = 2**22
+_COARSE = 1e-3  # count_levels' first-pass bisection tolerance, as a share of start_width
 _TAIL_DECADES = 20.0  # WKB tail exponent required beyond the window top
 # raw differences between grids below this share of max(1, |lam|) are rounding
 _ROUNDING = 1e3 * np.finfo(float).eps
@@ -343,13 +348,14 @@ class _Domain:
         x = self.grid(n)
         return (x, *_tridiag(self.pot, self.hbar, x, self.robin_b))
 
-    def eigs(self, n: int, ranges):
+    def eigs(self, n: int, ranges, tol: float = 0.0):
         """(values, index, first) of the grid of n intervals: the raw
-        eigenvalues in the ranges (a, b], each level once and ascending, their
+        eigenvalues in the ranges (a, b], bisected to the absolute tolerance
+        tol (0: to LAPACK's own), each level once and ascending, their
         indices in the grid spectrum (0 for the lowest), and per range the
         count of eigenvalues at or below a, the index of its first value."""
         d, e = self.matrix(n)[1:]  # the grid is freed before the solves
-        values = [eigh_tridiagonal(d, e, select_range=r) for r in ranges]
+        values = [eigh_tridiagonal(d, e, select_range=r, tol=tol) for r in ranges]
         first = [_count(d, e, a) for a, _ in ranges]
         index, at = np.unique(np.concatenate([k + np.arange(len(v)) for v, k in zip(values, first)]),
                               return_index=True)
@@ -403,33 +409,35 @@ def _doubled(n: int, tol_oracle: float, est) -> int:
     return 2 * n
 
 
-def _refine(dom: _Domain, tol_oracle: float, ranges: Callable, width: float, stop: Callable):
+def _refine(dom: _Domain, tol_oracle: float, ranges: Callable, width: float, stop: Callable,
+            tol: float = 0.0):
     """(value, n_trail) of the grid loop of the module docstring on the
-    ranges (a, b] = ranges(width).  stop(width, need, matched, last), with
-    matched = _matched of the last three grids and last the last grid's
-    eigs, gives (value, est): value None to double the grid, est for the
-    error past _MAX_N."""
+    ranges (a, b] = ranges(width), bisected to the tolerance tol of
+    `_Domain.eigs`.  stop(width, need, matched, last), with matched =
+    _matched of the last three grids and last the last grid's eigs, gives
+    (value, est): value None to double the grid, est for the error past
+    _MAX_N."""
     def holds(values) -> bool:
         return all(np.any((values > a) & (values <= b)) for a, b in ranges(width))
 
     n_trail = [dom.n0, 2 * dom.n0, 4 * dom.n0]  # _domain checked that three grids fit
-    raw = [dom.eigs(dom.n0, ranges(width))]
+    raw = [dom.eigs(dom.n0, ranges(width), tol)]
     while not holds(raw[0][0]) and 2.0 * width < dom.depth:
         width *= 2.0
-        raw = [dom.eigs(dom.n0, ranges(width))]
-    raw += [dom.eigs(n, ranges(width)) for n in n_trail[1:]]
+        raw = [dom.eigs(dom.n0, ranges(width), tol)]
+    raw += [dom.eigs(n, ranges(width), tol) for n in n_trail[1:]]
     while True:
         matched = _matched(*raw)
         need = 4.0 * np.max(np.abs(matched[1] - matched[3]), initial=0.0)
         if 2.0 * width < dom.depth and (need > width or not holds(matched[3])):
             width = max(need, 2.0 * width)
-            raw = [dom.eigs(n, ranges(width)) for n in n_trail[-3:]]
+            raw = [dom.eigs(n, ranges(width), tol) for n in n_trail[-3:]]
             continue
         value, est = stop(width, need, matched, raw[-1])
         if value is not None:
             return value, tuple(n_trail)
         n_trail.append(_doubled(n_trail[-1], tol_oracle, est))
-        raw = raw[1:] + [dom.eigs(n_trail[-1], ranges(width))]
+        raw = raw[1:] + [dom.eigs(n_trail[-1], ranges(width), tol)]
 
 
 def solve_spectrum(pot: Potential, hbar: float, window: tuple[float, float],
@@ -464,34 +472,86 @@ def count_levels(pot: Potential, hbar: float, window: tuple[float, float],
     """Number of reference eigenvalues in the window, the count of
     `solve_spectrum`: the levels below hi less the levels at or below lo.
 
-    `_refine` solves one band (c - 2 delta, c + 2 delta] per edge c, and
-    the count stops only with need <= delta.  A level then moves by less
+    `_refine` solves one band (c - 2 delta, c + 2 delta] per edge c, and an
+    edge is counted only with need <= delta.  A level then moves by less
     than delta / 4 between its raw value on the last grid and its Romberg
     value.  So the levels below an edge's band, counted by the band's first
     index, and the band levels more than delta below the edge lie below it.
     A band level within delta of the edge lies below it where its Romberg
-    value does; each must be matched on all three grids, and the doubling
-    stops on the rule of `solve_spectrum` applied to them.
+    value R does, and each must be matched on all three grids.
+
+    The count reads R only for its side of the edge, so a first pass
+    bisects the band levels to tau = _COARSE start_width, about delta / 1000
+    (delta starts at start_width), on the first three grids, and never
+    doubles them.  An edge is decided
+    there when each level within delta of it has |R - c| > 2 bar, with bar
+    = |R1b - R1a| + 4 tau: |R1b - R1a| is the larger of the two estimates of
+    `_romberg`, since |R2 - R1b| = |R1b - R1a| / 15.  A dstebz value lies
+    within tau / 2 of its raw eigenvalue.  R2 = (e0 - 20 e1 + 64 e2) / 45,
+    whose absolute coefficients sum to 85/45, so tau moves R2 by less than
+    tau, R1b = (4 e2 - e1) / 3 by 5 tau / 6, and |R1b - R1a| = |e0 - 5 e1 +
+    4 e2| / 3 by 5 tau / 3; 4 tau holds both.  tau can flip the h^4 test,
+    which moves R by |R2 - R1b| at most, and |R1b - R1a| holds that.  The
+    factor 2 covers an estimate that is off by up to a factor 2 either way.
+    need, 4 max |e0 - e2|, moves by 4 tau at most, far inside the delta / 4
+    argument above.  On the 30 counts of the count-oracle benchmark's seeds
+    0-9, a _COARSE of 1e-2 (about delta / 100) decides 24, 1e-3 decides 29,
+    and 1e-4 all 30 but bisects 20% longer than 1e-3; 1e-3 is as fast as
+    1e-2 there and on small random windows, and leaves fewer edges to the
+    full-precision pass.
+
+    An edge left in doubt is counted again on its own band, from the first
+    pass's delta, at LAPACK's tolerance and under the rule of
+    `solve_spectrum`: the grid doubles until each window level within delta
+    of the edge has an estimate of at most tol_oracle.  `solve_spectrum`
+    keeps LAPACK's tolerance throughout, since it prints its values.
     """
     dom = _domain(pot, hbar, window, robin_b, tol_oracle)
     lo, hi = window
+    tau = _COARSE * dom.start_width
 
-    def counted(delta, need, matched, last):
-        index, e0, e1, e2 = matched
+    def below(edges, delta, need, matched, last, doubt):
+        """(per edge c, the levels below it, at or below lo, or None where a
+        level within delta of c is not matched on all three grids or is in
+        doubt(c, (e0, e1, e2), eigs, est); the estimates of the window
+        levels within delta of an edge)."""
+        index, *e = matched
         values, last_index, first = last
-        near = lambda v: (np.abs(v - lo) <= delta) | (np.abs(v - hi) <= delta)
-        eigs, est, _ = _romberg(e0, e1, e2)
-        est = est[near(e2) & (eigs > lo) & (eigs < hi)]
-        if not (need <= delta and np.count_nonzero(near(values)) == np.count_nonzero(near(e2))
-                and np.all(est <= tol_oracle)):
-            return None, est
+        eigs, est, _ = _romberg(*e)
         value = values.copy()
         value[np.isin(last_index, index)] = eigs
-        below_hi = first[1] + np.count_nonzero(value[last_index >= first[1]] < hi)
-        return int(below_hi - first[0] - np.count_nonzero(value[last_index >= first[0]] <= lo)), est
+        counts, close = [], np.zeros(len(eigs), dtype=bool)
+        for c, k in zip(edges, first):
+            near = np.abs(e[2] - c) <= delta
+            close |= near
+            if (need > delta or np.count_nonzero(np.abs(values - c) <= delta) != np.count_nonzero(near)
+                    or np.any(near & doubt(c, e, eigs, est))):
+                counts.append(None)
+            else:
+                rest = value[last_index >= k]
+                counts.append(k + np.count_nonzero(rest < c if c == hi else rest <= c))
+        return counts, est[close & (eigs > lo) & (eigs < hi)]
 
-    bands = lambda delta: [(c - 2.0 * delta, c + 2.0 * delta) for c in window]
-    return _refine(dom, tol_oracle, bands, dom.start_width, counted)[0]
+    def coarse(delta, need, matched, last):
+        side = lambda c, e, eigs, est: (
+            np.abs(eigs - c) <= 2.0 * (np.abs(e[0] - 5.0 * e[1] + 4.0 * e[2]) / 3.0 + 4.0 * tau))
+        return (delta, below(window, delta, need, matched, last, side)[0]), None
+
+    def converged(edges):
+        unconverged = lambda c, e, eigs, est: (est > tol_oracle) & (eigs > lo) & (eigs < hi)
+
+        def stop(delta, need, matched, last):
+            counts, est = below(edges, delta, need, matched, last, unconverged)
+            return (None if None in counts else counts), est
+        return stop
+
+    bands = lambda edges: lambda delta: [(c - 2.0 * delta, c + 2.0 * delta) for c in edges]
+    (delta, counts), _ = _refine(dom, tol_oracle, bands(window), dom.start_width, coarse, tau)
+    undecided = [c for c, k in zip(window, counts) if k is None]
+    if undecided:
+        again = iter(_refine(dom, tol_oracle, bands(undecided), delta, converged(undecided))[0])
+        counts = [next(again) if k is None else k for k in counts]
+    return int(counts[1] - counts[0])
 
 
 # ---------------------------------------------------------------------------

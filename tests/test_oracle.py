@@ -500,16 +500,18 @@ def test_an_empty_window_widens_on_the_first_grid_alone(monkeypatch):
     assert sizes == [first] * 12 + [second] * 2 + [third] * 2
 
 
-def _full_solves(monkeypatch):
-    """The list that each full-accuracy band solve of the oracle appends
-    (its grid's matrix size, its number of levels) to."""
+def _band_solves(monkeypatch):
+    """The list that each band solve of the oracle appends (its grid's
+    matrix size, its number of levels, its bisection tolerance) to.  The
+    loose index counts (`_count`) are left out: their tolerance is the width
+    of their range."""
     solved = []
     solve = oracle.eigh_tridiagonal
 
-    def spy(d, e, **kw):
-        w = solve(d, e, **kw)
-        if "tol" not in kw:  # full accuracy; the loose index counts pass a tol
-            solved.append((len(d), len(w)))
+    def spy(d, e, select_range, tol=0.0):
+        w = solve(d, e, select_range=select_range, tol=tol)
+        if tol != select_range[1] - select_range[0]:
+            solved.append((len(d), len(w), tol))
         return w
 
     monkeypatch.setattr(oracle, "eigh_tridiagonal", spy)
@@ -517,33 +519,71 @@ def _full_solves(monkeypatch):
 
 
 def test_count_levels_solves_only_the_edge_bands(monkeypatch):
-    solved = _full_solves(monkeypatch)
+    solved = _band_solves(monkeypatch)
     count = count_levels(QUART, 0.01, (0.5, 2.0))
     assert count == 61
     assert len(solved) == 6  # two bands on each of three grids
-    assert max(k for _, k in solved) <= 0.1 * count
+    assert max(k for _, k, _ in solved) <= 0.1 * count
 
 
 def test_count_levels_widens_a_band_that_holds_no_level_on_the_last_grid(monkeypatch):
     pot = make_power_law(0.0, 0.861853451622294, 4.208196882375038,
                          0.0, 0.8624441497018673, 2.8729730408545158)
     hbar, window = 0.028466514758836083, (0.8329410792851237, 1.6726175927565228)
-    solved = _full_solves(monkeypatch)
+    solved = _band_solves(monkeypatch)
     count = count_levels(pot, hbar, window)
     assert len(solved) > 6
-    sizes = [n for n, _ in solved]
+    sizes = [n for n, _, _ in solved]
     assert sizes != sorted(sizes)  # the last grids were solved again, with wider bands
     assert count == len(solve_spectrum(pot, hbar, window).eigenvalues) == 13
 
 
+def test_a_decided_count_is_bisected_coarsely_on_three_grids(monkeypatch):
+    # the count-oracle benchmark's seed-0 well at its finest hbar
+    solved = _band_solves(monkeypatch)
+    count = count_levels(QUART, 0.005, (0.5, 2.0))
+    assert count == 121
+    assert len(solved) == 6
+    tau = oracle._COARSE * oracle._domain(QUART, 0.005, (0.5, 2.0)).start_width
+    assert {tol for _, _, tol in solved} == {tau}
+
+
 def test_count_levels_doubles_the_grid_until_its_edge_levels_converge(monkeypatch):
-    # at tol_oracle 1e-10 the count is not converged on three grids, nor on four
-    solved = _full_solves(monkeypatch)
+    # at tol_oracle 1e-10 the solver takes five grids, but the count's edges
+    # are decided by the coarse pass on the first three
+    solved = _band_solves(monkeypatch)
     count = count_levels(QUART, 0.02, (0.5, 2.0), 1e-10)
-    grids = sorted({n + 1 for n, _ in solved})  # intervals: the matrix drops both end nodes
+    assert sorted({n + 1 for n, _, _ in solved}) == [2048, 4096, 8192]  # the matrix drops both end nodes
+    monkeypatch.undo()
+    spec = solve_spectrum(QUART, 0.02, (0.5, 2.0), 1e-10)
+    assert count == len(spec.eigenvalues) == 30
+    # a lower edge 1e-9 below the top level is in doubt after the coarse pass,
+    # and its band is solved at full precision until the level converges
+    window = (float(spec.eigenvalues[-1]) - 1e-9, 2.0)
+    solved = _band_solves(monkeypatch)
+    count = count_levels(QUART, 0.02, window, 1e-10)
+    grids = sorted({n + 1 for n, _, tol in solved if tol == 0.0})
     assert grids == [2048, 4096, 8192, 16384, 32768]
     monkeypatch.undo()
-    assert count == len(solve_spectrum(QUART, 0.02, (0.5, 2.0), 1e-10).eigenvalues) == 30
+    assert count == len(solve_spectrum(QUART, 0.02, window, 1e-10).eigenvalues) == 1
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(count_requests(), st.data())
+def test_an_edge_near_a_level_is_counted_as_the_solver_counts(request, data):
+    # edges from 1e-9 to 1e-3 off a level cross from undecided to decided
+    pot, robin_b, hbar, (lo, hi) = request
+    try:
+        levels = solve_spectrum(pot, hbar, (lo, hi), robin_b=robin_b).eigenvalues
+    except OracleError:
+        assume(False)
+    assume(len(levels))
+    lam = float(levels[data.draw(st.integers(0, len(levels) - 1))])
+    lam += data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.sampled_from([1e-9, 1e-7, 1e-5, 1e-3]))
+    lo, hi = (lam, hi) if data.draw(st.booleans()) else (lo, lam)
+    assume(lo < hi)
+    levels = solve_spectrum(pot, hbar, (lo, hi), robin_b=robin_b).eigenvalues
+    assert count_levels(pot, hbar, (lo, hi), robin_b=robin_b) == len(levels)
 
 
 def test_oracle_fails_before_it_solves_when_three_grids_cannot_fit(monkeypatch):

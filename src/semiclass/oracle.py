@@ -4,9 +4,10 @@ Independent of every semiclassical module: the operator
 -hbar^2 d^2/dx^2 + v is discretized with the 3-point Laplacian on a uniform
 grid with Dirichlet truncation, and eigenvalues inside the requested window
 are extracted by Sturm-sequence bisection (LAPACK dstebz; eigenvectors by
-inverse iteration with dgtsv).  Both are called through scipy's compiled
-LAPACK extension, loaded from its file so that the oracle does not import
-the scipy.linalg package, whose import costs more than a count's solves.
+LAPACK's inverse iteration, dstein).  Both are called through scipy's
+compiled LAPACK extension, loaded from its file so that the oracle does not
+import the scipy.linalg package, whose import costs more than a count's
+solves.
 Grids are doubled until a Romberg table of each level's raw values on the
 last three grids meets the requested tolerance.  The eigenvalue error of
 the scheme expands in even powers of the spacing h, with an h^2
@@ -14,8 +15,8 @@ coefficient that grows with the level (like k^4 for the k-th level; Paine,
 de Hoog & Anderssen, Computing 26 (1981) 123-139), so the second (h^4)
 column is taken per level, and only where that level's raw differences
 shrink by 4 per doubling; every other level keeps the first (h^2) column.
-Eigenvectors (inverse iteration on the grid one doubling finer than the
-last one solved, built once per spectrum) are positive at the last node
+Eigenvectors (dstein on the grid one doubling finer than the last one
+solved, built once per spectrum) are positive at the last node
 where v < lam.  A Numerov shooting solver cross-checks the default scheme.
 
 Each raw eigenvalue carries its index in the grid spectrum.  The k-th
@@ -171,10 +172,10 @@ def _tridiag(pot: Potential, hbar: float, x: np.ndarray, robin_b: Optional[float
 # extension is registered in sys.modules under its own name, so a later
 # `import scipy.linalg` reuses it, though it is not set as the attribute
 # _flapack of scipy.linalg.  The oracle reaches LAPACK only through
-# eigh_tridiagonal and solve_banded, which pass dstebz and dgtsv the
-# arguments of scipy.linalg.eigh_tridiagonal(select="v", eigvals_only=True)
-# and solve_banded((1, 1), ...), with their checks, so the results are
-# scipy's to the bit.
+# eigh_tridiagonal and _stein, which pass dstebz and dstein the arguments of
+# scipy.linalg.eigh_tridiagonal(select="v", eigvals_only=True) and of its
+# eigenvector step for one eigenvalue of a matrix that does not split, with
+# its checks, so the results are scipy's to the bit.
 
 
 def _flapack():
@@ -215,17 +216,24 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray, select_range: tuple[float, fl
     return w[:m]
 
 
-def solve_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with T x = b, for the symmetric tridiagonal T = (d, e): dgtsv, by
-    Gaussian elimination with partial pivoting.  d, e and b are not
-    overwritten."""
-    _finite(d, e, b)
-    *_, x, info = _flapack().dgtsv(e, d, e, b, 0, 0, 0, 0)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dgtsv")
-    return x
+def _stein(d: np.ndarray, e: np.ndarray, lam: float):
+    """(v, rho, resid): dstein's unit eigenvector v of the symmetric
+    tridiagonal (d, e) at the eigenvalue lam, its Rayleigh quotient rho and
+    its residual |(T - rho) v|.  Every e is nonzero (the oracle's are -c, or
+    -sqrt(2) c on a Robin row), so T is one block: iblock all 1, isplit[0] = n.
+    The sums are np.sum's, which no BLAS build or thread count changes."""
+    _finite(d, e, lam)
+    n = len(d)
+    iblock, isplit = np.ones(n, dtype=np.int32), np.full(n, n, dtype=np.int32)
+    z, info = _flapack().dstein(d, e, [lam], iblock, isplit)
+    if info != 0:
+        raise OracleError(f"dstein failed at lam={lam} (LAPACK info={info})")
+    v = z[:, 0]
+    rho = float(np.sum(d * v * v) + 2.0 * np.sum(e * v[:-1] * v[1:]))
+    r = d * v - rho * v
+    r[:-1] += e * v[1:]
+    r[1:] += e * v[:-1]
+    return v, rho, math.sqrt(float(np.sum(r * r)))
 
 
 def _count(d: np.ndarray, e: np.ndarray, x: float) -> int:
@@ -302,15 +310,12 @@ class OracleSpectrum:
 
     @functools.cached_property
     def _fine(self):
-        """(xf, d, e, start, nodes), read-only: the grid of 2n intervals and
-        its (d, e), the normalized start vector and each grid node's index on
-        xf (-1 beyond it)."""
+        """(xf, d, e, nodes), read-only: the grid of 2n intervals, its (d, e)
+        and each grid node's index on xf (-1 beyond it)."""
         xf, d, e = self.domain.matrix(2 * self.n)
-        start = np.random.default_rng(20260810).standard_normal(len(d))
-        start /= np.linalg.norm(start)
         i = np.rint((self.grid - xf[0]) / (xf[1] - xf[0])).astype(int)
         nodes = np.where((i >= 0) & (i < len(xf)), i, -1)
-        return tuple(_read_only(a) for a in (xf, d, e, start, nodes))
+        return tuple(_read_only(a) for a in (xf, d, e, nodes))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -481,9 +486,10 @@ def count_levels(pot: Potential, hbar: float, window: tuple[float, float],
     value R does, and each must be matched on all three grids.
 
     The count reads R only for its side of the edge, so a first pass
-    bisects the band levels to tau = _COARSE start_width, about delta / 1000
-    (delta starts at start_width), on the first three grids, and never
-    doubles them.  An edge is decided
+    bisects the band levels to tau = _COARSE delta0, about delta / 1000, on
+    the first three grids, and never doubles them; delta starts at delta0,
+    start_width or, where that is below rounding at the edges, _ROUNDING
+    max(1, |lo|, |hi|).  An edge is decided
     there when each level within delta of it has |R - c| > 2 bar, with bar
     = |R1b - R1a| + 4 tau: |R1b - R1a| is the larger of the two estimates of
     `_romberg`, since |R2 - R1b| = |R1b - R1a| / 15.  A dstebz value lies
@@ -508,7 +514,10 @@ def count_levels(pot: Potential, hbar: float, window: tuple[float, float],
     """
     dom = _domain(pot, hbar, window, robin_b, tol_oracle)
     lo, hi = window
-    tau = _COARSE * dom.start_width
+    # a band narrower than rounding at its edge is empty: start_width
+    # underflows where hbar dwarfs the well (4.7e-41 at hbar 1e8)
+    delta0 = max(dom.start_width, _ROUNDING * max(1.0, abs(lo), abs(hi)))
+    tau = _COARSE * delta0
 
     def below(edges, delta, need, matched, last, doubt):
         """(per edge c, the levels below it, at or below lo, or None where a
@@ -546,7 +555,7 @@ def count_levels(pot: Potential, hbar: float, window: tuple[float, float],
         return stop
 
     bands = lambda edges: lambda delta: [(c - 2.0 * delta, c + 2.0 * delta) for c in edges]
-    (delta, counts), _ = _refine(dom, tol_oracle, bands(window), dom.start_width, coarse, tau)
+    (delta, counts), _ = _refine(dom, tol_oracle, bands(window), delta0, coarse, tau)
     undecided = [c for c, k in zip(window, counts) if k is None]
     if undecided:
         again = iter(_refine(dom, tol_oracle, bands(undecided), delta, converged(undecided))[0])
@@ -561,37 +570,27 @@ def count_levels(pot: Potential, hbar: float, window: tuple[float, float],
 def eigenvector(spec: OracleSpectrum, k: int):
     """(x, psi) for the k-th window level on spec.grid, trapezoid-normalized to 1.
 
-    Shifted inverse iteration runs on the grid of 2 spec.n intervals, one
-    doubling finer than the last grid solved, and psi is normalized there.
-    It is returned at the nodes of spec.grid, which are every other node of
-    the finer grid; a node of spec.grid beyond the finer grid's ends (a jump
-    well anchors both grids at the jump) is a Dirichlet zero.  psi is
-    positive at the last node of spec.grid where v < lam (an OracleError if
-    none is), the lobe that the decaying right tail continues.  The finer
-    grid's operator and start vector are shared, unwritten, by every level
-    (spec._fine).
+    dstein (`_stein`) takes the eigenvector at lam on the grid of 2 spec.n
+    intervals, one doubling finer than the last grid solved, and again at
+    its Rayleigh quotient rho where the residual reaches 1e-10 max(1, |rho|);
+    a residual past 1e-6 max(1, |lam|) is an OracleError.  psi is normalized
+    on that grid and returned at the nodes of spec.grid, which are every
+    other node of the finer grid; a node of spec.grid beyond the finer
+    grid's ends (a jump well anchors both grids at the jump) is a Dirichlet
+    zero.  psi is positive at the last node of spec.grid where v < lam (an
+    OracleError if none is), the lobe that the decaying right tail
+    continues.  The finer grid's operator is shared, unwritten, by every
+    level (spec._fine).
     """
     if k < 0 or k >= len(spec.eigenvalues):
         raise OracleError(f"level index {k} outside the window list")
     if k in spec._vectors:
         return spec._vectors[k]
-    xf, d, e, v, nodes = spec._fine
+    xf, d, e, nodes = spec._fine
     lam = float(spec.eigenvalues[k])
-    shifted = d - lam
-    resid = math.inf
-    for _ in range(6):
-        try:
-            w = solve_banded(shifted, e, v)
-        except np.linalg.LinAlgError as exc:  # exact singular shift
-            raise OracleError(f"inverse iteration stagnated: {exc}")
-        v = w / np.linalg.norm(w)
-        rho = float(v @ (d * v) + 2.0 * np.sum(e * v[:-1] * v[1:]))
-        r = d * v - rho * v
-        r[:-1] += e * v[1:]
-        r[1:] += e * v[:-1]
-        resid = float(np.linalg.norm(r))
-        if resid < 1e-10 * max(1.0, abs(rho)):
-            break
+    v, rho, resid = _stein(d, e, lam)
+    if resid >= 1e-10 * max(1.0, abs(rho)):
+        v, rho, resid = _stein(d, e, rho)
     if resid > 1e-6 * max(1.0, abs(lam)):
         raise OracleError(f"inverse iteration stagnated: residual {resid}")
 

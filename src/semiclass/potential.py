@@ -1,8 +1,9 @@
 """Potentials for -hbar^2 d^2/dx^2 + v(x): definition, evaluation, certification.
 
 A Potential is an ordered set of smooth branches partitioning the domain,
-plus markers for interior points where v, v' or v'' may jump.  All
-operations here are pure, and Potential instances are immutable.
+plus the markers it derives for the piece boundaries where v, v' or v''
+jumps.  All operations here are pure, and Potential instances are
+immutable.
 Potential.value, deriv and deriv2 are the one evaluator of v, v' and v'':
 each takes a point (and returns a float) or an array, and left selects the
 limit from the left at a piece boundary.  Each branch owns its one-sided
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -162,9 +163,13 @@ class SingularPoint:
 
 @dataclass(frozen=True)
 class Potential:
+    """The pieces partition the domain in order; the singular points are
+    derived from them, one per piece boundary where the two branches do
+    not agree to second order (_classify_boundary)."""
+
     pieces: tuple[Piece, ...]
-    singular_points: tuple[SingularPoint, ...] = ()
     domain: str = "full_line"  # or "half_line", meaning [0, inf)
+    singular_points: tuple[SingularPoint, ...] = field(init=False)
 
     def __post_init__(self):
         if self.domain not in ("full_line", "half_line"):
@@ -182,12 +187,8 @@ class Potential:
         for a, b in zip(self.pieces, self.pieces[1:]):
             if a.hi != b.lo:
                 raise PotentialError("pieces must partition the domain without gaps")
-        bpts = self._boundaries()
-        for s in self.singular_points:
-            if s.x not in bpts:
-                raise PotentialError("singular points must sit on piece boundaries")
-            if s.kind not in ("jump", "kink", "curvature"):
-                raise PotentialError(f"unknown singular kind {s.kind!r}")
+        marks = (_classify_boundary(a.branch, b.branch, a.hi) for a, b in zip(self.pieces, self.pieces[1:]))
+        object.__setattr__(self, "singular_points", tuple(m for m in marks if m is not None))
 
     def _boundaries(self) -> tuple[float, ...]:
         return tuple(p.hi for p in self.pieces[:-1])
@@ -253,8 +254,8 @@ def make_power_law(a_plus: float, v_plus: float, alpha_plus: float,
                    a_minus: float, v_minus: float, alpha_minus: float) -> Potential:
     """Two-branch power-law well a_+- + v_+- |x|^alpha_+- glued at x=0.
 
-    Marks x=0 singular unless the branches agree there to second order,
-    as potential_from_spec marks the same two branches given as a table.
+    x=0 is singular unless the branches agree there to second order, as
+    for any Potential.
     """
     if v_plus <= 0 or v_minus <= 0:
         raise PotentialError("v_plus and v_minus must be positive")
@@ -262,11 +263,7 @@ def make_power_law(a_plus: float, v_plus: float, alpha_plus: float,
         raise PotentialError("alpha_plus and alpha_minus must be positive")
     left = PowerBranch(a_minus, v_minus, alpha_minus)
     right = PowerBranch(a_plus, v_plus, alpha_plus)
-    mark = _classify_boundary(left, right, 0.0)
-    return Potential(
-        pieces=(Piece(-math.inf, 0.0, left), Piece(0.0, math.inf, right)),
-        singular_points=() if mark is None else (mark,),
-    )
+    return Potential(pieces=(Piece(-math.inf, 0.0, left), Piece(0.0, math.inf, right)))
 
 
 def halfline_power_law(a: float, v: float, alpha: float) -> Potential:
@@ -728,10 +725,4 @@ def potential_from_spec(spec: dict) -> Potential:
         pieces.append(Piece(_parse_bound(b.get("lo")), _parse_bound(b.get("hi")),
                             _BRANCH_BUILDERS[btype](b)))
     pieces.sort(key=lambda p: p.lo)
-    sing = []
-    for left, right in zip(pieces, pieces[1:]):
-        mark = _classify_boundary(left.branch, right.branch, left.hi)
-        if mark is not None:
-            sing.append(mark)
-    return Potential(pieces=tuple(pieces), singular_points=tuple(sing),
-                     domain=spec.get("domain", "full_line"))
+    return Potential(pieces=tuple(pieces), domain=spec.get("domain", "full_line"))

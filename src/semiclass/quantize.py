@@ -77,6 +77,7 @@ LAMBDA_TOL = 1e-12  # relative root tolerance in lam
 _ROOT_QUAD_TOL = 1e-12  # absolute quadrature tolerance on G while root solving
 _NEWTON_STEPS = 80  # evaluations of G per level before the solve gives up
 _SAMPLE_POINTS = 33  # energies, window ends included, in the sample of G that starts the solve
+_MAX_LEVELS = 10**6  # levels of one window at one hbar, checked before any array is built
 
 # Maslov offset mu of the condition G(lam) = pi (n + mu) hbar, per level kind
 MASLOV_OFFSETS = {
@@ -150,11 +151,16 @@ def _certificate(pot: Potential, lam_lo: float, lam_hi: float, cert) -> WellCert
 
 def _quantum_numbers(g_lo: float, g_hi: float, kind: str, hbar: float):
     """(ns, targets): every n >= 0 whose target _target(n, kind, hbar) lies
-    strictly inside (g_lo, g_hi), ascending, with those targets."""
+    strictly inside (g_lo, g_hi), ascending, with those targets.  Where the
+    n + mu of (g_lo, g_hi) / (pi hbar) span more than _MAX_LEVELS (a tiny
+    hbar), QuantizeError, before any array is built."""
     mu = MASLOV_OFFSETS[kind]
+    a, b = g_lo / (math.pi * hbar) - mu, g_hi / (math.pi * hbar) - mu
+    if not b - max(a, 0.0) <= _MAX_LEVELS:
+        raise QuantizeError(f"the window holds more than {_MAX_LEVELS} levels at hbar={hbar}")
     # one candidate past each end, so that rounding in the quotients drops no n
-    n_lo = math.ceil(g_lo / (math.pi * hbar) - mu) - 1
-    n_hi = math.floor(g_hi / (math.pi * hbar) - mu) + 1
+    n_lo = math.ceil(a) - 1
+    n_hi = math.floor(b) + 1
     ns = np.arange(max(n_lo, 0), n_hi + 1)
     targets = _target(ns, kind, hbar)
     keep = (g_lo < targets) & (targets < g_hi)
@@ -342,7 +348,8 @@ def levels(pot: Potential, window: tuple[float, float], hbar,
 
     hbar is a float or a sequence of floats.  The levels of every hbar are
     solved in one batch and returned ordered by hbar as given, then by n;
-    each is the level a call with its hbar alone returns.
+    each is the level a call with its hbar alone returns.  A window of more
+    than _MAX_LEVELS (10^6) levels at some hbar raises QuantizeError.
     """
     hbars = [hbar] if np.ndim(hbar) == 0 else list(hbar)
     if any(h <= 0.0 for h in hbars):

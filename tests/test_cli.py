@@ -509,6 +509,30 @@ def test_the_scaling_output_does_not_depend_on_the_blas_kernel(tmp_path, name):
     assert default.stderr == nehalem.stderr and "fitted_slope=" in default.stderr
 
 
+def test_the_oracle_columns_do_not_depend_on_the_blas_build(tmp_path):
+    # no BLAS reduction reaches psi_oracle or the observable's oracle column:
+    # the thread count changes no byte, and the kernel OpenBLAS picks at run
+    # time changes no oracle cell (psi itself still moves with the kernel)
+    base = {k: v for k, v in os.environ.items() if not k.startswith("OPENBLAS_")}
+    settings = {"default": {}, "one-thread": {"OPENBLAS_NUM_THREADS": "1"},
+                "nehalem": {"OPENBLAS_CORETYPE": "Nehalem"}}
+    for command, column in (("wavefunction", "psi_oracle"), ("observable", "oracle")):
+        out = {}
+        for name, env in settings.items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "semiclass.cli", command, "--config",
+                 str(CONFIGS / "disc_levels.json")],
+                capture_output=True, text=True, env=dict(base, **env), cwd=REPO, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            out[name] = proc
+        assert out["one-thread"].stdout == out["default"].stdout
+        assert out["one-thread"].stderr == out["default"].stderr
+        rows = {name: [row.split(",") for row in proc.stdout.splitlines()] for name, proc in out.items()}
+        at = rows["default"][0].index(column)
+        cells = {name: [row[at] for row in table] for name, table in rows.items()}
+        assert len(cells["default"]) > 10 and cells["nehalem"] == cells["default"]
+
+
 @pytest.mark.parametrize("out", ["missing/t.csv", "."], ids=["missing-directory", "a-directory"])
 def test_an_unwritable_out_exits_2(tmp_path, capsys, out):
     rc = run(["levels", "--config", str(CONFIGS / "harmonic_levels.json"), "--no-oracle",

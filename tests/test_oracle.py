@@ -29,6 +29,7 @@ from semiclass.potential import (
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 HARM = make_power_law(0, 1, 2, 0, 1, 2)
 QUART = make_power_law(0, 1, 4, 0, 1, 4)
@@ -255,14 +256,13 @@ def test_the_lapack_bindings_equal_scipy_bit_for_bit(rows):
         ref = scipy.linalg.eigh_tridiagonal(d, e, select="v", select_range=select_range,
                                             eigvals_only=True, tol=tol)
         assert len(ours) and ours.dtype == ref.dtype and np.array_equal(ours, ref)
-    b = np.random.default_rng(rows + 1).standard_normal(rows)
-    ab = np.zeros((3, rows))
-    ab[0, 1:], ab[1], ab[2, :-1] = e, d - mid, e
-    args = (d - mid, e.copy(), b.copy())
-    x = oracle.solve_banded(*args)
-    assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
-    assert np.array_equal(args[0], d - mid) and np.array_equal(args[1], e)
-    assert np.array_equal(args[2], b)  # the inverse iteration reuses its inputs
+    # the eigenvector of the middle level, from dstein at scipy's own dstebz value
+    w, vec = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(rows // 2, rows // 2))
+    args = (d.copy(), e.copy())
+    v, rho, resid = oracle._stein(*args, float(w[0]))
+    assert np.array_equal(v, vec[:, 0])
+    assert np.array_equal(args[0], d) and np.array_equal(args[1], e)  # every level reuses them
+    assert abs(rho - w[0]) <= 1e-12 * max(1.0, abs(w[0])) and resid <= 1e-12
 
 
 def test_the_lapack_bindings_name_scipy_when_it_is_missing(monkeypatch):
@@ -279,17 +279,15 @@ def test_the_lapack_bindings_name_scipy_when_it_is_missing(monkeypatch):
 
 def test_the_lapack_bindings_keep_scipys_checks():
     d, e = _jacobi(5, 0)
-    b = np.ones(5)
-    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        oracle.solve_banded(np.ones(2), np.ones(1), np.ones(2))
-    for bad in ("d", "e", "b"):
-        args = {"d": d.copy(), "e": e.copy(), "b": b.copy()}
+    for bad in ("d", "e"):
+        args = {"d": d.copy(), "e": e.copy()}
         args[bad][1] = math.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
-            oracle.solve_banded(args["d"], args["e"], args["b"])
-        if bad != "b":
-            with pytest.raises(ValueError, match="infs or NaNs"):
-                oracle.eigh_tridiagonal(args["d"], args["e"], select_range=(0.0, 4.0))
+            oracle.eigh_tridiagonal(args["d"], args["e"], select_range=(0.0, 4.0))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            oracle._stein(args["d"], args["e"], 2.5)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        oracle._stein(d, e, math.nan)
     with pytest.raises(ValueError, match="not increasing"):
         oracle.eigh_tridiagonal(d, e, select_range=(2.0, 2.0))
 
@@ -404,16 +402,12 @@ def _first_column_stop(spec):
 
 
 @pytest.mark.parametrize("pot, hbar, window", [(QUART, 0.02, (0.5, 2.0)), (DISC, 0.035, (0.8, 1.8))])
-def test_eigenvector_grid_is_at_least_the_first_column_stop_grid(monkeypatch, pot, hbar, window):
+def test_eigenvector_grid_is_at_least_the_first_column_stop_grid(pot, hbar, window):
     spec = solve_spectrum(pot, hbar, window)
-    sizes = []
-    solve = oracle.solve_banded
-    monkeypatch.setattr(oracle, "solve_banded",
-                        lambda d, e, b: sizes.append(len(d)) or solve(d, e, b))
     k = len(spec.eigenvalues) - 1
     x, psi = eigenvector(spec, k)
     fine = oracle._grid(pot, spec.domain.x_lo, spec.domain.x_hi, 2 * spec.n)
-    assert set(sizes) == {len(fine) - 2}  # Dirichlet: interior nodes only
+    assert len(spec._fine[1]) == len(fine) - 2  # Dirichlet: interior nodes only
     assert 2 * spec.n >= _first_column_stop(spec)
     # psi sits on spec.grid's own nodes, and on a jump well the finer grid is
     # anchored at the jump as well: compare with the eigenvector of spec.grid
@@ -428,6 +422,25 @@ def test_eigenvector_grid_is_at_least_the_first_column_stop_grid(monkeypatch, po
 
 
 # -- counts ----------------------------------------------------------------------
+
+
+def test_eigenvectors_are_the_finer_operators_own():
+    # each window eigenvector is the eigenvector of the grid one doubling
+    # finer, which eigh_tridiagonal takes by index (dstebz, then dstein),
+    # to 2e-10 of its peak
+    cfg = json.loads((REPO / "configs" / "disc_levels.json").read_text())
+    spec = solve_spectrum(potential_from_spec(cfg["potential"]), cfg["hbar"][0], tuple(cfg["window"]))
+    (xf, d, e), nodes = spec._fine[:3], spec._fine[-1]
+    assert len(spec.eigenvalues) == 10
+    for k, i in enumerate(spec.index):
+        x, psi = eigenvector(spec, k)
+        # the default driver: stemr would allocate an N x N array here
+        _, vec = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(i, i))
+        ref = np.concatenate(([0.0], vec[:, 0], [0.0]))
+        ref /= math.sqrt(np.trapezoid(ref * ref, xf))
+        ref = np.where(nodes >= 0, ref[nodes], 0.0)
+        ref *= np.sign(np.sum(ref * psi))
+        assert np.abs(ref - psi).max() <= 2e-10 * np.abs(psi).max()
 
 
 def _floats(lo, hi):
@@ -597,6 +610,15 @@ def test_oracle_fails_before_it_solves_when_three_grids_cannot_fit(monkeypatch):
             solve(HARM, 2e-5, (0.03, 1.57))
 
 
+def test_count_levels_at_a_huge_hbar_agrees_with_solve_spectrum():
+    # at hbar 1e8 no node of the truncated line lies below the window top,
+    # and start_width (4.7e-41) left each edge band empty in floating point
+    cfg = json.loads((REPO / "configs" / "table_levels.json").read_text())
+    pot = potential_from_spec(cfg["potential"])
+    for hbar in (1e8, 1e12):
+        assert count_levels(pot, hbar, (0.5, 1.5)) == len(solve_spectrum(pot, hbar, (0.5, 1.5)).eigenvalues) == 0
+
+
 def test_count_levels_raises_past_max_n(monkeypatch):
     monkeypatch.setattr(oracle, "_MAX_N", 4096)
     with pytest.raises(OracleError, match="no convergence"):
@@ -608,7 +630,7 @@ def test_count_levels_raises_past_max_n(monkeypatch):
     (HL, 0.05, (0.04, 1.3), 5.0),
 ], ids=["jump", "halfline_robin"])
 def test_eigenvectors_do_not_depend_on_the_order_they_are_asked_in(pot, hbar, window, robin_b):
-    # the operator, the start vector and the grid are built once per spectrum
+    # the operator and the grid are built once per spectrum
     # and shared by every level: no level may write into them
     down = solve_spectrum(pot, hbar, window, robin_b=robin_b)
     up = solve_spectrum(pot, hbar, window, robin_b=robin_b)

@@ -1,5 +1,9 @@
 import dataclasses
+import json
 import math
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from semiclass import oracle, quantize
 from semiclass.langer import eigenfunction
 from semiclass.potential import (
     CertificationError,
+    Potential,
     certify_well,
     halfline_power_law,
     make_power_law,
@@ -105,6 +110,33 @@ def test_weyl_empty_window():
     cr = weyl_count(HARM, 0.74, 0.86, 0.1)
     assert cr.count == 0
     assert abs(cr.epsilon) <= 1.0
+
+
+def test_a_window_of_more_than_a_million_levels_raises_before_it_allocates():
+    # the bound is checked before the array of quantum numbers is built; the
+    # harmonic window (0.5, 1.5) at hbar 1e-6 holds 5e5 levels and passes
+    span = math.pi * 1e-6
+    assert len(quantize._quantum_numbers(0.25 * math.pi, 0.75 * math.pi, "smooth", 1e-6)[0]) == 500000
+    for g_hi in (span * (quantize._MAX_LEVELS + 2), math.inf):
+        with pytest.raises(QuantizeError, match="more than 1000000 levels at hbar=1e-06"):
+            quantize._quantum_numbers(0.0, g_hi, "smooth", 1e-6)
+
+
+def test_a_tiny_hbar_exits_4_on_every_command_that_solves_levels(tmp_path):
+    # at hbar 1e-9 the table_levels window holds 3.96e8 levels, whose quantum
+    # numbers alone took 2.95 GiB; the address-space limit turns a lost bound
+    # into a MemoryError here rather than into that allocation
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    cfg = dict(json.loads((repo / "configs" / "table_levels.json").read_text()), hbar=[1e-9])
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from semiclass.cli import run; "
+            f"print([run([c, '--config', {str(tmp_path / 'c.json')!r}, '--no-oracle', '--out', "
+            f"{str(tmp_path / 'out')!r}]) for c in ('levels', 'count', 'wavefunction', 'observable')])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=repo, timeout=120)
+    assert proc.stdout.strip() == "[4, 4, 4, 4]", proc.stderr
+    assert proc.stderr.count("the window holds more than 1000000 levels at hbar=1e-09") == 4
 
 
 def test_weyl_lattice_epsilon_always_bounded():
@@ -393,6 +425,16 @@ def test_levels_picks_the_kind_from_the_well(pot, window, robin_b, kind):
     lv = levels(pot, window, 0.05, robin_b)
     assert lv and all(l.kind == kind and l.robin_b == robin_b for l in lv)
     assert lv == levels_of_kind(pot, window, 0.05, kind, robin_b)
+
+
+def test_a_potential_built_from_its_pieces_marks_its_singular_points():
+    # the jump well built directly from the two branches of make_power_law
+    # was solved as smooth: the singular points were the caller's to pass
+    direct = Potential(pieces=DISC.pieces)
+    assert direct == DISC and [s.kind for s in direct.singular_points] == ["jump"]
+    lv = levels(direct, (0.8, 1.8), 0.05)
+    assert {l.kind for l in lv} == {"discontinuous"}
+    assert [l.lam for l in lv] == [l.lam for l in levels(DISC, (0.8, 1.8), 0.05)]
 
 
 def test_levels_refuses_a_half_line_jump_and_a_full_line_robin_wall():

@@ -1,9 +1,12 @@
 """Evaluation of the Airy functions Ai, Bi and their derivatives on the real line.
 
 The evaluator is self-contained.  On a core interval the four values are
-obtained from Taylor series of the defining equation -w'' + t w = 0,
-recentred on a precomputed grid of nodes; the node table itself is built on
-the first evaluation by marching the same Taylor recurrence along the grid
+Taylor series of the defining equation -w'' + t w = 0, recentred on the
+nearest node of a grid.  Every coefficient of such a series depends on its
+node alone, so the coefficients of each node are tabulated once, on the
+first evaluation, and an evaluation is a gather of its node's coefficients
+and Horner's rule.  The values at the nodes, which the table starts from,
+come from marching the same Taylor recurrence along the grid in floats
 (downward for Ai, so the decaying solution is tracked stably, upward and
 downward for Bi).  Outside the core interval the standard exponential and
 oscillatory asymptotic expansions take over; at the switch points both
@@ -87,29 +90,37 @@ def _asym_coeffs(count: int) -> tuple[np.ndarray, np.ndarray]:
 _U, _V = _asym_coeffs(_ASYM_TERMS + 4)
 
 
-def _taylor_pair(t0, w, wp, delta, terms, derivative=True):
-    """Advance w, w' of -w''+tw=0 from t0 to t0+delta by recentred Taylor series.
+def _taylor_coefficients(t0, w, wp, terms):
+    """Taylor coefficients a_0 .. a_terms at t0 of the solution of
+    -w'' + t w = 0 with value w and slope wp there:
+    a_(k+2) = (t0 a_k + a_(k-1)) / ((k + 2)(k + 1)), a_(-1) = 0.
 
-    Works elementwise on arrays (t0, w, wp, delta may be broadcastable arrays).
-    Without derivative, w' comes back as None.
+    Elementwise on arrays as on floats, by the same operations, so a float
+    call gives the bits of the entry of an array call.  Returns a list.
     """
-    t0 = np.asarray(t0, dtype=float)
-    shape = np.broadcast(t0, w, wp, delta).shape
-    a = np.zeros((terms + 1,) + shape)
-    a[0] = w
-    a[1] = wp
+    a = [w, wp]
     for k in range(terms - 1):
-        prev = a[k - 1] if k >= 1 else 0.0
-        a[k + 2] = (t0 * a[k] + prev) / ((k + 2) * (k + 1))
-    val = a[terms].copy()
-    for k in range(terms - 1, -1, -1):
-        val = val * delta + a[k]
-    if not derivative:
-        return val, None
-    der = terms * a[terms]
-    for k in range(terms - 1, 0, -1):
-        der = der * delta + k * a[k]
-    return val, der
+        a.append((t0 * a[k] + (a[k - 1] if k else 0.0)) / ((k + 2) * (k + 1)))
+    return a
+
+
+def _horner(coef, delta):
+    """sum_k c_k delta^k by Horner's rule, from the coefficients c_k given
+    highest first (an iterable of floats, or of arrays of the shape of
+    delta, the first of which is overwritten)."""
+    coef = iter(coef)
+    val = next(coef)
+    for c in coef:
+        val *= delta
+        val += c
+    return val
+
+
+def _march(t0: float, w: float, wp: float, delta: float) -> tuple[float, float]:
+    """w, w' of -w'' + t w = 0 carried from t0 to t0 + delta by the Taylor
+    series of degree _MARCH_TERMS at t0, in floats."""
+    a = _taylor_coefficients(t0, w, wp, _MARCH_TERMS)
+    return _horner(a[::-1], delta), _horner([k * a[k] for k in range(len(a) - 1, 0, -1)], delta)
 
 
 def _asym_plus_scaled(t, ai_only=False):
@@ -177,51 +188,51 @@ def _asym_minus(t):
 
 @functools.cache
 def _tables():
-    """Node table (t, Ai, Ai', Bi, Bi'), built on the first call."""
+    """The nodes t_i and, at each, the Taylor coefficients of degree
+    _EVAL_TERMS of Ai, Ai', Bi and Bi': arrays of shape (term, node),
+    built on the first call.
+
+    The values at the nodes come from a march in floats: Ai downward from
+    its asymptotic seed at T_SWITCH_PLUS, so the unwanted growing component
+    shrinks and the march is stable; Bi away from t = 0 in both directions
+    (the growing mode upward).  The coefficients of the derivatives are
+    k a_k, k = 1 .. _EVAL_TERMS, of the same series.
+    """
     n_nodes = int(round((T_SWITCH_PLUS - T_SWITCH_MINUS) / _GRID_STEP))
     ts = T_SWITCH_MINUS + _GRID_STEP * np.arange(n_nodes + 1)
-    ai = np.empty(n_nodes + 1)
-    aip = np.empty(n_nodes + 1)
-    bi = np.empty(n_nodes + 1)
-    bip = np.empty(n_nodes + 1)
+    t = ts.tolist()
+    ai, aip, bi, bip = ([0.0] * (n_nodes + 1) for _ in range(4))
     i_hi = n_nodes
     i_zero = int(round((0.0 - T_SWITCH_MINUS) / _GRID_STEP))
 
-    # Ai marches downward from the asymptotic seed; the unwanted growing
-    # component shrinks in that direction, so the march is stable.
     a_s, ap_s, _, _, z = _asym_plus_scaled(T_SWITCH_PLUS)
-    ai[i_hi] = a_s * np.exp(-z)
-    aip[i_hi] = ap_s * np.exp(-z)
-    w, wp = ai[i_hi], aip[i_hi]
+    ai[i_hi], aip[i_hi] = float(a_s * np.exp(-z)), float(ap_s * np.exp(-z))
     for i in range(i_hi, 0, -1):
-        w, wp = _taylor_pair(ts[i], w, wp, -_GRID_STEP, _MARCH_TERMS)
-        ai[i - 1], aip[i - 1] = w, wp
-
-    # Bi marches away from t=0 in both directions (growing mode upward).
+        ai[i - 1], aip[i - 1] = _march(t[i], ai[i], aip[i], -_GRID_STEP)
     bi[i_zero], bip[i_zero] = BI_ZERO, BIP_ZERO
-    w, wp = BI_ZERO, BIP_ZERO
     for i in range(i_zero, i_hi):
-        w, wp = _taylor_pair(ts[i], w, wp, _GRID_STEP, _MARCH_TERMS)
-        bi[i + 1], bip[i + 1] = w, wp
-    w, wp = BI_ZERO, BIP_ZERO
+        bi[i + 1], bip[i + 1] = _march(t[i], bi[i], bip[i], _GRID_STEP)
     for i in range(i_zero, 0, -1):
-        w, wp = _taylor_pair(ts[i], w, wp, -_GRID_STEP, _MARCH_TERMS)
-        bi[i - 1], bip[i - 1] = w, wp
-    return ts, ai, aip, bi, bip
+        bi[i - 1], bip[i - 1] = _march(t[i], bi[i], bip[i], -_GRID_STEP)
+
+    k = np.arange(1, _EVAL_TERMS + 1)[:, None]
+    tables = []
+    for w, wp in ((ai, aip), (bi, bip)):
+        a = np.array(_taylor_coefficients(ts, np.array(w), np.array(wp), _EVAL_TERMS))
+        tables += [a, k * a[1:]]
+    return (ts, *tables)
 
 
 def _core_eval(t, ai_only=False):
+    """(Ai, Ai', Bi, Bi') on the core interval from the Taylor series at the
+    nearest node, the last three None with ai_only."""
     t = np.asarray(t, dtype=float)
-    idx = np.rint((t - T_SWITCH_MINUS) / _GRID_STEP).astype(int)
-    nodes_t, nodes_ai, nodes_aip, nodes_bi, nodes_bip = _tables()
-    idx = np.clip(idx, 0, len(nodes_t) - 1)
-    t0 = nodes_t[idx]
-    d = t - t0
-    ai, aip = _taylor_pair(t0, nodes_ai[idx], nodes_aip[idx], d, _EVAL_TERMS, not ai_only)
-    if ai_only:
-        return ai, None, None, None
-    bi, bip = _taylor_pair(t0, nodes_bi[idx], nodes_bip[idx], d, _EVAL_TERMS)
-    return ai, aip, bi, bip
+    nodes_t, *tables = _tables()
+    idx = np.clip(np.rint((t - T_SWITCH_MINUS) / _GRID_STEP).astype(int), 0, len(nodes_t) - 1)
+    d = t - nodes_t[idx]
+    out = tuple(_horner((row.take(idx) for row in table[::-1]), d)
+                for table in (tables[:1] if ai_only else tables))
+    return out + (None,) * (4 - len(out))
 
 
 def _airy(t, ai_only):

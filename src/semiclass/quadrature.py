@@ -18,7 +18,9 @@ turning_point_integral gives the action A(x) = int |lam - v|^(1/2) from a
 turning point to x, the quantity a Langer chart is built on, as a function
 on a whole range: the same t substitution, but one Chebyshev interpolant of
 the integrand per segment, integrated once and kept, in place of one
-adaptive quadrature per point.
+adaptive quadrature per point.  The interpolant (_cheb_cumsum) is built
+from matrices cached per degree without a BLAS call, and is evaluated by
+Clenshaw's recurrence.
 
 Near t = 0 the ratio (lam - v)/t^2 is evaluated from the one-sided Taylor
 model |v'| -+ (v''/2) t^2 instead of the cancellation-prone direct
@@ -224,7 +226,55 @@ def well_integral(pot: Potential, lam, lo, hi,
     return (out[0], out[1]), (out[2], out[3])
 
 
-def _cheb_cumsum(f, lo: float, hi: float, start: float, tol: float) -> np.polynomial.Chebyshev:
+@lru_cache(maxsize=None)
+def _cheb_matrices(deg: int):
+    """The arrays of degree deg of _cheb_cumsum, which depend on deg alone.
+
+    With n = deg + 1 and the Chebyshev points x_j = cos(theta_j),
+    theta_j = pi (j + 1/2) / n, of the first kind on [-1, 1], returns:
+    the x_j; the n x n matrix that takes the values at the x_j to the
+    coefficients of the interpolant of degree deg (the discrete cosine
+    transform, c_k = (2 - [k = 0]) / n sum_j T_k(x_j) y_j); and the matrix
+    T_k(cos(pi j / deg)) that takes the deg + 2 coefficients of an
+    antiderivative to its values at the deg + 1 Chebyshev-Lobatto points.
+    Every angle is reduced exactly in integers before its cosine is taken.
+    """
+    n = deg + 1
+    k = np.arange(n + 1)[:, None]
+    odd = 2 * np.arange(n) + 1
+    nodes = np.cos(np.pi * odd / (2 * n))
+    to_coef = (2.0 / n) * np.cos(np.pi * (k[:n] * odd % (4 * n)) / (2 * n))
+    to_coef[0] *= 0.5
+    at_lobatto = np.cos(np.pi * (k.T * np.arange(n)[:, None] % (2 * deg)) / deg)
+    return nodes, to_coef, at_lobatto
+
+
+class _ChebSeries:
+    """sum_k coef_k T_k(u), u the image of x under the affine map of
+    [mid - 1/scale, mid + 1/scale] onto [-1, 1], evaluated by Clenshaw's
+    recurrence.  Takes a float or an array and returns the same."""
+
+    __slots__ = ("coef", "mid", "scale")
+
+    def __init__(self, coef: np.ndarray, mid: float, scale: float):
+        self.coef = coef.tolist()
+        self.mid, self.scale = mid, scale
+
+    def __call__(self, x):
+        u = (np.asarray(x, dtype=float) - self.mid) * self.scale
+        if u.ndim == 0:
+            u = float(u)
+        u2 = 2.0 * u
+        b1 = b2 = 0.0
+        for c in self.coef[:0:-1]:
+            b = u2 * b1  # b_k = c_k + 2 u b_(k+1) - b_(k+2), one new array per term
+            b += c
+            b -= b2
+            b1, b2 = b, b1
+        return self.coef[0] + u * b1 - b2
+
+
+def _cheb_cumsum(f, lo: float, hi: float, start: float, tol: float) -> _ChebSeries:
     """The antiderivative int_start^x f on [lo, hi], as a Chebyshev series.
 
     f is interpolated at Chebyshev points on [lo, hi] and integrated once
@@ -236,17 +286,32 @@ def _cheb_cumsum(f, lo: float, hi: float, start: float, tol: float) -> np.polyno
     |antiderivative| there, whichever is larger: two fits of a large
     antiderivative (an action out on a steep wall) differ by their own
     rounding.  The finer one is returned.
+
+    The fit's coefficients and the values at the Lobatto points are sums
+    along the rows of the matrices of _cheb_matrices, and the integral is
+    the recurrence int T_k = T_(k+1) / (2 (k + 1)) - T_(k-1) / (2 (k - 1))
+    (int T_0 = T_1): no BLAS call, so no BLAS build or thread count moves
+    a bit of the series.
     """
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     prev = None
     deg = _CUMSUM_DEG0
     while deg <= _CUMSUM_DEG_MAX:
-        anti = np.polynomial.Chebyshev.interpolate(f, deg, domain=[lo, hi]).integ(lbnd=start)
+        nodes, to_coef, at_lobatto = _cheb_matrices(deg)
+        b = np.zeros(deg + 3)  # the fit's coefficients times half, then two zeros
+        b[:deg + 1] = np.sum(to_coef * f(mid + half * nodes), axis=1)
+        b *= half
+        k2 = 2.0 * np.arange(1, deg + 2)
+        coef = np.zeros(deg + 2)
+        coef[1:] = b[:-2] / k2 - b[2:] / k2
+        coef[1] = b[0] - b[2] / 2.0
+        coef[0] = -_ChebSeries(coef, mid, 1.0 / half)(start)
+        a = np.sum(at_lobatto * coef, axis=1)
         if prev is not None:
-            pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.polynomial.chebyshev.chebpts2(deg + 1)
-            a = anti(pts)
-            if np.max(np.abs(a - prev(pts))) <= max(tol, 64.0 * _EPS * np.max(np.abs(a))):
-                return anti
-        prev = anti
+            p = np.sum(at_lobatto[:, :len(prev)] * prev, axis=1)
+            if np.max(np.abs(a - p)) <= max(tol, 64.0 * _EPS * np.max(np.abs(a))):
+                return _ChebSeries(coef, mid, 1.0 / half)
+        prev = coef
         deg *= 2
     raise QuadratureError(f"no convergence to tol={tol} by degree {_CUMSUM_DEG_MAX} on [{lo}, {hi}]")
 

@@ -182,3 +182,74 @@ def test_ai_alone_equals_airy_many_bit_for_bit(t):
 def test_ai_alone_requires_finite_arguments():
     with pytest.raises(ValueError):
         airy.airy_ai(np.array([0.0, np.inf]))
+
+
+# -- the tabulated core against the per-point Taylor recurrence --------------
+
+
+def _taylor_pair(t0, w, wp, delta, terms):
+    """w, w' of -w'' + t w = 0 carried from t0 to t0 + delta by the Taylor
+    series of degree terms at t0, the recurrence run anew for every entry
+    of the arrays: the reference the node table must reproduce bit for bit."""
+    t0 = np.asarray(t0, dtype=float)
+    shape = np.broadcast(t0, w, wp, delta).shape
+    a = np.zeros((terms + 1,) + shape)
+    a[0] = w
+    a[1] = wp
+    for k in range(terms - 1):
+        prev = a[k - 1] if k >= 1 else 0.0
+        a[k + 2] = (t0 * a[k] + prev) / ((k + 2) * (k + 1))
+    val = a[terms].copy()
+    for k in range(terms - 1, -1, -1):
+        val = val * delta + a[k]
+    der = terms * a[terms]
+    for k in range(terms - 1, 0, -1):
+        der = der * delta + k * a[k]
+    return val, der
+
+
+def _array_march():
+    """Ai, Ai', Bi, Bi' at the nodes, marched by _taylor_pair on 0-d arrays."""
+    ts = airy._tables()[0]
+    n = len(ts)
+    ai, aip, bi, bip = (np.empty(n) for _ in range(4))
+    i_zero = int(round(-airy.T_SWITCH_MINUS / airy._GRID_STEP))
+    a_s, ap_s, _, _, z = airy._asym_plus_scaled(airy.T_SWITCH_PLUS)
+    ai[-1], aip[-1] = a_s * np.exp(-z), ap_s * np.exp(-z)
+    for i in range(n - 1, 0, -1):
+        ai[i - 1], aip[i - 1] = _taylor_pair(ts[i], ai[i], aip[i], -airy._GRID_STEP, airy._MARCH_TERMS)
+    bi[i_zero], bip[i_zero] = airy.BI_ZERO, airy.BIP_ZERO
+    for i in range(i_zero, n - 1):
+        bi[i + 1], bip[i + 1] = _taylor_pair(ts[i], bi[i], bip[i], airy._GRID_STEP, airy._MARCH_TERMS)
+    for i in range(i_zero, 0, -1):
+        bi[i - 1], bip[i - 1] = _taylor_pair(ts[i], bi[i], bip[i], -airy._GRID_STEP, airy._MARCH_TERMS)
+    return ts, ai, aip, bi, bip
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_the_float_march_gives_the_bits_of_the_array_march():
+    ts, *ref = _array_march()
+    _, ai, aip, bi, bip = airy._tables()
+    # row 0 of a value table is w and row 0 of a derivative table is 1 * w'
+    for got, want in zip((ai[0], aip[0], bi[0], bip[0]), ref):
+        assert np.array_equal(_bits(got), _bits(want))
+    rng = np.random.default_rng(3)
+    for t0, w, wp, delta in rng.uniform(-3.0, 3.0, (20, 4)):
+        assert airy._march(t0, w, wp, delta) == tuple(
+            map(float, _taylor_pair(t0, w, wp, delta, airy._MARCH_TERMS)))
+
+
+def test_the_core_gives_the_bits_of_the_per_point_recurrence():
+    ts, ai, aip, bi, bip = _array_march()
+    half = 0.5 * airy._GRID_STEP
+    t = np.concatenate([ts, ts[1:] - half, ts[:-1] + half, np.linspace(-32.0, 12.0, 4001)])
+    idx = np.clip(np.rint((t - airy.T_SWITCH_MINUS) / airy._GRID_STEP).astype(int), 0, len(ts) - 1)
+    d = t - ts[idx]
+    want = (*_taylor_pair(ts[idx], ai[idx], aip[idx], d, airy._EVAL_TERMS),
+            *_taylor_pair(ts[idx], bi[idx], bip[idx], d, airy._EVAL_TERMS))
+    for got, ref in zip(airy.airy_many(t), want):
+        assert np.array_equal(_bits(got), _bits(ref))
+    assert np.array_equal(_bits(airy.airy_ai(t)), _bits(want[0]))

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -444,7 +444,7 @@ def _levels_and_oracle(pot, window, hbar, robin_b=None, pad=0.0):
 
 
 def _psi_errors(pot, window, hbar, robin_b=None, pad=0.0):
-    """(lam, sup|psi - psi_oracle| / max|psi_oracle|) of each window level,
+    """(level, sup|psi - psi_oracle| / max|psi_oracle|) of each window level,
     the sup taken over the whole oracle grid.  Without pad, level k is paired
     with oracle state k and the two level counts must agree.  With pad the
     oracle solves the window widened by pad on each side and each level takes
@@ -464,7 +464,7 @@ def _psi_errors(pot, window, hbar, robin_b=None, pad=0.0):
     errs = []
     for k, l in zip(idx, levels):
         x, po = oracle.eigenvector(spec, k)
-        errs.append((l.lam, float(np.max(np.abs(eigenfunction(pot, l)(x) - po)) / np.max(np.abs(po)))))
+        errs.append((l, float(np.max(np.abs(eigenfunction(pot, l)(x) - po)) / np.max(np.abs(po)))))
     return errs
 
 
@@ -496,13 +496,20 @@ def psi_wells(draw):
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(psi_wells())
+@example((make_power_law(0, 1, 1, 0, 2, 1), (0.375, 0.875)))  # n = 1 is 6.18% off
 def test_psi_matches_the_oracle_on_random_wells(well):
-    # the 5% bound above, for every window level; the padded oracle window
+    # the 5% bound above, loosened for the lowest levels: where both
+    # branches have exponent 1 and different slopes, the leading-order psi
+    # is O(1/n) off next to the kink at x = 0, the same at every hbar.  On
+    # such wells, slopes up to 4 apart, (n + 1) err reaches 0.226 (n = 1,
+    # slopes 0.5 and 2; 0.0617 at n = 1 and 0.0337 at n = 3 on the
+    # example), so 0.25 / (n + 1) bounds it.  The padded oracle window
     # keeps a level within its O(hbar^2) error of a window edge matched.
     # Measured on 40 draws: a level is within 0.35% of the least oracle
     # spacing of its oracle state, far inside the tenth _psi_errors allows
     pot, window = well
-    assert max((err for _, err in _psi_errors(pot, window, 0.05, pad=0.1)), default=0.0) <= 0.05
+    for level, err in _psi_errors(pot, window, 0.05, pad=0.1):
+        assert err <= max(0.05, 0.25 / (level.n + 1)), (level.n, err)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -520,7 +527,7 @@ def test_the_oracle_level_with_index_n_is_the_nearest_one(well):
 def test_halfline_robin_psi_error_decreases_with_hbar():
     # the leading-order psi ignores b, so only the trend is asserted: at the
     # level nearest lam = 0.5 the error is about 0.20 at hbar 0.1 and 0.11 at 0.05
-    errs = [min(_psi_errors(HL, (0.04, 1.3), hbar, 2.0), key=lambda e: abs(e[0] - 0.5))[1]
+    errs = [min(_psi_errors(HL, (0.04, 1.3), hbar, 2.0), key=lambda e: abs(e[0].lam - 0.5))[1]
             for hbar in (0.1, 0.05)]
     assert errs[1] < errs[0]
 

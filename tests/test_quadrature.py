@@ -147,3 +147,36 @@ def test_cheb_cumsum_of_a_steep_wall_stops_at_its_own_rounding(hi):
     x = np.linspace(0.0, hi, 101)
     exact = 0.5 * math.sqrt(math.pi) * erfi(x)
     assert np.max(np.abs(anti(x) - exact)) <= 1e-14 * exact[-1]
+
+
+def _reference_cumsum(f, lo, hi, start, tol):
+    """_cheb_cumsum's degrees and stop rule on numpy.polynomial's Chebyshev
+    interpolant and its integral."""
+    prev, deg = None, quadrature._CUMSUM_DEG0
+    while deg <= quadrature._CUMSUM_DEG_MAX:
+        anti = np.polynomial.Chebyshev.interpolate(f, deg, domain=[lo, hi]).integ(lbnd=start)
+        if prev is not None:
+            pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.polynomial.chebyshev.chebpts2(deg + 1)
+            a = anti(pts)
+            if np.max(np.abs(a - prev(pts))) <= max(tol, 64.0 * quadrature._EPS * np.max(np.abs(a))):
+                return anti
+        prev, deg = anti, 2 * deg
+    raise AssertionError("the reference did not converge")
+
+
+@pytest.mark.parametrize("f,lo,hi,start", [
+    (np.cos, 0.0, 3.0, 0.0),
+    (np.sqrt, 1.0, 7.0, 7.0),
+    (lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0, 1.0),
+    (lambda x: np.abs(x) ** 3.5, -1.0, 2.0, -1.0),  # algebraic at 0: the largest degree
+    (lambda x: np.exp(x * x), 0.0, 4.0, 0.0),
+    (lambda x: np.exp(x * x), -5.0, 0.0, 0.0),
+], ids=["cos", "sqrt-from-hi", "runge", "kink", "wall-4", "wall-5"])
+def test_cheb_cumsum_matches_numpy_polynomial(f, lo, hi, start):
+    got = quadrature._cheb_cumsum(f, lo, hi, start, quadrature.TOL_QUAD)
+    ref = _reference_cumsum(f, lo, hi, start, quadrature.TOL_QUAD)
+    assert len(got.coef) == len(ref.coef)  # the same degree
+    x = np.linspace(lo, hi, 1001)
+    want = ref(x)
+    assert np.max(np.abs(got(x) - want)) <= 1e-13 * np.max(np.abs(want))
+    assert type(got(0.5 * (lo + hi))) is float and got(x[None]).shape == (1, 1001)

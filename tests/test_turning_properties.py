@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -29,11 +29,15 @@ def floats(lo, hi):
 
 
 def reference_crossings(pot, lam, n=20001):
-    """Dense sign scan over a box where v > lam at both ends, then brentq."""
-    box = 1.0
-    while not np.all(pot.value(np.array([-box, box])) > lam):
-        box *= 2.0
-    x = np.linspace(-box, box, n)
+    """Dense sign scan over a box [-lo, hi] where v > lam at both ends, then
+    brentq.  Each end doubles on its own until v > lam there: a slow branch
+    must not carry the box of a steep one out to where it overflows."""
+    lo = hi = 1.0
+    while not pot.value(-lo) > lam:
+        lo *= 2.0
+    while not pot.value(hi) > lam:
+        hi *= 2.0
+    x = np.linspace(-lo, hi, n)
     f = pot.value(x) - lam
     x, f = x[f != 0.0], f[f != 0.0]  # a root on a grid node falls between its neighbours
     g = lambda y: float(pot.value(np.array(y))) - lam
@@ -85,8 +89,17 @@ def table_wells(draw):
     return pot, bottom + draw(floats(0.05, 3.0))
 
 
+# a slow left branch 0.5 |x|^0.5 took the one symmetric box of the scan to
+# 32, where the right branch exp(x^2) - 1 overflows
+LOPSIDED = (potential_from_spec({"kind": "table", "branches": [
+    {"lo": "-inf", "hi": 0.0, "type": "power", "offset": 0.0, "coeff": 0.5, "exponent": 0.5},
+    {"lo": 0.0, "hi": "inf", "type": "exp-quadratic", "offset": -1.0, "amplitude": 1.0,
+     "c2": 1.0, "c1": 0.0, "c0": 0.0}]}), 2.0)
+
+
 @PROPS
 @given(table_wells())
+@example(LOPSIDED)
 def test_crossings_match_scan_reference(well):
     pot, lam = well
     tp = turning_points(pot, lam)

@@ -3,17 +3,22 @@ hbar-scaling studies driven by a JSON config.
 
 Exit codes: 0 success, 2 config error, 3 certification failure,
 4 numerical non-convergence.  Output tables are deterministic: floats are
-written with shortest round-trip reprs and sweep results are assembled in
-sorted order of hbar.
+written as their shortest round-trip repr and sweep results are assembled
+in sorted order of hbar.
 
 A table is written after its command has returned, so a failed run writes
 nothing.  Its rows are blocks of numpy columns (`Rows`): one block per
 level for `wavefunction`, and for `levels` one per run of levels of one hbar
 that all have an oracle partner, or all lack one.  The one writer `_emit`
-formats each column in one pass and writes block by block: a run holds the
-table's arrays and the text of one block, and the text of an array that
-several blocks slice (the oracle grid of an hbar) once.  The levels of every
-hbar of a run come from one quantize.levels call (_run_levels).
+writes block by block, in CSV or JSON: a float64 array cell of at least
+_KERNEL_MIN entries becomes rows of text by floattext.render (repr's bytes,
+in numpy passes), any other array cell by str or json of its list, the
+shared cells and separators once, and floattext.join makes the block's
+text in one pass.
+A run holds the table's arrays and the text of one block, and the rendered
+text of an array that several blocks slice (the oracle grid of an hbar)
+once.  The levels of every hbar of a run come from one quantize.levels call
+(_run_levels), and its Weyl counts from one quantize.weyl_count call.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import action, langer, oracle, quantize
+from . import action, floattext, langer, oracle, quantize
 from .potential import (
     CertificationError,
     PotentialError,
@@ -69,6 +74,28 @@ class Rows:
 
 _json = json.JSONEncoder(default=float).encode
 
+# (text of a shared cell, texts of a list of an array's entries, row start,
+# cell separator, row end) per format; a JSON row starts with the ",\n"
+# that ends the row before it, and the table's first row drops it
+_FORMATS = {
+    "csv": (_fmt, lambda col: list(map(str, col)), "", ",", "\n"),
+    "json": (_json, lambda col: _json(col)[1:-1].split(", ") if col else [],
+             ",\n    [\n      ", ",\n      ", "\n    ]"),
+}
+# a float array shorter than this is written by its format's column text
+# (repr of each entry): the kernel's fixed cost, about 0.25 ms a call, is
+# repr's for about 370 numbers (17-digit values, 2-vCPU x86-64 VM)
+_KERNEL_MIN = 384
+
+
+def _render(c, column):
+    """The rows of text (a floattext matrix) of the array cell c: a float64
+    one of at least _KERNEL_MIN entries by the floattext kernel, any other
+    by column(c.tolist())."""
+    if c.dtype == np.float64 and len(c) >= _KERNEL_MIN:
+        return floattext.render(c, special=lambda v: column([v])[0])
+    return floattext.strings(column(c.tolist()))
+
 
 def _sliced(c):
     """The 1-D array that the cell c is a contiguous slice of, or None."""
@@ -77,9 +104,9 @@ def _sliced(c):
     return b if ok and b.flags.c_contiguous and c.strides == b.strides else None
 
 
-def _array_text(blocks, column):
-    """text(c), the strings of an array cell c of blocks (column(list) gives
-    one per entry); cells that slice one array take slices of its text,
+def _array_text(blocks, render):
+    """text(c), the rows of text of an array cell c of blocks (render(array)
+    gives them); cells that slice one array take row slices of its text,
     rendered on first use and dropped after the last."""
     left = {}  # id of a sliced array -> its cells not yet rendered
     for _, cells in blocks:
@@ -90,9 +117,9 @@ def _array_text(blocks, column):
     def text(c):
         b = _sliced(c)
         if b is None or (left[id(b)] == 1 and id(b) not in memo):
-            return column(c.tolist())
+            return render(c)
         if id(b) not in memo:
-            memo[id(b)] = list(column(b.tolist()))
+            memo[id(b)] = render(b)
         i = (c.__array_interface__["data"][0] - b.__array_interface__["data"][0]) // c.itemsize
         left[id(b)] -= 1
         return (memo[id(b)] if left[id(b)] else memo.pop(id(b)))[i:i + len(c)]
@@ -100,20 +127,30 @@ def _array_text(blocks, column):
     return text
 
 
-def _texts(cells, size: int, one, text) -> list:
-    """The cells of a block as columns of size strings: an array by text, a
-    shared value once by one."""
-    return [text(c) if isinstance(c, np.ndarray) else itertools.repeat(one(c), size) for c in cells]
+def _block(size: int, cells, fmt: str, text) -> str:
+    """The text of a block's rows: its array cells by text, its shared
+    cells and separators once, all joined in one floattext pass."""
+    one, _, start, sep, end = _FORMATS[fmt]
+    parts, pending = [], start
+    for j, c in enumerate(cells):
+        pending += sep if j else ""
+        if isinstance(c, np.ndarray):
+            parts += [floattext.constant(pending, size), text(c)]
+            pending = ""
+        else:
+            pending += one(c)
+    if not parts:  # shared cells only: a block of one row
+        return pending + end
+    parts.append(floattext.constant(pending + end, size))
+    return floattext.join(parts)
 
 
-def _csv_block(size: int, cells, text) -> str:
-    cols = _texts(cells, size, _fmt, text)
-    return "\n".join(map(",".join, zip(*cols))) + "\n"
-
-
-def _json_block(size: int, cells, text) -> str:
-    cols = _texts(cells, size, _json, text)
-    return ",\n".join("    [\n      " + ",\n      ".join(row) + "\n    ]" for row in zip(*cols))
+def _write_rows(rows: Rows, fh, fmt: str) -> None:
+    column = _FORMATS[fmt][1]
+    text = _array_text(rows.blocks, lambda c: _render(c, column))
+    for j, block in enumerate(rows.blocks):
+        out = _block(*block, fmt, text)
+        fh.write(out[2:] if fmt == "json" and j == 0 else out)
 
 
 def _write_json(table: dict, fh) -> None:
@@ -126,11 +163,8 @@ def _write_json(table: dict, fh) -> None:
         elif not value.blocks:
             fh.write("[]")
         else:
-            # json's own text for a float column: encode it as one list, split at ", "
-            text = _array_text(value.blocks, lambda col: _json(col)[1:-1].split(", "))
             fh.write("[\n")
-            for j, block in enumerate(value.blocks):
-                fh.write((",\n" if j else "") + _json_block(*block, text))
+            _write_rows(value, fh, "json")
             fh.write("\n  ]")
     fh.write("\n}\n")
 
@@ -143,9 +177,7 @@ def _emit(table: dict, out_path, fmt: str) -> None:
             _write_json(table, fh)
         else:
             fh.write(",".join(table["columns"]) + "\n")
-            text = _array_text(table["rows"].blocks, lambda col: map(str, col))
-            for block in table["rows"].blocks:
-                fh.write(_csv_block(*block, text))
+            _write_rows(table["rows"], fh, "csv")
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +385,7 @@ def cmd_count(cfg: RunConfig) -> dict:
     a1, a2 = cfg.window
     _need_full_line(cfg, "count")
     rows = Rows()
-    for hbar in cfg.hbars:
-        cr = quantize.weyl_count(cfg.potential, a1, a2, hbar, cert=cfg.cert)
+    for hbar, cr in zip(cfg.hbars, quantize.weyl_count(cfg.potential, a1, a2, cfg.hbars, cert=cfg.cert)):
         count_o = eps_o = None
         if cfg.oracle:
             count_o = cfg.oracle_count(hbar)

@@ -364,20 +364,28 @@ def levels(pot: Potential, window: tuple[float, float], hbar,
     return _action_levels(pot, window, hbars, kind, cert, robin_b) if hbars else []
 
 
-def weyl_count(pot: Potential, a1: float, a2: float, hbar: float,
-               cert: Optional[WellCertificate] = None) -> CountResult:
+def weyl_count(pot: Potential, a1: float, a2: float, hbar,
+               cert: Optional[WellCertificate] = None):
     """Predicted level count pi^-1 (Phi(a2)-Phi(a1))/hbar over (a1, a2), Phi
     the smooth-kind G of quantization_condition (so a full-line well only),
     against the number of quantization points pi(n+1/2) hbar in
     (Phi(a1), Phi(a2)).  cert, if given, stands for certifying the well
     over [a1, a2].
+
+    hbar is a float, which gives one CountResult, or a sequence of floats,
+    which gives a list of them in its order; Phi does not depend on hbar,
+    so one pair of integrals Phi(a1), Phi(a2) serves every hbar.
     """
     _certificate(pot, a1, a2, cert)  # raises off a single well
-    phi1, phi2 = quantization_condition(pot, np.array([a1, a2]), "smooth", hbar).g
-    predicted = float((phi2 - phi1) / (math.pi * hbar))
-    count = len(_quantum_numbers(phi1, phi2, "smooth", hbar)[0])
-    return CountResult(predicted=predicted, count=count, epsilon=float(count - predicted),
-                       phase_volume=float(2.0 * (phi2 - phi1)))
+    phi1, phi2 = quantization_condition(pot, np.array([a1, a2]), "smooth", 1.0).g  # no hbar in Phi
+
+    def count(h: float) -> CountResult:
+        predicted = float((phi2 - phi1) / (math.pi * h))
+        n = len(_quantum_numbers(phi1, phi2, "smooth", h)[0])
+        return CountResult(predicted=predicted, count=n, epsilon=float(n - predicted),
+                           phase_volume=float(2.0 * (phi2 - phi1)))
+
+    return count(hbar) if np.ndim(hbar) == 0 else [count(h) for h in hbar]
 
 
 # ---------------------------------------------------------------------------

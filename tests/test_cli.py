@@ -907,3 +907,54 @@ def test_two_wavefunction_runs_in_one_process_give_the_same_bytes(tmp_path, fmt)
         assert run(["wavefunction", "--config", str(CONFIGS / "disc_levels.json"), "--format", fmt,
                     "--out", str(path)]) == 0
     assert out[0].read_bytes() == out[1].read_bytes()
+
+
+def test_the_writer_gives_str_and_json_dumps_of_every_cell(tmp_path):
+    from semiclass import cli
+
+    tiny = np.nextafter(0.0, 1.0)
+    edge = [math.nan, math.inf, -math.inf, 0.0, -0.0, tiny, -2 * tiny, 3 * tiny, 1e-310,
+            2.2250738585072014e-308, 2.225073858507201e-308, 1e-4, 9.999999999999999e-05, 1e-5,
+            1e16, 9999999999999998.0, 123.0, -0.1, 2.0**53]
+    rng = np.random.default_rng(3)
+    grid = np.concatenate([edge, rng.standard_normal(1000) * 10.0 ** rng.integers(-20, 20, 1000)])
+    ints = np.arange(len(grid)) - 7
+    assert len(grid) - 500 >= cli._KERNEL_MIN  # the long float cells take the kernel, the short ones repr
+    rows = cli.Rows()
+    rows.append(0.5, "smooth", grid[:500], ints[:500], None, grid[:500].copy())  # a slice beside its copy
+    rows.append(None, "x", grid[500:], ints[500:], 1.5, np.sqrt(np.abs(grid[500:])))
+    rows.append(math.nan, None, grid[3:5], np.array([1, 2]), -0.0, grid[::-1][:2])  # short and reversed
+    rows.append(1e-7, "no array", 2, 3, None, 4.5)
+    table = {"command": "t", "columns": list("abcdef"), "rows": rows}
+    cells = [[c.tolist()[i] if isinstance(c, np.ndarray) else c for c in block]
+             for size, block in rows.blocks for i in range(size)]
+    assert len(cells) == len(rows) == 1022
+    for fmt in ("csv", "json"):
+        cli._emit(table, tmp_path / f"t.{fmt}", fmt)
+    lines = (tmp_path / "t.csv").read_text().split("\n")
+    assert lines == ["a,b,c,d,e,f"] + [",".join("" if v is None else str(v) for v in row)
+                                       for row in cells] + [""]
+    doc = {"command": "t", "columns": list("abcdef"), "rows": cells}
+    assert (tmp_path / "t.json").read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_a_count_run_takes_the_weyl_integrals_once(tmp_path, monkeypatch):
+    from semiclass import cli, quantize
+
+    condition, kinds = quantize.quantization_condition, []
+
+    def spy(pot, lam, kind, *args, **kwargs):
+        kinds.append(kind)
+        return condition(pot, lam, kind, *args, **kwargs)
+
+    monkeypatch.setattr(quantize, "quantization_condition", spy)
+    cfg = cli.RunConfig({"potential": HARM_POT, "hbar": [0.1, 0.025, 0.05], "window": [0.5, 1.5]},
+                        tmp_path, use_oracle=False)
+    table = cli.cmd_count(cfg)
+    assert kinds == ["smooth"]
+    monkeypatch.undo()
+    blocks = table["rows"].blocks
+    assert [cells[0] for _, cells in blocks] == [0.025, 0.05, 0.1]
+    for _, cells in blocks:
+        cr = quantize.weyl_count(cfg.potential, 0.5, 1.5, cells[0])
+        assert cells[3:6] + cells[8:] == (cr.predicted, cr.count, cr.epsilon, cr.phase_volume)

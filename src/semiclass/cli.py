@@ -36,6 +36,7 @@ import numpy as np
 from . import action, floattext, langer, oracle, quantize
 from .potential import (
     CertificationError,
+    PolyBranch,
     PotentialError,
     _real,
     certify_well,
@@ -443,8 +444,8 @@ def _weight_fn(pot, wspec: dict):
         coeffs = wspec.get("coeffs")
         if not isinstance(coeffs, list) or not coeffs:
             raise ConfigError("field 'weights': a poly weight needs a non-empty list 'coeffs'")
-        coeffs = tuple(_number(c, "weights", "coeffs") for c in coeffs)
-        return (lambda x: np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)), ()
+        poly = PolyBranch(tuple(_number(c, "weights", "coeffs") for c in coeffs))
+        return (lambda x: poly.value(np.asarray(x, dtype=float))), ()
     raise ConfigError(f"field 'weights': unknown weight kind {kind!r}")
 
 

@@ -59,6 +59,7 @@ _G0 = np.zeros(_K_MAX - _K_MIN + 1, dtype=np.uint64)  # g(k) % 2^63
 _P10 = np.array([10**i for i in range(18)], dtype=np.uint64)
 _DIGITS = 17  # every double's shortest text has at most 17 digits
 _FIXED_EXP = (-4, 16)  # repr's exponent form: decpt <= -4 or decpt > 16
+_NO_DOT = np.int16(_DIGITS + 1)  # _layout's '.' position of a number with none after a digit
 
 
 def _flog2pow10(e):
@@ -169,50 +170,70 @@ def _layout(neg, chars, n, decpt):
     sign neg, digits chars (as _digits writes them), n digits up to the
     last that is not 0 and decimal point decpt: CPython's layout of repr.
 
-    Each text column is one row of the transposed matrix, made only if some
-    number uses it.  A row is the ASCII codes plus 1 times the mask of the
-    numbers that show that column, so 0 where one does not; subtracting 1
-    from the whole matrix at the end gives the codes, and GAP for 0."""
+    A number's text is its sign column, then one of two placements that
+    share the columns after it: 0.000ddd ('0', '.', the zeros, then the
+    digits), or the digits with the '.' before the digit decpt (dd.ddd) or
+    after the first (d.ddde-XX), placed per number, then the exponent.
+    Each block of text columns is a block of rows of the transposed matrix,
+    the ASCII codes plus 1 times the mask of the numbers that show each
+    character, so 0 where one does not; the two placements are added, and
+    subtracting 1 from the whole matrix at the end gives the codes, and
+    GAP for 0.  So the matrix is as wide as the longest text, but for a
+    byte of sign that text may lack, a byte of exponent where 2 and 3
+    exponent digits mix, and the zeros that the 0.000ddd text with the most
+    zeros has over the one with the most digits."""
+    u8 = np.uint8
     expo = (decpt <= _FIXED_EXP[0]) | (decpt > _FIXED_EXP[1])
     fixed = ~expo
     lead0 = fixed & (decpt <= 0)  # 0.000ddd
-    # the digits a number shows (with the integer part's zeros, and one
-    # after its '.'), and the digit its '.' comes before (0: none)
     inner = fixed & (decpt > 0)
-    shown = np.where(inner, np.maximum(n, decpt + 1), n)
-    dot = np.where(inner, decpt, expo & (n > 1))
-    dots = np.flatnonzero(np.bincount(dot))
-    dots = dots[dots > 0]
-    zeros = -int(decpt[lead0].min()) if lead0.any() else -2  # 0.000ddd: '0', '.' and the zeros
-    e = np.abs(decpt - 1)
-    e3 = bool((e[expo] >= 100).any())
-    tail = 4 + e3 if expo.any() else 0  # e, its sign and 2 or 3 digits
+    # the digits a number shows (with the integer part's zeros, and one after
+    # its '.'; none of 0.000ddd, placed on their own), and the digit its '.'
+    # comes before (_NO_DOT: no '.' after a digit)
+    shown = np.where(inner, np.maximum(n, decpt + 1), n * expo).astype(u8)
+    dot = np.where(inner, decpt, np.where(expo & (n > 1), np.int16(1), _NO_DOT)).astype(u8)
     nd = int(shown.max())
+    dotted = bool((dot < _NO_DOT).any())
+    width = nd + dotted
+    if expo.any():
+        e = np.abs(decpt - 1)
+        e3 = bool((e >= 100).any())  # only the exponent form has |decpt - 1| >= 100
+        at_e = int((n * expo).max())
+        at_e += at_e > 1  # the exponent's column, after every digit and '.'
+        width = max(width, at_e + 4 + e3)  # e, its sign and 2 or 3 digits
+    if lead0.any():
+        z = (-decpt * lead0).astype(u8)  # the zeros after '0.'
+        zeros = int(z.max())
+        n0 = (n * lead0).astype(u8)
+        nd0 = int(n0.max())
+        width = max(width, 2 + zeros + nd0)
     sign = int(neg.any())
-    out = np.empty((sign + 2 + zeros + nd + len(dots) + tail, len(n)), dtype=np.uint8)
-    u8 = np.uint8
+    out = np.zeros((sign + width, len(n)), dtype=u8)
     if sign:
         np.multiply(neg, u8(46), out=out[0])
-    at = sign
-    if zeros >= 0:
-        np.multiply(lead0, np.array([[49], [47]], dtype=u8), out=out[at:at + 2])
-        np.multiply(lead0 & (decpt <= -np.arange(1, zeros + 1)[:, None]), u8(49), out=out[at + 2:at + 2 + zeros])
-        at += 2 + zeros
-    keep = np.arange(nd, dtype=np.int16)[:, None] < shown
-    for lo, hi in zip([0, *dots], [*dots, nd]):
-        if lo:
-            np.multiply(dot == lo, u8(47), out=out[at])
-            at += 1
-        np.multiply(chars[lo:hi], keep[lo:hi], out=out[at:at + hi - lo])
-        at += hi - lo
-    if tail:
-        ch = out[at:]
+    body = out[sign:]
+    # digit j at column j, or j + 1 from the '.' on
+    j = np.arange(nd, dtype=u8)[:, None]
+    np.multiply(chars[:nd], (j < shown).view(u8), out=body[:nd])
+    moved = body[:nd] * (j >= dot).view(u8)
+    body[:nd] -= moved
+    body[1:nd + 1] += moved
+    if dotted:
+        body[:nd] += (j == dot).view(u8) * u8(47)
+    if expo.any():
+        ch = np.empty((4 + e3, len(n)), dtype=u8)
         ch[0], ch[1] = 102, np.where(decpt < 1, 46, 44)
         tens = e // 10
         ch[-2], ch[-1] = tens - tens // 10 * 10 + 49, e - tens * 10 + 49
         if e3:
             ch[2] = (e // 100 + 49) * (e >= 100)
-        ch *= expo
+        ch *= expo.view(u8)
+        body[at_e:at_e + len(ch)] += ch
+    if lead0.any():
+        body[:2] += lead0.view(u8) * np.array([[49], [47]], dtype=u8)
+        body[2:2 + zeros] += (np.arange(zeros, dtype=u8)[:, None] < z).view(u8) * u8(49)
+        j = np.arange(nd0, dtype=u8)[:, None]
+        body[2 + zeros:2 + zeros + nd0] += chars[:nd0] * (j < n0).view(u8)
     out -= 1
     return out.T
 

@@ -64,6 +64,55 @@ class CertificationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
+# polynomials in ascending coefficients, each operation in the order of
+# numpy.polynomial.polynomial's, so bit for bit its result
+
+
+def _polyval(x, c):
+    """sum_k c[k] x^k by Horner's rule, as polyval: c[-1] + x * 0, then
+    c[-i] + acc * x for each lower coefficient."""
+    c = np.array(c, dtype=float, ndmin=1)
+    if isinstance(x, (tuple, list)):
+        x = np.asarray(x)
+    acc = c[-1] + x * 0
+    for ci in c[-2::-1]:
+        acc = ci + acc * x
+    return acc
+
+
+def _polyder(c, m: int = 1):
+    """The coefficients of the m-th derivative, as polyder: m passes of
+    c[j] -> j c[j], and one 0 (c[0] * 0) when m is at least len(c)."""
+    c = np.array(c, dtype=float, ndmin=1)
+    if m >= len(c):
+        return c[:1] * 0
+    for _ in range(m):
+        c = np.arange(1, len(c)) * c[1:]
+    return c
+
+
+def _companion(c):
+    """The companion matrix of the coefficients c (degree at least 2, c[-1]
+    nonzero), as polycompanion: ones below the diagonal, and the last
+    column 0 - c[:-1] / c[-1]."""
+    n = len(c) - 1
+    mat = np.zeros((n, n))
+    mat.reshape(-1)[n::n + 1] = 1
+    mat[:, -1] -= c[:-1] / c[-1]
+    return mat
+
+
+def _polyroots(c):
+    """The roots of the trimmed float coefficients c (degree at least 1),
+    as polyroots: the eigenvalues of the companion matrix, sorted."""
+    if len(c) == 2:
+        return np.array([-c[0] / c[1]])
+    r = np.linalg.eigvals(_companion(c))
+    r.sort()
+    return r
+
+
+# ---------------------------------------------------------------------------
 # branches
 
 
@@ -74,15 +123,15 @@ class PolyBranch:
     coeffs: tuple[float, ...]
 
     def value(self, x, sgn=1.0):
-        return np.polynomial.polynomial.polyval(x, self.coeffs)
+        return _polyval(x, self.coeffs)
 
     def deriv(self, x, sgn=1.0):
-        c = np.polynomial.polynomial.polyder(self.coeffs)
-        return np.polynomial.polynomial.polyval(x, c) if len(c) else np.zeros_like(np.asarray(x, float))
+        c = _polyder(self.coeffs)
+        return _polyval(x, c) if len(c) else np.zeros_like(np.asarray(x, float))
 
     def deriv2(self, x, sgn=1.0):
-        c = np.polynomial.polynomial.polyder(self.coeffs, 2)
-        return np.polynomial.polynomial.polyval(x, c) if len(c) else np.zeros_like(np.asarray(x, float))
+        c = _polyder(self.coeffs, 2)
+        return _polyval(x, c) if len(c) else np.zeros_like(np.asarray(x, float))
 
 
 @dataclass(frozen=True)
@@ -327,7 +376,7 @@ def _real_roots(coeffs, c0: np.ndarray) -> np.ndarray:
     coeffs, its constant term replaced by each entry of c0: one row per entry.
 
     The roots are the eigenvalues of the rotated companion matrix, as
-    numpy.polynomial.polynomial.polyroots takes them, one matrix per row.
+    _polyroots takes them, one matrix per row.
     Complex pairs contribute their real part as well: a spare candidate
     costs one sign evaluation, and it keeps a near-double real root from
     going missing when rounding turns it into a complex pair.
@@ -338,7 +387,7 @@ def _real_roots(coeffs, c0: np.ndarray) -> np.ndarray:
         return np.empty((c0.size, 0))
     if deg == 1:
         return (-c0 / c[1])[:, None]
-    base = np.polynomial.polynomial.polycompanion(np.r_[0.0, c[1:]])[::-1, ::-1]
+    base = _companion(np.r_[0.0, c[1:]])[::-1, ::-1]
     mats = np.repeat(base[None], c0.size, axis=0)
     mats[:, -1, 0] = -c0 / c[-1]
     return np.linalg.eigvals(mats).real
@@ -559,8 +608,8 @@ def _critical_points(pot: Potential) -> list[tuple[float, float]]:
             xs = [(-b.c1 / (2.0 * b.c2), True)] if b.c2 != 0.0 else []
             out.append((math.nan, b.offset))
         else:
-            d = np.trim_zeros(np.polynomial.polynomial.polyder(b.coeffs or (0.0,)), "b")
-            roots = np.polynomial.polynomial.polyroots(d) if len(d) > 1 else ()
+            d = np.trim_zeros(_polyder(b.coeffs or (0.0,)), "b")
+            roots = _polyroots(d) if len(d) > 1 else ()
             xs = [(float(r.real), r.imag == 0.0) for r in roots]
         out.extend((x if real else math.nan, float(b.value(x)))
                    for x, real in xs if p.lo < x < p.hi)

@@ -8,6 +8,12 @@ converges geometrically; the difference between the last two refinement
 levels is the reported error estimate.  Interior singular points and piece
 boundaries of the potential split the integration range.
 
+The Gauss-Legendre rules of orders 16 and 32, the only ones a run of a
+committed config reaches, are constants (_GL_RULES, printed from numpy's
+leggauss by tools/make_gl_rules.py), so no run builds a rule or depends on
+the eigensolver of the numpy at hand.  Orders 64 to _GL_N_MAX come from
+Newton's method on the Legendre recurrence (_gl_newton), in O(n^2).
+
 well_integral takes arrays of lam, lo and hi, so one call serves every
 energy of a level solve: each refinement level is one array of nodes over
 (interval, segment, node) per block of intervals, every segment converges
@@ -41,6 +47,8 @@ __all__ = ["TOL_QUAD", "QuadratureError", "gl_adaptive", "well_integral", "turni
 
 _GL_N0 = 16  # first Gauss-Legendre order of gl_adaptive
 _GL_N_MAX = 4096
+_NEWTON_STEPS = 10  # bound on the Newton steps of _gl_newton (it takes 3 or 4)
+_NEWTON_TOL = 1e-15  # _gl_newton stops once no node moves by more than this
 _CUMSUM_DEG0 = 16  # first degree of the Chebyshev fits in _cheb_cumsum
 _CUMSUM_DEG_MAX = 1024
 _EPS = np.finfo(float).eps
@@ -53,9 +61,92 @@ class QuadratureError(RuntimeError):
     """Requested tolerance not reached at the maximum refinement level."""
 
 
+# The rules of the orders that every run of gl_adaptive uses, as constants:
+# numpy.polynomial.legendre.leggauss(n) bit for bit (on numpy 2.4 with
+# OpenBLAS), each as its positive nodes, ascending, and their weights.  The
+# block is written by tools/make_gl_rules.py.
+# BEGIN GL RULES (tools/make_gl_rules.py)
+_GL_RULES = {
+    16: (
+        (
+            0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+            0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+            0.9445750230732326, 0.9894009349916499,
+        ),
+        (
+            0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+            0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+            0.062253523938647456, 0.027152459411754176,
+        ),
+    ),
+    32: (
+        (
+            0.048307665687738324, 0.1444719615827965, 0.23928736225213706,
+            0.33186860228212767, 0.42135127613063533, 0.5068999089322294,
+            0.5877157572407623, 0.6630442669302152, 0.7321821187402897,
+            0.7944837959679424, 0.84936761373257, 0.8963211557660521,
+            0.9349060759377397, 0.9647622555875064, 0.9856115115452684,
+            0.9972638618494816,
+        ),
+        (
+            0.09654008851472766, 0.09563872007927471, 0.09384439908080451,
+            0.09117387869576378, 0.08765209300440378, 0.08331192422694671,
+            0.07819389578707023, 0.07234579410884834, 0.06582222277636168,
+            0.058684093478535565, 0.05099805926237609, 0.042835898022226836,
+            0.034273862913021765, 0.025392065309262024, 0.016274394730905743,
+            0.007018610009470506,
+        ),
+    ),
+}
+# END GL RULES
+
+
+def _gl_newton(n: int):
+    """The n-point Gauss-Legendre rule on [-1, 1], nodes ascending, by
+    Newton's method on P_n from Tricomi's guesses (cf. N. Hale and
+    A. Townsend, SIAM J. Sci. Comput. 35 (2013) A652).
+
+    P_n and P_(n-1) come from the three-term recurrence, at every node
+    x >= 0 at once; the steps stop once none moves a node by more than
+    _NEWTON_TOL, and the weights 2 / ((1 - x^2) P_n'(x)^2), taken at the
+    nodes that result, are scaled to sum to 2.  The rule is the mirror
+    image of its positive half, so it is exactly symmetric.  O(n^2)
+    operations, against the O(n^3) of the eigenproblem of leggauss.
+    """
+    k = np.arange(n // 2 + n % 2, 0, -1)  # the nodes x >= 0, ascending
+    theta = np.pi * (4 * k - 1) / (4 * n + 2)
+    x = (1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4)) * np.cos(theta)
+    if n % 2:
+        x[0] = 0.0  # P_n is odd: its middle root is 0 exactly
+
+    def slope(x):
+        """P_n'(x) and P_n(x)."""
+        p, q = x, np.ones_like(x)  # P_1, P_0
+        for j in range(2, n + 1):
+            p, q = ((2 * j - 1) * x * p - (j - 1) * q) / j, p
+        return n * (q - x * p) / ((1 - x) * (1 + x)), p
+
+    for _ in range(_NEWTON_STEPS):
+        dp, p = slope(x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) <= _NEWTON_TOL:
+            break
+    dp, _ = slope(x)
+    w = 2 / ((1 - x) * (1 + x) * dp * dp)
+    x = np.concatenate((-x[::-1][:n // 2], x))
+    w = np.concatenate((w[::-1][:n // 2], w))
+    return x, w * (2.0 / w.sum())
+
+
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """Nodes, ascending, and weights of the n-point Gauss-Legendre rule on
+    [-1, 1]: the mirrored constants of _GL_RULES, else _gl_newton's rule."""
+    if n not in _GL_RULES:
+        return _gl_newton(n)
+    x, w = (np.array(v) for v in _GL_RULES[n])
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
 
 
 def gl_adaptive(f, a, b, tol):

@@ -958,3 +958,35 @@ def test_a_count_run_takes_the_weyl_integrals_once(tmp_path, monkeypatch):
     for _, cells in blocks:
         cr = quantize.weyl_count(cfg.potential, 0.5, 1.5, cells[0])
         assert cells[3:6] + cells[8:] == (cr.predicted, cr.count, cr.epsilon, cr.phase_volume)
+
+
+def test_runs_of_committed_configs_load_no_numpy_polynomial():
+    # polynomial branches, a poly weight and the Gauss-Legendre rules all
+    # come from the package's own code
+    runs = [("levels", "table_levels.json", "--no-oracle"), ("count", "table_levels.json"),
+            ("wavefunction", "table_levels.json"), ("levels", "table_jump.json", "--no-oracle"),
+            ("count", "harmonic_levels.json"), ("wavefunction", "harmonic_levels.json"),
+            ("observable", "quartic_observable.json", "--no-oracle")]
+    code = ("import contextlib, io, sys\n"
+            "from semiclass import cli\n"
+            f"for command, config, *flags in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.run([command, '--config', config, *flags]) == 0, (command, config)\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+                          cwd=CONFIGS, env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert not any("np.polynomial" in p.read_text() for p in (REPO / "src" / "semiclass").glob("*.py"))
+
+
+def test_a_cusp_well_past_the_largest_rule_fails_with_exit_4(tmp_path, capsys):
+    # v = |x|^(1/2) has a cusp at x = 0, where Gauss-Legendre converges only
+    # algebraically: gl_adaptive doubles up to its 4096-point rule, which
+    # _gl_newton builds, and stops
+    pot = {"kind": "power_law", "a_plus": 0, "v_plus": 1, "alpha_plus": 0.5,
+           "a_minus": 0, "v_minus": 1, "alpha_minus": 0.5}
+    cfg = write_config(tmp_path, "cusp.json", {"potential": pot, "hbar": 0.1, "window": [0.5, 1.5]})
+    assert run(["levels", "--config", str(cfg), "--no-oracle"]) == 4
+    assert capsys.readouterr().err == ("numerical non-convergence: no convergence to tol=5e-13 "
+                                       "by n=4096 nodes on [0.0, 0.5]\n")

@@ -106,3 +106,20 @@ def test_strings_constants_and_empty_arrays_join_row_by_row():
         == "1|0.5;|-2.0;abé|1e+300;"
     assert floattext.render(np.array([])).shape[0] == 0
     assert floattext.join([floattext.render(np.array([])), floattext.constant("x", 0)]) == ""
+
+
+def test_a_matrix_is_at_most_one_byte_wider_than_its_longest_text():
+    rng = np.random.default_rng(5)
+    bits = np.frombuffer(rng.bytes(8 * 105_000), dtype=np.float64)
+    x = np.linspace(-6.0, 6.0, 4001)
+    samples = {
+        "random doubles": bits[np.isfinite(bits)][:100_000],
+        # a wavefunction: 0.ddd, 0.000ddd, d.ddd and d.ddde-XX side by side
+        "wave": np.cos(7.0 * x) * np.exp(-x * x) * 1.3,
+        "every '.' position": both_signs([1.5 * 10.0**k + 0.25 for k in range(-3, 17)]),
+        "short exponents": np.array([1e-5, 2e-7, 123456.789, 1e22]),
+    }
+    for name, a in samples.items():
+        m = floattext.render(a)
+        longest = max(map(len, texts(a)))
+        assert m.shape[1] <= longest + 1, name

@@ -2,10 +2,15 @@ import json
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly  # the reference of the in-module helpers
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semiclass import potential
 from semiclass.potential import (
     CertificationError,
+    PolyBranch,
     PotentialError,
     certify_well,
     halfline_power_law,
@@ -255,3 +260,40 @@ def test_a_point_takes_the_bits_of_its_branch_at_a_0d_value():
         b = pot.pieces[int(x >= 0)].branch
         for fn in ("value", "deriv", "deriv2"):
             assert getattr(pot, fn)(float(x)) == float(getattr(b, fn)(np.asarray(x)))
+
+
+def _same(got, want):
+    """got is want bit for bit: the same type, shape, dtype and bytes."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+# no coefficient so tiny that the companion matrix overflows, which both sides reject alike
+_COEF = st.one_of(st.floats(-1e3, 1e3).filter(lambda v: v == 0 or abs(v) > 1e-100), st.integers(-50, 50))
+_X = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_COEF, min_size=1, max_size=7), st.lists(_X, min_size=1, max_size=12))
+def test_polynomial_helpers_are_numpy_polynomial_bit_for_bit(coeffs, xs):
+    with np.errstate(all="ignore"):  # an overflow is compared as the inf it gives
+        _check_polynomial_helpers(coeffs, xs)
+
+
+def _check_polynomial_helpers(coeffs, xs):
+    x = np.array(xs)
+    for point in (xs[0], x, x.reshape(1, -1), tuple(xs)):
+        _same(potential._polyval(point, coeffs), npoly.polyval(point, coeffs))
+    for m in range(4):
+        _same(potential._polyder(coeffs, m), npoly.polyder(coeffs, m))
+    c = np.trim_zeros(np.array(coeffs, dtype=float), "b")
+    if len(c) >= 2:
+        _same(potential._polyroots(c), npoly.polyroots(c))
+    if len(c) >= 3:
+        _same(potential._companion(c), npoly.polycompanion(c))
+    branch = PolyBranch(tuple(float(v) for v in coeffs))
+    for m, f in enumerate((branch.value, branch.deriv, branch.deriv2)):
+        for point in (xs[0], x):
+            _same(f(point), npoly.polyval(point, npoly.polyder(branch.coeffs, m)))

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from semiclass.potential import (
 )
 from semiclass.quadrature import gl_adaptive, turning_point_integral, well_integral
 
+REPO = pathlib.Path(__file__).resolve().parent.parent
 HARM = make_power_law(0, 1, 2, 0, 1, 2)
 QUART = make_power_law(0, 1, 4, 0, 1, 4)
 DISC = make_power_law(0.5, 1, 2, 0, 1, 2)
@@ -180,3 +183,98 @@ def test_cheb_cumsum_matches_numpy_polynomial(f, lo, hi, start):
     want = ref(x)
     assert np.max(np.abs(got(x) - want)) <= 1e-13 * np.max(np.abs(want))
     assert type(got(0.5 * (lo + hi))) is float and got(x[None]).shape == (1, 1001)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rules
+
+def _ulps(got, want):
+    """|got - want| in units of the spacing of the doubles at want, entry by entry."""
+    want = np.asarray(want, dtype=float)
+    return np.abs(np.asarray(got) - want) / np.spacing(np.maximum(np.abs(want), np.finfo(float).tiny))
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("make_gl_rules", REPO / "tools" / "make_gl_rules.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_committed_rules_are_the_block_the_tool_prints_from_leggauss():
+    # the tool prints numpy's leggauss; another numpy or LAPACK build may
+    # move its last bit, which the committed constants then no longer follow
+    printed = {}
+    exec(_tool().block(), printed)
+    assert printed["_GL_RULES"].keys() == quadrature._GL_RULES.keys() == {16, 32}
+    text = (REPO / "src" / "semiclass" / "quadrature.py").read_text()
+    committed = {}
+    exec(text[text.index("# BEGIN GL RULES"):text.index("# END GL RULES")], committed)
+    assert committed["_GL_RULES"] == quadrature._GL_RULES
+    for n, (x, w) in quadrature._GL_RULES.items():
+        assert len(x) == len(w) == n // 2
+        for got, want in zip((x, w), printed["_GL_RULES"][n]):
+            assert np.max(_ulps(got, want)) <= 1.0
+
+
+def _mp_rule(n, x0):
+    """The nonnegative nodes and weights of the n-point rule at 40 digits:
+    Newton's method on P_n (its three-term recurrence) from the nodes x0."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+
+    def slope(x):
+        p, q = x, mp.mpf(1)
+        for j in range(2, n + 1):
+            p, q = ((2 * j - 1) * x * p - (j - 1) * q) / j, p
+        return n * (q - x * p) / (1 - x * x), p
+
+    xs, ws = [], []
+    for x in map(mp.mpf, x0):
+        for _ in range(8):
+            dp, p = slope(x)
+            x -= p / dp
+        dp, _ = slope(x)
+        xs.append(float(x))
+        ws.append(float(2 / ((1 - x * x) * dp * dp)))
+    return np.array(xs), np.array(ws)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_the_committed_rules_against_mpmath(n):
+    # each node is within 2 of its own ulps of the exact node; leggauss's
+    # weights are exact to 2 ulps of 1 (2 eps), the scale its normalized
+    # product rounds at, so its small end weights are off by up to a few
+    # hundred of their own ulps
+    x, w = (np.array(v) for v in quadrature._GL_RULES[n])
+    ex, ew = _mp_rule(n, x)
+    assert np.max(_ulps(x, ex)) <= 2.0
+    assert np.max(np.abs(w - ew)) <= 2.0 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [16 * 2**k for k in range(9)])
+def test_every_rule_of_gl_adaptive_is_symmetric_and_exact_on_exp(n):
+    x, w = quadrature._leggauss(n)
+    assert len(x) == len(w) == n and np.all(np.diff(x) > 0) and -1 < x[0]
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(w.sum() - 2.0) <= 1e-15
+    assert abs(np.sum(w * np.exp(x)) - (math.e - 1 / math.e)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 17, 32, 63, 64, 65, 128, 256])
+def test_newton_rules_against_leggauss(n):
+    # leggauss's weights drift from the exact ones as n grows (25 eps at
+    # n = 128), so they are held to the nodes' bound only loosely
+    x, w = quadrature._gl_newton(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.max(_ulps(x, ref_x)) <= 4.0
+    assert np.max(np.abs(w - ref_w)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [17, 64, 128])
+def test_newton_rules_against_mpmath(n):
+    x, w = quadrature._gl_newton(n)
+    ex, ew = _mp_rule(n, x[n // 2:])
+    assert np.max(_ulps(x[n // 2:], ex)) <= 1.0
+    assert np.max(np.abs(w[n // 2:] - ew)) <= 2.0 * np.finfo(float).eps

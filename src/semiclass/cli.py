@@ -256,7 +256,9 @@ class RunConfig:
         weights = raw.get("weights", [{"name": "v", "kind": "potential"}])
         if not (isinstance(weights, list) and weights and all(isinstance(w, dict) for w in weights)):
             raise ConfigError("field 'weights' must be a non-empty list of objects")
-        self.weights = [(w.get("name", w.get("kind")), *_weight_fn(self.potential, w)) for w in weights]
+        self.weights = [_weight(self.potential, w) for w in weights]
+        if len({name for name, *_ in self.weights}) != len(weights):
+            raise ConfigError("field 'weights': names must be distinct")
         lam_ref = raw.get("lambda_ref")
         self.lambda_ref = None if lam_ref is None else _number(lam_ref, "lambda_ref")
         self.study = raw.get("study", "levels")
@@ -371,7 +373,7 @@ def cmd_levels(cfg: RunConfig) -> dict:
             cells = [hbar, n, kind, lam, np.array([l.residual for l in block]), None, None, None]
             if paired:
                 lam_o = spec.eigenvalues[list(ks)]
-                act_res = np.abs(quantize.defect(cfg.potential, lam_o, n, kind, hbar, cfg.cert))
+                act_res = np.abs(quantize.defect(cfg.potential, lam_o, n, kind, hbar))
                 cells[5:] = lam_o, lam - lam_o, act_res
             rows.append(*cells)
     return {
@@ -405,7 +407,7 @@ def cmd_wavefunction(cfg: RunConfig) -> dict:
     rows = Rows()  # one block per level
     sup_lines = []
     for hbar, lv, spec in _windows(cfg):
-        for l, psi in zip(lv, langer.eigenfunctions(cfg.potential, lv, cfg.cert)):
+        for l, psi in zip(lv, langer.eigenfunctions(cfg.potential, lv)):
             k = _partner(spec, l)
             lo = float(cfg.grid.get("lo", psi.x1))
             if k is not None:
@@ -430,23 +432,34 @@ def cmd_wavefunction(cfg: RunConfig) -> dict:
     }
 
 
-def _weight_fn(pot, wspec: dict):
-    """(w, breaks) for one entry of the 'weights' field."""
+_WEIGHT_KEYS = {"potential": (), "indicator": ("lo", "hi"), "poly": ("coeffs",)}
+
+
+def _weight(pot, wspec: dict):
+    """(name, w, breaks) for one entry of the 'weights' field.  A name (default:
+    kind) is one CSV cell, and 'kinetic' is the row observable adds."""
     kind = wspec.get("kind")
+    if not isinstance(kind, str) or kind not in _WEIGHT_KEYS:
+        raise ConfigError(f"field 'weights': unknown weight kind {kind!r}")
+    unknown = [k for k in wspec if k not in ("name", "kind", *_WEIGHT_KEYS[kind])]
+    if unknown:
+        raise ConfigError(f"field 'weights': unknown key {unknown[0]!r} in a {kind} weight")
+    name = wspec.get("name", kind)
+    if not (isinstance(name, str) and name and name != "kinetic" and not any(c in name for c in ',"\r\n')):
+        raise ConfigError("field 'weights': a name must be a non-empty string other than 'kinetic', "
+                          f"without a comma, a quote, CR or LF, got {name!r}")
     if kind == "potential":
-        return pot.value, ()
+        return name, pot.value, ()
     if kind == "indicator":
         lo = _number(wspec["lo"], "weights", "lo") if "lo" in wspec else -math.inf
         hi = _number(wspec["hi"], "weights", "hi") if "hi" in wspec else math.inf
         breaks = tuple(b for b in (lo, hi) if math.isfinite(b))
-        return (lambda x: ((np.asarray(x) > lo) & (np.asarray(x) <= hi)).astype(float)), breaks
-    if kind == "poly":
-        coeffs = wspec.get("coeffs")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError("field 'weights': a poly weight needs a non-empty list 'coeffs'")
-        poly = PolyBranch(tuple(_number(c, "weights", "coeffs") for c in coeffs))
-        return (lambda x: poly.value(np.asarray(x, dtype=float))), ()
-    raise ConfigError(f"field 'weights': unknown weight kind {kind!r}")
+        return name, (lambda x: ((np.asarray(x) > lo) & (np.asarray(x) <= hi)).astype(float)), breaks
+    coeffs = wspec.get("coeffs")
+    if not isinstance(coeffs, list) or not coeffs:
+        raise ConfigError("field 'weights': a poly weight needs a non-empty list 'coeffs'")
+    poly = PolyBranch(tuple(_number(c, "weights", "coeffs") for c in coeffs))
+    return name, (lambda x: poly.value(np.asarray(x, dtype=float))), ()
 
 
 def cmd_observable(cfg: RunConfig) -> dict:
@@ -492,8 +505,10 @@ def cmd_scaling(cfg: RunConfig) -> dict:
         if study == "levels":
             if not ref.size:
                 raise quantize.QuantizeError(f"no levels in window at hbar={hbar}")
+            if cfg.cert.interior_jump is not None:  # the smooth defect has no jump term
+                raise quantize.QuantizeError(quantize._NO_JUMP_TERM)
             return float(np.max(np.abs(quantize.defect(cfg.potential, spec.eigenvalues[admit], ref,
-                                                       "smooth", hbar, cfg.cert))))
+                                                       "smooth", hbar))))
         lv = by_hbar[hbar]
         if study == "disc-levels" and len(lv) != len(ref):
             raise quantize.QuantizeError(
@@ -517,7 +532,7 @@ def cmd_scaling(cfg: RunConfig) -> dict:
         if study == "observable":
             _, w, breaks = cfg.weights[0]
             return _average_vs_oracle(cfg.potential, l, spec, k, w, breaks)[2]
-        psi = langer.eigenfunction(cfg.potential, l, cfg.cert)
+        psi = langer.eigenfunction(cfg.potential, l)
         return float(np.max(_psi_vs_oracle(psi, spec, k, psi.x1, psi.plus.x_tp + 1.0)[3]))
 
     errs = [err_for(h) for h in cfg.hbars]

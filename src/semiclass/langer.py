@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .airy import airy_ai, airy_many
-from .potential import Potential, TurningPoints, WellCertificate
+from .potential import Potential, TurningPoints
 from .quadrature import TOL_QUAD, turning_point_integral
 from .quantize import Condition, quantization_condition
 
@@ -291,22 +291,22 @@ class Eigenfunction:
         return abs(float(up) - float(um)) / amp
 
 
-def eigenfunctions(pot: Potential, levels, cert: Optional[WellCertificate] = None):
+def eigenfunctions(pot: Potential, levels):
     """The Eigenfunction of each level of one window (one hbar, one kind),
     in order, each built when reached.
 
-    One quantization_condition record of all the levels at TOL_QUAD (cert
-    is passed on to it), each entry the one of its level alone, gives c_pm,
-    the turning points and the matching point x1: the midpoint of the well
-    for a smooth level, the jump inside the well for a discontinuous one,
-    the wall x = 0 for a half-line one.
+    One quantization_condition record of all the levels at TOL_QUAD, each
+    entry the one of its level alone, gives c_pm, the turning points and
+    the matching point x1: the midpoint of the well for a smooth level, the
+    jump inside the well for a discontinuous one, the wall x = 0 for a
+    half-line one.  No certificate enters: the levels' kind is their own.
     """
     if not levels:
         return
     hbar, kind = levels[0].hbar, levels[0].kind
     if any(l.hbar != hbar or l.kind != kind for l in levels):
         raise ValueError("the levels of one window share hbar and kind")
-    c = quantization_condition(pot, np.array([l.lam for l in levels]), kind, hbar, cert, TOL_QUAD)
+    c = quantization_condition(pot, np.array([l.lam for l in levels]), kind, hbar, TOL_QUAD)
     for k, level in enumerate(levels):
         yield _eigenfunction(pot, level, c, k)
 
@@ -323,7 +323,7 @@ def _eigenfunction(pot: Potential, level, c: Condition, k: int) -> Eigenfunction
     return Eigenfunction(level, ck.x1, plus, minus, c_plus, c_minus)
 
 
-def eigenfunction(pot: Potential, level, cert: Optional[WellCertificate] = None) -> Eigenfunction:
+def eigenfunction(pot: Potential, level) -> Eigenfunction:
     """psi for a level produced by the quantize module: eigenfunctions of
     the window of that level alone."""
-    return next(eigenfunctions(pot, [level], cert))
+    return next(eigenfunctions(pot, [level]))

@@ -390,6 +390,9 @@ def _real_roots(coeffs, c0: np.ndarray) -> np.ndarray:
     base = _companion(np.r_[0.0, c[1:]])[::-1, ::-1]
     mats = np.repeat(base[None], c0.size, axis=0)
     mats[:, -1, 0] = -c0 / c[-1]
+    if not np.isfinite(mats).all():
+        raise TurningPointError(f"no closed-form roots of the polynomial {tuple(coeffs)}: "
+                                "its coefficients over the leading one overflow")
     return np.linalg.eigvals(mats).real
 
 
@@ -421,8 +424,8 @@ def _gap_points(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b[:, k] = a[:, k + 1]; only a[:, 0] may be -inf and only b may be +inf.
     A gap (-inf, inf) samples x = 0."""
     a = a.copy()
-    a[:, 0] = np.where(a[:, 0] == -math.inf, b[:, 0] - 2.0 * np.maximum(1.0, np.abs(b[:, 0])), a[:, 0])
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # inf - inf where a gap is (-inf, inf) or (a, inf)
+        a[:, 0] = np.where(a[:, 0] == -math.inf, b[:, 0] - 2.0 * np.maximum(1.0, np.abs(b[:, 0])), a[:, 0])
         b = np.where(b == math.inf, a + 2.0 * np.maximum(1.0, np.abs(a)), b)
         s = 0.5 * (a + b)
     return np.where(np.isnan(s), 0.0, s)
@@ -485,8 +488,8 @@ def _crossings(pot: Potential, lam: np.ndarray):
     m = lam.size
     cols = [np.tile(np.array(bounds), (m, 1))]
     for p in pieces:
-        r = _branch_roots(p.branch, lam)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # a root past the largest double is inf: none
+            r = _branch_roots(p.branch, lam)
             cols.append(np.where((p.lo < r) & (r < p.hi), r, math.inf))
     cands = np.sort(np.concatenate(cols, axis=1), axis=1)
     cands[:, 1:][cands[:, 1:] == cands[:, :-1]] = math.inf  # a repeated candidate counts once
@@ -495,7 +498,8 @@ def _crossings(pot: Potential, lam: np.ndarray):
     a, b = edges[:, :-1], edges[:, 1:]
     valid = a < math.inf  # gaps (inf, inf) only pad the rows
     s = _gap_points(a, b)
-    f = np.where(valid, pot.value(np.where(valid, s, s[:, :1])) - lam[:, None], math.nan)
+    with np.errstate(over="ignore"):  # a v past the largest double is inf, above lam
+        f = np.where(valid, pot.value(np.where(valid, s, s[:, :1])) - lam[:, None], math.nan)
     hit = valid & (f == 0.0)
     if hit.any():
         k, g = np.argwhere(hit)[0]
@@ -586,6 +590,14 @@ class WellCertificate:
     def interior_jump(self) -> Optional[float]:
         """x of the jump of v inside the well, or None for a well without one."""
         return next((s.x for s in self.interior_singularities if s.kind == "jump"), None)
+
+
+def _inside_well(pot: Potential, tp: TurningPoints) -> list:
+    """(s, inside) for each singular point s of pot with x_- < s.x < x_+ at
+    some energy of tp, inside marking where (a bool or an array): the one
+    rule for the singular points a well holds."""
+    marks = ((s, (tp.x_minus < s.x) & (s.x < tp.x_plus)) for s in pot.singular_points)
+    return [(s, inside) for s, inside in marks if np.any(inside)]
 
 
 def _critical_points(pot: Potential) -> list[tuple[float, float]]:
@@ -680,14 +692,8 @@ def certify_well(pot: Potential, lam_lo: float, lam_hi: float) -> WellCertificat
             raise CertificationError("monotonicity", "x_pm(lam) not monotone across the window")
     margin = min(min(-tp.slope_minus, tp.slope_plus) for tp in tps)
 
-    tp_lo, tp_hi = tps[0], tps[-1]
-    interior = tuple(
-        s for s in pot.singular_points if tp_lo.x_minus < s.x < tp_lo.x_plus
-    )
-    crossing = [
-        s for s in pot.singular_points
-        if s not in interior and tp_hi.x_minus < s.x < tp_hi.x_plus
-    ]
+    interior = tuple(s for s, _ in _inside_well(pot, tps[0]))
+    crossing = [s for s, _ in _inside_well(pot, tps[-1]) if s not in interior]
     if crossing:
         raise CertificationError(
             "singularity", f"singular point at {crossing[0].x} enters the well inside the window"

@@ -7,19 +7,19 @@ picks the kind (half line, else a jump inside the well, else smooth).
 _target is the one place where the target pi (n + mu) hbar is formed: the
 solver and weyl_count take their n from _quantum_numbers, and defect is
 G - target at any lam (the residual of a level against an oracle
-eigenvalue).  A cert passed to any of them must certify pot over a window
-holding the energies asked for, else CertificationError("window")
-(_certificate).  quantization_condition is the one place where a level kind
-becomes numbers: its Condition record carries (G, G') for the solver, the
-well integrals I_pm and the jump amplitude a^2 that give the eigenfunction's
-constants c_pm, and the turning points and matching point its Langer charts
-are built on (langer.eigenfunctions).  All n of a window, at every hbar
-asked for, are solved together by one safeguarded Newton iteration
-(_action_levels): G and G' are array-valued in lam and hbar, so each sweep
-is one evaluation for every unfinished level, and each level keeps its own
-sign-change bracket, taken from one sample of G across the window.  The
-well integrals depend on lam alone, so that sample costs one set of
-integrals for all hbar.
+eigenvalue).  Only levels and weyl_count, which take a window, take a cert:
+it must certify pot over a window holding theirs (_certificate).  Records
+at single energies take none.  quantization_condition is the one place
+where a level kind becomes numbers: its Condition record carries (G, G')
+for the solver, the well integrals I_pm and the jump amplitude a^2 that
+give the eigenfunction's constants c_pm, and the turning points and
+matching point its Langer charts are built on (langer.eigenfunctions).
+All n of a window, at every hbar asked for, are solved together by one
+safeguarded Newton iteration (_action_levels): G and G' are array-valued
+in lam and hbar, so each sweep is one evaluation for every unfinished
+level, and each level keeps its own sign-change bracket, taken from one
+sample of G across the window.  The well integrals depend on lam alone,
+so that sample costs one set of integrals for all hbar.
 
 Smooth case: G = Phi, mu = 1/2; Phi' > 0 gives exactly one root per n.
 
@@ -51,6 +51,7 @@ from .potential import (
     Potential,
     TurningPoints,
     WellCertificate,
+    _inside_well,
     certify_well,
     turning_points,
 )
@@ -78,6 +79,8 @@ _ROOT_QUAD_TOL = 1e-12  # absolute quadrature tolerance on G while root solving
 _NEWTON_STEPS = 80  # evaluations of G per level before the solve gives up
 _SAMPLE_POINTS = 33  # energies, window ends included, in the sample of G that starts the solve
 _MAX_LEVELS = 10**6  # levels of one window at one hbar, checked before any array is built
+# why levels (half line) and the CLI's levels study (full line) refuse a jump inside the well
+_NO_JUMP_TERM = "potential jumps inside the well; only the discontinuous kind has a jump term"
 
 # Maslov offset mu of the condition G(lam) = pi (n + mu) hbar, per level kind
 MASLOV_OFFSETS = {
@@ -167,14 +170,13 @@ def _quantum_numbers(g_lo: float, g_hi: float, kind: str, hbar: float):
     return ns[keep], targets[keep]
 
 
-def defect(pot: Potential, lam, n, kind: str, hbar: float,
-           cert: Optional[WellCertificate] = None):
+def defect(pot: Potential, lam, n, kind: str, hbar: float):
     """G(lam) - pi (n + mu) hbar, the signed defect of level n's quantization
     condition at lam (e.g. an oracle eigenvalue), in action units; lam and n
     may be arrays of one shape.  G is quantization_condition's at TOL_QUAD,
-    and cert is passed to it, so a cert with a jump inside the well raises
-    QuantizeError for every kind but discontinuous."""
-    return quantization_condition(pot, lam, kind, hbar, cert).g - _target(n, kind, hbar)
+    so a kind is taken as asked for: the smooth defect of a jump well is
+    Phi's, and refusing it is the caller's choice."""
+    return quantization_condition(pot, lam, kind, hbar).g - _target(n, kind, hbar)
 
 
 def _brackets(lam, g, g_prime, targets):
@@ -203,7 +205,6 @@ def _brackets(lam, g, g_prime, targets):
 
 
 def _action_levels(pot: Potential, window: tuple[float, float], hbars: list, kind: str,
-                   cert: WellCertificate,
                    robin_b: Optional[float] = None) -> list[SemiclassicalLevel]:
     """Every level of one kind in the window at each hbar of hbars, ordered
     by hbar as given, then by n: for each n with pi (n + mu) hbar strictly
@@ -221,8 +222,9 @@ def _action_levels(pot: Potential, window: tuple[float, float], hbars: list, kin
     same evaluation.  A level still open after _NEWTON_STEPS evaluations
     raises QuantizeError naming its n and hbar.  Each level's steps read only
     its own entries, so a level is the one a solve at its hbar alone returns.
+    It takes no certificate: levels certifies the window and picks the kind.
     """
-    cond = lambda lam, h: quantization_condition(pot, lam, kind, h, cert, _ROOT_QUAD_TOL)
+    cond = lambda lam, h: quantization_condition(pot, lam, kind, h, _ROOT_QUAD_TOL)
     sample = np.linspace(*window, _SAMPLE_POINTS)
     s = cond(sample, np.reshape(hbars, (-1, 1)))
     g, g_prime = (np.broadcast_to(v, (len(hbars), _SAMPLE_POINTS)) for v in (s.g, s.g_prime))
@@ -290,7 +292,6 @@ class Condition:
 
 
 def quantization_condition(pot: Potential, lam, kind: str, hbar,
-                           cert: Optional[WellCertificate] = None,
                            tol: float = TOL_QUAD) -> Condition:
     """The Condition record of a level kind at lam, a float or an array;
     hbar, a float or an array, broadcasts against lam.  The turning points
@@ -303,31 +304,28 @@ def quantization_condition(pot: Potential, lam, kind: str, hbar,
     integrals (Phi, Phi' and I) that the averages and the kinetic energy of
     action read.
     discontinuous: jump_action at x0, the one singular point inside the
-    well of cert (its interior jump, or a kink where the condition reduces
-    to Bohr-Sommerfeld), cert defaulting to the certificate of the energies
-    from min(lam) to max(lam); another number of interior singular points
-    raises QuantizeError.
+    well (certify_well's rule) at every entry of lam: a jump, or a kink
+    where the condition reduces to Bohr-Sommerfeld; else QuantizeError.
     halfline_*: the same integrals from the wall x_- = 0, matched there.
     Without a jump a^2 = 1 and I_- = 0.  A kind that does not fit
-    pot.domain raises CertificationError("domain"); a kind other than
-    discontinuous given a cert with a jump inside the well raises
-    QuantizeError.
+    pot.domain raises CertificationError("domain").  No kind refuses a jump
+    inside the well; the callers that pick a kind do (levels).
     """
     if kind not in MASLOV_OFFSETS:
         raise QuantizeError(f"unknown level kind {kind!r}")
     if kind.startswith("halfline") != (pot.domain == "half_line"):
         raise CertificationError("domain", f"level kind {kind!r} does not fit a {pot.domain} well")
-    if cert is not None or kind == "discontinuous":
-        cert = _certificate(pot, float(np.min(lam)), float(np.max(lam)), cert)
     if kind == "discontinuous":
-        if len(cert.interior_singularities) != 1:
+        # an array even for a float lam, the shape jump_action computes on
+        tp = turning_points(pot, np.asarray(lam, dtype=float).reshape(np.shape(lam) or (1,)))
+        inside = _inside_well(pot, tp)
+        if len(inside) != 1:
             raise QuantizeError(
-                f"the discontinuous condition needs exactly one interior singular point, found "
-                f"{len(cert.interior_singularities)}"
-            )
-        return jump_action(pot, lam, hbar, cert.interior_singularities[0].x, tol)
-    if cert is not None and cert.interior_jump is not None:
-        raise QuantizeError("potential jumps inside the well; only the discontinuous kind has a jump term")
+                f"the discontinuous condition needs exactly one interior singular point, found {len(inside)}")
+        (s, where), = inside
+        if not np.all(where):
+            raise QuantizeError(f"the singular point at {s.x} lies inside the well at only some energies")
+        return _jump_condition(pot, lam, hbar, s.x, tol, tp)
     tp = turning_points(pot, lam)
     (g, i_plus), _ = well_integral(pot, lam, tp.x_minus, tp.x_plus, kind == "smooth", True, tol)
     x1 = 0.5 * (tp.x_minus + tp.x_plus) if kind == "smooth" else tp.x_minus
@@ -344,7 +342,7 @@ def levels(pot: Potential, window: tuple[float, float], hbar,
     psi(0) = 0, a number b the Robin wall psi'(0) = b psi(0)), the jump one
     when v jumps inside the well of cert (the certificate of the window by
     default), else Bohr-Sommerfeld.  A robin_b on a full-line well raises
-    CertificationError("domain").
+    CertificationError("domain"), a jump inside a half-line well QuantizeError.
 
     hbar is a float or a sequence of floats.  The levels of every hbar are
     solved in one batch and returned ordered by hbar as given, then by n;
@@ -358,10 +356,12 @@ def levels(pot: Potential, window: tuple[float, float], hbar,
         raise CertificationError("domain", "a Robin wall (robin_b) needs a half-line well")
     cert = _certificate(pot, *window, cert)
     if pot.domain == "half_line":
+        if cert.interior_jump is not None:
+            raise QuantizeError(_NO_JUMP_TERM)
         kind = "halfline_dirichlet" if robin_b is None else "halfline_robin"
     else:
         kind = "smooth" if cert.interior_jump is None else "discontinuous"
-    return _action_levels(pot, window, hbars, kind, cert, robin_b) if hbars else []
+    return _action_levels(pot, window, hbars, kind, robin_b) if hbars else []
 
 
 def weyl_count(pot: Potential, a1: float, a2: float, hbar,
@@ -422,10 +422,15 @@ def jump_action(pot: Potential, lam, hbar, x0: float,
     are taken once per entry of lam.  A float lam is computed as an array of
     one, so that it takes the same numpy kernels as an entry of an array.
     """
+    return _jump_condition(pot, lam, hbar, x0, tol, None)
+
+
+def _jump_condition(pot: Potential, lam, hbar, x0: float, tol: float, tp) -> Condition:
+    """jump_action's record; tp, when not None, holds the turning points of lams."""
     shape = np.shape(lam)
     lams = np.asarray(lam, dtype=float).reshape(shape or (1,))
     p, dlnp = _jump_factor(pot, x0, lams)
-    tp = turning_points(pot, lams)
+    tp = turning_points(pot, lams) if tp is None else tp
     (phi_plus, i_plus), _ = well_integral(pot, lams, x0, tp.x_plus, False, True, tol)
     (phi_minus, i_minus), _ = well_integral(pot, lams, tp.x_minus, x0, True, False, tol)
     th_m = phi_minus / hbar + 0.25 * math.pi

@@ -5,16 +5,15 @@ import math
 
 from semiclass import quantize
 from semiclass.airy import AI_ZERO
-from semiclass.potential import certify_well, turning_points
+from semiclass.potential import turning_points
 from semiclass.quadrature import TOL_QUAD, well_integral
 
 
-def levels_of_kind(pot, window, hbar, kind, robin_b=None, cert=None):
+def levels_of_kind(pot, window, hbar, kind, robin_b=None):
     """The levels of one kind in the window, for a kind the well would not
-    pick (quantize.levels picks the kind from the well); cert defaults to
-    the certificate of the window."""
-    return quantize._action_levels(pot, window, [hbar], kind, cert or certify_well(pot, *window),
-                                   robin_b)
+    pick (quantize.levels picks the kind from the well and certifies the
+    window; this takes neither step)."""
+    return quantize._action_levels(pot, window, [hbar], kind, robin_b)
 
 
 def partial_action(pot, lam, x, side, tol=TOL_QUAD):

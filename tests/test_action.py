@@ -6,7 +6,6 @@ import pytest
 from semiclass import action
 from semiclass.potential import (
     CertificationError,
-    certify_well,
     halfline_power_law,
     make_power_law,
     turning_points,
@@ -167,7 +166,6 @@ def test_full_line_integrals_refuse_a_half_line_well():
 def test_halfline_actions():
     # int_0^1 (1 - x^2)^(1/2) = pi/4 and (1/2) int_0^1 (1 - x^2)^(-1/2) = pi/4
     pot = halfline_power_law(0, 1, 2)
-    cert = certify_well(pot, 0.5, 1.5)
-    c = quantization_condition(pot, 1.0, "halfline_dirichlet", 0.1, cert)
+    c = quantization_condition(pot, 1.0, "halfline_dirichlet", 0.1)
     assert abs(c.g - math.pi / 4) <= 1e-10
     assert abs(c.g_prime - math.pi / 4) <= 1e-10

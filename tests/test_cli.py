@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -94,6 +95,8 @@ def test_certification_failure_exit_code(tmp_path):
     assert run(["levels", "--config", str(cfg), "--no-oracle"]) == 3
 
 
+# the refusal of a jump inside the well by levels (half line) and the levels study (full line)
+NO_JUMP_TERM = "potential jumps inside the well; only the discontinuous kind has a jump term"
 HL_JUMP_POT = {"kind": "table", "domain": "half_line", "branches": [
     {"lo": 0.0, "hi": 0.3, "type": "poly", "coeffs": [0.0, 0.0, 1.0]},
     {"lo": 0.3, "hi": "inf", "type": "poly", "coeffs": [0.5, 0.0, 1.0]},
@@ -105,7 +108,7 @@ def test_halfline_jump_inside_the_well_exits_4(tmp_path, capsys):
                                             "window": [0.6, 1.5]})
     assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv"),
                 "--no-oracle"]) == 4
-    assert "jumps inside the well" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"numerical non-convergence: {NO_JUMP_TERM}\n"
 
 
 @pytest.mark.parametrize("command", ["levels", "wavefunction", "count"])
@@ -341,6 +344,44 @@ def test_cli_matrix_names_a_file_that_is_not_a_run_config(tmp_path):
     assert proc.stderr == "not a run config: harmonic.json: every run exits 2\n"
 
 
+def test_cli_matrix_checks_that_a_table_has_one_cell_per_column():
+    spec = importlib.util.spec_from_file_location("cli_matrix", REPO / "tools" / "cli_matrix.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.well_formed(b"a,b\n1,2\n,\n", "csv")
+    assert tool.well_formed(b'{"columns": ["a", "b"], "rows": [[1, null]]}', "json")
+    for out, fmt in [(b"a,b\n1,2,3\n", "csv"), (b"a,b\nx\n", "csv"), (b"", "csv"),
+                     (b'{"columns": ["a"], "rows": [[1, 2]]}', "json"), (b"a,b\n", "json"),
+                     (b"[]", "json"), (b"\xff", "csv")]:
+        assert not tool.well_formed(out, fmt)
+
+
+_EXTREME_POTENTIALS = {  # a potential with an extreme parameter, and its exit code
+    "poly-subnormal-leading": ({"kind": "table", "branches": [
+        {"lo": "-inf", "hi": "inf", "type": "poly", "coeffs": [0, 0, 1, 0, 1e-320]}]}, 3),
+    "power-alpha-1e300": (dict(HARM_POT, alpha_plus=1e300), 4),
+    "power-v-subnormal": (dict(HARM_POT, v_plus=1e-320), 3),
+    "power-alpha-1e-300": (dict(HARM_POT, alpha_plus=1e-300), 3),
+    "exp-quadratic-c2-1e300": ({"kind": "table", "branches": [
+        {"lo": "-inf", "hi": "inf", "type": "exp-quadratic", "c2": 1e300, "offset": -1,
+         "amplitude": 1}]}, 4),
+    "halfline-v-subnormal": ({"kind": "halfline_power_law", "a": 0, "v": 1e-320, "alpha": 2}, 3),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-oracle"]], ids=["oracle", "no-oracle"])
+@pytest.mark.parametrize("command", ["levels", "count", "wavefunction"])
+@pytest.mark.parametrize("name", list(_EXTREME_POTENTIALS))
+def test_an_extreme_branch_parameter_exits_with_one_line(tmp_path, capsys, name, command, flags):
+    # a companion matrix that overflowed raised LinAlgError (exit 1); the
+    # others printed a RuntimeWarning, which filterwarnings = error raises here
+    pot, code = _EXTREME_POTENTIALS[name]
+    cfg = write_config(tmp_path, "c.json", {"potential": pot, "hbar": 0.1, "window": [0.5, 1.5]})
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path / "t.csv"), *flags]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(("certification failure: ", "numerical non-convergence: "))
+
+
 def test_scaling_without_levels_exits_4(tmp_path):
     # at hbar = 0.1 the window holds no level of the harmonic well
     cfg = write_config(tmp_path, "c.json", {
@@ -444,7 +485,7 @@ def test_the_wavefunction_study_is_the_sup_error_from_the_matching_point_to_x_pl
         level = min(quantize.levels(pot, window, float(h), cert=cert),
                     key=lambda l: abs(l.lam - lam_ref))
         spec = oracle.solve_spectrum(pot, float(h), window, oracle.DEFAULT_TOL)
-        psi = langer.eigenfunction(pot, level, cert)
+        psi = langer.eigenfunction(pot, level)
         xg, po = oracle.eigenvector(spec, int(np.flatnonzero(spec.index == level.n)[0]))
         on = (xg >= psi.x1) & (xg <= psi.plus.x_tp + 1.0)
         assert err == repr(float(np.max(np.abs(psi(xg[on]) - po[on]))))
@@ -486,7 +527,7 @@ def test_the_levels_study_on_a_jump_inside_the_well_exits_4(tmp_path, capsys):
     # the smooth defect has no jump term; the study used to fit it anyway
     cfg = write_config(tmp_path, "c.json", dict(DISC_CFG, hbar=[0.1, 0.05, 0.025], study="levels"))
     assert run(["scaling", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 4
-    assert "jumps inside the well" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"numerical non-convergence: {NO_JUMP_TERM}\n"
     assert not (tmp_path / "t.csv").exists()
 
 
@@ -601,6 +642,32 @@ def test_an_unknown_field_exits_2(tmp_path, capsys, base, change):
     cfg = write_config(tmp_path, "c.json", dict(base, **change))
     assert run(["levels", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
     assert capsys.readouterr().err == f"config error: unknown field {next(iter(change))!r}\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("weights", [
+    [{"name": "x,y\nz", "kind": "potential"}],
+    [{"name": 'a"b', "kind": "potential"}],
+    [{"name": "a\rb", "kind": "potential"}],
+    [{"name": 7, "kind": "potential"}],
+    [{"name": ["a", 1], "kind": "potential"}],
+    [{"name": "", "kind": "potential"}],
+    [{"name": "kinetic", "kind": "potential"}],
+    [{"name": "v", "kind": "potential"}, {"name": "v", "kind": "poly", "coeffs": [0, 0, 1]}],
+    [{"kind": "potential"}, {"kind": "potential"}],
+    [{"kind": "indicator", "low": 0.5}],
+    [{"name": "v", "kind": "potential", "lo": 0.5}],
+    [{"name": "x2", "kind": "poly", "coeffs": [0, 0, 1], "hi": 1.0}],
+    [{"name": "v", "kind": ["potential"]}],
+], ids=["comma-newline", "quote", "cr", "number", "list", "empty", "kinetic", "repeated",
+        "repeated-default", "misspelled-key", "key-of-another-kind", "poly-extra-key", "kind-list"])
+def test_a_malformed_weight_exits_2(tmp_path, capsys, weights):
+    # a name is one CSV cell and must not repeat a row; a key a weight does
+    # not take (a misspelled 'lo') used to be dropped without a word
+    cfg = write_config(tmp_path, "c.json", dict(DISC_CFG, weights=weights))
+    assert run(["observable", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: field 'weights': ") and err.count("\n") == 1
     assert not (tmp_path / "t.csv").exists()
 
 

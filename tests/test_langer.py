@@ -47,7 +47,7 @@ def _chart(pot, lam, side, x1=None):
     cert = certify_well(pot, lam, lam)
     kind = ("halfline_dirichlet" if pot.domain == "half_line"
             else "smooth" if cert.interior_jump is None else "discontinuous")
-    c = quantize.quantization_condition(pot, lam, kind, 1.0, cert)
+    c = quantize.quantization_condition(pot, lam, kind, 1.0)
     return build_chart(pot, lam, side, c.tp, c.x1 if x1 is None else x1)
 
 

@@ -124,9 +124,8 @@ def test_jump_action_at_an_array_of_hbar_is_one_call_per_hbar(well, fractions):
 @given(wells())
 def test_defect_recomputed_per_level_is_the_residual(well):
     kind, pot, window, hbar = well
-    cert = certify_well(pot, *window)
     for l in _solve(kind, pot, window, hbar):
-        c = quantization_condition(pot, l.lam, l.kind, hbar, cert, quantize._ROOT_QUAD_TOL)
+        c = quantization_condition(pot, l.lam, l.kind, hbar, quantize._ROOT_QUAD_TOL)
         defect = abs(c.g - quantize._target(l.n, l.kind, hbar))
         # the scalar evaluation repeats the solver's last one in the batch
         assert defect == l.residual
@@ -245,9 +244,8 @@ def test_the_eigenfunctions_of_a_window_are_its_levels_eigenfunctions(well):
     kind, pot, window, hbar = well
     levels = _solve(kind, pot, window, hbar)
     assume(levels)
-    cert = certify_well(pot, *window)
-    for l, psi in zip(levels, eigenfunctions(pot, levels, cert), strict=True):
-        alone = eigenfunction(pot, l, cert)
+    for l, psi in zip(levels, eigenfunctions(pot, levels), strict=True):
+        alone = eigenfunction(pot, l)
         assert (psi.c_plus, psi.c_minus, psi.x1) == (alone.c_plus, alone.c_minus, alone.x1)
         for a, b in ((psi.plus, alone.plus), (psi.minus, alone.minus)):
             assert (a is None) == (b is None)

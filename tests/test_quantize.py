@@ -71,8 +71,11 @@ def test_bs_uniqueness_separation():
 
 
 def test_bs_rejects_jump_and_bad_hbar():
-    with pytest.raises(QuantizeError):
-        levels_of_kind(DISC, (0.8, 1.8), 0.05, "smooth")
+    # levels never takes Bohr-Sommerfeld across a jump inside the well: the
+    # jump condition on the full line, a refusal on the half line
+    assert {l.kind for l in levels(DISC, (0.8, 1.8), 0.05)} == {"discontinuous"}
+    with pytest.raises(QuantizeError, match="jumps inside the well"):
+        levels(potential_from_spec(HL_JUMP_SPEC), (0.6, 1.5), 0.05)
     with pytest.raises(QuantizeError):
         levels(HARM, (0.5, 1.5), -0.1)
 
@@ -392,7 +395,8 @@ def test_halfline_singular_point_entering_the_well_fails_certification():
 
 
 def _as(kind):
-    return lambda pot, window, hbar, **kw: levels_of_kind(pot, window, hbar, kind, **kw)
+    # the solver of one kind takes no certificate, so the cert case passes none
+    return lambda pot, window, hbar, cert=None: levels_of_kind(pot, window, hbar, kind)
 
 
 @pytest.mark.parametrize("with_cert", [False, True], ids=["no-cert", "cert"])
@@ -468,9 +472,7 @@ def test_weyl_count_refuses_a_reversed_window_with_any_certificate():
 @pytest.mark.parametrize("solve", [
     lambda cert: levels(HARM, (0.5, 1.5), 0.1, cert=cert),
     lambda cert: weyl_count(HARM, 0.5, 1.5, 0.1, cert=cert),
-    lambda cert: quantize.defect(HARM, 1.45, 7, "smooth", 0.1, cert),
-    lambda cert: eigenfunction(HARM, levels(HARM, (1.0, 1.5), 0.1)[-1], cert),
-], ids=["levels", "weyl", "defect", "eigenfunction"])
+], ids=["levels", "weyl"])
 def test_a_certificate_must_cover_the_energies_asked_for(solve):
     solve(certify_well(HARM, 0.5, 1.5))
     for cert in (certify_well(HARM, 0.5, 1.2), certify_well(QUART, 0.5, 1.5), "cert"):
@@ -492,26 +494,68 @@ def test_levels_and_counts_are_python_floats():
 
 
 def test_quantization_condition_per_kind():
-    from semiclass.potential import certify_well, turning_points
+    from semiclass.potential import turning_points
     from semiclass.quadrature import well_integral
 
-    cert = certify_well(QUART, 0.5, 2.0)
     tp = turning_points(QUART, 1.3)
     (act, der), _ = well_integral(QUART, 1.3, tp.x_minus, tp.x_plus, True, True)
-    assert quantize.quantization_condition(QUART, 1.3, "smooth", 0.05, cert) == quantize.Condition(
+    assert quantize.quantization_condition(QUART, 1.3, "smooth", 0.05) == quantize.Condition(
         act, 0.5 * der, 1.0, der, 0.0, tp, 0.5 * (tp.x_minus + tp.x_plus))
-    cert = certify_well(DISC, 0.8, 1.8)
     ja = quantize.jump_action(DISC, 1.2, 0.05, 0.0)
     assert (ja.tp, ja.x1) == (turning_points(DISC, 1.2), 0.0)
-    assert quantize.quantization_condition(DISC, 1.2, "discontinuous", 0.05, cert) == ja
-    cert = certify_well(HL, 0.05, 1.45)
+    assert quantize.quantization_condition(DISC, 1.2, "discontinuous", 0.05) == ja
     tp = turning_points(HL, 0.9)
     (act, der), _ = well_integral(HL, 0.9, 0.0, tp.x_plus, False, True)
     for kind in ("halfline_dirichlet", "halfline_robin"):
-        assert quantize.quantization_condition(HL, 0.9, kind, 0.1, cert) == quantize.Condition(
+        assert quantize.quantization_condition(HL, 0.9, kind, 0.1) == quantize.Condition(
             act, 0.5 * der, 1.0, der, 0.0, tp, 0.0)
     with pytest.raises(QuantizeError):
-        quantize.quantization_condition(HL, 0.9, "halfline_neumann", 0.1, cert)
+        quantize.quantization_condition(HL, 0.9, "halfline_neumann", 0.1)
+
+
+def test_the_discontinuous_record_finds_its_jump_in_the_well():
+    # no certificate: x0 is the one singular point inside the well at every lam
+    lam = np.array([0.9, 1.25, 1.7])
+    for hbar in (0.05, np.array([[0.1], [0.05]])):
+        got = quantize.quantization_condition(DISC, lam, "discontinuous", hbar)
+        want = quantize.jump_action(DISC, lam, hbar, 0.0)
+        for f in ("g", "g_prime", "a_squared", "i_plus", "i_minus", "x1"):
+            assert np.array_equal(getattr(got, f), getattr(want, f))
+        assert all(np.array_equal(a, b) for a, b in zip(vars(got.tp).values(), vars(want.tp).values()))
+
+
+def test_the_discontinuous_record_needs_one_singular_point_at_every_energy():
+    # x^2 with a jump of 0.5 at x = 1, which enters the well at lam = 1.5
+    pot = potential_from_spec({"kind": "table", "branches": [
+        {"lo": "-inf", "hi": 1.0, "type": "poly", "coeffs": [0.0, 0.0, 1.0]},
+        {"lo": 1.0, "hi": "inf", "type": "poly", "coeffs": [0.5, 0.0, 1.0]},
+    ]})
+    assert quantize.quantization_condition(pot, 2.0, "discontinuous", 0.1).x1 == 1.0
+    with pytest.raises(QuantizeError, match="inside the well at only some energies"):
+        quantize.quantization_condition(pot, np.array([0.5, 2.0]), "discontinuous", 0.1)
+    with pytest.raises(QuantizeError, match="exactly one interior singular point, found 0"):
+        quantize.quantization_condition(pot, np.array([0.5, 0.8]), "discontinuous", 0.1)
+    with pytest.raises(QuantizeError, match="found 0"):
+        quantize.defect(HARM, 0.5, 0, "discontinuous", 0.1)
+
+
+def test_the_smooth_record_of_a_jump_well_is_the_whole_well_integrals():
+    # no kind refuses a jump inside the well: the smooth record of DISC holds
+    # Phi, Phi' and I over the whole well, which weyl_count and action read
+    from semiclass import action
+    from semiclass.action import power_law_closed_forms
+
+    lam = np.array([0.9, 1.7])
+    c = quantize.quantization_condition(DISC, lam, "smooth", 0.05)
+    forms = [power_law_closed_forms(0.5, 1, 2, 0, 1, 2, l) for l in lam]
+    assert c.g == pytest.approx([f.phi for f in forms], rel=1e-10)
+    assert c.g_prime == pytest.approx([f.phi_prime for f in forms], rel=1e-10)
+    assert np.array_equal(c.i_plus, 2.0 * c.g_prime) and np.array_equal(c.i_minus, [0.0, 0.0])
+    assert weyl_count(DISC, 0.9, 1.7, 0.05).phase_volume == 2.0 * (c.g[1] - c.g[0])
+    one = quantize.quantization_condition(DISC, 1.7, "smooth", 0.05)
+    assert action.kinetic_cl(DISC, 1.7) == one.g / one.i_plus
+    assert (one.g, one.i_plus) == (c.g[1], c.i_plus[1])
+    assert quantize.defect(DISC, 1.7, 3, "smooth", 0.05) == one.g - math.pi * 3.5 * 0.05
 
 
 def test_bs_exp_quadratic_branch_vs_oracle():

@@ -11,13 +11,17 @@ program is imported from the src/ next to this script, so running two
 trees' copies into two directories and `diff -r` compares their output.
 
 Exits 1 when any run exits with a code outside {0, 2, 3, 4} (success and
-the documented failures), prints a Python traceback or prints a Python
-warning ("...Warning:" on stderr), and names those runs on stderr; the
-program promises none of these.  It also exits 1 and names each config on
-which every run exits 2 (a config error): such a file is not a run config
-(a potential document, say), so its runs check nothing.
+the documented failures), prints a Python traceback, prints a Python
+warning ("...Warning:" on stderr) or exits 0 with a malformed table, and
+names those runs on stderr; the program promises none of these.  A table is
+well formed when its JSON parses and each row has one cell per column, or
+when each of its CSV lines has as many comma-separated cells as the header.
+It also exits 1 and names each config on which every run exits 2 (a config
+error): such a file is not a run config (a potential document, say), so its
+runs check nothing.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +30,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COMMANDS = ("levels", "count", "wavefunction", "observable", "scaling")
 EXIT_CODES = (0, 2, 3, 4)
+
+
+def well_formed(out: bytes, fmt: str) -> bool:
+    """Whether the table a run wrote (in fmt, csv or json) has one cell per column in every row."""
+    try:
+        if fmt == "json":
+            table = json.loads(out)
+            return all(len(row) == len(table["columns"]) for row in table["rows"])
+        header, *rows = out.decode().splitlines()
+    except (ValueError, KeyError, TypeError):  # no JSON, no table, or no header line
+        return False
+    return all(row.count(",") == header.count(",") for row in rows)
 
 
 def main() -> int:
@@ -56,6 +72,8 @@ def main() -> int:
                         bad.append(f"{where}: exit {run.returncode}")
                     elif b"Warning:" in run.stderr:
                         bad.append(f"{where}: a Python warning on stderr")
+                    elif run.returncode == 0 and not well_formed(run.stdout, fmt):
+                        bad.append(f"{where}: a malformed {fmt} table")
         if codes == {2}:
             bad.append(f"not a run config: {cfg.name}: every run exits 2")
     for line in bad:
